@@ -309,8 +309,36 @@ def activation_density(state: BeliefState, sector: str) -> float:
     return tagged / total
 
 
-def is_vacuum(state: BeliefState) -> bool:
-    return state.is_vacuum
+# --------------------------------------------------------------------------
+# Conflicts: two fragments contradict when they share a proposition key and
+# have opposite polarity
+# --------------------------------------------------------------------------
+
+def key_groups(fragments: Iterable[Fragment]) -> dict[str, list[Fragment]]:
+    """Keyed fragments grouped by proposition key, input order kept in each.
+
+    Fragments on different keys never conflict, so every conflict query walks
+    these groups instead of every pair of fragments.
+    """
+    groups: dict[str, list[Fragment]] = {}
+    for f in fragments:
+        if f.key is not None:
+            groups.setdefault(f.key, []).append(f)
+    return groups
+
+
+def first_conflict(fragments: Sequence[Fragment]) -> Optional[tuple[Fragment, Fragment]]:
+    """The conflicting pair (a, b) with the lowest (a.id, b.id), or None.
+
+    ``fragments`` must be in id order, as a state holds them: each group's
+    lowest pair is its head and the head's first opposite, and groups come
+    in head-id order, so the first group with a pair holds the answer.
+    """
+    for head, *rest in key_groups(fragments).values():
+        rival = next((f for f in rest if f.polarity != head.polarity), None)
+        if rival is not None:
+            return head, rival
+    return None
 
 
 __all__ = [
@@ -324,8 +352,9 @@ __all__ = [
     "embed_state",
     "embed_tokens",
     "encode_observation",
+    "first_conflict",
     "fragment_from_spec",
-    "is_vacuum",
+    "key_groups",
     "sector_projection",
     "token_cell",
     "tokenize",

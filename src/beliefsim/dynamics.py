@@ -3,7 +3,8 @@
 Assimilation is a staged pipeline:
 
 1. exact duplicates of existing fragments are dropped and instead refresh the
-   existing fragment (confirmation: persistence back to 1.0, anchor +1);
+   existing fragment (confirmation: persistence back to 1.0, anchor +1 per
+   duplicate);
 2. conflicts between the state and the remaining input are detected (shared
    proposition key, opposite polarity);
 3. in corrective modes the lower-anchored party of each conflict is retracted
@@ -25,23 +26,20 @@ from __future__ import annotations
 
 import math
 import random
-from collections import Counter
 from dataclasses import dataclass
 from typing import Any, Mapping, Optional, Sequence
 
 from .config import ParameterConfig
-from .core import BeliefState, Fragment, IdAllocator, fragment_from_spec, tokenize
+from .core import (
+    BeliefState,
+    Fragment,
+    IdAllocator,
+    fragment_from_spec,
+    key_groups,
+    tokenize,
+)
 
 ASSIMILATION_MODES = ("elab", "corr", "abs", "conf", "auto")
-
-
-@dataclass(frozen=True)
-class ConflictPair:
-    """One contradiction between an existing and an incoming fragment."""
-
-    existing_id: int
-    incoming_index: int
-    key: str
 
 
 @dataclass(frozen=True)
@@ -86,40 +84,35 @@ class AssimilationReport:
 class ConflictError(ValueError):
     """Raised when elaborative-only assimilation meets a contradiction."""
 
-    def __init__(self, pairs: Sequence[ConflictPair]):
+    def __init__(self, pairs: Sequence[tuple[Fragment, Fragment]]):
         self.pairs = tuple(pairs)
-        keys = sorted({p.key for p in self.pairs})
+        keys = sorted({existing.key for existing, _ in self.pairs})
         super().__init__(
             f"{len(self.pairs)} conflict(s) on key(s) {keys}; "
             "elaborative mode cannot revise — use corrective mode"
         )
 
 
-def _opposed(a: Fragment, b: Fragment) -> bool:
-    return (
-        a.key is not None
-        and b.key is not None
-        and a.key == b.key
-        and a.polarity != b.polarity
-    )
-
-
-def detect_conflicts(state: BeliefState, incoming: BeliefState) -> list[ConflictPair]:
+def detect_conflicts(
+    state: BeliefState, incoming: BeliefState
+) -> list[tuple[Fragment, Fragment]]:
     """All (existing, incoming) pairs sharing a key with opposite polarity.
 
-    Fragments without a proposition key never conflict.
+    Pairs come in existing-id order, then incoming order.  Fragments without
+    a proposition key never conflict.
     """
-    pairs: list[ConflictPair] = []
-    for existing in state.fragments:
-        for index, candidate in enumerate(incoming.fragments):
-            if _opposed(existing, candidate):
-                pairs.append(ConflictPair(existing.id, index, existing.key or ""))
-    return pairs
+    by_key = key_groups(incoming.fragments)
+    return [
+        (existing, candidate)
+        for existing in state.fragments
+        for candidate in by_key.get(existing.key, ())
+        if candidate.polarity != existing.polarity
+    ]
 
 
 def _revision_loser(existing: Fragment, incoming: Fragment) -> Fragment:
     """Which party of a conflict is retracted: lower anchor, then older
-    created_at, then the incoming side."""
+    created_at, then the incoming (later) side."""
     if existing.anchor != incoming.anchor:
         return existing if existing.anchor < incoming.anchor else incoming
     if existing.created_at != incoming.created_at:
@@ -127,32 +120,30 @@ def _revision_loser(existing: Fragment, incoming: Fragment) -> Fragment:
     return incoming
 
 
-def _resolve_internal(fragments: list[Fragment]) -> tuple[list[Fragment], list[int], int]:
+def _resolve_internal(fragments: list[Fragment]) -> tuple[list[Fragment], list[int]]:
     """Resolve conflicts among the fragments of one state.
 
-    Same revision rule; on a full tie the higher id (the later arrival) is
-    retracted.  Returns (survivors, retracted ids, conflicts seen).
+    Same revision rule, with the higher id as the later arrival that loses a
+    full tie.  Each key group is walked pair by pair in id order; retracted
+    ids come out in global (a.id, b.id) discovery order, and every conflict
+    seen retracts exactly one fragment.  Returns (survivors, retracted ids).
     """
-    alive: dict[int, Fragment] = {f.id: f for f in fragments}
-    retracted: list[int] = []
-    seen = 0
     ordered = sorted(fragments, key=lambda f: f.id)
-    for i, a in enumerate(ordered):
-        for b in ordered[i + 1:]:
-            if a.id not in alive or b.id not in alive:
-                continue
-            if _opposed(a, b):
-                seen += 1
-                if a.anchor != b.anchor:
-                    loser = a if a.anchor < b.anchor else b
-                elif a.created_at != b.created_at:
-                    loser = a if a.created_at < b.created_at else b
-                else:
-                    loser = b  # higher id: the later arrival loses the tie
-                del alive[loser.id]
-                retracted.append(loser.id)
-    survivors = sorted(alive.values(), key=lambda f: f.id)
-    return survivors, retracted, seen
+    dead: set[int] = set()
+    found: list[tuple[int, int, int]] = []  # (a.id, b.id, loser id)
+    for group in key_groups(ordered).values():
+        for i, a in enumerate(group):
+            for b in group[i + 1:]:
+                if a.id in dead:
+                    break
+                if b.id in dead or b.polarity == a.polarity:
+                    continue
+                loser = _revision_loser(a, b)
+                dead.add(loser.id)
+                found.append((a.id, b.id, loser.id))
+    found.sort()
+    survivors = [f for f in ordered if f.id not in dead]
+    return survivors, [loser for _, _, loser in found]
 
 
 def assimilate(
@@ -174,21 +165,17 @@ def assimilate(
         raise ValueError(f"unknown assimilation mode {mode!r}")
     clock = state.clock
     current = list(state.fragments)
-    by_content = {f.content_key(): f.id for f in current}
+    by_content = {f.content_key(): i for i, f in enumerate(current)}
 
-    # Stage 1: duplicate refresh (confirmatory behavior).
+    # Stage 1: duplicate refresh (confirmatory behavior), +1 per twin.
     fresh: list[Fragment] = []
     for candidate in incoming.fragments:
-        twin_id = by_content.get(candidate.content_key())
-        if twin_id is not None:
-            current = [
-                f.replace(anchor=f.anchor + 1.0, persistence=1.0)
-                if f.id == twin_id
-                else f
-                for f in current
-            ]
-        else:
+        twin = by_content.get(candidate.content_key())
+        if twin is None:
             fresh.append(candidate)
+        else:
+            f = current[twin]
+            current[twin] = f.replace(anchor=f.anchor + 1.0, persistence=1.0)
 
     # Stage 2: conflict detection against what remains of the input.
     remaining_state = BeliefState(tuple(current), clock)
@@ -204,20 +191,16 @@ def assimilate(
     if pairs and mode in ("corr", "auto"):
         dead_existing: set[int] = set()
         dead_incoming: set[int] = set()
-        frame = {f.id: f for f in current}
-        for pair in pairs:
-            if pair.existing_id in dead_existing or pair.incoming_index in dead_incoming:
+        for existing, candidate in pairs:
+            if existing.id in dead_existing or candidate.id in dead_incoming:
                 continue  # this conflict dissolved with an earlier retraction
-            existing = frame[pair.existing_id]
-            candidate = fresh[pair.incoming_index]
-            loser = _revision_loser(existing, candidate)
-            if loser is existing:
+            if _revision_loser(existing, candidate) is existing:
                 dead_existing.add(existing.id)
                 retracted.append(existing.id)
             else:
-                dead_incoming.add(pair.incoming_index)
+                dead_incoming.add(candidate.id)
         current = [f for f in current if f.id not in dead_existing]
-        fresh = [f for i, f in enumerate(fresh) if i not in dead_incoming]
+        fresh = [f for f in fresh if f.id not in dead_incoming]
 
     # Stage 4: union; added fragments keep their anchors, persistence resets.
     existing_ids = {f.id for f in current}
@@ -265,8 +248,8 @@ def assimilate(
     # Final sweep: corrective modes end conflict-free even when the input
     # itself (or an elaboration) carried a contradiction.
     if mode in ("corr", "auto"):
-        current, swept, seen = _resolve_internal(current)
-        conflicts_found += seen
+        current, swept = _resolve_internal(current)
+        conflicts_found += len(swept)
         for fid in swept:
             if fid in added:
                 added.remove(fid)
@@ -405,7 +388,6 @@ __all__ = [
     "ASSIMILATION_MODES",
     "AssimilationReport",
     "ConflictError",
-    "ConflictPair",
     "DRIFT_ANCHOR",
     "ElaborationRule",
     "annihilate",

@@ -20,6 +20,7 @@ from .core import (
     IdAllocator,
     embed_fragment,
     embed_tokens,
+    first_conflict,
     tokenize,
 )
 from .dynamics import AssimilationReport, ElaborationRule, assimilate
@@ -41,18 +42,6 @@ class QueryCue:
 
     def to_dict(self) -> dict:
         return {"kind": self.kind, "tokens": list(self.tokens)}
-
-
-def _internal_conflicts(state: BeliefState) -> list[tuple[Fragment, Fragment]]:
-    pairs = []
-    frags = state.fragments
-    for i, a in enumerate(frags):
-        if a.key is None:
-            continue
-        for b in frags[i + 1:]:
-            if b.key == a.key and b.polarity is not None and b.polarity != a.polarity:
-                pairs.append((a, b))
-    return pairs
 
 
 def generate_query(
@@ -85,10 +74,10 @@ def generate_query(
         return QueryCue(kind="goal", tokens=tokens)
 
     if trigger == "coherence":
-        pairs = _internal_conflicts(active)
-        if not pairs:
+        pair = first_conflict(active.fragments)
+        if pair is None:
             return None
-        a, b = min(pairs, key=lambda p: (p[0].id, p[1].id))
+        a, b = pair
         tokens = tuple(sorted(set(a.tokens) | set(b.tokens)))
         return QueryCue(kind="coherence", tokens=tokens)
 

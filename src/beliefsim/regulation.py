@@ -18,6 +18,8 @@ from .core import (
     Fragment,
     IdAllocator,
     activation_density,
+    first_conflict,
+    key_groups,
     sector_projection,
 )
 from .geometry import compass_reading, distance
@@ -43,14 +45,11 @@ META_ANCHOR = 2.0
 # --------------------------------------------------------------------------
 
 def _conflict_pairs(fragments: Sequence[Fragment]) -> int:
-    """Unordered conflicting pairs: shared key, opposite polarity."""
+    """Unordered conflicting pairs: per key, positives times negatives."""
     count = 0
-    for i, a in enumerate(fragments):
-        if a.key is None:
-            continue
-        for b in fragments[i + 1:]:
-            if b.key == a.key and b.polarity is not None and b.polarity != a.polarity:
-                count += 1
+    for group in key_groups(fragments).values():
+        plus = sum(1 for f in group if f.polarity == "+")
+        count += plus * (len(group) - plus)
     return count
 
 
@@ -59,7 +58,8 @@ def coherence(state: BeliefState, sector: str | None = None) -> float:
 
     Ordered pairs (each unordered conflict counts twice) over n^2, so two
     fragments in direct contradiction score 0.5 and the measure decays
-    smoothly as neutral content is added around a dispute.
+    smoothly as neutral content is added around a dispute.  With p_k and m_k
+    counting the '+' and '-' fragments on key k, this is 1 − 2·Σ_k p_k·m_k / n².
     """
     frags = state.fragments
     if sector is not None:
@@ -365,13 +365,11 @@ def _most_conflicted_sector(state: BeliefState) -> str | None:
         return best
     # Cross-sector conflict: no single projection contains a pair.  Fall back
     # to the lexicographically first sector touching the first conflict.
-    for i, a in enumerate(state.fragments):
-        if a.key is None:
-            continue
-        for b in state.fragments[i + 1:]:
-            if b.key == a.key and b.polarity is not None and b.polarity != a.polarity:
-                return min(a.sectors | b.sectors)
-    return None
+    pair = first_conflict(state.fragments)
+    if pair is None:
+        return None
+    a, b = pair
+    return min(a.sectors | b.sectors)
 
 
 def _lowest_priority_sector(state: BeliefState, config: ParameterConfig) -> str | None:

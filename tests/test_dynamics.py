@@ -10,11 +10,12 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from beliefsim.config import ParameterConfig, default_config
-from beliefsim.core import BeliefState, IdAllocator
+from beliefsim.core import BeliefState, IdAllocator, first_conflict, sector_projection
 from beliefsim.dynamics import (
     DRIFT_ANCHOR,
     ConflictError,
     ElaborationRule,
+    _resolve_internal,
     annihilate,
     annihilate_sector,
     assimilate,
@@ -24,6 +25,7 @@ from beliefsim.dynamics import (
     nullify,
     nullify_sector,
 )
+from beliefsim.regulation import _most_conflicted_sector
 
 from conftest import make_fragment, states
 
@@ -210,6 +212,16 @@ def test_duplicate_refresh_bumps_anchor_and_persistence(cfg):
     assert report.conflicts_found == 0
 
 
+def test_duplicate_refresh_counts_each_twin(cfg):
+    held = make_fragment(1, "pump runs", anchor=2.0, persistence=0.4)
+    twins = incoming(make_fragment(101, "runs pump"), make_fragment(102, "pump runs"))
+    out, report = assimilate(make_state(held), twins, cfg, IdAllocator(200))
+    assert out.ids() == frozenset({1})
+    assert out.get(1).anchor == 4.0
+    assert out.get(1).persistence == 1.0
+    assert report.added == ()
+
+
 def test_union_resets_persistence_and_keeps_anchor(cfg):
     new = make_fragment(101, "valve hums", anchor=4.0, persistence=0.3)
     out, report = assimilate(make_state(make_fragment(1)), incoming(new), cfg, IdAllocator(200))
@@ -235,7 +247,7 @@ def test_detect_conflicts_requires_shared_key_opposite_polarity():
         make_fragment(103, "plain text"),
     )
     pairs = detect_conflicts(held, probe)
-    assert [(p.existing_id, p.key) for p in pairs] == [(1, "valve")]
+    assert [(a.id, a.key) for a, _ in pairs] == [(1, "valve")]
 
 
 def test_elaborative_mode_raises_on_conflict(cfg):
@@ -243,7 +255,7 @@ def test_elaborative_mode_raises_on_conflict(cfg):
     clash = incoming(make_fragment(101, "valve shut", key="valve", polarity="-"))
     with pytest.raises(ConflictError) as err:
         assimilate(held, clash, cfg, IdAllocator(200), mode="elab")
-    assert [p.key for p in err.value.pairs] == ["valve"]
+    assert [a.key for a, _ in err.value.pairs] == ["valve"]
 
 
 def test_confirmatory_mode_unions_without_revision(cfg):
@@ -411,6 +423,95 @@ class TestAssimilationLaws:
         for f in out.fragments:
             assert f.anchor == held.get(f.id).anchor + 1.0
             assert f.persistence == 1.0
+
+
+# --------------------------------------------------------------------------
+# Conflict queries: the key index against all-pairs enumeration
+# --------------------------------------------------------------------------
+
+def _opposed(a, b):
+    return a.key is not None and a.key == b.key and a.polarity != b.polarity
+
+
+def _all_conflicts(frags):
+    """Every conflicting (a, b) with a listed before b, in listing order."""
+    return [(a, b) for i, a in enumerate(frags) for b in frags[i + 1:] if _opposed(a, b)]
+
+
+def _quadratic_resolve(fragments):
+    """Reference revision walk over every pair: (survivors, retracted, seen)."""
+    alive = {f.id: f for f in fragments}
+    retracted = []
+    seen = 0
+    ordered = sorted(fragments, key=lambda f: f.id)
+    for i, a in enumerate(ordered):
+        for b in ordered[i + 1:]:
+            if a.id not in alive or b.id not in alive:
+                continue
+            if _opposed(a, b):
+                seen += 1
+                if a.anchor != b.anchor:
+                    loser = a if a.anchor < b.anchor else b
+                elif a.created_at != b.created_at:
+                    loser = a if a.created_at < b.created_at else b
+                else:
+                    loser = b
+                del alive[loser.id]
+                retracted.append(loser.id)
+    return sorted(alive.values(), key=lambda f: f.id), retracted, seen
+
+
+def _quadratic_most_conflicted(state):
+    best, best_count = None, 0
+    for sector in state.sectors():
+        count = len(_all_conflicts(sector_projection(state, sector).fragments))
+        if count > best_count:
+            best, best_count = sector, count
+    if best is not None:
+        return best
+    pairs = _all_conflicts(state.fragments)
+    return min(pairs[0][0].sectors | pairs[0][1].sectors) if pairs else None
+
+
+@st.composite
+def interleaved_claims(draw):
+    """Shuffled fragments whose ids interleave several keys.  Anchors and
+    created_at come from two values each, so both revision tie-breaks fire."""
+    n = draw(st.integers(0, 14))
+    frags = []
+    for i in range(n):
+        key = draw(st.sampled_from((None, "p", "q", "r")))
+        frags.append(
+            make_fragment(
+                i + 1,
+                sectors=draw(st.sets(st.sampled_from(("perc", "task", "plan")), min_size=1)),
+                anchor=draw(st.sampled_from((1.0, 2.0))),
+                created_at=draw(st.sampled_from((1.0, 2.0))),
+                key=key,
+                polarity=draw(st.sampled_from("+-")) if key else None,
+            )
+        )
+    return draw(st.permutations(frags))
+
+
+@settings(max_examples=300, deadline=None)
+@given(frags=interleaved_claims(), data=st.data())
+def test_key_index_matches_all_pairs_enumeration(frags, data):
+    survivors, retracted, seen = _quadratic_resolve(frags)
+    assert _resolve_internal(list(frags)) == (survivors, retracted)
+    assert len(retracted) == seen
+
+    state = make_state(*frags)
+    pairs = _all_conflicts(state.fragments)
+    assert first_conflict(state.fragments) == (pairs[0] if pairs else None)
+    assert _most_conflicted_sector(state) == _quadratic_most_conflicted(state)
+
+    sides = data.draw(st.lists(st.booleans(), min_size=len(frags), max_size=len(frags)))
+    held = make_state(*(f for f, new in zip(frags, sides) if not new))
+    probe = incoming(*(f for f, new in zip(frags, sides) if new))
+    assert detect_conflicts(held, probe) == [
+        (a, b) for a in held.fragments for b in probe.fragments if _opposed(a, b)
+    ]
 
 
 # --------------------------------------------------------------------------
