@@ -1,8 +1,10 @@
 #!/usr/bin/env python3
-"""Regenerate the frozen golden trace for the decay scenario.
+"""Regenerate the frozen golden trace of every shipped scenario.
 
-Run after any intentional change to trace semantics, then review the diff:
-the golden file is the contract that replays must reproduce byte-for-byte.
+Each ``scenarios/<name>.json`` is run with its own seed and written to
+``scenarios/golden/<name>.trace.jsonl``.  Run after any intentional change to
+trace semantics, then review the diff: the golden files are the contract that
+replays must reproduce byte-for-byte.
 """
 
 from pathlib import Path
@@ -10,18 +12,22 @@ from pathlib import Path
 from beliefsim.simulator import run_scenario
 
 ROOT = Path(__file__).resolve().parent.parent
-SCENARIO = ROOT / "scenarios" / "sensor_decay.json"
-GOLDEN = ROOT / "scenarios" / "golden" / "sensor_decay.trace.jsonl"
+SCENARIOS = ROOT / "scenarios"
+GOLDEN_DIR = SCENARIOS / "golden"
 
 
 def main() -> None:
-    result = run_scenario(SCENARIO)
-    if not result.ok:
-        details = [a.detail for a in result.failures]
-        raise SystemExit(f"scenario checks failed; refusing to freeze: {details}")
-    GOLDEN.parent.mkdir(parents=True, exist_ok=True)
-    result.trace.write(GOLDEN)
-    print(f"wrote {GOLDEN.relative_to(ROOT)} ({len(result.trace.events)} events)")
+    GOLDEN_DIR.mkdir(parents=True, exist_ok=True)
+    for scenario in sorted(SCENARIOS.glob("*.json")):
+        result = run_scenario(scenario)
+        if not result.ok:
+            details = [a.detail for a in result.failures]
+            raise SystemExit(
+                f"{scenario.name}: scenario checks failed; refusing to freeze: {details}"
+            )
+        golden = GOLDEN_DIR / f"{scenario.stem}.trace.jsonl"
+        result.trace.write(golden)
+        print(f"wrote {golden.relative_to(ROOT)} ({len(result.trace.events)} events)")
 
 
 if __name__ == "__main__":

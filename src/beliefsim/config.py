@@ -16,10 +16,8 @@ from typing import Any, Mapping
 # Function families available for the anchor-dependent decay modulator f(a).
 DECAY_MODULATORS = ("inverse_anchor", "constant")
 
-# Sector tags are open strings; these are the ones the engine and fixtures
-# use by convention (perception, planning, narrative, reflection, affect,
-# language, task, memory).
-KNOWN_SECTORS = ("perc", "plan", "narr", "refl", "affect", "lang", "task", "mem")
+# Largest embedding: every fragment keeps one float64 vector of this length.
+EMBED_DIM_MAX = 4096
 
 
 @dataclass(frozen=True)
@@ -32,7 +30,7 @@ class ParameterConfig:
     decay_modulator: str = "inverse_anchor"   # f(a) = 1/(1+a) | f(a) = 1
 
     # --- embedding -------------------------------------------------------
-    embed_dim: int = 64           # token-hash cells, >= 8
+    embed_dim: int = 64           # token-hash cells, in [8, EMBED_DIM_MAX]
 
     # --- memory cycle ----------------------------------------------------
     tau_retrieval: float = 0.3    # relevance score threshold, in [0, 1]
@@ -82,8 +80,14 @@ class ParameterConfig:
             raise ValueError(
                 f"decay_modulator must be one of {DECAY_MODULATORS}, got {self.decay_modulator!r}"
             )
-        if self.embed_dim < 8:
-            raise ValueError(f"embed_dim must be >= 8, got {self.embed_dim}")
+        for name in ("embed_dim", "window", "patience", "meta_depth_max"):
+            value = getattr(self, name)
+            if not isinstance(value, int) or isinstance(value, bool):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
+        if not (8 <= self.embed_dim <= EMBED_DIM_MAX):
+            raise ValueError(
+                f"embed_dim must lie in [8, {EMBED_DIM_MAX}], got {self.embed_dim}"
+            )
         if not (0.0 <= self.tau_retrieval <= 1.0):
             raise ValueError(f"tau_retrieval must lie in [0, 1], got {self.tau_retrieval}")
         if self.eps_fix <= 0.0:
@@ -163,7 +167,7 @@ def config_from_dict(data: Mapping[str, Any]) -> ParameterConfig:
 
 __all__ = [
     "DECAY_MODULATORS",
-    "KNOWN_SECTORS",
+    "EMBED_DIM_MAX",
     "ParameterConfig",
     "config_from_dict",
     "default_config",

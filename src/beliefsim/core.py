@@ -10,7 +10,8 @@ token is hashed (blake2b, independent of PYTHONHASHSEED) into one of
 ``embed_dim`` cells, counts accumulate, and the cell vector is L2-normalized.
 Equal token multisets therefore embed to bitwise-equal vectors, and all
 geometry downstream (distance, compass, retrieval scores) inherits that
-determinism.
+determinism.  A fragment embeds once and keeps its vector; copies made by
+``Fragment.replace`` share it unless their text changes.
 """
 
 from __future__ import annotations
@@ -21,7 +22,6 @@ import re
 from collections import Counter
 from dataclasses import dataclass
 from dataclasses import replace as dc_replace
-from functools import lru_cache
 from typing import Any, Iterable, Mapping, Optional, Sequence
 
 import numpy as np
@@ -65,6 +65,7 @@ class Fragment:
         if not tokens:
             raise ValueError(f"fragment {self.id}: text has no tokens: {self.text!r}")
         object.__setattr__(self, "_tokens", tokens)
+        object.__setattr__(self, "_vec", None)
         if not self.sectors:
             raise ValueError(f"fragment {self.id}: needs at least one sector tag")
         if self.level < 0:
@@ -113,7 +114,11 @@ class Fragment:
         )
 
     def replace(self, **overrides: Any) -> "Fragment":
-        return dc_replace(self, **overrides)
+        """A modified copy; it keeps this fragment's vector unless text changes."""
+        copy = dc_replace(self, **overrides)
+        if "text" not in overrides:
+            object.__setattr__(copy, "_vec", self._vec)  # type: ignore[attr-defined]
+        return copy
 
 
 @dataclass(frozen=True)
@@ -191,26 +196,25 @@ def token_cell(token: str, dim: int) -> int:
     return int.from_bytes(digest, "big") % dim
 
 
-@lru_cache(maxsize=8192)
-def _embed_counts(token_counts: tuple[tuple[str, int], ...], dim: int) -> np.ndarray:
+def embed_tokens(tokens: Sequence[str], dim: int) -> np.ndarray:
+    """Normalized bag-of-words vector of a token multiset."""
     vec = np.zeros(dim, dtype=np.float64)
-    for token, count in token_counts:
+    for token, count in sorted(Counter(tokens).items()):
         vec[token_cell(token, dim)] += count
     norm = float(np.linalg.norm(vec))
     if norm > 0.0:
         vec /= norm
-    vec.setflags(write=False)  # cached arrays are shared; never mutate
+    vec.setflags(write=False)  # fragment copies share this array; never mutate
     return vec
 
 
-def embed_tokens(tokens: Sequence[str], dim: int) -> np.ndarray:
-    """Normalized bag-of-words vector of a token multiset."""
-    counts = tuple(sorted(Counter(tokens).items()))
-    return _embed_counts(counts, dim)
-
-
 def embed_fragment(fragment: Fragment, dim: int) -> np.ndarray:
-    return embed_tokens(fragment.tokens, dim)
+    """The fragment's unit vector, computed on first use and kept on it."""
+    vec = fragment._vec  # type: ignore[attr-defined]
+    if vec is None or len(vec) != dim:
+        vec = embed_tokens(fragment.tokens, dim)
+        object.__setattr__(fragment, "_vec", vec)
+    return vec
 
 
 def embed_state(state: BeliefState, dim: int) -> np.ndarray:

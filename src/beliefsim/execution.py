@@ -26,16 +26,6 @@ CLAUSE_KINDS = (
 
 GATE_ACTIONS = ("approve", "delay", "suppress")
 
-VERDICTS = (
-    "fired",
-    "suppressed",
-    "below_threshold",
-    "no_momentum",
-    "gated_delay",
-    "gated_suppress",
-    "blocked_simulation",
-)
-
 SATURATION = 1.0 - 1e-12
 
 
@@ -249,7 +239,6 @@ __all__ = [
     "GATE_ACTIONS",
     "GateRule",
     "SATURATION",
-    "VERDICTS",
     "evaluate_action",
     "readiness",
     "resolve_actions",

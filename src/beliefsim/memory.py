@@ -86,10 +86,9 @@ def generate_query(
     return QueryCue(kind="associative", tokens=latest.tokens)
 
 
-def retrieval_score(cue: QueryCue, fragment: Fragment, dim: int) -> float:
-    """Cosine match against the cue, damped by the fragment's persistence."""
-    cue_vec = embed_tokens(cue.tokens, dim)
-    frag_vec = embed_fragment(fragment, dim)
+def retrieval_score(cue_vec: np.ndarray, fragment: Fragment) -> float:
+    """Cosine match against the cue's vector, damped by the fragment's persistence."""
+    frag_vec = embed_fragment(fragment, len(cue_vec))
     return float(np.dot(cue_vec, frag_vec)) * fragment.persistence
 
 
@@ -104,10 +103,10 @@ def retrieve(
     are re-tagged origin="retrieved"; member records do not survive the copy
     because the copies are surrogates, not the original summaries.
     """
-    dim = config.embed_dim
+    cue_vec = embed_tokens(cue.tokens, config.embed_dim)
     hits = []
     for f in store.fragments:
-        if retrieval_score(cue, f, dim) >= config.tau_retrieval:
+        if retrieval_score(cue_vec, f) >= config.tau_retrieval:
             hits.append(f.replace(origin="retrieved", members=None))
     return BeliefState(fragments=tuple(hits), clock=store.clock)
 

@@ -101,6 +101,11 @@ class IntrospectiveReport:
     velocity: float
     depth: int
 
+    @property
+    def worst_kappa(self) -> float:
+        """The lowest coherence reading, global or per sector."""
+        return min((self.kappa_global, *self.kappa_by_sector.values()))
+
     def to_dict(self) -> dict:
         return {
             "tick": self.tick,
@@ -143,6 +148,16 @@ def introspect(
 # --------------------------------------------------------------------------
 # Meta-assimilation: breaches become reflective fragments
 # --------------------------------------------------------------------------
+
+def coherence_breached(report: IntrospectiveReport, config: ParameterConfig) -> bool:
+    """Whether global or any sector coherence is under kappa_crit."""
+    return report.worst_kappa < config.kappa_crit
+
+
+def any_breach(report: IntrospectiveReport, config: ParameterConfig) -> bool:
+    """Whether meta_assimilate has a breach to write for this report."""
+    return bool(_breach_entries(report, config))
+
 
 def _breach_entries(
     report: IntrospectiveReport, config: ParameterConfig
@@ -307,41 +322,23 @@ def allocate_effort(
     spreads the budget uniformly.  Unnamed classes get zero: scarcity under
     stress is the point.
     """
-    total = config.effort_total
-    kappa_breach = report.kappa_global < config.kappa_crit or any(
-        v < config.kappa_crit for v in report.kappa_by_sector.values()
-    )
-    alloc: dict[str, float] = {cls: 0.0 for cls in EFFORT_CLASSES}
-    if kappa_breach:
-        alloc["corrective"] = 0.6 * total
-        alloc["monitors"] = 0.2 * total
-        alloc["rest"] = 0.2 * total
+    if coherence_breached(report, config):
+        shares = {"corrective": 0.6, "monitors": 0.2, "rest": 0.2}
     elif report.load > config.l_max:
-        alloc["nullify"] = 0.5 * total
-        alloc["abstraction"] = 0.3 * total
-        alloc["monitors"] = 0.2 * total
+        shares = {"nullify": 0.5, "abstraction": 0.3, "monitors": 0.2}
     elif goals_present:
-        alloc["planning"] = 0.5 * total
-        alloc["memory"] = 0.3 * total
-        alloc["monitors"] = 0.2 * total
+        shares = {"planning": 0.5, "memory": 0.3, "monitors": 0.2}
     else:
-        share = total / len(EFFORT_CLASSES)
-        alloc = {cls: share for cls in EFFORT_CLASSES}
-    return EffortLedger(allocations=alloc)
+        return uniform_ledger(config)
+    total = config.effort_total
+    return EffortLedger(
+        allocations={cls: shares.get(cls, 0.0) * total for cls in EFFORT_CLASSES}
+    )
 
 
 # --------------------------------------------------------------------------
 # The regulation decision
 # --------------------------------------------------------------------------
-
-REGULATION_KINDS = (
-    "annihilate_sector",
-    "corrective_assimilation",
-    "accelerate_nullify",
-    "realign",
-    "none",
-)
-
 
 @dataclass(frozen=True)
 class RegulationAction:
@@ -400,9 +397,7 @@ def regulate(
     overload accelerates decay of the lowest-priority active sector; then a
     lost bearing triggers realignment; otherwise nothing.
     """
-    kappa_values = [report.kappa_global, *report.kappa_by_sector.values()]
-    worst_kappa = min(kappa_values) if kappa_values else 1.0
-    kappa_breach = worst_kappa < config.kappa_crit
+    kappa_breach = coherence_breached(report, config)
 
     if kappa_breach and kappa_breach_ticks >= config.patience:
         target = _most_conflicted_sector(active)
@@ -411,7 +406,7 @@ def regulate(
                 kind="annihilate_sector",
                 target=target,
                 reason=(
-                    f"kappa {worst_kappa:.6g} < {config.kappa_crit:g} "
+                    f"kappa {report.worst_kappa:.6g} < {config.kappa_crit:g} "
                     f"for {kappa_breach_ticks} ticks"
                 ),
             )
@@ -419,7 +414,7 @@ def regulate(
         return RegulationAction(
             kind="corrective_assimilation",
             target=None,
-            reason=f"kappa {worst_kappa:.6g} < {config.kappa_crit:g}",
+            reason=f"kappa {report.worst_kappa:.6g} < {config.kappa_crit:g}",
         )
     if report.load > config.l_max:
         target = _lowest_priority_sector(active, config)
@@ -454,10 +449,11 @@ __all__ = [
     "META_ANCHOR",
     "NARRATIVE_SECTOR",
     "REFLECTIVE_SECTOR",
-    "REGULATION_KINDS",
     "RegulationAction",
     "allocate_effort",
+    "any_breach",
     "coherence",
+    "coherence_breached",
     "cognitive_load",
     "identity_signature",
     "identity_stability",

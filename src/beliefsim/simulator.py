@@ -56,7 +56,9 @@ from .memory import generate_query, integrate_retrieved, retrieve
 from .regulation import (
     EffortLedger,
     allocate_effort,
+    any_breach,
     coherence,
+    coherence_breached,
     introspect,
     meta_assimilate,
     regulate,
@@ -174,7 +176,7 @@ def _validate_timeline(timeline: Sequence[Mapping[str, Any]]) -> None:
             raise ScenarioError(f"timeline[{i}]: command needs text")
         if kind == "tick":
             n = entry.get("n", 1)
-            if not isinstance(n, int) or n < 1:
+            if not isinstance(n, int) or isinstance(n, bool) or n < 1:
                 raise ScenarioError(f"timeline[{i}]: tick n must be an int >= 1")
         if kind == "set_mode" and entry.get("mode") not in RUN_MODES:
             raise ScenarioError(f"timeline[{i}]: mode must be one of {RUN_MODES}")
@@ -539,15 +541,11 @@ class SimulationRun:
         )
         self._prev_active = self.active
 
-        breach = report.kappa_global < self.config.kappa_crit or any(
-            v < self.config.kappa_crit for v in report.kappa_by_sector.values()
-        )
-        self._kappa_streak = self._kappa_streak + 1 if breach else 0
+        breached = coherence_breached(report, self.config)
+        self._kappa_streak = self._kappa_streak + 1 if breached else 0
 
         # 2. write breach reflections (monitors, previous allocations).
-        if breach or report.load > self.config.l_max or any(
-            t > self.config.tau_theta for t in report.theta_by_axis.values()
-        ):
+        if any_breach(report, self.config):
             if self.ledger.charge("monitors", 1.0):
                 self.active, _, warnings = meta_assimilate(
                     self.active, report, self.config, self.ids

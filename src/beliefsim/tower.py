@@ -38,10 +38,6 @@ def _primary_sector(fragment: Fragment) -> str:
     return min(fragment.sectors)
 
 
-def _pair_cosine(a: Fragment, b: Fragment, dim: int) -> float:
-    return float(np.dot(embed_fragment(a, dim), embed_fragment(b, dim)))
-
-
 def _summary_text(a: Fragment, b: Fragment) -> str:
     """Merged text: token-multiset intersection, else capped weighted union."""
     ca = Counter(a.tokens)
@@ -79,8 +75,9 @@ def _best_pair(pool: dict[int, Fragment], dim: int) -> tuple[int, int]:
     best_key: tuple[int, int] | None = None
     best_cos = -math.inf
     for i, ia in enumerate(ordered):
+        va = embed_fragment(pool[ia], dim)
         for ib in ordered[i + 1:]:
-            cos = _pair_cosine(pool[ia], pool[ib], dim)
+            cos = float(np.dot(va, embed_fragment(pool[ib], dim)))
             if cos > best_cos or (cos == best_cos and (ia, ib) < best_key):
                 best_cos = cos
                 best_key = (ia, ib)

@@ -121,34 +121,54 @@ def make_header(
     }
 
 
-def parse_trace(source: str | Path | Iterable[str]) -> tuple[dict, list[TraceEvent]]:
-    """Read a trace back; inverse of TraceLog.render for well-formed files."""
+def _load_lines(source: str | Path | Iterable[str]) -> list[str]:
+    """The non-blank lines of a trace file or of an iterable of lines."""
     if isinstance(source, (str, Path)):
         lines = Path(source).read_text(encoding="utf-8").splitlines()
     else:
         lines = [ln.rstrip("\n") for ln in source]
-    lines = [ln for ln in lines if ln.strip()]
+    return [ln for ln in lines if ln.strip()]
+
+
+def _json_line(line: str, number: int) -> Any:
+    try:
+        return json.loads(line)
+    except json.JSONDecodeError as exc:
+        raise ValueError(
+            f"trace line {number}: invalid JSON at column {exc.colno}: {exc.msg}"
+        ) from None
+
+
+def parse_trace(source: str | Path | Iterable[str]) -> tuple[dict, list[TraceEvent]]:
+    """Read a trace back; inverse of TraceLog.render for well-formed files.
+
+    Anything else raises ValueError naming the trace line at fault.
+    """
+    lines = _load_lines(source)
     if not lines:
         raise ValueError("empty trace: missing header line")
-    first = json.loads(lines[0])
-    if "header" not in first:
-        raise ValueError("first trace line must be the header object")
-    header = first["header"]
+    first = _json_line(lines[0], 1)
+    if not isinstance(first, dict) or not isinstance(first.get("header"), dict):
+        raise ValueError("trace line 1: must be the header object")
     events = []
     for i, line in enumerate(lines[1:], start=2):
-        raw = json.loads(line)
-        try:
-            events.append(
-                TraceEvent(
-                    seq=raw["seq"],
-                    tick=raw["tick"],
-                    kind=raw["kind"],
-                    payload=raw["payload"],
-                )
-            )
-        except (KeyError, ValueError) as exc:
-            raise ValueError(f"trace line {i}: {exc}") from exc
-    return header, events
+        raw = _json_line(line, i)
+        if not isinstance(raw, dict):
+            raise ValueError(f"trace line {i}: an event must be a JSON object")
+        missing = sorted({"seq", "tick", "kind", "payload"} - set(raw))
+        if missing:
+            raise ValueError(f"trace line {i}: missing fields {missing}")
+        seq, tick, kind, payload = (raw[k] for k in ("seq", "tick", "kind", "payload"))
+        if not isinstance(seq, int) or isinstance(seq, bool):
+            raise ValueError(f"trace line {i}: seq must be an integer")
+        if not isinstance(tick, (int, float)) or isinstance(tick, bool):
+            raise ValueError(f"trace line {i}: tick must be a number")
+        if not isinstance(payload, dict):
+            raise ValueError(f"trace line {i}: payload must be an object")
+        if not isinstance(kind, str) or kind not in EVENT_KINDS:
+            raise ValueError(f"trace line {i}: unknown trace event kind {kind!r}")
+        events.append(TraceEvent(seq=seq, tick=tick, kind=kind, payload=payload))
+    return first["header"], events
 
 
 # --------------------------------------------------------------------------
@@ -212,19 +232,10 @@ def verify_golden(
     A length mismatch is reported at the first line the shorter side lacks,
     so a truncated run points at exactly where it stopped.
     """
-
-    def load_lines(source):
-        if isinstance(source, (str, Path)):
-            text = Path(source).read_text(encoding="utf-8")
-            return [ln for ln in text.splitlines() if ln.strip()]
-        return [ln.rstrip("\n") for ln in source if ln.strip()]
-
-    actual_lines = load_lines(actual)
-    golden_lines = load_lines(golden)
+    actual_lines = _load_lines(actual)
+    golden_lines = _load_lines(golden)
     for i, (a_line, g_line) in enumerate(zip(actual_lines, golden_lines), start=1):
-        a_obj = json.loads(a_line)
-        g_obj = json.loads(g_line)
-        ok, where, a, e = _compare(a_obj, g_obj, "")
+        ok, where, a, e = _compare(_json_line(a_line, i), _json_line(g_line, i), "")
         if not ok:
             return VerifyResult(False, Divergence(line=i, path=where, actual=a, expected=e))
     if len(actual_lines) != len(golden_lines):

@@ -3,6 +3,9 @@
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -108,6 +111,22 @@ def test_run_malformed_scenario_is_error(tmp_path, capsys):
     bad.write_text("{oops")
     assert main(["run", str(bad)]) == 2
     assert "not valid JSON" in capsys.readouterr().err
+
+
+# A memory cycle embeds, so a bad embed_dim would fail mid-run if load let it by.
+@pytest.mark.parametrize(
+    "config, timeline",
+    [
+        ({"embed_dim": 64.5}, []),
+        ({"embed_dim": 4097}, []),
+        ({}, [{"event": "tick", "n": True}]),
+    ],
+    ids=["embed_dim-float", "embed_dim-too-big", "tick-n-bool"],
+)
+def test_run_rejects_bad_counts_at_load(tmp_path, capsys, config, timeline):
+    data = {**PASSING, "config": config, "timeline": timeline + PASSING["timeline"]}
+    assert main(["run", write_scenario(tmp_path, data)]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
 
 
 def test_run_writes_parseable_trace(tmp_path):
@@ -288,6 +307,23 @@ def test_inspect_rejects_malformed_trace(tmp_path, capsys):
     assert main(["inspect", str(bad), "--metric", "kappa"]) == 2
 
 
+@pytest.mark.parametrize(
+    "text",
+    ["5\n", '{"header":{}}\n[1,2]\n', '{"header":{}}\n{"seq":0,\n'],
+    ids=["scalar-header", "list-event", "bad-json"],
+)
+def test_inspect_malformed_trace_exits_2_without_traceback(tmp_path, text):
+    bad = tmp_path / "bad.jsonl"
+    bad.write_text(text)
+    proc = subprocess.run(
+        [sys.executable, "-m", "beliefsim.cli", "inspect", str(bad), "--metric", "kappa"],
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": str(REPO / "src")},
+    )
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("error: trace line ")
+    assert "Traceback" not in proc.stderr
+
+
 # --------------------------------------------------------------------------
 # verify
 # --------------------------------------------------------------------------
@@ -295,13 +331,19 @@ def test_inspect_rejects_malformed_trace(tmp_path, capsys):
 GOLDEN = SCENARIOS / "golden" / "sensor_decay.trace.jsonl"
 
 
-def test_verify_fresh_run_matches_golden(tmp_path, capsys):
+SHIPPED = sorted(p.stem for p in SCENARIOS.glob("*.json"))
+
+
+@pytest.mark.parametrize("name", SHIPPED)
+def test_verify_fresh_run_matches_golden(name, tmp_path, capsys):
     trace_path = tmp_path / "fresh.trace.jsonl"
-    assert main(["run", str(SCENARIOS / "sensor_decay.json"),
+    assert main(["run", str(SCENARIOS / f"{name}.json"),
                  "--trace", str(trace_path)]) == 0
     capsys.readouterr()
-    assert main(["verify", str(trace_path), str(GOLDEN)]) == 0
+    golden = SCENARIOS / "golden" / f"{name}.trace.jsonl"
+    assert main(["verify", str(trace_path), str(golden)]) == 0
     assert capsys.readouterr().out.strip() == "MATCH"
+    assert trace_path.read_bytes() == golden.read_bytes()
 
 
 def test_verify_reports_divergence(tmp_path, capsys):

@@ -31,6 +31,8 @@ def test_decay_rate_flat_modulator():
         ("lambda0", 0.0),
         ("lambda0", -0.1),
         ("embed_dim", 0),
+        ("embed_dim", 64.5),
+        ("embed_dim", 4097),
         ("tau_retrieval", -0.1),
         ("tau_retrieval", 1.5),
         ("window", 0),
@@ -38,6 +40,8 @@ def test_decay_rate_flat_modulator():
         ("patience", 0),
         ("meta_depth_max", 0),
         ("decay_modulator", "bogus"),
+        ("window", 2.5),
+        ("patience", True),
     ],
 )
 def test_validate_rejects_out_of_range(field, value):

@@ -22,7 +22,7 @@ from beliefsim.core import (
     tokenize,
 )
 
-from conftest import WORDS, make_fragment, states, texts
+from conftest import WORDS, fragments, make_fragment, states, texts
 
 
 # --------------------------------------------------------------------------
@@ -194,6 +194,57 @@ def test_embed_cached_array_is_readonly(cfg):
     vec = embed_tokens(("pump",), cfg.embed_dim)
     with pytest.raises(ValueError):
         vec[0] = 99.0
+
+
+def test_fragment_keeps_its_vector_across_replace(cfg):
+    frag = make_fragment(1, "pump steady")
+    vec = embed_fragment(frag, cfg.embed_dim)
+    assert embed_fragment(frag, cfg.embed_dim) is vec
+    assert embed_fragment(frag.replace(persistence=0.5, anchor=3.0), cfg.embed_dim) is vec
+
+
+def test_replace_text_never_carries_the_old_vector(cfg):
+    frag = make_fragment(1, "pump steady")
+    embed_fragment(frag, cfg.embed_dim)
+    moved = frag.replace(text="coolant flow")
+    fresh = embed_tokens(("coolant", "flow"), cfg.embed_dim)
+    assert embed_fragment(moved, cfg.embed_dim).tobytes() == fresh.tobytes()
+
+
+def test_second_dim_recomputes(cfg):
+    frag = make_fragment(1, "pump steady valve")
+    embed_fragment(frag, 64)
+    small = embed_fragment(frag, 16)
+    assert small.tobytes() == embed_tokens(frag.tokens, 16).tobytes()
+    assert embed_fragment(frag, 64).tobytes() == embed_tokens(frag.tokens, 64).tobytes()
+
+
+REPLACE_STEPS = st.one_of(
+    st.fixed_dictionaries({"anchor": st.floats(0.0, 20.0)}),
+    st.fixed_dictionaries({"persistence": st.floats(0.0, 1.0)}),
+    st.fixed_dictionaries({"level": st.integers(0, 4)}),
+    st.fixed_dictionaries({"id": st.integers(1, 99)}),
+    st.fixed_dictionaries({"sectors": st.just(frozenset({"mem"}))}),
+    st.fixed_dictionaries({"text": texts()}),
+)
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    frag=fragments(1),
+    chain=st.lists(
+        st.tuples(REPLACE_STEPS, st.sampled_from((None, 16, 64))), max_size=8
+    ),
+    dim=st.sampled_from((16, 64)),
+)
+def test_carried_vector_equals_fresh_embedding(frag, chain, dim):
+    """Oracle: whatever replace chain made it, a fragment embeds bit for bit
+    as its tokens do, whether or not earlier links were embedded (at any dim)."""
+    for overrides, embed_dim in chain:
+        if embed_dim is not None:
+            embed_fragment(frag, embed_dim)
+        frag = frag.replace(**overrides)
+    assert embed_fragment(frag, dim).tobytes() == embed_tokens(frag.tokens, dim).tobytes()
 
 
 def test_embed_state_vacuum_is_zero(cfg):

@@ -4,7 +4,9 @@ from __future__ import annotations
 
 import pytest
 
-from beliefsim.core import BeliefState, IdAllocator
+from beliefsim import core, memory
+from beliefsim.core import BeliefState, IdAllocator, embed_tokens
+from beliefsim.dynamics import nullify
 from beliefsim.memory import (
     QueryCue,
     generate_query,
@@ -133,7 +135,8 @@ def test_associative_recency_tie_prefers_higher_id(cfg):
 def test_retrieval_score_is_cosine_times_persistence(cfg):
     frag = make_fragment(50, "coolant pump manual", persistence=0.6)
     cue = QueryCue(kind="goal", tokens=("coolant", "pump", "manual"))
-    assert retrieval_score(cue, frag, cfg.embed_dim) == pytest.approx(0.6, abs=1e-9)
+    cue_vec = embed_tokens(cue.tokens, cfg.embed_dim)
+    assert retrieval_score(cue_vec, frag) == pytest.approx(0.6, abs=1e-9)
 
 
 def test_retrieve_applies_threshold(cfg):
@@ -148,6 +151,34 @@ def test_retrieve_applies_threshold(cfg):
     cue = QueryCue(kind="goal", tokens=("coolant", "pump", "manual"))
     hits = retrieve(store, cue, cfg)
     assert hits.ids() == frozenset({50})
+
+
+def test_second_retrieve_over_decayed_store_embeds_only_the_cue(cfg, monkeypatch):
+    store = BeliefState(
+        tuple(
+            make_fragment(50 + i, text)
+            for i, text in enumerate(
+                ("coolant pump manual", "coolant flow steady", "terrain survey grid")
+            )
+        ),
+        0.0,
+    )
+    cue = QueryCue(kind="goal", tokens=("coolant", "pump"))
+    first = retrieve(store, cue, cfg)
+    decayed = nullify(store, 1.0, cfg)
+
+    embedded = []
+    real = core.embed_tokens
+
+    def counting(tokens, dim):
+        embedded.append(tuple(tokens))
+        return real(tokens, dim)
+
+    monkeypatch.setattr(core, "embed_tokens", counting)
+    monkeypatch.setattr(memory, "embed_tokens", counting)
+    second = retrieve(decayed, cue, cfg)
+    assert embedded == [cue.tokens]
+    assert second.ids() == first.ids() == frozenset({50, 51})
 
 
 def test_retrieve_copies_keep_store_ids_and_retag_origin(cfg):

@@ -115,6 +115,7 @@ def test_unknown_clause_field_rejected(tmp_path):
         ({"event": "tick", "n": 1.5}, "int >= 1"),
         ({"event": "set_mode", "mode": "dream"}, "mode must be"),
         ({"event": "expect", "assertions": [{"check": "vibes"}]}, "unknown check"),
+        ({"event": "tick", "n": True}, "int >= 1"),
     ],
 )
 def test_timeline_validation(tmp_path, entry, message):

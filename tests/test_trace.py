@@ -133,13 +133,28 @@ def test_parse_rejects_missing_header():
 
 
 def test_parse_reports_bad_line_number():
-    lines = [
-        '{"header":{"scenario":"x"}}',
-        '{"seq":0,"tick":0.0,"kind":"ingest","payload":{}}',
+    header = '{"header":{"scenario":"x"}}'
+    good = '{"seq":0,"tick":0.0,"kind":"ingest","payload":{}}'
+    bad_events = [
         '{"seq":1,"tick":0.0,"kind":"gossip","payload":{}}',
+        "[1,2]",
+        '{"seq":1,"tick":0.0,"kind":"ingest"',
+        '{"seq":1,"tick":0.0,"kind":"ingest"}',
+        '{"seq":true,"tick":0.0,"kind":"ingest","payload":{}}',
+        '{"seq":1,"tick":"0","kind":"ingest","payload":{}}',
+        '{"seq":1,"tick":0.0,"kind":["ingest"],"payload":{}}',
+        '{"seq":1,"tick":0.0,"kind":"ingest","payload":[]}',
     ]
-    with pytest.raises(ValueError, match="line 3"):
-        parse_trace(lines)
+    for bad in bad_events:
+        with pytest.raises(ValueError, match=r"^trace line 3: "):
+            parse_trace([header, good, bad])
+    for bad_header in ("5", '{"header":5}', "{"):
+        with pytest.raises(ValueError, match=r"^trace line 1: "):
+            parse_trace([bad_header, good])
+    with pytest.raises(ValueError, match=r"^trace line 2: invalid JSON"):
+        verify_golden([header, "{"], [header, good])
+    with pytest.raises(ValueError, match=r"^trace line 2: invalid JSON"):
+        verify_golden([header, good], [header, "[1,"])
 
 
 def test_render_is_deterministic():
