@@ -152,14 +152,28 @@ def _cmd_gauge(args: argparse.Namespace) -> int:
     return 1
 
 
+def _number(value: object, line: int, path: str) -> float:
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ValueError(f"trace line {line}: {path} must be a number, got {value!r}")
+    return value
+
+
+def _object(value: object, line: int, path: str) -> dict:
+    if not isinstance(value, dict):
+        raise ValueError(f"trace line {line}: {path} must be an object, got {value!r}")
+    return value
+
+
 def _cmd_inspect(args: argparse.Namespace) -> int:
     _, events = parse_trace(Path(args.trace))
-    for event in events:
+    for line, event in enumerate(events, start=2):  # line 1 is the header
         if event.kind != "meta":
             continue
-        report = event.payload.get("report", {})
+        report = _object(event.payload.get("report", {}), line, "report")
         if args.metric == "theta":
-            for label, value in sorted(report.get("theta_by_axis", {}).items()):
+            by_axis = _object(report.get("theta_by_axis", {}), line, "report.theta_by_axis")
+            for label, value in sorted(by_axis.items()):
+                value = _number(value, line, f"report.theta_by_axis.{label}")
                 print(f"{event.tick:g}\t{label}\t{value:.9g}")
             continue
         key = {
@@ -168,7 +182,7 @@ def _cmd_inspect(args: argparse.Namespace) -> int:
             "velocity": "velocity",
         }[args.metric]
         if key in report:
-            print(f"{event.tick:g}\t{report[key]:.9g}")
+            print(f"{event.tick:g}\t{_number(report[key], line, f'report.{key}'):.9g}")
     return 0
 
 

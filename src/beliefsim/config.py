@@ -9,7 +9,7 @@ never reaches for module-level globals.  Instances are immutable; use
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from dataclasses import replace as dc_replace
 from typing import Any, Mapping
 
@@ -71,7 +71,13 @@ class ParameterConfig:
     # ----------------------------------------------------------------------
 
     def validate(self) -> None:
-        """Raise ValueError on any out-of-range parameter."""
+        """Raise ValueError on any out-of-range or mistyped parameter."""
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if f.type == "float" and (
+                not isinstance(value, (int, float)) or isinstance(value, bool)
+            ):
+                raise ValueError(f"{f.name} must be a number, got {value!r}")
         if not (0.0 < self.delta < 1.0):
             raise ValueError(f"delta must lie in (0, 1), got {self.delta}")
         if self.lambda0 <= 0.0:

@@ -22,7 +22,7 @@ from typing import TYPE_CHECKING, Sequence
 import numpy as np
 
 from .config import ParameterConfig
-from .core import BeliefState, embed_state
+from .core import BeliefState, embed_fragment, embed_state
 
 if TYPE_CHECKING:  # pragma: no cover - typing only, avoids an import cycle
     from .tower import EpistemicAxis
@@ -104,6 +104,46 @@ class RealignmentOutcome:
     warned: bool
 
 
+# Slack on top of each screened residual's error bound, for the rounding of
+# the residual arithmetic itself.
+SCREEN_BAND = 1e-9
+
+
+def _shortlist(vecs: np.ndarray, weights: np.ndarray,
+               axis: "EpistemicAxis") -> np.ndarray:
+    """Indices i whose removal may give the least residual, in one numpy pass.
+
+    Row i embeds the rest (every fragment but i) the way ``embed_state``
+    does: the sum of positive-weight vectors, or the unweighted sum when no
+    positive weight remains, normalised, a zero sum staying zero.  It is
+    formed as ``S - w_i * v_i``, a different summation order from
+    ``embed_state``'s, so each screened residual carries a bound on its
+    distance from the exact reading; the bound grows as the rest's sum gets
+    small beside S.  Every row whose interval reaches the lowest upper end
+    (plus SCREEN_BAND) is listed, so the exact minimum is always among them.
+    A non-finite weight lists every row.
+    """
+    n = len(weights)
+    if not np.isfinite(weights).all():
+        return np.arange(n)
+    positive = weights > 0.0
+    pos = np.where(positive, weights, 0.0)
+    weighted = np.count_nonzero(positive) - positive > 0
+    rest = np.where(weighted[:, None], pos @ vecs - pos[:, None] * vecs,
+                    vecs.sum(axis=0) - vecs)
+    norms = np.linalg.norm(rest, axis=1)
+    scale = np.where(weighted, pos.sum(), n)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        emb = np.where(norms[:, None] > 0.0, rest / norms[:, None], 0.0)
+        err = 4.0 * (n + 2) * np.finfo(np.float64).eps * scale / norms
+    v = np.asarray(axis.direction, dtype=np.float64)
+    u = emb - np.asarray(axis.origin, dtype=np.float64)
+    # u = 0 gives a zero rejection: the residual-0 convention of the reading.
+    residual = np.linalg.norm(u - np.outer(u @ v / (v @ v), v), axis=1)
+    floor = np.min(residual + err)
+    return np.flatnonzero(~(residual - err > floor + SCREEN_BAND))
+
+
 def realign(state: BeliefState, axis: "EpistemicAxis",
             config: ParameterConfig) -> RealignmentOutcome:
     """Prune content greedily until the compass stops flagging drift.
@@ -113,24 +153,35 @@ def realign(state: BeliefState, axis: "EpistemicAxis",
     residual is dropped, repeatedly, until drift clears or only one fragment
     remains.  Stops early (warned=True) if no removal strictly reduces the
     residual — the residual never increases between steps.
+
+    Each step screens every removal at once (``_shortlist``), then re-reads
+    only the shortlisted ones exactly with ``compass_reading``; the first
+    least exact residual in id order is dropped, so the choice is that of
+    reading every removal exactly.
     """
     current = state
     removed: list[int] = []
     reading = compass_reading(current, axis, config)
-    while detect_drift(reading, config) and len(current.fragments) > 1:
-        best_id = None
+    frags = list(current.fragments)
+    vecs = np.array([embed_fragment(f, config.embed_dim) for f in frags])
+    weights = np.array([f.weight for f in frags])
+    while detect_drift(reading, config) and len(frags) > 1:
+        best_i = None
         best_reading = None
-        for f in current.fragments:
-            candidate = current.without_ids((f.id,))
+        for i in _shortlist(vecs, weights, axis):
+            candidate = current.without_ids((frags[i].id,))
             cand_reading = compass_reading(candidate, axis, config)
             if best_reading is None or cand_reading.residual < best_reading.residual:
-                best_id = f.id
+                best_i = i
                 best_reading = cand_reading
         assert best_reading is not None
         if best_reading.residual >= reading.residual:
             return RealignmentOutcome(current, tuple(removed), True)
-        current = current.without_ids((best_id,))
-        removed.append(best_id)  # type: ignore[arg-type]
+        dropped = frags.pop(best_i)
+        current = current.without_ids((dropped.id,))
+        removed.append(dropped.id)
+        vecs = np.delete(vecs, best_i, axis=0)
+        weights = np.delete(weights, best_i)
         reading = best_reading
     warned = detect_drift(reading, config)
     return RealignmentOutcome(current, tuple(removed), warned)

@@ -167,11 +167,32 @@ def _parse_basin(raw: Mapping[str, Any], index: int) -> ActionBasin:
 
 def _validate_timeline(timeline: Sequence[Mapping[str, Any]]) -> None:
     for i, entry in enumerate(timeline):
+        if not isinstance(entry, dict):
+            raise ScenarioError(f"timeline[{i}]: an entry must be an object")
         kind = entry.get("event")
         if kind not in TIMELINE_EVENTS:
             raise ScenarioError(f"timeline[{i}]: unknown event {kind!r}")
-        if kind == "observe" and not entry.get("specs"):
-            raise ScenarioError(f"timeline[{i}]: observe needs non-empty specs")
+        if kind == "observe":
+            specs = entry.get("specs")
+            if not isinstance(specs, list) or not specs:
+                raise ScenarioError(f"timeline[{i}]: observe needs non-empty specs, a list")
+            for j, spec in enumerate(specs):
+                # Inline, not a helper call: it runs once per observed spec.
+                if not isinstance(spec, dict):
+                    raise ScenarioError(f"timeline[{i}].specs[{j}]: a spec must be an object")
+                sectors = spec.get("sectors")
+                if sectors is None:  # read as fragment_from_spec reads it
+                    sector = spec.get("sector", "perc")
+                    ok = isinstance(sector, str) and sector != ""
+                else:
+                    ok = isinstance(sectors, list) and sectors != [] and all(
+                        isinstance(s, str) and s != "" for s in sectors
+                    )
+                if not ok:
+                    raise ScenarioError(
+                        f"timeline[{i}].specs[{j}]: sector must be a non-empty string, "
+                        "sectors a non-empty list of them"
+                    )
         if kind == "command" and not tokenize(str(entry.get("text", ""))):
             raise ScenarioError(f"timeline[{i}]: command needs text")
         if kind == "tick":
@@ -181,7 +202,12 @@ def _validate_timeline(timeline: Sequence[Mapping[str, Any]]) -> None:
         if kind == "set_mode" and entry.get("mode") not in RUN_MODES:
             raise ScenarioError(f"timeline[{i}]: mode must be one of {RUN_MODES}")
         if kind == "expect":
-            for j, a in enumerate(entry.get("assertions", ())):
+            assertions = entry.get("assertions", [])
+            if not isinstance(assertions, list):
+                raise ScenarioError(f"timeline[{i}]: assertions must be a list")
+            for j, a in enumerate(assertions):
+                if not isinstance(a, dict):
+                    raise ScenarioError(f"timeline[{i}].assertions[{j}]: must be an object")
                 if a.get("check") not in ASSERTION_CHECKS:
                     raise ScenarioError(
                         f"timeline[{i}].assertions[{j}]: "
@@ -225,7 +251,9 @@ def load_scenario(path: str | Path) -> Scenario:
             raise ScenarioError(f"duplicate basin name {b.name!r}")
         seen.add(b.name)
 
-    timeline = tuple(raw.get("timeline", ()))
+    timeline = raw.get("timeline", [])
+    if not isinstance(timeline, list):
+        raise ScenarioError("timeline must be a list")
     _validate_timeline(timeline)
 
     states = {
@@ -241,7 +269,7 @@ def load_scenario(path: str | Path) -> Scenario:
         lexicon=tuple(str(w) for w in raw.get("lexicon", ())),
         axis_specs=tuple(raw.get("axes", ())),
         basins=basins,
-        timeline=timeline,
+        timeline=tuple(timeline),
         state_specs=states,
     )
 

@@ -13,6 +13,7 @@ where history allows, and degrade to synthetic copies where it doesn't.
 
 from __future__ import annotations
 
+import heapq
 import math
 from collections import Counter
 from dataclasses import dataclass
@@ -69,20 +70,38 @@ def _merge_pair(
     )
 
 
-def _best_pair(pool: dict[int, Fragment], dim: int) -> tuple[int, int]:
-    """Highest-cosine pair; ties broken by the lowest (id, id) pair."""
-    ordered = sorted(pool)
-    best_key: tuple[int, int] | None = None
-    best_cos = -math.inf
-    for i, ia in enumerate(ordered):
-        va = embed_fragment(pool[ia], dim)
-        for ib in ordered[i + 1:]:
-            cos = float(np.dot(va, embed_fragment(pool[ib], dim)))
-            if cos > best_cos or (cos == best_cos and (ia, ib) < best_key):
-                best_cos = cos
-                best_key = (ia, ib)
-    assert best_key is not None
-    return best_key
+def _pair_entry(a: Fragment, b: Fragment, dim: int) -> tuple[float, int, int]:
+    """Heap entry (-cosine, lower id, higher id) of one pair."""
+    if b.id < a.id:
+        a, b = b, a
+    return (-float(np.dot(embed_fragment(a, dim), embed_fragment(b, dim))), a.id, b.id)
+
+
+def _pair_heap(pool: dict[int, Fragment], dim: int) -> list[tuple[float, int, int]]:
+    """Every pair of the pool, each cosine computed once, as a min-heap.
+
+    Cosines are per-pair ``np.dot`` calls rather than one ``V @ V.T``: a
+    matrix product may round a tie differently, and equal cosines are common
+    (fragments sharing a core of words), so the lowest-id tie-break must see
+    bit-equal values.
+    """
+    frags = [pool[i] for i in sorted(pool)]
+    heap = [_pair_entry(a, b, dim) for i, a in enumerate(frags) for b in frags[i + 1:]]
+    heapq.heapify(heap)
+    return heap
+
+
+def _pop_best_pair(heap: list[tuple[float, int, int]],
+                   pool: dict[int, Fragment]) -> tuple[int, int]:
+    """Highest-cosine pair still in the pool; ties broken by the lowest (id, id) pair.
+
+    Entries naming a fragment that already left the pool are discarded as
+    they surface.
+    """
+    while True:
+        _, ia, ib = heapq.heappop(heap)
+        if ia in pool and ib in pool:
+            return ia, ib
 
 
 def abstract_step(
@@ -95,8 +114,10 @@ def abstract_step(
     Within each sector group the two most embedding-similar fragments are
     paired (ties to the lowest id pair) and merged into a summary at level
     max+1; paired fragments leave the pool, so one step halves (ceiling) each
-    group.  Singletons and odd leftovers pass through with their level
-    incremented so level bookkeeping stays exact across the tower.
+    group.  Every pair's cosine is computed once per group into a heap, and
+    the best pair still unpaired is popped from it.  Singletons and odd
+    leftovers pass through with their level incremented so level bookkeeping
+    stays exact across the tower.
     """
     if state.is_vacuum:
         raise ValueError("cannot abstract the vacuum: no content to merge")
@@ -108,8 +129,9 @@ def abstract_step(
     result: list[Fragment] = []
     for sector in sorted(groups):
         pool = {f.id: f for f in groups[sector]}
+        heap = _pair_heap(pool, dim)
         while len(pool) >= 2:
-            ia, ib = _best_pair(pool, dim)
+            ia, ib = _pop_best_pair(heap, pool)
             a = pool.pop(ia)
             b = pool.pop(ib)
             result.append(_merge_pair(a, b, ids, state.clock))
@@ -124,18 +146,26 @@ def merge_group(
     ids: IdAllocator,
     clock: float,
 ) -> Fragment:
-    """Fold a whole group into a single summary (abstracting assimilation)."""
+    """Fold a whole group into a single summary (abstracting assimilation).
+
+    Pairs are picked as in ``abstract_step``; each summary's pairs with the
+    rest of the pool join the heap when it is made.
+    """
     if not members:
         raise ValueError("merge_group needs at least one fragment")
     pool = {f.id: f for f in members}
     if len(pool) == 1:
         only = next(iter(pool.values()))
         return only.replace(level=only.level + 1)
+    dim = config.embed_dim
+    heap = _pair_heap(pool, dim)
     while len(pool) > 1:
-        ia, ib = _best_pair(pool, config.embed_dim)
+        ia, ib = _pop_best_pair(heap, pool)
         a = pool.pop(ia)
         b = pool.pop(ib)
         merged = _merge_pair(a, b, ids, clock)
+        for other in pool.values():
+            heapq.heappush(heap, _pair_entry(other, merged, dim))
         pool[merged.id] = merged
     return next(iter(pool.values()))
 

@@ -85,3 +85,43 @@ def states(draw, min_frags: int = 0, max_frags: int = 6, keyed: bool = False):
     frags = [draw(fragments(i + 1, keyed=keyed)) for i in range(n)]
     clock = draw(st.floats(0.0, 100.0, allow_nan=False))
     return BeliefState(tuple(frags), clock)
+
+
+# Texts that tie: every "core + one unique word" text has the same cosine with
+# every other, and a twin (same text, same weight) embeds bit-equal to its
+# original.  Weightless fragments exercise embed_state's branches, and
+# near-weightless ones a rest whose sum is tiny beside the whole state's.
+CORE = "survey terrain grid ridge"
+UNIQUE = (
+    "alpha", "bravo", "cobalt", "delta", "ember", "fjord",
+    "garnet", "harbor", "indigo", "juniper", "kestrel", "lumen",
+)
+TIE_WEIGHTS = ((1.0, 1.0), (2.0, 0.5), (3.0, 1.0), (0.0, 1.0), (1.0, 0.0), (1e-9, 1.0))
+
+
+@st.composite
+def tie_states(draw, min_frags: int = 2, max_frags: int = 10):
+    """States built to tie: core-plus-one-word texts, twins of earlier
+    fragments, weightless fragments, and sometimes a single fragment with
+    positive weight."""
+    n = draw(st.integers(min_frags, max_frags))
+    frags: list[Fragment] = []
+    for i in range(n):
+        source = draw(st.sampled_from(("core", "twin", "words")))
+        if source == "twin" and frags:
+            twin = draw(st.sampled_from(frags))
+            text, anchor, persistence = twin.text, twin.anchor, twin.persistence
+        else:
+            text = f"{CORE} {UNIQUE[i]}" if source != "words" else draw(texts())
+            anchor, persistence = draw(st.sampled_from(TIE_WEIGHTS))
+        frags.append(make_fragment(
+            i + 1, text, sectors=(draw(st.sampled_from(SECTORS[:3])),),
+            anchor=anchor, persistence=persistence,
+        ))
+    if draw(st.integers(0, 3)) == 0:
+        keep = draw(st.integers(0, n - 1))
+        frags = [
+            f.replace(anchor=2.0, persistence=1.0) if j == keep else f.replace(anchor=0.0)
+            for j, f in enumerate(frags)
+        ]
+    return BeliefState(tuple(frags), 0.0)

@@ -120,11 +120,34 @@ def test_run_malformed_scenario_is_error(tmp_path, capsys):
         ({"embed_dim": 64.5}, []),
         ({"embed_dim": 4097}, []),
         ({}, [{"event": "tick", "n": True}]),
+        ({"delta": "0.5"}, []),
+        ({"delta": True}, []),
     ],
-    ids=["embed_dim-float", "embed_dim-too-big", "tick-n-bool"],
+    ids=["embed_dim-float", "embed_dim-too-big", "tick-n-bool", "delta-str", "delta-bool"],
 )
 def test_run_rejects_bad_counts_at_load(tmp_path, capsys, config, timeline):
     data = {**PASSING, "config": config, "timeline": timeline + PASSING["timeline"]}
+    assert main(["run", write_scenario(tmp_path, data)]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+
+
+@pytest.mark.parametrize(
+    "timeline",
+    [
+        [1],
+        "abc",
+        [{"event": "observe", "specs": "abc"}],
+        [{"event": "observe", "specs": [1]}],
+        [{"event": "observe", "specs": [{"text": "pump hums", "sector": []}]}],
+        [{"event": "observe", "specs": [{"text": "pump hums", "sector": ""}]}],
+        [{"event": "observe", "specs": [{"text": "pump hums", "sectors": ["perc", 3]}]}],
+        [{"event": "expect", "assertions": [1]}],
+    ],
+    ids=["entry-int", "timeline-str", "specs-str", "spec-int", "sector-list",
+         "sector-empty", "sectors-non-string", "assertion-int"],
+)
+def test_run_rejects_malformed_timeline_at_load(tmp_path, capsys, timeline):
+    data = {"name": "malformed", "timeline": timeline}
     assert main(["run", write_scenario(tmp_path, data)]) == 2
     assert capsys.readouterr().err.startswith("error: ")
 
@@ -187,6 +210,7 @@ def test_run_shipped_scenarios_pass():
         "action_vetoes",
         "drift_vacuum",
         "orientation_axis",
+        "realign_sweep",
     ):
         assert main(["run", str(SCENARIOS / f"{name}.json")]) == 0, name
 
@@ -309,8 +333,15 @@ def test_inspect_rejects_malformed_trace(tmp_path, capsys):
 
 @pytest.mark.parametrize(
     "text",
-    ["5\n", '{"header":{}}\n[1,2]\n', '{"header":{}}\n{"seq":0,\n'],
-    ids=["scalar-header", "list-event", "bad-json"],
+    [
+        "5\n",
+        '{"header":{}}\n[1,2]\n',
+        '{"header":{}}\n{"seq":0,\n',
+        '{"header":{}}\n{"seq":0,"tick":0,"kind":"meta","payload":{"report":5}}\n',
+        '{"header":{}}\n{"seq":0,"tick":0,"kind":"meta",'
+        '"payload":{"report":{"kappa_global":[1]}}}\n',
+    ],
+    ids=["scalar-header", "list-event", "bad-json", "scalar-report", "list-kappa"],
 )
 def test_inspect_malformed_trace_exits_2_without_traceback(tmp_path, text):
     bad = tmp_path / "bad.jsonl"

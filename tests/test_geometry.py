@@ -10,9 +10,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from beliefsim.config import default_config
-from beliefsim.core import BeliefState, embed_state
+from beliefsim.core import BeliefState, embed_state, embed_tokens, tokenize
 from beliefsim.geometry import (
     CompassReading,
+    RealignmentOutcome,
     compass_reading,
     detect_drift,
     distance,
@@ -21,7 +22,7 @@ from beliefsim.geometry import (
 )
 from beliefsim.tower import EpistemicAxis
 
-from conftest import make_fragment, states
+from conftest import CORE, make_fragment, states, tie_states
 
 VACUUM = BeliefState((), 0.0)
 
@@ -246,3 +247,75 @@ class TestRealignmentLaws:
         assert after.residual <= before.residual + 1e-12
         assert outcome.state.ids() <= state.ids()
         assert len(outcome.state.fragments) >= 1
+
+
+def _reference_realign(state, axis, config):
+    """The greedy loop that reads every removal exactly: the oracle for the
+    screened ``realign``."""
+    current = state
+    removed = []
+    reading = compass_reading(current, axis, config)
+    while detect_drift(reading, config) and len(current.fragments) > 1:
+        best_id = None
+        best_reading = None
+        for f in current.fragments:
+            candidate = current.without_ids((f.id,))
+            cand_reading = compass_reading(candidate, axis, config)
+            if best_reading is None or cand_reading.residual < best_reading.residual:
+                best_id = f.id
+                best_reading = cand_reading
+        if best_reading.residual >= reading.residual:
+            return RealignmentOutcome(current, tuple(removed), True)
+        current = current.without_ids((best_id,))
+        removed.append(best_id)
+        reading = best_reading
+    return RealignmentOutcome(current, tuple(removed), detect_drift(reading, config))
+
+
+@st.composite
+def realign_axes(draw, dim):
+    """A null-seed axis on the shared core, or one from random states, with
+    or without an origin offset."""
+    kind = draw(st.sampled_from(("core", "state", "offset")))
+    if kind == "core":
+        return axis_from(embed_tokens(tokenize(CORE), dim))
+    direction = embed_state(draw(states(min_frags=1)), dim)
+    origin = np.zeros(dim)
+    if kind == "offset":
+        origin = embed_state(draw(states(min_frags=1)), dim)
+        direction = direction - origin
+    if float(np.linalg.norm(direction)) == 0.0:
+        return axis_from(embed_tokens(tokenize(CORE), dim))
+    return axis_from(direction, origin)
+
+
+class TestRealignMatchesExactLoop:
+    @settings(max_examples=200, deadline=None)
+    @given(state=tie_states(max_frags=12), data=st.data())
+    def test_same_removals_state_and_warning(self, state, data):
+        cfg = default_config().replace(
+            embed_dim=data.draw(st.sampled_from((8, 64))),
+            tau_theta=data.draw(st.sampled_from((0.05, 0.3, 0.8))),
+            tau_r=data.draw(st.sampled_from((0.05, 0.3, 0.8))),
+        )
+        axis = data.draw(realign_axes(cfg.embed_dim))
+        outcome = realign(state, axis, cfg)
+        expected = _reference_realign(state, axis, cfg)
+        assert outcome.removed == expected.removed
+        assert outcome.state == expected.state
+        assert outcome.warned == expected.warned
+
+
+def test_realign_rereads_a_rest_too_small_to_screen():
+    # Without fragment 3 the rest weighs 2e-9 beside a whole of about 1, so
+    # S - w_3 * v_3 keeps few correct digits: only its error bound keeps that
+    # removal on the shortlist.
+    cfg = default_config().replace(embed_dim=8, tau_theta=0.05, tau_r=0.05)
+    state = BeliefState((
+        make_fragment(1, "green", anchor=1e-9),
+        make_fragment(2, "light", anchor=1e-9),
+        make_fragment(3, "green red"),
+    ), 0.0)
+    axis = axis_from(embed_tokens(tokenize("light red"), cfg.embed_dim))
+    outcome = realign(state, axis, cfg)
+    assert outcome.removed == _reference_realign(state, axis, cfg).removed == (1, 3)

@@ -10,10 +10,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from beliefsim.config import default_config
-from beliefsim.core import BeliefState, IdAllocator, embed_state
+from beliefsim.core import BeliefState, IdAllocator, embed_fragment, embed_state
 from beliefsim.geometry import distance
 from beliefsim.tower import (
     SUMMARY_TOKEN_CAP,
+    _merge_pair,
+    _primary_sector,
     abstract_step,
     build_tower,
     derive_axis,
@@ -22,7 +24,7 @@ from beliefsim.tower import (
     roundtrip_loss,
 )
 
-from conftest import make_fragment, states
+from conftest import make_fragment, states, tie_states
 
 
 # --------------------------------------------------------------------------
@@ -251,6 +253,64 @@ class TestTowerLaws:
         cfg = default_config()
         out = abstract_step(state, cfg, IdAllocator(10_000))
         assert len(out.fragments) <= len(state.fragments)
+
+
+def _reference_best_pair(pool, dim):
+    """The full rescan of every pair: the oracle for the pair heap."""
+    ordered = sorted(pool)
+    best_key = None
+    best_cos = -math.inf
+    for i, ia in enumerate(ordered):
+        va = embed_fragment(pool[ia], dim)
+        for ib in ordered[i + 1:]:
+            cos = float(np.dot(va, embed_fragment(pool[ib], dim)))
+            if cos > best_cos or (cos == best_cos and (ia, ib) < best_key):
+                best_cos = cos
+                best_key = (ia, ib)
+    return best_key
+
+
+def _reference_abstract_step(state, config, ids):
+    groups = {}
+    for f in state.fragments:
+        groups.setdefault(_primary_sector(f), []).append(f)
+    result = []
+    for sector in sorted(groups):
+        pool = {f.id: f for f in groups[sector]}
+        while len(pool) >= 2:
+            ia, ib = _reference_best_pair(pool, config.embed_dim)
+            result.append(_merge_pair(pool.pop(ia), pool.pop(ib), ids, state.clock))
+        for leftover in pool.values():
+            result.append(leftover.replace(level=leftover.level + 1))
+    return state.with_fragments(result)
+
+
+def _reference_merge_group(members, config, ids, clock):
+    pool = {f.id: f for f in members}
+    while len(pool) > 1:
+        ia, ib = _reference_best_pair(pool, config.embed_dim)
+        merged = _merge_pair(pool.pop(ia), pool.pop(ib), ids, clock)
+        pool[merged.id] = merged
+    return next(iter(pool.values()))
+
+
+class TestPairHeapMatchesRescan:
+    @settings(max_examples=150, deadline=None)
+    @given(state=tie_states(max_frags=12), dim=st.sampled_from((8, 64)))
+    def test_abstract_step(self, state, dim):
+        cfg = default_config().replace(embed_dim=dim)
+        start = max(state.ids()) + 1
+        out = abstract_step(state, cfg, IdAllocator(start))
+        assert out == _reference_abstract_step(state, cfg, IdAllocator(start))
+
+    @settings(max_examples=150, deadline=None)
+    @given(state=tie_states(max_frags=12), dim=st.sampled_from((8, 64)))
+    def test_merge_group(self, state, dim):
+        cfg = default_config().replace(embed_dim=dim)
+        start = max(state.ids()) + 1
+        members = list(state.fragments)
+        out = merge_group(members, cfg, IdAllocator(start), 3.0)
+        assert out == _reference_merge_group(members, cfg, IdAllocator(start), 3.0)
 
 
 # --------------------------------------------------------------------------
