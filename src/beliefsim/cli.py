@@ -115,6 +115,8 @@ def _cmd_tower(args: argparse.Namespace) -> int:
     if spec is None:
         known = [s.get("label") for s in scenario.axis_specs]
         raise ScenarioError(f"no axis {args.axis!r}; scenario declares {known}")
+    if not spec.get("seed"):
+        raise ScenarioError(f"axis {args.axis!r} needs seed fragments")
     seed = materialize_state(spec["seed"])
     max_k = args.max_k if args.max_k is not None else int(spec.get("max_k", 12))
     ids = IdAllocator(AXIS_ID_BASE)

@@ -8,7 +8,7 @@ never reaches for module-level globals.  Instances are immutable; use
 
 from __future__ import annotations
 
-import math
+import sys
 from dataclasses import asdict, dataclass, field, fields
 from dataclasses import replace as dc_replace
 from typing import Any, Mapping
@@ -74,10 +74,8 @@ class ParameterConfig:
         """Raise ValueError on any out-of-range or mistyped parameter."""
         for f in fields(self):
             value = getattr(self, f.name)
-            if f.type == "float" and (
-                not isinstance(value, (int, float)) or isinstance(value, bool)
-            ):
-                raise ValueError(f"{f.name} must be a number, got {value!r}")
+            if f.type == "float" and not _is_finite(value):
+                raise ValueError(f"{f.name} must be a finite number, got {value!r}")
         if not (0.0 < self.delta < 1.0):
             raise ValueError(f"delta must lie in (0, 1), got {self.delta}")
         if self.lambda0 <= 0.0:
@@ -86,7 +84,7 @@ class ParameterConfig:
             raise ValueError(
                 f"decay_modulator must be one of {DECAY_MODULATORS}, got {self.decay_modulator!r}"
             )
-        for name in ("embed_dim", "window", "patience", "meta_depth_max"):
+        for name in ("embed_dim", "window", "patience", "meta_depth_max", "seed"):
             value = getattr(self, name)
             if not isinstance(value, int) or isinstance(value, bool):
                 raise ValueError(f"{name} must be an integer, got {value!r}")
@@ -98,10 +96,21 @@ class ParameterConfig:
             raise ValueError(f"tau_retrieval must lie in [0, 1], got {self.tau_retrieval}")
         if self.eps_fix <= 0.0:
             raise ValueError(f"eps_fix must be positive, got {self.eps_fix}")
-        if len(self.load_coeffs) != 3:
-            raise ValueError("load_coeffs must have exactly three components")
-        if self.window < 1:
-            raise ValueError(f"window must be >= 1, got {self.window}")
+        if not (
+            isinstance(self.load_coeffs, tuple)
+            and len(self.load_coeffs) == 3
+            and all(_is_finite(c) for c in self.load_coeffs)
+        ):
+            raise ValueError(f"load_coeffs must be three finite numbers, got {self.load_coeffs!r}")
+        if not (
+            isinstance(self.sector_priority, tuple)
+            and all(isinstance(s, str) for s in self.sector_priority)
+        ):
+            raise ValueError(f"sector_priority must be strings, got {self.sector_priority!r}")
+        if not isinstance(self.sector_costs, Mapping):
+            raise ValueError(f"sector_costs must be a mapping, got {self.sector_costs!r}")
+        if not (1 <= self.window <= sys.maxsize):  # the op-rate deque's length limit
+            raise ValueError(f"window must lie in [1, {sys.maxsize}], got {self.window}")
         if self.effort_total <= 0.0:
             raise ValueError(f"effort_total must be positive, got {self.effort_total}")
         if self.patience < 1:
@@ -110,14 +119,13 @@ class ParameterConfig:
             raise ValueError(f"nullify_boost must be positive, got {self.nullify_boost}")
         if self.meta_depth_max < 1:
             raise ValueError(f"meta_depth_max must be >= 1, got {self.meta_depth_max}")
-        if not self.goal_marker:
-            raise ValueError("goal_marker must be non-empty")
-        for name in ("tau_theta", "tau_r", "kappa_crit", "l_max", "a_core",
-                     "reanchor_min", "effort_total"):
-            value = getattr(self, name)
-            if not math.isfinite(value):
-                raise ValueError(f"{name} must be finite, got {value}")
+        if not isinstance(self.goal_marker, str) or not self.goal_marker:
+            raise ValueError(f"goal_marker must be a non-empty string, got {self.goal_marker!r}")
         for sector, cost in self.sector_costs.items():
+            if not _is_finite(cost):
+                raise ValueError(
+                    f"sector cost for {sector!r} must be a finite number, got {cost!r}"
+                )
             if cost < 0:
                 raise ValueError(f"sector cost for {sector!r} must be >= 0, got {cost}")
 
@@ -144,6 +152,22 @@ class ParameterConfig:
         return d
 
 
+def _is_finite(value: Any) -> bool:
+    """A number, not a bool, that a float holds finitely (NaN compares false).
+
+    Compared, not converted: float() of a huge JSON integer overflows.
+    """
+    return (
+        isinstance(value, (int, float))
+        and not isinstance(value, bool)
+        and -sys.float_info.max <= value <= sys.float_info.max
+    )
+
+
+def _as_float(value: Any) -> Any:
+    return float(value) if _is_finite(value) else value
+
+
 def default_config() -> ParameterConfig:
     cfg = ParameterConfig()
     cfg.validate()
@@ -155,17 +179,20 @@ def config_from_dict(data: Mapping[str, Any]) -> ParameterConfig:
 
     Unknown keys raise ValueError so typos in scenario files fail loudly.
     """
+    if not isinstance(data, Mapping):
+        raise ValueError(f"config must be an object, got {data!r}")
     known = {f.name for f in ParameterConfig.__dataclass_fields__.values()}  # type: ignore[attr-defined]
     unknown = set(data) - known
     if unknown:
         raise ValueError(f"unknown config keys: {sorted(unknown)}")
     kwargs: dict[str, Any] = dict(data)
-    if "load_coeffs" in kwargs:
-        kwargs["load_coeffs"] = tuple(float(c) for c in kwargs["load_coeffs"])
-    if "sector_priority" in kwargs:
-        kwargs["sector_priority"] = tuple(str(s) for s in kwargs["sector_priority"])
-    if "sector_costs" in kwargs:
-        kwargs["sector_costs"] = {str(k): float(v) for k, v in kwargs["sector_costs"].items()}
+    # JSON lists become tuples and numbers floats; validate() rejects the rest.
+    if isinstance(kwargs.get("load_coeffs"), list):
+        kwargs["load_coeffs"] = tuple(_as_float(c) for c in kwargs["load_coeffs"])
+    if isinstance(kwargs.get("sector_priority"), list):
+        kwargs["sector_priority"] = tuple(kwargs["sector_priority"])
+    if isinstance(kwargs.get("sector_costs"), dict):
+        kwargs["sector_costs"] = {k: _as_float(v) for k, v in kwargs["sector_costs"].items()}
     cfg = ParameterConfig(**kwargs)
     cfg.validate()
     return cfg

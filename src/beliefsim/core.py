@@ -10,8 +10,11 @@ token is hashed (blake2b, independent of PYTHONHASHSEED) into one of
 ``embed_dim`` cells, counts accumulate, and the cell vector is L2-normalized.
 Equal token multisets therefore embed to bitwise-equal vectors, and all
 geometry downstream (distance, compass, retrieval scores) inherits that
-determinism.  A fragment embeds once and keeps its vector; copies made by
-``Fragment.replace`` share it unless their text changes.
+determinism.  A fragment tokenises once, embeds once and derives its content
+key once.  ``Fragment.replace`` is the one way to copy a fragment: the copy
+carries its source's tokens and vector unless its text changes, and its
+content key unless a field the key reads changes, and it passes the same
+checks as a freshly built fragment.
 """
 
 from __future__ import annotations
@@ -20,8 +23,7 @@ import hashlib
 import itertools
 import re
 from collections import Counter
-from dataclasses import dataclass
-from dataclasses import replace as dc_replace
+from dataclasses import dataclass, fields
 from typing import Any, Iterable, Mapping, Optional, Sequence
 
 import numpy as np
@@ -61,11 +63,19 @@ class Fragment:
     members: Optional[tuple[int, ...]] = None
 
     def __post_init__(self) -> None:
-        tokens = tokenize(self.text)
-        if not tokens:
-            raise ValueError(f"fragment {self.id}: text has no tokens: {self.text!r}")
-        object.__setattr__(self, "_tokens", tokens)
+        # The vector and the content key are derived on first use.  Every
+        # fragment sets all three derived attributes here, in one order, so
+        # instances share one key table; set later in varying order they
+        # would give each fragment a dict of its own (+15% peak RSS).
+        object.__setattr__(self, "_tokens", tokenize(self.text))
         object.__setattr__(self, "_vec", None)
+        object.__setattr__(self, "_ckey", None)
+        self._check()
+
+    def _check(self) -> None:
+        """Every invariant of a fragment; runs on construction and on each copy."""
+        if not self._tokens:  # type: ignore[attr-defined]
+            raise ValueError(f"fragment {self.id}: text has no tokens: {self.text!r}")
         if not self.sectors:
             raise ValueError(f"fragment {self.id}: needs at least one sector tag")
         if self.level < 0:
@@ -102,23 +112,46 @@ class Fragment:
 
         Two fragments with equal content keys are exact duplicates for
         assimilation and for gauge observables, regardless of id, anchor,
-        persistence, origin, or token order.
+        persistence, origin, or token order.  Derived on first use and kept.
         """
-        counts = tuple(sorted(Counter(self.tokens).items()))
-        return (
-            counts,
-            self.key or "",
-            self.polarity or "",
-            tuple(sorted(self.sectors)),
-            self.level,
-        )
+        ckey = self._ckey  # type: ignore[attr-defined]
+        if ckey is None:
+            ckey = (
+                tuple(sorted(Counter(self.tokens).items())),
+                self.key or "",
+                self.polarity or "",
+                tuple(sorted(self.sectors)),
+                self.level,
+            )
+            object.__setattr__(self, "_ckey", ckey)
+        return ckey
 
     def replace(self, **overrides: Any) -> "Fragment":
-        """A modified copy; it keeps this fragment's vector unless text changes."""
-        copy = dc_replace(self, **overrides)
-        if "text" not in overrides:
-            object.__setattr__(copy, "_vec", self._vec)  # type: ignore[attr-defined]
+        """A copy with ``overrides`` applied, checked as a new fragment is.
+
+        The copy is not rebuilt: it carries this fragment's tokens and vector
+        unless ``text`` is overridden, and its content key unless a field the
+        key reads is.  An unknown field name raises TypeError.
+        """
+        if not overrides.keys() <= _FIELD_NAMES:
+            unknown = sorted(overrides.keys() - _FIELD_NAMES)
+            raise TypeError(f"Fragment has no field(s) {unknown}")
+        copy = object.__new__(Fragment)
+        state = copy.__dict__
+        state.update(self.__dict__)
+        state.update(overrides)
+        if "text" in overrides:
+            state["_tokens"] = tokenize(state["text"])
+            state["_vec"] = None
+        if not _KEY_FIELDS.isdisjoint(overrides):
+            state["_ckey"] = None
+        copy._check()
         return copy
+
+
+_FIELD_NAMES = frozenset(f.name for f in fields(Fragment))
+# The fields content_key reads; overriding any of them drops the carried key.
+_KEY_FIELDS = frozenset({"text", "key", "polarity", "sectors", "level"})
 
 
 @dataclass(frozen=True)
@@ -217,6 +250,11 @@ def embed_fragment(fragment: Fragment, dim: int) -> np.ndarray:
     return vec
 
 
+# Below this norm a vector's squared entries can be subnormal, so its norm,
+# and the vector normalised by it, lose digits.
+TINY_NORM = 1e-150
+
+
 def embed_state(state: BeliefState, dim: int) -> np.ndarray:
     """Mass-weighted mean of fragment vectors, L2-normalized.
 
@@ -237,6 +275,11 @@ def embed_state(state: BeliefState, dim: int) -> np.ndarray:
         for f in state.fragments:
             acc += embed_fragment(f, dim)
     norm = float(np.linalg.norm(acc))
+    if norm < TINY_NORM and acc.any():
+        # The squares of the entries are subnormal and the norm loses digits:
+        # bring the largest entry to 1 first.
+        acc = acc / np.abs(acc).max()
+        norm = float(np.linalg.norm(acc))
     if norm > 0.0:
         acc = acc / norm
     return acc
@@ -258,22 +301,34 @@ def fragment_from_spec(
 
     Recognized keys: text (required), sector or sectors, level, anchor,
     persistence, key, polarity.  Unrecognized keys (e.g. a scenario "name")
-    are ignored here; the loader tracks them.
+    are ignored here; the loader tracks them.  A level, anchor or persistence
+    that is not a number, or a key that is not a string, raises ValueError.
     """
     text = str(spec.get("text", ""))
     sectors = spec.get("sectors")
     if sectors is None:
         sectors = [spec.get("sector", default_sector)]
+    try:
+        level = int(spec.get("level", 0))
+        anchor = float(spec.get("anchor", 1.0))
+        persistence = float(spec.get("persistence", 1.0))
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ValueError(
+            f"spec {text!r}: level, anchor and persistence must be numbers ({exc})"
+        ) from None
+    key = spec.get("key")
+    if key is not None and not isinstance(key, str):
+        raise ValueError(f"spec {text!r}: key must be a string, got {key!r}")
     return Fragment(
         id=fragment_id,
         text=text,
-        sectors=frozenset(str(s) for s in sectors),
-        level=int(spec.get("level", 0)),
-        anchor=float(spec.get("anchor", 1.0)),
-        persistence=float(spec.get("persistence", 1.0)),
+        sectors=frozenset(map(str, sectors)),
+        level=level,
+        anchor=anchor,
+        persistence=persistence,
         created_at=clock,
         origin=origin,
-        key=spec.get("key"),
+        key=key,
         polarity=spec.get("polarity"),
     )
 
@@ -351,6 +406,7 @@ __all__ = [
     "IdAllocator",
     "ORIGINS",
     "POLARITIES",
+    "TINY_NORM",
     "activation_density",
     "embed_fragment",
     "embed_state",

@@ -22,7 +22,7 @@ from typing import TYPE_CHECKING, Sequence
 import numpy as np
 
 from .config import ParameterConfig
-from .core import BeliefState, embed_fragment, embed_state
+from .core import TINY_NORM, BeliefState, embed_fragment, embed_state
 
 if TYPE_CHECKING:  # pragma: no cover - typing only, avoids an import cycle
     from .tower import EpistemicAxis
@@ -121,7 +121,8 @@ def _shortlist(vecs: np.ndarray, weights: np.ndarray,
     distance from the exact reading; the bound grows as the rest's sum gets
     small beside S.  Every row whose interval reaches the lowest upper end
     (plus SCREEN_BAND) is listed, so the exact minimum is always among them.
-    A non-finite weight lists every row.
+    A non-finite weight, or a rest whose norm is below ``TINY_NORM``, lists
+    every row.
     """
     n = len(weights)
     if not np.isfinite(weights).all():
@@ -132,6 +133,10 @@ def _shortlist(vecs: np.ndarray, weights: np.ndarray,
     rest = np.where(weighted[:, None], pos @ vecs - pos[:, None] * vecs,
                     vecs.sum(axis=0) - vecs)
     norms = np.linalg.norm(rest, axis=1)
+    if (norms < TINY_NORM).any():
+        # embed_state rescales so small a sum before normalising it, which no
+        # bound here covers: read every row exactly.
+        return np.arange(n)
     scale = np.where(weighted, pos.sum(), n)
     with np.errstate(divide="ignore", invalid="ignore"):
         emb = np.where(norms[:, None] > 0.0, rest / norms[:, None], 0.0)

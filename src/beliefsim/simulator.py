@@ -27,6 +27,7 @@ nothing; they are the world pushing in, not the engine working.
 from __future__ import annotations
 
 import json
+import math
 import random
 from collections import deque
 from dataclasses import dataclass, field
@@ -43,6 +44,7 @@ from .core import (
     tokenize,
 )
 from .dynamics import (
+    ASSIMILATION_MODES,
     ElaborationRule,
     annihilate_sector,
     assimilate,
@@ -165,6 +167,35 @@ def _parse_basin(raw: Mapping[str, Any], index: int) -> ActionBasin:
         raise ScenarioError(f"{where}: {exc}") from exc
 
 
+def _check_specs(specs: Any, where: str) -> None:
+    """Fragment specs must be a list of objects, each with a valid sector field."""
+    if not isinstance(specs, list):
+        raise ScenarioError(f"{where} must be a list of objects")
+    for j, spec in enumerate(specs):
+        # Inline, not a helper call: it runs once per spec, 10k times for a big store.
+        if not isinstance(spec, dict):
+            raise ScenarioError(f"{where}[{j}]: a spec must be an object")
+        sectors = spec.get("sectors")
+        if sectors is None:  # read as fragment_from_spec reads it
+            sector = spec.get("sector", "perc")
+            ok = isinstance(sector, str) and sector != ""
+        else:
+            ok = isinstance(sectors, list) and sectors != [] and all(
+                isinstance(s, str) and s != "" for s in sectors
+            )
+        if not ok:
+            raise ScenarioError(
+                f"{where}[{j}]: sector must be a non-empty string, "
+                "sectors a non-empty list of them"
+            )
+
+
+def _objects(value: Any, where: str) -> list:
+    if not isinstance(value, list) or not all(isinstance(v, dict) for v in value):
+        raise ScenarioError(f"{where} must be a list of objects")
+    return value
+
+
 def _validate_timeline(timeline: Sequence[Mapping[str, Any]]) -> None:
     for i, entry in enumerate(timeline):
         if not isinstance(entry, dict):
@@ -176,25 +207,21 @@ def _validate_timeline(timeline: Sequence[Mapping[str, Any]]) -> None:
             specs = entry.get("specs")
             if not isinstance(specs, list) or not specs:
                 raise ScenarioError(f"timeline[{i}]: observe needs non-empty specs, a list")
-            for j, spec in enumerate(specs):
-                # Inline, not a helper call: it runs once per observed spec.
-                if not isinstance(spec, dict):
-                    raise ScenarioError(f"timeline[{i}].specs[{j}]: a spec must be an object")
-                sectors = spec.get("sectors")
-                if sectors is None:  # read as fragment_from_spec reads it
-                    sector = spec.get("sector", "perc")
-                    ok = isinstance(sector, str) and sector != ""
-                else:
-                    ok = isinstance(sectors, list) and sectors != [] and all(
-                        isinstance(s, str) and s != "" for s in sectors
-                    )
-                if not ok:
-                    raise ScenarioError(
-                        f"timeline[{i}].specs[{j}]: sector must be a non-empty string, "
-                        "sectors a non-empty list of them"
-                    )
-        if kind == "command" and not tokenize(str(entry.get("text", ""))):
-            raise ScenarioError(f"timeline[{i}]: command needs text")
+            _check_specs(specs, f"timeline[{i}].specs")
+            if entry.get("mode", "auto") not in ASSIMILATION_MODES:
+                raise ScenarioError(
+                    f"timeline[{i}]: mode must be one of {ASSIMILATION_MODES}"
+                )
+        if kind == "command":
+            if not tokenize(str(entry.get("text", ""))):
+                raise ScenarioError(f"timeline[{i}]: command needs text")
+            anchor = entry.get("anchor", COMMAND_ANCHOR)
+            if (
+                not isinstance(anchor, (int, float))
+                or isinstance(anchor, bool)
+                or not 0 <= anchor < math.inf  # also rejects NaN
+            ):
+                raise ScenarioError(f"timeline[{i}]: anchor must be a finite number >= 0")
         if kind == "tick":
             n = entry.get("n", 1)
             if not isinstance(n, int) or isinstance(n, bool) or n < 1:
@@ -236,41 +263,63 @@ def load_scenario(path: str | Path) -> Scenario:
 
     rules = []
     rule_names = []
-    for i, r in enumerate(raw.get("rules", ())):
+    for i, r in enumerate(_objects(raw.get("rules", []), "rules")):
         trigger = r.get("trigger")
         emit = r.get("emit")
         if not trigger or not isinstance(emit, dict) or not tokenize(str(emit.get("text", ""))):
             raise ScenarioError(f"rules[{i}]: needs trigger and emit.text")
+        _check_specs([emit], f"rules[{i}].emit")
         rules.append(ElaborationRule(trigger=str(trigger), emit=emit))
         rule_names.append(emit.get("name"))
 
-    basins = tuple(_parse_basin(b, i) for i, b in enumerate(raw.get("basins", ())))
+    basins = tuple(
+        _parse_basin(b, i) for i, b in enumerate(_objects(raw.get("basins", []), "basins"))
+    )
     seen = set()
     for b in basins:
         if b.name in seen:
             raise ScenarioError(f"duplicate basin name {b.name!r}")
         seen.add(b.name)
 
+    lexicon = raw.get("lexicon", [])
+    if not isinstance(lexicon, list):
+        raise ScenarioError("lexicon must be a list")
+
+    memory = raw.get("memory", [])
+    _check_specs(memory, "memory")
+
+    axes = _objects(raw.get("axes", []), "axes")
+    for i, spec in enumerate(axes):
+        if not isinstance(spec.get("label", ""), str):
+            raise ScenarioError(f"axes[{i}]: label must be a string")
+        if "seed" in spec:
+            _check_specs(spec["seed"], f"axes[{i}].seed")
+        max_k = spec.get("max_k", 12)
+        if not isinstance(max_k, int) or isinstance(max_k, bool):
+            raise ScenarioError(f"axes[{i}]: max_k must be an int")
+
     timeline = raw.get("timeline", [])
     if not isinstance(timeline, list):
         raise ScenarioError("timeline must be a list")
     _validate_timeline(timeline)
 
-    states = {
-        str(k): tuple(v) for k, v in raw.get("states", {}).items()
-    }
+    states = raw.get("states", {})
+    if not isinstance(states, dict):
+        raise ScenarioError("states must be an object")
+    for label, specs in states.items():
+        _check_specs(specs, f"states.{label}")
 
     return Scenario(
         name=str(raw.get("name", path.stem)),
         config=config,
-        store_specs=tuple(raw.get("memory", ())),
+        store_specs=tuple(memory),
         rules=tuple(rules),
         rule_names=tuple(rule_names),
-        lexicon=tuple(str(w) for w in raw.get("lexicon", ())),
-        axis_specs=tuple(raw.get("axes", ())),
+        lexicon=tuple(str(w) for w in lexicon),
+        axis_specs=tuple(axes),
         basins=basins,
         timeline=tuple(timeline),
-        state_specs=states,
+        state_specs={label: tuple(specs) for label, specs in states.items()},
     )
 
 
@@ -300,9 +349,9 @@ def build_axes(
             raise ScenarioError(f"axes[{i}]: needs label and seed fragments")
         if label in axes:
             raise ScenarioError(f"duplicate axis label {label!r}")
-        frags = [fragment_from_spec(s, ids.next(), 0.0) for s in seed_specs]
-        seed = BeliefState(tuple(frags), 0.0)
         try:
+            frags = [fragment_from_spec(s, ids.next(), 0.0) for s in seed_specs]
+            seed = BeliefState(tuple(frags), 0.0)
             trajectory = build_tower(seed, int(spec.get("max_k", 12)), config, ids)
             axes[label] = derive_axis(
                 trajectory, label, config, null_seed=bool(spec.get("null_seed", False))
@@ -361,8 +410,11 @@ class SimulationRun:
         self.names: dict[str, int] = {}
 
         store_frags = []
-        for spec in scenario.store_specs:
-            frag = fragment_from_spec(spec, self.ids.next(), 0.0)
+        for i, spec in enumerate(scenario.store_specs):
+            try:
+                frag = fragment_from_spec(spec, self.ids.next(), 0.0)
+            except ValueError as exc:
+                raise ScenarioError(f"memory[{i}]: {exc}") from exc
             store_frags.append(frag)
             if spec.get("name"):
                 self.names[str(spec["name"])] = frag.id

@@ -11,6 +11,7 @@ from pathlib import Path
 import pytest
 
 from beliefsim.cli import main
+from beliefsim.simulator import ScenarioError, load_scenario
 from beliefsim.trace import parse_trace
 
 REPO = Path(__file__).resolve().parent.parent
@@ -150,6 +151,47 @@ def test_run_rejects_malformed_timeline_at_load(tmp_path, capsys, timeline):
     data = {"name": "malformed", "timeline": timeline}
     assert main(["run", write_scenario(tmp_path, data)]) == 2
     assert capsys.readouterr().err.startswith("error: ")
+
+
+def run_module(*args: str) -> subprocess.CompletedProcess:
+    """``python -m beliefsim ARGS`` with the source tree on the path, no install."""
+    return subprocess.run(
+        [sys.executable, "-m", "beliefsim", *args],
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": str(REPO / "src")},
+    )
+
+
+@pytest.mark.parametrize(
+    "data",
+    [
+        {"memory": 5},
+        {"states": 5},
+        {"axes": [{"label": "focus", "seed": "abc"}]},
+        {"memory": [{"text": "pump hums", "sector": []}]},
+        {"config": {"goal_marker": 5},
+         "timeline": [{"event": "command", "text": "goal: map"}, {"event": "tick"}]},
+        {"timeline": [{"event": "tick"}, {"event": "command", "text": "go", "anchor": "x"}]},
+        {"timeline": [{"event": "tick"},
+                      {"event": "observe", "specs": [{"text": "pump"}], "mode": "bogus"}]},
+    ],
+    ids=["memory-int", "states-int", "axis-seed-str", "memory-sector-list",
+         "goal-marker-int", "anchor-str", "mode-bogus"],
+)
+def test_run_rejects_malformed_sections_at_load(tmp_path, data):
+    path = write_scenario(tmp_path, {"name": "malformed", **data})
+    with pytest.raises(ScenarioError):
+        load_scenario(path)
+    proc = run_module("run", path)
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("error: ")
+    assert "Traceback" not in proc.stderr
+
+
+def test_python_dash_m_runs_the_cli():
+    proc = run_module("run", str(SCENARIOS / "sensor_decay.json"))
+    assert proc.returncode == 0, proc.stderr
+    assert "sensor_decay:" in proc.stdout
+    assert "0 failed" in proc.stdout
 
 
 def test_run_writes_parseable_trace(tmp_path):

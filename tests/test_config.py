@@ -1,3 +1,5 @@
+import sys
+
 import pytest
 
 from beliefsim.config import (
@@ -42,6 +44,16 @@ def test_decay_rate_flat_modulator():
         ("decay_modulator", "bogus"),
         ("window", 2.5),
         ("patience", True),
+        ("goal_marker", 5),
+        ("goal_marker", ""),
+        ("seed", 1.5),
+        ("l_max", float("inf")),
+        ("lambda0", float("nan")),
+        ("delta", 10**400),
+        ("window", sys.maxsize + 1),
+        ("load_coeffs", (0.1, "x", 0.1)),
+        ("sector_priority", ("task", 3)),
+        ("sector_costs", {"perc": "x"}),
     ],
 )
 def test_validate_rejects_out_of_range(field, value):
@@ -77,6 +89,15 @@ def test_from_dict_coerces_sequences():
     cfg = config_from_dict({"load_coeffs": [0.02, 2.0, 0.2], "sector_priority": ["a", "b"]})
     assert cfg.load_coeffs == (0.02, 2.0, 0.2)
     assert cfg.sector_priority == ("a", "b")
+
+
+@pytest.mark.parametrize(
+    "data",
+    [5, {"sector_costs": {"perc": 10**400}}, {"load_coeffs": 5}, {"sector_costs": [1]}],
+)
+def test_from_dict_rejects_malformed_values(data):
+    with pytest.raises(ValueError):
+        config_from_dict(data)
 
 
 def test_modulator_registry_contains_default():

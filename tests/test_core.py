@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import dataclasses
+from collections import Counter
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -22,7 +25,7 @@ from beliefsim.core import (
     tokenize,
 )
 
-from conftest import WORDS, fragments, make_fragment, states, texts
+from conftest import KEYS, SECTORS, WORDS, fragments, make_fragment, states, texts
 
 
 # --------------------------------------------------------------------------
@@ -247,6 +250,135 @@ def test_carried_vector_equals_fresh_embedding(frag, chain, dim):
     assert embed_fragment(frag, dim).tobytes() == embed_tokens(frag.tokens, dim).tobytes()
 
 
+def test_replace_rejects_unknown_field_like_dataclasses():
+    frag = make_fragment(1)
+    with pytest.raises(TypeError):
+        dataclasses.replace(frag, colour="red")
+    with pytest.raises(TypeError, match="colour"):
+        frag.replace(colour="red")
+
+
+@pytest.mark.parametrize(
+    "overrides, carried",
+    [
+        ({"persistence": 0.5}, True),
+        ({"anchor": 3.0, "id": 7, "origin": "retrieved"}, True),
+        ({"text": "pump steady"}, False),
+        ({"level": 1}, False),
+        ({"sectors": frozenset({"mem"})}, False),
+        ({"key": "q", "polarity": "-"}, False),
+    ],
+)
+def test_replace_carries_content_key_unless_its_fields_change(overrides, carried):
+    frag = make_fragment(1, "pump steady", key="p", polarity="+")
+    key = frag.content_key()
+    copy = frag.replace(**overrides)
+    assert (copy.content_key() is key) == carried
+    assert copy.content_key() == reference_content_key(copy)
+
+
+@pytest.mark.parametrize(
+    "overrides",
+    [
+        {"persistence": 1.5},
+        {"text": "!!"},
+        {"sectors": frozenset()},
+        {"origin": "abstracted"},
+        {"key": None},
+    ],
+)
+def test_replace_checks_the_copy(overrides):
+    frag = make_fragment(1, key="p", polarity="+")
+    with pytest.raises(ValueError):
+        frag.replace(**overrides)
+
+
+def reference_content_key(frag: Fragment) -> tuple:
+    """The content key derived from scratch, as content_key defines it."""
+    return (
+        tuple(sorted(Counter(frag.tokens).items())),
+        frag.key or "",
+        frag.polarity or "",
+        tuple(sorted(frag.sectors)),
+        frag.level,
+    )
+
+
+# Overrides that always give a valid copy, and overrides of every field with
+# valid and invalid values, so both succeeding and failing copies are compared
+# with dataclasses.replace.
+VALID_OVERRIDE = {
+    "id": st.integers(1, 99),
+    "text": texts(),
+    "sectors": st.frozensets(st.sampled_from(SECTORS), min_size=1, max_size=2),
+    "level": st.integers(0, 4),
+    "anchor": st.floats(0.0, 20.0),
+    "persistence": st.floats(0.0, 1.0),
+}
+ANY_OVERRIDE = {
+    "id": st.integers(-2, 99),
+    "text": st.one_of(texts(), st.sampled_from(("", "!!", 5))),
+    "sectors": st.one_of(
+        st.frozensets(st.sampled_from(SECTORS), max_size=2), st.just(frozenset())
+    ),
+    "level": st.one_of(st.integers(-1, 4), st.just("x")),
+    "anchor": st.one_of(st.floats(-1.0, 20.0, allow_nan=False), st.none()),
+    "persistence": st.floats(-0.5, 1.5, allow_nan=False),
+    "created_at": st.floats(0.0, 50.0, allow_nan=False),
+    "origin": st.sampled_from(("observed", "retrieved", "abstracted", "bogus")),
+    "key": st.sampled_from((None,) + KEYS),
+    "polarity": st.sampled_from((None, "+", "-", "?")),
+    "members": st.sampled_from((None, (), (1, 2))),
+    "colour": st.just("red"),
+}
+
+
+def _outcome(make):
+    try:
+        return make()
+    except Exception as exc:  # the exception type is what is compared
+        return type(exc)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    frag=fragments(1, keyed=True),
+    chain=st.lists(
+        st.tuples(
+            st.one_of(
+                st.fixed_dictionaries({}, optional=VALID_OVERRIDE),
+                st.fixed_dictionaries({}, optional=ANY_OVERRIDE),
+            ),
+            st.sampled_from((None, 16, 64)),
+            st.booleans(),
+        ),
+        max_size=6,
+    ),
+    dim=st.sampled_from((16, 64)),
+)
+def test_replace_matches_dataclasses_replace(frag, chain, dim):
+    """Oracle: every copy equals a rebuilt one field by field, with equal
+    tokens, or fails with the same exception type; the vector and content key
+    it carries equal fresh ones, whatever was derived earlier in the chain."""
+    for overrides, embed_dim, keyed in chain:
+        if embed_dim is not None:
+            embed_fragment(frag, embed_dim)
+        if keyed:
+            frag.content_key()
+        want = _outcome(lambda: dataclasses.replace(frag, **overrides))
+        got = _outcome(lambda: frag.replace(**overrides))
+        if isinstance(want, type):
+            assert got is want
+            continue
+        assert isinstance(got, Fragment)
+        for f in dataclasses.fields(Fragment):
+            assert getattr(got, f.name) == getattr(want, f.name), f.name
+        assert got.tokens == want.tokens
+        frag = got
+    assert embed_fragment(frag, dim).tobytes() == embed_tokens(frag.tokens, dim).tobytes()
+    assert frag.content_key() == reference_content_key(frag)
+
+
 def test_embed_state_vacuum_is_zero(cfg):
     vec = embed_state(BeliefState((), 0.0), cfg.embed_dim)
     assert not vec.any()
@@ -272,6 +404,15 @@ def test_embed_state_zero_weights_fall_back_to_uniform_mean(cfg):
     b = make_fragment(2, "terrain grid", anchor=0.0)
     vec = embed_state(BeliefState((a, b), 0.0), cfg.embed_dim)
     assert np.linalg.norm(vec) == pytest.approx(1.0)
+
+
+@pytest.mark.parametrize("anchor", [1e-150, 5.344401253819236e-161, 1e-200, 5e-324])
+def test_embed_state_is_unit_for_weights_too_small_to_square(cfg, anchor):
+    # Squaring entries this small gives subnormals: the norm would lose digits.
+    state = BeliefState(
+        (make_fragment(1, "pump", anchor=anchor), make_fragment(2, "valve", anchor=anchor)), 0.0
+    )
+    assert float(np.linalg.norm(embed_state(state, cfg.embed_dim))) == pytest.approx(1.0)
 
 
 class TestEmbeddingLaws:

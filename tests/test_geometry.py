@@ -306,6 +306,23 @@ class TestRealignMatchesExactLoop:
         assert outcome.warned == expected.warned
 
 
+    @settings(max_examples=200, deadline=None)
+    @given(state=tie_states(max_frags=10), data=st.data())
+    def test_same_removals_with_weights_too_small_to_square(self, state, data):
+        scale = data.draw(st.sampled_from((1e-155, 1e-160, 1e-200)))
+        state = state.with_fragments(
+            f.replace(anchor=f.anchor * scale) for f in state.fragments
+        )
+        cfg = default_config().replace(
+            embed_dim=data.draw(st.sampled_from((8, 64))), tau_theta=0.05, tau_r=0.05
+        )
+        axis = data.draw(realign_axes(cfg.embed_dim))
+        outcome = realign(state, axis, cfg)
+        expected = _reference_realign(state, axis, cfg)
+        assert outcome.removed == expected.removed
+        assert outcome.warned == expected.warned
+
+
 def test_realign_rereads_a_rest_too_small_to_screen():
     # Without fragment 3 the rest weighs 2e-9 beside a whole of about 1, so
     # S - w_3 * v_3 keeps few correct digits: only its error bound keeps that

@@ -5,6 +5,8 @@ from __future__ import annotations
 import json
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from beliefsim.dynamics import ConflictError
 from beliefsim.simulator import (
@@ -116,6 +118,10 @@ def test_unknown_clause_field_rejected(tmp_path):
         ({"event": "set_mode", "mode": "dream"}, "mode must be"),
         ({"event": "expect", "assertions": [{"check": "vibes"}]}, "unknown check"),
         ({"event": "tick", "n": True}, "int >= 1"),
+        ({"event": "command", "text": "go", "anchor": "x"}, "anchor must be"),
+        ({"event": "command", "text": "go", "anchor": True}, "anchor must be"),
+        ({"event": "command", "text": "go", "anchor": -1.0}, "anchor must be"),
+        ({"event": "observe", "specs": [{"text": "pump"}], "mode": "bogus"}, "mode must be"),
     ],
 )
 def test_timeline_validation(tmp_path, entry, message):
@@ -543,3 +549,90 @@ def test_assertion_results_enter_the_trace(tmp_path):
     assert len(events) == 1
     assert events[0].payload["ok"] is True
     assert events[0].payload["check"] == "is_vacuum"
+
+
+# --------------------------------------------------------------------------
+# Fuzzed scenarios: load and construction either succeed or say why
+# --------------------------------------------------------------------------
+
+JSON = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.text(max_size=6)
+    | st.floats(allow_nan=False, allow_infinity=False),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=6), inner, max_size=3),
+    max_leaves=8,
+)
+
+SPEC_FIELDS = ("text", "sector", "sectors", "level", "anchor", "persistence",
+               "key", "polarity", "name")
+
+
+def near(values):
+    """Mostly plausible values, sometimes any JSON at all."""
+    return st.one_of(st.sampled_from(values), JSON)
+
+
+SPEC = st.dictionaries(
+    st.sampled_from(SPEC_FIELDS),
+    near(["pump hums", "valve shut", "", "perc", "mem", 0, 1, 2.5, -1, "+", "-",
+          ["perc", "mem"], [], "p"]),
+    max_size=5,
+)
+SPECS = st.one_of(JSON, st.lists(SPEC, max_size=3))
+
+
+def lists_of(item):
+    return st.one_of(JSON, st.lists(item, max_size=3))
+
+
+SECTIONS = {
+    "name": JSON,
+    "config": st.one_of(JSON, st.dictionaries(
+        st.sampled_from(("delta", "embed_dim", "goal_marker", "seed", "window",
+                         "load_coeffs", "sector_costs", "sector_priority", "l_max")),
+        near([0.5, 16, "goal:", 3, [0.1, 1.0, 0.1], {"perc": 2.0}, ["task"], 1]),
+        max_size=3,
+    )),
+    "memory": SPECS,
+    "rules": lists_of(st.fixed_dictionaries(
+        {"trigger": near(["pump", ""]), "emit": st.one_of(SPEC, JSON)})),
+    "lexicon": lists_of(near(["pump", "", "hum"])),
+    "axes": lists_of(st.fixed_dictionaries(
+        {"label": near(["focus", ""]), "seed": SPECS},
+        optional={"max_k": near([1, 3, 0]), "null_seed": JSON},
+    )),
+    "basins": lists_of(st.fixed_dictionaries(
+        {"name": near(["b"])},
+        optional={
+            "clauses": lists_of(st.dictionaries(
+                st.sampled_from(("kind", "sector", "minimum", "level", "tolerance", "token")),
+                near(["token_present", "sector_density", "perc", 0.5, "go"]),
+                max_size=3,
+            )),
+            "gate_policy": lists_of(st.dictionaries(
+                st.sampled_from(("pattern", "action")), near(["stop", "veto"]), max_size=2)),
+            "tau": near([0.5]),
+        },
+    )),
+    "timeline": lists_of(st.dictionaries(
+        st.sampled_from(("event", "specs", "text", "anchor", "mode", "n", "assertions")),
+        near(["observe", "command", "tick", "expect", "go", 2, "auto", "bogus"]),
+        max_size=4,
+    )),
+    "states": st.one_of(JSON, st.dictionaries(st.sampled_from(("a", "b")), SPECS, max_size=2)),
+}
+
+
+@settings(max_examples=300, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture, HealthCheck.too_slow])
+@given(data=st.fixed_dictionaries({}, optional=SECTIONS))
+def test_any_json_loads_or_raises_scenario_error(tmp_path, data):
+    path = write_scenario(tmp_path, data)
+    try:
+        scenario = load_scenario(path)
+    except ScenarioError:
+        return
+    try:
+        SimulationRun(scenario)
+    except ScenarioError:
+        pass
