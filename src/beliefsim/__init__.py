@@ -41,7 +41,7 @@ from .geometry import (
     realign,
     trajectory_coherence,
 )
-from .memory import QueryCue, generate_query, integrate_retrieved, retrieve
+from .memory import MemoryStore, QueryCue, generate_query, integrate_retrieved, retrieve
 from .regulation import (
     EffortLedger,
     IntrospectiveReport,
@@ -92,6 +92,7 @@ __all__ = [
     "GaugeVerdict",
     "IdAllocator",
     "IntrospectiveReport",
+    "MemoryStore",
     "ParameterConfig",
     "QueryCue",
     "RegulationAction",

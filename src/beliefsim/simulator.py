@@ -54,7 +54,7 @@ from .dynamics import (
 )
 from .execution import ActionBasin, Clause, GateRule, evaluate_action, resolve_actions
 from .geometry import realign
-from .memory import generate_query, integrate_retrieved, retrieve
+from .memory import MemoryStore, generate_query, integrate_retrieved, retrieve
 from .regulation import (
     EffortLedger,
     allocate_effort,
@@ -379,7 +379,7 @@ class RunResult:
     warnings: int = 0
     trace: TraceLog | None = None
     active: BeliefState | None = None
-    store: BeliefState | None = None
+    store: MemoryStore | None = None
 
     @property
     def failures(self) -> list[AssertionOutcome]:
@@ -418,7 +418,7 @@ class SimulationRun:
             store_frags.append(frag)
             if spec.get("name"):
                 self.names[str(spec["name"])] = frag.id
-        self.store = BeliefState(tuple(store_frags), 0.0)
+        self.store = MemoryStore(store_frags, 0.0)
         self.active = BeliefState((), 0.0)
         self.axes = build_axes(scenario, self.config)
 
@@ -665,15 +665,13 @@ class SimulationRun:
 
         # 7. one unit of time passes (free); prunes are logged post-advance.
         before_active = set(self.active.ids())
-        before_store = set(self.store.ids())
         self.active = nullify(self.active, 1.0, self.config)
-        self.store = nullify(self.store, 1.0, self.config)
         pruned_active = sorted(before_active - set(self.active.ids()))
-        pruned_store = sorted(before_store - set(self.store.ids()))
+        self.store, pruned_store = self.store.decay(1.0, self.config)
         if pruned_active or pruned_store:
             self._emit(
                 "nullify_prune",
-                {"active": pruned_active, "store": pruned_store},
+                {"active": pruned_active, "store": list(pruned_store)},
             )
 
         # 8. basin evaluation and resolution (planning budget).

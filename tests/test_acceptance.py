@@ -38,7 +38,7 @@ from beliefsim.execution import (
 )
 from beliefsim.gauge import canonical_state, gauge_equivalent
 from beliefsim.geometry import compass_reading, trajectory_coherence
-from beliefsim.memory import generate_query, integrate_retrieved, retrieve
+from beliefsim.memory import MemoryStore, generate_query, integrate_retrieved, retrieve
 from beliefsim.regulation import coherence
 from beliefsim.simulator import run_scenario
 from beliefsim.tower import EpistemicAxis, build_tower
@@ -131,10 +131,11 @@ def test_decay_checkpoint_table_and_reanchoring():
         clock=state.clock,
     )
     cue = generate_query(active, "goal", cfg)
-    hits = retrieve(state, cue, cfg)
+    store = MemoryStore(state.fragments, state.clock)
+    hits = retrieve(store, cue, cfg)
     assert hits.ids() == {2}
     _, new_store, _ = integrate_retrieved(
-        active, hits, state, cfg, IdAllocator(100)
+        active, hits, store, cfg, IdAllocator(100)
     )
     twin = new_store.get(2)
     assert twin.anchor == 5.0 and twin.persistence == 1.0
@@ -470,7 +471,7 @@ def test_gauge_relabeling_equivalence_and_witness():
 def test_memory_cycle_extends_half_life_without_mutation():
     cfg = default_config()
     twin = make_fragment(3, "fix the pump manual", anchor=1.0, persistence=0.6)
-    store = BeliefState(
+    store = MemoryStore(
         (make_fragment(1, "beacon relay steady", anchor=2.0), twin), clock=40.0
     )
     active = BeliefState(

@@ -6,8 +6,8 @@ import pytest
 
 from beliefsim import core, memory
 from beliefsim.core import BeliefState, IdAllocator, embed_tokens
-from beliefsim.dynamics import nullify
 from beliefsim.memory import (
+    MemoryStore,
     QueryCue,
     generate_query,
     integrate_retrieved,
@@ -140,7 +140,7 @@ def test_retrieval_score_is_cosine_times_persistence(cfg):
 
 
 def test_retrieve_applies_threshold(cfg):
-    store = BeliefState(
+    store = MemoryStore(
         (
             make_fragment(50, "coolant pump manual", persistence=1.0),
             make_fragment(51, "coolant pump manual", persistence=0.2),  # damped out
@@ -154,7 +154,7 @@ def test_retrieve_applies_threshold(cfg):
 
 
 def test_second_retrieve_over_decayed_store_embeds_only_the_cue(cfg, monkeypatch):
-    store = BeliefState(
+    store = MemoryStore(
         tuple(
             make_fragment(50 + i, text)
             for i, text in enumerate(
@@ -165,7 +165,7 @@ def test_second_retrieve_over_decayed_store_embeds_only_the_cue(cfg, monkeypatch
     )
     cue = QueryCue(kind="goal", tokens=("coolant", "pump"))
     first = retrieve(store, cue, cfg)
-    decayed = nullify(store, 1.0, cfg)
+    decayed, _ = store.decay(1.0, cfg)
 
     embedded = []
     real = core.embed_tokens
@@ -182,7 +182,7 @@ def test_second_retrieve_over_decayed_store_embeds_only_the_cue(cfg, monkeypatch
 
 
 def test_retrieve_copies_keep_store_ids_and_retag_origin(cfg):
-    store = BeliefState((make_fragment(50, "coolant pump manual"),), 12.0)
+    store = MemoryStore((make_fragment(50, "coolant pump manual"),), 12.0)
     cue = QueryCue(kind="goal", tokens=("coolant", "pump"))
     hits = retrieve(store, cue, cfg)
     copy = hits.get(50)
@@ -197,7 +197,7 @@ def test_retrieve_strips_member_records(cfg):
     summary = make_fragment(
         60, "coolant pump", origin="abstracted", members=(1, 2), level=1
     )
-    store = BeliefState((summary,), 0.0)
+    store = MemoryStore((summary,), 0.0)
     cue = QueryCue(kind="goal", tokens=("coolant", "pump"))
     copy = retrieve(store, cue, cfg).get(60)
     assert copy.members is None
@@ -205,7 +205,7 @@ def test_retrieve_strips_member_records(cfg):
 
 
 def test_retrieve_can_come_back_empty(cfg):
-    store = BeliefState((make_fragment(50, "terrain chatter"),), 0.0)
+    store = MemoryStore((make_fragment(50, "terrain chatter"),), 0.0)
     cue = QueryCue(kind="goal", tokens=("coolant", "pump"))
     assert retrieve(store, cue, cfg).is_vacuum
 
@@ -216,7 +216,7 @@ def test_retrieve_can_come_back_empty(cfg):
 
 def test_integration_boosts_copy_and_reanchors_twin(cfg):
     active = BeliefState((make_fragment(1, "goal: fix the pump", sectors=("task",)),), 40.0)
-    store = BeliefState(
+    store = MemoryStore(
         (make_fragment(50, "fix the pump manual", anchor=1.0, persistence=0.6),), 40.0
     )
     cue = QueryCue(kind="goal", tokens=("fix", "the", "pump"))
@@ -238,7 +238,7 @@ def test_integration_leaves_store_twin_when_copy_is_retracted(cfg):
     active = BeliefState(
         (make_fragment(1, "valve open", key="valve", polarity="+", anchor=50.0),), 0.0
     )
-    store = BeliefState(
+    store = MemoryStore(
         (make_fragment(50, "valve shut", key="valve", polarity="-",
                        anchor=1.0, persistence=0.9),),
         0.0,
@@ -261,7 +261,7 @@ def test_integration_refresh_still_reanchors_twin(cfg):
     # Copy duplicates active content: no new fragment, but the twin survives
     # by content and is re-anchored.
     active = BeliefState((make_fragment(1, "coolant pump manual", anchor=2.0),), 0.0)
-    store = BeliefState(
+    store = MemoryStore(
         (make_fragment(50, "coolant pump manual", anchor=1.0, persistence=0.5),), 0.0
     )
     cue = QueryCue(kind="goal", tokens=("coolant", "pump", "manual"))
@@ -277,7 +277,7 @@ def test_integration_refresh_still_reanchors_twin(cfg):
 
 def test_integration_keeps_high_anchor_copy_above_floor(cfg):
     active = BeliefState((make_fragment(1, "goal: fix pump", sectors=("task",)),), 0.0)
-    store = BeliefState(
+    store = MemoryStore(
         (make_fragment(50, "fix pump quickly", anchor=9.0, persistence=1.0),), 0.0
     )
     cue = QueryCue(kind="goal", tokens=("fix", "pump"))
