@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import hashlib
 import itertools
+import math
 import re
 from collections import Counter
 from dataclasses import dataclass, fields
@@ -80,8 +81,10 @@ class Fragment:
             raise ValueError(f"fragment {self.id}: needs at least one sector tag")
         if self.level < 0:
             raise ValueError(f"fragment {self.id}: level must be >= 0, got {self.level}")
-        if self.anchor < 0:
-            raise ValueError(f"fragment {self.id}: anchor must be >= 0, got {self.anchor}")
+        if not 0 <= self.anchor < math.inf:  # also rejects NaN
+            raise ValueError(
+                f"fragment {self.id}: anchor must be a finite number >= 0, got {self.anchor}"
+            )
         if not (0.0 <= self.persistence <= 1.0):
             raise ValueError(
                 f"fragment {self.id}: persistence must lie in [0, 1], got {self.persistence}"

@@ -168,13 +168,17 @@ def _parse_basin(raw: Mapping[str, Any], index: int) -> ActionBasin:
 
 
 def _check_specs(specs: Any, where: str) -> None:
-    """Fragment specs must be a list of objects, each with a valid sector field."""
+    """Fragment specs must be a list of objects, each with a valid sector field
+    and no non-finite anchor (JSON's NaN and Infinity parse as floats)."""
     if not isinstance(specs, list):
         raise ScenarioError(f"{where} must be a list of objects")
     for j, spec in enumerate(specs):
         # Inline, not a helper call: it runs once per spec, 10k times for a big store.
         if not isinstance(spec, dict):
             raise ScenarioError(f"{where}[{j}]: a spec must be an object")
+        anchor = spec.get("anchor")
+        if isinstance(anchor, float) and not math.isfinite(anchor):
+            raise ScenarioError(f"{where}[{j}]: anchor must be a finite number >= 0")
         sectors = spec.get("sectors")
         if sectors is None:  # read as fragment_from_spec reads it
             sector = spec.get("sector", "perc")
@@ -208,10 +212,19 @@ def _validate_timeline(timeline: Sequence[Mapping[str, Any]]) -> None:
             if not isinstance(specs, list) or not specs:
                 raise ScenarioError(f"timeline[{i}]: observe needs non-empty specs, a list")
             _check_specs(specs, f"timeline[{i}].specs")
-            if entry.get("mode", "auto") not in ASSIMILATION_MODES:
+            mode = entry.get("mode", "auto")
+            if mode not in ASSIMILATION_MODES:
                 raise ScenarioError(
                     f"timeline[{i}]: mode must be one of {ASSIMILATION_MODES}"
                 )
+            if mode == "abs":
+                group = entry.get("group")
+                if not isinstance(group, str) or not tokenize(group):
+                    raise ScenarioError(
+                        f"timeline[{i}]: mode abs needs a group, a string with a token"
+                    )
+            elif "group" in entry:
+                raise ScenarioError(f"timeline[{i}]: group is only allowed with mode abs")
         if kind == "command":
             if not tokenize(str(entry.get("text", ""))):
                 raise ScenarioError(f"timeline[{i}]: command needs text")
@@ -489,10 +502,10 @@ class SimulationRun:
                 "command": False,
             },
         )
-        mode = entry.get("mode", "auto")
         self.active, report = assimilate(
             self.active, observation, self.config, self.ids,
-            mode=mode, rules=self.scenario.rules,
+            mode=entry.get("mode", "auto"), rules=self.scenario.rules,
+            abs_group=entry.get("group"),
         )
         self._emit("assimilate", {"report": report.to_dict()})
         self._register_rule_names(report.elaborated)

@@ -173,9 +173,16 @@ def run_module(*args: str) -> subprocess.CompletedProcess:
         {"timeline": [{"event": "tick"}, {"event": "command", "text": "go", "anchor": "x"}]},
         {"timeline": [{"event": "tick"},
                       {"event": "observe", "specs": [{"text": "pump"}], "mode": "bogus"}]},
+        {"memory": [{"text": "pump hums", "anchor": float("nan")}],
+         "timeline": [{"event": "tick"}]},
+        {"timeline": [{"event": "tick"},
+                      {"event": "observe", "specs": [{"text": "pump", "anchor": float("inf")}]}]},
+        {"timeline": [{"event": "tick"},
+                      {"event": "observe", "specs": [{"text": "pump"}], "mode": "abs"}]},
     ],
     ids=["memory-int", "states-int", "axis-seed-str", "memory-sector-list",
-         "goal-marker-int", "anchor-str", "mode-bogus"],
+         "goal-marker-int", "anchor-str", "mode-bogus", "memory-anchor-nan",
+         "observe-anchor-inf", "abs-without-group"],
 )
 def test_run_rejects_malformed_sections_at_load(tmp_path, data):
     path = write_scenario(tmp_path, {"name": "malformed", **data})
@@ -253,6 +260,7 @@ def test_run_shipped_scenarios_pass():
         "drift_vacuum",
         "orientation_axis",
         "realign_sweep",
+        "memory_recall",
     ):
         assert main(["run", str(SCENARIOS / f"{name}.json")]) == 0, name
 

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import dataclasses
+import math
 from collections import Counter
 
 import numpy as np
@@ -66,6 +67,14 @@ def test_fragment_rejects_negative_level():
 def test_fragment_rejects_negative_anchor():
     with pytest.raises(ValueError, match="anchor"):
         make_fragment(1, anchor=-0.5)
+
+
+@pytest.mark.parametrize("anchor", [math.nan, math.inf])
+def test_fragment_rejects_non_finite_anchor(anchor):
+    with pytest.raises(ValueError, match="anchor must be a finite number >= 0"):
+        make_fragment(1, anchor=anchor)
+    with pytest.raises(ValueError, match="anchor must be a finite number >= 0"):
+        make_fragment(1).replace(anchor=anchor)
 
 
 @pytest.mark.parametrize("persistence", [-0.1, 1.1])

@@ -2,10 +2,20 @@
 
 from __future__ import annotations
 
+import math
+import random
+from pathlib import Path
+
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from beliefsim import core, memory
+from beliefsim.config import default_config
 from beliefsim.core import BeliefState, IdAllocator, embed_tokens
+from beliefsim.dynamics import assimilate
+from beliefsim.simulator import SimulationRun, load_scenario
 from beliefsim.memory import (
     MemoryStore,
     QueryCue,
@@ -15,7 +25,7 @@ from beliefsim.memory import (
     retrieve,
 )
 
-from conftest import make_fragment
+from conftest import KEYS, WORDS, make_fragment, texts
 
 VACUUM = BeliefState((), 0.0)
 
@@ -287,3 +297,267 @@ def test_integration_keeps_high_anchor_copy_above_floor(cfg):
     )
     assert new_active.get(report.added[0]).anchor == 9.0  # floor never lowers
     assert new_store.get(50).anchor == 9.0
+
+
+# --------------------------------------------------------------------------
+# The columnar store
+# --------------------------------------------------------------------------
+
+def test_store_sorts_rows_and_rejects_duplicate_ids():
+    store = MemoryStore((make_fragment(9, "pump"), make_fragment(3, "valve")), 2.0)
+    assert [f.id for f in store.fragments] == [3, 9]
+    assert store.ids() == {3, 9} and store.clock == 2.0
+    with pytest.raises(ValueError, match="duplicate fragment ids in store: \\[3\\]"):
+        MemoryStore((make_fragment(3, "pump"), make_fragment(3, "valve")))
+    with pytest.raises(ValueError, match="clock"):
+        MemoryStore((), -1.0)
+
+
+def test_store_fragments_count_without_building(cfg, monkeypatch):
+    store = MemoryStore(
+        tuple(make_fragment(i, "pump", persistence=0.1005 if i == 1 else 0.5 + i / 10)
+              for i in range(1, 6))
+    )
+    decayed, pruned = store.decay(1.0, cfg)
+    assert pruned == (1,)
+    built = []
+    real = MemoryStore._fragment
+    monkeypatch.setattr(MemoryStore, "_fragment",
+                        lambda self, row, **kw: built.append(row) or real(self, row, **kw))
+    rows = decayed.fragments
+    assert len(rows) == 4 and not decayed.is_vacuum
+    assert built == []
+    assert rows[-1].id == 5 and [f.id for f in rows[1:3]] == [3, 4]
+    assert decayed.get(1) is None and decayed.get(7) is None
+    assert decayed.get(2).persistence == rows[0].persistence
+
+
+def test_reanchor_skips_absent_and_pruned_ids(cfg):
+    store = MemoryStore((make_fragment(2, "pump", persistence=0.1005),
+                         make_fragment(4, "valve", anchor=1.0, persistence=0.5)))
+    decayed, pruned = store.decay(1.0, cfg)
+    assert pruned == (2,)
+    lifted = decayed.reanchor([1, 2, 4, 9], 5.0)
+    assert lifted.get(2) is None
+    assert lifted.get(4).anchor == 5.0 and lifted.get(4).persistence == 1.0
+    assert decayed.get(4).anchor == 1.0  # snapshots are immutable
+    assert decayed.reanchor([1, 9], 5.0) is decayed
+
+
+def test_decay_factors_round_as_math_exp(cfg):
+    """Rows decay by the per-fragment loop's factor, math.exp(-rate * dt);
+    np.exp rounds about one such value in twenty differently."""
+    rnd = random.Random(7)
+    rows = [
+        make_fragment(i + 1, "pump", anchor=rnd.uniform(0.0, 12.0),
+                      persistence=rnd.uniform(0.5, 1.0))
+        for i in range(400)
+    ]
+    cfg = cfg.replace(lambda0=0.3)
+    decayed, _ = MemoryStore(rows).decay(1.0, cfg)
+    assert [f.persistence for f in decayed.fragments] == [
+        f.persistence * math.exp(-cfg.decay_rate(f.anchor)) for f in rows
+    ]
+
+
+def test_vectors_are_built_at_the_first_retrieve_and_shared(cfg):
+    scenario = load_scenario(Path(__file__).parent.parent / "scenarios" / "memory_recall.json")
+    run = SimulationRun(scenario)
+    assert run.store._vectors[0] is None  # not at load
+    store = run.store
+    retrieve(store, QueryCue(kind="goal", tokens=("coolant", "pump")), cfg)
+    matrix = store._vectors[0]
+    assert matrix.shape == (len(scenario.store_specs), cfg.embed_dim)
+    decayed, _ = store.decay(1.0, cfg)
+    retrieve(decayed, QueryCue(kind="goal", tokens=("valve",)), cfg)
+    assert decayed._vectors[0] is matrix
+    for row, f in enumerate(store.fragments):
+        assert np.array_equal(matrix[row], embed_tokens(f.tokens, cfg.embed_dim))
+
+
+def test_a_run_builds_fragments_only_for_retrieved_hits(monkeypatch):
+    scenario = load_scenario(Path(__file__).parent.parent / "scenarios" / "memory_recall.json")
+    built = []
+    real = MemoryStore._fragment
+    monkeypatch.setattr(MemoryStore, "_fragment",
+                        lambda self, row, **kw: built.append(row) or real(self, row, **kw))
+    result = SimulationRun(scenario).run()
+    hits = sum(len(e.payload["ids"]) for e in result.trace.events if e.kind == "retrieve")
+    assert hits > 0
+    assert len(built) == hits
+
+
+def test_retrieve_rereads_a_row_the_product_rounds_below_tau(cfg):
+    """Find a row whose matrix-product score rounds below its exact score;
+    with tau at the exact score, the row must still be a hit."""
+    cfg = cfg.replace(embed_dim=8)
+    rows = [
+        make_fragment(i + 1, " ".join(WORDS[(i * 7 + k * 3) % len(WORDS)] for k in range(6)))
+        for i in range(60)
+    ]
+    store = MemoryStore(rows)
+    for cue_words in (WORDS[:4], WORDS[4:9], WORDS[9:15], WORDS[15:]):
+        cue = QueryCue(kind="associative", tokens=tuple(cue_words))
+        cue_vec = embed_tokens(cue.tokens, 8)
+        screened = store._matrix(8) @ cue_vec
+        for row, f in enumerate(rows):
+            exact = retrieval_score(cue_vec, f)
+            if screened[row] < exact:
+                hits = retrieve(store, cue, cfg.replace(tau_retrieval=exact))
+                assert f.id in hits.ids()
+                return
+    pytest.skip("this BLAS rounds the matrix product like the row dot products")
+
+
+def _reference_nullify(state, dt, config):
+    """The per-fragment decay loop the store's decay replaced."""
+    survivors = []
+    for f in state.fragments:
+        decayed = f.persistence * math.exp(-config.decay_rate(f.anchor) * dt)
+        if decayed > config.delta:
+            survivors.append(f.replace(persistence=decayed))
+    return BeliefState(tuple(survivors), state.clock + dt)
+
+
+def _reference_retrieve(store, cue, config):
+    """The per-fragment retrieval loop."""
+    cue_vec = embed_tokens(cue.tokens, config.embed_dim)
+    hits = []
+    for f in store.fragments:
+        if retrieval_score(cue_vec, f) >= config.tau_retrieval:
+            hits.append(f.replace(origin="retrieved", members=None))
+    return BeliefState(tuple(hits), store.clock)
+
+
+def _reference_integrate(active, retrieved, store, config, ids):
+    """The per-fragment integration loop: twins found by walking the store."""
+    floor = config.reanchor_min
+    boosted = [c.replace(anchor=max(c.anchor, floor)) for c in retrieved.fragments]
+    new_active, report = assimilate(
+        active, BeliefState(tuple(boosted), active.clock), config, ids, mode="auto"
+    )
+    surviving = {f.content_key() for f in new_active.fragments}
+    twin_keys = {c.id for c in boosted if c.content_key() in surviving}
+    new_store_frags = []
+    for f in store.fragments:
+        if f.id in twin_keys:
+            f = f.replace(anchor=max(f.anchor, floor), persistence=1.0)
+        new_store_frags.append(f)
+    return new_active, store.with_fragments(new_store_frags), report
+
+
+def _nudged(draw, value):
+    """``value`` moved by a few ulps or by up to 1e-12, either way."""
+    how = draw(st.sampled_from(("same", "same", "ulps", "tiny")))
+    if how == "ulps":
+        toward = draw(st.sampled_from((-math.inf, math.inf)))
+        for _ in range(draw(st.integers(1, 3))):
+            value = float(np.nextafter(value, toward))
+    elif how == "tiny":
+        value += draw(st.floats(-1e-12, 1e-12))
+    return value
+
+
+@st.composite
+def store_chains(draw):
+    """A random store, config, active state and chain of operations.
+
+    Persistences sit anywhere above delta, some a few ulps above it or just
+    above the point where the next decay prunes them; anchors include the
+    re-anchor floor; keyed rows can lose revision against the active state;
+    each retrieval's tau lies within 1e-12 of some live row's exact score.
+    """
+    cfg = default_config().replace(
+        embed_dim=draw(st.sampled_from((8, 8, 16, 64))),
+        delta=draw(st.sampled_from((0.05, 0.1, 0.3))),
+        lambda0=draw(st.sampled_from((0.02, 0.3, 1.0))),
+        decay_modulator=draw(st.sampled_from(("inverse_anchor", "constant"))),
+        reanchor_min=draw(st.sampled_from((0.5, 5.0))),
+    )
+    ids = draw(st.lists(st.integers(1, 400), max_size=32, unique=True))
+    # Generic values: decay factors of round anchors rarely show how
+    # np.exp and math.exp round apart.
+    rnd = draw(st.randoms(use_true_random=False))
+    rows = []
+    for fid in ids:
+        anchor = draw(st.one_of(
+            st.just(rnd.uniform(0.0, 12.0)), st.sampled_from((0.0, cfg.reanchor_min, 9.0))
+        ))
+        edge = draw(st.sampled_from(("any", "delta", "prune_next")))
+        if edge == "delta":
+            persistence = _nudged(draw, float(np.nextafter(cfg.delta, 1.0)))
+        elif edge == "prune_next":
+            factor = math.exp(-cfg.decay_rate(anchor))
+            persistence = _nudged(draw, cfg.delta / factor)
+        else:
+            persistence = rnd.uniform(cfg.delta, 1.0)
+        persistence = min(max(persistence, float(np.nextafter(cfg.delta, 1.0))), 1.0)
+        key = polarity = None
+        if draw(st.integers(0, 3)) == 0:
+            key, polarity = draw(st.sampled_from(KEYS)), draw(st.sampled_from("+-"))
+        rows.append(make_fragment(
+            fid, draw(texts(1, 8)), anchor=anchor, persistence=persistence,
+            key=key, polarity=polarity, sectors=("mem",),
+        ))
+    active = BeliefState(tuple(
+        make_fragment(
+            1000 + i, draw(texts(1, 4)), anchor=draw(st.sampled_from((0.5, 50.0))),
+            key=draw(st.sampled_from(KEYS)), polarity=draw(st.sampled_from("+-")),
+        )
+        for i in range(draw(st.integers(0, 3)))
+    ), 0.0)
+    ops = draw(st.lists(
+        st.one_of(
+            st.tuples(st.just("decay"), st.sampled_from((1.0, 1.0, 1.0, 2.5))),
+            st.tuples(st.sampled_from(("retrieve", "recall")), texts(1, 4)),
+        ),
+        min_size=1, max_size=8,
+    ))
+    return cfg, rows, active, ops
+
+
+@settings(max_examples=250, deadline=None)
+@given(chain=store_chains(), data=st.data())
+def test_store_matches_the_per_fragment_loops(chain, data):
+    cfg, rows, active, ops = chain
+    store = MemoryStore(rows, 0.0)
+    ref = BeliefState(tuple(rows), 0.0)
+    ref_active = active
+    for op, arg in ops:
+        if op == "decay":
+            store, pruned = store.decay(arg, cfg)
+            before = ref.ids()
+            ref = _reference_nullify(ref, arg, cfg)
+            assert pruned == tuple(sorted(before - ref.ids()))
+        else:
+            cue_text = arg
+            if ref.fragments and data.draw(st.booleans()):
+                cue_text = data.draw(st.sampled_from(ref.fragments)).text
+            cue = QueryCue(kind="associative", tokens=tuple(cue_text.split()))
+            tau = 0.5
+            if ref.fragments:
+                # Aim tau at a row whose matrix-product score rounds below
+                # its exact score, when there is one.
+                cue_vec = embed_tokens(cue.tokens, cfg.embed_dim)
+                exact = [retrieval_score(cue_vec, f) for f in ref.fragments]
+                vectors = np.stack([embed_tokens(f.tokens, cfg.embed_dim) for f in ref.fragments])
+                screened = (vectors @ cue_vec) * [f.persistence for f in ref.fragments]
+                low = [e for e, s in zip(exact, screened) if s < e]
+                tau = data.draw(st.sampled_from(low or exact))
+                tau = min(max(_nudged(data.draw, tau), 0.0), 1.0)
+            cfg_r = cfg.replace(tau_retrieval=tau)
+            hits = retrieve(store, cue, cfg_r)
+            assert hits == _reference_retrieve(ref, cue, cfg_r)
+            if op == "recall" and not hits.is_vacuum:
+                active, store, report = integrate_retrieved(
+                    active, hits, store, cfg_r, IdAllocator(5000)
+                )
+                ref_active, ref, ref_report = _reference_integrate(
+                    ref_active, hits, ref, cfg_r, IdAllocator(5000)
+                )
+                assert report == ref_report
+                assert active == ref_active
+        assert tuple(store.fragments) == ref.fragments
+        assert len(store.fragments) == len(ref.fragments)
+        assert store.ids() == ref.ids()
+        assert store.clock == ref.clock

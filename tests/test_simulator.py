@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import math
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -122,11 +123,38 @@ def test_unknown_clause_field_rejected(tmp_path):
         ({"event": "command", "text": "go", "anchor": True}, "anchor must be"),
         ({"event": "command", "text": "go", "anchor": -1.0}, "anchor must be"),
         ({"event": "observe", "specs": [{"text": "pump"}], "mode": "bogus"}, "mode must be"),
+        ({"event": "observe", "specs": [{"text": "pump"}], "mode": "abs"}, "needs a group"),
+        ({"event": "observe", "specs": [{"text": "pump"}], "mode": "abs", "group": " ; "},
+         "needs a group"),
+        ({"event": "observe", "specs": [{"text": "pump"}], "mode": "abs", "group": 3},
+         "needs a group"),
+        ({"event": "observe", "specs": [{"text": "pump"}], "group": "pump"}, "only allowed"),
+        ({"event": "observe", "specs": [{"text": "pump"}], "mode": "corr", "group": "pump"},
+         "only allowed"),
+        ({"event": "observe", "specs": [{"text": "pump", "anchor": math.nan}]}, "finite"),
+        ({"event": "observe", "specs": [{"text": "pump", "anchor": math.inf}]}, "finite"),
     ],
 )
 def test_timeline_validation(tmp_path, entry, message):
     path = write_scenario(tmp_path, minimal(timeline=[entry]))
     with pytest.raises(ScenarioError, match=message):
+        load_scenario(path)
+
+
+@pytest.mark.parametrize("anchor", [math.nan, math.inf])
+@pytest.mark.parametrize(
+    "section, where",
+    [
+        (lambda spec: {"memory": [{"text": "stored"}, spec]}, r"memory\[1\]"),
+        (lambda spec: {"states": {"probe": [spec]}}, r"states\.probe\[0\]"),
+        (lambda spec: {"axes": [{"label": "focus", "seed": [spec]}]},
+         r"axes\[0\]\.seed\[0\]"),
+    ],
+    ids=["memory", "states", "axis-seed"],
+)
+def test_non_finite_anchor_rejected_at_load(tmp_path, section, where, anchor):
+    path = write_scenario(tmp_path, minimal(**section({"text": "pump", "anchor": anchor})))
+    with pytest.raises(ScenarioError, match=where + ": anchor must be a finite"):
         load_scenario(path)
 
 
@@ -388,6 +416,29 @@ def test_issued_cue_is_not_repeated(tmp_path):
         if e.kind == "query" and e.payload["cue"]["kind"] == "goal"
     ]
     assert len(goal_queries) == 1
+
+
+def test_abs_observe_folds_its_group_into_a_summary(tmp_path):
+    data = minimal(
+        timeline=[
+            {"event": "observe", "specs": [
+                {"text": "coolant flow steady", "name": "steady"},
+                {"text": "terrain grid", "name": "grid"},
+            ]},
+            {"event": "observe", "mode": "abs", "group": "coolant flow", "specs": [
+                {"text": "coolant flow noisy", "name": "noisy"},
+            ]},
+        ],
+    )
+    run = SimulationRun(load_scenario(write_scenario(tmp_path, data)))
+    result = run.run()
+    report = [e for e in result.trace.events if e.kind == "assimilate"][-1].payload["report"]
+    assert report["mode"] == "abs"
+    (summary_id,) = report["abstracted"]
+    summary = result.active.get(summary_id)
+    assert summary.origin == "abstracted"
+    assert summary.members == (run.names["steady"], run.names["noisy"])
+    assert result.active.ids() == {summary_id, run.names["grid"]}
 
 
 def test_vacuum_retrieval_emits_no_integration(tmp_path):
