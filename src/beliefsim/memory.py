@@ -123,7 +123,7 @@ class MemoryStore:
     def __init__(self, fragments: Iterable[Fragment] = (), clock: float = 0.0) -> None:
         rows = tuple(fragments)
         ids = np.fromiter((f.id for f in rows), np.int64, len(rows))
-        if not (np.diff(ids) > 0).all():
+        if len(rows) > 1 and not (np.diff(ids) > 0).all():
             order = np.argsort(ids, kind="stable")
             rows = tuple(rows[i] for i in order.tolist())
             ids = ids[order]
@@ -165,10 +165,6 @@ class MemoryStore:
         """The live rows as fragments, in id order."""
         return StoreFragments(self)
 
-    @property
-    def is_vacuum(self) -> bool:
-        return not self._live.any()
-
     def ids(self) -> frozenset[int]:
         return frozenset(self._ids[self._live].tolist())
 
@@ -185,7 +181,7 @@ class MemoryStore:
 
     # -- operators ---------------------------------------------------------
 
-    def decay(self, dt: float, config: ParameterConfig) -> tuple["MemoryStore", tuple[int, ...]]:
+    def decay(self, dt: float, config: ParameterConfig) -> tuple["MemoryStore", list[int]]:
         """``dynamics.nullify`` over the store: (decayed store, pruned ids).
 
         Each persistence is multiplied by its row's factor
@@ -197,7 +193,7 @@ class MemoryStore:
         if dt < 0:
             raise ValueError(f"dt must be >= 0, got {dt}")
         if dt == 0:
-            return self, ()
+            return self, []
         decay = self._decay
         if decay is None or decay[0] != dt or decay[1] != config:
             decay = (dt, config, _decay_factors(self._anchor, dt, config))
@@ -207,7 +203,7 @@ class MemoryStore:
         store = self._derive(
             clock=self.clock + dt, persistence=persistence, live=live, decay=decay
         )
-        return store, tuple(pruned.tolist())
+        return store, pruned.tolist()
 
     def reanchor(self, fragment_ids: Iterable[int], floor: float) -> "MemoryStore":
         """Live rows of ``fragment_ids`` lifted to at least ``floor`` and
@@ -259,9 +255,7 @@ class StoreFragments(Sequence):
     def __len__(self) -> int:
         return len(self._live_rows)
 
-    def __getitem__(self, index):
-        if isinstance(index, slice):
-            return tuple(self[i] for i in range(*index.indices(len(self))))
+    def __getitem__(self, index: int) -> Fragment:
         return self._store._fragment(int(self._live_rows[index]))
 
 

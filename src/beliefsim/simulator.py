@@ -168,17 +168,13 @@ def _parse_basin(raw: Mapping[str, Any], index: int) -> ActionBasin:
 
 
 def _check_specs(specs: Any, where: str) -> None:
-    """Fragment specs must be a list of objects, each with a valid sector field
-    and no non-finite anchor (JSON's NaN and Infinity parse as floats)."""
+    """Fragment specs must be a list of objects, each with a valid sector field."""
     if not isinstance(specs, list):
         raise ScenarioError(f"{where} must be a list of objects")
     for j, spec in enumerate(specs):
         # Inline, not a helper call: it runs once per spec, 10k times for a big store.
         if not isinstance(spec, dict):
             raise ScenarioError(f"{where}[{j}]: a spec must be an object")
-        anchor = spec.get("anchor")
-        if isinstance(anchor, float) and not math.isfinite(anchor):
-            raise ScenarioError(f"{where}[{j}]: anchor must be a finite number >= 0")
         sectors = spec.get("sectors")
         if sectors is None:  # read as fragment_from_spec reads it
             sector = spec.get("sector", "perc")
@@ -434,6 +430,11 @@ class SimulationRun:
         self.store = MemoryStore(store_frags, 0.0)
         self.active = BeliefState((), 0.0)
         self.axes = build_axes(scenario, self.config)
+        for label, specs in scenario.state_specs.items():
+            try:  # only gauge reads states; a run refuses a bad one before tick 0 too
+                materialize_state(specs)
+            except ValueError as exc:
+                raise ScenarioError(f"states.{label}: {exc}") from exc
 
         self.trace = TraceLog(
             make_header(scenario.name, self.seed, mode, self.config.to_dict())
@@ -502,10 +503,10 @@ class SimulationRun:
                 "command": False,
             },
         )
+        mode = entry.get("mode", "auto")
         self.active, report = assimilate(
             self.active, observation, self.config, self.ids,
-            mode=entry.get("mode", "auto"), rules=self.scenario.rules,
-            abs_group=entry.get("group"),
+            mode=mode, rules=self.scenario.rules, abs_group=entry.get("group"),
         )
         self._emit("assimilate", {"report": report.to_dict()})
         self._register_rule_names(report.elaborated)
@@ -684,7 +685,7 @@ class SimulationRun:
         if pruned_active or pruned_store:
             self._emit(
                 "nullify_prune",
-                {"active": pruned_active, "store": list(pruned_store)},
+                {"active": pruned_active, "store": pruned_store},
             )
 
         # 8. basin evaluation and resolution (planning budget).

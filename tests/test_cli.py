@@ -173,16 +173,11 @@ def run_module(*args: str) -> subprocess.CompletedProcess:
         {"timeline": [{"event": "tick"}, {"event": "command", "text": "go", "anchor": "x"}]},
         {"timeline": [{"event": "tick"},
                       {"event": "observe", "specs": [{"text": "pump"}], "mode": "bogus"}]},
-        {"memory": [{"text": "pump hums", "anchor": float("nan")}],
-         "timeline": [{"event": "tick"}]},
-        {"timeline": [{"event": "tick"},
-                      {"event": "observe", "specs": [{"text": "pump", "anchor": float("inf")}]}]},
         {"timeline": [{"event": "tick"},
                       {"event": "observe", "specs": [{"text": "pump"}], "mode": "abs"}]},
     ],
     ids=["memory-int", "states-int", "axis-seed-str", "memory-sector-list",
-         "goal-marker-int", "anchor-str", "mode-bogus", "memory-anchor-nan",
-         "observe-anchor-inf", "abs-without-group"],
+         "goal-marker-int", "anchor-str", "mode-bogus", "abs-without-group"],
 )
 def test_run_rejects_malformed_sections_at_load(tmp_path, data):
     path = write_scenario(tmp_path, {"name": "malformed", **data})
@@ -192,6 +187,30 @@ def test_run_rejects_malformed_sections_at_load(tmp_path, data):
     assert proc.returncode == 2
     assert proc.stderr.startswith("error: ")
     assert "Traceback" not in proc.stderr
+
+
+@pytest.mark.parametrize("anchor", [float("nan"), float("inf")])
+@pytest.mark.parametrize(
+    "data, message",
+    [
+        ({"memory": [{"text": "pump hums", "anchor": None}]}, "error: memory[0]: "),
+        ({"states": {"a": [{"text": "pump hums", "anchor": None}]}}, "error: states.a: "),
+        ({"axes": [{"label": "focus", "seed": [{"text": "pump hums", "anchor": None}]}]},
+         "error: axes[0] (focus): "),
+        ({"timeline": [{"event": "observe", "specs": [{"text": "pump", "anchor": None}]}]},
+         "error: fragment 1: "),
+    ],
+    ids=["memory", "states", "axis-seed", "observe"],
+)
+def test_run_rejects_non_finite_anchor_without_traceback(tmp_path, data, message, anchor):
+    text = json.dumps({"name": "nan", **data}).replace("null", json.dumps(anchor))
+    path = tmp_path / "nan.json"
+    path.write_text(text)
+    proc = run_module("run", str(path), "--trace", str(tmp_path / "out.jsonl"))
+    assert proc.returncode == 2
+    assert proc.stderr.startswith(message)
+    assert "anchor must be a finite number >= 0" in proc.stderr
+    assert "Traceback" not in proc.stderr and "RuntimeWarning" not in proc.stderr
 
 
 def test_python_dash_m_runs_the_cli():
