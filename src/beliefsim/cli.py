@@ -27,6 +27,7 @@ from .simulator import (
     RUN_MODES,
     ScenarioError,
     SimulationRun,
+    build_states,
     load_scenario,
     materialize_state,
 )
@@ -134,12 +135,10 @@ def _cmd_tower(args: argparse.Namespace) -> int:
 
 def _cmd_gauge(args: argparse.Namespace) -> int:
     scenario = load_scenario(args.scenario)
-    states = {}
+    states = build_states(scenario)
     for side in (args.state_a, args.state_b):
-        if side not in scenario.state_specs:
-            known = sorted(scenario.state_specs)
-            raise ScenarioError(f"no state {side!r}; scenario declares {known}")
-        states[side] = materialize_state(scenario.state_specs[side])
+        if side not in states:
+            raise ScenarioError(f"no state {side!r}; scenario declares {sorted(states)}")
     suite = PROBE_SUITES[args.suite]()
     verdict = gauge_equivalent(
         states[args.state_a], states[args.state_b], scenario.config, suite

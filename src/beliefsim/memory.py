@@ -121,18 +121,27 @@ class MemoryStore:
     )
 
     def __init__(self, fragments: Iterable[Fragment] = (), clock: float = 0.0) -> None:
+        if clock < 0:
+            raise ValueError(f"clock must be >= 0, got {clock}")
+        self.clock = clock
+        # (dt, config, per-row factors) of the last decay, or None.
+        self._decay: Optional[tuple] = None
+        # One slot shared by every snapshot of this store: V, once built.
+        self._vectors: list[Optional[np.ndarray]] = [None]
         rows = tuple(fragments)
+        if not rows:
+            # numpy's first calls in a process cost about 0.1 ms, a twentieth
+            # of a small scenario's set-up; an empty store makes none.
+            self._rows, self._ids, self._anchor, self._persistence, self._live = _EMPTY
+            return
         ids = np.fromiter((f.id for f in rows), np.int64, len(rows))
-        if len(rows) > 1 and not (np.diff(ids) > 0).all():
+        if not (np.diff(ids) > 0).all():
             order = np.argsort(ids, kind="stable")
             rows = tuple(rows[i] for i in order.tolist())
             ids = ids[order]
             dupes = np.unique(ids[1:][np.diff(ids) == 0])
             if len(dupes):
                 raise ValueError(f"duplicate fragment ids in store: {dupes.tolist()}")
-        if clock < 0:
-            raise ValueError(f"clock must be >= 0, got {clock}")
-        self.clock = clock
         self._rows = rows
         self._ids = _frozen(ids)
         self._anchor = _frozen(np.fromiter((f.anchor for f in rows), float, len(rows)))
@@ -140,10 +149,6 @@ class MemoryStore:
             np.fromiter((f.persistence for f in rows), float, len(rows))
         )
         self._live = _frozen(np.ones(len(rows), dtype=bool))
-        # (dt, config, per-row factors) of the last decay, or None.
-        self._decay: Optional[tuple] = None
-        # One slot shared by every snapshot of this store: V, once built.
-        self._vectors: list[Optional[np.ndarray]] = [None]
 
     def _derive(self, **columns) -> "MemoryStore":
         new = object.__new__(MemoryStore)
@@ -262,6 +267,16 @@ class StoreFragments(Sequence):
 def _frozen(array: np.ndarray) -> np.ndarray:
     array.setflags(write=False)  # snapshots share their columns; never mutate
     return array
+
+
+# rows, ids, anchors, persistences and live mask of an empty store
+_EMPTY = (
+    (),
+    _frozen(np.zeros(0, dtype=np.int64)),
+    _frozen(np.zeros(0)),
+    _frozen(np.zeros(0)),
+    _frozen(np.zeros(0, dtype=bool)),
+)
 
 
 def _decay_factors(anchors: np.ndarray, dt: float, config: ParameterConfig) -> np.ndarray:

@@ -341,6 +341,17 @@ def materialize_state(
     return BeliefState(tuple(frags), clock)
 
 
+def build_states(scenario: Scenario) -> dict[str, BeliefState]:
+    """Every named state of the scenario, each in its own id space."""
+    states = {}
+    for label, specs in scenario.state_specs.items():
+        try:
+            states[label] = materialize_state(specs)
+        except ValueError as exc:
+            raise ScenarioError(f"states.{label}: {exc}") from exc
+    return states
+
+
 def build_axes(
     scenario: Scenario, config: ParameterConfig
 ) -> dict[str, EpistemicAxis]:
@@ -430,11 +441,7 @@ class SimulationRun:
         self.store = MemoryStore(store_frags, 0.0)
         self.active = BeliefState((), 0.0)
         self.axes = build_axes(scenario, self.config)
-        for label, specs in scenario.state_specs.items():
-            try:  # only gauge reads states; a run refuses a bad one before tick 0 too
-                materialize_state(specs)
-            except ValueError as exc:
-                raise ScenarioError(f"states.{label}: {exc}") from exc
+        build_states(scenario)  # only gauge reads states; a run refuses a bad one too
 
         self.trace = TraceLog(
             make_header(scenario.name, self.seed, mode, self.config.to_dict())
@@ -831,6 +838,7 @@ __all__ = [
     "TIMELINE_EVENTS",
     "TRIGGER_PRECEDENCE",
     "build_axes",
+    "build_states",
     "load_scenario",
     "materialize_state",
     "run_scenario",

@@ -213,6 +213,13 @@ def test_run_rejects_non_finite_anchor_without_traceback(tmp_path, data, message
     assert "Traceback" not in proc.stderr and "RuntimeWarning" not in proc.stderr
 
 
+def test_gauge_names_a_state_with_a_non_finite_anchor(tmp_path, capsys):
+    path = tmp_path / "nan.json"
+    path.write_text('{"states": {"a": [{"text": "pump", "anchor": NaN}], "b": [{"text": "pump"}]}}')
+    assert main(["gauge", str(path), "--state-a", "a", "--state-b", "b"]) == 2
+    assert capsys.readouterr().err.startswith("error: states.a: fragment 1: anchor must be")
+
+
 def test_python_dash_m_runs_the_cli():
     proc = run_module("run", str(SCENARIOS / "sensor_decay.json"))
     assert proc.returncode == 0, proc.stderr
