@@ -314,13 +314,6 @@ def _embed_rows(rows: tuple[Fragment, ...], dim: int) -> np.ndarray:
 # Retrieval and integration
 # --------------------------------------------------------------------------
 
-# The screen's error bound per unit of score.  Vectors are non-negative and
-# unit-norm, so two float64 dot products of length d (V @ cue, and one
-# np.dot) differ by at most 2*d*eps; one more eps covers the multiply by the
-# persistence.
-_SCREEN_EPS = np.finfo(float).eps
-
-
 def _score(cue_vec: np.ndarray, vec: np.ndarray, persistence: float) -> float:
     return float(np.dot(cue_vec, vec)) * persistence
 
@@ -350,7 +343,10 @@ def retrieve(
     vectors = store._matrix(config.embed_dim)
     persistence = store._persistence
     tau = config.tau_retrieval
-    bound = (2 * len(cue_vec) + 1) * _SCREEN_EPS
+    # Vectors are non-negative and unit-norm, so two float64 dot products of
+    # length d (V @ cue, and one np.dot) differ by at most 2*d*eps; one more
+    # eps covers the multiply by the persistence.
+    bound = (2 * len(cue_vec) + 1) * np.finfo(float).eps
     near = np.flatnonzero(store._live & ((vectors @ cue_vec) * persistence >= tau - bound))
     hits = [
         store._fragment(row, origin="retrieved", members=None)

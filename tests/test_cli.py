@@ -194,13 +194,10 @@ def test_run_rejects_malformed_sections_at_load(tmp_path, data):
     "data, message",
     [
         ({"memory": [{"text": "pump hums", "anchor": None}]}, "error: memory[0]: "),
-        ({"states": {"a": [{"text": "pump hums", "anchor": None}]}}, "error: states.a: "),
-        ({"axes": [{"label": "focus", "seed": [{"text": "pump hums", "anchor": None}]}]},
-         "error: axes[0] (focus): "),
         ({"timeline": [{"event": "observe", "specs": [{"text": "pump", "anchor": None}]}]},
          "error: fragment 1: "),
     ],
-    ids=["memory", "states", "axis-seed", "observe"],
+    ids=["memory", "observe"],
 )
 def test_run_rejects_non_finite_anchor_without_traceback(tmp_path, data, message, anchor):
     text = json.dumps({"name": "nan", **data}).replace("null", json.dumps(anchor))

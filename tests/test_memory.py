@@ -506,12 +506,13 @@ def store_chains(draw):
         )
         for i in range(draw(st.integers(0, 3)))
     ), 0.0)
-    ops = draw(st.lists(
+    # A first decay keeps factors, so a later re-anchor must recompute some.
+    ops = [("decay", 1.0)] + draw(st.lists(
         st.one_of(
             st.tuples(st.just("decay"), st.sampled_from((1.0, 1.0, 1.0, 2.5))),
             st.tuples(st.sampled_from(("retrieve", "recall")), texts(1, 4)),
         ),
-        min_size=1, max_size=8,
+        min_size=2, max_size=8,
     ))
     return cfg, rows, active, ops
 
