@@ -15,6 +15,14 @@ key once.  ``Fragment.replace`` is the one way to copy a fragment: the copy
 carries its source's tokens and vector unless its text changes, and its
 content key unless a field the key reads changes, and it passes the same
 checks as a freshly built fragment.
+
+A state groups its fragments by sector once, on first use, and keeps that
+view as a fragment keeps its vector: ``in_sector(s)`` is the tuple of
+fragments tagged ``s`` in id order, ``sectors()`` the sorted tags, and
+``mass`` the total weight.  Every per-sector reading (density, coherence,
+the conflicted-sector search, clause scores and gate rules) reads the view
+instead of scanning the whole state again.  A state made from another one
+builds its own view.
 """
 
 from __future__ import annotations
@@ -22,6 +30,7 @@ from __future__ import annotations
 import hashlib
 import itertools
 import math
+import operator
 import re
 from collections import Counter
 from dataclasses import dataclass, fields
@@ -165,16 +174,37 @@ class BeliefState:
     clock: float = 0.0
 
     def __post_init__(self) -> None:
-        ids = [f.id for f in self.fragments]
-        if len(set(ids)) != len(ids):
-            dupes = sorted({i for i in ids if ids.count(i) > 1})
-            raise ValueError(f"duplicate fragment ids in state: {dupes}")
+        frags = tuple(self.fragments)
+        ids = [f.id for f in frags]
+        # Canonical id order, so equal fragment sets compare equal.  Operators
+        # hand states over in id order, so sort only when a walk finds an id
+        # not above its predecessor; a repeat then lands beside its twin.
+        if any(map(operator.ge, ids, ids[1:])):
+            frags = tuple(sorted(frags, key=operator.attrgetter("id")))
+            ids.sort()
+            dupes = sorted({a for a, b in zip(ids, ids[1:]) if a == b})
+            if dupes:
+                raise ValueError(f"duplicate fragment ids in state: {dupes}")
         if self.clock < 0:
             raise ValueError(f"clock must be >= 0, got {self.clock}")
-        # Canonical id order, so equal fragment sets compare equal.
-        object.__setattr__(
-            self, "fragments", tuple(sorted(self.fragments, key=lambda f: f.id))
-        )
+        object.__setattr__(self, "fragments", frags)
+        object.__setattr__(self, "_view", None)
+
+    def _sector_view(self) -> tuple[dict[str, tuple[Fragment, ...]], float]:
+        """(sector -> its fragments in id order, sectors sorted; total mass),
+        built on first use and kept: the state never changes."""
+        view = self._view  # type: ignore[attr-defined]
+        if view is None:
+            groups: dict[str, list[Fragment]] = {}
+            for f in self.fragments:
+                for s in f.sectors:
+                    groups.setdefault(s, []).append(f)
+            view = (
+                {s: tuple(groups[s]) for s in sorted(groups)},
+                sum(f.weight for f in self.fragments),
+            )
+            object.__setattr__(self, "_view", view)
+        return view
 
     @property
     def is_vacuum(self) -> bool:
@@ -191,10 +221,16 @@ class BeliefState:
 
     def sectors(self) -> tuple[str, ...]:
         """All sector tags present, sorted."""
-        tags: set[str] = set()
-        for f in self.fragments:
-            tags |= f.sectors
-        return tuple(sorted(tags))
+        return tuple(self._sector_view()[0])
+
+    def in_sector(self, sector: str) -> tuple[Fragment, ...]:
+        """The fragments tagged with ``sector``, in id order."""
+        return self._sector_view()[0].get(sector, ())
+
+    @property
+    def mass(self) -> float:
+        """Total weight (anchor * persistence) of the state's fragments."""
+        return self._sector_view()[1]
 
     def with_fragments(self, fragments: Iterable[Fragment]) -> "BeliefState":
         return BeliefState(tuple(fragments), self.clock)
@@ -289,7 +325,7 @@ def embed_state(state: BeliefState, dim: int) -> np.ndarray:
 
 
 # --------------------------------------------------------------------------
-# Observation encoding and sector views
+# Observation encoding and sector density
 # --------------------------------------------------------------------------
 
 def fragment_from_spec(
@@ -357,18 +393,12 @@ def encode_observation(
     return BeliefState(tuple(fragments), clock)
 
 
-def sector_projection(state: BeliefState, sector: str) -> BeliefState:
-    """The sub-state of fragments tagged with ``sector``; clock preserved."""
-    return state.with_fragments(f for f in state.fragments if sector in f.sectors)
-
-
 def activation_density(state: BeliefState, sector: str) -> float:
     """Share of total mass (anchor * persistence) carried by ``sector``."""
-    total = sum(f.weight for f in state.fragments)
+    total = state.mass
     if total <= 0.0:
         return 0.0
-    tagged = sum(f.weight for f in state.fragments if sector in f.sectors)
-    return tagged / total
+    return sum(f.weight for f in state.in_sector(sector)) / total
 
 
 # --------------------------------------------------------------------------
@@ -418,7 +448,6 @@ __all__ = [
     "first_conflict",
     "fragment_from_spec",
     "key_groups",
-    "sector_projection",
     "token_cell",
     "tokenize",
 ]

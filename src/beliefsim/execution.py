@@ -77,12 +77,8 @@ class Clause:
         if self.kind == "coherence_conflict":
             return 1.0 if (1.0 - coherence(state, self.sector)) <= self.tolerance else 0.0
         # token_present
-        for f in state.fragments:
-            if self.sector is not None and self.sector not in f.sectors:
-                continue
-            if self.token in f.tokens:
-                return 1.0
-        return 0.0
+        frags = state.fragments if self.sector is None else state.in_sector(self.sector)
+        return 1.0 if any(self.token in f.tokens for f in frags) else 0.0
 
     def to_dict(self) -> dict:
         out: dict = {"kind": self.kind}
@@ -108,12 +104,7 @@ class GateRule:
 
     def matches(self, state: BeliefState) -> bool:
         wanted = set(tokenize(self.pattern))
-        for f in state.fragments:
-            if REFLECTIVE_SECTOR not in f.sectors:
-                continue
-            if wanted <= set(f.tokens):
-                return True
-        return False
+        return any(wanted <= set(f.tokens) for f in state.in_sector(REFLECTIVE_SECTOR))
 
 
 @dataclass(frozen=True)

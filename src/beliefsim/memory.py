@@ -21,7 +21,7 @@ import math
 from collections.abc import Sequence
 from dataclasses import dataclass
 from itertools import chain
-from typing import Iterable, Optional
+from typing import Iterable, Iterator, Optional
 
 import numpy as np
 
@@ -57,6 +57,13 @@ class QueryCue:
         return {"kind": self.kind, "tokens": list(self.tokens)}
 
 
+def goal_fragments(state: BeliefState, config: ParameterConfig) -> Iterator[Fragment]:
+    """The fragments whose text starts with ``goal_marker``, ignoring case,
+    in id order and lazily, so a caller asking whether any exist stops early."""
+    marker = config.goal_marker
+    return (f for f in state.fragments if f.text.lower().startswith(marker))
+
+
 def generate_query(
     active: BeliefState,
     trigger: str,
@@ -76,12 +83,12 @@ def generate_query(
         return None
 
     if trigger == "goal":
-        marker = config.goal_marker
-        goals = [f for f in active.fragments if f.text.lower().startswith(marker)]
-        if not goals:
+        best = max(
+            goal_fragments(active, config), key=lambda f: (f.anchor, f.id), default=None
+        )
+        if best is None:
             return None
-        best = max(goals, key=lambda f: (f.anchor, f.id))
-        tokens = tuple(tokenize(best.text.lower()[len(marker):]))
+        tokens = tuple(tokenize(best.text.lower()[len(config.goal_marker):]))
         if not tokens:
             return None
         return QueryCue(kind="goal", tokens=tokens)
@@ -394,6 +401,7 @@ __all__ = [
     "QueryCue",
     "StoreFragments",
     "generate_query",
+    "goal_fragments",
     "integrate_retrieved",
     "retrieval_score",
     "retrieve",

@@ -20,7 +20,6 @@ from .core import (
     activation_density,
     first_conflict,
     key_groups,
-    sector_projection,
 )
 from .geometry import compass_reading, distance
 from .tower import EpistemicAxis
@@ -61,9 +60,7 @@ def coherence(state: BeliefState, sector: str | None = None) -> float:
     smoothly as neutral content is added around a dispute.  With p_k and m_k
     counting the '+' and '-' fragments on key k, this is 1 − 2·Σ_k p_k·m_k / n².
     """
-    frags = state.fragments
-    if sector is not None:
-        frags = tuple(f for f in frags if sector in f.sectors)
+    frags = state.fragments if sector is None else state.in_sector(sector)
     n = len(frags)
     if n == 0:
         return 1.0
@@ -354,7 +351,7 @@ def _most_conflicted_sector(state: BeliefState) -> str | None:
     best: str | None = None
     best_count = 0
     for sector in state.sectors():
-        count = _conflict_pairs(sector_projection(state, sector).fragments)
+        count = _conflict_pairs(state.in_sector(sector))
         if count > best_count:
             best = sector
             best_count = count

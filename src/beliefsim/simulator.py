@@ -54,7 +54,7 @@ from .dynamics import (
 )
 from .execution import ActionBasin, Clause, GateRule, evaluate_action, resolve_actions
 from .geometry import realign
-from .memory import MemoryStore, generate_query, integrate_retrieved, retrieve
+from .memory import MemoryStore, generate_query, goal_fragments, integrate_retrieved, retrieve
 from .regulation import (
     EffortLedger,
     allocate_effort,
@@ -83,6 +83,9 @@ ASSERTION_CHECKS = (
     "action_fired",
     "action_not_fired",
 )
+_NAMED_CHECKS = frozenset({"fragment_present", "fragment_absent", "persistence", "anchor"})
+_VALUED_CHECKS = frozenset({"persistence", "anchor", "kappa"})
+_ACTION_CHECKS = frozenset({"action_fired", "action_not_fired"})
 
 TRIGGER_PRECEDENCE = ("goal", "coherence", "associative")
 
@@ -196,6 +199,37 @@ def _objects(value: Any, where: str) -> list:
     return value
 
 
+def _finite(value: Any) -> bool:
+    """Whether ``value`` is a number, not a bool, that reads as a finite float."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        return False
+    try:
+        return math.isfinite(value)
+    except OverflowError:  # an int too large for a float
+        return False
+
+
+def _check_assertion(a: Any, where: str) -> None:
+    """Every field an expect check reads, typed, so the check cannot fail on it."""
+    if not isinstance(a, dict):
+        raise ScenarioError(f"{where}: must be an object")
+    check = a.get("check")
+    if check not in ASSERTION_CHECKS:
+        raise ScenarioError(f"{where}: unknown check {check!r}")
+    if check in _NAMED_CHECKS and not isinstance(a.get("name"), str):
+        raise ScenarioError(f"{where}: {check} needs a name, a string")
+    if check in _VALUED_CHECKS and not _finite(a.get("value")):
+        raise ScenarioError(f"{where}: {check} needs a value, a finite number")
+    if "tol" in a and not (_finite(a["tol"]) and a["tol"] >= 0):
+        raise ScenarioError(f"{where}: tol must be a finite number >= 0")
+    if "sector" in a and not (isinstance(a["sector"], str) and a["sector"]):
+        raise ScenarioError(f"{where}: sector must be a non-empty string")
+    if check == "is_vacuum" and not isinstance(a.get("value", True), bool):
+        raise ScenarioError(f"{where}: is_vacuum value must be true or false")
+    if check in _ACTION_CHECKS and not isinstance(a.get("action"), str):
+        raise ScenarioError(f"{where}: {check} needs an action, a string")
+
+
 def _validate_timeline(timeline: Sequence[Mapping[str, Any]]) -> None:
     for i, entry in enumerate(timeline):
         if not isinstance(entry, dict):
@@ -225,11 +259,7 @@ def _validate_timeline(timeline: Sequence[Mapping[str, Any]]) -> None:
             if not tokenize(str(entry.get("text", ""))):
                 raise ScenarioError(f"timeline[{i}]: command needs text")
             anchor = entry.get("anchor", COMMAND_ANCHOR)
-            if (
-                not isinstance(anchor, (int, float))
-                or isinstance(anchor, bool)
-                or not 0 <= anchor < math.inf  # also rejects NaN
-            ):
+            if not _finite(anchor) or anchor < 0:
                 raise ScenarioError(f"timeline[{i}]: anchor must be a finite number >= 0")
         if kind == "tick":
             n = entry.get("n", 1)
@@ -242,13 +272,7 @@ def _validate_timeline(timeline: Sequence[Mapping[str, Any]]) -> None:
             if not isinstance(assertions, list):
                 raise ScenarioError(f"timeline[{i}]: assertions must be a list")
             for j, a in enumerate(assertions):
-                if not isinstance(a, dict):
-                    raise ScenarioError(f"timeline[{i}].assertions[{j}]: must be an object")
-                if a.get("check") not in ASSERTION_CHECKS:
-                    raise ScenarioError(
-                        f"timeline[{i}].assertions[{j}]: "
-                        f"unknown check {a.get('check')!r}"
-                    )
+                _check_assertion(a, f"timeline[{i}].assertions[{j}]")
 
 
 def load_scenario(path: str | Path) -> Scenario:
@@ -410,6 +434,20 @@ class RunResult:
         return not self.failures
 
 
+def _removed_ids(before: BeliefState, after: BeliefState) -> list[int]:
+    """The ids ``after`` dropped from ``before``, ascending: one walk of each,
+    as both hold fragments in id order and ``after`` only keeps or drops ids."""
+    kept = iter(after.fragments)
+    nxt = next(kept, None)
+    removed = []
+    for f in before.fragments:
+        if nxt is not None and nxt.id == f.id:
+            nxt = next(kept, None)
+        else:
+            removed.append(f.id)
+    return removed
+
+
 class SimulationRun:
     """One deterministic execution of a scenario timeline."""
 
@@ -478,8 +516,7 @@ class SimulationRun:
         )
 
     def _goals_present(self) -> bool:
-        marker = self.config.goal_marker
-        return any(f.text.lower().startswith(marker) for f in self.active.fragments)
+        return next(goal_fragments(self.active, self.config), None) is not None
 
     def _register_rule_names(self, elaborated: Sequence[int]) -> None:
         if not elaborated:
@@ -560,9 +597,9 @@ class SimulationRun:
             return
         removed: list[int] = []
         if decision.kind == "annihilate_sector":
-            before = set(self.active.ids())
+            before = self.active
             self.active = annihilate_sector(self.active, decision.target)
-            removed = sorted(before - set(self.active.ids()))
+            removed = _removed_ids(before, self.active)
         elif decision.kind == "corrective_assimilation":
             self.active, rep = assimilate(
                 self.active,
@@ -577,11 +614,11 @@ class SimulationRun:
                 {"retracted": list(removed), "conflicts": rep.conflicts_found},
             )
         elif decision.kind == "accelerate_nullify":
-            before = set(self.active.ids())
+            before = self.active
             self.active = nullify_sector(
                 self.active, decision.target, self.config.nullify_boost, self.config
             )
-            removed = sorted(before - set(self.active.ids()))
+            removed = _removed_ids(before, self.active)
         elif decision.kind == "realign":
             outcome = realign(self.active, self.axes[decision.target], self.config)
             self.active = outcome.state
@@ -685,9 +722,9 @@ class SimulationRun:
                 self._skip("drift", "rest", 1.0)
 
         # 7. one unit of time passes (free); prunes are logged post-advance.
-        before_active = set(self.active.ids())
+        before = self.active
         self.active = nullify(self.active, 1.0, self.config)
-        pruned_active = sorted(before_active - set(self.active.ids()))
+        pruned_active = _removed_ids(before, self.active)
         self.store, pruned_store = self.store.decay(1.0, self.config)
         if pruned_active or pruned_store:
             self._emit(
@@ -717,9 +754,7 @@ class SimulationRun:
     def _check(self, spec: Mapping[str, Any]) -> AssertionOutcome:
         check = spec["check"]
         name = spec.get("name")
-        frag = None
-        if name is not None and name in self.names:
-            frag = self.active.get(self.names[name])
+        frag = self.active.get(self.names[name]) if name in self.names else None
 
         def out(ok: bool, detail: str) -> AssertionOutcome:
             return AssertionOutcome(check=check, ok=ok, detail=detail, spec=spec)
@@ -734,6 +769,8 @@ class SimulationRun:
                 return out(True, f"name {name!r} never registered")
             return out(frag is None, f"id {self.names[name]} "
                        + ("absent" if frag is None else "present"))
+        # The loader typed every field; float() only shapes the detail text,
+        # where an int value or tol prints as a float (3 as "3.0").
         if check == "persistence":
             if frag is None:
                 return out(False, f"{name!r} not in active state")
@@ -757,18 +794,13 @@ class SimulationRun:
             where = f" in {sector}" if sector else ""
             return out(ok, f"kappa{where} {value:.6f} vs {want} ± {tol}")
         if check == "is_vacuum":
-            want = bool(spec.get("value", True))
-            return out(self.active.is_vacuum == want,
+            return out(self.active.is_vacuum == spec.get("value", True),
                        f"vacuum={self.active.is_vacuum}")
+        fired_so_far = f"fired so far: {sorted(set(self._fired_ever))}"
         if check == "action_fired":
-            action = spec.get("action")
-            return out(action in self._fired_ever,
-                       f"fired so far: {sorted(set(self._fired_ever))}")
-        if check == "action_not_fired":
-            action = spec.get("action")
-            return out(action not in self._fired_ever,
-                       f"fired so far: {sorted(set(self._fired_ever))}")
-        return out(False, f"unknown check {check!r}")
+            return out(spec["action"] in self._fired_ever, fired_so_far)
+        # action_not_fired
+        return out(spec["action"] not in self._fired_ever, fired_so_far)
 
     def _do_expect(self, entry: Mapping[str, Any]) -> None:
         for spec in entry.get("assertions", ()):

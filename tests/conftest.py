@@ -87,6 +87,43 @@ def states(draw, min_frags: int = 0, max_frags: int = 6, keyed: bool = False):
     return BeliefState(tuple(frags), clock)
 
 
+# --------------------------------------------------------------------------
+# Reference loops: each scans the whole state, as the engine did before a
+# state grouped its fragments by sector once.  The view is pinned to them.
+# --------------------------------------------------------------------------
+
+def sector_projection(state: BeliefState, sector: str) -> BeliefState:
+    """The sub-state of fragments tagged with ``sector``; clock preserved."""
+    return state.with_fragments(f for f in state.fragments if sector in f.sectors)
+
+
+def union_sectors(state: BeliefState) -> tuple[str, ...]:
+    """Every sector tag present, sorted: the union of the fragments' tags."""
+    tags: set[str] = set()
+    for f in state.fragments:
+        tags |= f.sectors
+    return tuple(sorted(tags))
+
+
+def two_pass_density(state: BeliefState, sector: str) -> float:
+    """Share of total mass carried by ``sector``: one pass for the total,
+    one for the sector."""
+    total = sum(f.weight for f in state.fragments)
+    if total <= 0.0:
+        return 0.0
+    tagged = sum(f.weight for f in state.fragments if sector in f.sectors)
+    return tagged / total
+
+
+def sort_based_order(fragments) -> tuple[Fragment, ...]:
+    """The state constructor's canonical order: refuse repeated ids, then sort."""
+    ids = [f.id for f in fragments]
+    if len(set(ids)) != len(ids):
+        dupes = sorted({i for i in ids if ids.count(i) > 1})
+        raise ValueError(f"duplicate fragment ids in state: {dupes}")
+    return tuple(sorted(fragments, key=lambda f: f.id))
+
+
 # Texts that tie: every "core + one unique word" text has the same cosine with
 # every other, and a twin (same text, same weight) embeds bit-equal to its
 # original.  Weightless fragments exercise embed_state's branches, and

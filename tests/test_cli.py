@@ -175,9 +175,12 @@ def run_module(*args: str) -> subprocess.CompletedProcess:
                       {"event": "observe", "specs": [{"text": "pump"}], "mode": "bogus"}]},
         {"timeline": [{"event": "tick"},
                       {"event": "observe", "specs": [{"text": "pump"}], "mode": "abs"}]},
+        {"timeline": [{"event": "tick"},
+                      {"event": "expect", "assertions": [{"check": "persistence", "name": "p"}]}]},
     ],
     ids=["memory-int", "states-int", "axis-seed-str", "memory-sector-list",
-         "goal-marker-int", "anchor-str", "mode-bogus", "abs-without-group"],
+         "goal-marker-int", "anchor-str", "mode-bogus", "abs-without-group",
+         "expect-without-value"],
 )
 def test_run_rejects_malformed_sections_at_load(tmp_path, data):
     path = write_scenario(tmp_path, {"name": "malformed", **data})

@@ -21,7 +21,6 @@ from beliefsim.core import (
     embed_tokens,
     encode_observation,
     fragment_from_spec,
-    sector_projection,
     token_cell,
     tokenize,
 )
@@ -476,14 +475,19 @@ def test_encode_observation_reports_bad_spec_index():
         encode_observation([{"text": "fine"}, {"text": "  "}], 0.0, ids)
 
 
-def test_sector_projection_filters_and_keeps_clock():
+def test_in_sector_lists_tagged_fragments_in_id_order():
     state = BeliefState(
-        (make_fragment(1, sectors=("task",)), make_fragment(2, "valve", sectors=("perc",))),
+        (
+            make_fragment(3, sectors=("task", "plan")),
+            make_fragment(2, "valve", sectors=("perc",)),
+            make_fragment(1, sectors=("task",)),
+        ),
         9.0,
     )
-    view = sector_projection(state, "task")
-    assert view.ids() == frozenset({1})
-    assert view.clock == 9.0
+    assert [f.id for f in state.in_sector("task")] == [1, 3]
+    assert state.in_sector("lang") == ()
+    assert state.sectors() == ("perc", "plan", "task")
+    assert state.mass == 3.0
 
 
 def test_activation_density_is_mass_share():

@@ -10,7 +10,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from beliefsim.config import ParameterConfig, default_config
-from beliefsim.core import BeliefState, IdAllocator, first_conflict, sector_projection
+from beliefsim.core import BeliefState, IdAllocator, first_conflict
 from beliefsim.dynamics import (
     DRIFT_ANCHOR,
     ConflictError,
@@ -27,7 +27,7 @@ from beliefsim.dynamics import (
 )
 from beliefsim.regulation import _most_conflicted_sector
 
-from conftest import make_fragment, states
+from conftest import make_fragment, sector_projection, states, union_sectors
 
 
 def make_state(*frags, clock=0.0):
@@ -463,7 +463,7 @@ def _quadratic_resolve(fragments):
 
 def _quadratic_most_conflicted(state):
     best, best_count = None, 0
-    for sector in state.sectors():
+    for sector in union_sectors(state):
         count = len(_all_conflicts(sector_projection(state, sector).fragments))
         if count > best_count:
             best, best_count = sector, count

@@ -20,6 +20,7 @@ from beliefsim.memory import (
     MemoryStore,
     QueryCue,
     generate_query,
+    goal_fragments,
     integrate_retrieved,
     retrieval_score,
     retrieve,
@@ -90,6 +91,27 @@ def test_goal_cue_none_without_goal_fragment(cfg):
 def test_goal_cue_none_when_marker_is_bare(cfg):
     state = BeliefState((make_fragment(1, "goal:"),), 0.0)
     assert generate_query(state, "goal", cfg) is None
+
+
+def test_goal_fragments_is_the_one_goal_rule(cfg, tmp_path):
+    state = BeliefState(
+        (
+            make_fragment(1, "Goal: map the ridge", anchor=4.0),
+            make_fragment(2, "the goal: is not a prefix here"),
+            make_fragment(3, "GOAL: check the valve", anchor=2.0),
+        ),
+        0.0,
+    )
+    assert [f.id for f in goal_fragments(state, cfg)] == [1, 3]
+    assert generate_query(state, "goal", cfg).tokens == ("map", "the", "ridge")
+    path = tmp_path / "empty.json"
+    path.write_text('{"timeline": []}')
+    run = SimulationRun(load_scenario(path))
+    assert not run._goals_present()
+    run.active = state
+    assert run._goals_present()
+    run.active = state.without_ids([1, 3])
+    assert not run._goals_present()
 
 
 def test_coherence_cue_joins_first_conflict_pair(cfg):

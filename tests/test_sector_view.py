@@ -1,0 +1,267 @@
+"""The per-state sector view, pinned bit for bit to the whole-state scans.
+
+A state groups its fragments by sector once and keeps the grouping, so every
+per-sector reading must equal the scan it replaced: the same fragments in
+the same id order, hence the same sums in the same order.  The scans live in
+conftest as reference loops.
+"""
+
+from __future__ import annotations
+
+from collections import Counter
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from beliefsim.config import ParameterConfig, default_config
+from beliefsim.core import BeliefState, Fragment, first_conflict, tokenize
+from beliefsim.dynamics import nullify
+from beliefsim.execution import Clause, GateRule
+from beliefsim.regulation import (
+    REFLECTIVE_SECTOR,
+    _conflict_pairs,
+    _most_conflicted_sector,
+    coherence,
+    cognitive_load,
+    introspect,
+)
+
+from conftest import (
+    KEYS,
+    SECTORS,
+    WORDS,
+    make_fragment,
+    sector_projection,
+    sort_based_order,
+    texts,
+    two_pass_density,
+    union_sectors,
+)
+
+# Five sectors, the reflective one among them, so states share tags often.
+VIEW_SECTORS = SECTORS[:5]
+PROBES = (*VIEW_SECTORS, "absent")
+COSTLY = ParameterConfig(sector_costs={"task": 2.5, "refl": 0.25})
+
+
+# --------------------------------------------------------------------------
+# The old per-sector loops, over the reference scans
+# --------------------------------------------------------------------------
+
+def filtered_coherence(state: BeliefState, sector: str | None = None) -> float:
+    frags = state.fragments
+    if sector is not None:
+        frags = tuple(f for f in frags if sector in f.sectors)
+    n = len(frags)
+    if n == 0:
+        return 1.0
+    return 1.0 - (2 * _conflict_pairs(frags)) / (n * n)
+
+
+def scan_load(state: BeliefState, config: ParameterConfig, rate: float) -> float:
+    c_count, c_sector, c_rate = config.load_coeffs
+    sector_term = sum(
+        two_pass_density(state, s) * config.cost(s) for s in union_sectors(state)
+    )
+    return c_count * len(state.fragments) + c_sector * sector_term + c_rate * rate
+
+
+def scan_most_conflicted(state: BeliefState) -> str | None:
+    best, best_count = None, 0
+    for sector in union_sectors(state):
+        count = _conflict_pairs(sector_projection(state, sector).fragments)
+        if count > best_count:
+            best, best_count = sector, count
+    if best is not None:
+        return best
+    pair = first_conflict(state.fragments)
+    return None if pair is None else min(pair[0].sectors | pair[1].sectors)
+
+
+def scan_clause_score(clause: Clause, state: BeliefState) -> float:
+    if clause.kind == "sector_density":
+        return min(two_pass_density(state, clause.sector) / clause.minimum, 1.0)
+    if clause.kind == "level_present":
+        return 1.0 if any(f.level == clause.level for f in state.fragments) else 0.0
+    if clause.kind == "coherence_conflict":
+        incoherence = 1.0 - filtered_coherence(state, clause.sector)
+        return 1.0 if incoherence <= clause.tolerance else 0.0
+    for f in state.fragments:
+        if clause.sector is not None and clause.sector not in f.sectors:
+            continue
+        if clause.token in f.tokens:
+            return 1.0
+    return 0.0
+
+
+def scan_gate_matches(rule: GateRule, state: BeliefState) -> bool:
+    wanted = set(tokenize(rule.pattern))
+    for f in state.fragments:
+        if REFLECTIVE_SECTOR not in f.sectors:
+            continue
+        if wanted <= set(f.tokens):
+            return True
+    return False
+
+
+# --------------------------------------------------------------------------
+# Strategies
+# --------------------------------------------------------------------------
+
+@st.composite
+def view_fragments(draw, unique: bool, max_frags: int = 10) -> list[Fragment]:
+    """Fragments in drawn (not id) order, with one to three sectors each,
+    zero weights, keyed claims and, unless ``unique``, repeated ids."""
+    fids = draw(st.lists(st.integers(1, 2 * max_frags), max_size=max_frags, unique=unique))
+    frags = []
+    for fid in fids:
+        key = draw(st.sampled_from((None, *KEYS[:2])))
+        frags.append(make_fragment(
+            fid,
+            draw(texts()),
+            sectors=tuple(draw(st.sets(st.sampled_from(VIEW_SECTORS), min_size=1, max_size=3))),
+            level=draw(st.integers(0, 2)),
+            anchor=draw(st.sampled_from((0.0, 1.0, 2.5)) | st.floats(0.0, 20.0)),
+            persistence=draw(st.sampled_from((0.0, 1.0)) | st.floats(0.0, 1.0)),
+            key=key,
+            polarity=draw(st.sampled_from("+-")) if key else None,
+        ))
+    return frags
+
+
+@st.composite
+def view_states(draw) -> BeliefState:
+    frags = draw(view_fragments(unique=True))
+    return BeliefState(tuple(frags), draw(st.sampled_from((0.0, 3.0))))
+
+
+@st.composite
+def clauses(draw) -> Clause:
+    kind = draw(st.sampled_from(
+        ("sector_density", "level_present", "coherence_conflict", "token_present")
+    ))
+    if kind == "sector_density":
+        minimum = draw(st.sampled_from((0.25, 1.0)) | st.floats(0.01, 1.0))
+        return Clause(kind, sector=draw(st.sampled_from(PROBES)), minimum=minimum)
+    if kind == "level_present":
+        return Clause(kind, level=draw(st.integers(0, 3)))
+    if kind == "coherence_conflict":
+        tolerance = draw(st.sampled_from((0.0, 0.5)) | st.floats(0.0, 1.0))
+        return Clause(kind, sector=draw(st.sampled_from(PROBES)), tolerance=tolerance)
+    sector = draw(st.sampled_from((None, *PROBES)))
+    return Clause(kind, sector=sector, token=draw(st.sampled_from(WORDS)))
+
+
+def same_fragments(got, want) -> bool:
+    return len(got) == len(want) and all(a is b for a, b in zip(got, want))
+
+
+# --------------------------------------------------------------------------
+# The constructor
+# --------------------------------------------------------------------------
+
+@settings(max_examples=150, deadline=None)
+@given(frags=view_fragments(unique=False))
+def test_constructor_matches_the_sort_based_order(frags):
+    try:
+        want = sort_based_order(frags)
+    except ValueError as exc:
+        with pytest.raises(ValueError) as refused:
+            BeliefState(tuple(frags), 0.0)
+        assert str(refused.value) == str(exc)
+        return
+    assert same_fragments(BeliefState(tuple(frags), 0.0).fragments, want)
+
+
+@pytest.mark.parametrize("fids", [(1, 2, 2, 3), (3, 1, 3), (4, 4, 4)])
+def test_constructor_refuses_a_repeat_in_or_out_of_order(fids):
+    frags = tuple(make_fragment(fid, f"pump {i}") for i, fid in enumerate(fids))
+    with pytest.raises(ValueError, match=r"duplicate fragment ids in state: \[\d\]"):
+        BeliefState(frags, 0.0)
+
+
+# --------------------------------------------------------------------------
+# The view and every reading that goes through it
+# --------------------------------------------------------------------------
+
+@settings(max_examples=150, deadline=None)
+@given(state=view_states())
+def test_view_matches_the_whole_state_scans(state):
+    assert state.sectors() == union_sectors(state)
+    for sector in PROBES:
+        assert same_fragments(state.in_sector(sector), sector_projection(state, sector).fragments)
+    assert state.mass == sum(f.weight for f in state.fragments)
+
+
+@settings(max_examples=150, deadline=None)
+@given(state=view_states(), rate=st.sampled_from((0.0, 4.0)) | st.floats(0.0, 50.0))
+def test_readings_are_bit_equal_to_the_scans(state, rate):
+    for config in (default_config(), COSTLY):
+        load = scan_load(state, config, rate)
+        assert cognitive_load(state, config, rate) == load
+        report = introspect(state, None, {}, config, rate)
+        assert report.load == load
+        assert report.kappa_global == filtered_coherence(state)
+        assert list(report.kappa_by_sector.items()) == [
+            (s, filtered_coherence(state, s)) for s in union_sectors(state)
+        ]
+    for sector in PROBES:
+        assert coherence(state, sector) == filtered_coherence(state, sector)
+    assert _most_conflicted_sector(state) == scan_most_conflicted(state)
+
+
+@settings(max_examples=150, deadline=None)
+@given(state=view_states(), clause=clauses(), pattern=texts(max_tokens=2))
+def test_clause_scores_and_gate_rules_equal_the_scans(state, clause, pattern):
+    assert clause.score(state) == scan_clause_score(clause, state)
+    rule = GateRule(pattern=pattern, action="delay")
+    assert rule.matches(state) is scan_gate_matches(rule, state)
+
+
+@settings(max_examples=60, deadline=None)
+@given(state=view_states(), data=st.data())
+def test_a_derived_state_builds_its_own_view(state, data):
+    state.sectors()  # the source's view is built first
+    drop = data.draw(st.sets(st.sampled_from(sorted(state.ids()) or [0])))
+    moved = [f.replace(sectors=frozenset({"mem"})) for f in state.fragments[:1]]
+    derived = (
+        state.without_ids(drop),
+        state.with_fragments(state.fragments[1:]),
+        *(state.replace_fragment(f) for f in moved),
+        nullify(state, 1.0, default_config()),
+    )
+    for d in derived:
+        assert d.sectors() == union_sectors(d)
+        for sector in PROBES:
+            assert same_fragments(d.in_sector(sector), sector_projection(d, sector).fragments)
+        assert d.mass == sum(f.weight for f in d.fragments)
+
+
+def test_view_leaves_equality_and_hash_alone():
+    a, b = make_fragment(1, sectors=("task",)), make_fragment(2, "valve")
+    viewed = BeliefState((a, b), 3.0)
+    assert viewed.sectors() == ("perc", "task")
+    fresh = BeliefState((b, a), 3.0)
+    assert viewed == fresh and hash(viewed) == hash(fresh)
+    assert repr(viewed) == repr(fresh)
+
+
+@pytest.mark.parametrize("n_sectors", [1, 8, 64])
+def test_cognitive_load_reads_each_weight_a_bounded_number_of_times(monkeypatch, n_sectors):
+    reads: Counter[int] = Counter()
+    weight = Fragment.weight.fget
+
+    def counted(f):
+        reads[f.id] += 1
+        return weight(f)
+
+    monkeypatch.setattr(Fragment, "weight", property(counted))
+    frags = tuple(
+        make_fragment(i + 1, sectors=(f"s{i % n_sectors}",), anchor=1.0 + i % 3)
+        for i in range(128)
+    )
+    cognitive_load(BeliefState(frags, 0.0), default_config(), 0.0)
+    # Once for the state's mass and once for its one sector's share.
+    assert set(reads) == {f.id for f in frags}
+    assert max(reads.values()) == 2

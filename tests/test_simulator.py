@@ -9,15 +9,20 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from beliefsim.dynamics import ConflictError
+from beliefsim.config import default_config
+from beliefsim.core import BeliefState
+from beliefsim.dynamics import ConflictError, annihilate_sector, nullify
 from beliefsim.simulator import (
     SimulationRun,
     ScenarioError,
+    _removed_ids,
     build_axes,
     load_scenario,
     materialize_state,
     run_scenario,
 )
+
+from conftest import SECTORS, states
 
 
 def write_scenario(tmp_path, data, name="case.json"):
@@ -131,6 +136,27 @@ def test_unknown_clause_field_rejected(tmp_path):
         ({"event": "observe", "specs": [{"text": "pump"}], "group": "pump"}, "only allowed"),
         ({"event": "observe", "specs": [{"text": "pump"}], "mode": "corr", "group": "pump"},
          "only allowed"),
+        *(
+            ({"event": "expect", "assertions": [assertion]}, message)
+            for assertion, message in (
+                ({"check": "persistence", "name": "p"}, "needs a value"),
+                ({"check": "kappa", "value": "abc"}, "needs a value"),
+                ({"check": "kappa", "value": math.nan}, "needs a value"),
+                ({"check": "anchor", "name": "p", "value": True}, "needs a value"),
+                ({"check": "anchor", "name": "p", "value": 10**400}, "needs a value"),
+                ({"check": "fragment_present", "name": ["p"]}, "needs a name"),
+                ({"check": "fragment_absent"}, "needs a name"),
+                ({"check": "persistence", "value": 1.0}, "needs a name"),
+                ({"check": "kappa", "value": 1.0, "sector": ["perc"]}, "sector must be"),
+                ({"check": "kappa", "value": 1.0, "sector": ""}, "sector must be"),
+                ({"check": "kappa", "value": 1.0, "tol": -0.1}, "tol must be"),
+                ({"check": "kappa", "value": 1.0, "tol": "x"}, "tol must be"),
+                ({"check": "anchor", "name": "p", "value": 1, "tol": math.inf}, "tol must be"),
+                ({"check": "is_vacuum", "value": 1}, "true or false"),
+                ({"check": "action_fired"}, "needs an action"),
+                ({"check": "action_not_fired", "action": 3}, "needs an action"),
+            )
+        ),
     ],
 )
 def test_timeline_validation(tmp_path, entry, message):
@@ -598,6 +624,24 @@ def test_assertion_results_enter_the_trace(tmp_path):
     assert len(events) == 1
     assert events[0].payload["ok"] is True
     assert events[0].payload["check"] == "is_vacuum"
+
+
+@settings(max_examples=200, deadline=None)
+@given(state=states(max_frags=8), data=st.data())
+def test_removed_ids_walk_matches_the_set_difference(state, data):
+    keep = data.draw(st.lists(st.booleans(), min_size=len(state.fragments),
+                              max_size=len(state.fragments)))
+    afters = (
+        state.with_fragments(
+            f.replace(persistence=0.5) for f, kept in zip(state.fragments, keep) if kept
+        ),
+        nullify(state, data.draw(st.sampled_from((1.0, 40.0))), default_config()),
+        annihilate_sector(state, data.draw(st.sampled_from(SECTORS))),
+        state,
+        BeliefState((), state.clock),
+    )
+    for after in afters:
+        assert _removed_ids(state, after) == sorted(state.ids() - after.ids())
 
 
 # --------------------------------------------------------------------------
