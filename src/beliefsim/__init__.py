@@ -16,7 +16,6 @@ from .core import (
     embed_fragment,
     embed_state,
     embed_tokens,
-    encode_observation,
     tokenize,
 )
 from .dynamics import (
@@ -123,7 +122,6 @@ __all__ = [
     "embed_fragment",
     "embed_state",
     "embed_tokens",
-    "encode_observation",
     "gauge_equivalent",
     "generate_query",
     "half_life",

@@ -21,17 +21,16 @@ import sys
 from pathlib import Path
 
 from .core import IdAllocator
-from .gauge import PROBE_SUITES, gauge_equivalent
+from .gauge import default_probe_suite, gauge_equivalent
 from .simulator import (
     AXIS_ID_BASE,
     RUN_MODES,
     ScenarioError,
     SimulationRun,
+    axis_tower,
     build_states,
     load_scenario,
-    materialize_state,
 )
-from .tower import build_tower
 from .trace import parse_trace, verify_golden
 
 
@@ -64,9 +63,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p_gauge.add_argument("scenario")
     p_gauge.add_argument("--state-a", required=True)
     p_gauge.add_argument("--state-b", required=True)
-    p_gauge.add_argument(
-        "--suite", default="default", choices=sorted(PROBE_SUITES),
-    )
 
     p_inspect = sub.add_parser("inspect", help="print a metric series")
     p_inspect.add_argument("trace")
@@ -110,18 +106,14 @@ def _cmd_run(args: argparse.Namespace) -> int:
 
 def _cmd_tower(args: argparse.Namespace) -> int:
     scenario = load_scenario(args.scenario)
-    spec = next(
-        (s for s in scenario.axis_specs if s.get("label") == args.axis), None
+    labels = [s.get("label") for s in scenario.axis_specs]
+    if args.axis not in labels:
+        raise ScenarioError(f"no axis {args.axis!r}; scenario declares {labels}")
+    index = labels.index(args.axis)
+    trajectory = axis_tower(
+        scenario.axis_specs[index], index, scenario.config, IdAllocator(AXIS_ID_BASE),
+        args.max_k,
     )
-    if spec is None:
-        known = [s.get("label") for s in scenario.axis_specs]
-        raise ScenarioError(f"no axis {args.axis!r}; scenario declares {known}")
-    if not spec.get("seed"):
-        raise ScenarioError(f"axis {args.axis!r} needs seed fragments")
-    seed = materialize_state(spec["seed"])
-    max_k = args.max_k if args.max_k is not None else int(spec.get("max_k", 12))
-    ids = IdAllocator(AXIS_ID_BASE)
-    trajectory = build_tower(seed, max_k, scenario.config, ids)
     for i, level in enumerate(trajectory.levels):
         top = max((f.level for f in level.fragments), default=0)
         print(f"step {i}: {len(level.fragments)} fragment(s), top level {top}")
@@ -139,7 +131,7 @@ def _cmd_gauge(args: argparse.Namespace) -> int:
     for side in (args.state_a, args.state_b):
         if side not in states:
             raise ScenarioError(f"no state {side!r}; scenario declares {sorted(states)}")
-    suite = PROBE_SUITES[args.suite]()
+    suite = default_probe_suite()
     verdict = gauge_equivalent(
         states[args.state_a], states[args.state_b], scenario.config, suite
     )

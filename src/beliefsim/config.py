@@ -74,7 +74,7 @@ class ParameterConfig:
         """Raise ValueError on any out-of-range or mistyped parameter."""
         for f in fields(self):
             value = getattr(self, f.name)
-            if f.type == "float" and not _is_finite(value):
+            if f.type == "float" and not is_finite_number(value):
                 raise ValueError(f"{f.name} must be a finite number, got {value!r}")
         if not (0.0 < self.delta < 1.0):
             raise ValueError(f"delta must lie in (0, 1), got {self.delta}")
@@ -99,7 +99,7 @@ class ParameterConfig:
         if not (
             isinstance(self.load_coeffs, tuple)
             and len(self.load_coeffs) == 3
-            and all(_is_finite(c) for c in self.load_coeffs)
+            and all(is_finite_number(c) for c in self.load_coeffs)
         ):
             raise ValueError(f"load_coeffs must be three finite numbers, got {self.load_coeffs!r}")
         if not (
@@ -122,7 +122,7 @@ class ParameterConfig:
         if not isinstance(self.goal_marker, str) or not self.goal_marker:
             raise ValueError(f"goal_marker must be a non-empty string, got {self.goal_marker!r}")
         for sector, cost in self.sector_costs.items():
-            if not _is_finite(cost):
+            if not is_finite_number(cost):
                 raise ValueError(
                     f"sector cost for {sector!r} must be a finite number, got {cost!r}"
                 )
@@ -152,10 +152,12 @@ class ParameterConfig:
         return d
 
 
-def _is_finite(value: Any) -> bool:
+def is_finite_number(value: Any) -> bool:
     """A number, not a bool, that a float holds finitely (NaN compares false).
 
-    Compared, not converted: float() of a huge JSON integer overflows.
+    Compared, not converted: float() of a huge JSON integer overflows, and an
+    int just above the largest float would round down into range.  This is
+    the one finiteness test for every number a scenario supplies.
     """
     return (
         isinstance(value, (int, float))
@@ -165,7 +167,7 @@ def _is_finite(value: Any) -> bool:
 
 
 def _as_float(value: Any) -> Any:
-    return float(value) if _is_finite(value) else value
+    return float(value) if is_finite_number(value) else value
 
 
 def default_config() -> ParameterConfig:
@@ -204,4 +206,5 @@ __all__ = [
     "ParameterConfig",
     "config_from_dict",
     "default_config",
+    "is_finite_number",
 ]

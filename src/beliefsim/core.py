@@ -235,9 +235,6 @@ class BeliefState:
     def with_fragments(self, fragments: Iterable[Fragment]) -> "BeliefState":
         return BeliefState(tuple(fragments), self.clock)
 
-    def with_clock(self, clock: float) -> "BeliefState":
-        return BeliefState(self.fragments, clock)
-
     def without_ids(self, drop: Iterable[int]) -> "BeliefState":
         gone = set(drop)
         return self.with_fragments(f for f in self.fragments if f.id not in gone)
@@ -325,7 +322,7 @@ def embed_state(state: BeliefState, dim: int) -> np.ndarray:
 
 
 # --------------------------------------------------------------------------
-# Observation encoding and sector density
+# Fragment specs and sector density
 # --------------------------------------------------------------------------
 
 def fragment_from_spec(
@@ -334,19 +331,19 @@ def fragment_from_spec(
     clock: float,
     *,
     origin: str = "observed",
-    default_sector: str = "perc",
 ) -> Fragment:
     """Build one fragment from a structured spec mapping.
 
-    Recognized keys: text (required), sector or sectors, level, anchor,
-    persistence, key, polarity.  Unrecognized keys (e.g. a scenario "name")
-    are ignored here; the loader tracks them.  A level, anchor or persistence
-    that is not a number, or a key that is not a string, raises ValueError.
+    Recognized keys: text (required), sector (default "perc") or sectors,
+    level, anchor, persistence, key, polarity.  Unrecognized keys (e.g. a
+    scenario "name") are ignored here; the loader tracks them.  A level,
+    anchor or persistence that is not a number, or a key that is not a
+    string, raises ValueError.
     """
     text = str(spec.get("text", ""))
     sectors = spec.get("sectors")
     if sectors is None:
-        sectors = [spec.get("sector", default_sector)]
+        sectors = [spec.get("sector", "perc")]
     try:
         level = int(spec.get("level", 0))
         anchor = float(spec.get("anchor", 1.0))
@@ -370,27 +367,6 @@ def fragment_from_spec(
         key=key,
         polarity=spec.get("polarity"),
     )
-
-
-def encode_observation(
-    specs: Sequence[Mapping[str, Any]],
-    clock: float,
-    ids: IdAllocator,
-) -> BeliefState:
-    """Structured observation ingestion: specs in, observed fragments out.
-
-    Defaults per spec entry: sector "perc", level 0, anchor 1.0.  Persistence
-    is always 1.0 for fresh observations.  An empty-text spec is rejected
-    with its index so scenario authors can find it.
-    """
-    fragments = []
-    for i, spec in enumerate(specs):
-        if not tokenize(str(spec.get("text", ""))):
-            raise ValueError(f"observation spec {i}: empty text")
-        frag = fragment_from_spec(spec, ids.next(), clock, origin="observed")
-        frag = frag.replace(persistence=1.0)
-        fragments.append(frag)
-    return BeliefState(tuple(fragments), clock)
 
 
 def activation_density(state: BeliefState, sector: str) -> float:
@@ -444,7 +420,6 @@ __all__ = [
     "embed_fragment",
     "embed_state",
     "embed_tokens",
-    "encode_observation",
     "first_conflict",
     "fragment_from_spec",
     "key_groups",

@@ -10,7 +10,8 @@ Assimilation is a staged pipeline:
 3. in corrective modes the lower-anchored party of each conflict is retracted
    (ties: older created_at loses, then the incoming side loses);
 4. surviving input is unioned in with persistence 1.0;
-5. elaboration rules fire at most once each;
+5. elaboration rules fire at most once each, their emits also entering at
+   persistence 1.0;
 6. in abstracting mode a configured group is merged into one summary;
 and, in corrective modes, a final sweep resolves any conflicts remaining
 *inside* the merged state (input-internal or elaboration-introduced) with the
@@ -202,13 +203,16 @@ def assimilate(
         current = [f for f in current if f.id not in dead_existing]
         fresh = [f for f in fresh if f.id not in dead_incoming]
 
-    # Stage 4: union; added fragments keep their anchors, persistence resets.
+    # Stage 4: union; added fragments keep their anchors, persistence resets
+    # (a fragment already at 1.0 enters as it is, uncopied).
     existing_ids = {f.id for f in current}
     added: list[int] = []
     for candidate in fresh:
         if candidate.id in existing_ids:
             raise ValueError(f"incoming fragment id {candidate.id} collides with state")
-        current.append(candidate.replace(persistence=1.0))
+        if candidate.persistence != 1.0:
+            candidate = candidate.replace(persistence=1.0)
+        current.append(candidate)
         existing_ids.add(candidate.id)
         added.append(candidate.id)
 
@@ -219,12 +223,9 @@ def assimilate(
         for rule in rules:
             if not any(rule.matches(f) for f in current):
                 continue
-            emitted = fragment_from_spec(
-                rule.emit, ids.next(), clock, origin="elaborated", default_sector="perc"
-            )
-            emitted = emitted.replace(
-                anchor=float(rule.emit.get("anchor", 1.0)), persistence=1.0
-            )
+            emitted = fragment_from_spec(rule.emit, ids.next(), clock, origin="elaborated")
+            if emitted.persistence != 1.0:
+                emitted = emitted.replace(persistence=1.0)
             if emitted.content_key() in content_now:
                 continue  # refiring would only duplicate
             current.append(emitted)

@@ -14,6 +14,7 @@ import math
 from dataclasses import dataclass
 from typing import Sequence
 
+from .config import is_finite_number
 from .core import BeliefState, activation_density, tokenize
 from .regulation import REFLECTIVE_SECTOR, coherence
 
@@ -52,6 +53,18 @@ class Clause:
     def __post_init__(self) -> None:
         if self.kind not in CLAUSE_KINDS:
             raise ValueError(f"unknown clause kind {self.kind!r}")
+        for name in ("sector", "token"):
+            value = getattr(self, name)
+            if value is not None and not isinstance(value, str):
+                raise ValueError(f"clause {name} must be a string, got {value!r}")
+        for name in ("minimum", "tolerance"):
+            value = getattr(self, name)
+            if value is not None and not is_finite_number(value):
+                raise ValueError(f"clause {name} must be a finite number, got {value!r}")
+        if self.level is not None and (
+            not isinstance(self.level, int) or isinstance(self.level, bool)
+        ):
+            raise ValueError(f"clause level must be an int, got {self.level!r}")
         if self.kind == "sector_density":
             if not self.sector:
                 raise ValueError("sector_density clause needs a sector")
@@ -99,6 +112,8 @@ class GateRule:
     def __post_init__(self) -> None:
         if self.action not in GATE_ACTIONS:
             raise ValueError(f"unknown gate action {self.action!r}")
+        if not isinstance(self.pattern, str):
+            raise ValueError(f"gate pattern must be a string, got {self.pattern!r}")
         if not tokenize(self.pattern):
             raise ValueError("gate pattern must contain at least one token")
 

@@ -152,11 +152,6 @@ def default_probe_suite() -> ProbeSuite:
     return ProbeSuite(name="default", probes=probes)
 
 
-PROBE_SUITES: dict[str, Callable[[], ProbeSuite]] = {
-    "default": default_probe_suite,
-}
-
-
 @dataclass(frozen=True)
 class ProbeRow:
     probe: str
@@ -229,7 +224,6 @@ def gauge_equivalent(
 __all__ = [
     "GaugeVerdict",
     "PROBE_KINDS",
-    "PROBE_SUITES",
     "Probe",
     "ProbeRow",
     "ProbeSuite",

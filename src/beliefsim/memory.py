@@ -38,6 +38,7 @@ from .core import (
 )
 from .dynamics import AssimilationReport, ElaborationRule, assimilate
 
+# The query triggers, in the order a tick's memory cycle tries them.
 QUERY_TRIGGERS = ("goal", "coherence", "associative")
 
 

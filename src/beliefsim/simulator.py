@@ -27,22 +27,14 @@ nothing; they are the world pushing in, not the engine working.
 from __future__ import annotations
 
 import json
-import math
 import random
 from collections import deque
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Mapping, Sequence
 
-from .config import ParameterConfig, config_from_dict, default_config
-from .core import (
-    BeliefState,
-    Fragment,
-    IdAllocator,
-    encode_observation,
-    fragment_from_spec,
-    tokenize,
-)
+from .config import ParameterConfig, config_from_dict, is_finite_number
+from .core import BeliefState, Fragment, IdAllocator, fragment_from_spec, tokenize
 from .dynamics import (
     ASSIMILATION_MODES,
     ElaborationRule,
@@ -54,7 +46,14 @@ from .dynamics import (
 )
 from .execution import ActionBasin, Clause, GateRule, evaluate_action, resolve_actions
 from .geometry import realign
-from .memory import MemoryStore, generate_query, goal_fragments, integrate_retrieved, retrieve
+from .memory import (
+    QUERY_TRIGGERS,
+    MemoryStore,
+    generate_query,
+    goal_fragments,
+    integrate_retrieved,
+    retrieve,
+)
 from .regulation import (
     EffortLedger,
     allocate_effort,
@@ -66,7 +65,7 @@ from .regulation import (
     regulate,
     uniform_ledger,
 )
-from .tower import EpistemicAxis, build_tower, derive_axis
+from .tower import EpistemicAxis, TowerTrajectory, build_tower, derive_axis
 from .trace import TraceLog, make_header
 
 RUN_MODES = ("live", "simulation")
@@ -86,8 +85,6 @@ ASSERTION_CHECKS = (
 _NAMED_CHECKS = frozenset({"fragment_present", "fragment_absent", "persistence", "anchor"})
 _VALUED_CHECKS = frozenset({"persistence", "anchor", "kappa"})
 _ACTION_CHECKS = frozenset({"action_fired", "action_not_fired"})
-
-TRIGGER_PRECEDENCE = ("goal", "coherence", "associative")
 
 # Ops that count toward the load rate term, over the sliding window.
 OP_RATE_KINDS = frozenset(
@@ -124,7 +121,6 @@ class Scenario:
     config: ParameterConfig
     store_specs: tuple[Mapping[str, Any], ...]
     rules: tuple[ElaborationRule, ...]
-    rule_names: tuple[str | None, ...]
     lexicon: tuple[str, ...]
     axis_specs: tuple[Mapping[str, Any], ...]
     basins: tuple[ActionBasin, ...]
@@ -157,10 +153,16 @@ def _parse_basin(raw: Mapping[str, Any], index: int) -> ActionBasin:
             GateRule(pattern=g["pattern"], action=g.get("action", "approve"))
             for g in raw.get("gate_policy", ())
         )
+        name = raw.get("name", "")
+        if not isinstance(name, str):
+            raise ScenarioError(f"{where}: name must be a string")
+        tau = raw.get("tau", 0.5)
+        if not is_finite_number(tau):
+            raise ScenarioError(f"{where}: tau must be a finite number")
         return ActionBasin(
-            name=str(raw.get("name", "")),
+            name=name,
             clauses=clauses,
-            tau=float(raw.get("tau", 0.5)),
+            tau=float(tau),
             suppressors=suppressors,
             gate_policy=gates,
         )
@@ -199,14 +201,24 @@ def _objects(value: Any, where: str) -> list:
     return value
 
 
-def _finite(value: Any) -> bool:
-    """Whether ``value`` is a number, not a bool, that reads as a finite float."""
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        return False
-    try:
-        return math.isfinite(value)
-    except OverflowError:  # an int too large for a float
-        return False
+def _build(
+    specs: Sequence[Mapping[str, Any]], ids: IdAllocator, clock: float, where: str
+) -> tuple[Fragment, ...]:
+    """One fragment per spec, its id drawn from ``ids`` in spec order.
+
+    Every scenario fragment but a command's is built here: the store, each
+    state, each axis seed, each observation, and each rule's emit (once at
+    load, as a check).  A spec that cannot be built raises ScenarioError
+    naming its path, ``where[j]``.  One inline loop, not a call per spec:
+    a store can hold 10k specs.
+    """
+    frags = []
+    for j, spec in enumerate(specs):
+        try:
+            frags.append(fragment_from_spec(spec, ids.next(), clock))
+        except ValueError as exc:
+            raise ScenarioError(f"{where}[{j}]: {exc}") from exc
+    return tuple(frags)
 
 
 def _check_assertion(a: Any, where: str) -> None:
@@ -218,9 +230,9 @@ def _check_assertion(a: Any, where: str) -> None:
         raise ScenarioError(f"{where}: unknown check {check!r}")
     if check in _NAMED_CHECKS and not isinstance(a.get("name"), str):
         raise ScenarioError(f"{where}: {check} needs a name, a string")
-    if check in _VALUED_CHECKS and not _finite(a.get("value")):
+    if check in _VALUED_CHECKS and not is_finite_number(a.get("value")):
         raise ScenarioError(f"{where}: {check} needs a value, a finite number")
-    if "tol" in a and not (_finite(a["tol"]) and a["tol"] >= 0):
+    if "tol" in a and not (is_finite_number(a["tol"]) and a["tol"] >= 0):
         raise ScenarioError(f"{where}: tol must be a finite number >= 0")
     if "sector" in a and not (isinstance(a["sector"], str) and a["sector"]):
         raise ScenarioError(f"{where}: sector must be a non-empty string")
@@ -259,7 +271,7 @@ def _validate_timeline(timeline: Sequence[Mapping[str, Any]]) -> None:
             if not tokenize(str(entry.get("text", ""))):
                 raise ScenarioError(f"timeline[{i}]: command needs text")
             anchor = entry.get("anchor", COMMAND_ANCHOR)
-            if not _finite(anchor) or anchor < 0:
+            if not is_finite_number(anchor) or anchor < 0:
                 raise ScenarioError(f"timeline[{i}]: anchor must be a finite number >= 0")
         if kind == "tick":
             n = entry.get("n", 1)
@@ -294,16 +306,14 @@ def load_scenario(path: str | Path) -> Scenario:
     except ValueError as exc:
         raise ScenarioError(f"config: {exc}") from exc
 
-    rules = []
-    rule_names = []
-    for i, r in enumerate(_objects(raw.get("rules", []), "rules")):
-        trigger = r.get("trigger")
-        emit = r.get("emit")
-        if not trigger or not isinstance(emit, dict) or not tokenize(str(emit.get("text", ""))):
-            raise ScenarioError(f"rules[{i}]: needs trigger and emit.text")
-        _check_specs([emit], f"rules[{i}].emit")
-        rules.append(ElaborationRule(trigger=str(trigger), emit=emit))
-        rule_names.append(emit.get("name"))
+    raw_rules = _objects(raw.get("rules", []), "rules")
+    for i, r in enumerate(raw_rules):
+        if not r.get("trigger"):
+            raise ScenarioError(f"rules[{i}]: needs a trigger")
+    emits = [r.get("emit") for r in raw_rules]
+    _check_specs(emits, "rules")
+    _build(emits, IdAllocator(1), 0.0, "rules")  # a bad emit fails now, not when it fires
+    rules = tuple(ElaborationRule(trigger=str(r["trigger"]), emit=r["emit"]) for r in raw_rules)
 
     basins = tuple(
         _parse_basin(b, i) for i, b in enumerate(_objects(raw.get("basins", []), "basins"))
@@ -330,6 +340,8 @@ def load_scenario(path: str | Path) -> Scenario:
         max_k = spec.get("max_k", 12)
         if not isinstance(max_k, int) or isinstance(max_k, bool):
             raise ScenarioError(f"axes[{i}]: max_k must be an int")
+        if not isinstance(spec.get("null_seed", False), bool):
+            raise ScenarioError(f"axes[{i}]: null_seed must be true or false")
 
     timeline = raw.get("timeline", [])
     if not isinstance(timeline, list):
@@ -346,8 +358,7 @@ def load_scenario(path: str | Path) -> Scenario:
         name=str(raw.get("name", path.stem)),
         config=config,
         store_specs=tuple(memory),
-        rules=tuple(rules),
-        rule_names=tuple(rule_names),
+        rules=rules,
         lexicon=tuple(str(w) for w in lexicon),
         axis_specs=tuple(axes),
         basins=basins,
@@ -356,24 +367,31 @@ def load_scenario(path: str | Path) -> Scenario:
     )
 
 
-def materialize_state(
-    specs: Sequence[Mapping[str, Any]], clock: float = 0.0
-) -> BeliefState:
-    """Build a standalone state from fragment specs (own id space)."""
-    ids = IdAllocator(1)
-    frags = [fragment_from_spec(s, ids.next(), clock) for s in specs]
-    return BeliefState(tuple(frags), clock)
-
-
 def build_states(scenario: Scenario) -> dict[str, BeliefState]:
     """Every named state of the scenario, each in its own id space."""
-    states = {}
-    for label, specs in scenario.state_specs.items():
-        try:
-            states[label] = materialize_state(specs)
-        except ValueError as exc:
-            raise ScenarioError(f"states.{label}: {exc}") from exc
-    return states
+    return {
+        label: BeliefState(_build(specs, IdAllocator(1), 0.0, f"states.{label}"), 0.0)
+        for label, specs in scenario.state_specs.items()
+    }
+
+
+def axis_tower(
+    spec: Mapping[str, Any],
+    index: int,
+    config: ParameterConfig,
+    ids: IdAllocator,
+    max_k: int | None = None,
+) -> TowerTrajectory:
+    """Build axis ``index``'s seed and iterate its tower, for at most
+    ``max_k`` steps (by default the spec's ``max_k``, else 12)."""
+    label = spec.get("label")
+    if not label or not spec.get("seed"):
+        raise ScenarioError(f"axes[{index}]: needs label and seed fragments")
+    seed = BeliefState(_build(spec["seed"], ids, 0.0, f"axes[{index}].seed"), 0.0)
+    try:
+        return build_tower(seed, spec.get("max_k", 12) if max_k is None else max_k, config, ids)
+    except ValueError as exc:
+        raise ScenarioError(f"axes[{index}] ({label}): {exc}") from exc
 
 
 def build_axes(
@@ -388,17 +406,12 @@ def build_axes(
     ids = IdAllocator(AXIS_ID_BASE)
     for i, spec in enumerate(scenario.axis_specs):
         label = spec.get("label")
-        seed_specs = spec.get("seed")
-        if not label or not seed_specs:
-            raise ScenarioError(f"axes[{i}]: needs label and seed fragments")
         if label in axes:
             raise ScenarioError(f"duplicate axis label {label!r}")
+        trajectory = axis_tower(spec, i, config, ids)
         try:
-            frags = [fragment_from_spec(s, ids.next(), 0.0) for s in seed_specs]
-            seed = BeliefState(tuple(frags), 0.0)
-            trajectory = build_tower(seed, int(spec.get("max_k", 12)), config, ids)
             axes[label] = derive_axis(
-                trajectory, label, config, null_seed=bool(spec.get("null_seed", False))
+                trajectory, label, config, null_seed=spec.get("null_seed", False)
             )
         except ValueError as exc:
             raise ScenarioError(f"axes[{i}] ({label}): {exc}") from exc
@@ -467,15 +480,8 @@ class SimulationRun:
         self.ids = IdAllocator(1)
         self.names: dict[str, int] = {}
 
-        store_frags = []
-        for i, spec in enumerate(scenario.store_specs):
-            try:
-                frag = fragment_from_spec(spec, self.ids.next(), 0.0)
-            except ValueError as exc:
-                raise ScenarioError(f"memory[{i}]: {exc}") from exc
-            store_frags.append(frag)
-            if spec.get("name"):
-                self.names[str(spec["name"])] = frag.id
+        store_frags = _build(scenario.store_specs, self.ids, 0.0, "memory")
+        self._register(scenario.store_specs, store_frags)
         self.store = MemoryStore(store_frags, 0.0)
         self.active = BeliefState((), 0.0)
         self.axes = build_axes(scenario, self.config)
@@ -518,11 +524,20 @@ class SimulationRun:
     def _goals_present(self) -> bool:
         return next(goal_fragments(self.active, self.config), None) is not None
 
+    def _register(
+        self, sources: Sequence[Mapping[str, Any]], frags: Sequence[Fragment]
+    ) -> None:
+        """Name each fragment whose source, a spec or a command, has a name."""
+        for source, frag in zip(sources, frags):
+            if source.get("name"):
+                self.names[str(source["name"])] = frag.id
+
     def _register_rule_names(self, elaborated: Sequence[int]) -> None:
         if not elaborated:
             return
         emitted = [self.active.get(fid) for fid in elaborated]
-        for name, rule in zip(self.scenario.rule_names, self.scenario.rules):
+        for rule in self.scenario.rules:
+            name = rule.emit.get("name")
             if not name:
                 continue
             want = tokenize(str(rule.emit.get("text", "")))
@@ -533,27 +548,32 @@ class SimulationRun:
 
     # -- timeline events ---------------------------------------------------
 
-    def _do_observe(self, entry: Mapping[str, Any]) -> None:
-        specs = entry["specs"]
-        observation = encode_observation(specs, self.active.clock, self.ids)
-        for spec, frag in zip(specs, observation.fragments):
-            if spec.get("name"):
-                self.names[str(spec["name"])] = frag.id
+    def _ingest(
+        self,
+        frags: tuple[Fragment, ...],
+        sources: Sequence[Mapping[str, Any]],
+        command: bool,
+        mode: str = "auto",
+        group: str | None = None,
+    ) -> None:
+        """Take fragments in from the world: register their names, log them,
+        assimilate them, then register the names of any rule emits."""
+        self._register(sources, frags)
         self._emit(
             "ingest",
-            {
-                "ids": [f.id for f in observation.fragments],
-                "texts": [f.text for f in observation.fragments],
-                "command": False,
-            },
+            {"ids": [f.id for f in frags], "texts": [f.text for f in frags], "command": command},
         )
-        mode = entry.get("mode", "auto")
         self.active, report = assimilate(
-            self.active, observation, self.config, self.ids,
-            mode=mode, rules=self.scenario.rules, abs_group=entry.get("group"),
+            self.active, BeliefState(frags, self.active.clock), self.config, self.ids,
+            mode=mode, rules=self.scenario.rules, abs_group=group,
         )
         self._emit("assimilate", {"report": report.to_dict()})
         self._register_rule_names(report.elaborated)
+
+    def _do_observe(self, entry: Mapping[str, Any], index: int) -> None:
+        specs = entry["specs"]
+        frags = _build(specs, self.ids, self.active.clock, f"timeline[{index}].specs")
+        self._ingest(frags, specs, False, entry.get("mode", "auto"), entry.get("group"))
 
     def _do_command(self, entry: Mapping[str, Any]) -> None:
         frag = Fragment(
@@ -566,19 +586,7 @@ class SimulationRun:
             created_at=self.active.clock,
             origin="observed",
         )
-        if entry.get("name"):
-            self.names[str(entry["name"])] = frag.id
-        self._emit("ingest", {"ids": [frag.id], "texts": [frag.text], "command": True})
-        self.active, report = assimilate(
-            self.active,
-            BeliefState((frag,), self.active.clock),
-            self.config,
-            self.ids,
-            mode="auto",
-            rules=self.scenario.rules,
-        )
-        self._emit("assimilate", {"report": report.to_dict()})
-        self._register_rule_names(report.elaborated)
+        self._ingest((frag,), (entry,), True)
 
     # -- the tick ----------------------------------------------------------
 
@@ -635,7 +643,7 @@ class SimulationRun:
 
     def _memory_cycle(self) -> None:
         cue = None
-        for trigger in TRIGGER_PRECEDENCE:
+        for trigger in QUERY_TRIGGERS:
             candidate = generate_query(self.active, trigger, self.config)
             if candidate is not None and candidate.signature() not in self._issued_cues:
                 cue = candidate
@@ -819,10 +827,10 @@ class SimulationRun:
     # -- driver ------------------------------------------------------------
 
     def run(self) -> RunResult:
-        for entry in self.scenario.timeline:
+        for i, entry in enumerate(self.scenario.timeline):
             kind = entry["event"]
             if kind == "observe":
-                self._do_observe(entry)
+                self._do_observe(entry, i)
             elif kind == "command":
                 self._do_command(entry)
             elif kind == "tick":
@@ -868,10 +876,9 @@ __all__ = [
     "ScenarioError",
     "SimulationRun",
     "TIMELINE_EVENTS",
-    "TRIGGER_PRECEDENCE",
+    "axis_tower",
     "build_axes",
     "build_states",
     "load_scenario",
-    "materialize_state",
     "run_scenario",
 ]

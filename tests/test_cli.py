@@ -177,10 +177,26 @@ def run_module(*args: str) -> subprocess.CompletedProcess:
                       {"event": "observe", "specs": [{"text": "pump"}], "mode": "abs"}]},
         {"timeline": [{"event": "tick"},
                       {"event": "expect", "assertions": [{"check": "persistence", "name": "p"}]}]},
+        {"rules": [{"trigger": "pump", "emit": {"text": "check", "level": "x"}}],
+         "timeline": [{"event": "tick", "n": 2}, {"event": "command", "text": "pump"}]},
+        *({"basins": [{"name": "b", "tau": 0.5, **basin}]} for basin in (
+            {"clauses": [{"kind": "token_present", "token": "go"}],
+             "gate_policy": [{"pattern": 5}]},
+            {"clauses": [{"kind": "sector_density", "sector": ["perc"], "minimum": 0.5}]},
+            {"clauses": [{"kind": "token_present", "token": 5}]},
+            {"clauses": [{"kind": "level_present", "level": 1.0}]},
+            {"clauses": [{"kind": "sector_density", "sector": "perc", "minimum": True}]},
+            {"clauses": [{"kind": "token_present", "token": "go"}], "tau": "0.5"},
+            {"clauses": [{"kind": "token_present", "token": "go"}], "name": 5},
+        )),
+        {"axes": [{"label": "focus", "seed": [{"text": "survey the map"}],
+                   "null_seed": "false"}]},
     ],
     ids=["memory-int", "states-int", "axis-seed-str", "memory-sector-list",
          "goal-marker-int", "anchor-str", "mode-bogus", "abs-without-group",
-         "expect-without-value"],
+         "expect-without-value", "rule-emit-level-str", "gate-pattern-int",
+         "clause-sector-list", "clause-token-int", "clause-level-float",
+         "clause-minimum-bool", "basin-tau-str", "basin-name-int", "null-seed-str"],
 )
 def test_run_rejects_malformed_sections_at_load(tmp_path, data):
     path = write_scenario(tmp_path, {"name": "malformed", **data})
@@ -198,7 +214,7 @@ def test_run_rejects_malformed_sections_at_load(tmp_path, data):
     [
         ({"memory": [{"text": "pump hums", "anchor": None}]}, "error: memory[0]: "),
         ({"timeline": [{"event": "observe", "specs": [{"text": "pump", "anchor": None}]}]},
-         "error: fragment 1: "),
+         "error: timeline[0].specs[0]: fragment 1: "),
     ],
     ids=["memory", "observe"],
 )
@@ -217,7 +233,16 @@ def test_gauge_names_a_state_with_a_non_finite_anchor(tmp_path, capsys):
     path = tmp_path / "nan.json"
     path.write_text('{"states": {"a": [{"text": "pump", "anchor": NaN}], "b": [{"text": "pump"}]}}')
     assert main(["gauge", str(path), "--state-a", "a", "--state-b", "b"]) == 2
-    assert capsys.readouterr().err.startswith("error: states.a: fragment 1: anchor must be")
+    assert capsys.readouterr().err.startswith("error: states.a[0]: fragment 1: anchor must be")
+
+
+def test_run_names_a_bad_observe_spec_when_its_observe_runs(tmp_path):
+    data = {"timeline": [{"event": "tick", "n": 2},
+                         {"event": "observe", "specs": [{"text": "pump", "level": "x"}]}]}
+    proc = run_module("run", write_scenario(tmp_path, data))
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("error: timeline[1].specs[0]: spec 'pump': level")
+    assert "Traceback" not in proc.stderr
 
 
 def test_python_dash_m_runs_the_cli():

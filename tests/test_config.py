@@ -7,6 +7,7 @@ from beliefsim.config import (
     ParameterConfig,
     config_from_dict,
     default_config,
+    is_finite_number,
 )
 
 
@@ -102,3 +103,19 @@ def test_from_dict_rejects_malformed_values(data):
 
 def test_modulator_registry_contains_default():
     assert ParameterConfig().decay_modulator in DECAY_MODULATORS
+
+
+LARGEST = int(sys.float_info.max)
+
+
+@pytest.mark.parametrize(
+    "value, finite",
+    [
+        (0, True), (-2.5, True), (LARGEST, True), (-LARGEST, True),
+        (True, False), (False, False), (float("nan"), False), (float("inf"), False),
+        (float("-inf"), False), (10**400, False), (LARGEST + 1, False),
+        (-LARGEST - 1, False), ("1", False), (None, False),
+    ],
+)
+def test_is_finite_number(value, finite):
+    assert is_finite_number(value) is finite

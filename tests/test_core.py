@@ -19,7 +19,6 @@ from beliefsim.core import (
     embed_fragment,
     embed_state,
     embed_tokens,
-    encode_observation,
     fragment_from_spec,
     token_cell,
     tokenize,
@@ -442,7 +441,7 @@ class TestEmbeddingLaws:
 
 
 # --------------------------------------------------------------------------
-# Observation encoding and sector views
+# Fragment specs and sector views
 # --------------------------------------------------------------------------
 
 def test_fragment_from_spec_defaults():
@@ -460,19 +459,6 @@ def test_fragment_from_spec_explicit_fields():
     )
     assert frag.sectors == frozenset({"task"})
     assert (frag.key, frag.polarity, frag.anchor) == ("valve", "+", 3.0)
-
-
-def test_encode_observation_forces_full_persistence():
-    ids = IdAllocator(1)
-    state = encode_observation([{"text": "pump", "persistence": 0.2}], 5.0, ids)
-    assert state.fragments[0].persistence == 1.0
-    assert state.clock == 5.0
-
-
-def test_encode_observation_reports_bad_spec_index():
-    ids = IdAllocator(1)
-    with pytest.raises(ValueError, match="spec 1"):
-        encode_observation([{"text": "fine"}, {"text": "  "}], 0.0, ids)
 
 
 def test_in_sector_lists_tagged_fragments_in_id_order():

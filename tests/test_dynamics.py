@@ -230,6 +230,16 @@ def test_union_resets_persistence_and_keeps_anchor(cfg):
     assert report.added == (101,)
 
 
+def test_fresh_input_is_copied_only_to_reset_its_persistence(cfg):
+    full = make_fragment(101, "valve hums")
+    rule = ElaborationRule("valve", {"text": "check the panel", "persistence": 0.2})
+    out, report = assimilate(
+        make_state(make_fragment(1)), incoming(full), cfg, IdAllocator(200), rules=(rule,)
+    )
+    assert out.get(101) is full
+    assert out.get(report.elaborated[0]).persistence == 1.0
+
+
 def test_incoming_id_collision_rejected(cfg):
     clash = make_fragment(1, "totally different words")
     with pytest.raises(ValueError, match="collides"):

@@ -17,8 +17,8 @@ from beliefsim.simulator import (
     ScenarioError,
     _removed_ids,
     build_axes,
+    build_states,
     load_scenario,
-    materialize_state,
     run_scenario,
 )
 
@@ -170,8 +170,8 @@ def test_timeline_validation(tmp_path, entry, message):
     "section, where",
     [
         (lambda spec: {"memory": [{"text": "stored"}, spec]}, r"memory\[1\]"),
-        (lambda spec: {"states": {"probe": [spec]}}, r"states\.probe"),
-        (lambda spec: {"axes": [{"label": "focus", "seed": [spec]}]}, r"axes\[0\] \(focus\)"),
+        (lambda spec: {"states": {"probe": [spec]}}, r"states\.probe\[0\]"),
+        (lambda spec: {"axes": [{"label": "focus", "seed": [spec]}]}, r"axes\[0\]\.seed\[0\]"),
     ],
     ids=["memory", "states", "axis-seed"],
 )
@@ -204,7 +204,7 @@ def test_loader_accepts_full_shape(tmp_path):
     scenario = load_scenario(write_scenario(tmp_path, data))
     assert scenario.name == "full"
     assert scenario.config.seed == 4
-    assert scenario.rule_names == ("panel",)
+    assert scenario.rules[0].emit["name"] == "panel"
     assert len(scenario.basins) == 1
     assert list(scenario.state_specs) == ["probe"]
 
@@ -218,10 +218,12 @@ def test_scenario_name_defaults_to_file_stem(tmp_path):
 # Axes and standalone states
 # --------------------------------------------------------------------------
 
-def test_materialize_state_allocates_from_one():
-    state = materialize_state([{"text": "pump"}, {"text": "valve"}], clock=2.0)
-    assert sorted(state.ids()) == [1, 2]
-    assert state.clock == 2.0
+def test_build_states_allocates_each_state_from_one(tmp_path):
+    data = minimal(states={"a": [{"text": "pump"}, {"text": "valve"}], "b": [{"text": "hum"}]})
+    states = build_states(load_scenario(write_scenario(tmp_path, data)))
+    assert sorted(states["a"].ids()) == [1, 2]
+    assert sorted(states["b"].ids()) == [1]
+    assert states["a"].clock == 0.0
 
 
 def test_build_axes_duplicate_label_rejected(tmp_path):
@@ -268,6 +270,30 @@ def test_observe_registers_names_and_checks_pass(tmp_path):
     result = run_scenario(write_scenario(tmp_path, data))
     assert result.ok
     assert len(result.assertions) == 2
+
+
+def test_observe_enters_at_full_persistence_whatever_its_spec_says(tmp_path):
+    data = minimal(
+        timeline=[
+            {"event": "tick", "n": 2},
+            {"event": "observe", "specs": [{"text": "pump", "persistence": 0.2}]},
+        ]
+    )
+    result = run_scenario(write_scenario(tmp_path, data))
+    (pump,) = result.active.fragments
+    assert (pump.persistence, pump.created_at) == (1.0, 2.0)
+
+
+def test_bad_observe_spec_names_its_timeline_path(tmp_path):
+    data = minimal(
+        timeline=[
+            {"event": "tick"},
+            {"event": "observe", "specs": [{"text": "fine"}, {"text": "  "}]},
+        ]
+    )
+    run = SimulationRun(load_scenario(write_scenario(tmp_path, data)))
+    with pytest.raises(ScenarioError, match=r"^timeline\[1\]\.specs\[1\]: .*no tokens"):
+        run.run()
 
 
 def test_command_defaults(tmp_path):
