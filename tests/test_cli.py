@@ -312,6 +312,7 @@ def test_run_shipped_scenarios_pass():
         "orientation_axis",
         "realign_sweep",
         "memory_recall",
+        "elaboration_rules",
     ):
         assert main(["run", str(SCENARIOS / f"{name}.json")]) == 0, name
 
@@ -328,6 +329,36 @@ def test_tower_prints_convergence_profile(capsys):
     assert out.startswith("step 0:")
     assert "converged" in out
     assert "final gap" in out
+
+
+# The exact output for every axis of every shipped scenario.  Tower grouping
+# reads sector frozensets, so CI runs these under two string-hash seeds too.
+TOWER_OUTPUT = {
+    ("orientation_axis", "task-focus"): (
+        "step 0: 2 fragment(s), top level 0\n"
+        "step 1: 1 fragment(s), top level 1\n"
+        "step 2: 1 fragment(s), top level 2\n"
+        "converged after 2 step(s); final gap 0.000e+00\n"
+    ),
+    ("realign_sweep", "survey"): (
+        "step 0: 24 fragment(s), top level 0\n"
+        "step 1: 12 fragment(s), top level 1\n"
+        "step 2: 6 fragment(s), top level 2\n"
+        "converged after 2 step(s); final gap 0.000e+00\n"
+    ),
+}
+
+SHIPPED_AXES = sorted(
+    (p.stem, axis["label"])
+    for p in SCENARIOS.glob("*.json")
+    for axis in json.loads(p.read_text(encoding="utf-8")).get("axes", [])
+)
+
+
+@pytest.mark.parametrize("name, axis", SHIPPED_AXES, ids=[f"{n}-{a}" for n, a in SHIPPED_AXES])
+def test_tower_output_is_pinned(name, axis, capsys):
+    assert main(["tower", str(SCENARIOS / f"{name}.json"), "--axis", axis]) == 0
+    assert capsys.readouterr().out == TOWER_OUTPUT[name, axis]
 
 
 def test_tower_unknown_axis_is_error(capsys):
@@ -377,6 +408,36 @@ def test_gauge_inequivalent_pair(capsys):
     out = capsys.readouterr().out
     assert "inequivalent: witness probe" in out
     assert "DIFFER" in out
+
+
+_PROBES = (
+    "coherence_global [scalar]", "load_at_rest [scalar]",
+    "decay_horizon_short [state]", "decay_horizon_long [state]",
+    "assimilate_claim_p_neg [state]", "assimilate_claim_q_pos [state]",
+    "assimilate_plain [state]", "query_goal [cue]", "query_associative [cue]",
+    "action_readiness [verdict]",
+)
+_CLAIM_DIFFERS = (2, 3, 4, 5, 6)
+
+
+@pytest.mark.parametrize(
+    "state_a, state_b, code, out",
+    [
+        ("word_order_a", "word_order_b", 0,
+         "".join(f"{p}: agree\n" for p in _PROBES)
+         + "equivalent under suite 'default' (10 probes)\n"),
+        ("claim_pos", "claim_neg", 1,
+         "".join(f"{p}: {'DIFFER' if i in _CLAIM_DIFFERS else 'agree'}\n"
+                 for i, p in enumerate(_PROBES))
+         + "inequivalent: witness probe 'decay_horizon_short'\n"),
+    ],
+    ids=["equivalent", "inequivalent"],
+)
+def test_gauge_output_is_pinned(state_a, state_b, code, out, capsys):
+    rc = main(["gauge", str(SCENARIOS / "gauge_pair.json"),
+               "--state-a", state_a, "--state-b", state_b])
+    assert rc == code
+    assert capsys.readouterr().out == out
 
 
 def test_gauge_unknown_state_is_error(capsys):
