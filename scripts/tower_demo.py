@@ -3,7 +3,8 @@
 level's contents, the convergence gap, and the round-trip loss."""
 
 from beliefsim.config import default_config
-from beliefsim.core import BeliefState, IdAllocator, fragment_from_spec
+from beliefsim.core import BeliefState, IdAllocator
+from beliefsim.simulator import fragment_from_spec
 from beliefsim.tower import build_tower, roundtrip_loss
 
 OBSERVATIONS = [

@@ -31,7 +31,7 @@ from .dynamics import (
     nullify_sector,
 )
 from .execution import ActionBasin, ActionDecision, Clause, GateRule
-from .gauge import GaugeVerdict, default_probe_suite, gauge_equivalent
+from .gauge import GaugeVerdict, gauge_equivalent
 from .geometry import (
     CompassReading,
     compass_reading,
@@ -113,7 +113,6 @@ __all__ = [
     "compass_reading",
     "config_from_dict",
     "default_config",
-    "default_probe_suite",
     "derive_axis",
     "detect_drift",
     "distance",

@@ -21,14 +21,13 @@ import sys
 from pathlib import Path
 
 from .core import IdAllocator
-from .gauge import default_probe_suite, gauge_equivalent
+from .gauge import gauge_equivalent
 from .simulator import (
     AXIS_ID_BASE,
     RUN_MODES,
     ScenarioError,
     SimulationRun,
     axis_tower,
-    build_states,
     load_scenario,
 )
 from .trace import parse_trace, verify_golden
@@ -127,19 +126,16 @@ def _cmd_tower(args: argparse.Namespace) -> int:
 
 def _cmd_gauge(args: argparse.Namespace) -> int:
     scenario = load_scenario(args.scenario)
-    states = build_states(scenario)
+    states = scenario.states
     for side in (args.state_a, args.state_b):
         if side not in states:
             raise ScenarioError(f"no state {side!r}; scenario declares {sorted(states)}")
-    suite = default_probe_suite()
-    verdict = gauge_equivalent(
-        states[args.state_a], states[args.state_b], scenario.config, suite
-    )
+    verdict = gauge_equivalent(states[args.state_a], states[args.state_b], scenario.config)
     for row in verdict.rows:
         mark = "agree" if row.matched else "DIFFER"
         print(f"{row.probe} [{row.kind}]: {mark}")
     if verdict.equivalent:
-        print(f"equivalent under suite {suite.name!r} ({len(verdict.rows)} probes)")
+        print(f"equivalent under suite 'default' ({len(verdict.rows)} probes)")
         return 0
     print(f"inequivalent: witness probe {verdict.witness!r}")
     return 1

@@ -34,7 +34,7 @@ import operator
 import re
 from collections import Counter
 from dataclasses import dataclass, fields
-from typing import Any, Iterable, Mapping, Optional, Sequence
+from typing import Any, Iterable, Optional, Sequence
 
 import numpy as np
 
@@ -322,52 +322,8 @@ def embed_state(state: BeliefState, dim: int) -> np.ndarray:
 
 
 # --------------------------------------------------------------------------
-# Fragment specs and sector density
+# Sector density
 # --------------------------------------------------------------------------
-
-def fragment_from_spec(
-    spec: Mapping[str, Any],
-    fragment_id: int,
-    clock: float,
-    *,
-    origin: str = "observed",
-) -> Fragment:
-    """Build one fragment from a structured spec mapping.
-
-    Recognized keys: text (required), sector (default "perc") or sectors,
-    level, anchor, persistence, key, polarity.  Unrecognized keys (e.g. a
-    scenario "name") are ignored here; the loader tracks them.  A level,
-    anchor or persistence that is not a number, or a key that is not a
-    string, raises ValueError.
-    """
-    text = str(spec.get("text", ""))
-    sectors = spec.get("sectors")
-    if sectors is None:
-        sectors = [spec.get("sector", "perc")]
-    try:
-        level = int(spec.get("level", 0))
-        anchor = float(spec.get("anchor", 1.0))
-        persistence = float(spec.get("persistence", 1.0))
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise ValueError(
-            f"spec {text!r}: level, anchor and persistence must be numbers ({exc})"
-        ) from None
-    key = spec.get("key")
-    if key is not None and not isinstance(key, str):
-        raise ValueError(f"spec {text!r}: key must be a string, got {key!r}")
-    return Fragment(
-        id=fragment_id,
-        text=text,
-        sectors=frozenset(map(str, sectors)),
-        level=level,
-        anchor=anchor,
-        persistence=persistence,
-        created_at=clock,
-        origin=origin,
-        key=key,
-        polarity=spec.get("polarity"),
-    )
-
 
 def activation_density(state: BeliefState, sector: str) -> float:
     """Share of total mass (anchor * persistence) carried by ``sector``."""
@@ -421,7 +377,6 @@ __all__ = [
     "embed_state",
     "embed_tokens",
     "first_conflict",
-    "fragment_from_spec",
     "key_groups",
     "token_cell",
     "tokenize",

@@ -28,24 +28,18 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass
-from typing import Any, Mapping, Optional, Sequence
+from typing import Any, Optional, Sequence
 
 from .config import ParameterConfig
-from .core import (
-    BeliefState,
-    Fragment,
-    IdAllocator,
-    fragment_from_spec,
-    key_groups,
-    tokenize,
-)
+from .core import BeliefState, Fragment, IdAllocator, key_groups, tokenize
 
 ASSIMILATION_MODES = ("elab", "corr", "abs", "conf", "auto")
 
 
 @dataclass(frozen=True)
 class ElaborationRule:
-    """Forward rule: when a fragment matches ``trigger``, emit a new fragment.
+    """Forward rule: when a fragment matches ``trigger``, emit a copy of
+    ``emit`` with a fresh id (registered under ``name``, if any).
 
     The trigger matches a fragment if it equals the fragment's proposition
     key, or if every token of the trigger (tokenized like text, so
@@ -53,7 +47,8 @@ class ElaborationRule:
     """
 
     trigger: str
-    emit: Mapping[str, Any]
+    emit: Fragment
+    name: Optional[str] = None
 
     def matches(self, fragment: Fragment) -> bool:
         if fragment.key is not None and fragment.key == self.trigger:
@@ -223,9 +218,9 @@ def assimilate(
         for rule in rules:
             if not any(rule.matches(f) for f in current):
                 continue
-            emitted = fragment_from_spec(rule.emit, ids.next(), clock, origin="elaborated")
-            if emitted.persistence != 1.0:
-                emitted = emitted.replace(persistence=1.0)
+            emitted = rule.emit.replace(
+                id=ids.next(), created_at=clock, origin="elaborated", persistence=1.0
+            )
             if emitted.content_key() in content_now:
                 continue  # refiring would only duplicate
             current.append(emitted)

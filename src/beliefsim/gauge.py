@@ -50,16 +50,6 @@ class Probe:
             raise ValueError(f"unknown probe kind {self.kind!r}")
 
 
-@dataclass(frozen=True)
-class ProbeSuite:
-    name: str
-    probes: tuple[Probe, ...]
-
-    def __post_init__(self) -> None:
-        if not self.probes:
-            raise ValueError("probe suite must contain at least one probe")
-
-
 def _scratch_ids(state: BeliefState) -> IdAllocator:
     top = max((f.id for f in state.fragments), default=0)
     return IdAllocator(top + 1000)
@@ -107,49 +97,47 @@ def _action_probe(state: BeliefState, config: ParameterConfig) -> object:
     return (decision.verdict, round(decision.readiness, 9))
 
 
-def default_probe_suite() -> ProbeSuite:
-    """The standard battery: ten probes spanning every observable channel."""
-    probes = (
-        Probe("coherence_global", "scalar", lambda s, c: coherence(s)),
-        Probe("load_at_rest", "scalar", lambda s, c: cognitive_load(s, c, 0.0)),
-        Probe(
-            "decay_horizon_short",
-            "state",
-            lambda s, c: canonical_state(nullify(s, 10.0, c)),
-        ),
-        Probe(
-            "decay_horizon_long",
-            "state",
-            lambda s, c: canonical_state(nullify(s, 120.0, c)),
-        ),
-        Probe(
-            "assimilate_claim_p_neg",
-            "state",
-            _assimilation_probe("gauge probe claim", "p", "-"),
-        ),
-        Probe(
-            "assimilate_claim_q_pos",
-            "state",
-            _assimilation_probe("gauge probe claim", "q", "+"),
-        ),
-        Probe(
-            "assimilate_plain",
-            "state",
-            _assimilation_probe("gauge probe note", None, None),
-        ),
-        Probe(
-            "query_goal",
-            "cue",
-            lambda s, c: _cue_observable(generate_query(s, "goal", c)),
-        ),
-        Probe(
-            "query_associative",
-            "cue",
-            lambda s, c: _cue_observable(generate_query(s, "associative", c)),
-        ),
-        Probe("action_readiness", "verdict", _action_probe),
-    )
-    return ProbeSuite(name="default", probes=probes)
+# The battery: ten probes spanning every observable channel.
+PROBES = (
+    Probe("coherence_global", "scalar", lambda s, c: coherence(s)),
+    Probe("load_at_rest", "scalar", lambda s, c: cognitive_load(s, c, 0.0)),
+    Probe(
+        "decay_horizon_short",
+        "state",
+        lambda s, c: canonical_state(nullify(s, 10.0, c)),
+    ),
+    Probe(
+        "decay_horizon_long",
+        "state",
+        lambda s, c: canonical_state(nullify(s, 120.0, c)),
+    ),
+    Probe(
+        "assimilate_claim_p_neg",
+        "state",
+        _assimilation_probe("gauge probe claim", "p", "-"),
+    ),
+    Probe(
+        "assimilate_claim_q_pos",
+        "state",
+        _assimilation_probe("gauge probe claim", "q", "+"),
+    ),
+    Probe(
+        "assimilate_plain",
+        "state",
+        _assimilation_probe("gauge probe note", None, None),
+    ),
+    Probe(
+        "query_goal",
+        "cue",
+        lambda s, c: _cue_observable(generate_query(s, "goal", c)),
+    ),
+    Probe(
+        "query_associative",
+        "cue",
+        lambda s, c: _cue_observable(generate_query(s, "associative", c)),
+    ),
+    Probe("action_readiness", "verdict", _action_probe),
+)
 
 
 @dataclass(frozen=True)
@@ -194,14 +182,11 @@ def gauge_equivalent(
     state_a: BeliefState,
     state_b: BeliefState,
     config: ParameterConfig,
-    suite: ProbeSuite | None = None,
 ) -> GaugeVerdict:
     """Run the battery on both states; equivalent iff every probe agrees."""
-    if suite is None:
-        suite = default_probe_suite()
     rows = []
     witness: str | None = None
-    for probe in suite.probes:
+    for probe in PROBES:
         value_a = probe.run(state_a, config)
         value_b = probe.run(state_b, config)
         matched = _values_match(probe.kind, value_a, value_b)
@@ -223,12 +208,11 @@ def gauge_equivalent(
 
 __all__ = [
     "GaugeVerdict",
+    "PROBES",
     "PROBE_KINDS",
     "Probe",
     "ProbeRow",
-    "ProbeSuite",
     "SCALAR_TOL",
     "canonical_state",
-    "default_probe_suite",
     "gauge_equivalent",
 ]

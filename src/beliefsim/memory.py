@@ -375,13 +375,15 @@ def integrate_retrieved(
     """Assimilate retrieved copies into the active state and refresh the store.
 
     Copies are lifted to at least the re-anchor floor before assimilation so
-    a fragile memory does not instantly decay away again.  Store twins of
-    copies that survive assimilation (judged by content, since revision may
-    retract them) are re-anchored and restored to full persistence.
+    a fragile memory does not instantly decay away again.  The same copy
+    sets full persistence, as assimilation would, so it enters uncopied.
+    Store twins of copies that survive assimilation (judged by content,
+    since revision may retract them) are re-anchored and restored to full
+    persistence.
     """
     floor = config.reanchor_min
     boosted = [
-        c.replace(anchor=max(c.anchor, floor)) for c in retrieved.fragments
+        c.replace(anchor=max(c.anchor, floor), persistence=1.0) for c in retrieved.fragments
     ]
     new_active, report = assimilate(
         active,

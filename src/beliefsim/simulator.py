@@ -34,7 +34,7 @@ from pathlib import Path
 from typing import Any, Mapping, Sequence
 
 from .config import ParameterConfig, config_from_dict, is_finite_number
-from .core import BeliefState, Fragment, IdAllocator, fragment_from_spec, tokenize
+from .core import BeliefState, Fragment, IdAllocator, tokenize
 from .dynamics import (
     ASSIMILATION_MODES,
     ElaborationRule,
@@ -117,15 +117,20 @@ class ScenarioError(ValueError):
 
 @dataclass(frozen=True)
 class Scenario:
+    """A loaded scenario.  The store (ids 1..N), each named state and each
+    rule's emit are built once, at load; axes are built per run, and an
+    observe's specs when it runs."""
+
     name: str
     config: ParameterConfig
-    store_specs: tuple[Mapping[str, Any], ...]
+    store: MemoryStore
+    names: Mapping[str, int]  # the store's named fragments
     rules: tuple[ElaborationRule, ...]
     lexicon: tuple[str, ...]
     axis_specs: tuple[Mapping[str, Any], ...]
     basins: tuple[ActionBasin, ...]
     timeline: tuple[Mapping[str, Any], ...]
-    state_specs: Mapping[str, tuple[Mapping[str, Any], ...]]
+    states: Mapping[str, BeliefState]
 
 
 def _parse_clause(raw: Mapping[str, Any], where: str) -> Clause:
@@ -181,7 +186,7 @@ def _check_specs(specs: Any, where: str) -> None:
         if not isinstance(spec, dict):
             raise ScenarioError(f"{where}[{j}]: a spec must be an object")
         sectors = spec.get("sectors")
-        if sectors is None:  # read as fragment_from_spec reads it
+        if sectors is None:  # read as fragment_from_spec below reads it
             sector = spec.get("sector", "perc")
             ok = isinstance(sector, str) and sector != ""
         else:
@@ -193,6 +198,47 @@ def _check_specs(specs: Any, where: str) -> None:
                 f"{where}[{j}]: sector must be a non-empty string, "
                 "sectors a non-empty list of them"
             )
+
+
+def fragment_from_spec(spec: Mapping[str, Any], fragment_id: int, clock: float) -> Fragment:
+    """Build one observed fragment from a spec that passed ``_check_specs``.
+
+    Recognized keys: text (required), sector (default "perc") or sectors,
+    level, anchor, persistence, key, polarity.  Other keys (e.g. "name") are
+    the loader's.  A level, anchor or persistence that is not a number, or a
+    key that is not a string, raises ValueError.
+    """
+    text = str(spec.get("text", ""))
+    sectors = spec.get("sectors")
+    if sectors is None:
+        sectors = [spec.get("sector", "perc")]
+    try:
+        level = int(spec.get("level", 0))
+        anchor = float(spec.get("anchor", 1.0))
+        persistence = float(spec.get("persistence", 1.0))
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ValueError(
+            f"spec {text!r}: level, anchor and persistence must be numbers ({exc})"
+        ) from None
+    key = spec.get("key")
+    if key is not None and not isinstance(key, str):
+        raise ValueError(f"spec {text!r}: key must be a string, got {key!r}")
+    return Fragment(
+        id=fragment_id,
+        text=text,
+        sectors=frozenset(map(str, sectors)),
+        level=level,
+        anchor=anchor,
+        persistence=persistence,
+        created_at=clock,
+        key=key,
+        polarity=spec.get("polarity"),
+    )
+
+
+def _names(sources: Sequence[Mapping[str, Any]], frags: Sequence[Fragment]) -> dict[str, int]:
+    """Name -> id of each fragment whose source, a spec or a command, has a name."""
+    return {str(s["name"]): f.id for s, f in zip(sources, frags) if s.get("name")}
 
 
 def _objects(value: Any, where: str) -> list:
@@ -207,10 +253,10 @@ def _build(
     """One fragment per spec, its id drawn from ``ids`` in spec order.
 
     Every scenario fragment but a command's is built here: the store, each
-    state, each axis seed, each observation, and each rule's emit (once at
-    load, as a check).  A spec that cannot be built raises ScenarioError
-    naming its path, ``where[j]``.  One inline loop, not a call per spec:
-    a store can hold 10k specs.
+    state and each rule's emit once at load, each axis seed per run, and
+    each observation when it runs.  A spec that cannot be built raises
+    ScenarioError naming its path, ``where[j]``.  One inline loop, not a
+    call per spec: a store can hold 10k specs.
     """
     frags = []
     for j, spec in enumerate(specs):
@@ -312,8 +358,11 @@ def load_scenario(path: str | Path) -> Scenario:
             raise ScenarioError(f"rules[{i}]: needs a trigger")
     emits = [r.get("emit") for r in raw_rules]
     _check_specs(emits, "rules")
-    _build(emits, IdAllocator(1), 0.0, "rules")  # a bad emit fails now, not when it fires
-    rules = tuple(ElaborationRule(trigger=str(r["trigger"]), emit=r["emit"]) for r in raw_rules)
+    built = _build(emits, IdAllocator(1), 0.0, "rules")
+    rules = tuple(
+        ElaborationRule(str(r["trigger"]), emit, str(spec["name"]) if spec.get("name") else None)
+        for r, spec, emit in zip(raw_rules, emits, built)
+    )
 
     basins = tuple(
         _parse_basin(b, i) for i, b in enumerate(_objects(raw.get("basins", []), "basins"))
@@ -327,16 +376,26 @@ def load_scenario(path: str | Path) -> Scenario:
     lexicon = raw.get("lexicon", [])
     if not isinstance(lexicon, list):
         raise ScenarioError("lexicon must be a list")
+    for i, word in enumerate(lexicon):
+        if not isinstance(word, str) or not tokenize(word):
+            raise ScenarioError(f"lexicon[{i}]: must be a string with a token, got {word!r}")
 
     memory = raw.get("memory", [])
     _check_specs(memory, "memory")
+    stored = _build(memory, IdAllocator(1), 0.0, "memory")
 
     axes = _objects(raw.get("axes", []), "axes")
+    labels = set()
     for i, spec in enumerate(axes):
-        if not isinstance(spec.get("label", ""), str):
-            raise ScenarioError(f"axes[{i}]: label must be a string")
-        if "seed" in spec:
-            _check_specs(spec["seed"], f"axes[{i}].seed")
+        label = spec.get("label")
+        if not isinstance(label, str) or not label:
+            raise ScenarioError(f"axes[{i}]: needs a label, a non-empty string")
+        if label in labels:
+            raise ScenarioError(f"duplicate axis label {label!r}")
+        labels.add(label)
+        if not spec.get("seed"):
+            raise ScenarioError(f"axes[{i}]: needs seed fragments")
+        _check_specs(spec["seed"], f"axes[{i}].seed")
         max_k = spec.get("max_k", 12)
         if not isinstance(max_k, int) or isinstance(max_k, bool):
             raise ScenarioError(f"axes[{i}]: max_k must be an int")
@@ -357,22 +416,19 @@ def load_scenario(path: str | Path) -> Scenario:
     return Scenario(
         name=str(raw.get("name", path.stem)),
         config=config,
-        store_specs=tuple(memory),
+        store=MemoryStore(stored, 0.0),
+        names=_names(memory, stored),
         rules=rules,
-        lexicon=tuple(str(w) for w in lexicon),
+        lexicon=tuple(lexicon),
         axis_specs=tuple(axes),
         basins=basins,
         timeline=tuple(timeline),
-        state_specs={label: tuple(specs) for label, specs in states.items()},
+        # each state in its own id space
+        states={
+            label: BeliefState(_build(specs, IdAllocator(1), 0.0, f"states.{label}"), 0.0)
+            for label, specs in states.items()
+        },
     )
-
-
-def build_states(scenario: Scenario) -> dict[str, BeliefState]:
-    """Every named state of the scenario, each in its own id space."""
-    return {
-        label: BeliefState(_build(specs, IdAllocator(1), 0.0, f"states.{label}"), 0.0)
-        for label, specs in scenario.state_specs.items()
-    }
 
 
 def axis_tower(
@@ -384,14 +440,11 @@ def axis_tower(
 ) -> TowerTrajectory:
     """Build axis ``index``'s seed and iterate its tower, for at most
     ``max_k`` steps (by default the spec's ``max_k``, else 12)."""
-    label = spec.get("label")
-    if not label or not spec.get("seed"):
-        raise ScenarioError(f"axes[{index}]: needs label and seed fragments")
     seed = BeliefState(_build(spec["seed"], ids, 0.0, f"axes[{index}].seed"), 0.0)
     try:
         return build_tower(seed, spec.get("max_k", 12) if max_k is None else max_k, config, ids)
     except ValueError as exc:
-        raise ScenarioError(f"axes[{index}] ({label}): {exc}") from exc
+        raise ScenarioError(f"axes[{index}] ({spec['label']}): {exc}") from exc
 
 
 def build_axes(
@@ -405,9 +458,7 @@ def build_axes(
     axes: dict[str, EpistemicAxis] = {}
     ids = IdAllocator(AXIS_ID_BASE)
     for i, spec in enumerate(scenario.axis_specs):
-        label = spec.get("label")
-        if label in axes:
-            raise ScenarioError(f"duplicate axis label {label!r}")
+        label = spec["label"]
         trajectory = axis_tower(spec, i, config, ids)
         try:
             axes[label] = derive_axis(
@@ -477,15 +528,11 @@ class SimulationRun:
         self.seed = scenario.config.seed if seed is None else int(seed)
         self.mode = mode
         self.rng = random.Random(self.seed)
-        self.ids = IdAllocator(1)
-        self.names: dict[str, int] = {}
-
-        store_frags = _build(scenario.store_specs, self.ids, 0.0, "memory")
-        self._register(scenario.store_specs, store_frags)
-        self.store = MemoryStore(store_frags, 0.0)
+        self.store = scenario.store
+        self.ids = IdAllocator(len(self.store.fragments) + 1)
+        self.names: dict[str, int] = dict(scenario.names)
         self.active = BeliefState((), 0.0)
         self.axes = build_axes(scenario, self.config)
-        build_states(scenario)  # only gauge reads states; a run refuses a bad one too
 
         self.trace = TraceLog(
             make_header(scenario.name, self.seed, mode, self.config.to_dict())
@@ -524,26 +571,16 @@ class SimulationRun:
     def _goals_present(self) -> bool:
         return next(goal_fragments(self.active, self.config), None) is not None
 
-    def _register(
-        self, sources: Sequence[Mapping[str, Any]], frags: Sequence[Fragment]
-    ) -> None:
-        """Name each fragment whose source, a spec or a command, has a name."""
-        for source, frag in zip(sources, frags):
-            if source.get("name"):
-                self.names[str(source["name"])] = frag.id
-
     def _register_rule_names(self, elaborated: Sequence[int]) -> None:
         if not elaborated:
             return
         emitted = [self.active.get(fid) for fid in elaborated]
         for rule in self.scenario.rules:
-            name = rule.emit.get("name")
-            if not name:
+            if rule.name is None:
                 continue
-            want = tokenize(str(rule.emit.get("text", "")))
             for frag in emitted:
-                if frag is not None and frag.tokens == want:
-                    self.names[str(name)] = frag.id
+                if frag is not None and frag.tokens == rule.emit.tokens:
+                    self.names[rule.name] = frag.id
                     break
 
     # -- timeline events ---------------------------------------------------
@@ -558,7 +595,7 @@ class SimulationRun:
     ) -> None:
         """Take fragments in from the world: register their names, log them,
         assimilate them, then register the names of any rule emits."""
-        self._register(sources, frags)
+        self.names.update(_names(sources, frags))
         self._emit(
             "ingest",
             {"ids": [f.id for f in frags], "texts": [f.text for f in frags], "command": command},
@@ -878,7 +915,7 @@ __all__ = [
     "TIMELINE_EVENTS",
     "axis_tower",
     "build_axes",
-    "build_states",
+    "fragment_from_spec",
     "load_scenario",
     "run_scenario",
 ]

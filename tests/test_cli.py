@@ -191,12 +191,15 @@ def run_module(*args: str) -> subprocess.CompletedProcess:
         )),
         {"axes": [{"label": "focus", "seed": [{"text": "survey the map"}],
                    "null_seed": "false"}]},
+        *({"lexicon": ["rain", word], "timeline": [{"event": "tick", "n": 6}]}
+          for word in ("!!", 5)),
     ],
     ids=["memory-int", "states-int", "axis-seed-str", "memory-sector-list",
          "goal-marker-int", "anchor-str", "mode-bogus", "abs-without-group",
          "expect-without-value", "rule-emit-level-str", "gate-pattern-int",
          "clause-sector-list", "clause-token-int", "clause-level-float",
-         "clause-minimum-bool", "basin-tau-str", "basin-name-int", "null-seed-str"],
+         "clause-minimum-bool", "basin-tau-str", "basin-name-int", "null-seed-str",
+         "lexicon-no-token", "lexicon-int"],
 )
 def test_run_rejects_malformed_sections_at_load(tmp_path, data):
     path = write_scenario(tmp_path, {"name": "malformed", **data})

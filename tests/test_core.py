@@ -19,10 +19,10 @@ from beliefsim.core import (
     embed_fragment,
     embed_state,
     embed_tokens,
-    fragment_from_spec,
     token_cell,
     tokenize,
 )
+from beliefsim.simulator import fragment_from_spec
 
 from conftest import KEYS, SECTORS, WORDS, fragments, make_fragment, states, texts
 

@@ -232,7 +232,7 @@ def test_union_resets_persistence_and_keeps_anchor(cfg):
 
 def test_fresh_input_is_copied_only_to_reset_its_persistence(cfg):
     full = make_fragment(101, "valve hums")
-    rule = ElaborationRule("valve", {"text": "check the panel", "persistence": 0.2})
+    rule = ElaborationRule("valve", make_fragment(1, "check the panel", persistence=0.2))
     out, report = assimilate(
         make_state(make_fragment(1)), incoming(full), cfg, IdAllocator(200), rules=(rule,)
     )
@@ -312,7 +312,9 @@ def test_revision_full_tie_incoming_loses(cfg):
 
 
 def test_rule_fires_on_key_match(cfg):
-    rule = ElaborationRule("valve", {"text": "check the panel", "sector": "task", "anchor": 2.0})
+    rule = ElaborationRule(
+        "valve", make_fragment(1, "check the panel", sectors=("task",), anchor=2.0)
+    )
     held = make_state(make_fragment(1, "valve open", key="valve", polarity="+"))
     out, report = assimilate(held, incoming(), cfg, IdAllocator(200), rules=(rule,))
     assert len(report.elaborated) == 1
@@ -324,7 +326,7 @@ def test_rule_fires_on_key_match(cfg):
 
 
 def test_rule_fires_on_token_subset(cfg):
-    rule = ElaborationRule("red light", {"text": "warning active"})
+    rule = ElaborationRule("red light", make_fragment(1, "warning active"))
     held = make_state(make_fragment(1, "the red warning light blinks"))
     out, report = assimilate(held, incoming(), cfg, IdAllocator(200))
     assert report.elaborated == ()  # no rules passed, nothing emitted
@@ -334,14 +336,14 @@ def test_rule_fires_on_token_subset(cfg):
 
 
 def test_rule_does_not_fire_without_match(cfg):
-    rule = ElaborationRule("green light", {"text": "all clear"})
+    rule = ElaborationRule("green light", make_fragment(1, "all clear"))
     held = make_state(make_fragment(1, "red light"))
     _, report = assimilate(held, incoming(), cfg, IdAllocator(200), rules=(rule,))
     assert report.elaborated == ()
 
 
 def test_rule_skips_duplicate_emission(cfg):
-    rule = ElaborationRule("pump", {"text": "check the panel"})
+    rule = ElaborationRule("pump", make_fragment(1, "check the panel"))
     held = make_state(make_fragment(1, "pump hums"), make_fragment(2, "check the panel"))
     out, report = assimilate(held, incoming(), cfg, IdAllocator(200), rules=(rule,))
     assert report.elaborated == ()
@@ -349,7 +351,7 @@ def test_rule_skips_duplicate_emission(cfg):
 
 
 def test_rule_fires_at_most_once_per_pass(cfg):
-    rule = ElaborationRule("pump", {"text": "check the panel"})
+    rule = ElaborationRule("pump", make_fragment(1, "check the panel"))
     held = make_state(make_fragment(1, "pump hums"), make_fragment(2, "pump rattles"))
     _, report = assimilate(held, incoming(), cfg, IdAllocator(200), rules=(rule,))
     assert len(report.elaborated) == 1

@@ -7,13 +7,7 @@ from hypothesis import given, settings
 
 from beliefsim.config import default_config
 from beliefsim.core import BeliefState
-from beliefsim.gauge import (
-    Probe,
-    ProbeSuite,
-    canonical_state,
-    default_probe_suite,
-    gauge_equivalent,
-)
+from beliefsim.gauge import PROBES, Probe, canonical_state, gauge_equivalent
 
 from conftest import make_fragment, states
 
@@ -55,19 +49,13 @@ def test_canonical_state_sees_anchor_and_clock():
 # --------------------------------------------------------------------------
 
 def test_default_suite_has_ten_probes():
-    suite = default_probe_suite()
-    assert len(suite.probes) == 10
-    assert len({p.name for p in suite.probes}) == 10
+    assert len(PROBES) == 10
+    assert len({p.name for p in PROBES}) == 10
 
 
 def test_probe_kind_validated():
     with pytest.raises(ValueError, match="kind"):
         Probe("bad", "vibes", lambda s, c: None)
-
-
-def test_empty_suite_rejected():
-    with pytest.raises(ValueError, match="at least one"):
-        ProbeSuite(name="null", probes=())
 
 
 # --------------------------------------------------------------------------
@@ -144,7 +132,7 @@ def test_witness_is_first_divergence_in_suite_order(cfg):
     b = BeliefState((make_fragment(1, "pump", anchor=1.0, persistence=1.0),), 0.0)
     verdict = gauge_equivalent(a, b, cfg)
     assert not verdict.equivalent
-    suite_names = [p.name for p in default_probe_suite().probes]
+    suite_names = [p.name for p in PROBES]
     failed = [r.probe for r in verdict.rows if not r.matched]
     assert verdict.witness == min(failed, key=suite_names.index)
 

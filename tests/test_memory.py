@@ -266,6 +266,24 @@ def test_integration_boosts_copy_and_reanchors_twin(cfg):
     assert twin.persistence == 1.0
 
 
+def test_retrieved_hit_enters_as_the_copy_integration_made(cfg, monkeypatch):
+    made = []
+    real = memory.assimilate
+    monkeypatch.setattr(memory, "assimilate",
+                        lambda active, incoming, *a, **kw: made.append(incoming)
+                        or real(active, incoming, *a, **kw))
+    active = BeliefState((make_fragment(1, "goal: fix the pump", sectors=("task",)),), 40.0)
+    store = MemoryStore(
+        (make_fragment(50, "fix the pump manual", anchor=1.0, persistence=0.6),), 40.0
+    )
+    hits = retrieve(store, QueryCue(kind="goal", tokens=("fix", "the", "pump")), cfg)
+    new_active, _, report = integrate_retrieved(active, hits, store, cfg, IdAllocator(100))
+    (copy,) = made[0].fragments
+    assert (copy.anchor, copy.persistence) == (cfg.reanchor_min, 1.0)
+    assert report.added == (50,)
+    assert new_active.get(50) is copy  # assimilation appends it uncopied
+
+
 def test_integration_leaves_store_twin_when_copy_is_retracted(cfg):
     active = BeliefState(
         (make_fragment(1, "valve open", key="valve", polarity="+", anchor=50.0),), 0.0
@@ -389,7 +407,7 @@ def test_vectors_are_built_at_the_first_retrieve_and_shared(cfg):
     store = run.store
     retrieve(store, QueryCue(kind="goal", tokens=("coolant", "pump")), cfg)
     matrix = store._vectors[0]
-    assert matrix.shape == (len(scenario.store_specs), cfg.embed_dim)
+    assert matrix.shape == (len(scenario.store.fragments), cfg.embed_dim)
     decayed, _ = store.decay(1.0, cfg)
     retrieve(decayed, QueryCue(kind="goal", tokens=("valve",)), cfg)
     assert decayed._vectors[0] is matrix

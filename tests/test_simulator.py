@@ -11,13 +11,13 @@ from hypothesis import strategies as st
 
 from beliefsim.config import default_config
 from beliefsim.core import BeliefState
+from beliefsim import simulator
 from beliefsim.dynamics import ConflictError, annihilate_sector, nullify
 from beliefsim.simulator import (
     SimulationRun,
     ScenarioError,
     _removed_ids,
     build_axes,
-    build_states,
     load_scenario,
     run_scenario,
 )
@@ -176,10 +176,10 @@ def test_timeline_validation(tmp_path, entry, message):
     ids=["memory", "states", "axis-seed"],
 )
 def test_non_finite_anchor_rejected_at_construction(tmp_path, section, where, anchor):
+    # The store and the states fail at load, an axis seed when a run builds it.
     path = write_scenario(tmp_path, minimal(**section({"text": "pump", "anchor": anchor})))
-    scenario = load_scenario(path)
     with pytest.raises(ScenarioError, match=where + ": fragment .*anchor must be a finite"):
-        SimulationRun(scenario)
+        SimulationRun(load_scenario(path))
 
 
 def test_loader_accepts_full_shape(tmp_path):
@@ -204,9 +204,46 @@ def test_loader_accepts_full_shape(tmp_path):
     scenario = load_scenario(write_scenario(tmp_path, data))
     assert scenario.name == "full"
     assert scenario.config.seed == 4
-    assert scenario.rules[0].emit["name"] == "panel"
+    assert scenario.rules[0].name == "panel"
+    assert scenario.rules[0].emit.text == "check panel"
+    assert scenario.names == {"fact": 1}
     assert len(scenario.basins) == 1
-    assert list(scenario.state_specs) == ["probe"]
+    assert list(scenario.states) == ["probe"]
+
+
+@pytest.mark.parametrize("word", ["", "!!", 5, ["a"], None])
+def test_lexicon_entries_are_strings_with_a_token(tmp_path, word):
+    path = write_scenario(tmp_path, minimal(lexicon=["rain", word]))
+    with pytest.raises(ScenarioError, match=r"lexicon\[1\]: must be a string with a token"):
+        load_scenario(path)
+
+
+def test_each_static_spec_is_built_once_at_load(tmp_path, monkeypatch):
+    built = []
+    real = simulator.fragment_from_spec
+    monkeypatch.setattr(simulator, "fragment_from_spec",
+                        lambda spec, *a: built.append(spec["text"]) or real(spec, *a))
+    data = minimal(
+        memory=[{"text": "stored fact"}, {"text": "old chart", "name": "chart"}],
+        states={"a": [{"text": "pump"}], "b": [{"text": "valve"}]},
+        rules=[{"trigger": "pump", "emit": {"text": "check panel", "name": "panel"}}],
+        axes=[{"label": "focus", "seed": [{"text": "survey the map"},
+                                          {"text": "mark the map"}]}],
+        timeline=[{"event": "observe", "specs": [{"text": "pump hums"}]},
+                  {"event": "observe", "specs": [{"text": "pump rattles"}]}],
+    )
+    scenario = load_scenario(write_scenario(tmp_path, data))
+    assert built == ["check panel", "stored fact", "old chart", "pump", "valve"]
+    built.clear()
+    run = SimulationRun(scenario)
+    assert built == ["survey the map", "mark the map"]  # axis seeds, per run
+    built.clear()
+    result = run.run()
+    assert built == ["pump hums", "pump rattles"]  # a fired emit is never rebuilt
+    # The run's ids follow the store's 1..2; the emit draws 4, its refire 6.
+    assert [e.payload["report"]["elaborated"] for e in result.trace.events
+            if e.kind == "assimilate"] == [[4], []]
+    assert run.names == {"chart": 2, "panel": 4}
 
 
 def test_scenario_name_defaults_to_file_stem(tmp_path):
@@ -220,26 +257,35 @@ def test_scenario_name_defaults_to_file_stem(tmp_path):
 
 def test_build_states_allocates_each_state_from_one(tmp_path):
     data = minimal(states={"a": [{"text": "pump"}, {"text": "valve"}], "b": [{"text": "hum"}]})
-    states = build_states(load_scenario(write_scenario(tmp_path, data)))
+    states = load_scenario(write_scenario(tmp_path, data)).states
     assert sorted(states["a"].ids()) == [1, 2]
     assert sorted(states["b"].ids()) == [1]
     assert states["a"].clock == 0.0
 
 
-def test_build_axes_duplicate_label_rejected(tmp_path):
+def test_axis_duplicate_label_rejected_at_load(tmp_path):
     spec = {"label": "focus", "seed": [{"text": "survey the map"},
                                        {"text": "mark the map"}]}
-    data = minimal(axes=[spec, dict(spec)])
-    scenario = load_scenario(write_scenario(tmp_path, data))
-    with pytest.raises(ScenarioError, match="duplicate axis"):
-        build_axes(scenario, scenario.config)
+    path = write_scenario(tmp_path, minimal(axes=[spec, dict(spec)]))
+    with pytest.raises(ScenarioError, match="duplicate axis label 'focus'"):
+        load_scenario(path)
 
 
-def test_build_axes_requires_label_and_seed(tmp_path):
-    data = minimal(axes=[{"label": "focus"}])
-    scenario = load_scenario(write_scenario(tmp_path, data))
-    with pytest.raises(ScenarioError, match="label and seed"):
-        build_axes(scenario, scenario.config)
+@pytest.mark.parametrize(
+    "axis, message",
+    [
+        ({"seed": [{"text": "survey the map"}]}, r"axes\[0\]: needs a label"),
+        ({"label": "", "seed": [{"text": "survey the map"}]}, r"axes\[0\]: needs a label"),
+        ({"label": 5, "seed": [{"text": "survey the map"}]}, r"axes\[0\]: needs a label"),
+        ({"label": "focus"}, r"axes\[0\]: needs seed fragments"),
+        ({"label": "focus", "seed": []}, r"axes\[0\]: needs seed fragments"),
+    ],
+    ids=["no-label", "empty-label", "int-label", "no-seed", "empty-seed"],
+)
+def test_axis_requires_label_and_seed_at_load(tmp_path, axis, message):
+    path = write_scenario(tmp_path, minimal(axes=[axis]))
+    with pytest.raises(ScenarioError, match=message):
+        load_scenario(path)
 
 
 def test_build_axes_surfaces_degenerate_direction(tmp_path):
