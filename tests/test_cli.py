@@ -316,6 +316,7 @@ def test_run_shipped_scenarios_pass():
         "realign_sweep",
         "memory_recall",
         "elaboration_rules",
+        "sector_wipe",
     ):
         assert main(["run", str(SCENARIOS / f"{name}.json")]) == 0, name
 
