@@ -372,20 +372,54 @@ def test_tower_unknown_axis_is_error(capsys):
     assert "no axis" in capsys.readouterr().err
 
 
-def test_tower_max_k_override_can_stop_short(tmp_path, capsys):
-    data = {
-        "name": "tall",
-        "axes": [
-            {
-                "label": "wide",
-                "seed": [{"text": f"reading {i} of the coolant line"} for i in range(8)],
-            }
-        ],
-        "timeline": [],
-    }
-    path = write_scenario(tmp_path, data)
-    assert main(["tower", path, "--axis", "wide", "--max-k", "1"]) == 0
-    assert "not converged" in capsys.readouterr().out
+TALL = {
+    "name": "tall",
+    "axes": [
+        {
+            "label": "wide",
+            "seed": [{"text": f"reading {i} of the coolant line"} for i in range(8)],
+        }
+    ],
+    "timeline": [],
+}
+
+# The exact output under --max-k: a limit below the steps a tower needs stops
+# it short, not converged.
+TOWER_MAX_K_OUTPUT = {
+    ("tall", "wide", 1): (
+        "step 0: 8 fragment(s), top level 0\n"
+        "step 1: 4 fragment(s), top level 1\n"
+        "not converged after 1 step(s); final gap 1.527e-02\n"
+    ),
+    ("tall", "wide", 2): (
+        "step 0: 8 fragment(s), top level 0\n"
+        "step 1: 4 fragment(s), top level 1\n"
+        "step 2: 2 fragment(s), top level 2\n"
+        "converged after 2 step(s); final gap 0.000e+00\n"
+    ),
+    ("orientation_axis", "task-focus", 1): (
+        "step 0: 2 fragment(s), top level 0\n"
+        "step 1: 1 fragment(s), top level 1\n"
+        "not converged after 1 step(s); final gap 1.835e-01\n"
+    ),
+    ("realign_sweep", "survey", 1): (
+        "step 0: 24 fragment(s), top level 0\n"
+        "step 1: 12 fragment(s), top level 1\n"
+        "not converged after 1 step(s); final gap 4.577e-03\n"
+    ),
+    **{(name, axis, 2): TOWER_OUTPUT[name, axis] for name, axis in SHIPPED_AXES},
+}
+
+
+@pytest.mark.parametrize(
+    "name, axis, max_k", list(TOWER_MAX_K_OUTPUT),
+    ids=[f"{n}-{a}-{k}" for n, a, k in TOWER_MAX_K_OUTPUT],
+)
+def test_tower_max_k_output_is_pinned(name, axis, max_k, tmp_path, capsys):
+    path = (write_scenario(tmp_path, TALL) if name == "tall"
+            else str(SCENARIOS / f"{name}.json"))
+    assert main(["tower", path, "--axis", axis, "--max-k", str(max_k)]) == 0
+    assert capsys.readouterr().out == TOWER_MAX_K_OUTPUT[name, axis, max_k]
 
 
 # --------------------------------------------------------------------------
