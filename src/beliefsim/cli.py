@@ -22,14 +22,8 @@ from pathlib import Path
 
 from .core import IdAllocator
 from .gauge import gauge_equivalent
-from .simulator import (
-    AXIS_ID_BASE,
-    RUN_MODES,
-    ScenarioError,
-    SimulationRun,
-    axis_tower,
-    load_scenario,
-)
+from .simulator import RUN_MODES, ScenarioError, SimulationRun, load_scenario
+from .tower import build_tower
 from .trace import parse_trace, verify_golden
 
 
@@ -105,14 +99,14 @@ def _cmd_run(args: argparse.Namespace) -> int:
 
 def _cmd_tower(args: argparse.Namespace) -> int:
     scenario = load_scenario(args.scenario)
-    labels = [s.get("label") for s in scenario.axis_specs]
-    if args.axis not in labels:
-        raise ScenarioError(f"no axis {args.axis!r}; scenario declares {labels}")
-    index = labels.index(args.axis)
-    trajectory = axis_tower(
-        scenario.axis_specs[index], index, scenario.config, IdAllocator(AXIS_ID_BASE),
-        args.max_k,
-    )
+    towers = scenario.towers
+    if args.axis not in towers:
+        raise ScenarioError(f"no axis {args.axis!r}; scenario declares {list(towers)}")
+    trajectory, _ = towers[args.axis]
+    if args.max_k is not None:  # rebuild from the kept seed, ids above the seed's
+        seed = trajectory.levels[0]
+        ids = IdAllocator(max(seed.ids()) + 1)
+        trajectory = build_tower(seed, args.max_k, scenario.config, ids)
     for i, level in enumerate(trajectory.levels):
         top = max((f.level for f in level.fragments), default=0)
         print(f"step {i}: {len(level.fragments)} fragment(s), top level {top}")

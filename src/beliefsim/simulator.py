@@ -103,7 +103,6 @@ OP_RATE_KINDS = frozenset(
 
 COMMAND_ANCHOR = 5.0
 MEMORY_CYCLE_COST = 3.0
-AXIS_ID_BASE = 1_000_000
 
 _SCENARIO_KEYS = frozenset(
     {"name", "config", "memory", "rules", "lexicon", "axes", "basins", "timeline", "states"}
@@ -117,9 +116,9 @@ class ScenarioError(ValueError):
 
 @dataclass(frozen=True)
 class Scenario:
-    """A loaded scenario.  The store (ids 1..N), each named state and each
-    rule's emit are built once, at load; axes are built per run, and an
-    observe's specs when it runs."""
+    """A loaded scenario.  The store (ids 1..N), each named state, each
+    rule's emit and each axis's tower are built once, at load; an observe's
+    specs are built when it runs."""
 
     name: str
     config: ParameterConfig
@@ -127,7 +126,7 @@ class Scenario:
     names: Mapping[str, int]  # the store's named fragments
     rules: tuple[ElaborationRule, ...]
     lexicon: tuple[str, ...]
-    axis_specs: tuple[Mapping[str, Any], ...]
+    towers: Mapping[str, tuple[TowerTrajectory, bool]]  # axis label -> (tower, null_seed)
     basins: tuple[ActionBasin, ...]
     timeline: tuple[Mapping[str, Any], ...]
     states: Mapping[str, BeliefState]
@@ -253,8 +252,8 @@ def _build(
     """One fragment per spec, its id drawn from ``ids`` in spec order.
 
     Every scenario fragment but a command's is built here: the store, each
-    state and each rule's emit once at load, each axis seed per run, and
-    each observation when it runs.  A spec that cannot be built raises
+    state, each rule's emit and each axis seed once at load, and each
+    observation when it runs.  A spec that cannot be built raises
     ScenarioError naming its path, ``where[j]``.  One inline loop, not a
     call per spec: a store can hold 10k specs.
     """
@@ -384,23 +383,29 @@ def load_scenario(path: str | Path) -> Scenario:
     _check_specs(memory, "memory")
     stored = _build(memory, IdAllocator(1), 0.0, "memory")
 
-    axes = _objects(raw.get("axes", []), "axes")
-    labels = set()
-    for i, spec in enumerate(axes):
+    towers: dict[str, tuple[TowerTrajectory, bool]] = {}
+    for i, spec in enumerate(_objects(raw.get("axes", []), "axes")):
         label = spec.get("label")
         if not isinstance(label, str) or not label:
             raise ScenarioError(f"axes[{i}]: needs a label, a non-empty string")
-        if label in labels:
+        if label in towers:
             raise ScenarioError(f"duplicate axis label {label!r}")
-        labels.add(label)
         if not spec.get("seed"):
             raise ScenarioError(f"axes[{i}]: needs seed fragments")
         _check_specs(spec["seed"], f"axes[{i}].seed")
         max_k = spec.get("max_k", 12)
         if not isinstance(max_k, int) or isinstance(max_k, bool):
             raise ScenarioError(f"axes[{i}]: max_k must be an int")
-        if not isinstance(spec.get("null_seed", False), bool):
+        null_seed = spec.get("null_seed", False)
+        if not isinstance(null_seed, bool):
             raise ScenarioError(f"axes[{i}]: null_seed must be true or false")
+        # Each axis in its own id space; its tower draws ids above its seed's.
+        ids = IdAllocator(1)
+        seed = BeliefState(_build(spec["seed"], ids, 0.0, f"axes[{i}].seed"), 0.0)
+        try:
+            towers[label] = (build_tower(seed, max_k, config, ids), null_seed)
+        except ValueError as exc:
+            raise ScenarioError(f"axes[{i}] ({label}): {exc}") from exc
 
     timeline = raw.get("timeline", [])
     if not isinstance(timeline, list):
@@ -420,7 +425,7 @@ def load_scenario(path: str | Path) -> Scenario:
         names=_names(memory, stored),
         rules=rules,
         lexicon=tuple(lexicon),
-        axis_specs=tuple(axes),
+        towers=towers,
         basins=basins,
         timeline=tuple(timeline),
         # each state in its own id space
@@ -429,44 +434,6 @@ def load_scenario(path: str | Path) -> Scenario:
             for label, specs in states.items()
         },
     )
-
-
-def axis_tower(
-    spec: Mapping[str, Any],
-    index: int,
-    config: ParameterConfig,
-    ids: IdAllocator,
-    max_k: int | None = None,
-) -> TowerTrajectory:
-    """Build axis ``index``'s seed and iterate its tower, for at most
-    ``max_k`` steps (by default the spec's ``max_k``, else 12)."""
-    seed = BeliefState(_build(spec["seed"], ids, 0.0, f"axes[{index}].seed"), 0.0)
-    try:
-        return build_tower(seed, spec.get("max_k", 12) if max_k is None else max_k, config, ids)
-    except ValueError as exc:
-        raise ScenarioError(f"axes[{index}] ({spec['label']}): {exc}") from exc
-
-
-def build_axes(
-    scenario: Scenario, config: ParameterConfig
-) -> dict[str, EpistemicAxis]:
-    """Derive every declared axis by running its seed to a fixed point.
-
-    Axis seeds live in their own id namespace so tower bookkeeping can never
-    collide with run fragments.
-    """
-    axes: dict[str, EpistemicAxis] = {}
-    ids = IdAllocator(AXIS_ID_BASE)
-    for i, spec in enumerate(scenario.axis_specs):
-        label = spec["label"]
-        trajectory = axis_tower(spec, i, config, ids)
-        try:
-            axes[label] = derive_axis(
-                trajectory, label, config, null_seed=spec.get("null_seed", False)
-            )
-        except ValueError as exc:
-            raise ScenarioError(f"axes[{i}] ({label}): {exc}") from exc
-    return axes
 
 
 @dataclass(frozen=True)
@@ -532,7 +499,14 @@ class SimulationRun:
         self.ids = IdAllocator(len(self.store.fragments) + 1)
         self.names: dict[str, int] = dict(scenario.names)
         self.active = BeliefState((), 0.0)
-        self.axes = build_axes(scenario, self.config)
+        # Each axis from its tower, kept since load; a tower that did not
+        # converge, or that gives a zero direction, is refused here.
+        self.axes: dict[str, EpistemicAxis] = {}
+        for i, (label, (tower, null_seed)) in enumerate(scenario.towers.items()):
+            try:
+                self.axes[label] = derive_axis(tower, label, self.config, null_seed=null_seed)
+            except ValueError as exc:
+                raise ScenarioError(f"axes[{i}] ({label}): {exc}") from exc
 
         self.trace = TraceLog(
             make_header(scenario.name, self.seed, mode, self.config.to_dict())
@@ -902,7 +876,6 @@ def run_scenario(
 
 __all__ = [
     "ASSERTION_CHECKS",
-    "AXIS_ID_BASE",
     "AssertionOutcome",
     "COMMAND_ANCHOR",
     "MEMORY_CYCLE_COST",
@@ -913,8 +886,6 @@ __all__ = [
     "ScenarioError",
     "SimulationRun",
     "TIMELINE_EVENTS",
-    "axis_tower",
-    "build_axes",
     "fragment_from_spec",
     "load_scenario",
     "run_scenario",

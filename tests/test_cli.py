@@ -422,6 +422,33 @@ def test_tower_max_k_output_is_pinned(name, axis, max_k, tmp_path, capsys):
     assert capsys.readouterr().out == TOWER_MAX_K_OUTPUT[name, axis, max_k]
 
 
+def test_tower_shows_the_kept_tower_that_run_refuses(tmp_path, capsys):
+    data = {**TALL, "axes": [{**TALL["axes"][0], "max_k": 1}]}
+    path = write_scenario(tmp_path, data)
+    assert main(["tower", path, "--axis", "wide"]) == 0
+    assert capsys.readouterr().out == TOWER_MAX_K_OUTPUT["tall", "wide", 1]
+    assert main(["run", path]) == 2
+    assert "axes[0] (wide): axis derivation requires a converged tower" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "axis, message",
+    [
+        ({"max_k": 0}, "axes[0] (wide): max_k must be >= 1, got 0"),
+        ({"seed": [{"text": "pump", "level": "x"}]}, "axes[0].seed[0]: spec 'pump'"),
+    ],
+    ids=["max-k-zero", "seed-level-str"],
+)
+def test_every_command_refuses_a_bad_axis_at_load(tmp_path, capsys, axis, message):
+    data = {**TALL, "axes": [{**TALL["axes"][0], **axis}],
+            "states": {"a": [{"text": "pump"}]}}
+    path = write_scenario(tmp_path, data)
+    for argv in (["run", path], ["tower", path, "--axis", "wide", "--max-k", "3"],
+                 ["gauge", path, "--state-a", "a", "--state-b", "a"]):
+        assert main(argv) == 2
+        assert message in capsys.readouterr().err
+
+
 # --------------------------------------------------------------------------
 # gauge
 # --------------------------------------------------------------------------

@@ -17,7 +17,6 @@ from beliefsim.simulator import (
     SimulationRun,
     ScenarioError,
     _removed_ids,
-    build_axes,
     load_scenario,
     run_scenario,
 )
@@ -176,7 +175,7 @@ def test_timeline_validation(tmp_path, entry, message):
     ids=["memory", "states", "axis-seed"],
 )
 def test_non_finite_anchor_rejected_at_construction(tmp_path, section, where, anchor):
-    # The store and the states fail at load, an axis seed when a run builds it.
+    # The store, the states and an axis seed all fail at load.
     path = write_scenario(tmp_path, minimal(**section({"text": "pump", "anchor": anchor})))
     with pytest.raises(ScenarioError, match=where + ": fragment .*anchor must be a finite"):
         SimulationRun(load_scenario(path))
@@ -233,11 +232,11 @@ def test_each_static_spec_is_built_once_at_load(tmp_path, monkeypatch):
                   {"event": "observe", "specs": [{"text": "pump rattles"}]}],
     )
     scenario = load_scenario(write_scenario(tmp_path, data))
-    assert built == ["check panel", "stored fact", "old chart", "pump", "valve"]
+    assert built == ["check panel", "stored fact", "old chart",
+                     "survey the map", "mark the map", "pump", "valve"]
     built.clear()
     run = SimulationRun(scenario)
-    assert built == ["survey the map", "mark the map"]  # axis seeds, per run
-    built.clear()
+    assert built == []  # each axis is derived from the tower kept since load
     result = run.run()
     assert built == ["pump hums", "pump rattles"]  # a fired emit is never rebuilt
     # The run's ids follow the store's 1..2; the emit draws 4, its refire 6.
@@ -288,12 +287,41 @@ def test_axis_requires_label_and_seed_at_load(tmp_path, axis, message):
         load_scenario(path)
 
 
-def test_build_axes_surfaces_degenerate_direction(tmp_path):
-    # A singleton, non-null seed converges onto itself: zero direction.
-    data = minimal(axes=[{"label": "flat", "seed": [{"text": "pump hums"}]}])
-    scenario = load_scenario(write_scenario(tmp_path, data))
-    with pytest.raises(ScenarioError, match="degenerate"):
-        build_axes(scenario, scenario.config)
+@pytest.mark.parametrize(
+    "axis, message",
+    [
+        # A singleton, non-null seed converges onto itself: zero direction.
+        ({"label": "flat", "seed": [{"text": "pump hums"}]}, "degenerate"),
+        ({"label": "flat", "max_k": 1,
+          "seed": [{"text": f"reading {i} of the coolant line"} for i in range(8)]},
+         "requires a converged tower"),
+    ],
+    ids=["degenerate", "not-converged"],
+)
+def test_run_refuses_an_axis_its_tower_cannot_orient(tmp_path, axis, message):
+    # The tower loads, so `beliefsim tower` can show it; a run refuses it.
+    focus = {"label": "focus", "seed": [{"text": "survey the map"}, {"text": "mark the map"}]}
+    scenario = load_scenario(write_scenario(tmp_path, minimal(axes=[focus, axis])))
+    assert list(scenario.towers) == ["focus", "flat"]
+    with pytest.raises(ScenarioError, match=r"axes\[1\] \(flat\): .*" + message):
+        SimulationRun(scenario)
+
+
+def test_axis_tower_is_built_at_load_in_its_own_id_space(tmp_path):
+    seed = [{"text": "survey the map"}, {"text": "mark the map"}]
+    data = minimal(axes=[{"label": "a", "seed": seed}, {"label": "b", "seed": seed}],
+                   memory=[{"text": "stored fact"}])
+    towers = load_scenario(write_scenario(tmp_path, data)).towers
+    for tower, null_seed in towers.values():
+        assert not null_seed and tower.converged
+        assert sorted(tower.levels[0].ids()) == [1, 2]
+        assert min(tower.levels[1].ids()) == 3  # the tower draws ids above the seed's
+
+
+def test_axis_max_k_below_one_is_refused_at_load(tmp_path):
+    data = minimal(axes=[{"label": "flat", "max_k": 0, "seed": [{"text": "pump hums"}]}])
+    with pytest.raises(ScenarioError, match=r"axes\[0\] \(flat\): max_k must be >= 1"):
+        load_scenario(write_scenario(tmp_path, data))
 
 
 # --------------------------------------------------------------------------
