@@ -614,11 +614,9 @@ class SimulationRun:
         if not self.ledger.charge(cls, 1.0):
             self._skip(decision.kind, cls, 1.0)
             return
-        removed: list[int] = []
+        before = self.active
         if decision.kind == "annihilate_sector":
-            before = self.active
             self.active = annihilate_sector(self.active, decision.target)
-            removed = _removed_ids(before, self.active)
         elif decision.kind == "corrective_assimilation":
             self.active, rep = assimilate(
                 self.active,
@@ -627,30 +625,19 @@ class SimulationRun:
                 self.ids,
                 mode="corr",
             )
-            removed = sorted(rep.retracted)
-            self._emit(
-                "correction",
-                {"retracted": list(removed), "conflicts": rep.conflicts_found},
-            )
         elif decision.kind == "accelerate_nullify":
-            before = self.active
             self.active = nullify_sector(
                 self.active, decision.target, self.config.nullify_boost, self.config
             )
-            removed = _removed_ids(before, self.active)
         elif decision.kind == "realign":
             outcome = realign(self.active, self.axes[decision.target], self.config)
             self.active = outcome.state
-            removed = sorted(outcome.removed)
-            if outcome.warned:
-                self._emit(
-                    "warning",
-                    {"op": "realign", "message": "still drifting after realignment"},
-                )
-        self._emit(
-            "regulate_action",
-            {"decision": decision.to_dict(), "removed": list(removed)},
-        )
+        removed = _removed_ids(before, self.active)
+        if decision.kind == "corrective_assimilation":
+            self._emit("correction", {"retracted": removed, "conflicts": rep.conflicts_found})
+        elif decision.kind == "realign" and outcome.warned:
+            self._emit("warning", {"op": "realign", "message": "still drifting after realignment"})
+        self._emit("regulate_action", {"decision": decision.to_dict(), "removed": removed})
 
     def _memory_cycle(self) -> None:
         cue = None
