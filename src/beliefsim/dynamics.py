@@ -218,14 +218,15 @@ def assimilate(
         for rule in rules:
             if not any(rule.matches(f) for f in current):
                 continue
-            emitted = rule.emit.replace(
-                id=ids.next(), created_at=clock, origin="elaborated", persistence=1.0
-            )
-            if emitted.content_key() in content_now:
+            fid = ids.next()  # drawn even by a refire, so later ids keep their order
+            # The copy overrides no field of the content key: test before copying.
+            if rule.emit.content_key() in content_now:
                 continue  # refiring would only duplicate
-            current.append(emitted)
-            content_now.add(emitted.content_key())
-            elaborated.append(emitted.id)
+            current.append(
+                rule.emit.replace(id=fid, created_at=clock, origin="elaborated", persistence=1.0)
+            )
+            content_now.add(rule.emit.content_key())
+            elaborated.append(fid)
 
     # Stage 6: abstracting merge over a configured group.
     abstracted: list[int] = []

@@ -81,6 +81,11 @@ class Clause:
         elif self.kind == "token_present":
             if not self.token:
                 raise ValueError("token_present clause needs a token")
+        # Fragment tokens are lowercase alphanumeric runs; no other token can match.
+        if self.token is not None and tokenize(self.token) != (self.token,):
+            raise ValueError(
+                f"clause token must be one lowercase alphanumeric word, got {self.token!r}"
+            )
 
     def score(self, state: BeliefState) -> float:
         if self.kind == "sector_density":
@@ -92,14 +97,6 @@ class Clause:
         # token_present
         frags = state.fragments if self.sector is None else state.in_sector(self.sector)
         return 1.0 if any(self.token in f.tokens for f in frags) else 0.0
-
-    def to_dict(self) -> dict:
-        out: dict = {"kind": self.kind}
-        for name in ("sector", "minimum", "level", "tolerance", "token"):
-            value = getattr(self, name)
-            if value is not None:
-                out[name] = value
-        return out
 
 
 @dataclass(frozen=True)

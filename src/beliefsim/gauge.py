@@ -148,28 +148,12 @@ class ProbeRow:
     value_a: str
     value_b: str
 
-    def to_dict(self) -> dict:
-        return {
-            "probe": self.probe,
-            "kind": self.kind,
-            "matched": self.matched,
-            "value_a": self.value_a,
-            "value_b": self.value_b,
-        }
-
 
 @dataclass(frozen=True)
 class GaugeVerdict:
     equivalent: bool
     witness: str | None
     rows: tuple[ProbeRow, ...]
-
-    def to_dict(self) -> dict:
-        return {
-            "equivalent": self.equivalent,
-            "witness": self.witness,
-            "rows": [r.to_dict() for r in self.rows],
-        }
 
 
 def _values_match(kind: str, a: object, b: object) -> bool:

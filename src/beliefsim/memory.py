@@ -47,10 +47,6 @@ class QueryCue:
     kind: str
     tokens: tuple[str, ...]
 
-    @property
-    def text(self) -> str:
-        return " ".join(self.tokens)
-
     def signature(self) -> tuple[str, tuple[str, ...]]:
         return (self.kind, self.tokens)
 

@@ -295,12 +295,6 @@ class EffortLedger:
         self.spent[cls] += amount
         return True
 
-    def to_dict(self) -> dict:
-        return {
-            "allocations": {c: self.allocations[c] for c in EFFORT_CLASSES},
-            "spent": {c: self.spent[c] for c in EFFORT_CLASSES},
-        }
-
 
 def uniform_ledger(config: ParameterConfig) -> EffortLedger:
     share = config.effort_total / len(EFFORT_CLASSES)

@@ -37,6 +37,7 @@ from .config import ParameterConfig, config_from_dict, is_finite_number
 from .core import BeliefState, Fragment, IdAllocator, tokenize
 from .dynamics import (
     ASSIMILATION_MODES,
+    ConflictError,
     ElaborationRule,
     annihilate_sector,
     assimilate,
@@ -568,16 +569,22 @@ class SimulationRun:
         group: str | None = None,
     ) -> None:
         """Take fragments in from the world: register their names, log them,
-        assimilate them, then register the names of any rule emits."""
+        assimilate them, then register the names of any rule emits.  Input
+        that elaborative mode cannot take without revising is refused whole,
+        with a warning, and the state stays as it was."""
         self.names.update(_names(sources, frags))
         self._emit(
             "ingest",
             {"ids": [f.id for f in frags], "texts": [f.text for f in frags], "command": command},
         )
-        self.active, report = assimilate(
-            self.active, BeliefState(frags, self.active.clock), self.config, self.ids,
-            mode=mode, rules=self.scenario.rules, abs_group=group,
-        )
+        try:
+            self.active, report = assimilate(
+                self.active, BeliefState(frags, self.active.clock), self.config, self.ids,
+                mode=mode, rules=self.scenario.rules, abs_group=group,
+            )
+        except ConflictError as exc:
+            self._emit("warning", {"op": "assimilate", "message": str(exc)})
+            return
         self._emit("assimilate", {"report": report.to_dict()})
         self._register_rule_names(report.elaborated)
 

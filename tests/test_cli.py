@@ -285,6 +285,39 @@ def test_run_strict_turns_warnings_into_failure(tmp_path):
     assert main(["run", path, "--strict"]) == 1
 
 
+def test_run_warns_when_an_elab_observe_meets_a_conflict(tmp_path, capsys):
+    data = {"timeline": [
+        {"event": "observe", "specs": [{"text": "door open", "key": "door", "polarity": "+"}]},
+        {"event": "tick", "n": 2},
+        {"event": "observe", "mode": "elab",
+         "specs": [{"text": "door shut", "key": "door", "polarity": "-"}]},
+        {"event": "tick"},
+    ]}
+    path = write_scenario(tmp_path, data)
+    trace_path = tmp_path / "elab.trace.jsonl"
+    assert main(["run", path, "--trace", str(trace_path)]) == 0
+    assert "0 failed, 1 warning(s)" in capsys.readouterr().out
+    _, events = parse_trace(trace_path)
+    (warning,) = [e for e in events if e.kind == "warning"]
+    assert warning.payload["op"] == "assimilate"
+    assert warning.payload["message"].startswith("1 conflict(s) on key(s) ['door']")
+    assert main(["run", path, "--strict"]) == 1
+
+
+@pytest.mark.parametrize("field", ["clauses", "suppressors"])
+@pytest.mark.parametrize("token", ["Ready", "ready!", "go now", ""])
+def test_run_refuses_a_clause_token_that_cannot_match(tmp_path, capsys, field, token):
+    clause = {"kind": "token_present", "token": "ready"}
+    basin = {"name": "engage", "clauses": [clause], "tau": 0.3,
+             field: [clause, {**clause, "token": token}]}
+    data = {"basins": [basin], "timeline": [{"event": "command", "text": "Ready to go"},
+                                            {"event": "tick"}]}
+    assert main(["run", write_scenario(tmp_path, data)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: basins[0].{field}[1]: ")
+    assert "token" in err
+
+
 def test_run_reports_fired_actions(tmp_path, capsys):
     data = {
         "name": "firing",
@@ -420,6 +453,12 @@ def test_tower_max_k_output_is_pinned(name, axis, max_k, tmp_path, capsys):
             else str(SCENARIOS / f"{name}.json"))
     assert main(["tower", path, "--axis", axis, "--max-k", str(max_k)]) == 0
     assert capsys.readouterr().out == TOWER_MAX_K_OUTPUT[name, axis, max_k]
+
+
+def test_tower_max_k_override_can_stop_short(tmp_path, capsys):
+    path = write_scenario(tmp_path, TALL)
+    assert main(["tower", path, "--axis", "wide", "--max-k", "1"]) == 0
+    assert "not converged" in capsys.readouterr().out
 
 
 def test_tower_shows_the_kept_tower_that_run_refuses(tmp_path, capsys):

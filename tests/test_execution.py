@@ -114,11 +114,6 @@ def test_token_present_with_and_without_sector():
     assert only_task.score(state) == 0.0
 
 
-def test_clause_to_dict_omits_unset_fields():
-    clause = Clause(kind="token_present", token="ready")
-    assert clause.to_dict() == {"kind": "token_present", "token": "ready"}
-
-
 # --------------------------------------------------------------------------
 # Gate rules
 # --------------------------------------------------------------------------

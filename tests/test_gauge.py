@@ -159,17 +159,6 @@ def test_vacuum_vs_content_is_not(cfg):
     assert not verdict.equivalent
 
 
-def test_verdict_to_dict_round_trips(cfg):
-    state = BeliefState((make_fragment(1, "pump"),), 0.0)
-    verdict = gauge_equivalent(state, state, cfg)
-    d = verdict.to_dict()
-    assert d["equivalent"] is True
-    assert d["witness"] is None
-    assert len(d["rows"]) == 10
-    assert all(set(r) == {"probe", "kind", "matched", "value_a", "value_b"}
-               for r in d["rows"])
-
-
 class TestGaugeLaws:
     @settings(max_examples=40, deadline=None)
     @given(state=states(keyed=True))

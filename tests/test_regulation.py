@@ -388,12 +388,6 @@ def test_ledger_rejects_negative_charge():
         ledger.charge("rest", -1.0)
 
 
-def test_ledger_to_dict_covers_every_class():
-    d = EffortLedger().to_dict()
-    assert list(d["allocations"]) == list(EFFORT_CLASSES)
-    assert list(d["spent"]) == list(EFFORT_CLASSES)
-
-
 # --------------------------------------------------------------------------
 # Effort allocation branches
 # --------------------------------------------------------------------------

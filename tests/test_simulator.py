@@ -4,15 +4,16 @@ from __future__ import annotations
 
 import json
 import math
+from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from beliefsim.config import default_config
-from beliefsim.core import BeliefState
+from beliefsim.core import BeliefState, Fragment
 from beliefsim import simulator
-from beliefsim.dynamics import ConflictError, annihilate_sector, nullify
+from beliefsim.dynamics import annihilate_sector, nullify
 from beliefsim.simulator import (
     SimulationRun,
     ScenarioError,
@@ -245,6 +246,18 @@ def test_each_static_spec_is_built_once_at_load(tmp_path, monkeypatch):
     assert run.names == {"chart": 2, "panel": 4}
 
 
+def test_a_rule_emit_is_copied_only_when_it_enters(monkeypatch):
+    copies = []
+    real = Fragment.replace
+    monkeypatch.setattr(Fragment, "replace", lambda f, **kw: (
+        copies.append(kw["id"]) if kw.get("origin") == "elaborated" else None) or real(f, **kw))
+    result = run_scenario(Path(__file__).parent.parent / "scenarios" / "elaboration_rules.json")
+    entered = [i for e in result.trace.events if e.kind in ("assimilate", "integrate")
+               for i in e.payload["report"]["elaborated"]]
+    # A refire still draws its id (3, 6, 7, 8, 10 and 11 go unused), but is not copied.
+    assert copies == entered == [5, 12]
+
+
 def test_scenario_name_defaults_to_file_stem(tmp_path):
     path = write_scenario(tmp_path, {"timeline": []}, name="stem_demo.json")
     assert load_scenario(path).name == "stem_demo"
@@ -387,7 +400,7 @@ def test_ticks_advance_the_clock(tmp_path):
     assert result.active.clock == 3.0
 
 
-def test_elab_observation_conflict_propagates(tmp_path):
+def test_elab_observation_conflict_is_refused_with_a_warning(tmp_path):
     data = minimal(
         timeline=[
             {
@@ -397,12 +410,24 @@ def test_elab_observation_conflict_propagates(tmp_path):
             {
                 "event": "observe",
                 "mode": "elab",
-                "specs": [{"text": "valve shut", "key": "valve", "polarity": "-"}],
+                "specs": [{"text": "valve shut", "key": "valve", "polarity": "-", "name": "shut"},
+                          {"text": "pump hums"}],
             },
+            {"event": "tick"},
+            {"event": "expect", "assertions": [{"check": "fragment_absent", "name": "shut"}]},
         ]
     )
-    with pytest.raises(ConflictError):
-        run_scenario(write_scenario(tmp_path, data))
+    result = run_scenario(write_scenario(tmp_path, data))
+    assert result.ok and result.warnings == 1
+    # The whole input is refused: the state keeps only the first observation.
+    assert [f.text for f in result.active.fragments] == ["valve open"]
+    (warning,) = [e for e in result.trace.events if e.kind == "warning"]
+    assert warning.payload == {
+        "op": "assimilate",
+        "message": "1 conflict(s) on key(s) ['valve']; "
+                   "elaborative mode cannot revise — use corrective mode",
+    }
+    assert [e.kind for e in result.trace.events].count("assimilate") == 1
 
 
 def test_run_mode_validated(tmp_path):
