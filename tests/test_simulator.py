@@ -331,12 +331,6 @@ def test_axis_tower_is_built_at_load_in_its_own_id_space(tmp_path):
         assert min(tower.levels[1].ids()) == 3  # the tower draws ids above the seed's
 
 
-def test_axis_max_k_below_one_is_refused_at_load(tmp_path):
-    data = minimal(axes=[{"label": "flat", "max_k": 0, "seed": [{"text": "pump hums"}]}])
-    with pytest.raises(ScenarioError, match=r"axes\[0\] \(flat\): max_k must be >= 1"):
-        load_scenario(write_scenario(tmp_path, data))
-
-
 # --------------------------------------------------------------------------
 # Running timelines
 # --------------------------------------------------------------------------
