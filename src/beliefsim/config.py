@@ -13,6 +13,8 @@ from dataclasses import asdict, dataclass, field, fields
 from dataclasses import replace as dc_replace
 from typing import Any, Mapping
 
+from .core import ANCHOR_MAX
+
 # Function families available for the anchor-dependent decay modulator f(a).
 DECAY_MODULATORS = ("inverse_anchor", "constant")
 
@@ -56,7 +58,7 @@ class ParameterConfig:
     tau_r: float = 0.8            # residual offset trigger
     kappa_crit: float = 0.8       # coherence floor
     l_max: float = 10.0           # load ceiling
-    a_core: float = 5.0           # identity-signature anchor floor
+    a_core: float = 5.0           # read by nothing; kept only for the trace header
 
     # --- regulation policy -----------------------------------------------
     patience: int = 3             # consecutive breached ticks before escalation
@@ -94,6 +96,8 @@ class ParameterConfig:
             )
         if not (0.0 <= self.tau_retrieval <= 1.0):
             raise ValueError(f"tau_retrieval must lie in [0, 1], got {self.tau_retrieval}")
+        if self.reanchor_min > ANCHOR_MAX:
+            raise ValueError(f"reanchor_min must be <= {ANCHOR_MAX:g}, got {self.reanchor_min}")
         if self.eps_fix <= 0.0:
             raise ValueError(f"eps_fix must be positive, got {self.eps_fix}")
         if not (

@@ -29,7 +29,6 @@ from __future__ import annotations
 
 import hashlib
 import itertools
-import math
 import operator
 import re
 from collections import Counter
@@ -42,6 +41,11 @@ ORIGINS = frozenset(
     {"observed", "elaborated", "abstracted", "retrieved", "meta", "drifted", "synthetic"}
 )
 POLARITIES = ("+", "-")
+
+# Largest anchor.  Weights are anchor * persistence, and a state's mass,
+# sector sums and embedding sum them; at this bound n * ANCHOR_MAX and the
+# embedding's squared norm stay finite for any n below 1e54.
+ANCHOR_MAX = 1e100
 
 _TOKEN_RE = re.compile(r"[a-z0-9]+")
 
@@ -90,9 +94,10 @@ class Fragment:
             raise ValueError(f"fragment {self.id}: needs at least one sector tag")
         if self.level < 0:
             raise ValueError(f"fragment {self.id}: level must be >= 0, got {self.level}")
-        if not 0 <= self.anchor < math.inf:  # also rejects NaN
+        if not 0 <= self.anchor <= ANCHOR_MAX:  # also rejects NaN
             raise ValueError(
-                f"fragment {self.id}: anchor must be a finite number >= 0, got {self.anchor}"
+                f"fragment {self.id}: anchor must be a finite number >= 0 "
+                f"and <= {ANCHOR_MAX:g}, got {self.anchor}"
             )
         if not (0.0 <= self.persistence <= 1.0):
             raise ValueError(
@@ -366,6 +371,7 @@ def first_conflict(fragments: Sequence[Fragment]) -> Optional[tuple[Fragment, Fr
 
 
 __all__ = [
+    "ANCHOR_MAX",
     "BeliefState",
     "Fragment",
     "IdAllocator",

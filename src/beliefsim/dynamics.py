@@ -1,4 +1,4 @@
-"""Belief lifecycle operators: assimilation, nullification, annihilation, drift.
+"""Belief lifecycle operators: assimilation, nullification, sector wipes, drift.
 
 Assimilation is a staged pipeline:
 
@@ -44,16 +44,20 @@ class ElaborationRule:
     The trigger matches a fragment if it equals the fragment's proposition
     key, or if every token of the trigger (tokenized like text, so
     ``light_green`` -> {light, green}) occurs among the fragment's tokens.
+    The trigger is tokenized once, on construction.
     """
 
     trigger: str
     emit: Fragment
     name: Optional[str] = None
 
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "_trigger_tokens", frozenset(tokenize(self.trigger)))
+
     def matches(self, fragment: Fragment) -> bool:
         if fragment.key is not None and fragment.key == self.trigger:
             return True
-        trigger_tokens = set(tokenize(self.trigger))
+        trigger_tokens = self._trigger_tokens  # type: ignore[attr-defined]
         return bool(trigger_tokens) and trigger_tokens <= set(fragment.tokens)
 
 
@@ -332,11 +336,6 @@ def half_life(fragment: Fragment, config: ParameterConfig) -> float:
 # Annihilation
 # --------------------------------------------------------------------------
 
-def annihilate(state: BeliefState) -> BeliefState:
-    """Total erasure: the vacuum, clock preserved."""
-    return BeliefState((), state.clock)
-
-
 def annihilate_sector(state: BeliefState, sector: str) -> BeliefState:
     """Remove every fragment tagged with ``sector``.
 
@@ -358,15 +357,12 @@ def drift(
     lexicon: Sequence[str],
     rng: random.Random,
     ids: IdAllocator,
-) -> tuple[BeliefState, bool]:
-    """Sample one low-anchor perceptual fragment from the drift lexicon.
+) -> BeliefState:
+    """Sample one low-anchor perceptual fragment from a non-empty drift lexicon.
 
-    Returns (state, warned).  With an empty lexicon the state is returned
-    unchanged and warned is True; the caller decides how to surface that.
-    The generator is advanced in place — thread it explicitly for replay.
+    An empty lexicon raises ValueError.  The generator is advanced in place —
+    thread it explicitly for replay.
     """
-    if not lexicon:
-        return state, True
     text = lexicon[rng.randrange(len(lexicon))]
     fragment = Fragment(
         id=ids.next(),
@@ -378,7 +374,7 @@ def drift(
         created_at=state.clock,
         origin="drifted",
     )
-    return state.with_fragments((*state.fragments, fragment)), False
+    return state.with_fragments((*state.fragments, fragment))
 
 
 __all__ = [
@@ -387,7 +383,6 @@ __all__ = [
     "ConflictError",
     "DRIFT_ANCHOR",
     "ElaborationRule",
-    "annihilate",
     "annihilate_sector",
     "assimilate",
     "detect_conflicts",

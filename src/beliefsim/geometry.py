@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Sequence
+from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -75,21 +75,6 @@ def compass_reading(state: BeliefState, axis: "EpistemicAxis",
     parallel = dot / nv  # signed length of u along v
     theta = math.atan2(residual, parallel)
     return CompassReading(proj_coeff=proj_coeff, theta=theta, residual=residual)
-
-
-def trajectory_coherence(states: Sequence[BeliefState], axis: "EpistemicAxis",
-                         config: ParameterConfig) -> float:
-    """Mean of cos(theta) over a state sequence; in [-1, 1].
-
-    States at the axis origin contribute cos(0) = 1 by the reading's
-    convention.
-    """
-    if not states:
-        raise ValueError("trajectory_coherence needs at least one state")
-    total = 0.0
-    for s in states:
-        total += math.cos(compass_reading(s, axis, config).theta)
-    return total / len(states)
 
 
 def detect_drift(reading: CompassReading, config: ParameterConfig) -> bool:
@@ -199,5 +184,4 @@ __all__ = [
     "detect_drift",
     "distance",
     "realign",
-    "trajectory_coherence",
 ]

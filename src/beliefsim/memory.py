@@ -57,7 +57,7 @@ class QueryCue:
 def goal_fragments(state: BeliefState, config: ParameterConfig) -> Iterator[Fragment]:
     """The fragments whose text starts with ``goal_marker``, ignoring case,
     in id order and lazily, so a caller asking whether any exist stops early."""
-    marker = config.goal_marker
+    marker = config.goal_marker.lower()
     return (f for f in state.fragments if f.text.lower().startswith(marker))
 
 
@@ -85,7 +85,7 @@ def generate_query(
         )
         if best is None:
             return None
-        tokens = tuple(tokenize(best.text.lower()[len(config.goal_marker):]))
+        tokens = tuple(tokenize(best.text.lower()[len(config.goal_marker.lower()):]))
         if not tokens:
             return None
         return QueryCue(kind="goal", tokens=tokens)

@@ -35,7 +35,6 @@ EFFORT_CLASSES = (
 )
 
 REFLECTIVE_SECTOR = "refl"
-NARRATIVE_SECTOR = "narr"
 META_ANCHOR = 2.0
 
 
@@ -244,27 +243,6 @@ def meta_assimilate(
 
 
 # --------------------------------------------------------------------------
-# Identity
-# --------------------------------------------------------------------------
-
-def identity_signature(state: BeliefState, config: ParameterConfig) -> frozenset:
-    """Content keys of strongly anchored reflective/narrative fragments."""
-    keep = frozenset({REFLECTIVE_SECTOR, NARRATIVE_SECTOR})
-    return frozenset(
-        f.content_key()
-        for f in state.fragments
-        if f.sectors & keep and f.anchor >= config.a_core
-    )
-
-
-def identity_stability(sig_a: frozenset, sig_b: frozenset) -> float:
-    """Jaccard overlap of two identity signatures; two blanks agree fully."""
-    if not sig_a and not sig_b:
-        return 1.0
-    return len(sig_a & sig_b) / len(sig_a | sig_b)
-
-
-# --------------------------------------------------------------------------
 # Effort
 # --------------------------------------------------------------------------
 
@@ -438,7 +416,6 @@ __all__ = [
     "EffortLedger",
     "IntrospectiveReport",
     "META_ANCHOR",
-    "NARRATIVE_SECTOR",
     "REFLECTIVE_SECTOR",
     "RegulationAction",
     "allocate_effort",
@@ -446,8 +423,6 @@ __all__ = [
     "coherence",
     "coherence_breached",
     "cognitive_load",
-    "identity_signature",
-    "identity_stability",
     "introspect",
     "meta_assimilate",
     "meta_depth",

@@ -34,7 +34,7 @@ from pathlib import Path
 from typing import Any, Mapping, Sequence
 
 from .config import ParameterConfig, config_from_dict, is_finite_number
-from .core import BeliefState, Fragment, IdAllocator, tokenize
+from .core import ANCHOR_MAX, BeliefState, Fragment, IdAllocator, tokenize
 from .dynamics import (
     ASSIMILATION_MODES,
     ConflictError,
@@ -317,8 +317,10 @@ def _validate_timeline(timeline: Sequence[Mapping[str, Any]]) -> None:
             if not tokenize(str(entry.get("text", ""))):
                 raise ScenarioError(f"timeline[{i}]: command needs text")
             anchor = entry.get("anchor", COMMAND_ANCHOR)
-            if not is_finite_number(anchor) or anchor < 0:
-                raise ScenarioError(f"timeline[{i}]: anchor must be a finite number >= 0")
+            if not is_finite_number(anchor) or not 0 <= anchor <= ANCHOR_MAX:
+                raise ScenarioError(
+                    f"timeline[{i}]: anchor must be a finite number >= 0 and <= {ANCHOR_MAX:g}"
+                )
         if kind == "tick":
             n = entry.get("n", 1)
             if not isinstance(n, int) or isinstance(n, bool) or n < 1:
@@ -726,9 +728,7 @@ class SimulationRun:
         # 6. vacuum drift (rest budget).
         if self.active.is_vacuum and self.scenario.lexicon:
             if self.ledger.charge("rest", 1.0):
-                self.active, _ = drift(
-                    self.active, self.scenario.lexicon, self.rng, self.ids
-                )
+                self.active = drift(self.active, self.scenario.lexicon, self.rng, self.ids)
                 newest = self.active.fragments[-1]
                 self._emit("drift", {"id": newest.id, "text": newest.text})
             else:

@@ -171,6 +171,7 @@ def run_module(*args: str) -> subprocess.CompletedProcess:
         {"config": {"goal_marker": 5},
          "timeline": [{"event": "command", "text": "goal: map"}, {"event": "tick"}]},
         {"timeline": [{"event": "tick"}, {"event": "command", "text": "go", "anchor": "x"}]},
+        {"timeline": [{"event": "tick"}, {"event": "command", "text": "go", "anchor": 1e101}]},
         {"timeline": [{"event": "tick"},
                       {"event": "observe", "specs": [{"text": "pump"}], "mode": "bogus"}]},
         {"timeline": [{"event": "tick"},
@@ -195,8 +196,8 @@ def run_module(*args: str) -> subprocess.CompletedProcess:
           for word in ("!!", 5)),
     ],
     ids=["memory-int", "states-int", "axis-seed-str", "memory-sector-list",
-         "goal-marker-int", "anchor-str", "mode-bogus", "abs-without-group",
-         "expect-without-value", "rule-emit-level-str", "gate-pattern-int",
+         "goal-marker-int", "anchor-str", "anchor-above-bound", "mode-bogus",
+         "abs-without-group", "expect-without-value", "rule-emit-level-str", "gate-pattern-int",
          "clause-sector-list", "clause-token-int", "clause-level-float",
          "clause-minimum-bool", "basin-tau-str", "basin-name-int", "null-seed-str",
          "lexicon-no-token", "lexicon-int"],
@@ -230,6 +231,32 @@ def test_run_rejects_non_finite_anchor_without_traceback(tmp_path, data, message
     assert proc.stderr.startswith(message)
     assert "anchor must be a finite number >= 0" in proc.stderr
     assert "Traceback" not in proc.stderr and "RuntimeWarning" not in proc.stderr
+
+
+@pytest.mark.parametrize("anchor", [1e155, 1e308])
+def test_run_names_an_observe_anchor_above_the_bound(tmp_path, anchor):
+    # Two such fragments once overflowed the state's weights, mid-run.
+    spec = {"text": "pump", "anchor": anchor}
+    data = {"timeline": [{"event": "observe", "specs": [spec, {**spec, "text": "valve"}]},
+                         {"event": "tick"}]}
+    proc = run_module("run", write_scenario(tmp_path, data),
+                      "--trace", str(tmp_path / "out.jsonl"))
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("error: timeline[0].specs[0]: fragment 1: anchor must be")
+    assert "Traceback" not in proc.stderr and "RuntimeWarning" not in proc.stderr
+
+
+def test_run_at_the_anchor_bound_is_clean_under_warnings_as_errors(tmp_path):
+    spec = {"text": "pump", "anchor": 1e100}
+    data = {"timeline": [{"event": "observe", "specs": [spec, {**spec, "text": "valve"}]},
+                         {"event": "tick"}]}
+    proc = subprocess.run(
+        [sys.executable, "-W", "error", "-m", "beliefsim", "run", write_scenario(tmp_path, data),
+         "--trace", str(tmp_path / "out.jsonl")],
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": str(REPO / "src")},
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stderr == ""
 
 
 def test_gauge_names_a_state_with_a_non_finite_anchor(tmp_path, capsys):

@@ -55,6 +55,7 @@ def test_decay_rate_flat_modulator():
         ("load_coeffs", (0.1, "x", 0.1)),
         ("sector_priority", ("task", 3)),
         ("sector_costs", {"perc": "x"}),
+        ("reanchor_min", 1e101),
     ],
 )
 def test_validate_rejects_out_of_range(field, value):

@@ -12,6 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from beliefsim.core import (
+    ANCHOR_MAX,
     BeliefState,
     Fragment,
     IdAllocator,
@@ -73,6 +74,19 @@ def test_fragment_rejects_non_finite_anchor(anchor):
         make_fragment(1, anchor=anchor)
     with pytest.raises(ValueError, match="anchor must be a finite number >= 0"):
         make_fragment(1).replace(anchor=anchor)
+
+
+@pytest.mark.parametrize("anchor", [1e101, 1e155, 1e308])
+def test_fragment_rejects_anchor_above_bound(anchor):
+    with pytest.raises(ValueError, match="anchor must be a finite number >= 0 and <= 1e"):
+        make_fragment(1, anchor=anchor)
+    with pytest.raises(ValueError, match="anchor must be a finite number >= 0 and <= 1e"):
+        make_fragment(1).replace(anchor=anchor)
+
+
+def test_fragment_accepts_anchor_at_bound():
+    frag = make_fragment(1, anchor=ANCHOR_MAX)
+    assert frag.replace(anchor=frag.anchor + 1.0).anchor == ANCHOR_MAX
 
 
 @pytest.mark.parametrize("persistence", [-0.1, 1.1])

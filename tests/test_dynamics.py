@@ -1,4 +1,4 @@
-"""Assimilation, decay, erasure, and drift operators."""
+"""Assimilation, decay, sector wipes, and drift operators."""
 
 from __future__ import annotations
 
@@ -16,7 +16,6 @@ from beliefsim.dynamics import (
     ConflictError,
     ElaborationRule,
     _resolve_internal,
-    annihilate,
     annihilate_sector,
     assimilate,
     detect_conflicts,
@@ -530,13 +529,6 @@ def test_key_index_matches_all_pairs_enumeration(frags, data):
 # Annihilation
 # --------------------------------------------------------------------------
 
-def test_annihilate_returns_vacuum_with_clock():
-    state = BeliefState((make_fragment(1), make_fragment(2, "valve")), 8.0)
-    out = annihilate(state)
-    assert out.is_vacuum
-    assert out.clock == 8.0
-
-
 def test_annihilate_sector_removes_multi_tagged_entirely():
     state = make_state(
         make_fragment(1, sectors=("perc", "task")),
@@ -563,17 +555,15 @@ def test_annihilate_sector_untagged_survives():
 # Drift
 # --------------------------------------------------------------------------
 
-def test_drift_empty_lexicon_warns():
+def test_drift_refuses_empty_lexicon():
     state = make_state(make_fragment(1))
-    out, warned = drift(state, [], random.Random(0), IdAllocator(100))
-    assert warned
-    assert out == state
+    with pytest.raises(ValueError):
+        drift(state, [], random.Random(0), IdAllocator(100))
 
 
 def test_drift_adds_low_anchor_percept():
     state = BeliefState((), 6.0)
-    out, warned = drift(state, ["rain", "wind"], random.Random(3), IdAllocator(100))
-    assert not warned
+    out = drift(state, ["rain", "wind"], random.Random(3), IdAllocator(100))
     frag = out.fragments[0]
     assert frag.text in ("rain", "wind")
     assert frag.anchor == DRIFT_ANCHOR
@@ -591,6 +581,6 @@ def test_drift_is_reproducible_per_seed():
         state = BeliefState((), 0.0)
         ids = IdAllocator(1)
         for _ in range(6):
-            state, _ = drift(state, lexicon, rng, ids)
+            state = drift(state, lexicon, rng, ids)
         picks.extend(f.text for f in state.fragments)
     assert picks_a == picks_b

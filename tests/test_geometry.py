@@ -18,7 +18,6 @@ from beliefsim.geometry import (
     detect_drift,
     distance,
     realign,
-    trajectory_coherence,
 )
 from beliefsim.tower import EpistemicAxis
 
@@ -158,29 +157,8 @@ class TestCompassLaws:
 
 
 # --------------------------------------------------------------------------
-# Trajectory coherence and drift detection
+# Drift detection
 # --------------------------------------------------------------------------
-
-def test_trajectory_coherence_perfectly_aligned_run(cfg):
-    state = one_frag_state("pump hums")
-    axis = axis_from(embed_state(state, cfg.embed_dim))
-    assert trajectory_coherence([state, state, state], axis, cfg) == pytest.approx(1.0)
-
-
-def test_trajectory_coherence_mixes_cosines(cfg):
-    aligned = one_frag_state("pump hums")
-    axis = axis_from(embed_state(aligned, cfg.embed_dim))
-    off = one_frag_state("terrain grid wind")
-    theta_off = compass_reading(off, axis, cfg).theta
-    expected = (1.0 + math.cos(theta_off)) / 2.0
-    assert trajectory_coherence([aligned, off], axis, cfg) == pytest.approx(expected)
-
-
-def test_trajectory_coherence_rejects_empty(cfg):
-    axis = axis_from(np.ones(cfg.embed_dim))
-    with pytest.raises(ValueError, match="at least one"):
-        trajectory_coherence([], axis, cfg)
-
 
 def test_detect_drift_thresholds(cfg):
     ok = CompassReading(1.0, cfg.tau_theta - 0.01, cfg.tau_r - 0.01)

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import json
 import math
 import random
 from pathlib import Path
@@ -57,6 +58,34 @@ def test_goal_cue_is_case_insensitive(cfg):
     state = BeliefState((make_fragment(1, "Goal: Fix The Pump"),), 0.0)
     cue = generate_query(state, "goal", cfg)
     assert cue.tokens == ("fix", "the", "pump")
+
+
+@pytest.mark.parametrize("marker", ["GOAL:", "Goal:"])
+def test_goal_marker_is_matched_ignoring_its_own_case(cfg, marker):
+    state = BeliefState(
+        (make_fragment(1, "Goal: pump"), make_fragment(2, "goal: map the ridge", anchor=2.0)),
+        0.0,
+    )
+    cased = cfg.replace(goal_marker=marker)
+    assert [f.id for f in goal_fragments(state, cased)] == [1, 2]
+    cue = generate_query(state, "goal", cased)
+    assert cue == generate_query(state, "goal", cfg) == QueryCue("goal", ("map", "the", "ridge"))
+
+
+def test_a_mixed_case_goal_marker_recalls_in_a_run(tmp_path):
+    path = tmp_path / "cased.json"
+    path.write_text(json.dumps({
+        "config": {"goal_marker": "Goal:"},
+        "memory": [{"text": "pump manual", "sector": "mem", "name": "manual"}],
+        "timeline": [
+            {"event": "command", "text": "Goal: pump"},
+            {"event": "tick"},
+            {"event": "expect", "assertions": [{"check": "fragment_present", "name": "manual"}]},
+        ],
+    }))
+    result = SimulationRun(load_scenario(path)).run()
+    assert [e.payload["cue"]["kind"] for e in result.trace.events if e.kind == "query"] == ["goal"]
+    assert result.ok, result.failures
 
 
 def test_goal_cue_prefers_highest_anchor(cfg):

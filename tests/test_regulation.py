@@ -18,8 +18,6 @@ from beliefsim.regulation import (
     allocate_effort,
     coherence,
     cognitive_load,
-    identity_signature,
-    identity_stability,
     introspect,
     meta_assimilate,
     meta_depth,
@@ -321,40 +319,6 @@ def test_meta_assimilate_quiet_report_writes_nothing(cfg):
     assert emitted == []
     assert warnings == []
     assert out == state
-
-
-# --------------------------------------------------------------------------
-# Identity
-# --------------------------------------------------------------------------
-
-def test_identity_signature_filters_by_sector_and_anchor(cfg):
-    state = BeliefState(
-        (
-            make_fragment(1, "i watch the coolant", sectors=("narr",), anchor=6.0),
-            make_fragment(2, "coherence global low", sectors=("refl",), anchor=5.0),
-            make_fragment(3, "weak self note", sectors=("refl",), anchor=1.0),
-            make_fragment(4, "a mere percept", sectors=("perc",), anchor=9.0),
-        ),
-        0.0,
-    )
-    sig = identity_signature(state, cfg)
-    assert len(sig) == 2  # ids 1 and 2 qualify
-
-
-def test_identity_stability_is_jaccard(cfg):
-    state = BeliefState(
-        (
-            make_fragment(1, "i watch the coolant", sectors=("narr",), anchor=6.0),
-            make_fragment(2, "coherence global low", sectors=("refl",), anchor=6.0),
-        ),
-        0.0,
-    )
-    sig_a = identity_signature(state, cfg)
-    sig_b = identity_signature(state.without_ids([2]), cfg)
-    assert identity_stability(sig_a, sig_a) == 1.0
-    assert identity_stability(sig_a, sig_b) == pytest.approx(0.5)
-    assert identity_stability(frozenset(), frozenset()) == 1.0
-    assert identity_stability(sig_a, frozenset()) == 0.0
 
 
 # --------------------------------------------------------------------------

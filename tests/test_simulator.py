@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 from beliefsim.config import default_config
 from beliefsim.core import BeliefState, Fragment
-from beliefsim import simulator
+from beliefsim import dynamics, simulator
 from beliefsim.dynamics import annihilate_sector, nullify
 from beliefsim.simulator import (
     SimulationRun,
@@ -256,6 +256,16 @@ def test_a_rule_emit_is_copied_only_when_it_enters(monkeypatch):
                for i in e.payload["report"]["elaborated"]]
     # A refire still draws its id (3, 6, 7, 8, 10 and 11 go unused), but is not copied.
     assert copies == entered == [5, 12]
+
+
+def test_a_rule_trigger_is_tokenized_only_at_load(monkeypatch):
+    run = SimulationRun(load_scenario(
+        Path(__file__).parent.parent / "scenarios" / "elaboration_rules.json"))
+    calls = []
+    real = dynamics.tokenize
+    monkeypatch.setattr(dynamics, "tokenize", lambda text: calls.append(text) or real(text))
+    run.run()
+    assert calls == []  # each rule keeps its trigger's tokens from construction
 
 
 def test_scenario_name_defaults_to_file_stem(tmp_path):
