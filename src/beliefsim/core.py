@@ -16,26 +16,33 @@ carries its source's tokens and vector unless its text changes, and its
 content key unless a field the key reads changes, and it passes the same
 checks as a freshly built fragment.
 
-A state groups its fragments by sector once, on first use, and keeps that
-view as a fragment keeps its vector: ``in_sector(s)`` is the tuple of
-fragments tagged ``s`` in id order, ``sectors()`` the sorted tags, and
-``mass`` the total weight.  Every per-sector reading (density, coherence,
-the conflicted-sector search, clause scores and gate rules) reads the view
-instead of scanning the whole state again.  A state made from another one
-builds its own view.
+A state is one table, for the active state and the long-term store alike:
+fragments as they entered are its rows, in id order, and each row's anchor
+and persistence live in columns beside them.  Decay multiplies the
+persistence column by kept ``math.exp`` factors and shares the rows;
+``fragments`` builds a row into a ``Fragment`` only when it is read.
+Readers of the fields that never change read ``rows``, or ``rows_in(s)``
+from a sector view built once per set of rows, and build nothing.
 """
 
 from __future__ import annotations
 
+import bisect
 import hashlib
 import itertools
+import math
 import operator
 import re
 from collections import Counter
+from collections.abc import Sequence
 from dataclasses import dataclass, fields
-from typing import Any, Iterable, Optional, Sequence
+from itertools import chain
+from typing import TYPE_CHECKING, Any, Iterable, Iterator, Optional
 
 import numpy as np
+
+if TYPE_CHECKING:  # pragma: no cover - typing only; config imports this module
+    from .config import ParameterConfig
 
 ORIGINS = frozenset(
     {"observed", "elaborated", "abstracted", "retrieved", "meta", "drifted", "synthetic"}
@@ -171,83 +178,311 @@ _FIELD_NAMES = frozenset(f.name for f in fields(Fragment))
 _KEY_FIELDS = frozenset({"text", "key", "polarity", "sectors", "level"})
 
 
-@dataclass(frozen=True)
 class BeliefState:
-    """An immutable fragment ensemble plus a logical clock."""
+    """An immutable fragment ensemble plus a logical clock, held as a table.
 
-    fragments: tuple[Fragment, ...] = ()
-    clock: float = 0.0
+    Beside its rows it keeps each row's current anchor and persistence, the
+    decay factors of its last decay, and one slot, shared by every state
+    derived from it, for the rows' unit vectors as a matrix V.  Only this
+    module reads the columns.  A row's fixed fields (id, text, tokens,
+    sectors, key, polarity, level, origin, created_at, members) are current;
+    its anchor and persistence are those it entered with.
+    """
 
-    def __post_init__(self) -> None:
-        frags = tuple(self.fragments)
-        ids = [f.id for f in frags]
+    __slots__ = (
+        "clock", "_rows", "_anchor", "_persistence", "_built", "_decay",
+        "_lineage", "_index", "_view", "_mass",
+    )
+
+    def __init__(self, fragments: Iterable[Fragment] = (), clock: float = 0.0) -> None:
+        rows = tuple(fragments)
+        ids = [f.id for f in rows]
         # Canonical id order, so equal fragment sets compare equal.  Operators
         # hand states over in id order, so sort only when a walk finds an id
         # not above its predecessor; a repeat then lands beside its twin.
         if any(map(operator.ge, ids, ids[1:])):
-            frags = tuple(sorted(frags, key=operator.attrgetter("id")))
+            rows = tuple(sorted(rows, key=_ID))
             ids.sort()
             dupes = sorted({a for a, b in zip(ids, ids[1:]) if a == b})
             if dupes:
                 raise ValueError(f"duplicate fragment ids in state: {dupes}")
-        if self.clock < 0:
-            raise ValueError(f"clock must be >= 0, got {self.clock}")
-        object.__setattr__(self, "fragments", frags)
-        object.__setattr__(self, "_view", None)
+        if clock < 0:
+            raise ValueError(f"clock must be >= 0, got {clock}")
+        self.clock = clock
+        self._rows = self._built = rows
+        # The columns are read from the rows on first use: numpy's first
+        # calls in a process cost about 0.1 ms, and an empty state makes none.
+        self._anchor = self._persistence = None
+        self._decay: Optional[tuple] = None  # (dt, config, per-row factors)
+        self._lineage: list = [rows, None]  # (rows V is built over, V)
+        self._index: Optional[np.ndarray] = None  # each row's row in V; None: the same
+        self._view = self._mass = None
 
-    def _sector_view(self) -> tuple[dict[str, tuple[Fragment, ...]], float]:
-        """(sector -> its fragments in id order, sectors sorted; total mass),
-        built on first use and kept: the state never changes."""
-        view = self._view  # type: ignore[attr-defined]
-        if view is None:
-            groups: dict[str, list[Fragment]] = {}
-            for f in self.fragments:
-                for s in f.sectors:
-                    groups.setdefault(s, []).append(f)
-            view = (
-                {s: tuple(groups[s]) for s in sorted(groups)},
-                sum(f.weight for f in self.fragments),
+    # -- reading -----------------------------------------------------------
+
+    @property
+    def fragments(self) -> Sequence[Fragment]:
+        """The fragments in id order.  Counting them builds nothing."""
+        return self._built if type(self._built) is tuple else Fragments(self)
+
+    @property
+    def rows(self) -> tuple[Fragment, ...]:
+        """The rows in id order.  Read only their fixed fields: a row's anchor
+        and persistence are those it entered with."""
+        return self._rows
+
+    def _columns(self) -> tuple[np.ndarray, np.ndarray]:
+        if self._anchor is None:
+            n = len(self._rows)
+            self._anchor = _frozen(np.fromiter((f.anchor for f in self._rows), float, n))
+            self._persistence = _frozen(
+                np.fromiter((f.persistence for f in self._rows), float, n)
             )
-            object.__setattr__(self, "_view", view)
+        return self._anchor, self._persistence
+
+    def _fragment(self, i: int) -> Fragment:
+        if self._built is None:
+            self._built = [None] * len(self._rows)
+        if self._built[i] is None:
+            self._built[i] = _at(self._rows[i], float(self._anchor[i]), float(self._persistence[i]))
+        return self._built[i]
+
+    def _all(self) -> tuple[Fragment, ...]:
+        if type(self._built) is not tuple:
+            self._built = tuple(
+                f or _at(row, a, p) for f, row, a, p in zip(
+                    self._built or itertools.repeat(None), self._rows,
+                    self._anchor.tolist(), self._persistence.tolist())
+            )
+        return self._built
+
+    def weights(self) -> np.ndarray:
+        """Each fragment's weight, anchor * persistence, in id order."""
+        anchor, persistence = self._columns()
+        return anchor * persistence
+
+    def _sector_view(self) -> dict[str, list[int]]:
+        """sector -> its row positions, sectors sorted; built on first use
+        and kept: the rows never change."""
+        view = self._view
+        if view is None:
+            groups: dict[str, list[int]] = {}
+            for i, f in enumerate(self._rows):
+                for s in f.sectors:
+                    groups.setdefault(s, []).append(i)
+            view = self._view = {s: groups[s] for s in sorted(groups)}
         return view
 
     @property
     def is_vacuum(self) -> bool:
-        return not self.fragments
+        return not self._rows
+
+    def _position(self, fragment_id: int) -> Optional[int]:
+        i = bisect.bisect_left(self._rows, fragment_id, key=_ID)
+        return i if i < len(self._rows) and self._rows[i].id == fragment_id else None
 
     def get(self, fragment_id: int) -> Optional[Fragment]:
-        for f in self.fragments:
-            if f.id == fragment_id:
-                return f
-        return None
+        i = self._position(fragment_id)
+        return None if i is None else self.fragments[i]
 
     def ids(self) -> frozenset[int]:
-        return frozenset(f.id for f in self.fragments)
+        return frozenset(f.id for f in self._rows)
 
     def sectors(self) -> tuple[str, ...]:
         """All sector tags present, sorted."""
-        return tuple(self._sector_view()[0])
+        return tuple(self._sector_view())
 
-    def in_sector(self, sector: str) -> tuple[Fragment, ...]:
-        """The fragments tagged with ``sector``, in id order."""
-        return self._sector_view()[0].get(sector, ())
+    def rows_in(self, sector: str) -> tuple[Fragment, ...]:
+        """The rows tagged with ``sector``, in id order (fixed fields only)."""
+        return tuple(map(self._rows.__getitem__, self._sector_view().get(sector, ())))
 
     @property
     def mass(self) -> float:
         """Total weight (anchor * persistence) of the state's fragments."""
-        return self._sector_view()[1]
+        if self._mass is None:
+            self._mass = ordered_sum(self.weights()) if self._rows else 0.0
+        return self._mass
+
+    def __eq__(self, other: object) -> bool:
+        return isinstance(other, BeliefState) and (self._all(), self.clock) == (
+            other._all(), other.clock)
+
+    def __hash__(self) -> int:
+        return hash((self._all(), self.clock))
+
+    def __repr__(self) -> str:
+        return f"BeliefState(fragments={self._all()!r}, clock={self.clock!r})"
+
+    # -- deriving ----------------------------------------------------------
+
+    def _derive(self, clock: float, anchor: Optional[np.ndarray],
+                persistence: Optional[np.ndarray], decay: Optional[tuple],
+                keep: Optional[np.ndarray] = None) -> "BeliefState":
+        """A state on this one's rows, or on the rows ``keep`` marks, with
+        these columns; with none, each row is its own fragment."""
+        new = object.__new__(BeliefState)
+        new.clock, new._lineage, new._mass = clock, self._lineage, None
+        rows, index, new._view = self._rows, self._index, self._view  # the view reads rows only
+        if keep is not None and not keep.all():
+            rows = tuple(itertools.compress(rows, keep.tolist()))
+            index = _frozen((np.arange(len(keep)) if index is None else index)[keep])
+            new._view = None
+            if anchor is not None:
+                anchor, persistence = anchor[keep], persistence[keep]
+            if decay is not None:
+                decay = (decay[0], decay[1], _frozen(decay[2][keep]))
+        new._rows, new._index, new._decay = rows, index, decay
+        new._anchor = anchor if anchor is None else _frozen(anchor)
+        new._persistence = persistence if persistence is None else _frozen(persistence)
+        new._built = rows if anchor is None else None
+        return new
 
     def with_fragments(self, fragments: Iterable[Fragment]) -> "BeliefState":
         return BeliefState(tuple(fragments), self.clock)
 
+    def with_fragment(self, fragment: Fragment) -> "BeliefState":
+        """This state with ``fragment`` in place of the fragment of its id,
+        or added in id order."""
+        rows = self._rows
+        i = bisect.bisect_left(rows, fragment.id, key=_ID)
+        j = i + (i < len(rows) and rows[i].id == fragment.id)
+        new = BeliefState((*rows[:i], fragment, *rows[j:]), self.clock)
+        if self._anchor is None:  # every row is still its own fragment
+            return new
+
+        def splice(column: np.ndarray, value: np.ndarray) -> np.ndarray:
+            return _frozen(np.concatenate((column[:i], value, column[j:])))
+
+        new._anchor = splice(self._anchor, np.array([fragment.anchor]))
+        new._persistence = splice(self._persistence, np.array([fragment.persistence]))
+        new._built = None
+        if self._decay is not None:
+            dt, config, factors = self._decay
+            new._decay = (dt, config, splice(factors, _decay_factors(new._anchor[i:i + 1], dt, config)))
+        return new
+
     def without_ids(self, drop: Iterable[int]) -> "BeliefState":
         gone = set(drop)
-        return self.with_fragments(f for f in self.fragments if f.id not in gone)
+        keep = np.fromiter((f.id not in gone for f in self._rows), bool, len(self._rows))
+        return self._derive(self.clock, self._anchor, self._persistence, self._decay, keep)
 
-    def replace_fragment(self, updated: Fragment) -> "BeliefState":
-        return self.with_fragments(
-            updated if f.id == updated.id else f for f in self.fragments
+    def decayed(self, dt: float, config: ParameterConfig, clock: float,
+                sector: Optional[str] = None) -> "BeliefState":
+        """The state at ``clock`` after ``dt`` ticks of ``dynamics.nullify``
+        over every row, or over ``sector``'s rows.  A whole-state decay keeps
+        its factors for the next one with the same dt and config."""
+        if dt < 0:
+            raise ValueError(f"dt must be >= 0, got {dt}")
+        anchor, persistence = self._columns()
+        decay = self._decay
+        if sector is None:
+            rows: Any = slice(None)
+            if decay is None or decay[0] != dt or decay[1] != config:
+                decay = (dt, config, _decay_factors(anchor, dt, config))
+            factors = decay[2]
+        else:
+            rows = self._sector_view().get(sector, [])
+            factors = _decay_factors(anchor[rows], dt, config)
+        persistence = persistence.copy()
+        persistence[rows] = persistence[rows] * factors
+        keep = np.ones(len(persistence), dtype=bool)
+        keep[rows] = persistence[rows] > config.delta
+        return self._derive(clock, anchor, persistence, decay, keep)
+
+    def reanchor(self, fragment_ids: Iterable[int], floor: float) -> "BeliefState":
+        """Rows of ``fragment_ids`` lifted to an anchor of at least ``floor``
+        and restored to full persistence; absent ids are skipped.  Kept decay
+        factors are recomputed only for rows whose anchor moved."""
+        rows = [i for i in map(self._position, fragment_ids) if i is not None]
+        if not rows:
+            return self
+        anchor, persistence = (column.copy() for column in self._columns())
+        anchor[rows] = np.maximum(anchor[rows], floor)
+        persistence[rows] = 1.0
+        decay = self._decay
+        if decay is not None:
+            moved = np.flatnonzero(anchor != self._anchor)
+            factors = decay[2].copy()
+            factors[moved] = _decay_factors(anchor[moved], decay[0], decay[1])
+            decay = (decay[0], decay[1], _frozen(factors))
+        return self._derive(self.clock, anchor, persistence, decay)
+
+    def matching(self, cue_vec: np.ndarray, tau: float) -> tuple[Fragment, ...]:
+        """The fragments whose ``np.dot(cue_vec, vector) * persistence``
+        reaches ``tau``, in id order: one matrix product over V screens every
+        row, and the rows it cannot rule out are scored exactly, as the
+        product can round differently from a row's own dot product."""
+        base, vectors = self._lineage
+        if vectors is None or vectors.shape[1] != len(cue_vec):
+            vectors = self._lineage[1] = _embed_rows(base, len(cue_vec))
+        _, persistence = self._columns()
+        screened = vectors @ cue_vec
+        if self._index is not None:
+            screened = screened[self._index]
+        # Vectors are non-negative and unit-norm, so two float64 dot products
+        # of length d (V @ cue, and one np.dot) differ by at most 2*d*eps; one
+        # more eps covers the multiply by the persistence.
+        bound = (2 * len(cue_vec) + 1) * np.finfo(float).eps
+        near = np.flatnonzero(screened * persistence >= tau - bound)
+        in_v = near if self._index is None else self._index[near]
+        return tuple(
+            self.fragments[i]
+            for i, row, p in zip(near.tolist(), in_v.tolist(), persistence[near].tolist())
+            if float(np.dot(cue_vec, vectors[row])) * p >= tau
         )
+
+
+class Fragments(Sequence):
+    """A derived state's fragments, in id order: counting them builds
+    nothing, and a row becomes a ``Fragment`` when it is first read."""
+
+    __slots__ = ("_state",)
+
+    def __init__(self, state: BeliefState) -> None:
+        self._state = state
+
+    def __len__(self) -> int:
+        return len(self._state._rows)
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return self._state._all()[index]
+        return self._state._fragment(range(len(self))[index])
+
+    def __iter__(self) -> Iterator[Fragment]:
+        return iter(self._state._all())
+
+
+
+_ID = operator.attrgetter("id")
+
+
+def _at(row: Fragment, anchor: float, persistence: float) -> Fragment:
+    """``row`` with this anchor and persistence: the row itself if it has them."""
+    if row.anchor == anchor and row.persistence == persistence:
+        return row
+    return row.replace(anchor=anchor, persistence=persistence)
+
+
+def _frozen(array: np.ndarray) -> np.ndarray:
+    array.setflags(write=False)  # states share their columns; never mutate
+    return array
+
+
+def _decay_factors(anchors: np.ndarray, dt: float, config: ParameterConfig) -> np.ndarray:
+    """``math.exp(-config.decay_rate(anchor) * dt)`` per row (``np.exp``
+    rounds differently)."""
+    return _frozen(np.array(
+        [math.exp(-config.decay_rate(a) * dt) for a in anchors.tolist()], dtype=float
+    ))
+
+
+def ordered_sum(values: Sequence[float]) -> float:
+    """The float sum taken left to right, as ``sum()`` takes it up to Python
+    3.11.  Not the builtin: Python 3.12's ``sum()`` compensates (Neumaier);
+    nor ``np.sum``, which adds pairwise.  Either can move a last bit that a
+    threshold in the trace then shows."""
+    return float(np.add.accumulate(np.concatenate(([0.0], values)))[-1])
 
 
 class IdAllocator:
@@ -306,14 +541,13 @@ def embed_state(state: BeliefState, dim: int) -> np.ndarray:
     """
     if state.is_vacuum:
         return np.zeros(dim, dtype=np.float64)
-    total = sum(f.weight for f in state.fragments)
+    weighted = [(f, w) for f, w in zip(state.rows, state.weights().tolist()) if w > 0.0]
     acc = np.zeros(dim, dtype=np.float64)
-    if total > 0.0:
-        for f in state.fragments:
-            if f.weight > 0.0:
-                acc += f.weight * embed_fragment(f, dim)
+    if weighted:
+        for f, w in weighted:
+            acc += w * embed_fragment(f, dim)
     else:
-        for f in state.fragments:
+        for f in state.rows:
             acc += embed_fragment(f, dim)
     norm = float(np.linalg.norm(acc))
     if norm < TINY_NORM and acc.any():
@@ -326,6 +560,30 @@ def embed_state(state: BeliefState, dim: int) -> np.ndarray:
     return acc
 
 
+def _embed_rows(rows: tuple[Fragment, ...], dim: int) -> np.ndarray:
+    """Every row's ``embed_tokens`` vector, filled into one matrix in place.
+
+    A row's cells hold integer token counts, so their squares sum exactly
+    and ``sqrt`` of that sum is the norm ``embed_tokens`` divides by: each
+    row comes out bit-equal to the fragment's own vector.
+    """
+    tokens = [f.tokens for f in rows]
+    flat = list(chain.from_iterable(tokens))
+    cell_of = {t: token_cell(t, dim) for t in set(flat)}
+    matrix = np.zeros((len(rows), dim), dtype=float)
+    np.add.at(
+        matrix,
+        (
+            np.repeat(np.arange(len(rows)), [len(t) for t in tokens]),
+            np.fromiter(map(cell_of.__getitem__, flat), np.intp, len(flat)),
+        ),
+        1.0,
+    )
+    norms = np.sqrt(np.einsum("ij,ij->i", matrix, matrix))
+    matrix /= np.where(norms > 0.0, norms, 1.0)[:, None]
+    return _frozen(matrix)
+
+
 # --------------------------------------------------------------------------
 # Sector density
 # --------------------------------------------------------------------------
@@ -335,7 +593,7 @@ def activation_density(state: BeliefState, sector: str) -> float:
     total = state.mass
     if total <= 0.0:
         return 0.0
-    return sum(f.weight for f in state.in_sector(sector)) / total
+    return ordered_sum(state.weights()[state._sector_view().get(sector, [])]) / total
 
 
 # --------------------------------------------------------------------------
@@ -384,6 +642,7 @@ __all__ = [
     "embed_tokens",
     "first_conflict",
     "key_groups",
+    "ordered_sum",
     "token_cell",
     "tokenize",
 ]

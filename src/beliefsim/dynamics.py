@@ -20,7 +20,8 @@ same revision rule, so corrective assimilation always ends conflict-free.
 Nullification multiplies persistence by exp(-lambda_i * dt) with
 lambda_i = lambda0 * f(anchor) and prunes fragments at or below the threshold;
 it composes as a semigroup, which is what lets the simulator decay one tick at
-a time while coarse analytic checkpoints still match.
+a time while coarse analytic checkpoints still match.  ``nullify`` and
+``nullify_sector`` are one masked multiply (``BeliefState.decayed``).
 """
 
 from __future__ import annotations
@@ -279,18 +280,9 @@ def nullify(state: BeliefState, dt: float, config: ParameterConfig) -> BeliefSta
 
     Each fragment's persistence is multiplied by exp(-lambda_i * dt); any
     fragment ending at or below the prune threshold is removed.  The clock
-    advances by dt.
+    advances by dt.  The active state and the store both decay here.
     """
-    if dt < 0:
-        raise ValueError(f"dt must be >= 0, got {dt}")
-    if dt == 0:
-        return state
-    survivors = []
-    for f in state.fragments:
-        decayed = f.persistence * math.exp(-config.decay_rate(f.anchor) * dt)
-        if decayed > config.delta:
-            survivors.append(f.replace(persistence=decayed))
-    return BeliefState(tuple(survivors), state.clock + dt)
+    return state if dt == 0 else state.decayed(dt, config, state.clock + dt)
 
 
 def nullify_sector(
@@ -304,17 +296,7 @@ def nullify_sector(
     Used by accelerated nullification: regulation burns down a low-priority
     sector faster than time alone would.
     """
-    if dt < 0:
-        raise ValueError(f"dt must be >= 0, got {dt}")
-    survivors = []
-    for f in state.fragments:
-        if sector in f.sectors:
-            decayed = f.persistence * math.exp(-config.decay_rate(f.anchor) * dt)
-            if decayed > config.delta:
-                survivors.append(f.replace(persistence=decayed))
-        else:
-            survivors.append(f)
-    return BeliefState(tuple(survivors), state.clock)
+    return state.decayed(dt, config, state.clock, sector)
 
 
 def half_life(fragment: Fragment, config: ParameterConfig) -> float:
@@ -342,7 +324,7 @@ def annihilate_sector(state: BeliefState, sector: str) -> BeliefState:
     Multi-tagged fragments are removed entirely (set difference), not
     untagged — untagging would silently change their meaning.
     """
-    return state.with_fragments(f for f in state.fragments if sector not in f.sectors)
+    return state.without_ids(f.id for f in state.rows_in(sector))
 
 
 # --------------------------------------------------------------------------
@@ -374,7 +356,7 @@ def drift(
         created_at=state.clock,
         origin="drifted",
     )
-    return state.with_fragments((*state.fragments, fragment))
+    return state.with_fragment(fragment)
 
 
 __all__ = [

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .config import is_finite_number
-from .core import BeliefState, activation_density, tokenize
+from .core import BeliefState, activation_density, ordered_sum, tokenize
 from .regulation import REFLECTIVE_SECTOR, coherence
 
 CLAUSE_KINDS = (
@@ -91,17 +91,17 @@ class Clause:
         if self.kind == "sector_density":
             return min(activation_density(state, self.sector) / self.minimum, 1.0)
         if self.kind == "level_present":
-            return 1.0 if any(f.level == self.level for f in state.fragments) else 0.0
+            return 1.0 if any(f.level == self.level for f in state.rows) else 0.0
         if self.kind == "coherence_conflict":
             return 1.0 if (1.0 - coherence(state, self.sector)) <= self.tolerance else 0.0
         # token_present
-        frags = state.fragments if self.sector is None else state.in_sector(self.sector)
+        frags = state.rows if self.sector is None else state.rows_in(self.sector)
         return 1.0 if any(self.token in f.tokens for f in frags) else 0.0
 
 
 @dataclass(frozen=True)
 class GateRule:
-    """Reflective veto: pattern tokens found in one refl fragment."""
+    """Reflective veto: pattern tokens, read once, found in one refl fragment."""
 
     pattern: str
     action: str
@@ -111,12 +111,14 @@ class GateRule:
             raise ValueError(f"unknown gate action {self.action!r}")
         if not isinstance(self.pattern, str):
             raise ValueError(f"gate pattern must be a string, got {self.pattern!r}")
-        if not tokenize(self.pattern):
+        wanted = frozenset(tokenize(self.pattern))
+        if not wanted:
             raise ValueError("gate pattern must contain at least one token")
+        object.__setattr__(self, "_wanted", wanted)
 
     def matches(self, state: BeliefState) -> bool:
-        wanted = set(tokenize(self.pattern))
-        return any(wanted <= set(f.tokens) for f in state.in_sector(REFLECTIVE_SECTOR))
+        wanted = self._wanted  # type: ignore[attr-defined]
+        return any(wanted <= set(f.tokens) for f in state.rows_in(REFLECTIVE_SECTOR))
 
 
 @dataclass(frozen=True)
@@ -141,7 +143,7 @@ def readiness(basin: ActionBasin, state: BeliefState) -> tuple[float, tuple[floa
     scores = tuple(c.score(state) for c in basin.clauses)
     if any(s == 0.0 for s in scores):
         return 0.0, scores
-    value = math.exp(sum(math.log(s) for s in scores) / len(scores))
+    value = math.exp(ordered_sum([math.log(s) for s in scores]) / len(scores))
     return min(value, 1.0), scores
 
 

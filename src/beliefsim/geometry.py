@@ -152,9 +152,9 @@ def realign(state: BeliefState, axis: "EpistemicAxis",
     current = state
     removed: list[int] = []
     reading = compass_reading(current, axis, config)
-    frags = list(current.fragments)
+    frags = list(current.rows)
     vecs = np.array([embed_fragment(f, config.embed_dim) for f in frags])
-    weights = np.array([f.weight for f in frags])
+    weights = current.weights()
     while detect_drift(reading, config) and len(frags) > 1:
         best_i = None
         best_reading = None

@@ -20,6 +20,7 @@ from .core import (
     activation_density,
     first_conflict,
     key_groups,
+    ordered_sum,
 )
 from .geometry import compass_reading, distance
 from .tower import EpistemicAxis
@@ -59,7 +60,7 @@ def coherence(state: BeliefState, sector: str | None = None) -> float:
     smoothly as neutral content is added around a dispute.  With p_k and m_k
     counting the '+' and '-' fragments on key k, this is 1 − 2·Σ_k p_k·m_k / n².
     """
-    frags = state.fragments if sector is None else state.in_sector(sector)
+    frags = state.rows if sector is None else state.rows_in(sector)
     n = len(frags)
     if n == 0:
         return 1.0
@@ -71,15 +72,15 @@ def cognitive_load(state: BeliefState, config: ParameterConfig, rate: float) -> 
     if rate < 0:
         raise ValueError(f"operation rate must be >= 0, got {rate}")
     c_count, c_sector, c_rate = config.load_coeffs
-    sector_term = sum(
-        activation_density(state, s) * config.cost(s) for s in state.sectors()
+    sector_term = ordered_sum(
+        [activation_density(state, s) * config.cost(s) for s in state.sectors()]
     )
-    return c_count * len(state.fragments) + c_sector * sector_term + c_rate * rate
+    return c_count * len(state.rows) + c_sector * sector_term + c_rate * rate
 
 
 def meta_depth(state: BeliefState) -> int:
     """1 = plain self-report; grows when reflections reference reflections."""
-    levels = [f.level for f in state.fragments if f.origin == "meta"]
+    levels = [f.level for f in state.rows if f.origin == "meta"]
     if not levels:
         return 1
     return 1 + max(0, max(levels) - 1)
@@ -195,7 +196,7 @@ def meta_assimilate(
     warnings: list[str] = []
     emitted: list[Fragment] = []
     existing_meta = {
-        tuple(f.tokens[:2]): f for f in active.fragments if f.origin == "meta"
+        tuple(f.tokens[:2]): f for f in active.rows if f.origin == "meta"
     }
     state = active
     for metric, target, direction, value in _breach_entries(report, config):
@@ -203,7 +204,7 @@ def meta_assimilate(
         level = 2
         if target == REFLECTIVE_SECTOR:
             deepest = max(
-                (f.level for f in state.fragments if f.origin == "meta"),
+                (f.level for f in state.rows if f.origin == "meta"),
                 default=1,
             )
             level = deepest + 1
@@ -222,11 +223,8 @@ def meta_assimilate(
                 persistence=1.0,
                 created_at=state.clock,
             )
-            state = state.replace_fragment(updated)
-            existing_meta[(metric, target)] = updated
-            emitted.append(updated)
         else:
-            frag = Fragment(
+            updated = Fragment(
                 id=ids.next(),
                 text=text,
                 sectors=frozenset({REFLECTIVE_SECTOR}),
@@ -236,9 +234,9 @@ def meta_assimilate(
                 created_at=state.clock,
                 origin="meta",
             )
-            state = state.with_fragments((*state.fragments, frag))
-            existing_meta[(metric, target)] = frag
-            emitted.append(frag)
+        state = state.with_fragment(updated)
+        existing_meta[(metric, target)] = updated
+        emitted.append(updated)
     return state, emitted, warnings
 
 
@@ -323,7 +321,7 @@ def _most_conflicted_sector(state: BeliefState) -> str | None:
     best: str | None = None
     best_count = 0
     for sector in state.sectors():
-        count = _conflict_pairs(state.in_sector(sector))
+        count = _conflict_pairs(state.rows_in(sector))
         if count > best_count:
             best = sector
             best_count = count
@@ -331,7 +329,7 @@ def _most_conflicted_sector(state: BeliefState) -> str | None:
         return best
     # Cross-sector conflict: no single projection contains a pair.  Fall back
     # to the lexicographically first sector touching the first conflict.
-    pair = first_conflict(state.fragments)
+    pair = first_conflict(state.rows)
     if pair is None:
         return None
     a, b = pair

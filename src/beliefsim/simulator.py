@@ -49,7 +49,6 @@ from .execution import ActionBasin, Clause, GateRule, evaluate_action, resolve_a
 from .geometry import realign
 from .memory import (
     QUERY_TRIGGERS,
-    MemoryStore,
     generate_query,
     goal_fragments,
     integrate_retrieved,
@@ -123,7 +122,7 @@ class Scenario:
 
     name: str
     config: ParameterConfig
-    store: MemoryStore
+    store: BeliefState
     names: Mapping[str, int]  # the store's named fragments
     rules: tuple[ElaborationRule, ...]
     lexicon: tuple[str, ...]
@@ -424,7 +423,7 @@ def load_scenario(path: str | Path) -> Scenario:
     return Scenario(
         name=str(raw.get("name", path.stem)),
         config=config,
-        store=MemoryStore(stored, 0.0),
+        store=BeliefState(stored, 0.0),
         names=_names(memory, stored),
         rules=rules,
         lexicon=tuple(lexicon),
@@ -457,7 +456,7 @@ class RunResult:
     warnings: int = 0
     trace: TraceLog | None = None
     active: BeliefState | None = None
-    store: MemoryStore | None = None
+    store: BeliefState | None = None
 
     @property
     def failures(self) -> list[AssertionOutcome]:
@@ -469,17 +468,11 @@ class RunResult:
 
 
 def _removed_ids(before: BeliefState, after: BeliefState) -> list[int]:
-    """The ids ``after`` dropped from ``before``, ascending: one walk of each,
-    as both hold fragments in id order and ``after`` only keeps or drops ids."""
-    kept = iter(after.fragments)
-    nxt = next(kept, None)
-    removed = []
-    for f in before.fragments:
-        if nxt is not None and nxt.id == f.id:
-            nxt = next(kept, None)
-        else:
-            removed.append(f.id)
-    return removed
+    """The ids ``after`` dropped from ``before``, ascending; ``after`` only
+    keeps or drops ids, so equal row counts mean nothing was dropped."""
+    if len(after.rows) == len(before.rows):
+        return []
+    return sorted(before.ids() - after.ids())
 
 
 class SimulationRun:
@@ -735,10 +728,11 @@ class SimulationRun:
                 self._skip("drift", "rest", 1.0)
 
         # 7. one unit of time passes (free); prunes are logged post-advance.
-        before = self.active
+        before, before_store = self.active, self.store
         self.active = nullify(self.active, 1.0, self.config)
+        self.store = nullify(self.store, 1.0, self.config)
         pruned_active = _removed_ids(before, self.active)
-        self.store, pruned_store = self.store.decay(1.0, self.config)
+        pruned_store = _removed_ids(before_store, self.store)
         if pruned_active or pruned_store:
             self._emit(
                 "nullify_prune",

@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import functools
+import operator
+
 import pytest
 from hypothesis import strategies as st
 
@@ -105,13 +108,19 @@ def union_sectors(state: BeliefState) -> tuple[str, ...]:
     return tuple(sorted(tags))
 
 
+def ltr_sum(values) -> float:
+    """Floats added one at a time from 0.0, left to right, as ``sum()`` adds
+    them up to Python 3.11 (3.12's compensates)."""
+    return functools.reduce(operator.add, values, 0.0)
+
+
 def two_pass_density(state: BeliefState, sector: str) -> float:
     """Share of total mass carried by ``sector``: one pass for the total,
     one for the sector."""
-    total = sum(f.weight for f in state.fragments)
+    total = ltr_sum(f.weight for f in state.fragments)
     if total <= 0.0:
         return 0.0
-    tagged = sum(f.weight for f in state.fragments if sector in f.sectors)
+    tagged = ltr_sum(f.weight for f in state.fragments if sector in f.sectors)
     return tagged / total
 
 

@@ -13,12 +13,12 @@ import math
 import numpy as np
 
 from beliefsim.core import TINY_NORM, BeliefState, embed_fragment, embed_tokens
-from beliefsim.memory import retrieval_score
 
 
 def nullify(state, dt, config):
     """Each fragment's persistence times exp(-rate(anchor) * dt), one at a
-    time; fragments at or below delta are dropped; the clock advances."""
+    time; fragments at or below delta are dropped; the clock advances.  The
+    active state and the store both decay through it."""
     if dt < 0:
         raise ValueError(f"dt must be >= 0, got {dt}")
     if dt == 0:
@@ -46,18 +46,6 @@ def nullify_sector(state, sector, dt, config):
     return BeliefState(tuple(survivors), state.clock)
 
 
-def store_decay(store, dt, config):
-    """The store's decay as the per-fragment loop: (decayed store, pruned ids)."""
-    if dt < 0:
-        raise ValueError(f"dt must be >= 0, got {dt}")
-    if dt == 0:
-        return store, []
-    decayed = nullify(BeliefState(tuple(store.fragments), store.clock), dt, config)
-    kept = decayed.ids()
-    pruned = [f.id for f in store.fragments if f.id not in kept]
-    return type(store)(tuple(decayed.fragments), decayed.clock), pruned
-
-
 def embed_state(state, dim):
     """Weighted sum of the fragments' vectors, one fragment at a time."""
     if state.is_vacuum:
@@ -78,6 +66,11 @@ def embed_state(state, dim):
     if norm > 0.0:
         acc = acc / norm
     return acc
+
+
+def retrieval_score(cue_vec, fragment):
+    """Cosine match against the cue's vector, damped by the fragment's persistence."""
+    return float(np.dot(cue_vec, embed_fragment(fragment, len(cue_vec)))) * fragment.persistence
 
 
 def retrieve(store, cue, config):

@@ -37,7 +37,7 @@ from beliefsim.execution import (
 )
 from beliefsim.gauge import canonical_state, gauge_equivalent
 from beliefsim.geometry import compass_reading
-from beliefsim.memory import MemoryStore, generate_query, integrate_retrieved, retrieve
+from beliefsim.memory import generate_query, integrate_retrieved, retrieve
 from beliefsim.regulation import coherence
 from beliefsim.simulator import run_scenario
 from beliefsim.tower import EpistemicAxis, build_tower
@@ -123,18 +123,18 @@ def test_decay_checkpoint_table_and_reanchoring():
                 assert frag is not None and abs(frag.persistence - want) <= 0.01
     assert state.ids() == {1, 2}
 
-    # A goal-cued memory pass re-anchors the mid fragment to the floor value
-    # and restores full persistence.
+    # A goal-cued memory pass over the decayed state, used as the store,
+    # re-anchors the mid fragment to the floor value and restores full
+    # persistence.
     active = BeliefState(
         (make_fragment(50, "goal: coolant flow reduced", anchor=2.0),),
         clock=state.clock,
     )
     cue = generate_query(active, "goal", cfg)
-    store = MemoryStore(state.fragments, state.clock)
-    hits = retrieve(store, cue, cfg)
+    hits = retrieve(state, cue, cfg)
     assert hits.ids() == {2}
     _, new_store, _ = integrate_retrieved(
-        active, hits, store, cfg, IdAllocator(100)
+        active, hits, state, cfg, IdAllocator(100)
     )
     twin = new_store.get(2)
     assert twin.anchor == 5.0 and twin.persistence == 1.0
@@ -464,7 +464,7 @@ def test_gauge_relabeling_equivalence_and_witness():
 def test_memory_cycle_extends_half_life_without_mutation():
     cfg = default_config()
     twin = make_fragment(3, "fix the pump manual", anchor=1.0, persistence=0.6)
-    store = MemoryStore(
+    store = BeliefState(
         (make_fragment(1, "beacon relay steady", anchor=2.0), twin), clock=40.0
     )
     active = BeliefState(

@@ -11,6 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from beliefsim.config import default_config
 from beliefsim.core import (
     ANCHOR_MAX,
     BeliefState,
@@ -23,6 +24,8 @@ from beliefsim.core import (
     token_cell,
     tokenize,
 )
+from beliefsim.execution import ActionBasin, readiness
+from beliefsim.regulation import cognitive_load
 from beliefsim.simulator import fragment_from_spec
 
 from conftest import KEYS, SECTORS, WORDS, fragments, make_fragment, states, texts
@@ -181,12 +184,14 @@ def test_sectors_listing_is_sorted_union():
     assert state.sectors() == ("mem", "perc", "task")
 
 
-def test_without_ids_and_replace_fragment():
+def test_without_ids_and_with_fragment():
     state = BeliefState((make_fragment(1), make_fragment(2, "valve")), 0.0)
     assert state.without_ids([2]).ids() == frozenset({1})
-    bumped = state.replace_fragment(state.get(1).replace(anchor=7.0))
+    bumped = state.with_fragment(state.get(1).replace(anchor=7.0))
     assert bumped.get(1).anchor == 7.0
     assert bumped.get(2).anchor == 1.0
+    grown = bumped.with_fragment(make_fragment(0, "seal"))
+    assert [f.id for f in grown.fragments] == [0, 1, 2] and grown.get(1).anchor == 7.0
 
 
 def test_id_allocator_is_monotonic():
@@ -475,7 +480,7 @@ def test_fragment_from_spec_explicit_fields():
     assert (frag.key, frag.polarity, frag.anchor) == ("valve", "+", 3.0)
 
 
-def test_in_sector_lists_tagged_fragments_in_id_order():
+def test_rows_in_lists_tagged_rows_in_id_order():
     state = BeliefState(
         (
             make_fragment(3, sectors=("task", "plan")),
@@ -484,8 +489,8 @@ def test_in_sector_lists_tagged_fragments_in_id_order():
         ),
         9.0,
     )
-    assert [f.id for f in state.in_sector("task")] == [1, 3]
-    assert state.in_sector("lang") == ()
+    assert [f.id for f in state.rows_in("task")] == [1, 3]
+    assert state.rows_in("lang") == ()
     assert state.sectors() == ("perc", "plan", "task")
     assert state.mass == 3.0
 
@@ -517,3 +522,54 @@ def test_activation_density_sums_to_at_least_one_when_overlapping(state):
 def test_fragment_tokens_match_tokenize(text):
     frag = make_fragment(1, text)
     assert frag.tokens == tokenize(text)
+
+
+# --------------------------------------------------------------------------
+# Sums run left to right on every Python version
+# --------------------------------------------------------------------------
+
+def _neumaier_sum(values, start=0):
+    """Python 3.12's sum(): floats are added with Neumaier compensation."""
+    total, carry, floats = start, 0.0, False
+    for x in values:
+        floats = floats or isinstance(x, float)
+        t = total + x
+        carry += (total - t) + x if abs(total) >= abs(x) else (x - t) + total
+        total = t
+    return total + carry if floats else total
+
+
+class _Fixed:
+    """A clause that scores every state the same."""
+
+    def __init__(self, value: float) -> None:
+        self.value = value
+
+    def score(self, state: BeliefState) -> float:
+        return self.value
+
+
+def test_sums_do_not_follow_the_builtin_sum(monkeypatch):
+    """Anchors 1, 1e-16 and 1e-16 sum to 1.0 left to right, and to
+    1.0000000000000002 under 3.12's compensated sum(): each reading must
+    not change when sum() does."""
+    tiny = [make_fragment(i + 1, sectors=("a",), anchor=a) for i, a in enumerate((1.0, 1e-16, 1e-16))]
+    state = BeliefState((*tiny, make_fragment(9, sectors=("b",))), 0.0)
+    three = BeliefState(tuple(make_fragment(i + 1, sectors=(s,)) for i, s in enumerate("abc")), 0.0)
+    config = default_config().replace(
+        sector_costs={"a": 3.0, "b": 3e-16, "c": 3e-16}, load_coeffs=(0.0, 1.0, 0.0)
+    )
+    basin = ActionBasin("act", tuple(map(_Fixed, (math.exp(-1.0), 1 - 1e-16, 1 - 1e-16))), 0.5)
+
+    def readings():
+        return (
+            BeliefState(tiny, 0.0).mass,
+            activation_density(BeliefState(state.fragments, 0.0), "a"),
+            cognitive_load(BeliefState(three.fragments, 0.0), config, 0.0),
+            readiness(basin, state)[0],
+        )
+
+    left_to_right = readings()
+    monkeypatch.setattr("builtins.sum", _neumaier_sum)
+    assert readings() == left_to_right
+    assert left_to_right[0] == 1.0

@@ -10,7 +10,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from beliefsim.config import ParameterConfig, default_config
-from beliefsim.core import BeliefState, IdAllocator, first_conflict
+from beliefsim.core import BeliefState, IdAllocator, embed_state, first_conflict
 from beliefsim.dynamics import (
     DRIFT_ANCHOR,
     ConflictError,
@@ -26,7 +26,8 @@ from beliefsim.dynamics import (
 )
 from beliefsim.regulation import _most_conflicted_sector
 
-from conftest import make_fragment, sector_projection, states, union_sectors
+import reference
+from conftest import SECTORS, ltr_sum, make_fragment, sector_projection, states, union_sectors
 
 
 def make_state(*frags, clock=0.0):
@@ -188,6 +189,67 @@ class TestDecayLaws:
         if weak is not None:
             assert strong is not None
             assert strong.persistence >= weak.persistence
+
+
+@st.composite
+def state_chains(draw):
+    """A state, a config and a chain of the operators that derive a state
+    from another: whole and sector decay (some persistences sit just above
+    delta), a fragment put in or replaced, a sector wipe, dropped ids and a
+    re-anchor."""
+    cfg = default_config().replace(
+        lambda0=draw(st.sampled_from((0.02, 0.3, 1.0))),
+        delta=draw(st.sampled_from((0.1, 0.5))),
+    )
+    state = draw(states(max_frags=8, keyed=True))
+    state = state.with_fragments(
+        f.replace(persistence=min(f.persistence + cfg.delta, 1.0)) for f in state.fragments
+    )
+    # A first decay keeps factors, so every later operator must carry them.
+    ops = [("nullify", 1.0)] + draw(st.lists(st.one_of(
+        st.tuples(st.just("nullify"), st.sampled_from((1.0, 1.0, 1.0, 2.5, 0.0))),
+        st.tuples(st.just("nullify_sector"), st.sampled_from(SECTORS[:3]),
+                  st.sampled_from((1.0, 5.0))),
+        st.tuples(st.just("put"), st.integers(1, 10), st.sampled_from((0.5, 2.0, 7.0))),
+        st.tuples(st.just("annihilate"), st.sampled_from(SECTORS[:3])),
+        st.tuples(st.just("drop"), st.sets(st.integers(1, 10), max_size=3)),
+        st.tuples(st.just("reanchor"), st.sets(st.integers(1, 10), max_size=3)),
+    ), min_size=1, max_size=8))
+    return cfg, state, ops
+
+
+@settings(max_examples=150, deadline=None)
+@given(chain=state_chains())
+def test_state_operators_match_the_per_fragment_loops(chain):
+    cfg, state, ops = chain
+    ref = state
+    for op, *args in ops:
+        if op == "nullify":
+            state, ref = nullify(state, args[0], cfg), reference.nullify(ref, args[0], cfg)
+        elif op == "nullify_sector":
+            state = nullify_sector(state, *args, cfg)
+            ref = reference.nullify_sector(ref, *args, cfg)
+        elif op == "put":
+            fid, anchor = args
+            fragment = make_fragment(fid, "seal check", sectors=SECTORS[:1], anchor=anchor)
+            state = state.with_fragment(fragment)
+            ref = ref.with_fragments((*(f for f in ref.fragments if f.id != fid), fragment))
+        elif op == "annihilate":
+            state = annihilate_sector(state, args[0])
+            ref = ref.with_fragments(f for f in ref.fragments if args[0] not in f.sectors)
+        elif op == "drop":
+            state = state.without_ids(args[0])
+            ref = ref.with_fragments(f for f in ref.fragments if f.id not in args[0])
+        else:
+            state = state.reanchor(args[0], 5.0)
+            ref = ref.with_fragments(
+                f.replace(anchor=max(f.anchor, 5.0), persistence=1.0) if f.id in args[0] else f
+                for f in ref.fragments
+            )
+        assert state == ref
+        assert [f.id for f in state.rows] == [f.id for f in ref.fragments]
+        assert state.mass == ltr_sum(f.weight for f in ref.fragments)
+        assert embed_state(state, 16).tobytes() == reference.embed_state(ref, 16).tobytes()
 
 
 # --------------------------------------------------------------------------

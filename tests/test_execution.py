@@ -3,12 +3,14 @@
 from __future__ import annotations
 
 import math
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from beliefsim.core import BeliefState
+from beliefsim import execution
+from beliefsim.core import BeliefState, tokenize
 from beliefsim.execution import (
     ActionBasin,
     ActionDecision,
@@ -18,6 +20,7 @@ from beliefsim.execution import (
     readiness,
     resolve_actions,
 )
+from beliefsim.simulator import SimulationRun, load_scenario
 
 from conftest import make_fragment, states
 
@@ -402,3 +405,12 @@ class TestResolutionLaws:
             winner = [d for d in resolved if d.verdict == "fired"]
             assert len(winner) == 1
             assert winner[0].readiness == max(values)
+
+
+def test_gate_rules_tokenize_their_patterns_only_at_load(monkeypatch):
+    scenario = load_scenario(Path(__file__).parent.parent / "scenarios" / "action_vetoes.json")
+    assert any(b.gate_policy for b in scenario.basins)
+    calls = []
+    monkeypatch.setattr(execution, "tokenize", lambda text: calls.append(text) or tokenize(text))
+    SimulationRun(scenario).run()
+    assert calls == []

@@ -15,19 +15,20 @@ from hypothesis import strategies as st
 from beliefsim import core, memory
 from beliefsim.config import default_config
 from beliefsim.core import BeliefState, IdAllocator, embed_tokens
-from beliefsim.dynamics import assimilate
-from beliefsim.simulator import SimulationRun, load_scenario
+from beliefsim.dynamics import assimilate, nullify
+from beliefsim.simulator import SimulationRun, _removed_ids, load_scenario
 from beliefsim.memory import (
-    MemoryStore,
     QueryCue,
     generate_query,
     goal_fragments,
     integrate_retrieved,
-    retrieval_score,
     retrieve,
 )
 
 from conftest import KEYS, WORDS, make_fragment, texts
+from reference import nullify as reference_nullify
+from reference import retrieval_score
+from reference import retrieve as reference_retrieve
 
 VACUUM = BeliefState((), 0.0)
 
@@ -200,7 +201,7 @@ def test_retrieval_score_is_cosine_times_persistence(cfg):
 
 
 def test_retrieve_applies_threshold(cfg):
-    store = MemoryStore(
+    store = BeliefState(
         (
             make_fragment(50, "coolant pump manual", persistence=1.0),
             make_fragment(51, "coolant pump manual", persistence=0.2),  # damped out
@@ -214,7 +215,7 @@ def test_retrieve_applies_threshold(cfg):
 
 
 def test_second_retrieve_over_decayed_store_embeds_only_the_cue(cfg, monkeypatch):
-    store = MemoryStore(
+    store = BeliefState(
         tuple(
             make_fragment(50 + i, text)
             for i, text in enumerate(
@@ -225,7 +226,7 @@ def test_second_retrieve_over_decayed_store_embeds_only_the_cue(cfg, monkeypatch
     )
     cue = QueryCue(kind="goal", tokens=("coolant", "pump"))
     first = retrieve(store, cue, cfg)
-    decayed, _ = store.decay(1.0, cfg)
+    decayed = nullify(store, 1.0, cfg)
 
     embedded = []
     real = core.embed_tokens
@@ -242,7 +243,7 @@ def test_second_retrieve_over_decayed_store_embeds_only_the_cue(cfg, monkeypatch
 
 
 def test_retrieve_copies_keep_store_ids_and_retag_origin(cfg):
-    store = MemoryStore((make_fragment(50, "coolant pump manual"),), 12.0)
+    store = BeliefState((make_fragment(50, "coolant pump manual"),), 12.0)
     cue = QueryCue(kind="goal", tokens=("coolant", "pump"))
     hits = retrieve(store, cue, cfg)
     copy = hits.get(50)
@@ -257,7 +258,7 @@ def test_retrieve_strips_member_records(cfg):
     summary = make_fragment(
         60, "coolant pump", origin="abstracted", members=(1, 2), level=1
     )
-    store = MemoryStore((summary,), 0.0)
+    store = BeliefState((summary,), 0.0)
     cue = QueryCue(kind="goal", tokens=("coolant", "pump"))
     copy = retrieve(store, cue, cfg).get(60)
     assert copy.members is None
@@ -265,7 +266,7 @@ def test_retrieve_strips_member_records(cfg):
 
 
 def test_retrieve_can_come_back_empty(cfg):
-    store = MemoryStore((make_fragment(50, "terrain chatter"),), 0.0)
+    store = BeliefState((make_fragment(50, "terrain chatter"),), 0.0)
     cue = QueryCue(kind="goal", tokens=("coolant", "pump"))
     assert retrieve(store, cue, cfg).is_vacuum
 
@@ -276,7 +277,7 @@ def test_retrieve_can_come_back_empty(cfg):
 
 def test_integration_boosts_copy_and_reanchors_twin(cfg):
     active = BeliefState((make_fragment(1, "goal: fix the pump", sectors=("task",)),), 40.0)
-    store = MemoryStore(
+    store = BeliefState(
         (make_fragment(50, "fix the pump manual", anchor=1.0, persistence=0.6),), 40.0
     )
     cue = QueryCue(kind="goal", tokens=("fix", "the", "pump"))
@@ -301,7 +302,7 @@ def test_retrieved_hit_enters_as_the_copy_integration_made(cfg, monkeypatch):
                         lambda active, incoming, *a, **kw: made.append(incoming)
                         or real(active, incoming, *a, **kw))
     active = BeliefState((make_fragment(1, "goal: fix the pump", sectors=("task",)),), 40.0)
-    store = MemoryStore(
+    store = BeliefState(
         (make_fragment(50, "fix the pump manual", anchor=1.0, persistence=0.6),), 40.0
     )
     hits = retrieve(store, QueryCue(kind="goal", tokens=("fix", "the", "pump")), cfg)
@@ -316,7 +317,7 @@ def test_integration_leaves_store_twin_when_copy_is_retracted(cfg):
     active = BeliefState(
         (make_fragment(1, "valve open", key="valve", polarity="+", anchor=50.0),), 0.0
     )
-    store = MemoryStore(
+    store = BeliefState(
         (make_fragment(50, "valve shut", key="valve", polarity="-",
                        anchor=1.0, persistence=0.9),),
         0.0,
@@ -339,7 +340,7 @@ def test_integration_refresh_still_reanchors_twin(cfg):
     # Copy duplicates active content: no new fragment, but the twin survives
     # by content and is re-anchored.
     active = BeliefState((make_fragment(1, "coolant pump manual", anchor=2.0),), 0.0)
-    store = MemoryStore(
+    store = BeliefState(
         (make_fragment(50, "coolant pump manual", anchor=1.0, persistence=0.5),), 0.0
     )
     cue = QueryCue(kind="goal", tokens=("coolant", "pump", "manual"))
@@ -355,7 +356,7 @@ def test_integration_refresh_still_reanchors_twin(cfg):
 
 def test_integration_keeps_high_anchor_copy_above_floor(cfg):
     active = BeliefState((make_fragment(1, "goal: fix pump", sectors=("task",)),), 0.0)
-    store = MemoryStore(
+    store = BeliefState(
         (make_fragment(50, "fix pump quickly", anchor=9.0, persistence=1.0),), 0.0
     )
     cue = QueryCue(kind="goal", tokens=("fix", "pump"))
@@ -368,43 +369,43 @@ def test_integration_keeps_high_anchor_copy_above_floor(cfg):
 
 
 # --------------------------------------------------------------------------
-# The columnar store
+# The store as a belief state
 # --------------------------------------------------------------------------
 
 def test_store_sorts_rows_and_rejects_duplicate_ids():
-    store = MemoryStore((make_fragment(9, "pump"), make_fragment(3, "valve")), 2.0)
+    store = BeliefState((make_fragment(9, "pump"), make_fragment(3, "valve")), 2.0)
     assert [f.id for f in store.fragments] == [3, 9]
     assert store.ids() == {3, 9} and store.clock == 2.0
-    with pytest.raises(ValueError, match="duplicate fragment ids in store: \\[3\\]"):
-        MemoryStore((make_fragment(3, "pump"), make_fragment(3, "valve")))
+    with pytest.raises(ValueError, match="duplicate fragment ids in state: \\[3\\]"):
+        BeliefState((make_fragment(3, "pump"), make_fragment(3, "valve")))
     with pytest.raises(ValueError, match="clock"):
-        MemoryStore((), -1.0)
+        BeliefState((), -1.0)
 
 
 def test_store_fragments_count_without_building(cfg, monkeypatch):
-    store = MemoryStore(
+    store = BeliefState(
         tuple(make_fragment(i, "pump", persistence=0.1005 if i == 1 else 0.5 + i / 10)
               for i in range(1, 6))
     )
-    decayed, pruned = store.decay(1.0, cfg)
-    assert pruned == [1]
+    decayed = nullify(store, 1.0, cfg)
+    assert _removed_ids(store, decayed) == [1]
     built = []
-    real = MemoryStore._fragment
-    monkeypatch.setattr(MemoryStore, "_fragment",
-                        lambda self, row, **kw: built.append(row) or real(self, row, **kw))
+    real = core._at
+    monkeypatch.setattr(core, "_at", lambda row, *a: built.append(row.id) or real(row, *a))
     rows = decayed.fragments
     assert len(rows) == 4
     assert built == []
-    assert rows[-1].id == 5 and [f.id for f in rows] == [2, 3, 4, 5]
+    assert rows[-1].id == 5 and built == [5]
+    assert [f.id for f in rows] == [2, 3, 4, 5]
     assert decayed.get(1) is None and decayed.get(7) is None
     assert decayed.get(2).persistence == rows[0].persistence
 
 
 def test_reanchor_skips_absent_and_pruned_ids(cfg):
-    store = MemoryStore((make_fragment(2, "pump", persistence=0.1005),
+    store = BeliefState((make_fragment(2, "pump", persistence=0.1005),
                          make_fragment(4, "valve", anchor=1.0, persistence=0.5)))
-    decayed, pruned = store.decay(1.0, cfg)
-    assert pruned == [2]
+    decayed = nullify(store, 1.0, cfg)
+    assert _removed_ids(store, decayed) == [2]
     lifted = decayed.reanchor([1, 2, 4, 9], 5.0)
     assert lifted.get(2) is None
     assert lifted.get(4).anchor == 5.0 and lifted.get(4).persistence == 1.0
@@ -422,7 +423,7 @@ def test_decay_factors_round_as_math_exp(cfg):
         for i in range(400)
     ]
     cfg = cfg.replace(lambda0=0.3)
-    decayed, _ = MemoryStore(rows).decay(1.0, cfg)
+    decayed = nullify(BeliefState(rows), 1.0, cfg)
     assert [f.persistence for f in decayed.fragments] == [
         f.persistence * math.exp(-cfg.decay_rate(f.anchor)) for f in rows
     ]
@@ -431,28 +432,29 @@ def test_decay_factors_round_as_math_exp(cfg):
 def test_vectors_are_built_at_the_first_retrieve_and_shared(cfg):
     scenario = load_scenario(Path(__file__).parent.parent / "scenarios" / "memory_recall.json")
     run = SimulationRun(scenario)
-    assert run.store._vectors[0] is None  # not at load
+    assert run.store._lineage[1] is None  # not at load
     store = run.store
     retrieve(store, QueryCue(kind="goal", tokens=("coolant", "pump")), cfg)
-    matrix = store._vectors[0]
+    matrix = store._lineage[1]
     assert matrix.shape == (len(scenario.store.fragments), cfg.embed_dim)
-    decayed, _ = store.decay(1.0, cfg)
+    decayed = nullify(store, 1.0, cfg)
     retrieve(decayed, QueryCue(kind="goal", tokens=("valve",)), cfg)
-    assert decayed._vectors[0] is matrix
+    assert decayed._lineage[1] is matrix
     for row, f in enumerate(store.fragments):
         assert np.array_equal(matrix[row], embed_tokens(f.tokens, cfg.embed_dim))
 
 
 def test_a_run_builds_fragments_only_for_retrieved_hits(monkeypatch):
     scenario = load_scenario(Path(__file__).parent.parent / "scenarios" / "memory_recall.json")
+    store_rows = {id(f) for f in scenario.store.rows}
     built = []
-    real = MemoryStore._fragment
-    monkeypatch.setattr(MemoryStore, "_fragment",
-                        lambda self, row, **kw: built.append(row) or real(self, row, **kw))
+    real = core._at
+    monkeypatch.setattr(core, "_at", lambda row, *a: (
+        id(row) in store_rows and built.append(row.id)) or real(row, *a))
     result = SimulationRun(scenario).run()
-    hits = sum(len(e.payload["ids"]) for e in result.trace.events if e.kind == "retrieve")
-    assert hits > 0
-    assert len(built) == hits
+    hits = [i for e in result.trace.events if e.kind == "retrieve" for i in e.payload["ids"]]
+    assert hits
+    assert len(built) <= len(hits) and set(built) <= set(hits)
 
 
 def test_retrieve_rereads_a_row_the_product_rounds_below_tau(cfg):
@@ -463,11 +465,11 @@ def test_retrieve_rereads_a_row_the_product_rounds_below_tau(cfg):
         make_fragment(i + 1, " ".join(WORDS[(i * 7 + k * 3) % len(WORDS)] for k in range(6)))
         for i in range(60)
     ]
-    store = MemoryStore(rows)
+    store = BeliefState(rows)
     for cue_words in (WORDS[:4], WORDS[4:9], WORDS[9:15], WORDS[15:]):
         cue = QueryCue(kind="associative", tokens=tuple(cue_words))
         cue_vec = embed_tokens(cue.tokens, 8)
-        screened = store._matrix(8) @ cue_vec
+        screened = core._embed_rows(store.rows, 8) @ cue_vec
         for row, f in enumerate(rows):
             exact = retrieval_score(cue_vec, f)
             if screened[row] < exact:
@@ -475,26 +477,6 @@ def test_retrieve_rereads_a_row_the_product_rounds_below_tau(cfg):
                 assert f.id in hits.ids()
                 return
     pytest.skip("this BLAS rounds the matrix product like the row dot products")
-
-
-def _reference_nullify(state, dt, config):
-    """The per-fragment decay loop the store's decay replaced."""
-    survivors = []
-    for f in state.fragments:
-        decayed = f.persistence * math.exp(-config.decay_rate(f.anchor) * dt)
-        if decayed > config.delta:
-            survivors.append(f.replace(persistence=decayed))
-    return BeliefState(tuple(survivors), state.clock + dt)
-
-
-def _reference_retrieve(store, cue, config):
-    """The per-fragment retrieval loop."""
-    cue_vec = embed_tokens(cue.tokens, config.embed_dim)
-    hits = []
-    for f in store.fragments:
-        if retrieval_score(cue_vec, f) >= config.tau_retrieval:
-            hits.append(f.replace(origin="retrieved", members=None))
-    return BeliefState(tuple(hits), store.clock)
 
 
 def _reference_integrate(active, retrieved, store, config, ids):
@@ -589,15 +571,15 @@ def store_chains(draw):
 @given(chain=store_chains(), data=st.data())
 def test_store_matches_the_per_fragment_loops(chain, data):
     cfg, rows, active, ops = chain
-    store = MemoryStore(rows, 0.0)
+    store = BeliefState(rows, 0.0)
     ref = BeliefState(tuple(rows), 0.0)
     ref_active = active
     for op, arg in ops:
         if op == "decay":
-            store, pruned = store.decay(arg, cfg)
-            before = ref.ids()
-            ref = _reference_nullify(ref, arg, cfg)
-            assert pruned == sorted(before - ref.ids())
+            before, store = store, nullify(store, arg, cfg)
+            gone = ref.ids()
+            ref = reference_nullify(ref, arg, cfg)
+            assert _removed_ids(before, store) == sorted(gone - ref.ids())
         else:
             cue_text = arg
             if ref.fragments and data.draw(st.booleans()):
@@ -616,7 +598,7 @@ def test_store_matches_the_per_fragment_loops(chain, data):
                 tau = min(max(_nudged(data.draw, tau), 0.0), 1.0)
             cfg_r = cfg.replace(tau_retrieval=tau)
             hits = retrieve(store, cue, cfg_r)
-            assert hits == _reference_retrieve(ref, cue, cfg_r)
+            assert hits == reference_retrieve(ref, cue, cfg_r)
             if op == "recall" and not hits.is_vacuum:
                 active, store, report = integrate_retrieved(
                     active, hits, store, cfg_r, IdAllocator(5000)

@@ -17,7 +17,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from beliefsim import geometry, memory, simulator, tower
+from beliefsim import geometry, simulator, tower
 from beliefsim.config import default_config
 from beliefsim.core import embed_tokens
 from beliefsim.simulator import run_scenario
@@ -121,7 +121,8 @@ CASES = (
 
 @pytest.fixture()
 def reference_engine(monkeypatch):
-    """Swap the reference loops in through the names the engine calls."""
+    """Swap the reference loops in through the names the engine calls; the
+    store decays through ``simulator.nullify`` as the active state does."""
 
     def swap() -> None:
         monkeypatch.setattr(simulator, "nullify", reference.nullify)
@@ -129,8 +130,6 @@ def reference_engine(monkeypatch):
         monkeypatch.setattr(simulator, "retrieve", reference.retrieve)
         monkeypatch.setattr(geometry, "embed_state", reference.embed_state)
         monkeypatch.setattr(tower, "embed_state", reference.embed_state)
-        if hasattr(memory, "MemoryStore"):
-            monkeypatch.setattr(memory.MemoryStore, "decay", reference.store_decay)
 
     return swap
 

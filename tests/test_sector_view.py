@@ -14,6 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from beliefsim import core, regulation
 from beliefsim.config import ParameterConfig, default_config
 from beliefsim.core import BeliefState, Fragment, first_conflict, tokenize
 from beliefsim.dynamics import nullify
@@ -31,6 +32,7 @@ from conftest import (
     KEYS,
     SECTORS,
     WORDS,
+    ltr_sum,
     make_fragment,
     sector_projection,
     sort_based_order,
@@ -61,7 +63,7 @@ def filtered_coherence(state: BeliefState, sector: str | None = None) -> float:
 
 def scan_load(state: BeliefState, config: ParameterConfig, rate: float) -> float:
     c_count, c_sector, c_rate = config.load_coeffs
-    sector_term = sum(
+    sector_term = ltr_sum(
         two_pass_density(state, s) * config.cost(s) for s in union_sectors(state)
     )
     return c_count * len(state.fragments) + c_sector * sector_term + c_rate * rate
@@ -190,8 +192,8 @@ def test_constructor_refuses_a_repeat_in_or_out_of_order(fids):
 def test_view_matches_the_whole_state_scans(state):
     assert state.sectors() == union_sectors(state)
     for sector in PROBES:
-        assert same_fragments(state.in_sector(sector), sector_projection(state, sector).fragments)
-    assert state.mass == sum(f.weight for f in state.fragments)
+        assert same_fragments(state.rows_in(sector), sector_projection(state, sector).fragments)
+    assert state.mass == ltr_sum(f.weight for f in state.fragments)
 
 
 @settings(max_examples=150, deadline=None)
@@ -228,14 +230,15 @@ def test_a_derived_state_builds_its_own_view(state, data):
     derived = (
         state.without_ids(drop),
         state.with_fragments(state.fragments[1:]),
-        *(state.replace_fragment(f) for f in moved),
+        *(state.with_fragment(f) for f in moved),
         nullify(state, 1.0, default_config()),
     )
     for d in derived:
         assert d.sectors() == union_sectors(d)
+        assert [f.id for f in d.rows] == [f.id for f in d.fragments]
         for sector in PROBES:
-            assert same_fragments(d.in_sector(sector), sector_projection(d, sector).fragments)
-        assert d.mass == sum(f.weight for f in d.fragments)
+            assert same_fragments(d.rows_in(sector), [f for f in d.rows if sector in f.sectors])
+        assert d.mass == ltr_sum(f.weight for f in d.fragments)
 
 
 def test_view_leaves_equality_and_hash_alone():
@@ -256,12 +259,22 @@ def test_cognitive_load_reads_each_weight_a_bounded_number_of_times(monkeypatch,
         reads[f.id] += 1
         return weight(f)
 
+    summed: list[int] = []
+    real_sum = core.ordered_sum
+
+    def counted_sum(values):
+        summed.append(len(values))
+        return real_sum(values)
+
     monkeypatch.setattr(Fragment, "weight", property(counted))
+    monkeypatch.setattr(core, "ordered_sum", counted_sum)
+    monkeypatch.setattr(regulation, "ordered_sum", counted_sum)
     frags = tuple(
         make_fragment(i + 1, sectors=(f"s{i % n_sectors}",), anchor=1.0 + i % 3)
         for i in range(128)
     )
     cognitive_load(BeliefState(frags, 0.0), default_config(), 0.0)
-    # Once for the state's mass and once for its one sector's share.
-    assert set(reads) == {f.id for f in frags}
-    assert max(reads.values()) == 2
+    # No fragment is read: the weights come from the state's columns, summed
+    # once for the state's mass and once for the one sector's share each.
+    assert reads == Counter()
+    assert sum(summed) == 2 * len(frags) + n_sectors
