@@ -319,7 +319,7 @@ class BeliefState:
                 persistence: Optional[np.ndarray], decay: Optional[tuple],
                 keep: Optional[np.ndarray] = None) -> "BeliefState":
         """A state on this one's rows, or on the rows ``keep`` marks, with
-        these columns; with none, each row is its own fragment."""
+        these columns; with no columns, each row is its own fragment."""
         new = object.__new__(BeliefState)
         new.clock, new._lineage, new._mass = clock, self._lineage, None
         rows, index, new._view = self._rows, self._index, self._view  # the view reads rows only
