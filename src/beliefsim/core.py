@@ -19,7 +19,9 @@ checks as a freshly built fragment.
 A state is one table, for the active state and the long-term store alike:
 fragments as they entered are its rows, in id order, and each row's anchor
 and persistence live in columns beside them.  Decay multiplies the
-persistence column by kept ``math.exp`` factors and shares the rows;
+persistence column by kept ``math.exp`` factors and, like ``reanchor``,
+shares the rows; every other change is one ``revised`` (drop ids, put
+fragments), which leaves the rows it does not touch as they were.
 ``fragments`` builds a row into a ``Fragment`` only when it is read.
 Readers of the fields that never change read ``rows``, or ``rows_in(s)``
 from a sector view built once per set of rows, and build nothing.
@@ -337,34 +339,34 @@ class BeliefState:
         new._built = rows if anchor is None else None
         return new
 
-    def with_fragments(self, fragments: Iterable[Fragment]) -> "BeliefState":
-        return BeliefState(tuple(fragments), self.clock)
-
-    def with_fragment(self, fragment: Fragment) -> "BeliefState":
-        """This state with ``fragment`` in place of the fragment of its id,
-        or added in id order."""
-        rows = self._rows
-        i = bisect.bisect_left(rows, fragment.id, key=_ID)
-        j = i + (i < len(rows) and rows[i].id == fragment.id)
-        new = BeliefState((*rows[:i], fragment, *rows[j:]), self.clock)
-        if self._anchor is None:  # every row is still its own fragment
+    def revised(self, put: Iterable[Fragment] = (),
+                drop: Iterable[int] = ()) -> "BeliefState":
+        """This state without the ids in ``drop``, with each fragment of
+        ``put`` in place of the row of its id or added in id order.  Rows
+        it does not touch keep their columns and kept decay factors; only
+        put rows have theirs computed."""
+        put = sorted(put, key=_ID)
+        gone = set(drop).union(map(_ID, put))
+        if not gone:
+            return self
+        keep = np.ones(len(self._rows), dtype=bool)
+        keep[[i for i in map(self._position, gone) if i is not None]] = False
+        kept = self._derive(self.clock, self._anchor, self._persistence, self._decay, keep)
+        if not put:
+            return kept
+        at = [bisect.bisect_left(kept._rows, f.id, key=_ID) for f in put]
+        new = BeliefState(sorted((*kept._rows, *put), key=_ID), self.clock)  # refuses a repeated id
+        if kept._anchor is None:  # every row is still its own fragment
             return new
-
-        def splice(column: np.ndarray, value: np.ndarray) -> np.ndarray:
-            return _frozen(np.concatenate((column[:i], value, column[j:])))
-
-        new._anchor = splice(self._anchor, np.array([fragment.anchor]))
-        new._persistence = splice(self._persistence, np.array([fragment.persistence]))
+        anchor = np.array([f.anchor for f in put], dtype=float)
+        new._anchor = _frozen(np.insert(kept._anchor, at, anchor))
+        new._persistence = _frozen(np.insert(kept._persistence, at, [f.persistence for f in put]))
         new._built = None
-        if self._decay is not None:
-            dt, config, factors = self._decay
-            new._decay = (dt, config, splice(factors, _decay_factors(new._anchor[i:i + 1], dt, config)))
+        if kept._decay is not None:
+            dt, config, factors = kept._decay
+            factors = np.insert(factors, at, _decay_factors(anchor, dt, config))
+            new._decay = (dt, config, _frozen(factors))
         return new
-
-    def without_ids(self, drop: Iterable[int]) -> "BeliefState":
-        gone = set(drop)
-        keep = np.fromiter((f.id not in gone for f in self._rows), bool, len(self._rows))
-        return self._derive(self.clock, self._anchor, self._persistence, self._decay, keep)
 
     def decayed(self, dt: float, config: ParameterConfig, clock: float,
                 sector: Optional[str] = None) -> "BeliefState":

@@ -16,6 +16,8 @@ Assimilation is a staged pipeline:
 and, in corrective modes, a final sweep resolves any conflicts remaining
 *inside* the merged state (input-internal or elaboration-introduced) with the
 same revision rule, so corrective assimilation always ends conflict-free.
+Each stage ends in one ``BeliefState.revised``; a row is built into a
+fragment only where its anchor or persistence is read or written.
 
 Nullification multiplies persistence by exp(-lambda_i * dt) with
 lambda_i = lambda0 * f(anchor) and prunes fragments at or below the threshold;
@@ -29,6 +31,7 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass
+from itertools import chain
 from typing import Any, Optional, Sequence
 
 from .config import ParameterConfig
@@ -94,23 +97,6 @@ class ConflictError(ValueError):
         )
 
 
-def detect_conflicts(
-    state: BeliefState, incoming: BeliefState
-) -> list[tuple[Fragment, Fragment]]:
-    """All (existing, incoming) pairs sharing a key with opposite polarity.
-
-    Pairs come in existing-id order, then incoming order.  Fragments without
-    a proposition key never conflict.
-    """
-    by_key = key_groups(incoming.fragments)
-    return [
-        (existing, candidate)
-        for existing in state.fragments
-        for candidate in by_key.get(existing.key, ())
-        if candidate.polarity != existing.polarity
-    ]
-
-
 def _revision_loser(existing: Fragment, incoming: Fragment) -> Fragment:
     """Which party of a conflict is retracted: lower anchor, then older
     created_at, then the incoming (later) side."""
@@ -121,18 +107,21 @@ def _revision_loser(existing: Fragment, incoming: Fragment) -> Fragment:
     return incoming
 
 
-def _resolve_internal(fragments: list[Fragment]) -> tuple[list[Fragment], list[int]]:
+def _resolve_internal(state: BeliefState) -> tuple[BeliefState, list[int]]:
     """Resolve conflicts among the fragments of one state.
 
     Same revision rule, with the higher id as the later arrival that loses a
     full tie.  Each key group is walked pair by pair in id order; retracted
     ids come out in global (a.id, b.id) discovery order, and every conflict
-    seen retracts exactly one fragment.  Returns (survivors, retracted ids).
+    seen retracts exactly one fragment.  Only groups holding both polarities
+    are built.  Returns (the survivors' state, retracted ids).
     """
-    ordered = sorted(fragments, key=lambda f: f.id)
     dead: set[int] = set()
     found: list[tuple[int, int, int]] = []  # (a.id, b.id, loser id)
-    for group in key_groups(ordered).values():
+    for rows in key_groups(state.rows).values():
+        if len({f.polarity for f in rows}) < 2:
+            continue
+        group = [state.get(f.id) for f in rows]
         for i, a in enumerate(group):
             for b in group[i + 1:]:
                 if a.id in dead:
@@ -143,8 +132,7 @@ def _resolve_internal(fragments: list[Fragment]) -> tuple[list[Fragment], list[i
                 dead.add(loser.id)
                 found.append((a.id, b.id, loser.id))
     found.sort()
-    survivors = [f for f in ordered if f.id not in dead]
-    return survivors, [loser for _, _, loser in found]
+    return state.revised(drop=dead), [loser for _, _, loser in found]
 
 
 def assimilate(
@@ -165,23 +153,28 @@ def assimilate(
     if mode not in ASSIMILATION_MODES:
         raise ValueError(f"unknown assimilation mode {mode!r}")
     clock = state.clock
-    current = list(state.fragments)
-    by_content = {f.content_key(): i for i, f in enumerate(current)}
 
     # Stage 1: duplicate refresh (confirmatory behavior), +1 per twin.
+    by_content = {f.content_key(): i for i, f in enumerate(state.rows)}
+    refreshed: dict[int, Fragment] = {}
     fresh: list[Fragment] = []
     for candidate in incoming.fragments:
         twin = by_content.get(candidate.content_key())
         if twin is None:
             fresh.append(candidate)
         else:
-            f = current[twin]
-            current[twin] = f.replace(anchor=f.anchor + 1.0, persistence=1.0)
+            f = refreshed.get(twin) or state.fragments[twin]
+            refreshed[twin] = f.replace(anchor=f.anchor + 1.0, persistence=1.0)
+    state = state.revised(put=refreshed.values())
 
-    # Stage 2: conflict detection against what remains of the input.
-    remaining_state = BeliefState(tuple(current), clock)
-    remaining_input = BeliefState(tuple(fresh), clock)
-    pairs = detect_conflicts(remaining_state, remaining_input)
+    # Stage 2: conflict detection against what remains of the input; pairs
+    # come in existing-id order, then incoming order.
+    by_key = key_groups(fresh)
+    pairs = [
+        (state.fragments[i], candidate)
+        for i, row in enumerate(state.rows) if row.key in by_key
+        for candidate in by_key[row.key] if candidate.polarity != row.polarity
+    ]
     conflicts_found = len(pairs)
 
     retracted: list[int] = []
@@ -200,38 +193,38 @@ def assimilate(
                 retracted.append(existing.id)
             else:
                 dead_incoming.add(candidate.id)
-        current = [f for f in current if f.id not in dead_existing]
         fresh = [f for f in fresh if f.id not in dead_incoming]
+        state = state.revised(drop=dead_existing)
 
     # Stage 4: union; added fragments keep their anchors, persistence resets
     # (a fragment already at 1.0 enters as it is, uncopied).
-    existing_ids = {f.id for f in current}
-    added: list[int] = []
+    taken = state.ids() if fresh else frozenset()
     for candidate in fresh:
-        if candidate.id in existing_ids:
+        if candidate.id in taken:
             raise ValueError(f"incoming fragment id {candidate.id} collides with state")
-        if candidate.persistence != 1.0:
-            candidate = candidate.replace(persistence=1.0)
-        current.append(candidate)
-        existing_ids.add(candidate.id)
-        added.append(candidate.id)
+    state = state.revised(
+        put=[f if f.persistence == 1.0 else f.replace(persistence=1.0) for f in fresh]
+    )
+    added = [f.id for f in fresh]
 
     # Stage 5: elaboration rules, at most once each.
     elaborated: list[int] = []
-    if mode in ("elab", "auto"):
-        content_now = {f.content_key() for f in current}
+    if mode in ("elab", "auto") and rules:
+        content_now = {f.content_key() for f in state.rows}
+        emits: list[Fragment] = []
         for rule in rules:
-            if not any(rule.matches(f) for f in current):
+            if not any(rule.matches(f) for f in chain(state.rows, emits)):
                 continue
             fid = ids.next()  # drawn even by a refire, so later ids keep their order
             # The copy overrides no field of the content key: test before copying.
             if rule.emit.content_key() in content_now:
                 continue  # refiring would only duplicate
-            current.append(
+            emits.append(
                 rule.emit.replace(id=fid, created_at=clock, origin="elaborated", persistence=1.0)
             )
             content_now.add(rule.emit.content_key())
             elaborated.append(fid)
+        state = state.revised(put=emits)
 
     # Stage 6: abstracting merge over a configured group.
     abstracted: list[int] = []
@@ -239,18 +232,18 @@ def assimilate(
         from .tower import merge_group  # local import; tower depends on geometry
 
         group_tokens = set(tokenize(abs_group))
-        members = [f for f in current if group_tokens <= set(f.tokens)]
+        members = [
+            state.fragments[i] for i, f in enumerate(state.rows) if group_tokens <= set(f.tokens)
+        ]
         if len(members) >= 2:
             summary = merge_group(members, config, ids, clock)
-            member_ids = {f.id for f in members}
-            current = [f for f in current if f.id not in member_ids]
-            current.append(summary)
+            state = state.revised(put=[summary], drop=[f.id for f in members])
             abstracted.append(summary.id)
 
     # Final sweep: corrective modes end conflict-free even when the input
     # itself (or an elaboration) carried a contradiction.
     if mode in ("corr", "auto"):
-        current, swept = _resolve_internal(current)
+        state, swept = _resolve_internal(state)
         conflicts_found += len(swept)
         for fid in swept:
             if fid in added:
@@ -268,7 +261,7 @@ def assimilate(
         conflicts_found=conflicts_found,
         mode=mode,
     )
-    return BeliefState(tuple(current), clock), report
+    return state, report
 
 
 # --------------------------------------------------------------------------
@@ -324,7 +317,7 @@ def annihilate_sector(state: BeliefState, sector: str) -> BeliefState:
     Multi-tagged fragments are removed entirely (set difference), not
     untagged — untagging would silently change their meaning.
     """
-    return state.without_ids(f.id for f in state.rows_in(sector))
+    return state.revised(drop=[f.id for f in state.rows_in(sector)])
 
 
 # --------------------------------------------------------------------------
@@ -356,7 +349,7 @@ def drift(
         created_at=state.clock,
         origin="drifted",
     )
-    return state.with_fragment(fragment)
+    return state.revised(put=[fragment])
 
 
 __all__ = [
@@ -367,7 +360,6 @@ __all__ = [
     "ElaborationRule",
     "annihilate_sector",
     "assimilate",
-    "detect_conflicts",
     "drift",
     "half_life",
     "nullify",

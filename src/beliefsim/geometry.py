@@ -159,7 +159,7 @@ def realign(state: BeliefState, axis: "EpistemicAxis",
         best_i = None
         best_reading = None
         for i in _shortlist(vecs, weights, axis):
-            candidate = current.without_ids((frags[i].id,))
+            candidate = current.revised(drop=(frags[i].id,))
             cand_reading = compass_reading(candidate, axis, config)
             if best_reading is None or cand_reading.residual < best_reading.residual:
                 best_i = i
@@ -168,7 +168,7 @@ def realign(state: BeliefState, axis: "EpistemicAxis",
         if best_reading.residual >= reading.residual:
             return RealignmentOutcome(current, tuple(removed), True)
         dropped = frags.pop(best_i)
-        current = current.without_ids((dropped.id,))
+        current = current.revised(drop=(dropped.id,))
         removed.append(dropped.id)
         vecs = np.delete(vecs, best_i, axis=0)
         weights = np.delete(weights, best_i)

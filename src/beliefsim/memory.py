@@ -153,7 +153,7 @@ def integrate_retrieved(
         mode="auto",
         rules=rules,
     )
-    surviving = {f.content_key() for f in new_active.fragments}
+    surviving = {f.content_key() for f in new_active.rows}
     twins = [c.id for c in boosted if c.content_key() in surviving]
     return new_active, store.reanchor(twins, floor), report
 

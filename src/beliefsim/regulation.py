@@ -195,8 +195,9 @@ def meta_assimilate(
     """
     warnings: list[str] = []
     emitted: list[Fragment] = []
+    # Text "<metric> <target> <direction> <value>": slot "<metric> <target>".
     existing_meta = {
-        tuple(f.tokens[:2]): f for f in active.rows if f.origin == "meta"
+        f.text.rsplit(" ", 2)[0]: f for f in active.rows if f.origin == "meta"
     }
     state = active
     for metric, target, direction, value in _breach_entries(report, config):
@@ -214,7 +215,7 @@ def meta_assimilate(
                 f"dropped {metric} {target}"
             )
             continue
-        slot = existing_meta.get((metric, target))
+        slot = existing_meta.get(f"{metric} {target}")
         if slot is not None:
             updated = slot.replace(
                 text=text,
@@ -234,8 +235,8 @@ def meta_assimilate(
                 created_at=state.clock,
                 origin="meta",
             )
-        state = state.with_fragment(updated)
-        existing_meta[(metric, target)] = updated
+        state = state.revised(put=[updated])
+        existing_meta[f"{metric} {target}"] = updated
         emitted.append(updated)
     return state, emitted, warnings
 

@@ -641,9 +641,11 @@ class SimulationRun:
             self._emit("warning", {"op": "realign", "message": "still drifting after realignment"})
         self._emit("regulate_action", {"decision": decision.to_dict(), "removed": removed})
 
-    def _memory_cycle(self) -> None:
+    def _memory_cycle(self, goals: bool) -> None:
         cue = None
         for trigger in QUERY_TRIGGERS:
+            if trigger == "goal" and not goals:
+                continue  # step 4 found none, and the state has not changed since
             candidate = generate_query(self.active, trigger, self.config)
             if candidate is not None and candidate.signature() not in self._issued_cues:
                 cue = candidate
@@ -705,7 +707,8 @@ class SimulationRun:
         self._apply_regulation(report)
 
         # 4. re-allocate effort and log the introspection.
-        self.ledger = allocate_effort(report, self._goals_present(), self.config)
+        goals = self._goals_present()
+        self.ledger = allocate_effort(report, goals, self.config)
         self._emit(
             "meta",
             {
@@ -716,7 +719,7 @@ class SimulationRun:
         )
 
         # 5. memory cycle (memory budget).
-        self._memory_cycle()
+        self._memory_cycle(goals)
 
         # 6. vacuum drift (rest budget).
         if self.active.is_vacuum and self.scenario.lexicon:

@@ -137,7 +137,7 @@ def abstract_step(
             result.append(_merge_pair(a, b, ids, state.clock))
         for leftover in pool.values():
             result.append(leftover.replace(level=leftover.level + 1))
-    return state.with_fragments(result)
+    return BeliefState(result, state.clock)
 
 
 def merge_group(
@@ -208,7 +208,7 @@ def elaborate_step(
                 )
         else:
             result.append(f.replace(level=max(f.level - 1, 0)))
-    return state.with_fragments(result)
+    return BeliefState(result, state.clock)
 
 
 def roundtrip_loss(state: BeliefState, config: ParameterConfig) -> float:

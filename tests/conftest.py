@@ -97,7 +97,7 @@ def states(draw, min_frags: int = 0, max_frags: int = 6, keyed: bool = False):
 
 def sector_projection(state: BeliefState, sector: str) -> BeliefState:
     """The sub-state of fragments tagged with ``sector``; clock preserved."""
-    return state.with_fragments(f for f in state.fragments if sector in f.sectors)
+    return BeliefState(tuple(f for f in state.fragments if sector in f.sectors), state.clock)
 
 
 def union_sectors(state: BeliefState) -> tuple[str, ...]:

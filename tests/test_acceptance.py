@@ -19,11 +19,10 @@ import numpy as np
 from conftest import WORDS, make_fragment
 
 from beliefsim.config import default_config
-from beliefsim.core import BeliefState, IdAllocator, embed_state
+from beliefsim.core import BeliefState, IdAllocator, embed_state, first_conflict
 from beliefsim.dynamics import (
     annihilate_sector,
     assimilate,
-    detect_conflicts,
     half_life,
     nullify,
 )
@@ -283,7 +282,7 @@ def test_assimilation_redundancy_revision_and_dispute():
             IdAllocator(500),
             mode="corr",
         )
-        assert detect_conflicts(out, out) == []
+        assert first_conflict(out.rows) is None
         assert coherence(out) == 1.0
 
     # The panel dispute: a newer observation at equal anchor replaces the

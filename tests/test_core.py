@@ -184,14 +184,20 @@ def test_sectors_listing_is_sorted_union():
     assert state.sectors() == ("mem", "perc", "task")
 
 
-def test_without_ids_and_with_fragment():
+def test_revised_drops_replaces_and_adds():
     state = BeliefState((make_fragment(1), make_fragment(2, "valve")), 0.0)
-    assert state.without_ids([2]).ids() == frozenset({1})
-    bumped = state.with_fragment(state.get(1).replace(anchor=7.0))
+    assert state.revised(drop=[2]).ids() == frozenset({1})
+    bumped = state.revised(put=[state.get(1).replace(anchor=7.0)])
     assert bumped.get(1).anchor == 7.0
     assert bumped.get(2).anchor == 1.0
-    grown = bumped.with_fragment(make_fragment(0, "seal"))
-    assert [f.id for f in grown.fragments] == [0, 1, 2] and grown.get(1).anchor == 7.0
+    grown = bumped.revised(put=[make_fragment(3, "lamp"), make_fragment(0, "seal")], drop=[2])
+    assert [f.id for f in grown.fragments] == [0, 1, 3] and grown.get(1).anchor == 7.0
+    # A dropped id that is also put comes back as the put fragment.
+    back = grown.revised(put=[make_fragment(3, "bell")], drop=[3])
+    assert back.get(3).text == "bell"
+    assert state.revised() is state
+    with pytest.raises(ValueError, match="duplicate"):
+        state.revised(put=[make_fragment(5), make_fragment(5, "seal")])
 
 
 def test_id_allocator_is_monotonic():

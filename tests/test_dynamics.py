@@ -5,6 +5,7 @@ from __future__ import annotations
 import math
 import random
 
+import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
@@ -18,7 +19,6 @@ from beliefsim.dynamics import (
     _resolve_internal,
     annihilate_sector,
     assimilate,
-    detect_conflicts,
     drift,
     half_life,
     nullify,
@@ -195,24 +195,29 @@ class TestDecayLaws:
 def state_chains(draw):
     """A state, a config and a chain of the operators that derive a state
     from another: whole and sector decay (some persistences sit just above
-    delta), a fragment put in or replaced, a sector wipe, dropped ids and a
-    re-anchor."""
+    delta), revisions that put in or replace fragments and drop ids (an id
+    can be both), a sector wipe and a re-anchor."""
     cfg = default_config().replace(
         lambda0=draw(st.sampled_from((0.02, 0.3, 1.0))),
         delta=draw(st.sampled_from((0.1, 0.5))),
     )
     state = draw(states(max_frags=8, keyed=True))
-    state = state.with_fragments(
-        f.replace(persistence=min(f.persistence + cfg.delta, 1.0)) for f in state.fragments
+    state = BeliefState(
+        tuple(f.replace(persistence=min(f.persistence + cfg.delta, 1.0)) for f in state.fragments),
+        state.clock,
     )
     # A first decay keeps factors, so every later operator must carry them.
     ops = [("nullify", 1.0)] + draw(st.lists(st.one_of(
         st.tuples(st.just("nullify"), st.sampled_from((1.0, 1.0, 1.0, 2.5, 0.0))),
         st.tuples(st.just("nullify_sector"), st.sampled_from(SECTORS[:3]),
                   st.sampled_from((1.0, 5.0))),
-        st.tuples(st.just("put"), st.integers(1, 10), st.sampled_from((0.5, 2.0, 7.0))),
+        st.tuples(
+            st.just("revise"),
+            st.dictionaries(st.integers(1, 12), st.tuples(
+                st.sampled_from((0.5, 2.0, 7.0)), st.sampled_from((1.0, 0.6))), max_size=3),
+            st.sets(st.integers(1, 12), max_size=3),
+        ),
         st.tuples(st.just("annihilate"), st.sampled_from(SECTORS[:3])),
-        st.tuples(st.just("drop"), st.sets(st.integers(1, 10), max_size=3)),
         st.tuples(st.just("reanchor"), st.sets(st.integers(1, 10), max_size=3)),
     ), min_size=1, max_size=8))
     return cfg, state, ops
@@ -229,23 +234,24 @@ def test_state_operators_match_the_per_fragment_loops(chain):
         elif op == "nullify_sector":
             state = nullify_sector(state, *args, cfg)
             ref = reference.nullify_sector(ref, *args, cfg)
-        elif op == "put":
-            fid, anchor = args
-            fragment = make_fragment(fid, "seal check", sectors=SECTORS[:1], anchor=anchor)
-            state = state.with_fragment(fragment)
-            ref = ref.with_fragments((*(f for f in ref.fragments if f.id != fid), fragment))
+        elif op == "revise":
+            put = [
+                make_fragment(fid, "seal check", sectors=SECTORS[:1], anchor=a, persistence=p)
+                for fid, (a, p) in args[0].items()
+            ]
+            state = state.revised(put=put, drop=args[1])
+            ref = BeliefState((*(f for f in ref.fragments
+                                 if f.id not in args[1] and f.id not in args[0]), *put), ref.clock)
         elif op == "annihilate":
             state = annihilate_sector(state, args[0])
-            ref = ref.with_fragments(f for f in ref.fragments if args[0] not in f.sectors)
-        elif op == "drop":
-            state = state.without_ids(args[0])
-            ref = ref.with_fragments(f for f in ref.fragments if f.id not in args[0])
+            ref = BeliefState(
+                tuple(f for f in ref.fragments if args[0] not in f.sectors), ref.clock)
         else:
             state = state.reanchor(args[0], 5.0)
-            ref = ref.with_fragments(
+            ref = BeliefState(tuple(
                 f.replace(anchor=max(f.anchor, 5.0), persistence=1.0) if f.id in args[0] else f
                 for f in ref.fragments
-            )
+            ), ref.clock)
         assert state == ref
         assert [f.id for f in state.rows] == [f.id for f in ref.fragments]
         assert state.mass == ltr_sum(f.weight for f in ref.fragments)
@@ -307,7 +313,7 @@ def test_incoming_id_collision_rejected(cfg):
         assimilate(make_state(make_fragment(1)), incoming(clash), cfg, IdAllocator(200))
 
 
-def test_detect_conflicts_requires_shared_key_opposite_polarity():
+def test_conflict_pairs_require_shared_key_opposite_polarity(cfg):
     held = make_state(
         make_fragment(1, "valve open", key="valve", polarity="+"),
         make_fragment(2, "seal ok", key="seal", polarity="+"),
@@ -317,8 +323,9 @@ def test_detect_conflicts_requires_shared_key_opposite_polarity():
         make_fragment(102, "seal ok indeed", key="seal", polarity="+"),
         make_fragment(103, "plain text"),
     )
-    pairs = detect_conflicts(held, probe)
-    assert [(a.id, a.key) for a, _ in pairs] == [(1, "valve")]
+    with pytest.raises(ConflictError) as err:
+        assimilate(held, probe, cfg, IdAllocator(200), mode="elab")
+    assert [(a.id, a.key, b.id) for a, b in err.value.pairs] == [(1, "valve", 101)]
 
 
 def test_elaborative_mode_raises_on_conflict(cfg):
@@ -479,7 +486,7 @@ class TestAssimilationLaws:
         out, _ = assimilate(
             held, BeliefState(tuple(batch), held.clock), cfg, IdAllocator(500)
         )
-        assert detect_conflicts(out, out) == []
+        assert first_conflict(out.rows) is None
 
     @settings(max_examples=50, deadline=None)
     @given(held=states(min_frags=1))
@@ -496,6 +503,111 @@ class TestAssimilationLaws:
         for f in out.fragments:
             assert f.anchor == held.get(f.id).anchor + 1.0
             assert f.persistence == 1.0
+
+
+# --------------------------------------------------------------------------
+# Assimilation against the reference that rebuilds every fragment
+# --------------------------------------------------------------------------
+
+# Few contents, so twins, shared keys of both polarities and rule emits that
+# equal a held fragment's content are common.
+CLAIMS = (None, ("p", "+"), ("p", "-"))
+
+
+@st.composite
+def _claims(draw, fid):
+    key = draw(st.sampled_from(CLAIMS))
+    return make_fragment(
+        fid,
+        draw(st.sampled_from(("pump valve", "valve seal"))),
+        sectors=draw(st.sampled_from((("perc",), ("perc", "task")))),
+        anchor=draw(st.sampled_from((1.0, 2.0, 3.0))),
+        persistence=draw(st.sampled_from((1.0, 0.6))),
+        created_at=draw(st.sampled_from((0.0, 1.0))),
+        key=key and key[0],
+        polarity=key and key[1],
+    )
+
+
+@st.composite
+def assimilation_cases(draw):
+    """A state whose columns have moved from its rows (decay keeps factors,
+    a re-anchor lifts anchors and ties them), an input of twins, rivals of
+    held claims and fresh claims whose ids may collide with the state's,
+    rules (some emit a held fragment's content) and a mode."""
+    cfg = default_config().replace(lambda0=draw(st.sampled_from((0.05, 0.5))))
+    held = draw(st.lists(st.integers(1, 10), unique=True, max_size=7))
+    state = BeliefState(tuple(draw(_claims(fid)) for fid in sorted(held)), 1.0)
+    for op in draw(st.lists(st.sampled_from(("nullify", "reanchor")), max_size=3)):
+        if op == "nullify":
+            state = nullify(state, 1.0, cfg)
+        else:
+            lifted = draw(st.sets(st.sampled_from(held or [0]), max_size=3))
+            state = state.reanchor(lifted, draw(st.sampled_from((2.0, 3.5))))
+    batch = []
+    for fid in draw(st.lists(st.integers(1, 16), unique=True, max_size=5)):
+        source = "claim"
+        if state.rows:
+            source = draw(st.sampled_from(("twin", "rival", "rival", "claim")))
+        if source == "claim":
+            batch.append(draw(_claims(fid)))
+            continue
+        held_row = draw(st.sampled_from(state.rows))
+        anchor = draw(st.sampled_from((1.0, 3.0, 4.0, 4.0)))
+        if source == "rival" and held_row.key is not None:
+            flipped = "+" if held_row.polarity == "-" else "-"
+            batch.append(held_row.replace(id=fid, polarity=flipped, anchor=anchor))
+        else:
+            batch.append(held_row.replace(id=fid, anchor=anchor))
+    rules = tuple(
+        ElaborationRule(
+            draw(st.sampled_from(("pump", "seal", "p", "steady"))),
+            draw(st.sampled_from(state.rows)) if state.rows and draw(st.integers(0, 2))
+            else draw(_claims(0)),
+        )
+        for _ in range(draw(st.integers(0, 3)))
+    )
+    mode = draw(st.sampled_from(("auto", "auto", "auto", "corr", "elab", "abs", "conf")))
+    group = draw(st.sampled_from((None, "valve", "pump")))
+    return cfg, state, BeliefState(tuple(batch), 1.0), rules, mode, group
+
+
+def _fixed(f):
+    return f.id, f.text, f.sectors, f.level, f.created_at, f.origin, f.key, f.polarity, f.members
+
+
+def _assimilated(fn, state, batch, cfg, rules, mode, group):
+    """The result and the next id drawn, or the refusal."""
+    ids = IdAllocator(100)
+    try:
+        out = fn(state, batch, cfg, ids, mode=mode, rules=rules, abs_group=group)
+    except ValueError as err:  # ConflictError too
+        return type(err), str(err), getattr(err, "pairs", None)
+    return out, ids.next()
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(case=assimilation_cases())
+def test_assimilate_matches_the_reference_rebuild(case):
+    cfg, state, batch, rules, mode, group = case
+    fast = _assimilated(assimilate, state, batch, cfg, rules, mode, group)
+    slow = _assimilated(reference.assimilate, state, batch, cfg, rules, mode, group)
+    if not isinstance(slow[0], tuple):
+        assert fast == slow
+        return
+    ((out, report), next_id), ((ref, ref_report), ref_next_id) = fast, slow
+    assert (report, next_id) == (ref_report, ref_next_id)
+    assert out == ref
+    assert list(map(_fixed, out.rows)) == list(map(_fixed, ref.rows))
+    anchor, persistence = out._columns()
+    assert anchor.tobytes() == np.array([f.anchor for f in ref.fragments], float).tobytes()
+    assert persistence.tobytes() == np.array(
+        [f.persistence for f in ref.fragments], float).tobytes()
+    assert (out._decay is None) == (state._decay is None)
+    if out._decay is not None:
+        dt = out._decay[0]
+        assert out._decay[2].tobytes() == np.array(
+            [math.exp(-cfg.decay_rate(f.anchor) * dt) for f in ref.fragments], float).tobytes()
 
 
 # --------------------------------------------------------------------------
@@ -571,7 +683,8 @@ def interleaved_claims(draw):
 @given(frags=interleaved_claims(), data=st.data())
 def test_key_index_matches_all_pairs_enumeration(frags, data):
     survivors, retracted, seen = _quadratic_resolve(frags)
-    assert _resolve_internal(list(frags)) == (survivors, retracted)
+    resolved, swept = _resolve_internal(make_state(*frags))
+    assert (list(resolved.fragments), swept) == (survivors, retracted)
     assert len(retracted) == seen
 
     state = make_state(*frags)
@@ -579,10 +692,17 @@ def test_key_index_matches_all_pairs_enumeration(frags, data):
     assert first_conflict(state.fragments) == (pairs[0] if pairs else None)
     assert _most_conflicted_sector(state) == _quadratic_most_conflicted(state)
 
+    # Assimilation's conflict pairs, read from the elaborative refusal; the
+    # probe's texts differ from the held ones, so no input is a twin.
     sides = data.draw(st.lists(st.booleans(), min_size=len(frags), max_size=len(frags)))
     held = make_state(*(f for f, new in zip(frags, sides) if not new))
-    probe = incoming(*(f for f, new in zip(frags, sides) if new))
-    assert detect_conflicts(held, probe) == [
+    probe = incoming(*(f.replace(text="valve probe") for f, new in zip(frags, sides) if new))
+    try:
+        assimilate(held, probe, default_config(), IdAllocator(100), mode="elab")
+        pairs = ()
+    except ConflictError as err:
+        pairs = err.pairs
+    assert list(pairs) == [
         (a, b) for a in held.fragments for b in probe.fragments if _opposed(a, b)
     ]
 

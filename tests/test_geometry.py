@@ -237,14 +237,14 @@ def _reference_realign(state, axis, config):
         best_id = None
         best_reading = None
         for f in current.fragments:
-            candidate = current.without_ids((f.id,))
+            candidate = current.revised(drop=(f.id,))
             cand_reading = compass_reading(candidate, axis, config)
             if best_reading is None or cand_reading.residual < best_reading.residual:
                 best_id = f.id
                 best_reading = cand_reading
         if best_reading.residual >= reading.residual:
             return RealignmentOutcome(current, tuple(removed), True)
-        current = current.without_ids((best_id,))
+        current = current.revised(drop=(best_id,))
         removed.append(best_id)
         reading = best_reading
     return RealignmentOutcome(current, tuple(removed), detect_drift(reading, config))
@@ -288,8 +288,8 @@ class TestRealignMatchesExactLoop:
     @given(state=tie_states(max_frags=10), data=st.data())
     def test_same_removals_with_weights_too_small_to_square(self, state, data):
         scale = data.draw(st.sampled_from((1e-155, 1e-160, 1e-200)))
-        state = state.with_fragments(
-            f.replace(anchor=f.anchor * scale) for f in state.fragments
+        state = BeliefState(
+            tuple(f.replace(anchor=f.anchor * scale) for f in state.fragments), state.clock
         )
         cfg = default_config().replace(
             embed_dim=data.draw(st.sampled_from((8, 64))), tau_theta=0.05, tau_r=0.05

@@ -139,7 +139,7 @@ def test_goal_fragments_is_the_one_goal_rule(cfg, tmp_path):
     assert not run._goals_present()
     run.active = state
     assert run._goals_present()
-    run.active = state.without_ids([1, 3])
+    run.active = state.revised(drop=[1, 3])
     assert not run._goals_present()
 
 
@@ -493,7 +493,7 @@ def _reference_integrate(active, retrieved, store, config, ids):
         if f.id in twin_keys:
             f = f.replace(anchor=max(f.anchor, floor), persistence=1.0)
         new_store_frags.append(f)
-    return new_active, store.with_fragments(new_store_frags), report
+    return new_active, BeliefState(tuple(new_store_frags), store.clock), report
 
 
 def _nudged(draw, value):

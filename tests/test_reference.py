@@ -2,8 +2,9 @@
 
 Every shipped scenario, the three benchmark workloads at a reduced size and
 two scenarios built to sit on a threshold run twice: once as the engine
-stands, and once with the per-fragment loops of ``reference.py`` swapped in
-through the module attributes the engine calls.  The two traces must be the
+stands, and once with the per-fragment loops of ``reference.py`` (decay,
+state embedding, retrieval and the assimilation that rebuilds every
+fragment) swapped in through the module attributes the engine calls.  The two traces must be the
 same bytes; ``verify_golden``'s float tolerance would be too loose here.
 """
 
@@ -17,7 +18,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from beliefsim import geometry, simulator, tower
+from beliefsim import geometry, memory, simulator, tower
 from beliefsim.config import default_config
 from beliefsim.core import embed_tokens
 from beliefsim.simulator import run_scenario
@@ -122,9 +123,12 @@ CASES = (
 @pytest.fixture()
 def reference_engine(monkeypatch):
     """Swap the reference loops in through the names the engine calls; the
-    store decays through ``simulator.nullify`` as the active state does."""
+    store decays through ``simulator.nullify`` as the active state does, and
+    retrieved copies are assimilated through ``memory.assimilate``."""
 
     def swap() -> None:
+        monkeypatch.setattr(simulator, "assimilate", reference.assimilate)
+        monkeypatch.setattr(memory, "assimilate", reference.assimilate)
         monkeypatch.setattr(simulator, "nullify", reference.nullify)
         monkeypatch.setattr(simulator, "nullify_sector", reference.nullify_sector)
         monkeypatch.setattr(simulator, "retrieve", reference.retrieve)

@@ -271,6 +271,19 @@ def test_meta_assimilate_updates_slot_in_place(cfg):
     assert len(metas) == len(first)
 
 
+@pytest.mark.parametrize("target", ["a_b", "Task", "task-focus"])
+def test_meta_assimilate_finds_the_slot_of_a_multi_token_target(cfg, target):
+    # A target that is not one lowercase word ("a_b" tokenizes to a, b)
+    # keeps one slot, and never takes over the slot of target "a".
+    report = report_with(kappa_by_sector={"a": 0.5, target: 0.25})
+    state = BeliefState((make_fragment(1, "pump"),), 0.0)
+    ids = IdAllocator(10)
+    for _ in range(3):
+        state, _, _ = meta_assimilate(state, report, cfg, ids)
+        metas = sorted(f.text for f in state.fragments if f.origin == "meta")
+        assert metas == sorted(["coherence a low 0.5", f"coherence {target} low 0.25"])
+
+
 def test_meta_assimilate_stacks_reflective_breach_one_deeper(cfg):
     # A dispute inside the reflective sector itself: the summary must sit
     # above the deepest existing reflection.

@@ -228,9 +228,9 @@ def test_a_derived_state_builds_its_own_view(state, data):
     drop = data.draw(st.sets(st.sampled_from(sorted(state.ids()) or [0])))
     moved = [f.replace(sectors=frozenset({"mem"})) for f in state.fragments[:1]]
     derived = (
-        state.without_ids(drop),
-        state.with_fragments(state.fragments[1:]),
-        *(state.with_fragment(f) for f in moved),
+        state.revised(drop=drop),
+        BeliefState(state.fragments[1:], state.clock),
+        *(state.revised(put=[f]) for f in moved),
         nullify(state, 1.0, default_config()),
     )
     for d in derived:

@@ -761,8 +761,9 @@ def test_removed_ids_walk_matches_the_set_difference(state, data):
     keep = data.draw(st.lists(st.booleans(), min_size=len(state.fragments),
                               max_size=len(state.fragments)))
     afters = (
-        state.with_fragments(
-            f.replace(persistence=0.5) for f, kept in zip(state.fragments, keep) if kept
+        BeliefState(
+            tuple(f.replace(persistence=0.5) for f, kept in zip(state.fragments, keep) if kept),
+            state.clock,
         ),
         nullify(state, data.draw(st.sampled_from((1.0, 40.0))), default_config()),
         annihilate_sector(state, data.draw(st.sampled_from(SECTORS))),

@@ -282,7 +282,7 @@ def _reference_abstract_step(state, config, ids):
             result.append(_merge_pair(pool.pop(ia), pool.pop(ib), ids, state.clock))
         for leftover in pool.values():
             result.append(leftover.replace(level=leftover.level + 1))
-    return state.with_fragments(result)
+    return BeliefState(tuple(result), state.clock)
 
 
 def _reference_merge_group(members, config, ids, clock):
