@@ -11,10 +11,11 @@ token is hashed (blake2b, independent of PYTHONHASHSEED) into one of
 Equal token multisets therefore embed to bitwise-equal vectors, and all
 geometry downstream (distance, compass, retrieval scores) inherits that
 determinism.  A fragment tokenises once, embeds once and derives its content
-key once.  ``Fragment.replace`` is the one way to copy a fragment: the copy
-carries its source's tokens and vector unless its text changes, and its
-content key unless a field the key reads changes, and it passes the same
-checks as a freshly built fragment.
+key once, and keeps its last lowercased-prefix test; a state embeds once per
+``dim``.  ``Fragment.replace`` is the one way to copy a fragment: the copy
+carries its source's tokens, vector and prefix test unless its text
+changes, and its content key unless a field the key reads changes, and it
+passes the same checks as a freshly built fragment.
 
 A state is one table, for the active state and the long-term store alike:
 fragments as they entered are its rows, in id order, and each row's anchor
@@ -152,12 +153,30 @@ class Fragment:
             object.__setattr__(self, "_ckey", ckey)
         return ckey
 
+    # (prefix, answer) of the last ``lower_startswith``.  A class default,
+    # not set in __post_init__: most fragments (every store row) are never
+    # tested, and each attribute set there costs every fragment built.  It
+    # is the one attribute added after construction, always last, so the
+    # key table stays shared.
+    _prefix_test = None
+
+    def lower_startswith(self, prefix: str) -> bool:
+        """``text.lower().startswith(prefix)``, kept for the last ``prefix``
+        asked.  The answer is kept rather than the lowercased text, which
+        would cost a string per fragment."""
+        kept = self._prefix_test
+        if kept is None or kept[0] != prefix:
+            kept = (prefix, self.text.lower().startswith(prefix))
+            object.__setattr__(self, "_prefix_test", kept)
+        return kept[1]
+
     def replace(self, **overrides: Any) -> "Fragment":
         """A copy with ``overrides`` applied, checked as a new fragment is.
 
-        The copy is not rebuilt: it carries this fragment's tokens and vector
-        unless ``text`` is overridden, and its content key unless a field the
-        key reads is.  An unknown field name raises TypeError.
+        The copy is not rebuilt: it carries this fragment's tokens, vector
+        and prefix test unless ``text`` is overridden, and its content key
+        unless a field the key reads is.  An unknown field name raises
+        TypeError.
         """
         if not overrides.keys() <= _FIELD_NAMES:
             unknown = sorted(overrides.keys() - _FIELD_NAMES)
@@ -168,7 +187,7 @@ class Fragment:
         state.update(overrides)
         if "text" in overrides:
             state["_tokens"] = tokenize(state["text"])
-            state["_vec"] = None
+            state["_vec"] = state["_prefix_test"] = None
         if not _KEY_FIELDS.isdisjoint(overrides):
             state["_ckey"] = None
         copy._check()
@@ -188,12 +207,14 @@ class BeliefState:
     derived from it, for the rows' unit vectors as a matrix V.  Only this
     module reads the columns.  A row's fixed fields (id, text, tokens,
     sectors, key, polarity, level, origin, created_at, members) are current;
-    its anchor and persistence are those it entered with.
+    its anchor and persistence are those it entered with.  Like its sector
+    view and mass, a state keeps its embedding (``embed_state``) for the
+    last ``dim`` asked; a derived state starts without one.
     """
 
     __slots__ = (
         "clock", "_rows", "_anchor", "_persistence", "_built", "_decay",
-        "_lineage", "_index", "_view", "_mass",
+        "_lineage", "_index", "_view", "_mass", "_embedding",
     )
 
     def __init__(self, fragments: Iterable[Fragment] = (), clock: float = 0.0) -> None:
@@ -219,6 +240,7 @@ class BeliefState:
         self._lineage: list = [rows, None]  # (rows V is built over, V)
         self._index: Optional[np.ndarray] = None  # each row's row in V; None: the same
         self._view = self._mass = None
+        self._embedding: Optional[tuple[int, np.ndarray]] = None  # (dim, vector)
 
     # -- reading -----------------------------------------------------------
 
@@ -323,7 +345,7 @@ class BeliefState:
         """A state on this one's rows, or on the rows ``keep`` marks, with
         these columns; with no columns, each row is its own fragment."""
         new = object.__new__(BeliefState)
-        new.clock, new._lineage, new._mass = clock, self._lineage, None
+        new.clock, new._lineage, new._mass, new._embedding = clock, self._lineage, None, None
         rows, index, new._view = self._rows, self._index, self._view  # the view reads rows only
         if keep is not None and not keep.all():
             rows = tuple(itertools.compress(rows, keep.tolist()))
@@ -409,15 +431,18 @@ class BeliefState:
             decay = (decay[0], decay[1], _frozen(factors))
         return self._derive(self.clock, anchor, persistence, decay)
 
-    def matching(self, cue_vec: np.ndarray, tau: float) -> tuple[Fragment, ...]:
+    def matching(self, cue_vec: np.ndarray, tau: float,
+                 **overrides: Any) -> tuple[Fragment, ...]:
         """The fragments whose ``np.dot(cue_vec, vector) * persistence``
         reaches ``tau``, in id order: one matrix product over V screens every
         row, and the rows it cannot rule out are scored exactly, as the
-        product can round differently from a row's own dot product."""
+        product can round differently from a row's own dot product.  Each is
+        built once, as one ``replace`` of its row with its anchor,
+        persistence and ``overrides``."""
         base, vectors = self._lineage
         if vectors is None or vectors.shape[1] != len(cue_vec):
             vectors = self._lineage[1] = _embed_rows(base, len(cue_vec))
-        _, persistence = self._columns()
+        anchor, persistence = self._columns()
         screened = vectors @ cue_vec
         if self._index is not None:
             screened = screened[self._index]
@@ -428,8 +453,9 @@ class BeliefState:
         near = np.flatnonzero(screened * persistence >= tau - bound)
         in_v = near if self._index is None else self._index[near]
         return tuple(
-            self.fragments[i]
-            for i, row, p in zip(near.tolist(), in_v.tolist(), persistence[near].tolist())
+            self._rows[i].replace(anchor=a, persistence=p, **overrides)
+            for i, row, a, p in zip(near.tolist(), in_v.tolist(),
+                                    anchor[near].tolist(), persistence[near].tolist())
             if float(np.dot(cue_vec, vectors[row])) * p >= tau
         )
 
@@ -539,26 +565,38 @@ def embed_state(state: BeliefState, dim: int) -> np.ndarray:
     Weights are anchor * persistence so faded content bends the geometry
     less.  The vacuum embeds to the zero vector.  If every weight is zero in
     a non-vacuum state, the unweighted mean is used so the unit-norm
-    invariant still holds.
+    invariant still holds.  The state keeps the result for this ``dim``, as
+    a fragment keeps its vector: the array is read-only and is returned,
+    uncopied, by every later call with the same ``dim``.
+
+    The positive-weight rows' vectors are stacked into one C-ordered matrix
+    V and scaled by their weights in place; summing V over axis 0 adds row
+    after row, in the order (and so to the bits) of ``acc += w * v`` over
+    the rows.  Neither ``w @ V`` nor a pairwise sum keeps that order.
     """
+    kept = state._embedding
+    if kept is not None and kept[0] == dim:
+        return kept[1]
     if state.is_vacuum:
-        return np.zeros(dim, dtype=np.float64)
-    weighted = [(f, w) for f, w in zip(state.rows, state.weights().tolist()) if w > 0.0]
-    acc = np.zeros(dim, dtype=np.float64)
-    if weighted:
-        for f, w in weighted:
-            acc += w * embed_fragment(f, dim)
+        acc = np.zeros(dim, dtype=np.float64)
     else:
-        for f in state.rows:
-            acc += embed_fragment(f, dim)
-    norm = float(np.linalg.norm(acc))
-    if norm < TINY_NORM and acc.any():
-        # The squares of the entries are subnormal and the norm loses digits:
-        # bring the largest entry to 1 first.
-        acc = acc / np.abs(acc).max()
+        w = state.weights()
+        positive = w > 0.0
+        if positive.any():
+            rows = itertools.compress(state.rows, positive.tolist())
+            V = np.array([embed_fragment(f, dim) for f in rows])
+            acc = np.multiply(V, w[positive][:, None], out=V).sum(axis=0)
+        else:
+            acc = np.array([embed_fragment(f, dim) for f in state.rows]).sum(axis=0)
         norm = float(np.linalg.norm(acc))
-    if norm > 0.0:
-        acc = acc / norm
+        if norm < TINY_NORM and acc.any():
+            # The squares of the entries are subnormal and the norm loses
+            # digits: bring the largest entry to 1 first.
+            acc = acc / np.abs(acc).max()
+            norm = float(np.linalg.norm(acc))
+        if norm > 0.0:
+            acc = acc / norm
+    state._embedding = (dim, _frozen(acc))
     return acc
 
 

@@ -147,7 +147,8 @@ def realign(state: BeliefState, axis: "EpistemicAxis",
     Each step screens every removal at once (``_shortlist``), then re-reads
     only the shortlisted ones exactly with ``compass_reading``; the first
     least exact residual in id order is dropped, so the choice is that of
-    reading every removal exactly.
+    reading every removal exactly.  The state read for that removal becomes
+    the current one, its kept embedding with it.
     """
     current = state
     removed: list[int] = []
@@ -156,20 +157,17 @@ def realign(state: BeliefState, axis: "EpistemicAxis",
     vecs = np.array([embed_fragment(f, config.embed_dim) for f in frags])
     weights = current.weights()
     while detect_drift(reading, config) and len(frags) > 1:
-        best_i = None
-        best_reading = None
+        best_i = best_state = best_reading = None
         for i in _shortlist(vecs, weights, axis):
             candidate = current.revised(drop=(frags[i].id,))
             cand_reading = compass_reading(candidate, axis, config)
             if best_reading is None or cand_reading.residual < best_reading.residual:
-                best_i = i
-                best_reading = cand_reading
+                best_i, best_state, best_reading = i, candidate, cand_reading
         assert best_reading is not None
         if best_reading.residual >= reading.residual:
             return RealignmentOutcome(current, tuple(removed), True)
-        dropped = frags.pop(best_i)
-        current = current.revised(drop=(dropped.id,))
-        removed.append(dropped.id)
+        current = best_state
+        removed.append(frags.pop(best_i).id)
         vecs = np.delete(vecs, best_i, axis=0)
         weights = np.delete(weights, best_i)
         reading = best_reading

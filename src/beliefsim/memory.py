@@ -49,11 +49,12 @@ class QueryCue:
 def goal_fragments(state: BeliefState, config: ParameterConfig) -> Iterator[Fragment]:
     """The fragments whose text starts with ``goal_marker``, ignoring case,
     in id order and lazily, so a caller asking whether any exist stops early.
-    The test reads the rows; only a goal fragment is built."""
+    The test reads the rows, and each row keeps its answer
+    (``Fragment.lower_startswith``); only a goal fragment is built."""
     marker = config.goal_marker.lower()
     return (
         state.fragments[i] for i, f in enumerate(state.rows)
-        if f.text.lower().startswith(marker)
+        if f.lower_startswith(marker)
     )
 
 
@@ -112,16 +113,14 @@ def retrieve(
 
     A fragment matches when its cosine with the cue, times its persistence,
     reaches tau_retrieval; the store scores every row at once
-    (``BeliefState.matching``).  Copies
-    keep their store ids (so later integration can find the twins) and are
+    (``BeliefState.matching``), and copies each hit once.  Copies keep
+    their store ids (so later integration can find the twins) and are
     re-tagged origin="retrieved"; member records do not survive the copy
     because the copies are surrogates, not the original summaries.
     """
     cue_vec = embed_tokens(cue.tokens, config.embed_dim)
-    hits = store.matching(cue_vec, config.tau_retrieval)
-    return BeliefState(
-        tuple(f.replace(origin="retrieved", members=None) for f in hits), store.clock
-    )
+    hits = store.matching(cue_vec, config.tau_retrieval, origin="retrieved", members=None)
+    return BeliefState(hits, store.clock)
 
 
 def integrate_retrieved(

@@ -4,11 +4,12 @@ from __future__ import annotations
 
 import dataclasses
 import math
+import random
 from collections import Counter
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from beliefsim.config import default_config
@@ -29,6 +30,7 @@ from beliefsim.regulation import cognitive_load
 from beliefsim.simulator import fragment_from_spec
 
 from conftest import KEYS, SECTORS, WORDS, fragments, make_fragment, states, texts
+from reference import embed_state as reference_embed_state
 
 
 # --------------------------------------------------------------------------
@@ -463,6 +465,76 @@ class TestEmbeddingLaws:
     def test_state_vectors_are_unit_or_zero(self, state):
         norm = float(np.linalg.norm(embed_state(state, 64)))
         assert norm == pytest.approx(1.0) or norm == 0.0
+
+
+# Weight classes of the drawn states: anchor, persistence for a random source.
+# Tiny weights alone make a sum whose norm is below TINY_NORM (the rescale);
+# huge ones reach ANCHOR_MAX.
+WEIGHT_CLASSES = {
+    "zero": lambda rnd: rnd.choice(((0.0, rnd.random()), (rnd.uniform(0.0, 20.0), 0.0))),
+    "tiny": lambda rnd: (rnd.choice((5e-324, 1e-300, 1e-200, 3e-160)), rnd.uniform(0.5, 1.0)),
+    "huge": lambda rnd: (10.0 ** rnd.uniform(50.0, 100.0), rnd.uniform(0.01, 1.0)),
+    "ordinary": lambda rnd: (rnd.uniform(0.0, 20.0), rnd.uniform(0.01, 1.0)),
+}
+
+
+def weight_mix_state(n: int, palette: frozenset[str], seed: int) -> BeliefState:
+    """n fragments of WORDS texts, some repeated, each weighted from a class
+    of ``palette``."""
+    rnd = random.Random(seed)
+    classes = sorted(palette)
+    frags = []
+    for i in range(1, n + 1):
+        if frags and rnd.random() < 0.1:
+            text = rnd.choice(frags).text
+        else:
+            text = " ".join(rnd.choices(WORDS, k=rnd.randint(1, 5)))
+        anchor, persistence = WEIGHT_CLASSES[rnd.choice(classes)](rnd)
+        frags.append(make_fragment(
+            i, text, sectors=(rnd.choice(SECTORS),),
+            anchor=min(anchor, ANCHOR_MAX), persistence=persistence,
+        ))
+    return BeliefState(tuple(frags), 0.0)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(
+    n=st.integers(1, 600),
+    dim=st.integers(8, 256),
+    palette=st.frozensets(st.sampled_from(sorted(WEIGHT_CLASSES)), min_size=1),
+    seed=st.integers(0, 2**32 - 1),
+)
+@example(n=600, dim=256, palette=frozenset({"zero"}), seed=0)
+@example(n=600, dim=200, palette=frozenset({"zero", "tiny"}), seed=1)
+@example(n=600, dim=129, palette=frozenset(WEIGHT_CLASSES), seed=2)
+def test_embed_state_matches_the_per_fragment_loop_and_is_kept(n, dim, palette, seed):
+    """The array pass gives the reference loop's bytes; the state keeps the
+    read-only result per dim, and no derived state inherits it."""
+    state = weight_mix_state(n, palette, seed)
+    vec = embed_state(state, dim)
+    assert vec.tobytes() == reference_embed_state(state, dim).tobytes()
+    assert embed_state(state, dim) is vec
+    assert not vec.flags.writeable
+    with pytest.raises(ValueError):
+        vec[0] = 1.0
+    other = 8 if dim != 8 else 9
+    assert embed_state(state, other).tobytes() == reference_embed_state(state, other).tobytes()
+    assert embed_state(state, dim).tobytes() == vec.tobytes()
+    rnd = random.Random(seed)
+    row = rnd.choice(state.rows)
+    added = make_fragment(n + 1, rnd.choice(WORDS), anchor=rnd.uniform(0.0, 5.0))
+    derived = (
+        state.revised(drop=(row.id,)),
+        state.revised(put=(added,)),
+        state.revised(put=(row.replace(anchor=rnd.uniform(0.0, 5.0)),)),
+        state.decayed(1.0, default_config(), 1.0),
+        state.reanchor((row.id,), 2.0),
+    )
+    kept = embed_state(state, dim)
+    for child in derived:
+        child_vec = embed_state(child, dim)
+        assert child_vec is not kept
+        assert child_vec.tobytes() == reference_embed_state(child, dim).tobytes()
 
 
 # --------------------------------------------------------------------------

@@ -9,7 +9,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from beliefsim import core, memory
@@ -71,6 +71,38 @@ def test_goal_marker_is_matched_ignoring_its_own_case(cfg, marker):
     assert [f.id for f in goal_fragments(state, cased)] == [1, 2]
     cue = generate_query(state, "goal", cased)
     assert cue == generate_query(state, "goal", cfg) == QueryCue("goal", ("map", "the", "ridge"))
+
+
+# "\u0130" (dotted capital I) lowercases to two characters, "\u1e9e" to
+# "\u00df" and the Kelvin sign "\u212a" to "k".
+GOAL_CHARS = "goalGOAL: \u0130i\u1e9e\u00df\u212ak"
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(
+    marker=st.text(GOAL_CHARS, min_size=1, max_size=6),
+    heads=st.lists(st.text(GOAL_CHARS, max_size=8), min_size=1, max_size=6),
+)
+@example(marker="GoAl:", heads=["gOaL: ", "goal ", "GOAL:", "Goal:x"])
+@example(marker="İgoal:", heads=["İGOAL: ", "igoal: ", "i\u0307goal:", "İ goal:"])
+def test_goal_fragments_match_the_lowercased_prefix_test(marker, heads):
+    """A goal is exactly a fragment whose ``text.lower()`` starts with
+    ``goal_marker.lower()``, and its cue is the rest of the lowered text,
+    also for characters whose lowercase changes length."""
+    cfg = default_config().replace(goal_marker=marker)
+    frags = [make_fragment(i, head + " pump", anchor=i) for i, head in enumerate(heads, 1)]
+    state = BeliefState(tuple(frags), 0.0)
+    want = [f.id for f in frags if f.text.lower().startswith(marker.lower())]
+    assert [f.id for f in goal_fragments(state, cfg)] == want
+    assert [f.id for f in goal_fragments(state, cfg)] == want  # read again, kept
+    cue = generate_query(state, "goal", cfg)
+    if want:
+        rest = frags[want[-1] - 1].text.lower()[len(marker.lower()):]
+        assert cue == (QueryCue("goal", core.tokenize(rest)) if core.tokenize(rest) else None)
+    else:
+        assert cue is None
+    copy = frags[0].replace(text=marker + " valve")
+    assert next(goal_fragments(BeliefState((copy,), 0.0), cfg)) is copy
 
 
 def test_a_mixed_case_goal_marker_recalls_in_a_run(tmp_path):
