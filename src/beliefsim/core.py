@@ -10,19 +10,19 @@ token is hashed (blake2b, independent of PYTHONHASHSEED) into one of
 ``embed_dim`` cells, counts accumulate, and the cell vector is L2-normalized.
 Equal token multisets therefore embed to bitwise-equal vectors, and all
 geometry downstream (distance, compass, retrieval scores) inherits that
-determinism.  A fragment tokenises once, embeds once and derives its content
-key once, and keeps its last lowercased-prefix test; a state embeds once per
-``dim``.  ``Fragment.replace`` is the one way to copy a fragment: the copy
-carries its source's tokens, vector and prefix test unless its text
-changes, and its content key unless a field the key reads changes, and it
-passes the same checks as a freshly built fragment.
+determinism.  ``embed_rows`` is the one vectoriser.  A fragment tokenises
+once, derives its content key once and keeps its last lowercased-prefix
+test; a state embeds once per ``dim``.  ``Fragment.replace`` is the one way
+to copy a fragment: the copy carries its source's tokens and prefix test
+unless its text changes, and its content key unless a field the key reads
+changes, and it passes the same checks as a freshly built fragment.
 
 A state is one table, for the active state and the long-term store alike:
-fragments as they entered are its rows, in id order, and each row's anchor
-and persistence live in columns beside them.  Decay multiplies the
-persistence column by kept ``math.exp`` factors and, like ``reanchor``,
-shares the rows; every other change is one ``revised`` (drop ids, put
-fragments), which leaves the rows it does not touch as they were.
+fragments as they entered are its rows, in id order, and each row's anchor,
+persistence and unit vector (V) live in columns beside them.  Decay
+multiplies the persistence column by kept ``math.exp`` factors and, like
+``reanchor``, shares the rows; every other change is one ``revised`` (drop
+ids, put fragments), which leaves the rows it does not touch as they were.
 ``fragments`` builds a row into a ``Fragment`` only when it is read.
 Readers of the fields that never change read ``rows``, or ``rows_in(s)``
 from a sector view built once per set of rows, and build nothing.
@@ -87,12 +87,11 @@ class Fragment:
     members: Optional[tuple[int, ...]] = None
 
     def __post_init__(self) -> None:
-        # The vector and the content key are derived on first use.  Every
-        # fragment sets all three derived attributes here, in one order, so
-        # instances share one key table; set later in varying order they
-        # would give each fragment a dict of its own (+15% peak RSS).
+        # The content key is derived on first use.  Every fragment sets both
+        # derived attributes here, in one order, so instances share one key
+        # table; set later in varying order they would give each fragment a
+        # dict of its own (+15% peak RSS).
         object.__setattr__(self, "_tokens", tokenize(self.text))
-        object.__setattr__(self, "_vec", None)
         object.__setattr__(self, "_ckey", None)
         self._check()
 
@@ -173,10 +172,9 @@ class Fragment:
     def replace(self, **overrides: Any) -> "Fragment":
         """A copy with ``overrides`` applied, checked as a new fragment is.
 
-        The copy is not rebuilt: it carries this fragment's tokens, vector
-        and prefix test unless ``text`` is overridden, and its content key
-        unless a field the key reads is.  An unknown field name raises
-        TypeError.
+        The copy is not rebuilt: it carries this fragment's tokens and
+        prefix test unless ``text`` is overridden, and its content key unless
+        a field the key reads is.  An unknown field name raises TypeError.
         """
         if not overrides.keys() <= _FIELD_NAMES:
             unknown = sorted(overrides.keys() - _FIELD_NAMES)
@@ -187,7 +185,7 @@ class Fragment:
         state.update(overrides)
         if "text" in overrides:
             state["_tokens"] = tokenize(state["text"])
-            state["_vec"] = state["_prefix_test"] = None
+            state["_prefix_test"] = None
         if not _KEY_FIELDS.isdisjoint(overrides):
             state["_ckey"] = None
         copy._check()
@@ -203,13 +201,14 @@ class BeliefState:
     """An immutable fragment ensemble plus a logical clock, held as a table.
 
     Beside its rows it keeps each row's current anchor and persistence, the
-    decay factors of its last decay, and one slot, shared by every state
-    derived from it, for the rows' unit vectors as a matrix V.  Only this
-    module reads the columns.  A row's fixed fields (id, text, tokens,
-    sectors, key, polarity, level, origin, created_at, members) are current;
-    its anchor and persistence are those it entered with.  Like its sector
-    view and mass, a state keeps its embedding (``embed_state``) for the
-    last ``dim`` asked; a derived state starts without one.
+    decay factors of its last decay, and one slot for the rows' unit vectors
+    as a matrix V (``vectors``), shared by every state derived from it but
+    handed on by a put.  Only this module reads the columns.  A row's fixed
+    fields (id, text, tokens, sectors, key, polarity, level, origin,
+    created_at, members) are current; its anchor and persistence are those
+    it entered with.  Like its sector view and mass, a state keeps its
+    embedding (``embed_state``) for the last ``dim`` asked; a derived state
+    starts without one.
     """
 
     __slots__ = (
@@ -284,6 +283,21 @@ class BeliefState:
         """Each fragment's weight, anchor * persistence, in id order."""
         anchor, persistence = self._columns()
         return anchor * persistence
+
+    def _V(self, dim: int) -> np.ndarray:
+        """The lineage's V at ``dim``, embedded if absent or at another dim."""
+        if self._lineage[1] is None or self._lineage[1].shape[1] != dim:
+            self._lineage[1] = embed_rows([f.tokens for f in self._lineage[0]], dim)
+        return self._lineage[1]
+
+    def _in_V(self) -> np.ndarray:
+        """Each row's row in the lineage's V."""
+        return np.arange(len(self._rows)) if self._index is None else self._index
+
+    def vectors(self, dim: int, rows: Any = slice(None)) -> np.ndarray:
+        """A new C-ordered matrix of the unit vectors of ``rows`` (positions
+        or a mask; all rows by default), in row order."""
+        return np.take(self._V(dim), self._in_V()[rows], axis=0)
 
     def _sector_view(self) -> dict[str, list[int]]:
         """sector -> its row positions, sectors sorted; built on first use
@@ -365,8 +379,9 @@ class BeliefState:
                 drop: Iterable[int] = ()) -> "BeliefState":
         """This state without the ids in ``drop``, with each fragment of
         ``put`` in place of the row of its id or added in id order.  Rows
-        it does not touch keep their columns and kept decay factors; only
-        put rows have theirs computed."""
+        it does not touch keep their columns, vectors and kept decay
+        factors; only put rows have theirs computed.  A put hands V on to
+        the new state and clears this lineage's slot."""
         put = sorted(put, key=_ID)
         gone = set(drop).union(map(_ID, put))
         if not gone:
@@ -378,6 +393,14 @@ class BeliefState:
             return kept
         at = [bisect.bisect_left(kept._rows, f.id, key=_ID) for f in put]
         new = BeliefState(sorted((*kept._rows, *put), key=_ID), self.clock)  # refuses a repeated id
+        V = self._lineage[1]
+        if V is not None:  # in one allocation, a placeholder row at each put row
+            put_V = embed_rows([f.tokens for f in put], V.shape[1])
+            if kept._rows:
+                V = np.take(V, np.insert(kept._in_V(), at, 0), axis=0)
+                V[np.add(at, np.arange(len(at)))] = put_V
+                put_V = _frozen(V)
+            new._lineage[1], self._lineage[1] = put_V, None
         if kept._anchor is None:  # every row is still its own fragment
             return new
         anchor = np.array([f.anchor for f in put], dtype=float)
@@ -439,9 +462,7 @@ class BeliefState:
         product can round differently from a row's own dot product.  Each is
         built once, as one ``replace`` of its row with its anchor,
         persistence and ``overrides``."""
-        base, vectors = self._lineage
-        if vectors is None or vectors.shape[1] != len(cue_vec):
-            vectors = self._lineage[1] = _embed_rows(base, len(cue_vec))
+        vectors = self._V(len(cue_vec))
         anchor, persistence = self._columns()
         screened = vectors @ cue_vec
         if self._index is not None:
@@ -533,27 +554,6 @@ def token_cell(token: str, dim: int) -> int:
     return int.from_bytes(digest, "big") % dim
 
 
-def embed_tokens(tokens: Sequence[str], dim: int) -> np.ndarray:
-    """Normalized bag-of-words vector of a token multiset."""
-    vec = np.zeros(dim, dtype=np.float64)
-    for token, count in sorted(Counter(tokens).items()):
-        vec[token_cell(token, dim)] += count
-    norm = float(np.linalg.norm(vec))
-    if norm > 0.0:
-        vec /= norm
-    vec.setflags(write=False)  # fragment copies share this array; never mutate
-    return vec
-
-
-def embed_fragment(fragment: Fragment, dim: int) -> np.ndarray:
-    """The fragment's unit vector, computed on first use and kept on it."""
-    vec = fragment._vec  # type: ignore[attr-defined]
-    if vec is None or len(vec) != dim:
-        vec = embed_tokens(fragment.tokens, dim)
-        object.__setattr__(fragment, "_vec", vec)
-    return vec
-
-
 # Below this norm a vector's squared entries can be subnormal, so its norm,
 # and the vector normalised by it, lose digits.
 TINY_NORM = 1e-150
@@ -565,12 +565,12 @@ def embed_state(state: BeliefState, dim: int) -> np.ndarray:
     Weights are anchor * persistence so faded content bends the geometry
     less.  The vacuum embeds to the zero vector.  If every weight is zero in
     a non-vacuum state, the unweighted mean is used so the unit-norm
-    invariant still holds.  The state keeps the result for this ``dim``, as
-    a fragment keeps its vector: the array is read-only and is returned,
-    uncopied, by every later call with the same ``dim``.
+    invariant still holds.  The state keeps the result for this ``dim``: the
+    array is read-only and is returned, uncopied, by every later call with
+    the same ``dim``.
 
-    The positive-weight rows' vectors are stacked into one C-ordered matrix
-    V and scaled by their weights in place; summing V over axis 0 adds row
+    The positive-weight rows' vectors (``state.vectors``, C-ordered) are
+    scaled by their weights in place; summing them over axis 0 adds row
     after row, in the order (and so to the bits) of ``acc += w * v`` over
     the rows.  Neither ``w @ V`` nor a pairwise sum keeps that order.
     """
@@ -583,11 +583,10 @@ def embed_state(state: BeliefState, dim: int) -> np.ndarray:
         w = state.weights()
         positive = w > 0.0
         if positive.any():
-            rows = itertools.compress(state.rows, positive.tolist())
-            V = np.array([embed_fragment(f, dim) for f in rows])
+            V = state.vectors(dim, positive)
             acc = np.multiply(V, w[positive][:, None], out=V).sum(axis=0)
         else:
-            acc = np.array([embed_fragment(f, dim) for f in state.rows]).sum(axis=0)
+            acc = state.vectors(dim).sum(axis=0)
         norm = float(np.linalg.norm(acc))
         if norm < TINY_NORM and acc.any():
             # The squares of the entries are subnormal and the norm loses
@@ -600,21 +599,21 @@ def embed_state(state: BeliefState, dim: int) -> np.ndarray:
     return acc
 
 
-def _embed_rows(rows: tuple[Fragment, ...], dim: int) -> np.ndarray:
-    """Every row's ``embed_tokens`` vector, filled into one matrix in place.
+def embed_rows(token_lists: Sequence[Sequence[str]], dim: int) -> np.ndarray:
+    """Each token list's unit bag-of-words vector, one row of a read-only
+    matrix filled in place (an empty list's row stays zero).
 
     A row's cells hold integer token counts, so their squares sum exactly
-    and ``sqrt`` of that sum is the norm ``embed_tokens`` divides by: each
-    row comes out bit-equal to the fragment's own vector.
+    and ``sqrt`` of that sum is its norm: equal token multisets give
+    bit-equal rows, whatever the token order.
     """
-    tokens = [f.tokens for f in rows]
-    flat = list(chain.from_iterable(tokens))
+    flat = list(chain.from_iterable(token_lists))
     cell_of = {t: token_cell(t, dim) for t in set(flat)}
-    matrix = np.zeros((len(rows), dim), dtype=float)
+    matrix = np.zeros((len(token_lists), dim), dtype=float)
     np.add.at(
         matrix,
         (
-            np.repeat(np.arange(len(rows)), [len(t) for t in tokens]),
+            np.repeat(np.arange(len(token_lists)), [len(t) for t in token_lists]),
             np.fromiter(map(cell_of.__getitem__, flat), np.intp, len(flat)),
         ),
         1.0,
@@ -677,9 +676,8 @@ __all__ = [
     "POLARITIES",
     "TINY_NORM",
     "activation_density",
-    "embed_fragment",
+    "embed_rows",
     "embed_state",
-    "embed_tokens",
     "first_conflict",
     "key_groups",
     "ordered_sum",

@@ -22,7 +22,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from .config import ParameterConfig
-from .core import TINY_NORM, BeliefState, embed_fragment, embed_state
+from .core import TINY_NORM, BeliefState, embed_state
 
 if TYPE_CHECKING:  # pragma: no cover - typing only, avoids an import cycle
     from .tower import EpistemicAxis
@@ -153,23 +153,19 @@ def realign(state: BeliefState, axis: "EpistemicAxis",
     current = state
     removed: list[int] = []
     reading = compass_reading(current, axis, config)
-    frags = list(current.rows)
-    vecs = np.array([embed_fragment(f, config.embed_dim) for f in frags])
-    weights = current.weights()
-    while detect_drift(reading, config) and len(frags) > 1:
-        best_i = best_state = best_reading = None
-        for i in _shortlist(vecs, weights, axis):
-            candidate = current.revised(drop=(frags[i].id,))
+    while detect_drift(reading, config) and len(current.rows) > 1:
+        best_id = best_state = best_reading = None
+        rows = current.rows
+        for i in _shortlist(current.vectors(config.embed_dim), current.weights(), axis):
+            candidate = current.revised(drop=(rows[i].id,))
             cand_reading = compass_reading(candidate, axis, config)
             if best_reading is None or cand_reading.residual < best_reading.residual:
-                best_i, best_state, best_reading = i, candidate, cand_reading
+                best_id, best_state, best_reading = rows[i].id, candidate, cand_reading
         assert best_reading is not None
         if best_reading.residual >= reading.residual:
             return RealignmentOutcome(current, tuple(removed), True)
         current = best_state
-        removed.append(frags.pop(best_i).id)
-        vecs = np.delete(vecs, best_i, axis=0)
-        weights = np.delete(weights, best_i)
+        removed.append(best_id)
         reading = best_reading
     warned = detect_drift(reading, config)
     return RealignmentOutcome(current, tuple(removed), warned)

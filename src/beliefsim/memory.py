@@ -24,7 +24,7 @@ from .core import (
     BeliefState,
     Fragment,
     IdAllocator,
-    embed_tokens,
+    embed_rows,
     first_conflict,
     tokenize,
 )
@@ -118,7 +118,7 @@ def retrieve(
     re-tagged origin="retrieved"; member records do not survive the copy
     because the copies are surrogates, not the original summaries.
     """
-    cue_vec = embed_tokens(cue.tokens, config.embed_dim)
+    cue_vec = embed_rows([cue.tokens], config.embed_dim)[0]
     hits = store.matching(cue_vec, config.tau_retrieval, origin="retrieved", members=None)
     return BeliefState(hits, store.clock)
 

@@ -80,7 +80,7 @@ def cognitive_load(state: BeliefState, config: ParameterConfig, rate: float) -> 
 
 def meta_depth(state: BeliefState) -> int:
     """1 = plain self-report; grows when reflections reference reflections."""
-    levels = [f.level for f in state.rows if f.origin == "meta"]
+    levels = [f.level for f in state.rows_in(REFLECTIVE_SECTOR) if f.origin == "meta"]
     if not levels:
         return 1
     return 1 + max(0, max(levels) - 1)
@@ -191,24 +191,20 @@ def meta_assimilate(
     A breach about the reflective sector itself stacks one level higher than
     the deepest reflection so depth actually measures self-reference; the
     stack is capped at meta_depth_max and over-cap reflections are dropped
-    with a warning rather than written.
+    with a warning rather than written.  Every write is one table edit.
     """
     warnings: list[str] = []
     emitted: list[Fragment] = []
     # Text "<metric> <target> <direction> <value>": slot "<metric> <target>".
     existing_meta = {
-        f.text.rsplit(" ", 2)[0]: f for f in active.rows if f.origin == "meta"
+        f.text.rsplit(" ", 2)[0]: f
+        for f in active.rows_in(REFLECTIVE_SECTOR) if f.origin == "meta"
     }
-    state = active
     for metric, target, direction, value in _breach_entries(report, config):
         text = _meta_text(metric, target, direction, value)
         level = 2
         if target == REFLECTIVE_SECTOR:
-            deepest = max(
-                (f.level for f in state.rows if f.origin == "meta"),
-                default=1,
-            )
-            level = deepest + 1
+            level = max((f.level for f in existing_meta.values()), default=1) + 1
         if 1 + max(0, level - 1) > config.meta_depth_max:
             warnings.append(
                 f"reflection depth cap {config.meta_depth_max}: "
@@ -222,7 +218,7 @@ def meta_assimilate(
                 level=level,
                 anchor=META_ANCHOR,
                 persistence=1.0,
-                created_at=state.clock,
+                created_at=active.clock,
             )
         else:
             updated = Fragment(
@@ -232,13 +228,13 @@ def meta_assimilate(
                 level=level,
                 anchor=META_ANCHOR,
                 persistence=1.0,
-                created_at=state.clock,
+                created_at=active.clock,
                 origin="meta",
             )
-        state = state.revised(put=[updated])
         existing_meta[f"{metric} {target}"] = updated
         emitted.append(updated)
-    return state, emitted, warnings
+    # A slot written twice (a sector named "global") is put as last written.
+    return active.revised(put={f.id: f for f in emitted}.values()), emitted, warnings
 
 
 # --------------------------------------------------------------------------

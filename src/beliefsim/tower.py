@@ -26,7 +26,7 @@ from .core import (
     BeliefState,
     Fragment,
     IdAllocator,
-    embed_fragment,
+    embed_rows,
     embed_state,
 )
 from .geometry import distance
@@ -70,23 +70,28 @@ def _merge_pair(
     )
 
 
-def _pair_entry(a: Fragment, b: Fragment, dim: int) -> tuple[float, int, int]:
-    """Heap entry (-cosine, lower id, higher id) of one pair."""
-    if b.id < a.id:
+def _vectors(fragments: Sequence[Fragment], dim: int) -> dict[int, np.ndarray]:
+    """id -> unit vector of each fragment, from one ``embed_rows`` call."""
+    return dict(zip((f.id for f in fragments), embed_rows([f.tokens for f in fragments], dim)))
+
+
+def _pair_entry(a: int, b: int, vec: dict[int, np.ndarray]) -> tuple[float, int, int]:
+    """Heap entry (-cosine, lower id, higher id) of the pair of ids a, b."""
+    if b < a:
         a, b = b, a
-    return (-float(np.dot(embed_fragment(a, dim), embed_fragment(b, dim))), a.id, b.id)
+    return (-float(np.dot(vec[a], vec[b])), a, b)
 
 
-def _pair_heap(pool: dict[int, Fragment], dim: int) -> list[tuple[float, int, int]]:
-    """Every pair of the pool, each cosine computed once, as a min-heap.
+def _pair_heap(vec: dict[int, np.ndarray]) -> list[tuple[float, int, int]]:
+    """Every pair of ``vec``'s ids, each cosine computed once, as a min-heap.
 
     Cosines are per-pair ``np.dot`` calls rather than one ``V @ V.T``: a
     matrix product may round a tie differently, and equal cosines are common
     (fragments sharing a core of words), so the lowest-id tie-break must see
     bit-equal values.
     """
-    frags = [pool[i] for i in sorted(pool)]
-    heap = [_pair_entry(a, b, dim) for i, a in enumerate(frags) for b in frags[i + 1:]]
+    ids = sorted(vec)
+    heap = [_pair_entry(a, b, vec) for i, a in enumerate(ids) for b in ids[i + 1:]]
     heapq.heapify(heap)
     return heap
 
@@ -129,7 +134,7 @@ def abstract_step(
     result: list[Fragment] = []
     for sector in sorted(groups):
         pool = {f.id: f for f in groups[sector]}
-        heap = _pair_heap(pool, dim)
+        heap = _pair_heap(_vectors(groups[sector], dim))
         while len(pool) >= 2:
             ia, ib = _pop_best_pair(heap, pool)
             a = pool.pop(ia)
@@ -158,14 +163,16 @@ def merge_group(
         only = next(iter(pool.values()))
         return only.replace(level=only.level + 1)
     dim = config.embed_dim
-    heap = _pair_heap(pool, dim)
+    vec = _vectors(list(pool.values()), dim)
+    heap = _pair_heap(vec)
     while len(pool) > 1:
         ia, ib = _pop_best_pair(heap, pool)
         a = pool.pop(ia)
         b = pool.pop(ib)
         merged = _merge_pair(a, b, ids, clock)
-        for other in pool.values():
-            heapq.heappush(heap, _pair_entry(other, merged, dim))
+        vec[merged.id] = embed_rows([merged.tokens], dim)[0]
+        for other in pool:
+            heapq.heappush(heap, _pair_entry(other, merged.id, vec))
         pool[merged.id] = merged
     return next(iter(pool.values()))
 

@@ -2,23 +2,25 @@
 
 Each function here is the plain loop that a fast path of the engine
 replaced, kept as an oracle; ``assimilate`` builds every fragment of the
-state into a list and rebuilds the state from it.  ``test_reference.py``
-swaps them into a whole run through the module attributes the engine calls
-and asserts that the trace comes out byte for byte the same.
+state into a list and rebuilds the state from it, and ``embed_tokens``
+embeds one token multiset at a time.  ``test_reference.py`` swaps them into
+a whole run through the module attributes the engine calls and asserts that
+the trace comes out byte for byte the same.
 """
 
 from __future__ import annotations
 
 import math
+from collections import Counter
 
 import numpy as np
 
 from beliefsim.core import (
     TINY_NORM,
     BeliefState,
-    embed_fragment,
-    embed_tokens,
+    Fragment,
     key_groups,
+    token_cell,
     tokenize,
 )
 from beliefsim.dynamics import (
@@ -27,7 +29,20 @@ from beliefsim.dynamics import (
     ConflictError,
     _revision_loser,
 )
+from beliefsim.regulation import META_ANCHOR, REFLECTIVE_SECTOR, _breach_entries, _meta_text
 from beliefsim.tower import merge_group
+
+
+def embed_tokens(tokens, dim):
+    """Normalized bag-of-words vector of a token multiset, one distinct token
+    at a time."""
+    vec = np.zeros(dim, dtype=np.float64)
+    for token, count in sorted(Counter(tokens).items()):
+        vec[token_cell(token, dim)] += count
+    norm = float(np.linalg.norm(vec))
+    if norm > 0.0:
+        vec /= norm
+    return vec
 
 
 def nullify(state, dt, config):
@@ -70,10 +85,10 @@ def embed_state(state, dim):
     if any(w > 0.0 for w in weights):
         for f, w in zip(state.fragments, weights):
             if w > 0.0:
-                acc += w * embed_fragment(f, dim)
+                acc += w * embed_tokens(f.tokens, dim)
     else:
         for f in state.fragments:
-            acc += embed_fragment(f, dim)
+            acc += embed_tokens(f.tokens, dim)
     norm = float(np.linalg.norm(acc))
     if norm < TINY_NORM and acc.any():
         acc = acc / np.abs(acc).max()
@@ -85,7 +100,7 @@ def embed_state(state, dim):
 
 def retrieval_score(cue_vec, fragment):
     """Cosine match against the cue's vector, damped by the fragment's persistence."""
-    return float(np.dot(cue_vec, embed_fragment(fragment, len(cue_vec)))) * fragment.persistence
+    return float(np.dot(cue_vec, embed_tokens(fragment.tokens, len(cue_vec)))) * fragment.persistence
 
 
 def retrieve(store, cue, config):
@@ -214,3 +229,37 @@ def assimilate(state, incoming, config, ids, mode="auto", rules=(), abs_group=No
         mode=mode,
     )
     return BeliefState(tuple(current), clock), report
+
+
+def meta_assimilate(active, report, config, ids):
+    """Breach summaries written one at a time, each through its own table
+    edit, every reflection read from all the rows of the state so far."""
+    warnings, emitted = [], []
+    existing_meta = {
+        f.text.rsplit(" ", 2)[0]: f for f in active.rows if f.origin == "meta"
+    }
+    state = active
+    for metric, target, direction, value in _breach_entries(report, config):
+        text = _meta_text(metric, target, direction, value)
+        level = 2
+        if target == REFLECTIVE_SECTOR:
+            level = max((f.level for f in state.rows if f.origin == "meta"), default=1) + 1
+        if 1 + max(0, level - 1) > config.meta_depth_max:
+            warnings.append(
+                f"reflection depth cap {config.meta_depth_max}: dropped {metric} {target}"
+            )
+            continue
+        slot = existing_meta.get(f"{metric} {target}")
+        if slot is not None:
+            updated = slot.replace(text=text, level=level, anchor=META_ANCHOR,
+                                   persistence=1.0, created_at=state.clock)
+        else:
+            updated = Fragment(
+                id=ids.next(), text=text, sectors=frozenset({REFLECTIVE_SECTOR}),
+                level=level, anchor=META_ANCHOR, persistence=1.0,
+                created_at=state.clock, origin="meta",
+            )
+        state = state.revised(put=[updated])
+        existing_meta[f"{metric} {target}"] = updated
+        emitted.append(updated)
+    return state, emitted, warnings

@@ -19,9 +19,8 @@ from beliefsim.core import (
     Fragment,
     IdAllocator,
     activation_density,
-    embed_fragment,
+    embed_rows,
     embed_state,
-    embed_tokens,
     token_cell,
     tokenize,
 )
@@ -31,6 +30,7 @@ from beliefsim.simulator import fragment_from_spec
 
 from conftest import KEYS, SECTORS, WORDS, fragments, make_fragment, states, texts
 from reference import embed_state as reference_embed_state
+from reference import embed_tokens
 
 
 # --------------------------------------------------------------------------
@@ -217,71 +217,110 @@ def test_token_cell_is_stable_across_calls():
 
 
 def test_embed_tokens_is_unit_norm(cfg):
-    vec = embed_tokens(("pump", "valve"), cfg.embed_dim)
+    vec = embed_rows([("pump", "valve")], cfg.embed_dim)[0]
     assert np.linalg.norm(vec) == pytest.approx(1.0)
 
 
 def test_embed_tokens_order_invariant(cfg):
-    a = embed_tokens(("pump", "valve", "pump"), cfg.embed_dim)
-    b = embed_tokens(("valve", "pump", "pump"), cfg.embed_dim)
-    assert np.array_equal(a, b)
+    a, b = embed_rows([("pump", "valve", "pump"), ("valve", "pump", "pump")], cfg.embed_dim)
+    assert a.tobytes() == b.tobytes()
 
 
 def test_embed_cached_array_is_readonly(cfg):
-    vec = embed_tokens(("pump",), cfg.embed_dim)
+    vec = embed_rows([("pump",)], cfg.embed_dim)
     with pytest.raises(ValueError):
-        vec[0] = 99.0
+        vec[0, 0] = 99.0
 
 
-def test_fragment_keeps_its_vector_across_replace(cfg):
-    frag = make_fragment(1, "pump steady")
-    vec = embed_fragment(frag, cfg.embed_dim)
-    assert embed_fragment(frag, cfg.embed_dim) is vec
-    assert embed_fragment(frag.replace(persistence=0.5, anchor=3.0), cfg.embed_dim) is vec
+@settings(max_examples=120, deadline=None, derandomize=True)
+@given(
+    token_lists=st.lists(st.lists(st.sampled_from(WORDS + ("x", "0")), max_size=12), max_size=6),
+    dim=st.integers(8, 4096),
+)
+@example(token_lists=[[], ["pump"] * 12, ["x", "0", "pump"]], dim=8)
+def test_embed_rows_matches_the_per_token_loop(token_lists, dim):
+    """Oracle: each row is bit-equal to the one-token-multiset-at-a-time
+    embedding; an empty list embeds to zero."""
+    matrix = embed_rows(token_lists, dim)
+    assert matrix.shape == (len(token_lists), dim)
+    for tokens, row in zip(token_lists, matrix):
+        assert row.tobytes() == embed_tokens(tokens, dim).tobytes()
+
+
+def _fresh(state: BeliefState, dim: int) -> bytes:
+    return embed_rows([f.tokens for f in state.rows], dim).tobytes()
 
 
 def test_replace_text_never_carries_the_old_vector(cfg):
-    frag = make_fragment(1, "pump steady")
-    embed_fragment(frag, cfg.embed_dim)
-    moved = frag.replace(text="coolant flow")
+    state = BeliefState((make_fragment(1, "pump steady"), make_fragment(2, "seal")), 0.0)
+    state.vectors(cfg.embed_dim)
+    moved = state.revised(put=[state.rows[0].replace(text="coolant flow")])
     fresh = embed_tokens(("coolant", "flow"), cfg.embed_dim)
-    assert embed_fragment(moved, cfg.embed_dim).tobytes() == fresh.tobytes()
+    assert moved.vectors(cfg.embed_dim)[0].tobytes() == fresh.tobytes()
 
 
 def test_second_dim_recomputes(cfg):
-    frag = make_fragment(1, "pump steady valve")
-    embed_fragment(frag, 64)
-    small = embed_fragment(frag, 16)
-    assert small.tobytes() == embed_tokens(frag.tokens, 16).tobytes()
-    assert embed_fragment(frag, 64).tobytes() == embed_tokens(frag.tokens, 64).tobytes()
+    state = BeliefState((make_fragment(1, "pump steady valve"),), 0.0)
+    state.vectors(64)
+    assert state.vectors(16).tobytes() == _fresh(state, 16)
+    assert state.vectors(64).tobytes() == _fresh(state, 64)
 
 
-REPLACE_STEPS = st.one_of(
-    st.fixed_dictionaries({"anchor": st.floats(0.0, 20.0)}),
-    st.fixed_dictionaries({"persistence": st.floats(0.0, 1.0)}),
-    st.fixed_dictionaries({"level": st.integers(0, 4)}),
-    st.fixed_dictionaries({"id": st.integers(1, 99)}),
-    st.fixed_dictionaries({"sectors": st.just(frozenset({"mem"}))}),
-    st.fixed_dictionaries({"text": texts()}),
+def test_vectors_are_a_new_c_ordered_matrix_in_row_order():
+    state = BeliefState(tuple(make_fragment(i, w) for i, w in enumerate(WORDS[:5], 1)), 0.0)
+    vectors = state.vectors(16)
+    assert vectors.flags.c_contiguous and vectors.flags.writeable
+    vectors[:] = 0.0  # a copy: the state's V is untouched
+    assert state.vectors(16).tobytes() == _fresh(state, 16)
+    picked = embed_rows([state.rows[3].tokens, state.rows[1].tokens], 16)
+    assert state.vectors(16, [3, 1]).tobytes() == picked.tobytes()
+    mask = np.array([False, True, False, True, False])
+    assert state.vectors(16, mask).tobytes() == picked[::-1].tobytes()
+
+
+# One step of a chain: a put (ids and texts: a put id may replace a row's
+# text), a drop, a decay that may prune, or a reanchor.
+VECTOR_STEPS = st.one_of(
+    st.tuples(st.just("put"), st.dictionaries(st.integers(1, 12), texts(), max_size=3)),
+    st.tuples(st.just("drop"), st.sets(st.integers(1, 12), max_size=4)),
+    st.tuples(st.just("decay"), st.sampled_from((1.0, 5.0, 40.0))),
+    st.tuples(st.just("reanchor"), st.sets(st.integers(1, 12), max_size=3)),
 )
 
 
-@settings(max_examples=80, deadline=None)
+@settings(max_examples=200, deadline=None, derandomize=True)
 @given(
-    frag=fragments(1),
-    chain=st.lists(
-        st.tuples(REPLACE_STEPS, st.sampled_from((None, 16, 64))), max_size=8
-    ),
-    dim=st.sampled_from((16, 64)),
+    state=states(max_frags=6),
+    chain=st.lists(st.tuples(st.sampled_from((None, 8, 16, 16)), VECTOR_STEPS), max_size=10),
+    dim=st.sampled_from((8, 16)),
 )
-def test_carried_vector_equals_fresh_embedding(frag, chain, dim):
-    """Oracle: whatever replace chain made it, a fragment embeds bit for bit
-    as its tokens do, whether or not earlier links were embedded (at any dim)."""
-    for overrides, embed_dim in chain:
-        if embed_dim is not None:
-            embed_fragment(frag, embed_dim)
-        frag = frag.replace(**overrides)
-    assert embed_fragment(frag, dim).tobytes() == embed_tokens(frag.tokens, dim).tobytes()
+@example(state=BeliefState((), 0.0), chain=[(8, ("put", {1: "pump steady"}))], dim=8)
+@example(
+    state=BeliefState(tuple(make_fragment(i, w) for i, w in enumerate(WORDS[:4], 1)), 0.0),
+    chain=[(16, ("drop", {1, 3})), (None, ("put", {2: "seal", 5: "red light"}))],
+    dim=16,
+)
+def test_carried_vector_equals_fresh_embedding(state, chain, dim):
+    """Oracle: whatever chain of ``revised``, ``decayed`` and ``reanchor``
+    made a state, and at whatever dims its lineage embedded on the way, its
+    vectors are bit-equal to its rows' ``embed_rows``; so are those of a
+    state whose V a put handed on, and of a state with no row left."""
+    cfg = default_config()
+    for ask, (op, arg) in chain:
+        if ask is not None:
+            assert state.vectors(ask).tobytes() == _fresh(state, ask)
+        parent = state
+        if op == "put":
+            state = state.revised(put=[make_fragment(i, text) for i, text in arg.items()])
+        elif op == "drop":
+            state = state.revised(drop=arg)
+        elif op == "decay":
+            state = state.decayed(arg, cfg, state.clock + arg)
+        else:
+            state = state.reanchor(arg, 2.0)
+        if op == "put" and ask is not None:
+            assert parent.vectors(ask).tobytes() == _fresh(parent, ask)
+    assert state.vectors(dim).tobytes() == _fresh(state, dim)
 
 
 def test_replace_rejects_unknown_field_like_dataclasses():
@@ -383,20 +422,16 @@ def _outcome(make):
                 st.fixed_dictionaries({}, optional=VALID_OVERRIDE),
                 st.fixed_dictionaries({}, optional=ANY_OVERRIDE),
             ),
-            st.sampled_from((None, 16, 64)),
             st.booleans(),
         ),
         max_size=6,
     ),
-    dim=st.sampled_from((16, 64)),
 )
-def test_replace_matches_dataclasses_replace(frag, chain, dim):
+def test_replace_matches_dataclasses_replace(frag, chain):
     """Oracle: every copy equals a rebuilt one field by field, with equal
-    tokens, or fails with the same exception type; the vector and content key
-    it carries equal fresh ones, whatever was derived earlier in the chain."""
-    for overrides, embed_dim, keyed in chain:
-        if embed_dim is not None:
-            embed_fragment(frag, embed_dim)
+    tokens, or fails with the same exception type; the content key it
+    carries equals a fresh one, whatever was derived earlier in the chain."""
+    for overrides, keyed in chain:
         if keyed:
             frag.content_key()
         want = _outcome(lambda: dataclasses.replace(frag, **overrides))
@@ -409,7 +444,6 @@ def test_replace_matches_dataclasses_replace(frag, chain, dim):
             assert getattr(got, f.name) == getattr(want, f.name), f.name
         assert got.tokens == want.tokens
         frag = got
-    assert embed_fragment(frag, dim).tobytes() == embed_tokens(frag.tokens, dim).tobytes()
     assert frag.content_key() == reference_content_key(frag)
 
 
@@ -421,15 +455,14 @@ def test_embed_state_vacuum_is_zero(cfg):
 def test_embed_state_single_fragment_matches_fragment_vector(cfg):
     frag = make_fragment(1, "coolant flow steady")
     state = BeliefState((frag,), 0.0)
-    assert np.allclose(embed_state(state, cfg.embed_dim), embed_fragment(frag, cfg.embed_dim))
+    assert np.allclose(embed_state(state, cfg.embed_dim), embed_tokens(frag.tokens, cfg.embed_dim))
 
 
 def test_embed_state_weighting_pulls_toward_heavy_fragment(cfg):
     heavy = make_fragment(1, "coolant flow", anchor=50.0)
     faint = make_fragment(2, "terrain grid", anchor=0.1)
     vec = embed_state(BeliefState((heavy, faint), 0.0), cfg.embed_dim)
-    toward_heavy = float(vec @ embed_fragment(heavy, cfg.embed_dim))
-    toward_faint = float(vec @ embed_fragment(faint, cfg.embed_dim))
+    toward_heavy, toward_faint = embed_rows([heavy.tokens, faint.tokens], cfg.embed_dim) @ vec
     assert toward_heavy > toward_faint
 
 
@@ -455,8 +488,7 @@ class TestEmbeddingLaws:
     @settings(max_examples=60, deadline=None)
     @given(tokens=st.lists(st.sampled_from(WORDS), min_size=1, max_size=8))
     def test_unit_norm_and_determinism(self, tokens):
-        first = embed_tokens(tuple(tokens), 64)
-        second = embed_tokens(tuple(tokens), 64)
+        first, second = embed_rows([tuple(tokens), tuple(tokens)], 64)
         assert np.array_equal(first, second)
         assert np.linalg.norm(first) == pytest.approx(1.0)
 

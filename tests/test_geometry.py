@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from beliefsim.config import default_config
-from beliefsim.core import BeliefState, embed_state, embed_tokens, tokenize
+from beliefsim.core import BeliefState, embed_state, tokenize
 from beliefsim.geometry import (
     CompassReading,
     RealignmentOutcome,
@@ -22,6 +22,7 @@ from beliefsim.geometry import (
 from beliefsim.tower import EpistemicAxis
 
 from conftest import CORE, make_fragment, states, tie_states
+from reference import embed_tokens
 
 VACUUM = BeliefState((), 0.0)
 

@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 
 from beliefsim import core, memory
 from beliefsim.config import default_config
-from beliefsim.core import BeliefState, IdAllocator, embed_tokens
+from beliefsim.core import BeliefState, IdAllocator
 from beliefsim.dynamics import assimilate, nullify
 from beliefsim.simulator import SimulationRun, _removed_ids, load_scenario
 from beliefsim.memory import (
@@ -26,6 +26,7 @@ from beliefsim.memory import (
 )
 
 from conftest import KEYS, WORDS, make_fragment, texts
+from reference import embed_tokens
 from reference import nullify as reference_nullify
 from reference import retrieval_score
 from reference import retrieve as reference_retrieve
@@ -261,16 +262,16 @@ def test_second_retrieve_over_decayed_store_embeds_only_the_cue(cfg, monkeypatch
     decayed = nullify(store, 1.0, cfg)
 
     embedded = []
-    real = core.embed_tokens
+    real = core.embed_rows
 
-    def counting(tokens, dim):
-        embedded.append(tuple(tokens))
-        return real(tokens, dim)
+    def counting(token_lists, dim):
+        embedded.append([tuple(tokens) for tokens in token_lists])
+        return real(token_lists, dim)
 
-    monkeypatch.setattr(core, "embed_tokens", counting)
-    monkeypatch.setattr(memory, "embed_tokens", counting)
+    monkeypatch.setattr(core, "embed_rows", counting)
+    monkeypatch.setattr(memory, "embed_rows", counting)
     second = retrieve(decayed, cue, cfg)
-    assert embedded == [cue.tokens]
+    assert embedded == [[cue.tokens]]
     assert second.ids() == first.ids() == frozenset({50, 51})
 
 
@@ -501,7 +502,7 @@ def test_retrieve_rereads_a_row_the_product_rounds_below_tau(cfg):
     for cue_words in (WORDS[:4], WORDS[4:9], WORDS[9:15], WORDS[15:]):
         cue = QueryCue(kind="associative", tokens=tuple(cue_words))
         cue_vec = embed_tokens(cue.tokens, 8)
-        screened = core._embed_rows(store.rows, 8) @ cue_vec
+        screened = store.vectors(8) @ cue_vec
         for row, f in enumerate(rows):
             exact = retrieval_score(cue_vec, f)
             if screened[row] < exact:

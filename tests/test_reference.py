@@ -3,9 +3,11 @@
 Every shipped scenario, the three benchmark workloads at a reduced size and
 two scenarios built to sit on a threshold run twice: once as the engine
 stands, and once with the per-fragment loops of ``reference.py`` (decay,
-state embedding, retrieval and the assimilation that rebuilds every
-fragment) swapped in through the module attributes the engine calls.  The two traces must be the
-same bytes; ``verify_golden``'s float tolerance would be too loose here.
+state embedding, retrieval, the assimilation that rebuilds every fragment
+and the reflection written one breach at a time) swapped in through the
+module attributes the engine calls.  The two traces must be the same bytes;
+``verify_golden``'s float tolerance would be too loose here.  The benchmark
+workloads at full size and seed 0 must give their goldens' bytes.
 """
 
 from __future__ import annotations
@@ -20,10 +22,10 @@ import pytest
 
 from beliefsim import geometry, memory, simulator, tower
 from beliefsim.config import default_config
-from beliefsim.core import embed_tokens
-from beliefsim.simulator import run_scenario
+from beliefsim.simulator import SimulationRun, load_scenario, run_scenario
 
 import reference
+from reference import embed_tokens
 
 REPO = Path(__file__).resolve().parent.parent
 SCENARIOS = REPO / "scenarios"
@@ -132,6 +134,7 @@ def reference_engine(monkeypatch):
         monkeypatch.setattr(simulator, "nullify", reference.nullify)
         monkeypatch.setattr(simulator, "nullify_sector", reference.nullify_sector)
         monkeypatch.setattr(simulator, "retrieve", reference.retrieve)
+        monkeypatch.setattr(simulator, "meta_assimilate", reference.meta_assimilate)
         monkeypatch.setattr(geometry, "embed_state", reference.embed_state)
         monkeypatch.setattr(tower, "embed_state", reference.embed_state)
 
@@ -184,3 +187,14 @@ def test_edge_cases_sit_on_their_thresholds(tmp_path):
     events = run_scenario(_scenario_path(_retrieval_edge, tmp_path)).trace.events
     first = next(e.payload["ids"] for e in events if e.kind == "retrieve")
     assert at_tau and set(at_tau) <= set(first)
+
+
+@pytest.mark.parametrize("name", sorted(workloads.GENERATORS))
+def test_bench_run_matches_golden_bytes(name, tmp_path):
+    """The workload at its default seed, run as ``perfbench/regen_golden.py``
+    runs it, gives its golden byte for byte."""
+    path = tmp_path / "scenario.json"
+    path.write_bytes(workloads.scenario_bytes(name, workloads.DEFAULT_SEED))
+    trace = SimulationRun(load_scenario(path)).run().trace.render().encode("utf-8")
+    golden = REPO / "perfbench" / "golden" / f"{name}.s{workloads.DEFAULT_SEED}.trace.jsonl"
+    assert trace == golden.read_bytes()

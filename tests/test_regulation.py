@@ -6,6 +6,7 @@ import itertools
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from beliefsim.config import default_config
 from beliefsim.core import BeliefState, IdAllocator, embed_state
@@ -26,7 +27,8 @@ from beliefsim.regulation import (
 )
 from beliefsim.tower import EpistemicAxis
 
-from conftest import make_fragment, states
+from conftest import SECTORS, make_fragment, states
+from reference import meta_assimilate as reference_meta_assimilate
 
 import numpy as np
 
@@ -323,6 +325,48 @@ def test_meta_assimilate_caps_reflection_depth():
     assert len(warnings) == 1
     assert "depth cap" in warnings[0]
     assert meta_depth(out) == 2
+
+
+# Readings either side of the default thresholds (kappa_crit 0.8, l_max 10,
+# tau_theta 0.8); "global" as a sector name writes the global slot twice.
+KAPPAS = st.sampled_from((0.25, 0.5, 0.79, 0.8, 1.0))
+
+
+@st.composite
+def reports(draw):
+    sectors = draw(st.lists(st.sampled_from(SECTORS[:5] + ("global",)), unique=True, max_size=4))
+    return IntrospectiveReport(
+        tick=0.0,
+        kappa_global=draw(KAPPAS),
+        kappa_by_sector={s: draw(KAPPAS) for s in sectors},
+        load=draw(st.sampled_from((2.0, 10.0, 12.5))),
+        theta_by_axis={a: draw(st.sampled_from((0.1, 0.9))) for a in
+                       draw(st.lists(st.sampled_from(("ax", "refl")), unique=True))},
+        velocity=0.0,
+        depth=1,
+    )
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(
+    state=states(max_frags=5, keyed=True),
+    rounds=st.lists(reports(), min_size=1, max_size=4),
+    depth_max=st.integers(1, 4),
+)
+def test_meta_assimilate_matches_the_per_entry_loop(state, rounds, depth_max):
+    """Rounds of reflection give the states, fragments, warnings and ids of
+    the loop that reads every row and edits the table once per breach."""
+    cfg = default_config().replace(meta_depth_max=depth_max)
+    fast_ids, slow_ids = IdAllocator(100), IdAllocator(100)
+    fast = slow = state
+    for report in rounds:
+        fast, fast_emitted, fast_warnings = meta_assimilate(fast, report, cfg, fast_ids)
+        slow, slow_emitted, slow_warnings = reference_meta_assimilate(slow, report, cfg, slow_ids)
+        assert fast == slow
+        assert fast_emitted == slow_emitted
+        assert fast_warnings == slow_warnings
+        assert meta_depth(fast) == meta_depth(slow)
+    assert fast_ids.next() == slow_ids.next()
 
 
 def test_meta_assimilate_quiet_report_writes_nothing(cfg):

@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from beliefsim.config import default_config
-from beliefsim.core import BeliefState, IdAllocator, embed_fragment, embed_state
+from beliefsim.core import BeliefState, IdAllocator, embed_state
 from beliefsim.geometry import distance
 from beliefsim.tower import (
     SUMMARY_TOKEN_CAP,
@@ -25,6 +25,7 @@ from beliefsim.tower import (
 )
 
 from conftest import make_fragment, states, tie_states
+from reference import embed_tokens
 
 
 # --------------------------------------------------------------------------
@@ -261,9 +262,9 @@ def _reference_best_pair(pool, dim):
     best_key = None
     best_cos = -math.inf
     for i, ia in enumerate(ordered):
-        va = embed_fragment(pool[ia], dim)
+        va = embed_tokens(pool[ia].tokens, dim)
         for ib in ordered[i + 1:]:
-            cos = float(np.dot(va, embed_fragment(pool[ib], dim)))
+            cos = float(np.dot(va, embed_tokens(pool[ib].tokens, dim)))
             if cos > best_cos or (cos == best_cos and (ia, ib) < best_key):
                 best_cos = cos
                 best_key = (ia, ib)
