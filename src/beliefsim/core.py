@@ -25,7 +25,8 @@ multiplies the persistence column by kept ``math.exp`` factors and, like
 ids, put fragments), which leaves the rows it does not touch as they were.
 ``fragments`` builds a row into a ``Fragment`` only when it is read.
 Readers of the fields that never change read ``rows``, or ``rows_in(s)``
-from a sector view built once per set of rows, and build nothing.
+from a sector view built once per set of rows, and build nothing.  Every
+reader of the conflict rule reads the key groups ``conflicts`` keeps.
 """
 
 from __future__ import annotations
@@ -208,12 +209,13 @@ class BeliefState:
     created_at, members) are current; its anchor and persistence are those
     it entered with.  Like its sector view and mass, a state keeps its
     embedding (``embed_state``) for the last ``dim`` asked; a derived state
-    starts without one.
+    starts without one, and is handed its conflict groups only where the
+    fixed fields prove them (``conflicts``).
     """
 
     __slots__ = (
         "clock", "_rows", "_anchor", "_persistence", "_built", "_decay",
-        "_lineage", "_index", "_view", "_mass", "_embedding",
+        "_lineage", "_index", "_view", "_mass", "_embedding", "_conflicts",
     )
 
     def __init__(self, fragments: Iterable[Fragment] = (), clock: float = 0.0) -> None:
@@ -238,7 +240,7 @@ class BeliefState:
         self._decay: Optional[tuple] = None  # (dt, config, per-row factors)
         self._lineage: list = [rows, None]  # (rows V is built over, V)
         self._index: Optional[np.ndarray] = None  # each row's row in V; None: the same
-        self._view = self._mass = None
+        self._view = self._mass = self._conflicts = None
         self._embedding: Optional[tuple[int, np.ndarray]] = None  # (dim, vector)
 
     # -- reading -----------------------------------------------------------
@@ -311,6 +313,20 @@ class BeliefState:
             view = self._view = {s: groups[s] for s in sorted(groups)}
         return view
 
+    def conflicts(self) -> tuple[tuple[Fragment, ...], ...]:
+        """The key groups holding both polarities, rows in id order, groups in
+        head-id order: the one grouping of a state's rows by key, built by
+        one walk on first read and kept.  A derived state that keeps every
+        row shares it; one conflict-free by its parent's groups and its put
+        rows' keys starts with ``()``.  Read only the rows' fixed fields."""
+        kept = self._conflicts
+        if kept is None:
+            kept = self._conflicts = tuple(
+                tuple(group) for group in key_groups(self._rows).values()
+                if any(f.polarity != group[0].polarity for f in group)
+            )
+        return kept
+
     @property
     def is_vacuum(self) -> bool:
         return not self._rows
@@ -361,10 +377,12 @@ class BeliefState:
         new = object.__new__(BeliefState)
         new.clock, new._lineage, new._mass, new._embedding = clock, self._lineage, None, None
         rows, index, new._view = self._rows, self._index, self._view  # the view reads rows only
+        new._conflicts = self._conflicts  # so do the conflict groups
         if keep is not None and not keep.all():
             rows = tuple(itertools.compress(rows, keep.tolist()))
             index = _frozen((np.arange(len(keep)) if index is None else index)[keep])
             new._view = None
+            new._conflicts = None if self._conflicts else self._conflicts  # () stays ()
             if anchor is not None:
                 anchor, persistence = anchor[keep], persistence[keep]
             if decay is not None:
@@ -393,6 +411,8 @@ class BeliefState:
             return kept
         at = [bisect.bisect_left(kept._rows, f.id, key=_ID) for f in put]
         new = BeliefState(sorted((*kept._rows, *put), key=_ID), self.clock)  # refuses a repeated id
+        if kept._conflicts == () and all(f.key is None for f in put):
+            new._conflicts = ()
         V = self._lineage[1]
         if V is not None:  # in one allocation, a placeholder row at each put row
             put_V = embed_rows([f.tokens for f in put], V.shape[1])
@@ -643,8 +663,8 @@ def activation_density(state: BeliefState, sector: str) -> float:
 def key_groups(fragments: Iterable[Fragment]) -> dict[str, list[Fragment]]:
     """Keyed fragments grouped by proposition key, input order kept in each.
 
-    Fragments on different keys never conflict, so every conflict query walks
-    these groups instead of every pair of fragments.
+    Fragments on different keys never conflict, so a conflict query walks
+    these groups instead of every pair; a state's in ``BeliefState.conflicts``.
     """
     groups: dict[str, list[Fragment]] = {}
     for f in fragments:
@@ -653,18 +673,14 @@ def key_groups(fragments: Iterable[Fragment]) -> dict[str, list[Fragment]]:
     return groups
 
 
-def first_conflict(fragments: Sequence[Fragment]) -> Optional[tuple[Fragment, Fragment]]:
-    """The conflicting pair (a, b) with the lowest (a.id, b.id), or None.
-
-    ``fragments`` must be in id order, as a state holds them: each group's
-    lowest pair is its head and the head's first opposite, and groups come
-    in head-id order, so the first group with a pair holds the answer.
-    """
-    for head, *rest in key_groups(fragments).values():
-        rival = next((f for f in rest if f.polarity != head.polarity), None)
-        if rival is not None:
-            return head, rival
-    return None
+def first_conflict(state: BeliefState) -> Optional[tuple[Fragment, Fragment]]:
+    """The conflicting pair (a, b) of rows with the lowest (a.id, b.id), or
+    None: the first conflict group's head and the head's first opposite."""
+    groups = state.conflicts()
+    if not groups:
+        return None
+    head, *rest = groups[0]
+    return head, next(f for f in rest if f.polarity != head.polarity)
 
 
 __all__ = [

@@ -111,16 +111,15 @@ def _resolve_internal(state: BeliefState) -> tuple[BeliefState, list[int]]:
     """Resolve conflicts among the fragments of one state.
 
     Same revision rule, with the higher id as the later arrival that loses a
-    full tie.  Each key group is walked pair by pair in id order; retracted
-    ids come out in global (a.id, b.id) discovery order, and every conflict
-    seen retracts exactly one fragment.  Only groups holding both polarities
-    are built.  Returns (the survivors' state, retracted ids).
+    full tie.  Each of the state's conflict groups (``state.conflicts()``)
+    is walked pair by pair in id order, each row read through ``state.get``
+    for its current anchor; retracted ids come out in global (a.id, b.id)
+    discovery order, and every conflict seen retracts exactly one fragment.
+    Returns (the survivors' state, retracted ids).
     """
     dead: set[int] = set()
     found: list[tuple[int, int, int]] = []  # (a.id, b.id, loser id)
-    for rows in key_groups(state.rows).values():
-        if len({f.polarity for f in rows}) < 2:
-            continue
+    for rows in state.conflicts():
         group = [state.get(f.id) for f in rows]
         for i, a in enumerate(group):
             for b in group[i + 1:]:

@@ -167,6 +167,25 @@ class ActionDecision:
         }
 
 
+def _veto(
+    basin: ActionBasin, state: BeliefState, value: float, momentum: float, mode: str
+) -> tuple[str, str]:
+    """(verdict, reason) of the first failing rung, read no further than it;
+    ``("fired", "")`` after a clean descent."""
+    if any(s.score(state) >= SATURATION for s in basin.suppressors):
+        return "suppressed", "suppressor saturated"
+    if value <= basin.tau:
+        return "below_threshold", f"readiness {value:.6g} <= tau {basin.tau:g}"
+    if momentum <= 0.0:
+        return "no_momentum", f"momentum {momentum:.6g} <= 0"
+    rule = next((r for r in basin.gate_policy if r.matches(state)), None)
+    if rule is not None and rule.action != "approve":  # approval ends the gate walk
+        return f"gated_{rule.action}", f"gate pattern {rule.pattern!r}"
+    if mode == "simulation":
+        return "blocked_simulation", "simulation mode blocks outward actions"
+    return "fired", ""
+
+
 def evaluate_action(
     basin: ActionBasin,
     state: BeliefState,
@@ -177,42 +196,8 @@ def evaluate_action(
     the verdict, and only a clean descent ends in ``fired``."""
     value, scores = readiness(basin, state)
     momentum = value - prev_readiness
-
-    for suppressor in basin.suppressors:
-        if suppressor.score(state) >= SATURATION:
-            return ActionDecision(
-                basin.name, "suppressed", value, momentum, scores,
-                reason="suppressor saturated",
-            )
-    if value <= basin.tau:
-        return ActionDecision(
-            basin.name, "below_threshold", value, momentum, scores,
-            reason=f"readiness {value:.6g} <= tau {basin.tau:g}",
-        )
-    if momentum <= 0.0:
-        return ActionDecision(
-            basin.name, "no_momentum", value, momentum, scores,
-            reason=f"momentum {momentum:.6g} <= 0",
-        )
-    for rule in basin.gate_policy:
-        if rule.matches(state):
-            if rule.action == "delay":
-                return ActionDecision(
-                    basin.name, "gated_delay", value, momentum, scores,
-                    reason=f"gate pattern {rule.pattern!r}",
-                )
-            if rule.action == "suppress":
-                return ActionDecision(
-                    basin.name, "gated_suppress", value, momentum, scores,
-                    reason=f"gate pattern {rule.pattern!r}",
-                )
-            break  # explicit approval ends the gate walk
-    if mode == "simulation":
-        return ActionDecision(
-            basin.name, "blocked_simulation", value, momentum, scores,
-            reason="simulation mode blocks outward actions",
-        )
-    return ActionDecision(basin.name, "fired", value, momentum, scores)
+    verdict, reason = _veto(basin, state, value, momentum, mode)
+    return ActionDecision(basin.name, verdict, value, momentum, scores, reason)
 
 
 def resolve_actions(decisions: Sequence[ActionDecision]) -> list[ActionDecision]:

@@ -88,7 +88,7 @@ def generate_query(
         return QueryCue(kind="goal", tokens=tokens)
 
     if trigger == "coherence":
-        pair = first_conflict(active.rows)
+        pair = first_conflict(active)
         if pair is None:
             return None
         a, b = pair

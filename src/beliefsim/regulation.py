@@ -10,7 +10,7 @@ same budget it allocates, which is what makes overload self-limiting.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Mapping, Sequence
+from typing import Mapping
 
 from .config import ParameterConfig
 from .core import (
@@ -19,7 +19,6 @@ from .core import (
     IdAllocator,
     activation_density,
     first_conflict,
-    key_groups,
     ordered_sum,
 )
 from .geometry import compass_reading, distance
@@ -43,10 +42,13 @@ META_ANCHOR = 2.0
 # Measurement
 # --------------------------------------------------------------------------
 
-def _conflict_pairs(fragments: Sequence[Fragment]) -> int:
-    """Unordered conflicting pairs: per key, positives times negatives."""
+def _conflict_pairs(state: BeliefState, sector: str | None = None) -> int:
+    """Unordered conflicting pairs among the rows tagged with ``sector`` (all
+    rows by default): per conflict group, positives times negatives."""
     count = 0
-    for group in key_groups(fragments).values():
+    for group in state.conflicts():
+        if sector is not None:
+            group = [f for f in group if sector in f.sectors]
         plus = sum(1 for f in group if f.polarity == "+")
         count += plus * (len(group) - plus)
     return count
@@ -58,13 +60,14 @@ def coherence(state: BeliefState, sector: str | None = None) -> float:
     Ordered pairs (each unordered conflict counts twice) over n^2, so two
     fragments in direct contradiction score 0.5 and the measure decays
     smoothly as neutral content is added around a dispute.  With p_k and m_k
-    counting the '+' and '-' fragments on key k, this is 1 − 2·Σ_k p_k·m_k / n².
+    counting the '+' and '-' fragments on key k, this is 1 − 2·Σ_k p_k·m_k / n²,
+    read from the state's conflict groups: with none, exactly 1.0, n uncounted.
     """
-    frags = state.rows if sector is None else state.rows_in(sector)
-    n = len(frags)
-    if n == 0:
+    pairs = _conflict_pairs(state, sector)
+    if not pairs:
         return 1.0
-    return 1.0 - (2 * _conflict_pairs(frags)) / (n * n)
+    n = len(state.rows if sector is None else state.rows_in(sector))
+    return 1.0 - (2 * pairs) / (n * n)
 
 
 def cognitive_load(state: BeliefState, config: ParameterConfig, rate: float) -> float:
@@ -315,21 +318,15 @@ class RegulationAction:
 
 
 def _most_conflicted_sector(state: BeliefState) -> str | None:
-    best: str | None = None
-    best_count = 0
-    for sector in state.sectors():
-        count = _conflict_pairs(state.rows_in(sector))
-        if count > best_count:
-            best = sector
-            best_count = count
-    if best is not None:
+    if not state.conflicts():
+        return None
+    counts = {s: _conflict_pairs(state, s) for s in state.sectors()}
+    best = max(counts, key=counts.__getitem__)  # the first of the most
+    if counts[best]:
         return best
     # Cross-sector conflict: no single projection contains a pair.  Fall back
     # to the lexicographically first sector touching the first conflict.
-    pair = first_conflict(state.rows)
-    if pair is None:
-        return None
-    a, b = pair
+    a, b = first_conflict(state)
     return min(a.sectors | b.sectors)
 
 

@@ -2,8 +2,9 @@
 
 Each function here is the plain loop that a fast path of the engine
 replaced, kept as an oracle; ``assimilate`` builds every fragment of the
-state into a list and rebuilds the state from it, and ``embed_tokens``
-embeds one token multiset at a time.  ``test_reference.py`` swaps them into
+state into a list and rebuilds the state from it, ``embed_tokens`` embeds
+one token multiset at a time, and the conflict readings group the rows by
+key on every call.  ``test_reference.py`` swaps them into
 a whole run through the module attributes the engine calls and asserts that
 the trace comes out byte for byte the same.
 """
@@ -263,3 +264,59 @@ def meta_assimilate(active, report, config, ids):
         existing_meta[f"{metric} {target}"] = updated
         emitted.append(updated)
     return state, emitted, warnings
+
+
+def conflict_groups(fragments):
+    """The key groups of ``fragments`` that hold both polarities, in input
+    order, regrouped on every call."""
+    return tuple(
+        tuple(group) for group in key_groups(fragments).values()
+        if len({f.polarity for f in group}) == 2
+    )
+
+
+def _conflict_pairs(fragments):
+    """Unordered conflicting pairs: per key, positives times negatives."""
+    count = 0
+    for group in key_groups(fragments).values():
+        plus = sum(1 for f in group if f.polarity == "+")
+        count += plus * (len(group) - plus)
+    return count
+
+
+def first_conflict(fragments):
+    """The conflicting pair (a, b) with the lowest (a.id, b.id), or None,
+    for ``fragments`` in id order: the first key group with a pair holds it."""
+    for head, *rest in key_groups(fragments).values():
+        rival = next((f for f in rest if f.polarity != head.polarity), None)
+        if rival is not None:
+            return head, rival
+    return None
+
+
+def _tagged(state, sector):
+    return tuple(f for f in state.rows if sector in f.sectors)
+
+
+def coherence(state, sector=None):
+    """1 - 2 * pairs / n^2 over every row, or over the rows a filter finds
+    tagged with ``sector``; the vacuum is coherent."""
+    rows = state.rows if sector is None else _tagged(state, sector)
+    n = len(rows)
+    if n == 0:
+        return 1.0
+    return 1.0 - (2 * _conflict_pairs(rows)) / (n * n)
+
+
+def most_conflicted_sector(state):
+    """The sector with the most conflicting pairs, the first of them on a
+    tie; else the first sector of the first conflict; else None."""
+    best, best_count = None, 0
+    for sector in sorted({s for f in state.rows for s in f.sectors}):
+        count = _conflict_pairs(_tagged(state, sector))
+        if count > best_count:
+            best, best_count = sector, count
+    if best is not None:
+        return best
+    pair = first_conflict(state.rows)
+    return None if pair is None else min(pair[0].sectors | pair[1].sectors)

@@ -17,9 +17,10 @@ from pathlib import Path
 import numpy as np
 
 from conftest import WORDS, make_fragment
+from reference import first_conflict
 
 from beliefsim.config import default_config
-from beliefsim.core import BeliefState, IdAllocator, embed_state, first_conflict
+from beliefsim.core import BeliefState, IdAllocator, embed_state
 from beliefsim.dynamics import (
     annihilate_sector,
     assimilate,

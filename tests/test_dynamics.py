@@ -486,7 +486,7 @@ class TestAssimilationLaws:
         out, _ = assimilate(
             held, BeliefState(tuple(batch), held.clock), cfg, IdAllocator(500)
         )
-        assert first_conflict(out.rows) is None
+        assert reference.first_conflict(out.rows) is None
 
     @settings(max_examples=50, deadline=None)
     @given(held=states(min_frags=1))
@@ -689,7 +689,8 @@ def test_key_index_matches_all_pairs_enumeration(frags, data):
 
     state = make_state(*frags)
     pairs = _all_conflicts(state.fragments)
-    assert first_conflict(state.fragments) == (pairs[0] if pairs else None)
+    assert first_conflict(state) == reference.first_conflict(state.rows) == (
+        pairs[0] if pairs else None)
     assert _most_conflicted_sector(state) == _quadratic_most_conflicted(state)
 
     # Assimilation's conflict pairs, read from the elaborative refusal; the

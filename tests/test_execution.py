@@ -216,24 +216,45 @@ class TestReadinessLaws:
 READY = Clause(kind="token_present", token="ready")
 
 
+class Counted:
+    """A clause or gate rule whose ``score`` and ``matches`` calls are counted."""
+
+    def __init__(self, wrapped) -> None:
+        self.wrapped, self.calls = wrapped, 0
+
+    def __getattr__(self, name):
+        return getattr(self.wrapped, name)
+
+    def score(self, state):
+        self.calls += 1
+        return self.wrapped.score(state)
+
+    def matches(self, state):
+        self.calls += 1
+        return self.wrapped.matches(state)
+
+
 def test_fired_on_clean_descent():
     basin = basin_with(READY)
     decision = evaluate_action(basin, task_state("crew ready"), 0.0, "active")
     assert decision.verdict == "fired"
+    assert decision.reason == ""
     assert decision.readiness == 1.0
     assert decision.momentum == 1.0
 
 
 def test_suppressor_outranks_everything():
+    later = Counted(Clause(kind="token_present", token="crew"))  # also saturated
     basin = basin_with(
         READY,
-        suppressors=[Clause(kind="token_present", token="abort")],
+        suppressors=[Clause(kind="token_present", token="abort"), later],
         gate_policy=[GateRule(pattern="ready", action="suppress")],
     )
     state = task_state("crew ready", "abort signal")
     decision = evaluate_action(basin, state, 0.0, "active")
     assert decision.verdict == "suppressed"
     assert decision.reason == "suppressor saturated"
+    assert later.calls == 0  # the walk stops at the first saturated suppressor
 
 
 def test_below_threshold_verdict():
@@ -249,6 +270,7 @@ def test_below_threshold_verdict():
     )
     decision = evaluate_action(basin, state, 0.0, "active")
     assert decision.verdict == "below_threshold"
+    assert decision.reason == "readiness 0.555556 <= tau 0.6"
     assert decision.readiness == pytest.approx(0.5 / 0.9)
 
 
@@ -266,6 +288,7 @@ def test_no_momentum_when_readiness_stalls():
     basin = basin_with(READY)
     decision = evaluate_action(basin, task_state("crew ready"), 1.0, "active")
     assert decision.verdict == "no_momentum"
+    assert decision.reason == "momentum 0 <= 0"
     assert decision.momentum == 0.0
 
 
@@ -281,12 +304,12 @@ def test_gate_delay_and_suppress_verdicts():
         basin_with(READY, gate_policy=[GateRule(pattern="hold launch", action="delay")]),
         state, 0.0, "active",
     )
-    assert delayed.verdict == "gated_delay"
+    assert (delayed.verdict, delayed.reason) == ("gated_delay", "gate pattern 'hold launch'")
     squashed = evaluate_action(
         basin_with(READY, gate_policy=[GateRule(pattern="hold launch", action="suppress")]),
         state, 0.0, "active",
     )
-    assert squashed.verdict == "gated_suppress"
+    assert (squashed.verdict, squashed.reason) == ("gated_suppress", "gate pattern 'hold launch'")
 
 
 def test_gate_approval_stops_the_walk():
@@ -330,6 +353,7 @@ def test_simulation_mode_blocks_firing():
     basin = basin_with(READY)
     decision = evaluate_action(basin, task_state("crew ready"), 0.0, "simulation")
     assert decision.verdict == "blocked_simulation"
+    assert decision.reason == "simulation mode blocks outward actions"
     assert decision.readiness == 1.0  # readiness still measured honestly
 
 
@@ -342,9 +366,13 @@ def test_ladder_order_momentum_before_gates():
         ),
         0.0,
     )
-    basin = basin_with(READY, gate_policy=[GateRule(pattern="hold", action="suppress")])
+    gate = Counted(GateRule(pattern="hold", action="suppress"))
+    basin = basin_with(READY, gate_policy=[gate])
     decision = evaluate_action(basin, state, 1.0, "active")
     assert decision.verdict == "no_momentum"
+    assert gate.calls == 0
+    assert evaluate_action(basin, state, 0.0, "active").verdict == "gated_suppress"
+    assert gate.calls == 1
 
 
 # --------------------------------------------------------------------------

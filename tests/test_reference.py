@@ -1,13 +1,15 @@
 """Whole runs, fast engine against the reference loops, trace for trace.
 
-Every shipped scenario, the three benchmark workloads at a reduced size and
-two scenarios built to sit on a threshold run twice: once as the engine
-stands, and once with the per-fragment loops of ``reference.py`` (decay,
-state embedding, retrieval, the assimilation that rebuilds every fragment
-and the reflection written one breach at a time) swapped in through the
-module attributes the engine calls.  The two traces must be the same bytes;
-``verify_golden``'s float tolerance would be too loose here.  The benchmark
-workloads at full size and seed 0 must give their goldens' bytes.
+Every shipped scenario, the three benchmark workloads at a reduced size, two
+scenarios built to sit on a threshold and one that asks the store about a
+dispute run twice: once as the engine stands, and once with the
+per-fragment loops of ``reference.py`` (decay, state embedding, retrieval,
+the assimilation that rebuilds every fragment, the reflection written one
+breach at a time, and coherence, the sector wipe's target and the coherence
+cue regrouping the rows by key) swapped in through the module attributes
+the engine calls.  The two traces must be the same bytes; ``verify_golden``'s
+float tolerance would be too loose here.  Every shipped scenario, and the
+benchmark workloads at full size and seed 0, must give their goldens' bytes.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from beliefsim import geometry, memory, simulator, tower
+from beliefsim import execution, geometry, memory, regulation, simulator, tower
 from beliefsim.config import default_config
 from beliefsim.simulator import SimulationRun, load_scenario, run_scenario
 
@@ -114,11 +116,32 @@ def _retrieval_edge() -> dict:
     }
 
 
+def _coherence_cue() -> dict:
+    """A dispute taken in without revision, among enough neutral rows that
+    coherence stays above kappa_crit: once the goal cue has been asked and
+    found nothing, the memory cycle asks the store about the dispute."""
+    claim = {"sector": "perc", "key": "inlet_valve"}
+    return {
+        "memory": [{"text": "inlet valve manual", "sector": "mem"}],
+        "timeline": [
+            {"event": "command", "text": "goal: zebra"},
+            {"event": "observe", "mode": "conf", "specs": [
+                {**claim, "text": "inlet valve reads open", "polarity": "+"},
+                {**claim, "text": "inlet valve reads shut", "polarity": "-"},
+                *({"text": text, "sector": "perc"}
+                  for text in ("pump hums", "light steady", "gauge reads low")),
+            ]},
+            {"event": "tick", "n": 2},
+        ],
+    }
+
+
 CASES = (
     [pytest.param(SCENARIOS / f"{name}.json", id=name) for name in SHIPPED]
     + [pytest.param((name, seed), id=f"{name}-s{seed}") for name in BENCH for seed in SEEDS]
     + [pytest.param(_decay_edge, id="decay_edge"),
-       pytest.param(_retrieval_edge, id="retrieval_edge")]
+       pytest.param(_retrieval_edge, id="retrieval_edge"),
+       pytest.param(_coherence_cue, id="coherence_cue")]
 )
 
 
@@ -137,6 +160,12 @@ def reference_engine(monkeypatch):
         monkeypatch.setattr(simulator, "meta_assimilate", reference.meta_assimilate)
         monkeypatch.setattr(geometry, "embed_state", reference.embed_state)
         monkeypatch.setattr(tower, "embed_state", reference.embed_state)
+        for module in (regulation, execution, simulator):
+            monkeypatch.setattr(module, "coherence", reference.coherence)
+        monkeypatch.setattr(regulation, "_most_conflicted_sector",
+                            reference.most_conflicted_sector)
+        monkeypatch.setattr(memory, "first_conflict",
+                            lambda state: reference.first_conflict(state.rows))
 
     return swap
 
@@ -187,6 +216,18 @@ def test_edge_cases_sit_on_their_thresholds(tmp_path):
     events = run_scenario(_scenario_path(_retrieval_edge, tmp_path)).trace.events
     first = next(e.payload["ids"] for e in events if e.kind == "retrieve")
     assert at_tau and set(at_tau) <= set(first)
+
+    events = run_scenario(_scenario_path(_coherence_cue, tmp_path)).trace.events
+    asked = [(e.payload["cue_kind"], e.payload["ids"]) for e in events if e.kind == "retrieve"]
+    assert asked == [("goal", []), ("coherence", [1])]
+
+
+@pytest.mark.parametrize("name", SHIPPED)
+def test_shipped_run_matches_golden_bytes(name):
+    """The scenario, run as ``scripts/regen_golden.py`` runs it, gives its
+    golden byte for byte."""
+    trace = run_scenario(SCENARIOS / f"{name}.json").trace.render().encode("utf-8")
+    assert trace == (SCENARIOS / "golden" / f"{name}.trace.jsonl").read_bytes()
 
 
 @pytest.mark.parametrize("name", sorted(workloads.GENERATORS))

@@ -3,7 +3,9 @@
 A state groups its fragments by sector once and keeps the grouping, so every
 per-sector reading must equal the scan it replaced: the same fragments in
 the same id order, hence the same sums in the same order.  The scans live in
-conftest as reference loops.
+conftest as reference loops, and the conflict readings that regroup the rows
+by key in ``reference.py``.  A state's kept conflict groups, built or handed
+on through a chain of derivations, must equal that regrouping.
 """
 
 from __future__ import annotations
@@ -11,23 +13,23 @@ from __future__ import annotations
 from collections import Counter
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from beliefsim import core, regulation
 from beliefsim.config import ParameterConfig, default_config
 from beliefsim.core import BeliefState, Fragment, first_conflict, tokenize
-from beliefsim.dynamics import nullify
+from beliefsim.dynamics import nullify, nullify_sector
 from beliefsim.execution import Clause, GateRule
 from beliefsim.regulation import (
     REFLECTIVE_SECTOR,
-    _conflict_pairs,
     _most_conflicted_sector,
     coherence,
     cognitive_load,
     introspect,
 )
 
+import reference
 from conftest import (
     KEYS,
     SECTORS,
@@ -51,16 +53,6 @@ COSTLY = ParameterConfig(sector_costs={"task": 2.5, "refl": 0.25})
 # The old per-sector loops, over the reference scans
 # --------------------------------------------------------------------------
 
-def filtered_coherence(state: BeliefState, sector: str | None = None) -> float:
-    frags = state.fragments
-    if sector is not None:
-        frags = tuple(f for f in frags if sector in f.sectors)
-    n = len(frags)
-    if n == 0:
-        return 1.0
-    return 1.0 - (2 * _conflict_pairs(frags)) / (n * n)
-
-
 def scan_load(state: BeliefState, config: ParameterConfig, rate: float) -> float:
     c_count, c_sector, c_rate = config.load_coeffs
     sector_term = ltr_sum(
@@ -69,25 +61,13 @@ def scan_load(state: BeliefState, config: ParameterConfig, rate: float) -> float
     return c_count * len(state.fragments) + c_sector * sector_term + c_rate * rate
 
 
-def scan_most_conflicted(state: BeliefState) -> str | None:
-    best, best_count = None, 0
-    for sector in union_sectors(state):
-        count = _conflict_pairs(sector_projection(state, sector).fragments)
-        if count > best_count:
-            best, best_count = sector, count
-    if best is not None:
-        return best
-    pair = first_conflict(state.fragments)
-    return None if pair is None else min(pair[0].sectors | pair[1].sectors)
-
-
 def scan_clause_score(clause: Clause, state: BeliefState) -> float:
     if clause.kind == "sector_density":
         return min(two_pass_density(state, clause.sector) / clause.minimum, 1.0)
     if clause.kind == "level_present":
         return 1.0 if any(f.level == clause.level for f in state.fragments) else 0.0
     if clause.kind == "coherence_conflict":
-        incoherence = 1.0 - filtered_coherence(state, clause.sector)
+        incoherence = 1.0 - reference.coherence(state, clause.sector)
         return 1.0 if incoherence <= clause.tolerance else 0.0
     for f in state.fragments:
         if clause.sector is not None and clause.sector not in f.sectors:
@@ -113,9 +93,10 @@ def scan_gate_matches(rule: GateRule, state: BeliefState) -> bool:
 
 @st.composite
 def view_fragments(draw, unique: bool, max_frags: int = 10) -> list[Fragment]:
-    """Fragments in drawn (not id) order, with one to three sectors each,
-    zero weights, keyed claims and, unless ``unique``, repeated ids."""
-    fids = draw(st.lists(st.integers(1, 2 * max_frags), max_size=max_frags, unique=unique))
+    """Fragments in drawn (not id) order, ids from 1 to 20, with one to three
+    sectors each, zero weights, keyed claims and, unless ``unique``, repeated
+    ids."""
+    fids = draw(st.lists(st.integers(1, 20), max_size=max_frags, unique=unique))
     frags = []
     for fid in fids:
         key = draw(st.sampled_from((None, *KEYS[:2])))
@@ -204,13 +185,13 @@ def test_readings_are_bit_equal_to_the_scans(state, rate):
         assert cognitive_load(state, config, rate) == load
         report = introspect(state, None, {}, config, rate)
         assert report.load == load
-        assert report.kappa_global == filtered_coherence(state)
+        assert report.kappa_global == reference.coherence(state)
         assert list(report.kappa_by_sector.items()) == [
-            (s, filtered_coherence(state, s)) for s in union_sectors(state)
+            (s, reference.coherence(state, s)) for s in union_sectors(state)
         ]
     for sector in PROBES:
-        assert coherence(state, sector) == filtered_coherence(state, sector)
-    assert _most_conflicted_sector(state) == scan_most_conflicted(state)
+        assert coherence(state, sector) == reference.coherence(state, sector)
+    assert _most_conflicted_sector(state) == reference.most_conflicted_sector(state)
 
 
 @settings(max_examples=150, deadline=None)
@@ -239,6 +220,59 @@ def test_a_derived_state_builds_its_own_view(state, data):
         for sector in PROBES:
             assert same_fragments(d.rows_in(sector), [f for f in d.rows if sector in f.sectors])
         assert d.mass == ltr_sum(f.weight for f in d.fragments)
+
+
+# --------------------------------------------------------------------------
+# The kept conflict groups
+# --------------------------------------------------------------------------
+
+# One step of a chain: a put of drawn rows (a put id may replace a row), a
+# drop, a decay of every row or of one sector's rows (either may prune), or
+# a reanchor.
+CHAIN_STEPS = st.one_of(
+    st.tuples(st.just("put"), view_fragments(unique=True, max_frags=3)),
+    st.tuples(st.just("drop"), st.sets(st.integers(1, 20), max_size=4)),
+    st.tuples(st.just("decay"), st.sampled_from((1.0, 5.0, 40.0))),
+    st.tuples(st.just("sector"), st.tuples(st.sampled_from(VIEW_SECTORS),
+                                           st.sampled_from((1.0, 40.0)))),
+    st.tuples(st.just("reanchor"), st.sets(st.integers(1, 20), max_size=3)),
+)
+
+
+def assert_conflict_readings(state: BeliefState) -> None:
+    assert state.conflicts() == reference.conflict_groups(state.rows)
+    assert first_conflict(state) == reference.first_conflict(state.rows)
+    assert _most_conflicted_sector(state) == reference.most_conflicted_sector(state)
+    for sector in (None, *PROBES):
+        assert coherence(state, sector) == reference.coherence(state, sector)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(state=view_states(), chain=st.lists(st.tuples(st.booleans(), CHAIN_STEPS), max_size=8))
+@example(
+    state=BeliefState((make_fragment(1, "valve open", key="p", polarity="+"),), 0.0),
+    chain=[(True, ("put", [make_fragment(2, "valve shut", key="p", polarity="-")]))],
+)
+def test_kept_conflict_groups_equal_the_regrouping(state, chain):
+    """Oracle: whatever chain of ``revised``, ``decayed``, ``nullify_sector``
+    and ``reanchor`` made a state, and whether each state on the way read
+    its conflict groups (and so handed them on) or not, its groups and every
+    reading of them equal the reference's regrouping of its rows."""
+    cfg = default_config()
+    for read, (op, arg) in chain:
+        if read:
+            assert_conflict_readings(state)
+        if op == "put":
+            state = state.revised(put=arg)
+        elif op == "drop":
+            state = state.revised(drop=arg)
+        elif op == "decay":
+            state = state.decayed(arg, cfg, state.clock + arg)
+        elif op == "sector":
+            state = nullify_sector(state, *arg, cfg)
+        else:
+            state = state.reanchor(arg, 2.0)
+    assert_conflict_readings(state)
 
 
 def test_view_leaves_equality_and_hash_alone():
