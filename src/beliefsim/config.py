@@ -21,6 +21,11 @@ DECAY_MODULATORS = ("inverse_anchor", "constant")
 # Largest embedding: every fragment keeps one float64 vector of this length.
 EMBED_DIM_MAX = 4096
 
+# Largest |load coefficient| and sector cost.  The load is c_count*n +
+# c_sector*sum(density*cost) + c_rate*rate with each density in [0, 1], so
+# at this bound it stays finite for counts (rows, sectors, ops) below 1e108.
+LOAD_SCALE_MAX = 1e100
+
 
 @dataclass(frozen=True)
 class ParameterConfig:
@@ -103,9 +108,10 @@ class ParameterConfig:
         if not (
             isinstance(self.load_coeffs, tuple)
             and len(self.load_coeffs) == 3
-            and all(is_finite_number(c) for c in self.load_coeffs)
+            and all(is_finite_number(c) and abs(c) <= LOAD_SCALE_MAX for c in self.load_coeffs)
         ):
-            raise ValueError(f"load_coeffs must be three finite numbers, got {self.load_coeffs!r}")
+            raise ValueError(f"load_coeffs must be three numbers of size <= "
+                             f"{LOAD_SCALE_MAX:g}, got {self.load_coeffs!r}")
         if not (
             isinstance(self.sector_priority, tuple)
             and all(isinstance(s, str) for s in self.sector_priority)
@@ -130,8 +136,9 @@ class ParameterConfig:
                 raise ValueError(
                     f"sector cost for {sector!r} must be a finite number, got {cost!r}"
                 )
-            if cost < 0:
-                raise ValueError(f"sector cost for {sector!r} must be >= 0, got {cost}")
+            if not 0 <= cost <= LOAD_SCALE_MAX:
+                raise ValueError(f"sector cost for {sector!r} must lie in "
+                                 f"[0, {LOAD_SCALE_MAX:g}], got {cost}")
 
     def cost(self, sector: str) -> float:
         """Per-sector activation cost; sectors without an entry cost 1.0."""
@@ -207,6 +214,7 @@ def config_from_dict(data: Mapping[str, Any]) -> ParameterConfig:
 __all__ = [
     "DECAY_MODULATORS",
     "EMBED_DIM_MAX",
+    "LOAD_SCALE_MAX",
     "ParameterConfig",
     "config_from_dict",
     "default_config",

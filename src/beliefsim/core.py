@@ -11,22 +11,23 @@ token is hashed (blake2b, independent of PYTHONHASHSEED) into one of
 Equal token multisets therefore embed to bitwise-equal vectors, and all
 geometry downstream (distance, compass, retrieval scores) inherits that
 determinism.  ``embed_rows`` is the one vectoriser.  A fragment tokenises
-once, derives its content key once and keeps its last lowercased-prefix
-test; a state embeds once per ``dim``.  ``Fragment.replace`` is the one way
-to copy a fragment: the copy carries its source's tokens and prefix test
-unless its text changes, and its content key unless a field the key reads
-changes, and it passes the same checks as a freshly built fragment.
+once and derives its content key once; a state embeds once per ``dim``.
+``Fragment.replace`` is the one way to copy a fragment: the copy carries its
+source's tokens unless its text changes, and its content key unless a field
+the key reads changes, and it passes the same checks as a freshly built
+fragment.
 
 A state is one table, for the active state and the long-term store alike:
 fragments as they entered are its rows, in id order, and each row's anchor,
-persistence and unit vector (V) live in columns beside them.  Decay
-multiplies the persistence column by kept ``math.exp`` factors and, like
-``reanchor``, shares the rows; every other change is one ``revised`` (drop
-ids, put fragments), which leaves the rows it does not touch as they were.
-``fragments`` builds a row into a ``Fragment`` only when it is read.
-Readers of the fields that never change read ``rows``, or ``rows_in(s)``
-from a sector view built once per set of rows, and build nothing.  Every
-reader of the conflict rule reads the key groups ``conflicts`` keeps.
+persistence and row in V (its unit vectors) are columns beside them from
+construction.  Every state made from another comes out of ``_derive``, which
+filters the rows and columns by a keep mask and splices put rows in,
+computing only theirs: decay and ``reanchor`` hand it new columns, and every
+other change is one ``revised`` (drop ids, put fragments).  A derived state
+builds a row into a ``Fragment`` only when it is read.  Readers of the fields
+that never change read ``rows``, or ``rows_in(s)`` from a sector view, and
+build nothing; the conflict groups and the goal rows are readings a state
+keeps and ``_derive`` hands on.
 """
 
 from __future__ import annotations
@@ -153,29 +154,12 @@ class Fragment:
             object.__setattr__(self, "_ckey", ckey)
         return ckey
 
-    # (prefix, answer) of the last ``lower_startswith``.  A class default,
-    # not set in __post_init__: most fragments (every store row) are never
-    # tested, and each attribute set there costs every fragment built.  It
-    # is the one attribute added after construction, always last, so the
-    # key table stays shared.
-    _prefix_test = None
-
-    def lower_startswith(self, prefix: str) -> bool:
-        """``text.lower().startswith(prefix)``, kept for the last ``prefix``
-        asked.  The answer is kept rather than the lowercased text, which
-        would cost a string per fragment."""
-        kept = self._prefix_test
-        if kept is None or kept[0] != prefix:
-            kept = (prefix, self.text.lower().startswith(prefix))
-            object.__setattr__(self, "_prefix_test", kept)
-        return kept[1]
-
     def replace(self, **overrides: Any) -> "Fragment":
         """A copy with ``overrides`` applied, checked as a new fragment is.
 
-        The copy is not rebuilt: it carries this fragment's tokens and
-        prefix test unless ``text`` is overridden, and its content key unless
-        a field the key reads is.  An unknown field name raises TypeError.
+        The copy is not rebuilt: it carries this fragment's tokens unless
+        ``text`` is overridden, and its content key unless a field the key
+        reads is.  An unknown field name raises TypeError.
         """
         if not overrides.keys() <= _FIELD_NAMES:
             unknown = sorted(overrides.keys() - _FIELD_NAMES)
@@ -186,7 +170,6 @@ class Fragment:
         state.update(overrides)
         if "text" in overrides:
             state["_tokens"] = tokenize(state["text"])
-            state["_prefix_test"] = None
         if not _KEY_FIELDS.isdisjoint(overrides):
             state["_ckey"] = None
         copy._check()
@@ -201,46 +184,39 @@ _KEY_FIELDS = frozenset({"text", "key", "polarity", "sectors", "level"})
 class BeliefState:
     """An immutable fragment ensemble plus a logical clock, held as a table.
 
-    Beside its rows it keeps each row's current anchor and persistence, the
-    decay factors of its last decay, and one slot for the rows' unit vectors
-    as a matrix V (``vectors``), shared by every state derived from it but
-    handed on by a put.  Only this module reads the columns.  A row's fixed
-    fields (id, text, tokens, sectors, key, polarity, level, origin,
+    Beside its rows it keeps, from construction, each row's current anchor,
+    persistence and row in a matrix V of unit vectors (``vectors``) that the
+    states derived from it share until a put hands V on; and the decay
+    factors of its last decay.  Only this module reads the columns.  A row's
+    fixed fields (id, text, tokens, sectors, key, polarity, level, origin,
     created_at, members) are current; its anchor and persistence are those
-    it entered with.  Like its sector view and mass, a state keeps its
-    embedding (``embed_state``) for the last ``dim`` asked; a derived state
-    starts without one, and is handed its conflict groups only where the
-    fixed fields prove them (``conflicts``).
+    it entered with.  Its sector view, mass, embedding, conflict groups and
+    goal rows are readings it keeps once made; ``_derive`` hands on those
+    the parent's prove.
     """
 
     __slots__ = (
-        "clock", "_rows", "_anchor", "_persistence", "_built", "_decay",
-        "_lineage", "_index", "_view", "_mass", "_embedding", "_conflicts",
+        "clock", "_rows", "_anchor", "_persistence", "_built", "_decay", "_lineage",
+        "_index", "_view", "_mass", "_embedding", "_conflicts", "_goals",
     )
 
     def __init__(self, fragments: Iterable[Fragment] = (), clock: float = 0.0) -> None:
-        rows = tuple(fragments)
-        ids = [f.id for f in rows]
-        # Canonical id order, so equal fragment sets compare equal.  Operators
-        # hand states over in id order, so sort only when a walk finds an id
-        # not above its predecessor; a repeat then lands beside its twin.
-        if any(map(operator.ge, ids, ids[1:])):
-            rows = tuple(sorted(rows, key=_ID))
-            ids.sort()
-            dupes = sorted({a for a, b in zip(ids, ids[1:]) if a == b})
-            if dupes:
-                raise ValueError(f"duplicate fragment ids in state: {dupes}")
+        rows = _in_id_order(tuple(fragments))
         if clock < 0:
             raise ValueError(f"clock must be >= 0, got {clock}")
         self.clock = clock
         self._rows = self._built = rows
-        # The columns are read from the rows on first use: numpy's first
-        # calls in a process cost about 0.1 ms, and an empty state makes none.
-        self._anchor = self._persistence = None
+        n = len(rows)
+        if n:
+            self._anchor = _frozen(np.fromiter((f.anchor for f in rows), float, n))
+            self._persistence = _frozen(np.fromiter((f.persistence for f in rows), float, n))
+            self._index = _frozen(np.arange(n))  # each row's row in V
+        else:  # numpy's first calls in a process cost about 0.1 ms
+            self._anchor = self._persistence = _NO_FLOATS
+            self._index = _NO_INTS
         self._decay: Optional[tuple] = None  # (dt, config, per-row factors)
         self._lineage: list = [rows, None]  # (rows V is built over, V)
-        self._index: Optional[np.ndarray] = None  # each row's row in V; None: the same
-        self._view = self._mass = self._conflicts = None
+        self._view = self._mass = self._conflicts = self._goals = None
         self._embedding: Optional[tuple[int, np.ndarray]] = None  # (dim, vector)
 
     # -- reading -----------------------------------------------------------
@@ -248,7 +224,7 @@ class BeliefState:
     @property
     def fragments(self) -> Sequence[Fragment]:
         """The fragments in id order.  Counting them builds nothing."""
-        return self._built if type(self._built) is tuple else Fragments(self)
+        return Fragments(self) if self._built is None else self._built
 
     @property
     def rows(self) -> tuple[Fragment, ...]:
@@ -256,35 +232,20 @@ class BeliefState:
         and persistence are those it entered with."""
         return self._rows
 
-    def _columns(self) -> tuple[np.ndarray, np.ndarray]:
-        if self._anchor is None:
-            n = len(self._rows)
-            self._anchor = _frozen(np.fromiter((f.anchor for f in self._rows), float, n))
-            self._persistence = _frozen(
-                np.fromiter((f.persistence for f in self._rows), float, n)
-            )
-        return self._anchor, self._persistence
-
     def _fragment(self, i: int) -> Fragment:
-        if self._built is None:
-            self._built = [None] * len(self._rows)
-        if self._built[i] is None:
-            self._built[i] = _at(self._rows[i], float(self._anchor[i]), float(self._persistence[i]))
-        return self._built[i]
+        if self._built is not None:
+            return self._built[i]
+        return _at(self._rows[i], float(self._anchor[i]), float(self._persistence[i]))
 
     def _all(self) -> tuple[Fragment, ...]:
-        if type(self._built) is not tuple:
-            self._built = tuple(
-                f or _at(row, a, p) for f, row, a, p in zip(
-                    self._built or itertools.repeat(None), self._rows,
-                    self._anchor.tolist(), self._persistence.tolist())
-            )
+        if self._built is None:
+            self._built = tuple(map(
+                _at, self._rows, self._anchor.tolist(), self._persistence.tolist()))
         return self._built
 
     def weights(self) -> np.ndarray:
         """Each fragment's weight, anchor * persistence, in id order."""
-        anchor, persistence = self._columns()
-        return anchor * persistence
+        return self._anchor * self._persistence
 
     def _V(self, dim: int) -> np.ndarray:
         """The lineage's V at ``dim``, embedded if absent or at another dim."""
@@ -292,14 +253,10 @@ class BeliefState:
             self._lineage[1] = embed_rows([f.tokens for f in self._lineage[0]], dim)
         return self._lineage[1]
 
-    def _in_V(self) -> np.ndarray:
-        """Each row's row in the lineage's V."""
-        return np.arange(len(self._rows)) if self._index is None else self._index
-
     def vectors(self, dim: int, rows: Any = slice(None)) -> np.ndarray:
         """A new C-ordered matrix of the unit vectors of ``rows`` (positions
         or a mask; all rows by default), in row order."""
-        return np.take(self._V(dim), self._in_V()[rows], axis=0)
+        return np.take(self._V(dim), self._index[rows], axis=0)
 
     def _sector_view(self) -> dict[str, list[int]]:
         """sector -> its row positions, sectors sorted; built on first use
@@ -327,6 +284,16 @@ class BeliefState:
             )
         return kept
 
+    def goals(self, marker: str) -> tuple[Fragment, ...]:
+        """The rows whose lowercased text starts with ``marker``, in id order:
+        one walk on the first read for a marker, kept as ``(marker, rows)``.
+        A derived state is handed its parent's goal rows that it keeps, and
+        tests only its put rows.  Read only the rows' fixed fields."""
+        kept = self._goals
+        if kept is None or kept[0] != marker:
+            kept = self._goals = (marker, _starting(self._rows, marker))
+        return kept[1]
+
     @property
     def is_vacuum(self) -> bool:
         return not self._rows
@@ -337,7 +304,7 @@ class BeliefState:
 
     def get(self, fragment_id: int) -> Optional[Fragment]:
         i = self._position(fragment_id)
-        return None if i is None else self.fragments[i]
+        return None if i is None else self._fragment(i)
 
     def ids(self) -> frozenset[int]:
         return frozenset(f.id for f in self._rows)
@@ -369,69 +336,70 @@ class BeliefState:
 
     # -- deriving ----------------------------------------------------------
 
-    def _derive(self, clock: float, anchor: Optional[np.ndarray],
-                persistence: Optional[np.ndarray], decay: Optional[tuple],
-                keep: Optional[np.ndarray] = None) -> "BeliefState":
-        """A state on this one's rows, or on the rows ``keep`` marks, with
-        these columns; with no columns, each row is its own fragment."""
+    def _derive(self, clock: float, anchor: np.ndarray, persistence: np.ndarray,
+                decay: Optional[tuple], keep: Optional[np.ndarray] = None,
+                put: Sequence[Fragment] = ()) -> "BeliefState":
+        """The one way a state is made from another: these columns and decay
+        filtered to the rows ``keep`` marks, then the rows of ``put`` (in id
+        order, none kept) spliced in, with only their columns computed.  A
+        put hands V on to the new state and clears this lineage's slot."""
         new = object.__new__(BeliefState)
-        new.clock, new._lineage, new._mass, new._embedding = clock, self._lineage, None, None
-        rows, index, new._view = self._rows, self._index, self._view  # the view reads rows only
-        new._conflicts = self._conflicts  # so do the conflict groups
+        new.clock, new._mass, new._embedding, new._built = clock, None, None, None
+        rows, index, lineage = self._rows, self._index, self._lineage
+        # The view, the conflict groups and the goal rows read fixed fields only.
+        view, conflicts, goals = self._view, self._conflicts, self._goals
         if keep is not None and not keep.all():
-            rows = tuple(itertools.compress(rows, keep.tolist()))
-            index = _frozen((np.arange(len(keep)) if index is None else index)[keep])
-            new._view = None
-            new._conflicts = None if self._conflicts else self._conflicts  # () stays ()
-            if anchor is not None:
-                anchor, persistence = anchor[keep], persistence[keep]
+            mask = keep.tolist()
+            rows = tuple(itertools.compress(rows, mask))
+            index, anchor, persistence = index[keep], anchor[keep], persistence[keep]
             if decay is not None:
                 decay = (decay[0], decay[1], _frozen(decay[2][keep]))
-        new._rows, new._index, new._decay = rows, index, decay
-        new._anchor = anchor if anchor is None else _frozen(anchor)
-        new._persistence = persistence if persistence is None else _frozen(persistence)
-        new._built = rows if anchor is None else None
+            view = None
+            conflicts = None if conflicts else conflicts  # () stays ()
+            if goals is not None:
+                goals = (goals[0], tuple(f for f in goals[1] if mask[self._position(f.id)]))
+        if put:
+            at = [bisect.bisect_left(rows, f.id, key=_ID) for f in put]
+            spliced = list(rows)
+            for i, f in zip(reversed(at), reversed(put)):  # back to front: at stays valid
+                spliced.insert(i, f)
+            put_anchor = np.array([f.anchor for f in put], dtype=float)
+            anchor = np.insert(anchor, at, put_anchor)
+            persistence = np.insert(persistence, at, [f.persistence for f in put])
+            if decay is not None:
+                dt, config, factors = decay
+                factors = np.insert(factors, at, _decay_factors(put_anchor, dt, config))
+                decay = (dt, config, _frozen(factors))
+            V = lineage[1]
+            if V is not None:  # in one allocation, a placeholder row at each put row
+                put_V = embed_rows([f.tokens for f in put], V.shape[1])
+                if rows:
+                    V = np.take(V, np.insert(index, at, 0), axis=0)
+                    V[np.add(at, np.arange(len(at)))] = put_V
+                    put_V = V
+                lineage[1], V = None, _frozen(put_V)
+            rows = tuple(spliced)
+            lineage, index, view = [rows, V], np.arange(len(rows)), None
+            conflicts = () if conflicts == () and all(f.key is None for f in put) else None
+            if goals is not None:  # no put id is among the kept goal rows
+                goals = (goals[0], tuple(sorted((*goals[1], *_starting(put, goals[0])), key=_ID)))
+        new._rows, new._lineage, new._index = rows, lineage, _frozen(index)
+        new._anchor, new._persistence, new._decay = _frozen(anchor), _frozen(persistence), decay
+        new._view, new._conflicts, new._goals = view, conflicts, goals
         return new
 
     def revised(self, put: Iterable[Fragment] = (),
                 drop: Iterable[int] = ()) -> "BeliefState":
         """This state without the ids in ``drop``, with each fragment of
-        ``put`` in place of the row of its id or added in id order.  Rows
-        it does not touch keep their columns, vectors and kept decay
-        factors; only put rows have theirs computed.  A put hands V on to
-        the new state and clears this lineage's slot."""
-        put = sorted(put, key=_ID)
+        ``put`` in place of the row of its id or added in id order: one
+        ``_derive`` that keeps every row not dropped or put."""
+        put = _in_id_order(tuple(put))
         gone = set(drop).union(map(_ID, put))
         if not gone:
             return self
         keep = np.ones(len(self._rows), dtype=bool)
         keep[[i for i in map(self._position, gone) if i is not None]] = False
-        kept = self._derive(self.clock, self._anchor, self._persistence, self._decay, keep)
-        if not put:
-            return kept
-        at = [bisect.bisect_left(kept._rows, f.id, key=_ID) for f in put]
-        new = BeliefState(sorted((*kept._rows, *put), key=_ID), self.clock)  # refuses a repeated id
-        if kept._conflicts == () and all(f.key is None for f in put):
-            new._conflicts = ()
-        V = self._lineage[1]
-        if V is not None:  # in one allocation, a placeholder row at each put row
-            put_V = embed_rows([f.tokens for f in put], V.shape[1])
-            if kept._rows:
-                V = np.take(V, np.insert(kept._in_V(), at, 0), axis=0)
-                V[np.add(at, np.arange(len(at)))] = put_V
-                put_V = _frozen(V)
-            new._lineage[1], self._lineage[1] = put_V, None
-        if kept._anchor is None:  # every row is still its own fragment
-            return new
-        anchor = np.array([f.anchor for f in put], dtype=float)
-        new._anchor = _frozen(np.insert(kept._anchor, at, anchor))
-        new._persistence = _frozen(np.insert(kept._persistence, at, [f.persistence for f in put]))
-        new._built = None
-        if kept._decay is not None:
-            dt, config, factors = kept._decay
-            factors = np.insert(factors, at, _decay_factors(anchor, dt, config))
-            new._decay = (dt, config, _frozen(factors))
-        return new
+        return self._derive(self.clock, self._anchor, self._persistence, self._decay, keep, put)
 
     def decayed(self, dt: float, config: ParameterConfig, clock: float,
                 sector: Optional[str] = None) -> "BeliefState":
@@ -440,8 +408,7 @@ class BeliefState:
         its factors for the next one with the same dt and config."""
         if dt < 0:
             raise ValueError(f"dt must be >= 0, got {dt}")
-        anchor, persistence = self._columns()
-        decay = self._decay
+        anchor, decay = self._anchor, self._decay
         if sector is None:
             rows: Any = slice(None)
             if decay is None or decay[0] != dt or decay[1] != config:
@@ -450,7 +417,7 @@ class BeliefState:
         else:
             rows = self._sector_view().get(sector, [])
             factors = _decay_factors(anchor[rows], dt, config)
-        persistence = persistence.copy()
+        persistence = self._persistence.copy()
         persistence[rows] = persistence[rows] * factors
         keep = np.ones(len(persistence), dtype=bool)
         keep[rows] = persistence[rows] > config.delta
@@ -463,7 +430,7 @@ class BeliefState:
         rows = [i for i in map(self._position, fragment_ids) if i is not None]
         if not rows:
             return self
-        anchor, persistence = (column.copy() for column in self._columns())
+        anchor, persistence = self._anchor.copy(), self._persistence.copy()
         anchor[rows] = np.maximum(anchor[rows], floor)
         persistence[rows] = 1.0
         decay = self._decay
@@ -483,19 +450,16 @@ class BeliefState:
         built once, as one ``replace`` of its row with its anchor,
         persistence and ``overrides``."""
         vectors = self._V(len(cue_vec))
-        anchor, persistence = self._columns()
-        screened = vectors @ cue_vec
-        if self._index is not None:
-            screened = screened[self._index]
+        anchor, persistence = self._anchor, self._persistence
+        screened = (vectors @ cue_vec)[self._index]
         # Vectors are non-negative and unit-norm, so two float64 dot products
         # of length d (V @ cue, and one np.dot) differ by at most 2*d*eps; one
         # more eps covers the multiply by the persistence.
         bound = (2 * len(cue_vec) + 1) * np.finfo(float).eps
         near = np.flatnonzero(screened * persistence >= tau - bound)
-        in_v = near if self._index is None else self._index[near]
         return tuple(
             self._rows[i].replace(anchor=a, persistence=p, **overrides)
-            for i, row, a, p in zip(near.tolist(), in_v.tolist(),
+            for i, row, a, p in zip(near.tolist(), self._index[near].tolist(),
                                     anchor[near].tolist(), persistence[near].tolist())
             if float(np.dot(cue_vec, vectors[row])) * p >= tau
         )
@@ -503,7 +467,7 @@ class BeliefState:
 
 class Fragments(Sequence):
     """A derived state's fragments, in id order: counting them builds
-    nothing, and a row becomes a ``Fragment`` when it is first read."""
+    nothing, and a row becomes a ``Fragment`` when it is read."""
 
     __slots__ = ("_state",)
 
@@ -522,8 +486,27 @@ class Fragments(Sequence):
         return iter(self._state._all())
 
 
-
 _ID = operator.attrgetter("id")
+
+
+def _in_id_order(rows: tuple[Fragment, ...]) -> tuple[Fragment, ...]:
+    """``rows`` in id order, so equal fragment sets compare equal.  Operators
+    hand rows over in id order, so sort only when a walk finds an id not
+    above its predecessor; a repeat then lands beside its twin and is
+    refused."""
+    ids = [f.id for f in rows]
+    if any(map(operator.ge, ids, ids[1:])):
+        rows = tuple(sorted(rows, key=_ID))
+        ids.sort()
+        dupes = sorted({a for a, b in zip(ids, ids[1:]) if a == b})
+        if dupes:
+            raise ValueError(f"duplicate fragment ids in state: {dupes}")
+    return rows
+
+
+def _starting(rows: Iterable[Fragment], marker: str) -> tuple[Fragment, ...]:
+    """The rows whose lowercased text starts with ``marker``, in order."""
+    return tuple(f for f in rows if f.text.lower().startswith(marker))
 
 
 def _at(row: Fragment, anchor: float, persistence: float) -> Fragment:
@@ -536,6 +519,11 @@ def _at(row: Fragment, anchor: float, persistence: float) -> Fragment:
 def _frozen(array: np.ndarray) -> np.ndarray:
     array.setflags(write=False)  # states share their columns; never mutate
     return array
+
+
+# The columns of every empty state, so building one makes no numpy call.
+_NO_FLOATS = _frozen(np.empty(0))
+_NO_INTS = _frozen(np.empty(0, dtype=np.intp))
 
 
 def _decay_factors(anchors: np.ndarray, dt: float, config: ParameterConfig) -> np.ndarray:

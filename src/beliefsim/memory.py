@@ -49,13 +49,9 @@ class QueryCue:
 def goal_fragments(state: BeliefState, config: ParameterConfig) -> Iterator[Fragment]:
     """The fragments whose text starts with ``goal_marker``, ignoring case,
     in id order and lazily, so a caller asking whether any exist stops early.
-    The test reads the rows, and each row keeps its answer
-    (``Fragment.lower_startswith``); only a goal fragment is built."""
-    marker = config.goal_marker.lower()
-    return (
-        state.fragments[i] for i, f in enumerate(state.rows)
-        if f.lower_startswith(marker)
-    )
+    The goal rows are the state's kept reading (``BeliefState.goals``); only
+    a goal fragment is built."""
+    return (state.get(f.id) for f in state.goals(config.goal_marker.lower()))
 
 
 def generate_query(

@@ -142,6 +142,13 @@ def _parse_clause(raw: Mapping[str, Any], where: str) -> Clause:
         raise ScenarioError(f"{where}: {exc}") from exc
 
 
+def _parse_gate(raw: Mapping[str, Any], where: str) -> GateRule:
+    try:
+        return GateRule(pattern=raw.get("pattern"), action=raw.get("action", "approve"))
+    except (TypeError, ValueError) as exc:
+        raise ScenarioError(f"{where}: {exc}") from exc
+
+
 def _parse_basin(raw: Mapping[str, Any], index: int) -> ActionBasin:
     where = f"basins[{index}]"
     try:
@@ -154,8 +161,8 @@ def _parse_basin(raw: Mapping[str, Any], index: int) -> ActionBasin:
             for i, c in enumerate(raw.get("suppressors", ()))
         )
         gates = tuple(
-            GateRule(pattern=g["pattern"], action=g.get("action", "approve"))
-            for g in raw.get("gate_policy", ())
+            _parse_gate(g, f"{where}.gate_policy[{i}]")
+            for i, g in enumerate(_objects(raw.get("gate_policy", []), f"{where}.gate_policy"))
         )
         name = raw.get("name", "")
         if not isinstance(name, str):
@@ -251,9 +258,9 @@ def _build(
 ) -> tuple[Fragment, ...]:
     """One fragment per spec, its id drawn from ``ids`` in spec order.
 
-    Every scenario fragment but a command's is built here: the store, each
-    state, each rule's emit and each axis seed once at load, and each
-    observation when it runs.  A spec that cannot be built raises
+    Every scenario fragment is built here: the store, each state, each
+    rule's emit and each axis seed once at load, and each observation and
+    command when it runs.  A spec that cannot be built raises
     ScenarioError naming its path, ``where[j]``.  One inline loop, not a
     call per spec: a store can hold 10k specs.
     """
@@ -355,13 +362,13 @@ def load_scenario(path: str | Path) -> Scenario:
 
     raw_rules = _objects(raw.get("rules", []), "rules")
     for i, r in enumerate(raw_rules):
-        if not r.get("trigger"):
-            raise ScenarioError(f"rules[{i}]: needs a trigger")
+        if not isinstance(r.get("trigger"), str) or not r["trigger"]:
+            raise ScenarioError(f"rules[{i}]: needs a trigger, a non-empty string")
     emits = [r.get("emit") for r in raw_rules]
     _check_specs(emits, "rules")
     built = _build(emits, IdAllocator(1), 0.0, "rules")
     rules = tuple(
-        ElaborationRule(str(r["trigger"]), emit, str(spec["name"]) if spec.get("name") else None)
+        ElaborationRule(r["trigger"], emit, str(spec["name"]) if spec.get("name") else None)
         for r, spec, emit in zip(raw_rules, emits, built)
     )
 
@@ -588,18 +595,11 @@ class SimulationRun:
         frags = _build(specs, self.ids, self.active.clock, f"timeline[{index}].specs")
         self._ingest(frags, specs, False, entry.get("mode", "auto"), entry.get("group"))
 
-    def _do_command(self, entry: Mapping[str, Any]) -> None:
-        frag = Fragment(
-            id=self.ids.next(),
-            text=str(entry["text"]),
-            sectors=frozenset({"task"}),
-            level=0,
-            anchor=float(entry.get("anchor", COMMAND_ANCHOR)),
-            persistence=1.0,
-            created_at=self.active.clock,
-            origin="observed",
-        )
-        self._ingest((frag,), (entry,), True)
+    def _do_command(self, entry: Mapping[str, Any], index: int) -> None:
+        spec = {"text": entry["text"], "sector": "task",
+                "anchor": entry.get("anchor", COMMAND_ANCHOR)}
+        frags = _build([spec], self.ids, self.active.clock, f"timeline[{index}]")
+        self._ingest(frags, (entry,), True)
 
     # -- the tick ----------------------------------------------------------
 
@@ -834,7 +834,7 @@ class SimulationRun:
             if kind == "observe":
                 self._do_observe(entry, i)
             elif kind == "command":
-                self._do_command(entry)
+                self._do_command(entry, i)
             elif kind == "tick":
                 for _ in range(int(entry.get("n", 1))):
                     self._tick()

@@ -180,9 +180,14 @@ def run_module(*args: str) -> subprocess.CompletedProcess:
                       {"event": "expect", "assertions": [{"check": "persistence", "name": "p"}]}]},
         {"rules": [{"trigger": "pump", "emit": {"text": "check", "level": "x"}}],
          "timeline": [{"event": "tick", "n": 2}, {"event": "command", "text": "pump"}]},
+        {"rules": [{"trigger": ["a"], "emit": {"text": "check"}}]},
         *({"basins": [{"name": "b", "tau": 0.5, **basin}]} for basin in (
             {"clauses": [{"kind": "token_present", "token": "go"}],
              "gate_policy": [{"pattern": 5}]},
+            {"clauses": [{"kind": "token_present", "token": "go"}], "gate_policy": ["x"]},
+            {"clauses": [{"kind": "token_present", "token": "go"}],
+             "gate_policy": {"pattern": "x"}},
+            {"clauses": [{"kind": "token_present", "token": "go"}], "gate_policy": [{}]},
             {"clauses": [{"kind": "sector_density", "sector": ["perc"], "minimum": 0.5}]},
             {"clauses": [{"kind": "token_present", "token": 5}]},
             {"clauses": [{"kind": "level_present", "level": 1.0}]},
@@ -197,7 +202,8 @@ def run_module(*args: str) -> subprocess.CompletedProcess:
     ],
     ids=["memory-int", "states-int", "axis-seed-str", "memory-sector-list",
          "goal-marker-int", "anchor-str", "anchor-above-bound", "mode-bogus",
-         "abs-without-group", "expect-without-value", "rule-emit-level-str", "gate-pattern-int",
+         "abs-without-group", "expect-without-value", "rule-emit-level-str", "rule-trigger-list",
+         "gate-pattern-int", "gate-policy-strings", "gate-policy-object", "gate-without-pattern",
          "clause-sector-list", "clause-token-int", "clause-level-float",
          "clause-minimum-bool", "basin-tau-str", "basin-name-int", "null-seed-str",
          "lexicon-no-token", "lexicon-int"],

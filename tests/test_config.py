@@ -1,14 +1,18 @@
+import json
+import math
 import sys
 
 import pytest
 
 from beliefsim.config import (
     DECAY_MODULATORS,
+    LOAD_SCALE_MAX,
     ParameterConfig,
     config_from_dict,
     default_config,
     is_finite_number,
 )
+from beliefsim.simulator import run_scenario
 
 
 def test_defaults_are_valid():
@@ -56,11 +60,30 @@ def test_decay_rate_flat_modulator():
         ("sector_priority", ("task", 3)),
         ("sector_costs", {"perc": "x"}),
         ("reanchor_min", 1e101),
+        ("load_coeffs", (1e101, 0, 0)),
+        ("sector_costs", {"perc": 1e101}),
     ],
 )
 def test_validate_rejects_out_of_range(field, value):
     with pytest.raises(ValueError):
         default_config().replace(**{field: value})
+
+
+def test_loads_at_the_coefficient_and_cost_bound_stay_finite(tmp_path):
+    """Every load coefficient and sector cost at the bound, one row in two
+    sectors: the run writes its trace, and every load in it is finite."""
+    top = LOAD_SCALE_MAX
+    path = tmp_path / "bound.json"
+    path.write_text(json.dumps({
+        "config": {"load_coeffs": [top, top, top], "sector_costs": {"perc": top, "task": top}},
+        "timeline": [
+            {"event": "observe", "specs": [{"text": "pump hums", "sectors": ["perc", "task"]}]},
+            {"event": "tick", "n": 2},
+        ],
+    }))
+    loads = [e.payload["report"]["load"] for e in run_scenario(path).trace.events
+             if e.kind == "meta"]
+    assert loads and all(math.isfinite(load) and load > top for load in loads)
 
 
 def test_replace_returns_new_validated_config():

@@ -12,6 +12,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from beliefsim import core
 from beliefsim.config import default_config
 from beliefsim.core import (
     ANCHOR_MAX,
@@ -167,6 +168,18 @@ def test_state_sorts_fragments_by_id():
 def test_state_equality_ignores_insertion_order():
     a, b = make_fragment(1), make_fragment(2, "valve")
     assert BeliefState((a, b), 3.0) == BeliefState((b, a), 3.0)
+
+
+def test_an_empty_state_makes_no_numpy_call(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("numpy called")
+
+    for name in ("array", "asarray", "fromiter", "arange", "empty", "zeros", "ones", "insert"):
+        monkeypatch.setattr(core.np, name, refuse)
+    state = BeliefState((), 0.0)
+    assert len(state.fragments) == 0 and state.mass == 0.0
+    assert state.sectors() == () and state.conflicts() == () and state.goals("goal:") == ()
+    assert state.revised() is state
 
 
 def test_vacuum_and_membership_helpers():

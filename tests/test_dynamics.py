@@ -599,7 +599,7 @@ def test_assimilate_matches_the_reference_rebuild(case):
     assert (report, next_id) == (ref_report, ref_next_id)
     assert out == ref
     assert list(map(_fixed, out.rows)) == list(map(_fixed, ref.rows))
-    anchor, persistence = out._columns()
+    anchor, persistence = out._anchor, out._persistence
     assert anchor.tobytes() == np.array([f.anchor for f in ref.fragments], float).tobytes()
     assert persistence.tobytes() == np.array(
         [f.persistence for f in ref.fragments], float).tobytes()

@@ -1,8 +1,8 @@
 """Whole runs, fast engine against the reference loops, trace for trace.
 
-Every shipped scenario, the three benchmark workloads at a reduced size, two
-scenarios built to sit on a threshold and one that asks the store about a
-dispute run twice: once as the engine stands, and once with the
+Every shipped scenario (``coherence_recall`` among them asks the store about
+a dispute), the three benchmark workloads at a reduced size and two scenarios
+built to sit on a threshold run twice: once as the engine stands, and once with the
 per-fragment loops of ``reference.py`` (decay, state embedding, retrieval,
 the assimilation that rebuilds every fragment, the reflection written one
 breach at a time, and coherence, the sector wipe's target and the coherence
@@ -116,32 +116,11 @@ def _retrieval_edge() -> dict:
     }
 
 
-def _coherence_cue() -> dict:
-    """A dispute taken in without revision, among enough neutral rows that
-    coherence stays above kappa_crit: once the goal cue has been asked and
-    found nothing, the memory cycle asks the store about the dispute."""
-    claim = {"sector": "perc", "key": "inlet_valve"}
-    return {
-        "memory": [{"text": "inlet valve manual", "sector": "mem"}],
-        "timeline": [
-            {"event": "command", "text": "goal: zebra"},
-            {"event": "observe", "mode": "conf", "specs": [
-                {**claim, "text": "inlet valve reads open", "polarity": "+"},
-                {**claim, "text": "inlet valve reads shut", "polarity": "-"},
-                *({"text": text, "sector": "perc"}
-                  for text in ("pump hums", "light steady", "gauge reads low")),
-            ]},
-            {"event": "tick", "n": 2},
-        ],
-    }
-
-
 CASES = (
     [pytest.param(SCENARIOS / f"{name}.json", id=name) for name in SHIPPED]
     + [pytest.param((name, seed), id=f"{name}-s{seed}") for name in BENCH for seed in SEEDS]
     + [pytest.param(_decay_edge, id="decay_edge"),
-       pytest.param(_retrieval_edge, id="retrieval_edge"),
-       pytest.param(_coherence_cue, id="coherence_cue")]
+       pytest.param(_retrieval_edge, id="retrieval_edge")]
 )
 
 
@@ -217,7 +196,7 @@ def test_edge_cases_sit_on_their_thresholds(tmp_path):
     first = next(e.payload["ids"] for e in events if e.kind == "retrieve")
     assert at_tau and set(at_tau) <= set(first)
 
-    events = run_scenario(_scenario_path(_coherence_cue, tmp_path)).trace.events
+    events = run_scenario(SCENARIOS / "coherence_recall.json").trace.events
     asked = [(e.payload["cue_kind"], e.payload["ids"]) for e in events if e.kind == "retrieve"]
     assert asked == [("goal", []), ("coherence", [1])]
 

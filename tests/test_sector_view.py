@@ -4,14 +4,17 @@ A state groups its fragments by sector once and keeps the grouping, so every
 per-sector reading must equal the scan it replaced: the same fragments in
 the same id order, hence the same sums in the same order.  The scans live in
 conftest as reference loops, and the conflict readings that regroup the rows
-by key in ``reference.py``.  A state's kept conflict groups, built or handed
-on through a chain of derivations, must equal that regrouping.
+by key in ``reference.py``.  A state's kept conflict groups, goal rows and
+vectors, built or handed on through a chain of derivations, must equal that
+regrouping, a walk over its rows and their fresh embedding.
 """
 
 from __future__ import annotations
 
+import math
 from collections import Counter
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -91,18 +94,32 @@ def scan_gate_matches(rule: GateRule, state: BeliefState) -> bool:
 # Strategies
 # --------------------------------------------------------------------------
 
+# Goal markers as a text may carry them, in mixed case; a goal reading asks
+# for the lowercased marker.
+GOAL_HEADS = ("goal:", "Goal:", "GOAL:", "gOaL:", "goal")
+MARKERS = ("goal:", "goal")
+
+
+def goal_texts():
+    """Texts of which about one in three starts with a goal marker."""
+    return st.one_of(
+        texts(), texts(),
+        st.tuples(st.sampled_from(GOAL_HEADS), texts()).map(" ".join),
+    )
+
+
 @st.composite
 def view_fragments(draw, unique: bool, max_frags: int = 10) -> list[Fragment]:
     """Fragments in drawn (not id) order, ids from 1 to 20, with one to three
-    sectors each, zero weights, keyed claims and, unless ``unique``, repeated
-    ids."""
+    sectors each, zero weights, keyed claims, goal texts and, unless
+    ``unique``, repeated ids."""
     fids = draw(st.lists(st.integers(1, 20), max_size=max_frags, unique=unique))
     frags = []
     for fid in fids:
         key = draw(st.sampled_from((None, *KEYS[:2])))
         frags.append(make_fragment(
             fid,
-            draw(texts()),
+            draw(goal_texts()),
             sectors=tuple(draw(st.sets(st.sampled_from(VIEW_SECTORS), min_size=1, max_size=3))),
             level=draw(st.integers(0, 2)),
             anchor=draw(st.sampled_from((0.0, 1.0, 2.5)) | st.floats(0.0, 20.0)),
@@ -247,21 +264,56 @@ def assert_conflict_readings(state: BeliefState) -> None:
         assert coherence(state, sector) == reference.coherence(state, sector)
 
 
+def assert_equals_fresh_build(state: BeliefState) -> None:
+    """The state's columns, fragments and kept decay factors equal those of
+    a state built fresh from its fragments; none of these is handed on."""
+    assert [f.id for f in state.rows] == sorted(f.id for f in state.rows)
+    fresh = BeliefState(state.fragments, state.clock)
+    assert state.weights().tobytes() == fresh.weights().tobytes()
+    assert list(state.fragments) == list(fresh.fragments)
+    if state._decay is not None:
+        dt, cfg, factors = state._decay
+        assert factors.tobytes() == np.array(
+            [math.exp(-cfg.decay_rate(f.anchor) * dt) for f in fresh.fragments], float
+        ).tobytes()
+
+
+def assert_handed_on_readings(state: BeliefState, marker: str) -> None:
+    """The readings a derivation hands on: the conflict groups, the goal rows
+    and V equal the reference regrouping, walk and embedding of the rows."""
+    assert_conflict_readings(state)
+    want = tuple(f for f in state.rows if f.text.lower().startswith(marker))
+    assert same_fragments(state.goals(marker), want)
+    fresh = BeliefState(state.fragments, state.clock)
+    assert state.vectors(16).tobytes() == fresh.vectors(16).tobytes()
+
+
 @settings(max_examples=200, deadline=None, derandomize=True)
-@given(state=view_states(), chain=st.lists(st.tuples(st.booleans(), CHAIN_STEPS), max_size=8))
+@given(state=view_states(), chain=st.lists(st.tuples(st.booleans(), CHAIN_STEPS), max_size=8),
+       marker=st.sampled_from(MARKERS))
 @example(
     state=BeliefState((make_fragment(1, "valve open", key="p", polarity="+"),), 0.0),
     chain=[(True, ("put", [make_fragment(2, "valve shut", key="p", polarity="-")]))],
+    marker="goal:",
 )
-def test_kept_conflict_groups_equal_the_regrouping(state, chain):
+@example(
+    state=BeliefState(tuple(make_fragment(i, t) for i, t in enumerate(
+        ("Goal: pump", "valve", "GOAL: seal", "light"), 1)), 0.0),
+    chain=[(True, ("drop", {1})), (True, ("put", [make_fragment(5, "goal: map"),
+                                                  make_fragment(6, "red light")]))],
+    marker="goal:",
+)
+def test_kept_conflict_groups_equal_the_regrouping(state, chain, marker):
     """Oracle: whatever chain of ``revised``, ``decayed``, ``nullify_sector``
-    and ``reanchor`` made a state, and whether each state on the way read
-    its conflict groups (and so handed them on) or not, its groups and every
-    reading of them equal the reference's regrouping of its rows."""
+    and ``reanchor`` made a state, its weights, fragments and decay factors
+    equal a fresh build's; and whether each state on the way read its
+    conflict groups, goal rows and vectors (and so handed them on) or not,
+    they equal the reference's regrouping, walk and embedding of its rows."""
     cfg = default_config()
     for read, (op, arg) in chain:
+        assert_equals_fresh_build(state)
         if read:
-            assert_conflict_readings(state)
+            assert_handed_on_readings(state, marker)
         if op == "put":
             state = state.revised(put=arg)
         elif op == "drop":
@@ -272,7 +324,8 @@ def test_kept_conflict_groups_equal_the_regrouping(state, chain):
             state = nullify_sector(state, *arg, cfg)
         else:
             state = state.reanchor(arg, 2.0)
-    assert_conflict_readings(state)
+    assert_equals_fresh_build(state)
+    assert_handed_on_readings(state, marker)
 
 
 def test_view_leaves_equality_and_hash_alone():

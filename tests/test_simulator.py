@@ -84,6 +84,31 @@ def test_rule_needs_trigger_and_text(tmp_path):
         load_scenario(path)
 
 
+@pytest.mark.parametrize("trigger", [["a"], "", 5, None])
+def test_rule_trigger_must_be_a_non_empty_string(tmp_path, trigger):
+    path = write_scenario(tmp_path, minimal(rules=[{"trigger": trigger, "emit": {"text": "a"}}]))
+    with pytest.raises(ScenarioError, match=r"^rules\[0\]: needs a trigger, a non-empty string"):
+        load_scenario(path)
+
+
+@pytest.mark.parametrize(
+    "gates, where",
+    [
+        (["x"], r"basins\[0\]\.gate_policy must be a list of objects"),
+        ({"pattern": "x"}, r"basins\[0\]\.gate_policy must be a list of objects"),
+        ([{}], r"basins\[0\]\.gate_policy\[0\]: gate pattern must be a string"),
+        ([{"pattern": "stop"}, {"pattern": "go", "action": "veto"}],
+         r"basins\[0\]\.gate_policy\[1\]: unknown gate action"),
+    ],
+)
+def test_malformed_gates_are_refused_with_their_path(tmp_path, gates, where):
+    basin = {"name": "b", "clauses": [{"kind": "token_present", "token": "go"}],
+             "gate_policy": gates}
+    path = write_scenario(tmp_path, minimal(basins=[basin]))
+    with pytest.raises(ScenarioError, match="^" + where):
+        load_scenario(path)
+
+
 def test_duplicate_basin_names_rejected(tmp_path):
     basin = {
         "name": "twin",
