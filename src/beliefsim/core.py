@@ -18,21 +18,20 @@ the key reads changes, and it passes the same checks as a freshly built
 fragment.
 
 A state is one table, for the active state and the long-term store alike:
-fragments as they entered are its rows, in id order, and each row's anchor,
-persistence and row in V (its unit vectors) are columns beside them from
-construction.  Every state made from another comes out of ``_derive``, which
-filters the rows and columns by a keep mask and splices put rows in,
-computing only theirs: decay and ``reanchor`` hand it new columns, and every
-other change is one ``revised`` (drop ids, put fragments).  A derived state
-builds a row into a ``Fragment`` only when it is read.  Readers of the fields
-that never change read ``rows``, or ``rows_in(s)`` from a sector view, and
-build nothing; the conflict groups and the goal rows are readings a state
-keeps and ``_derive`` hands on.
+fragments as they entered are its rows, in id order, and one record per row
+beside them holds its columns from construction (id, ``created_at``, sector
+set, anchor, persistence, row in V of unit vectors, decay factor).  Every
+state made from another comes out of ``_derive``, which filters rows and
+records by one keep mask and splices put rows in by one plan, computing only
+theirs: decay and ``reanchor`` hand it new columns, and every other change is
+one ``revised`` (drop ids, put fragments).  ``fragments`` builds every row
+once; ``fragment(i)`` builds one.  Readers of the fixed fields read ``rows``,
+``rows_in(s)`` or ``latest()`` and build nothing; the conflict groups and the
+goal rows are readings a state keeps and ``_derive`` hands on.
 """
 
 from __future__ import annotations
 
-import bisect
 import hashlib
 import itertools
 import math
@@ -42,7 +41,7 @@ from collections import Counter
 from collections.abc import Sequence
 from dataclasses import dataclass, fields
 from itertools import chain
-from typing import TYPE_CHECKING, Any, Iterable, Iterator, Optional
+from typing import TYPE_CHECKING, Any, Iterable, Optional
 
 import numpy as np
 
@@ -184,20 +183,21 @@ _KEY_FIELDS = frozenset({"text", "key", "polarity", "sectors", "level"})
 class BeliefState:
     """An immutable fragment ensemble plus a logical clock, held as a table.
 
-    Beside its rows it keeps, from construction, each row's current anchor,
-    persistence and row in a matrix V of unit vectors (``vectors``) that the
-    states derived from it share until a put hands V on; and the decay
-    factors of its last decay.  Only this module reads the columns.  A row's
-    fixed fields (id, text, tokens, sectors, key, polarity, level, origin,
-    created_at, members) are current; its anchor and persistence are those
-    it entered with.  Its sector view, mass, embedding, conflict groups and
-    goal rows are readings it keeps once made; ``_derive`` hands on those
-    the parent's prove.
+    Beside its rows it keeps, from construction, one record per row
+    (``_ROW``): the id, ``created_at`` and sector set the row entered with,
+    its current anchor and persistence, its row in a matrix V of unit
+    vectors (``vectors``) that the states derived from it share until a put
+    hands V on, and its factor of the last whole-state decay.  Only this
+    module reads the records.  A row's fixed fields (id, text, tokens,
+    sectors, key, polarity, level, origin, created_at, members) are current;
+    its anchor and persistence are those it entered with.  Its mass,
+    embedding, conflict groups and goal rows are readings it keeps once
+    made; ``_derive`` hands on those the parent's prove.
     """
 
     __slots__ = (
-        "clock", "_rows", "_anchor", "_persistence", "_built", "_decay", "_lineage",
-        "_index", "_view", "_mass", "_embedding", "_conflicts", "_goals",
+        "clock", "_rows", "_table", "_built", "_decay", "_lineage",
+        "_mass", "_embedding", "_conflicts", "_goals",
     )
 
     def __init__(self, fragments: Iterable[Fragment] = (), clock: float = 0.0) -> None:
@@ -206,25 +206,23 @@ class BeliefState:
             raise ValueError(f"clock must be >= 0, got {clock}")
         self.clock = clock
         self._rows = self._built = rows
-        n = len(rows)
-        if n:
-            self._anchor = _frozen(np.fromiter((f.anchor for f in rows), float, n))
-            self._persistence = _frozen(np.fromiter((f.persistence for f in rows), float, n))
-            self._index = _frozen(np.arange(n))  # each row's row in V
-        else:  # numpy's first calls in a process cost about 0.1 ms
-            self._anchor = self._persistence = _NO_FLOATS
-            self._index = _NO_INTS
-        self._decay: Optional[tuple] = None  # (dt, config, per-row factors)
+        # An empty state makes no numpy call: the first in a process cost about 0.1 ms.
+        self._table = _frozen(_records(rows, np.arange(len(rows)))) if rows else _NO_ROWS
+        self._decay: Optional[tuple] = None  # (dt, config) of the decay column
         self._lineage: list = [rows, None]  # (rows V is built over, V)
-        self._view = self._mass = self._conflicts = self._goals = None
+        self._mass = self._conflicts = self._goals = None
         self._embedding: Optional[tuple[int, np.ndarray]] = None  # (dim, vector)
 
     # -- reading -----------------------------------------------------------
 
     @property
-    def fragments(self) -> Sequence[Fragment]:
-        """The fragments in id order.  Counting them builds nothing."""
-        return Fragments(self) if self._built is None else self._built
+    def fragments(self) -> tuple[Fragment, ...]:
+        """The fragments in id order: every row built once, and kept."""
+        if self._built is None:
+            table = self._table
+            self._built = tuple(map(
+                _at, self._rows, table["anchor"].tolist(), table["persistence"].tolist()))
+        return self._built
 
     @property
     def rows(self) -> tuple[Fragment, ...]:
@@ -232,20 +230,17 @@ class BeliefState:
         and persistence are those it entered with."""
         return self._rows
 
-    def _fragment(self, i: int) -> Fragment:
+    def fragment(self, i: int) -> Fragment:
+        """Row ``i`` as a ``Fragment`` with its current anchor and
+        persistence; no other row is built."""
         if self._built is not None:
             return self._built[i]
-        return _at(self._rows[i], float(self._anchor[i]), float(self._persistence[i]))
-
-    def _all(self) -> tuple[Fragment, ...]:
-        if self._built is None:
-            self._built = tuple(map(
-                _at, self._rows, self._anchor.tolist(), self._persistence.tolist()))
-        return self._built
+        record = self._table[i]
+        return _at(self._rows[i], float(record["anchor"]), float(record["persistence"]))
 
     def weights(self) -> np.ndarray:
         """Each fragment's weight, anchor * persistence, in id order."""
-        return self._anchor * self._persistence
+        return self._table["anchor"] * self._table["persistence"]
 
     def _V(self, dim: int) -> np.ndarray:
         """The lineage's V at ``dim``, embedded if absent or at another dim."""
@@ -256,19 +251,12 @@ class BeliefState:
     def vectors(self, dim: int, rows: Any = slice(None)) -> np.ndarray:
         """A new C-ordered matrix of the unit vectors of ``rows`` (positions
         or a mask; all rows by default), in row order."""
-        return np.take(self._V(dim), self._index[rows], axis=0)
+        return np.take(self._V(dim), self._table["index"][rows], axis=0)
 
-    def _sector_view(self) -> dict[str, list[int]]:
-        """sector -> its row positions, sectors sorted; built on first use
-        and kept: the rows never change."""
-        view = self._view
-        if view is None:
-            groups: dict[str, list[int]] = {}
-            for i, f in enumerate(self._rows):
-                for s in f.sectors:
-                    groups.setdefault(s, []).append(i)
-            view = self._view = {s: groups[s] for s in sorted(groups)}
-        return view
+    def _in(self, sector: str) -> np.ndarray:
+        """A mask of the rows whose sector set holds ``sector``."""
+        holds = np.fromiter((sector in s for s in _SECTOR_SETS), bool, len(_SECTOR_SETS))
+        return holds[self._table["sectors"]]
 
     def conflicts(self) -> tuple[tuple[Fragment, ...], ...]:
         """The key groups holding both polarities, rows in id order, groups in
@@ -299,23 +287,33 @@ class BeliefState:
         return not self._rows
 
     def _position(self, fragment_id: int) -> Optional[int]:
-        i = bisect.bisect_left(self._rows, fragment_id, key=_ID)
-        return i if i < len(self._rows) and self._rows[i].id == fragment_id else None
+        ids = self._table["id"]
+        i = int(ids.searchsorted(fragment_id))
+        return i if i < len(ids) and ids[i] == fragment_id else None
 
     def get(self, fragment_id: int) -> Optional[Fragment]:
         i = self._position(fragment_id)
-        return None if i is None else self._fragment(i)
+        return None if i is None else self.fragment(i)
 
     def ids(self) -> frozenset[int]:
-        return frozenset(f.id for f in self._rows)
+        return frozenset(self._table["id"].tolist())
+
+    def latest(self) -> Fragment:
+        """The row created last, of a non-empty state; among rows created at
+        once, the one of highest id (fixed fields only)."""
+        created = self._table["created_at"]
+        return self._rows[np.flatnonzero(created == created.max())[-1]]
 
     def sectors(self) -> tuple[str, ...]:
         """All sector tags present, sorted."""
-        return tuple(self._sector_view())
+        if not self._rows:
+            return ()
+        present = np.bincount(self._table["sectors"], minlength=len(_SECTOR_SETS))
+        return tuple(sorted(set().union(*itertools.compress(_SECTOR_SETS, present.tolist()))))
 
     def rows_in(self, sector: str) -> tuple[Fragment, ...]:
         """The rows tagged with ``sector``, in id order (fixed fields only)."""
-        return tuple(map(self._rows.__getitem__, self._sector_view().get(sector, ())))
+        return tuple(itertools.compress(self._rows, self._in(sector).tolist()))
 
     @property
     def mass(self) -> float:
@@ -325,67 +323,68 @@ class BeliefState:
         return self._mass
 
     def __eq__(self, other: object) -> bool:
-        return isinstance(other, BeliefState) and (self._all(), self.clock) == (
-            other._all(), other.clock)
+        return isinstance(other, BeliefState) and (self.fragments, self.clock) == (
+            other.fragments, other.clock)
 
     def __hash__(self) -> int:
-        return hash((self._all(), self.clock))
+        return hash((self.fragments, self.clock))
 
     def __repr__(self) -> str:
-        return f"BeliefState(fragments={self._all()!r}, clock={self.clock!r})"
+        return f"BeliefState(fragments={self.fragments!r}, clock={self.clock!r})"
 
     # -- deriving ----------------------------------------------------------
 
-    def _derive(self, clock: float, anchor: np.ndarray, persistence: np.ndarray,
-                decay: Optional[tuple], keep: Optional[np.ndarray] = None,
+    def _derive(self, clock: float, table: np.ndarray, decay: Optional[tuple],
+                keep: Optional[np.ndarray] = None,
                 put: Sequence[Fragment] = ()) -> "BeliefState":
-        """The one way a state is made from another: these columns and decay
-        filtered to the rows ``keep`` marks, then the rows of ``put`` (in id
-        order, none kept) spliced in, with only their columns computed.  A
-        put hands V on to the new state and clears this lineage's slot."""
+        """The one way a state is made from another: ``table`` (this state's
+        records or new ones) and the rows filtered by one mask ``keep``, then
+        the rows of ``put`` (in id order, none kept) spliced in by one plan,
+        with only their records computed.  A put hands V on and clears this
+        lineage's slot."""
         new = object.__new__(BeliefState)
         new.clock, new._mass, new._embedding, new._built = clock, None, None, None
-        rows, index, lineage = self._rows, self._index, self._lineage
-        # The view, the conflict groups and the goal rows read fixed fields only.
-        view, conflicts, goals = self._view, self._conflicts, self._goals
+        rows, lineage = self._rows, self._lineage
+        # The conflict groups and the goal rows read fixed fields only.
+        conflicts, goals = self._conflicts, self._goals
         if keep is not None and not keep.all():
             mask = keep.tolist()
             rows = tuple(itertools.compress(rows, mask))
-            index, anchor, persistence = index[keep], anchor[keep], persistence[keep]
-            if decay is not None:
-                decay = (decay[0], decay[1], _frozen(decay[2][keep]))
-            view = None
+            table = table.view(_RECORD)[keep].view(_ROW)
             conflicts = None if conflicts else conflicts  # () stays ()
             if goals is not None:
                 goals = (goals[0], tuple(f for f in goals[1] if mask[self._position(f.id)]))
         if put:
-            at = [bisect.bisect_left(rows, f.id, key=_ID) for f in put]
-            spliced = list(rows)
-            for i, f in zip(reversed(at), reversed(put)):  # back to front: at stays valid
-                spliced.insert(i, f)
-            put_anchor = np.array([f.anchor for f in put], dtype=float)
-            anchor = np.insert(anchor, at, put_anchor)
-            persistence = np.insert(persistence, at, [f.persistence for f in put])
+            added = _records(put, 0)  # V's row 0 holds their place until V is handed on
             if decay is not None:
-                dt, config, factors = decay
-                factors = np.insert(factors, at, _decay_factors(put_anchor, dt, config))
-                decay = (dt, config, _frozen(factors))
+                added["decay"] = _decay_factors(added["anchor"], *decay)
+            # The plan: each put row's final position, past the kept rows of
+            # lower id and the put rows before it.
+            at = table["id"].searchsorted(added["id"]) + np.arange(len(put))
+            spliced = np.empty(len(rows) + len(put), _RECORD)
+            slot = np.ones(len(spliced), dtype=bool)
+            slot[at] = False
+            spliced[slot], spliced[at] = table.view(_RECORD), added.view(_RECORD)
+            table = spliced.view(_ROW)
             V = lineage[1]
-            if V is not None:  # in one allocation, a placeholder row at each put row
+            if V is not None:  # in one allocation
                 put_V = embed_rows([f.tokens for f in put], V.shape[1])
                 if rows:
-                    V = np.take(V, np.insert(index, at, 0), axis=0)
-                    V[np.add(at, np.arange(len(at)))] = put_V
+                    V = np.take(V, table["index"], axis=0)
+                    V[at] = put_V
                     put_V = V
                 lineage[1], V = None, _frozen(put_V)
-            rows = tuple(spliced)
-            lineage, index, view = [rows, V], np.arange(len(rows)), None
+            table["index"] = np.arange(len(table))
+            spliced_rows = list(rows)
+            for i, f in zip(at.tolist(), put):  # in ascending order, so each lands at i
+                spliced_rows.insert(i, f)
+            rows = tuple(spliced_rows)
+            lineage = [rows, V]
             conflicts = () if conflicts == () and all(f.key is None for f in put) else None
             if goals is not None:  # no put id is among the kept goal rows
                 goals = (goals[0], tuple(sorted((*goals[1], *_starting(put, goals[0])), key=_ID)))
-        new._rows, new._lineage, new._index = rows, lineage, _frozen(index)
-        new._anchor, new._persistence, new._decay = _frozen(anchor), _frozen(persistence), decay
-        new._view, new._conflicts, new._goals = view, conflicts, goals
+        new._rows, new._table, new._lineage, new._decay = rows, _frozen(table), lineage, decay
+        new._conflicts, new._goals = conflicts, goals
         return new
 
     def revised(self, put: Iterable[Fragment] = (),
@@ -399,7 +398,7 @@ class BeliefState:
             return self
         keep = np.ones(len(self._rows), dtype=bool)
         keep[[i for i in map(self._position, gone) if i is not None]] = False
-        return self._derive(self.clock, self._anchor, self._persistence, self._decay, keep, put)
+        return self._derive(self.clock, self._table, self._decay, keep, put)
 
     def decayed(self, dt: float, config: ParameterConfig, clock: float,
                 sector: Optional[str] = None) -> "BeliefState":
@@ -408,20 +407,21 @@ class BeliefState:
         its factors for the next one with the same dt and config."""
         if dt < 0:
             raise ValueError(f"dt must be >= 0, got {dt}")
-        anchor, decay = self._anchor, self._decay
+        table, decay = self._table.view(_RECORD).copy().view(_ROW), self._decay
+        anchor, persistence = table["anchor"], table["persistence"]
         if sector is None:
             rows: Any = slice(None)
-            if decay is None or decay[0] != dt or decay[1] != config:
-                decay = (dt, config, _decay_factors(anchor, dt, config))
-            factors = decay[2]
+            if decay != (dt, config):
+                decay = (dt, config)
+                table["decay"] = _decay_factors(anchor, dt, config)
+            factors = table["decay"]
         else:
-            rows = self._sector_view().get(sector, [])
+            rows = self._in(sector)
             factors = _decay_factors(anchor[rows], dt, config)
-        persistence = self._persistence.copy()
         persistence[rows] = persistence[rows] * factors
-        keep = np.ones(len(persistence), dtype=bool)
+        keep = np.ones(len(table), dtype=bool)
         keep[rows] = persistence[rows] > config.delta
-        return self._derive(clock, anchor, persistence, decay, keep)
+        return self._derive(clock, table, decay, keep)
 
     def reanchor(self, fragment_ids: Iterable[int], floor: float) -> "BeliefState":
         """Rows of ``fragment_ids`` lifted to an anchor of at least ``floor``
@@ -430,16 +430,14 @@ class BeliefState:
         rows = [i for i in map(self._position, fragment_ids) if i is not None]
         if not rows:
             return self
-        anchor, persistence = self._anchor.copy(), self._persistence.copy()
+        table = self._table.view(_RECORD).copy().view(_ROW)
+        anchor = table["anchor"]
         anchor[rows] = np.maximum(anchor[rows], floor)
-        persistence[rows] = 1.0
-        decay = self._decay
-        if decay is not None:
-            moved = np.flatnonzero(anchor != self._anchor)
-            factors = decay[2].copy()
-            factors[moved] = _decay_factors(anchor[moved], decay[0], decay[1])
-            decay = (decay[0], decay[1], _frozen(factors))
-        return self._derive(self.clock, anchor, persistence, decay)
+        table["persistence"][rows] = 1.0
+        if self._decay is not None:
+            moved = np.flatnonzero(anchor != self._table["anchor"])
+            table["decay"][moved] = _decay_factors(anchor[moved], *self._decay)
+        return self._derive(self.clock, table, self._decay)
 
     def matching(self, cue_vec: np.ndarray, tau: float,
                  **overrides: Any) -> tuple[Fragment, ...]:
@@ -450,8 +448,9 @@ class BeliefState:
         built once, as one ``replace`` of its row with its anchor,
         persistence and ``overrides``."""
         vectors = self._V(len(cue_vec))
-        anchor, persistence = self._anchor, self._persistence
-        screened = (vectors @ cue_vec)[self._index]
+        table = self._table
+        index, anchor, persistence = table["index"], table["anchor"], table["persistence"]
+        screened = (vectors @ cue_vec)[index]
         # Vectors are non-negative and unit-norm, so two float64 dot products
         # of length d (V @ cue, and one np.dot) differ by at most 2*d*eps; one
         # more eps covers the multiply by the persistence.
@@ -459,31 +458,10 @@ class BeliefState:
         near = np.flatnonzero(screened * persistence >= tau - bound)
         return tuple(
             self._rows[i].replace(anchor=a, persistence=p, **overrides)
-            for i, row, a, p in zip(near.tolist(), self._index[near].tolist(),
+            for i, row, a, p in zip(near.tolist(), index[near].tolist(),
                                     anchor[near].tolist(), persistence[near].tolist())
             if float(np.dot(cue_vec, vectors[row])) * p >= tau
         )
-
-
-class Fragments(Sequence):
-    """A derived state's fragments, in id order: counting them builds
-    nothing, and a row becomes a ``Fragment`` when it is read."""
-
-    __slots__ = ("_state",)
-
-    def __init__(self, state: BeliefState) -> None:
-        self._state = state
-
-    def __len__(self) -> int:
-        return len(self._state._rows)
-
-    def __getitem__(self, index):
-        if isinstance(index, slice):
-            return self._state._all()[index]
-        return self._state._fragment(range(len(self))[index])
-
-    def __iter__(self) -> Iterator[Fragment]:
-        return iter(self._state._all())
 
 
 _ID = operator.attrgetter("id")
@@ -521,9 +499,33 @@ def _frozen(array: np.ndarray) -> np.ndarray:
     return array
 
 
-# The columns of every empty state, so building one makes no numpy call.
-_NO_FLOATS = _frozen(np.empty(0))
-_NO_INTS = _frozen(np.empty(0, dtype=np.intp))
+# A row's record: ``sectors`` codes its sector set in ``_SECTOR_SETS``,
+# ``index`` is its row in V and ``decay`` its factor of the last decay.
+_ROW = np.dtype([
+    ("id", np.int64), ("created_at", float), ("anchor", float), ("persistence", float),
+    ("sectors", np.intp), ("index", np.intp), ("decay", float),
+])
+# The same bytes with no fields: numpy copies and filters a structured array
+# field by field, and these whole, about ten times faster.
+_RECORD = np.dtype((np.void, _ROW.itemsize))
+# The records of every empty state, so building one makes no numpy call.
+_NO_ROWS = _frozen(np.zeros(0, _ROW))
+# Each distinct sector set a row has entered with, coded in order of first
+# use; codes never change, so every state reads this one registry.
+_SECTOR_SETS: dict[frozenset[str], int] = {}
+
+
+def _records(rows: Sequence[Fragment], index: Any) -> np.ndarray:
+    """A new table of records of ``rows``, at rows ``index`` of V and with no
+    decay factor."""
+    n = len(rows)
+    table = np.zeros(n, _ROW)
+    table["index"] = index
+    for name in ("id", "created_at", "anchor", "persistence"):
+        table[name] = np.fromiter(map(operator.attrgetter(name), rows), _ROW[name], n)
+    table["sectors"] = np.fromiter(
+        (_SECTOR_SETS.setdefault(f.sectors, len(_SECTOR_SETS)) for f in rows), np.intp, n)
+    return table
 
 
 def _decay_factors(anchors: np.ndarray, dt: float, config: ParameterConfig) -> np.ndarray:
@@ -640,7 +642,7 @@ def activation_density(state: BeliefState, sector: str) -> float:
     total = state.mass
     if total <= 0.0:
         return 0.0
-    return ordered_sum(state.weights()[state._sector_view().get(sector, [])]) / total
+    return ordered_sum(state.weights()[state._in(sector)]) / total
 
 
 # --------------------------------------------------------------------------

@@ -162,7 +162,7 @@ def assimilate(
         if twin is None:
             fresh.append(candidate)
         else:
-            f = refreshed.get(twin) or state.fragments[twin]
+            f = refreshed.get(twin) or state.fragment(twin)
             refreshed[twin] = f.replace(anchor=f.anchor + 1.0, persistence=1.0)
     state = state.revised(put=refreshed.values())
 
@@ -170,7 +170,7 @@ def assimilate(
     # come in existing-id order, then incoming order.
     by_key = key_groups(fresh)
     pairs = [
-        (state.fragments[i], candidate)
+        (state.fragment(i), candidate)
         for i, row in enumerate(state.rows) if row.key in by_key
         for candidate in by_key[row.key] if candidate.polarity != row.polarity
     ]
@@ -232,7 +232,7 @@ def assimilate(
 
         group_tokens = set(tokenize(abs_group))
         members = [
-            state.fragments[i] for i, f in enumerate(state.rows) if group_tokens <= set(f.tokens)
+            state.fragment(i) for i, f in enumerate(state.rows) if group_tokens <= set(f.tokens)
         ]
         if len(members) >= 2:
             summary = merge_group(members, config, ids, clock)

@@ -92,8 +92,7 @@ def generate_query(
         return QueryCue(kind="coherence", tokens=tokens)
 
     # associative
-    latest = max(active.rows, key=lambda f: (f.created_at, f.id))
-    return QueryCue(kind="associative", tokens=latest.tokens)
+    return QueryCue(kind="associative", tokens=active.latest().tokens)
 
 
 # --------------------------------------------------------------------------

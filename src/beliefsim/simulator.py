@@ -50,7 +50,6 @@ from .geometry import realign
 from .memory import (
     QUERY_TRIGGERS,
     generate_query,
-    goal_fragments,
     integrate_retrieved,
     retrieve,
 )
@@ -499,7 +498,7 @@ class SimulationRun:
         self.mode = mode
         self.rng = random.Random(self.seed)
         self.store = scenario.store
-        self.ids = IdAllocator(len(self.store.fragments) + 1)
+        self.ids = IdAllocator(len(self.store.rows) + 1)
         self.names: dict[str, int] = dict(scenario.names)
         self.active = BeliefState((), 0.0)
         # Each axis from its tower, kept since load; a tower that did not
@@ -546,7 +545,7 @@ class SimulationRun:
         )
 
     def _goals_present(self) -> bool:
-        return next(goal_fragments(self.active, self.config), None) is not None
+        return bool(self.active.goals(self.config.goal_marker.lower()))
 
     def _register_rule_names(self, elaborated: Sequence[int]) -> None:
         if not elaborated:
@@ -725,7 +724,7 @@ class SimulationRun:
         if self.active.is_vacuum and self.scenario.lexicon:
             if self.ledger.charge("rest", 1.0):
                 self.active = drift(self.active, self.scenario.lexicon, self.rng, self.ids)
-                newest = self.active.fragments[-1]
+                newest = self.active.rows[-1]
                 self._emit("drift", {"id": newest.id, "text": newest.text})
             else:
                 self._skip("drift", "rest", 1.0)

@@ -298,6 +298,11 @@ def _tagged(state, sector):
     return tuple(f for f in state.rows if sector in f.sectors)
 
 
+def latest(state):
+    """The associative cue's row: the last created, the highest id on a tie."""
+    return max(state.rows, key=lambda f: (f.created_at, f.id))
+
+
 def coherence(state, sector=None):
     """1 - 2 * pairs / n^2 over every row, or over the rows a filter finds
     tagged with ``sector``; the vacuum is coherent."""

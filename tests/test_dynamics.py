@@ -599,14 +599,14 @@ def test_assimilate_matches_the_reference_rebuild(case):
     assert (report, next_id) == (ref_report, ref_next_id)
     assert out == ref
     assert list(map(_fixed, out.rows)) == list(map(_fixed, ref.rows))
-    anchor, persistence = out._anchor, out._persistence
+    anchor, persistence = out._table["anchor"], out._table["persistence"]
     assert anchor.tobytes() == np.array([f.anchor for f in ref.fragments], float).tobytes()
     assert persistence.tobytes() == np.array(
         [f.persistence for f in ref.fragments], float).tobytes()
-    assert (out._decay is None) == (state._decay is None)
+    assert out._decay == state._decay
     if out._decay is not None:
         dt = out._decay[0]
-        assert out._decay[2].tobytes() == np.array(
+        assert out._table["decay"].tobytes() == np.array(
             [math.exp(-cfg.decay_rate(f.anchor) * dt) for f in ref.fragments], float).tobytes()
 
 

@@ -415,7 +415,7 @@ def test_store_sorts_rows_and_rejects_duplicate_ids():
         BeliefState((), -1.0)
 
 
-def test_store_fragments_count_without_building(cfg, monkeypatch):
+def test_store_rows_count_and_one_row_builds_alone(cfg, monkeypatch):
     store = BeliefState(
         tuple(make_fragment(i, "pump", persistence=0.1005 if i == 1 else 0.5 + i / 10)
               for i in range(1, 6))
@@ -425,11 +425,12 @@ def test_store_fragments_count_without_building(cfg, monkeypatch):
     built = []
     real = core._at
     monkeypatch.setattr(core, "_at", lambda row, *a: built.append(row.id) or real(row, *a))
-    rows = decayed.fragments
-    assert len(rows) == 4
+    assert len(decayed.rows) == 4
     assert built == []
-    assert rows[-1].id == 5 and built == [5]
-    assert [f.id for f in rows] == [2, 3, 4, 5]
+    assert decayed.fragment(-1).id == 5 and built == [5]
+    rows = decayed.fragments
+    assert [f.id for f in rows] == [2, 3, 4, 5] and built == [5, 2, 3, 4, 5]
+    assert decayed.fragments is rows and len(built) == 5  # every row built once, kept
     assert decayed.get(1) is None and decayed.get(7) is None
     assert decayed.get(2).persistence == rows[0].persistence
 

@@ -5,10 +5,11 @@ a dispute), the three benchmark workloads at a reduced size and two scenarios
 built to sit on a threshold run twice: once as the engine stands, and once with the
 per-fragment loops of ``reference.py`` (decay, state embedding, retrieval,
 the assimilation that rebuilds every fragment, the reflection written one
-breach at a time, and coherence, the sector wipe's target and the coherence
-cue regrouping the rows by key) swapped in through the module attributes
-the engine calls.  The two traces must be the same bytes; ``verify_golden``'s
-float tolerance would be too loose here.  Every shipped scenario, and the
+breach at a time, coherence, the sector wipe's target and the coherence
+cue regrouping the rows by key, and the associative cue's ``max`` walk)
+swapped in through the module and class attributes the engine calls.  The
+two traces must be the same bytes; ``verify_golden``'s float tolerance would
+be too loose here.  Every shipped scenario, and the
 benchmark workloads at full size and seed 0, must give their goldens' bytes.
 """
 
@@ -24,6 +25,7 @@ import pytest
 
 from beliefsim import execution, geometry, memory, regulation, simulator, tower
 from beliefsim.config import default_config
+from beliefsim.core import BeliefState
 from beliefsim.simulator import SimulationRun, load_scenario, run_scenario
 
 import reference
@@ -145,6 +147,7 @@ def reference_engine(monkeypatch):
                             reference.most_conflicted_sector)
         monkeypatch.setattr(memory, "first_conflict",
                             lambda state: reference.first_conflict(state.rows))
+        monkeypatch.setattr(BeliefState, "latest", reference.latest)
 
     return swap
 

@@ -1,12 +1,14 @@
-"""The per-state sector view, pinned bit for bit to the whole-state scans.
+"""A state's sector readings and kept readings, pinned bit for bit to the
+whole-state scans.
 
-A state groups its fragments by sector once and keeps the grouping, so every
+A state reads its sectors from the sector column of its records, so every
 per-sector reading must equal the scan it replaced: the same fragments in
 the same id order, hence the same sums in the same order.  The scans live in
 conftest as reference loops, and the conflict readings that regroup the rows
-by key in ``reference.py``.  A state's kept conflict groups, goal rows and
-vectors, built or handed on through a chain of derivations, must equal that
-regrouping, a walk over its rows and their fresh embedding.
+by key in ``reference.py``.  Through a chain of derivations, a state's
+records must equal a fresh build's, and its kept conflict groups, goal rows
+and vectors, built or handed on, must equal that regrouping, a walk over its
+rows and their fresh embedding.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ from hypothesis import strategies as st
 
 from beliefsim import core, regulation
 from beliefsim.config import ParameterConfig, default_config
-from beliefsim.core import BeliefState, Fragment, first_conflict, tokenize
+from beliefsim.core import BeliefState, Fragment, activation_density, first_conflict, tokenize
 from beliefsim.dynamics import nullify, nullify_sector
 from beliefsim.execution import Clause, GateRule
 from beliefsim.regulation import (
@@ -182,7 +184,7 @@ def test_constructor_refuses_a_repeat_in_or_out_of_order(fids):
 
 
 # --------------------------------------------------------------------------
-# The view and every reading that goes through it
+# The sector column and every reading that goes through it
 # --------------------------------------------------------------------------
 
 @settings(max_examples=150, deadline=None)
@@ -221,10 +223,14 @@ def test_clause_scores_and_gate_rules_equal_the_scans(state, clause, pattern):
 
 @settings(max_examples=60, deadline=None)
 @given(state=view_states(), data=st.data())
-def test_a_derived_state_builds_its_own_view(state, data):
-    state.sectors()  # the source's view is built first
+def test_deriving_leaves_the_source_sector_readings_alone(state, data):
+    """A derived state reads its own sector column.  A put may bring a
+    sector set no row carried before, which the shared registry of sector
+    sets then gains; the source still reads as it did."""
+    before = (state.sectors(), [state.rows_in(s) for s in PROBES])
     drop = data.draw(st.sets(st.sampled_from(sorted(state.ids()) or [0])))
-    moved = [f.replace(sectors=frozenset({"mem"})) for f in state.fragments[:1]]
+    moved_to = frozenset(data.draw(st.sets(st.sampled_from(PROBES), min_size=1)))
+    moved = [f.replace(sectors=moved_to) for f in state.fragments[:1]]
     derived = (
         state.revised(drop=drop),
         BeliefState(state.fragments[1:], state.clock),
@@ -237,6 +243,22 @@ def test_a_derived_state_builds_its_own_view(state, data):
         for sector in PROBES:
             assert same_fragments(d.rows_in(sector), [f for f in d.rows if sector in f.sectors])
         assert d.mass == ltr_sum(f.weight for f in d.fragments)
+    assert (state.sectors(), [state.rows_in(s) for s in PROBES]) == before
+
+
+@settings(max_examples=150, deadline=None)
+@given(frags=view_fragments(unique=True),
+       created=st.lists(st.sampled_from((0.0, -0.0, 1.0, 2.5)), min_size=20, max_size=20),
+       put=view_fragments(unique=True, max_frags=3))
+def test_latest_is_the_max_walk(frags, created, put):
+    """The associative cue's row, read from the id and ``created_at``
+    columns, is the one the ``max`` walk finds, with many rows created at
+    once; also after a put splices rows in."""
+    stamp = lambda f: f.replace(created_at=created[f.id - 1])  # noqa: E731
+    state = BeliefState(map(stamp, frags), 0.0)
+    for s in (state, state.revised(put=map(stamp, put))):
+        if not s.is_vacuum:
+            assert s.latest() is reference.latest(s)
 
 
 # --------------------------------------------------------------------------
@@ -265,15 +287,26 @@ def assert_conflict_readings(state: BeliefState) -> None:
 
 
 def assert_equals_fresh_build(state: BeliefState) -> None:
-    """The state's columns, fragments and kept decay factors equal those of
-    a state built fresh from its fragments; none of these is handed on."""
+    """The state's columns, fragments, sector readings and kept decay
+    factors equal those of a state built fresh from its fragments, and its
+    sector rows the reference filter's; none of these is handed on."""
     assert [f.id for f in state.rows] == sorted(f.id for f in state.rows)
     fresh = BeliefState(state.fragments, state.clock)
     assert state.weights().tobytes() == fresh.weights().tobytes()
+    for column in ("id", "created_at"):
+        assert state._table[column].tobytes() == fresh._table[column].tobytes()
     assert list(state.fragments) == list(fresh.fragments)
+    assert state.sectors() == fresh.sectors() == union_sectors(state)
+    for sector in PROBES:
+        assert same_fragments(state.rows_in(sector), reference._tagged(state, sector))
+        assert [f.id for f in fresh.rows_in(sector)] == [f.id for f in state.rows_in(sector)]
+        density = np.float64(activation_density(state, sector)).tobytes()
+        assert density == np.float64(activation_density(fresh, sector)).tobytes()
+    if not state.is_vacuum:
+        assert state.latest() is reference.latest(state)
     if state._decay is not None:
-        dt, cfg, factors = state._decay
-        assert factors.tobytes() == np.array(
+        dt, cfg = state._decay
+        assert state._table["decay"].tobytes() == np.array(
             [math.exp(-cfg.decay_rate(f.anchor) * dt) for f in fresh.fragments], float
         ).tobytes()
 
@@ -305,10 +338,11 @@ def assert_handed_on_readings(state: BeliefState, marker: str) -> None:
 )
 def test_kept_conflict_groups_equal_the_regrouping(state, chain, marker):
     """Oracle: whatever chain of ``revised``, ``decayed``, ``nullify_sector``
-    and ``reanchor`` made a state, its weights, fragments and decay factors
-    equal a fresh build's; and whether each state on the way read its
-    conflict groups, goal rows and vectors (and so handed them on) or not,
-    they equal the reference's regrouping, walk and embedding of its rows."""
+    and ``reanchor`` made a state, its weights, id and ``created_at``
+    columns, fragments, sector readings and decay factors equal a fresh
+    build's; and whether each state on the way read its conflict groups,
+    goal rows and vectors (and so handed them on) or not, they equal the
+    reference's regrouping, walk and embedding of its rows."""
     cfg = default_config()
     for read, (op, arg) in chain:
         assert_equals_fresh_build(state)

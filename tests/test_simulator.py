@@ -871,7 +871,7 @@ SECTIONS = {
 }
 
 
-@settings(max_examples=300, deadline=None,
+@settings(max_examples=300, deadline=None, derandomize=True,
           suppress_health_check=[HealthCheck.function_scoped_fixture, HealthCheck.too_slow])
 @given(data=st.fixed_dictionaries({}, optional=SECTIONS))
 def test_any_json_loads_or_raises_scenario_error(tmp_path, data):
