@@ -108,8 +108,8 @@ def _cmd_tower(args: argparse.Namespace) -> int:
         ids = IdAllocator(max(seed.ids()) + 1)
         trajectory = build_tower(seed, args.max_k, scenario.config, ids)
     for i, level in enumerate(trajectory.levels):
-        top = max((f.level for f in level.fragments), default=0)
-        print(f"step {i}: {len(level.fragments)} fragment(s), top level {top}")
+        top = max((f.level for f in level.rows), default=0)
+        print(f"step {i}: {len(level.rows)} fragment(s), top level {top}")
     status = "converged" if trajectory.converged else "not converged"
     print(
         f"{status} after {len(trajectory.levels) - 1} step(s); "

@@ -19,15 +19,16 @@ fragment.
 
 A state is one table, for the active state and the long-term store alike:
 fragments as they entered are its rows, in id order, and one record per row
-beside them holds its columns from construction (id, ``created_at``, sector
-set, anchor, persistence, row in V of unit vectors, decay factor).  Every
-state made from another comes out of ``_derive``, which filters rows and
-records by one keep mask and splices put rows in by one plan, computing only
-theirs: decay and ``reanchor`` hand it new columns, and every other change is
-one ``revised`` (drop ids, put fragments).  ``fragments`` builds every row
-once; ``fragment(i)`` builds one.  Readers of the fixed fields read ``rows``,
-``rows_in(s)`` or ``latest()`` and build nothing; the conflict groups and the
-goal rows are readings a state keeps and ``_derive`` hands on.
+beside them holds its columns (id, ``created_at``, sector set, anchor,
+persistence, row in V of unit vectors, decay factor).  Every state comes out
+of ``_derive``, which filters rows and records by one keep mask and splices
+put rows in by one plan, computing only theirs: a constructed state is the
+epistemic vacuum with its fragments put in, decay and ``reanchor`` hand it
+new columns, and every other change is one ``revised`` (drop ids, put
+fragments).  ``fragments`` builds every row on each read and keeps none;
+``fragment(i)`` builds one.  Readers of the fixed fields read ``rows``,
+``rows_in(s)``, ``ids()`` or ``latest()`` and build nothing; the conflict
+groups and the goal rows are readings a state keeps and ``_derive`` hands on.
 """
 
 from __future__ import annotations
@@ -183,46 +184,39 @@ _KEY_FIELDS = frozenset({"text", "key", "polarity", "sectors", "level"})
 class BeliefState:
     """An immutable fragment ensemble plus a logical clock, held as a table.
 
-    Beside its rows it keeps, from construction, one record per row
-    (``_ROW``): the id, ``created_at`` and sector set the row entered with,
-    its current anchor and persistence, its row in a matrix V of unit
-    vectors (``vectors``) that the states derived from it share until a put
-    hands V on, and its factor of the last whole-state decay.  Only this
-    module reads the records.  A row's fixed fields (id, text, tokens,
-    sectors, key, polarity, level, origin, created_at, members) are current;
-    its anchor and persistence are those it entered with.  Its mass,
-    embedding, conflict groups and goal rows are readings it keeps once
-    made; ``_derive`` hands on those the parent's prove.
+    ``BeliefState(fragments, clock)`` is the vacuum with ``fragments`` put
+    in, by the one ``_derive`` that makes every state.  Beside its rows a
+    state keeps one record per row (``_ROW``): the id, ``created_at`` and
+    sector set the row entered with, its current anchor and persistence,
+    its row in a matrix V of unit vectors (``vectors``) that the states
+    derived from it share until a put hands V on, and its factor of the
+    last whole-state decay.  Only this module reads the records.  A row's
+    fixed fields (id, text, tokens, sectors, key, polarity, level, origin,
+    created_at, members) are current; its anchor and persistence are those
+    it entered with.  Its mass, embedding, conflict groups and goal rows are
+    readings it keeps once made; ``_derive`` hands on those the parent's
+    prove, so an unkeyed state is conflict-free from the start.
     """
 
     __slots__ = (
-        "clock", "_rows", "_table", "_built", "_decay", "_lineage",
+        "clock", "_rows", "_table", "_decay", "_lineage",
         "_mass", "_embedding", "_conflicts", "_goals",
     )
 
-    def __init__(self, fragments: Iterable[Fragment] = (), clock: float = 0.0) -> None:
-        rows = _in_id_order(tuple(fragments))
+    def __new__(cls, fragments: Iterable[Fragment] = (), clock: float = 0.0) -> "BeliefState":
         if clock < 0:
             raise ValueError(f"clock must be >= 0, got {clock}")
-        self.clock = clock
-        self._rows = self._built = rows
-        # An empty state makes no numpy call: the first in a process cost about 0.1 ms.
-        self._table = _frozen(_records(rows, np.arange(len(rows)))) if rows else _NO_ROWS
-        self._decay: Optional[tuple] = None  # (dt, config) of the decay column
-        self._lineage: list = [rows, None]  # (rows V is built over, V)
-        self._mass = self._conflicts = self._goals = None
-        self._embedding: Optional[tuple[int, np.ndarray]] = None  # (dim, vector)
+        return _VACUUM._derive(clock, _NO_ROWS, None, put=fragments)
 
     # -- reading -----------------------------------------------------------
 
     @property
     def fragments(self) -> tuple[Fragment, ...]:
-        """The fragments in id order: every row built once, and kept."""
-        if self._built is None:
-            table = self._table
-            self._built = tuple(map(
-                _at, self._rows, table["anchor"].tolist(), table["persistence"].tolist()))
-        return self._built
+        """The fragments in id order, every row built on each read: a row
+        whose anchor and persistence did not move is handed back as it is."""
+        table = self._table
+        return tuple(map(
+            _at, self._rows, table["anchor"].tolist(), table["persistence"].tolist()))
 
     @property
     def rows(self) -> tuple[Fragment, ...]:
@@ -233,8 +227,6 @@ class BeliefState:
     def fragment(self, i: int) -> Fragment:
         """Row ``i`` as a ``Fragment`` with its current anchor and
         persistence; no other row is built."""
-        if self._built is not None:
-            return self._built[i]
         record = self._table[i]
         return _at(self._rows[i], float(record["anchor"]), float(record["persistence"]))
 
@@ -244,9 +236,12 @@ class BeliefState:
 
     def _V(self, dim: int) -> np.ndarray:
         """The lineage's V at ``dim``, embedded if absent or at another dim."""
-        if self._lineage[1] is None or self._lineage[1].shape[1] != dim:
-            self._lineage[1] = embed_rows([f.tokens for f in self._lineage[0]], dim)
-        return self._lineage[1]
+        rows, V = self._lineage
+        if V is None or V.shape[1] != dim:
+            V = embed_rows([f.tokens for f in rows], dim)
+            if rows:  # an empty lineage, the vacuum's among them, keeps no V
+                self._lineage[1] = V
+        return V
 
     def vectors(self, dim: int, rows: Any = slice(None)) -> np.ndarray:
         """A new C-ordered matrix of the unit vectors of ``rows`` (positions
@@ -336,14 +331,15 @@ class BeliefState:
 
     def _derive(self, clock: float, table: np.ndarray, decay: Optional[tuple],
                 keep: Optional[np.ndarray] = None,
-                put: Sequence[Fragment] = ()) -> "BeliefState":
-        """The one way a state is made from another: ``table`` (this state's
-        records or new ones) and the rows filtered by one mask ``keep``, then
-        the rows of ``put`` (in id order, none kept) spliced in by one plan,
-        with only their records computed.  A put hands V on and clears this
-        lineage's slot."""
+                put: Iterable[Fragment] = ()) -> "BeliefState":
+        """The one way a state is made, from another or from the vacuum:
+        ``table`` (this state's records or new ones) and the rows filtered by
+        one mask ``keep``, then the rows of ``put`` (none kept) put in id
+        order and spliced in by one plan, with only their records computed.
+        A put hands V on and clears this lineage's slot."""
+        put = _in_id_order(tuple(put))
         new = object.__new__(BeliefState)
-        new.clock, new._mass, new._embedding, new._built = clock, None, None, None
+        new.clock, new._mass, new._embedding = clock, None, None
         rows, lineage = self._rows, self._lineage
         # The conflict groups and the goal rows read fixed fields only.
         conflicts, goals = self._conflicts, self._goals
@@ -355,7 +351,7 @@ class BeliefState:
             if goals is not None:
                 goals = (goals[0], tuple(f for f in goals[1] if mask[self._position(f.id)]))
         if put:
-            added = _records(put, 0)  # V's row 0 holds their place until V is handed on
+            added = _records(put)  # V's row 0 holds their place until V is handed on
             if decay is not None:
                 added["decay"] = _decay_factors(added["anchor"], *decay)
             # The plan: each put row's final position, past the kept rows of
@@ -366,14 +362,11 @@ class BeliefState:
             slot[at] = False
             spliced[slot], spliced[at] = table.view(_RECORD), added.view(_RECORD)
             table = spliced.view(_ROW)
-            V = lineage[1]
+            V = lineage[1] if rows else None  # with no kept row, embed at the first read
             if V is not None:  # in one allocation
-                put_V = embed_rows([f.tokens for f in put], V.shape[1])
-                if rows:
-                    V = np.take(V, table["index"], axis=0)
-                    V[at] = put_V
-                    put_V = V
-                lineage[1], V = None, _frozen(put_V)
+                V = np.take(V, table["index"], axis=0)
+                V[at] = embed_rows([f.tokens for f in put], V.shape[1])
+                lineage[1], V = None, _frozen(V)
             table["index"] = np.arange(len(table))
             spliced_rows = list(rows)
             for i, f in zip(at.tolist(), put):  # in ascending order, so each lands at i
@@ -392,7 +385,7 @@ class BeliefState:
         """This state without the ids in ``drop``, with each fragment of
         ``put`` in place of the row of its id or added in id order: one
         ``_derive`` that keeps every row not dropped or put."""
-        put = _in_id_order(tuple(put))
+        put = tuple(put)
         gone = set(drop).union(map(_ID, put))
         if not gone:
             return self
@@ -510,17 +503,20 @@ _ROW = np.dtype([
 _RECORD = np.dtype((np.void, _ROW.itemsize))
 # The records of every empty state, so building one makes no numpy call.
 _NO_ROWS = _frozen(np.zeros(0, _ROW))
+# The epistemic vacuum, which every constructed state is derived from.  It
+# shares only what cannot change: ``_V`` fills no empty lineage ([rows, V]).
+_VACUUM = object.__new__(BeliefState)
+_VACUUM._rows, _VACUUM._lineage, _VACUUM._conflicts, _VACUUM._goals = (), [(), None], (), None
 # Each distinct sector set a row has entered with, coded in order of first
 # use; codes never change, so every state reads this one registry.
 _SECTOR_SETS: dict[frozenset[str], int] = {}
 
 
-def _records(rows: Sequence[Fragment], index: Any) -> np.ndarray:
-    """A new table of records of ``rows``, at rows ``index`` of V and with no
-    decay factor."""
+def _records(rows: Sequence[Fragment]) -> np.ndarray:
+    """A new table of records of ``rows``, at row 0 of V and with no decay
+    factor."""
     n = len(rows)
     table = np.zeros(n, _ROW)
-    table["index"] = index
     for name in ("id", "created_at", "anchor", "persistence"):
         table[name] = np.fromiter(map(operator.attrgetter(name), rows), _ROW[name], n)
     table["sectors"] = np.fromiter(

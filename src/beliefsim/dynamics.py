@@ -28,6 +28,7 @@ a time while coarse analytic checkpoints still match.  ``nullify`` and
 
 from __future__ import annotations
 
+import functools
 import math
 import random
 from dataclasses import dataclass
@@ -169,8 +170,9 @@ def assimilate(
     # Stage 2: conflict detection against what remains of the input; pairs
     # come in existing-id order, then incoming order.
     by_key = key_groups(fresh)
+    build = functools.cache(state.fragment)  # a disputed row is built once
     pairs = [
-        (state.fragment(i), candidate)
+        (build(i), candidate)
         for i, row in enumerate(state.rows) if row.key in by_key
         for candidate in by_key[row.key] if candidate.polarity != row.polarity
     ]

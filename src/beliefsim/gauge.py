@@ -51,7 +51,7 @@ class Probe:
 
 
 def _scratch_ids(state: BeliefState) -> IdAllocator:
-    top = max((f.id for f in state.fragments), default=0)
+    top = max(state.ids(), default=0)
     return IdAllocator(top + 1000)
 
 

@@ -661,7 +661,7 @@ class SimulationRun:
         self.ledger.charge("memory", 1.0)
         self._emit(
             "retrieve",
-            {"cue_kind": cue.kind, "ids": [f.id for f in found.fragments]},
+            {"cue_kind": cue.kind, "ids": [f.id for f in found.rows]},
         )
         if found.is_vacuum:
             return
@@ -674,7 +674,7 @@ class SimulationRun:
             "integrate",
             {
                 "report": report.to_dict(),
-                "copied": [f.id for f in found.fragments],
+                "copied": [f.id for f in found.rows],
             },
         )
 

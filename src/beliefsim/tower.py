@@ -222,7 +222,7 @@ def roundtrip_loss(state: BeliefState, config: ParameterConfig) -> float:
     """Distance between a state and its historyless down(up(·)) image."""
     if state.is_vacuum:
         raise ValueError("round-trip loss of the vacuum is undefined")
-    top = max((f.id for f in state.fragments), default=0)
+    top = max(state.ids(), default=0)
     scratch = IdAllocator(top + 1)
     up = abstract_step(state, config, scratch)
     down = elaborate_step(up, (), config, scratch)

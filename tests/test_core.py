@@ -170,6 +170,47 @@ def test_state_equality_ignores_insertion_order():
     assert BeliefState((a, b), 3.0) == BeliefState((b, a), 3.0)
 
 
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(
+    frags=st.lists(st.integers(1, 6), max_size=7).flatmap(
+        lambda ids: st.tuples(*(fragments(i, keyed=True) for i in ids))),
+    clock=st.floats(0.0, 50.0, allow_nan=False),
+    dim=st.sampled_from((8, 16)),
+)
+def test_construction_is_the_vacuum_with_a_put(frags, clock, dim):
+    """``BeliefState(frags, clock)``, for fragments in any order, is the
+    empty state at ``clock`` with ``frags`` put in: the same records, rows,
+    readings and vectors, or the same refusal of a repeated id."""
+    try:
+        built = BeliefState(frags, clock)
+    except ValueError as exc:
+        with pytest.raises(ValueError, match="duplicate fragment ids") as again:
+            BeliefState((), clock).revised(put=frags)
+        assert str(again.value) == str(exc)
+        return
+    put = BeliefState((), clock).revised(put=frags)
+    assert built._table.tobytes() == put._table.tobytes()
+    assert built.rows == put.rows and built == put
+    assert built.conflicts() == put.conflicts()
+    assert built.goals("pump") == put.goals("pump")
+    assert built.vectors(dim).tobytes() == put.vectors(dim).tobytes()
+
+
+@pytest.mark.parametrize("read", ["vectors", "matching"])
+def test_reading_an_empty_state_leaves_no_V_for_the_next_state(read):
+    """Reading an empty state's vectors leaves no V behind that a state
+    constructed later would take: its V is built at its own first read."""
+    empty = BeliefState((), 0.0)
+    if read == "vectors":
+        assert empty.vectors(16).shape == (0, 16)
+    else:
+        assert empty.matching(embed_rows([("pump",)], 16)[0], 0.3) == ()
+    state = BeliefState((make_fragment(1), make_fragment(2, "valve")), 0.0)
+    assert state._lineage[1] is None
+    assert state.vectors(16).tobytes() == _fresh(state, 16)
+    assert state._lineage[1] is not None
+
+
 def test_an_empty_state_makes_no_numpy_call(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("numpy called")

@@ -328,6 +328,27 @@ def test_conflict_pairs_require_shared_key_opposite_polarity(cfg):
     assert [(a.id, a.key, b.id) for a, b in err.value.pairs] == [(1, "valve", 101)]
 
 
+def test_a_disputed_row_is_built_once_for_all_its_rivals(cfg, monkeypatch):
+    held = make_state(
+        make_fragment(1, "valve open", key="valve", polarity="+"),
+        make_fragment(2, "seal ok", key="seal", polarity="+"),
+    )
+    probe = incoming(
+        make_fragment(101, "valve shut", key="valve", polarity="-"),
+        make_fragment(102, "valve stuck", key="valve", polarity="-"),
+        make_fragment(103, "seal ok indeed", key="seal", polarity="+"),
+    )
+    built = []
+    real = BeliefState.fragment
+    monkeypatch.setattr(BeliefState, "fragment",
+                        lambda self, i: built.append(self.rows[i].id) or real(self, i))
+    with pytest.raises(ConflictError) as err:
+        assimilate(held, probe, cfg, IdAllocator(200), mode="elab")
+    (a, b), (c, d) = err.value.pairs
+    assert (a.id, b.id, c.id, d.id) == (1, 101, 1, 102) and a is c
+    assert built == [1]  # once for both rivals; row 2, with none, not at all
+
+
 def test_elaborative_mode_raises_on_conflict(cfg):
     held = make_state(make_fragment(1, "valve open", key="valve", polarity="+"))
     clash = incoming(make_fragment(101, "valve shut", key="valve", polarity="-"))

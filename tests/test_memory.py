@@ -430,7 +430,7 @@ def test_store_rows_count_and_one_row_builds_alone(cfg, monkeypatch):
     assert decayed.fragment(-1).id == 5 and built == [5]
     rows = decayed.fragments
     assert [f.id for f in rows] == [2, 3, 4, 5] and built == [5, 2, 3, 4, 5]
-    assert decayed.fragments is rows and len(built) == 5  # every row built once, kept
+    assert decayed.fragments == rows and len(built) == 9  # each read builds every row again
     assert decayed.get(1) is None and decayed.get(7) is None
     assert decayed.get(2).persistence == rows[0].persistence
 

@@ -1,8 +1,10 @@
 """Whole runs, fast engine against the reference loops, trace for trace.
 
 Every shipped scenario (``coherence_recall`` among them asks the store about
-a dispute), the three benchmark workloads at a reduced size and two scenarios
-built to sit on a threshold run twice: once as the engine stands, and once with the
+a dispute), the three benchmark workloads at a reduced size, two scenarios
+built to sit on a threshold and drawn scenarios (a reduced workload at a
+drawn seed, with thresholds set on values its run compares with them) run
+twice: once as the engine stands, and once with the
 per-fragment loops of ``reference.py`` (decay, state embedding, retrieval,
 the assimilation that rebuilds every fragment, the reflection written one
 breach at a time, coherence, the sector wipe's target and the coherence
@@ -22,6 +24,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from beliefsim import execution, geometry, memory, regulation, simulator, tower
 from beliefsim.config import default_config
@@ -126,30 +130,28 @@ CASES = (
 )
 
 
-@pytest.fixture()
-def reference_engine(monkeypatch):
+def _swap_reference(mp: pytest.MonkeyPatch) -> None:
     """Swap the reference loops in through the names the engine calls; the
     store decays through ``simulator.nullify`` as the active state does, and
     retrieved copies are assimilated through ``memory.assimilate``."""
+    mp.setattr(simulator, "assimilate", reference.assimilate)
+    mp.setattr(memory, "assimilate", reference.assimilate)
+    mp.setattr(simulator, "nullify", reference.nullify)
+    mp.setattr(simulator, "nullify_sector", reference.nullify_sector)
+    mp.setattr(simulator, "retrieve", reference.retrieve)
+    mp.setattr(simulator, "meta_assimilate", reference.meta_assimilate)
+    mp.setattr(geometry, "embed_state", reference.embed_state)
+    mp.setattr(tower, "embed_state", reference.embed_state)
+    for module in (regulation, execution, simulator):
+        mp.setattr(module, "coherence", reference.coherence)
+    mp.setattr(regulation, "_most_conflicted_sector", reference.most_conflicted_sector)
+    mp.setattr(memory, "first_conflict", lambda state: reference.first_conflict(state.rows))
+    mp.setattr(BeliefState, "latest", reference.latest)
 
-    def swap() -> None:
-        monkeypatch.setattr(simulator, "assimilate", reference.assimilate)
-        monkeypatch.setattr(memory, "assimilate", reference.assimilate)
-        monkeypatch.setattr(simulator, "nullify", reference.nullify)
-        monkeypatch.setattr(simulator, "nullify_sector", reference.nullify_sector)
-        monkeypatch.setattr(simulator, "retrieve", reference.retrieve)
-        monkeypatch.setattr(simulator, "meta_assimilate", reference.meta_assimilate)
-        monkeypatch.setattr(geometry, "embed_state", reference.embed_state)
-        monkeypatch.setattr(tower, "embed_state", reference.embed_state)
-        for module in (regulation, execution, simulator):
-            monkeypatch.setattr(module, "coherence", reference.coherence)
-        monkeypatch.setattr(regulation, "_most_conflicted_sector",
-                            reference.most_conflicted_sector)
-        monkeypatch.setattr(memory, "first_conflict",
-                            lambda state: reference.first_conflict(state.rows))
-        monkeypatch.setattr(BeliefState, "latest", reference.latest)
 
-    return swap
+@pytest.fixture()
+def reference_engine(monkeypatch):
+    return lambda: _swap_reference(monkeypatch)
 
 
 def _scenario_path(case, tmp_path: Path) -> Path:
@@ -167,6 +169,82 @@ def test_reference_loops_give_the_same_trace_bytes(case, tmp_path, reference_eng
     fast = run_scenario(path).trace.render()
     reference_engine()
     slow = run_scenario(path).trace.render()
+    assert fast == slow
+
+
+# The thresholds a drawn scenario sets at, or one ulp beside, a value its
+# run compares with them.
+NEAR = ("delta", "tau_retrieval", "kappa_crit", "tau_theta", "tau_r", "l_max")
+
+
+def _readings(scenario: dict, path: Path) -> dict[str, list[float]]:
+    """Each of ``NEAR``'s fields with the values one run of ``scenario``
+    compares with it: the persistences a decay leaves, the retrieval scores
+    of each cue, the compass readings and the coherence and load of each
+    tick's report."""
+    seen: dict[str, set[float]] = {field: set() for field in NEAR}
+    decayed, matching, detect_drift = (
+        BeliefState.decayed, BeliefState.matching, geometry.detect_drift)
+
+    def decay(state, *args, **kwargs):
+        out = decayed(state, *args, **kwargs)
+        seen["delta"].update(f.persistence for f in out.fragments)
+        return out
+
+    def match(state, cue_vec, *args, **kwargs):
+        seen["tau_retrieval"].update(
+            float(np.dot(cue_vec, v)) * f.persistence
+            for v, f in zip(state.vectors(len(cue_vec)), state.fragments))
+        return matching(state, cue_vec, *args, **kwargs)
+
+    def drift(reading, config):
+        seen["tau_theta"].add(reading.theta)
+        seen["tau_r"].add(reading.residual)
+        return detect_drift(reading, config)
+
+    path.write_text(json.dumps(scenario), encoding="utf-8")
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(BeliefState, "decayed", decay)
+        mp.setattr(BeliefState, "matching", match)
+        mp.setattr(geometry, "detect_drift", drift)
+        events = run_scenario(path).trace.events
+    for report in (e.payload["report"] for e in events if e.kind == "meta"):
+        seen["kappa_crit"].update((report["kappa_global"], *report["kappa_by_sector"].values()))
+        seen["l_max"].add(report["load"])
+        seen["tau_theta"].update(report["theta_by_axis"].values())
+    return {field: sorted(values) for field, values in seen.items()}
+
+
+@st.composite
+def near_threshold_scenarios(draw, path: Path) -> dict:
+    """A shrunk benchmark workload at a drawn seed, with one to three of
+    ``NEAR``'s thresholds moved onto, or one ulp beside, a value its run
+    compares with them (kept within the field's bounds)."""
+    name = draw(st.sampled_from(sorted(BENCH)))
+    scenario = _bench(name, draw(st.integers(0, 999)))
+    readings = _readings(scenario, path)
+    for field in sorted(draw(st.sets(st.sampled_from(NEAR), min_size=1, max_size=3))):
+        if readings[field]:
+            value = draw(st.sampled_from(readings[field]))
+            value = math.nextafter(value, draw(st.sampled_from((-math.inf, value, math.inf))))
+            if field not in ("delta", "tau_retrieval") or 0.0 < value < 1.0:
+                scenario["config"][field] = value
+    return scenario
+
+
+@settings(max_examples=30, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(data=st.data())
+def test_drawn_scenarios_match_the_reference_loops(data, tmp_path_factory):
+    """Whole runs of drawn scenarios whose thresholds sit on values the run
+    reads give the same trace bytes with the reference loops swapped in."""
+    path = tmp_path_factory.mktemp("drawn") / "scenario.json"
+    scenario = data.draw(near_threshold_scenarios(path))
+    path.write_text(json.dumps(scenario), encoding="utf-8")
+    fast = run_scenario(path).trace.render()
+    with pytest.MonkeyPatch.context() as mp:
+        _swap_reference(mp)
+        slow = run_scenario(path).trace.render()
     assert fast == slow
 
 
