@@ -435,18 +435,18 @@ class BeliefState:
     def matching(self, cue_vec: np.ndarray, tau: float,
                  **overrides: Any) -> tuple[Fragment, ...]:
         """The fragments whose ``np.dot(cue_vec, vector) * persistence``
-        reaches ``tau``, in id order: one matrix product over V screens every
-        row, and the rows it cannot rule out are scored exactly, as the
-        product can round differently from a row's own dot product.  Each is
-        built once, as one ``replace`` of its row with its anchor,
-        persistence and ``overrides``."""
+        reaches ``tau``, in id order: one single-threaded ``einsum`` over the
+        columns of V where the cue is nonzero screens every row, and the rows
+        it cannot rule out are scored exactly.  Each is built once, as one
+        ``replace`` of its row with its anchor, persistence and ``overrides``."""
         vectors = self._V(len(cue_vec))
         table = self._table
         index, anchor, persistence = table["index"], table["anchor"], table["persistence"]
-        screened = (vectors @ cue_vec)[index]
+        cells = np.flatnonzero(cue_vec)
+        screened = np.einsum("ij,j->i", vectors[:, cells], cue_vec[cells])[index]
         # Vectors are non-negative and unit-norm, so two float64 dot products
-        # of length d (V @ cue, and one np.dot) differ by at most 2*d*eps; one
-        # more eps covers the multiply by the persistence.
+        # of length d (the screen, and one np.dot) differ by at most 2*d*eps;
+        # one more eps covers the multiply by the persistence.
         bound = (2 * len(cue_vec) + 1) * np.finfo(float).eps
         near = np.flatnonzero(screened * persistence >= tau - bound)
         return tuple(

@@ -8,8 +8,8 @@ re-anchoring the surviving store twins.
 
 The store is a ``BeliefState`` like the active state, and decays through
 the same ``dynamics.nullify``.  Retrieval asks it for the rows a cue scores
-at or above tau_retrieval (``BeliefState.matching``: one screened matrix
-product, then an exact re-read near the threshold), and integration
+at or above tau_retrieval (``BeliefState.matching``: one screen over the
+cue's nonzero columns, then an exact re-read near the threshold), and integration
 re-anchors the surviving twins in its columns (``BeliefState.reanchor``).
 Both give the results of the per-fragment loops they replace, bit for bit.
 """
