@@ -335,8 +335,9 @@ class BeliefState:
         """The one way a state is made, from another or from the vacuum:
         ``table`` (this state's records or new ones) and the rows filtered by
         one mask ``keep``, then the rows of ``put`` (none kept) put in id
-        order and spliced in by one plan, with only their records computed.
-        A put hands V on and clears this lineage's slot."""
+        order and spliced in by one plan, with only their records computed;
+        with no row kept, the put rows are the rows.  A put hands V on and
+        clears this lineage's slot."""
         put = _in_id_order(tuple(put))
         new = object.__new__(BeliefState)
         new.clock, new._mass, new._embedding = clock, None, None
@@ -354,24 +355,27 @@ class BeliefState:
             added = _records(put)  # V's row 0 holds their place until V is handed on
             if decay is not None:
                 added["decay"] = _decay_factors(added["anchor"], *decay)
-            # The plan: each put row's final position, past the kept rows of
-            # lower id and the put rows before it.
-            at = table["id"].searchsorted(added["id"]) + np.arange(len(put))
-            spliced = np.empty(len(rows) + len(put), _RECORD)
-            slot = np.ones(len(spliced), dtype=bool)
-            slot[at] = False
-            spliced[slot], spliced[at] = table.view(_RECORD), added.view(_RECORD)
-            table = spliced.view(_ROW)
-            V = lineage[1] if rows else None  # with no kept row, embed at the first read
-            if V is not None:  # in one allocation
-                V = np.take(V, table["index"], axis=0)
-                V[at] = embed_rows([f.tokens for f in put], V.shape[1])
-                lineage[1], V = None, _frozen(V)
+            if not rows:  # nothing kept: the put rows are the table, embedded at the first read
+                table, rows, V = added, put, None
+            else:
+                # The plan: each put row's final position, past the kept rows
+                # of lower id and the put rows before it.
+                at = table["id"].searchsorted(added["id"]) + np.arange(len(put))
+                spliced = np.empty(len(rows) + len(put), _RECORD)
+                slot = np.ones(len(spliced), dtype=bool)
+                slot[at] = False
+                spliced[slot], spliced[at] = table.view(_RECORD), added.view(_RECORD)
+                table = spliced.view(_ROW)
+                V = lineage[1]
+                if V is not None:  # in one allocation
+                    V = np.take(V, table["index"], axis=0)
+                    V[at] = embed_rows([f.tokens for f in put], V.shape[1])
+                    lineage[1], V = None, _frozen(V)
+                spliced_rows = list(rows)
+                for i, f in zip(at.tolist(), put):  # in ascending order, so each lands at i
+                    spliced_rows.insert(i, f)
+                rows = tuple(spliced_rows)
             table["index"] = np.arange(len(table))
-            spliced_rows = list(rows)
-            for i, f in zip(at.tolist(), put):  # in ascending order, so each lands at i
-                spliced_rows.insert(i, f)
-            rows = tuple(spliced_rows)
             lineage = [rows, V]
             conflicts = () if conflicts == () and all(f.key is None for f in put) else None
             if goals is not None:  # no put id is among the kept goal rows
@@ -573,12 +577,8 @@ def embed_state(state: BeliefState, dim: int) -> np.ndarray:
     a non-vacuum state, the unweighted mean is used so the unit-norm
     invariant still holds.  The state keeps the result for this ``dim``: the
     array is read-only and is returned, uncopied, by every later call with
-    the same ``dim``.
-
-    The positive-weight rows' vectors (``state.vectors``, C-ordered) are
-    scaled by their weights in place; summing them over axis 0 adds row
-    after row, in the order (and so to the bits) of ``acc += w * v`` over
-    the rows.  Neither ``w @ V`` nor a pairwise sum keeps that order.
+    the same ``dim``.  The arithmetic is ``embed_weighted``'s, over the
+    state's rows of its lineage's V.
     """
     kept = state._embedding
     if kept is not None and kept[0] == dim:
@@ -586,22 +586,37 @@ def embed_state(state: BeliefState, dim: int) -> np.ndarray:
     if state.is_vacuum:
         acc = np.zeros(dim, dtype=np.float64)
     else:
-        w = state.weights()
-        positive = w > 0.0
-        if positive.any():
-            V = state.vectors(dim, positive)
-            acc = np.multiply(V, w[positive][:, None], out=V).sum(axis=0)
-        else:
-            acc = state.vectors(dim).sum(axis=0)
-        norm = float(np.linalg.norm(acc))
-        if norm < TINY_NORM and acc.any():
-            # The squares of the entries are subnormal and the norm loses
-            # digits: bring the largest entry to 1 first.
-            acc = acc / np.abs(acc).max()
-            norm = float(np.linalg.norm(acc))
-        if norm > 0.0:
-            acc = acc / norm
+        acc = embed_weighted(state._V(dim), state._table["index"], state.weights())
     state._embedding = (dim, _frozen(acc))
+    return acc
+
+
+def embed_weighted(vectors: np.ndarray, rows: np.ndarray, weights: np.ndarray) -> np.ndarray:
+    """The unit vector along the sum of ``vectors[rows[k]]`` weighted by
+    ``weights[k]``: the one embedding arithmetic, of ``embed_state`` and of
+    the exact re-reads of ``geometry.realign``.
+
+    Only positive weights count; when none is positive, the rows are summed
+    unweighted.  The positive-weight rows are taken into a new C-ordered
+    matrix and scaled by their weights in place; summing it over axis 0
+    adds row after row, in the order (and so to the bits) of
+    ``acc += w * v`` over the rows.  Neither ``w @ V`` nor a pairwise sum
+    keeps that order.  A zero sum stays zero.
+    """
+    positive = weights > 0.0
+    if positive.any():
+        scaled = np.take(vectors, rows[positive], axis=0)
+        acc = np.multiply(scaled, weights[positive][:, None], out=scaled).sum(axis=0)
+    else:
+        acc = np.take(vectors, rows, axis=0).sum(axis=0)
+    norm = float(np.linalg.norm(acc))
+    if norm < TINY_NORM and acc.any():
+        # The squares of the entries are subnormal and the norm loses
+        # digits: bring the largest entry to 1 first.
+        acc = acc / np.abs(acc).max()
+        norm = float(np.linalg.norm(acc))
+    if norm > 0.0:
+        acc = acc / norm
     return acc
 
 
@@ -680,6 +695,7 @@ __all__ = [
     "activation_density",
     "embed_rows",
     "embed_state",
+    "embed_weighted",
     "first_conflict",
     "key_groups",
     "ordered_sum",

@@ -3,8 +3,9 @@
 Each function here is the plain loop that a fast path of the engine
 replaced, kept as an oracle; ``assimilate`` builds every fragment of the
 state into a list and rebuilds the state from it, ``embed_tokens`` embeds
-one token multiset at a time, and the conflict readings group the rows by
-key on every call.  ``test_reference.py`` swaps them into
+one token multiset at a time, ``realign`` reads every removal from a whole
+derived state, and the conflict readings group the rows by key on every
+call.  ``test_reference.py`` swaps them into
 a whole run through the module attributes the engine calls and asserts that
 the trace comes out byte for byte the same.
 """
@@ -30,6 +31,7 @@ from beliefsim.dynamics import (
     ConflictError,
     _revision_loser,
 )
+from beliefsim.geometry import RealignmentOutcome, compass_reading, detect_drift
 from beliefsim.regulation import META_ANCHOR, REFLECTIVE_SECTOR, _breach_entries, _meta_text
 from beliefsim.tower import merge_group
 
@@ -97,6 +99,29 @@ def embed_state(state, dim):
     if norm > 0.0:
         acc = acc / norm
     return acc
+
+
+def realign(state, axis, config):
+    """The greedy loop that derives the state without each fragment and
+    reads it with ``compass_reading``, every removal at every step."""
+    current = state
+    removed = []
+    reading = compass_reading(current, axis, config)
+    while detect_drift(reading, config) and len(current.fragments) > 1:
+        best_id = None
+        best_reading = None
+        for f in current.fragments:
+            candidate = current.revised(drop=(f.id,))
+            cand_reading = compass_reading(candidate, axis, config)
+            if best_reading is None or cand_reading.residual < best_reading.residual:
+                best_id = f.id
+                best_reading = cand_reading
+        if best_reading.residual >= reading.residual:
+            return RealignmentOutcome(current, tuple(removed), True)
+        current = current.revised(drop=(best_id,))
+        removed.append(best_id)
+        reading = best_reading
+    return RealignmentOutcome(current, tuple(removed), detect_drift(reading, config))
 
 
 def retrieval_score(cue_vec, fragment):

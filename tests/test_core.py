@@ -22,6 +22,7 @@ from beliefsim.core import (
     activation_density,
     embed_rows,
     embed_state,
+    embed_weighted,
     token_cell,
     tokenize,
 )
@@ -29,7 +30,7 @@ from beliefsim.execution import ActionBasin, readiness
 from beliefsim.regulation import cognitive_load
 from beliefsim.simulator import fragment_from_spec
 
-from conftest import KEYS, SECTORS, WORDS, fragments, make_fragment, states, texts
+from conftest import KEYS, SECTORS, WORDS, fragments, make_fragment, states, texts, tie_states
 from reference import embed_state as reference_embed_state
 from reference import embed_tokens
 
@@ -621,6 +622,24 @@ def test_embed_state_matches_the_per_fragment_loop_and_is_kept(n, dim, palette, 
         child_vec = embed_state(child, dim)
         assert child_vec is not kept
         assert child_vec.tobytes() == reference_embed_state(child, dim).tobytes()
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(state=tie_states(min_frags=1), data=st.data())
+def test_embed_weighted_over_drawn_rows_gives_the_reference_bytes(state, data):
+    """The shared arithmetic over drawn rows of a state, as realignment's
+    re-reads call it, gives the reference loop's bytes for the state of just
+    those rows: with zero weights, every weight zero, and weights so small
+    that the sum is rescaled past TINY_NORM."""
+    scale = data.draw(st.sampled_from((1.0, 0.0, 1e-155, 3e-160)))
+    state = BeliefState(
+        tuple(f.replace(anchor=f.anchor * scale) for f in state.fragments), state.clock)
+    dim = data.draw(st.sampled_from((8, 64)))
+    keep = data.draw(st.lists(st.booleans(), min_size=len(state.rows), max_size=len(state.rows)))
+    rows = np.flatnonzero(keep)
+    got = embed_weighted(state.vectors(dim), rows, state.weights()[rows])
+    subset = state.revised(drop=[f.id for f, k in zip(state.rows, keep) if not k])
+    assert got.tobytes() == reference_embed_state(subset, dim).tobytes()
 
 
 # --------------------------------------------------------------------------

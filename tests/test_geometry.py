@@ -13,7 +13,6 @@ from beliefsim.config import default_config
 from beliefsim.core import BeliefState, embed_state, tokenize
 from beliefsim.geometry import (
     CompassReading,
-    RealignmentOutcome,
     compass_reading,
     detect_drift,
     distance,
@@ -21,6 +20,7 @@ from beliefsim.geometry import (
 )
 from beliefsim.tower import EpistemicAxis
 
+import reference
 from conftest import CORE, make_fragment, states, tie_states
 from reference import embed_tokens
 
@@ -228,29 +228,6 @@ class TestRealignmentLaws:
         assert len(outcome.state.fragments) >= 1
 
 
-def _reference_realign(state, axis, config):
-    """The greedy loop that reads every removal exactly: the oracle for the
-    screened ``realign``."""
-    current = state
-    removed = []
-    reading = compass_reading(current, axis, config)
-    while detect_drift(reading, config) and len(current.fragments) > 1:
-        best_id = None
-        best_reading = None
-        for f in current.fragments:
-            candidate = current.revised(drop=(f.id,))
-            cand_reading = compass_reading(candidate, axis, config)
-            if best_reading is None or cand_reading.residual < best_reading.residual:
-                best_id = f.id
-                best_reading = cand_reading
-        if best_reading.residual >= reading.residual:
-            return RealignmentOutcome(current, tuple(removed), True)
-        current = current.revised(drop=(best_id,))
-        removed.append(best_id)
-        reading = best_reading
-    return RealignmentOutcome(current, tuple(removed), detect_drift(reading, config))
-
-
 @st.composite
 def realign_axes(draw, dim):
     """A null-seed axis on the shared core, or one from random states, with
@@ -279,7 +256,7 @@ class TestRealignMatchesExactLoop:
         )
         axis = data.draw(realign_axes(cfg.embed_dim))
         outcome = realign(state, axis, cfg)
-        expected = _reference_realign(state, axis, cfg)
+        expected = reference.realign(state, axis, cfg)
         assert outcome.removed == expected.removed
         assert outcome.state == expected.state
         assert outcome.warned == expected.warned
@@ -297,7 +274,7 @@ class TestRealignMatchesExactLoop:
         )
         axis = data.draw(realign_axes(cfg.embed_dim))
         outcome = realign(state, axis, cfg)
-        expected = _reference_realign(state, axis, cfg)
+        expected = reference.realign(state, axis, cfg)
         assert outcome.removed == expected.removed
         assert outcome.warned == expected.warned
 
@@ -314,4 +291,4 @@ def test_realign_rereads_a_rest_too_small_to_screen():
     ), 0.0)
     axis = axis_from(embed_tokens(tokenize("light red"), cfg.embed_dim))
     outcome = realign(state, axis, cfg)
-    assert outcome.removed == _reference_realign(state, axis, cfg).removed == (1, 3)
+    assert outcome.removed == reference.realign(state, axis, cfg).removed == (1, 3)

@@ -7,8 +7,9 @@ drawn seed, with thresholds set on values its run compares with them) run
 twice: once as the engine stands, and once with the
 per-fragment loops of ``reference.py`` (decay, state embedding, retrieval,
 the assimilation that rebuilds every fragment, the reflection written one
-breach at a time, coherence, the sector wipe's target and the coherence
-cue regrouping the rows by key, and the associative cue's ``max`` walk)
+breach at a time, realignment reading a whole derived state per removal,
+coherence, the sector wipe's target and the coherence cue regrouping the
+rows by key, and the associative cue's ``max`` walk)
 swapped in through the module and class attributes the engine calls.  The
 two traces must be the same bytes; ``verify_golden``'s float tolerance would
 be too loose here.  Every shipped scenario, and the
@@ -140,6 +141,7 @@ def _swap_reference(mp: pytest.MonkeyPatch) -> None:
     mp.setattr(simulator, "nullify_sector", reference.nullify_sector)
     mp.setattr(simulator, "retrieve", reference.retrieve)
     mp.setattr(simulator, "meta_assimilate", reference.meta_assimilate)
+    mp.setattr(simulator, "realign", reference.realign)
     mp.setattr(geometry, "embed_state", reference.embed_state)
     mp.setattr(tower, "embed_state", reference.embed_state)
     for module in (regulation, execution, simulator):
