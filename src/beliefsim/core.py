@@ -12,10 +12,9 @@ Equal token multisets therefore embed to bitwise-equal vectors, and all
 geometry downstream (distance, compass, retrieval scores) inherits that
 determinism.  ``embed_rows`` is the one vectoriser.  A fragment tokenises
 once and derives its content key once; a state embeds once per ``dim``.
-``Fragment.replace`` is the one way to copy a fragment: the copy carries its
-source's tokens unless its text changes, and its content key unless a field
-the key reads changes, and it passes the same checks as a freshly built
-fragment.
+A fragment has one constructor, which keeps one object per equal sector set;
+``Fragment.replace`` is a construction from its fields and the overrides, so
+a copy tokenises again and derives its own content key.
 
 A state is one table, for the active state and the long-term store alike:
 fragments as they entered are its rows, in id order, and one record per row
@@ -33,6 +32,7 @@ groups and the goal rows are readings a state keeps and ``_derive`` hands on.
 
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 import itertools
 import math
@@ -40,7 +40,6 @@ import operator
 import re
 from collections import Counter
 from collections.abc import Sequence
-from dataclasses import dataclass, fields
 from itertools import chain
 from typing import TYPE_CHECKING, Any, Iterable, Optional
 
@@ -67,7 +66,7 @@ def tokenize(text: str) -> tuple[str, ...]:
     return tuple(_TOKEN_RE.findall(text.lower()))
 
 
-@dataclass(frozen=True)
+@dataclasses.dataclass(frozen=True, init=False)
 class Fragment:
     """One linguistic belief expression with its metadata.
 
@@ -88,17 +87,32 @@ class Fragment:
     polarity: Optional[str] = None
     members: Optional[tuple[int, ...]] = None
 
-    def __post_init__(self) -> None:
-        # The content key is derived on first use.  Every fragment sets both
-        # derived attributes here, in one order, so instances share one key
-        # table; set later in varying order they would give each fragment a
-        # dict of its own (+15% peak RSS).
-        object.__setattr__(self, "_tokens", tokenize(self.text))
-        object.__setattr__(self, "_ckey", None)
+    def __init__(self, id, text, sectors, level=0, anchor=1.0, persistence=1.0,
+                 created_at=0.0, origin="observed", key=None, polarity=None, members=None):
+        # The one constructor: attributes set one at a time, in this order, so
+        # all fragments share one key table.  Reading ``__dict__`` would give
+        # each its own dict and halve the speed of every attribute read.
+        sectors, code = _SECTOR_SETS.get(sectors) or (sectors, None)  # the kept equal set
+        put = object.__setattr__  # the class is frozen
+        put(self, "id", id)
+        put(self, "text", text)
+        put(self, "sectors", sectors)
+        put(self, "level", level)
+        put(self, "anchor", anchor)
+        put(self, "persistence", persistence)
+        put(self, "created_at", created_at)
+        put(self, "origin", origin)
+        put(self, "key", key)
+        put(self, "polarity", polarity)
+        put(self, "members", members)
+        put(self, "_tokens", tokenize(text))
+        put(self, "_ckey", None)  # the content key, derived on first use
         self._check()
+        if code is None:  # registered once checked, so a refused set takes no code
+            _SECTOR_SETS[sectors] = (sectors, len(_SECTOR_SETS))
 
     def _check(self) -> None:
-        """Every invariant of a fragment; runs on construction and on each copy."""
+        """Every invariant of a fragment; runs on each construction."""
         if not self._tokens:  # type: ignore[attr-defined]
             raise ValueError(f"fragment {self.id}: text has no tokens: {self.text!r}")
         if not self.sectors:
@@ -155,30 +169,9 @@ class Fragment:
         return ckey
 
     def replace(self, **overrides: Any) -> "Fragment":
-        """A copy with ``overrides`` applied, checked as a new fragment is.
-
-        The copy is not rebuilt: it carries this fragment's tokens unless
-        ``text`` is overridden, and its content key unless a field the key
-        reads is.  An unknown field name raises TypeError.
-        """
-        if not overrides.keys() <= _FIELD_NAMES:
-            unknown = sorted(overrides.keys() - _FIELD_NAMES)
-            raise TypeError(f"Fragment has no field(s) {unknown}")
-        copy = object.__new__(Fragment)
-        state = copy.__dict__
-        state.update(self.__dict__)
-        state.update(overrides)
-        if "text" in overrides:
-            state["_tokens"] = tokenize(state["text"])
-        if not _KEY_FIELDS.isdisjoint(overrides):
-            state["_ckey"] = None
-        copy._check()
-        return copy
-
-
-_FIELD_NAMES = frozenset(f.name for f in fields(Fragment))
-# The fields content_key reads; overriding any of them drops the carried key.
-_KEY_FIELDS = frozenset({"text", "key", "polarity", "sectors", "level"})
+        """A new fragment of this one's fields with ``overrides`` applied,
+        made by the one constructor; an unknown field name raises TypeError."""
+        return dataclasses.replace(self, **overrides)
 
 
 class BeliefState:
@@ -243,10 +236,9 @@ class BeliefState:
                 self._lineage[1] = V
         return V
 
-    def vectors(self, dim: int, rows: Any = slice(None)) -> np.ndarray:
-        """A new C-ordered matrix of the unit vectors of ``rows`` (positions
-        or a mask; all rows by default), in row order."""
-        return np.take(self._V(dim), self._table["index"][rows], axis=0)
+    def vectors(self, dim: int) -> np.ndarray:
+        """A new C-ordered matrix of the rows' unit vectors, in row order."""
+        return np.take(self._V(dim), self._table["index"], axis=0)
 
     def _in(self, sector: str) -> np.ndarray:
         """A mask of the rows whose sector set holds ``sector``."""
@@ -511,9 +503,9 @@ _NO_ROWS = _frozen(np.zeros(0, _ROW))
 # shares only what cannot change: ``_V`` fills no empty lineage ([rows, V]).
 _VACUUM = object.__new__(BeliefState)
 _VACUUM._rows, _VACUUM._lineage, _VACUUM._conflicts, _VACUUM._goals = (), [(), None], (), None
-# Each distinct sector set a row has entered with, coded in order of first
-# use; codes never change, so every state reads this one registry.
-_SECTOR_SETS: dict[frozenset[str], int] = {}
+# Each distinct sector set a fragment was made with -> the kept set and its
+# code, in order of first use; codes never change, so states share it.
+_SECTOR_SETS: dict[frozenset[str], tuple[frozenset[str], int]] = {}
 
 
 def _records(rows: Sequence[Fragment]) -> np.ndarray:
@@ -523,8 +515,7 @@ def _records(rows: Sequence[Fragment]) -> np.ndarray:
     table = np.zeros(n, _ROW)
     for name in ("id", "created_at", "anchor", "persistence"):
         table[name] = np.fromiter(map(operator.attrgetter(name), rows), _ROW[name], n)
-    table["sectors"] = np.fromiter(
-        (_SECTOR_SETS.setdefault(f.sectors, len(_SECTOR_SETS)) for f in rows), np.intp, n)
+    table["sectors"] = np.fromiter((_SECTOR_SETS[f.sectors][1] for f in rows), np.intp, n)
     return table
 
 

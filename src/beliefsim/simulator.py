@@ -348,6 +348,8 @@ def load_scenario(path: str | Path) -> Scenario:
         raise ScenarioError(f"cannot read scenario {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise ScenarioError(f"scenario {path} is not valid JSON: {exc}") from exc
+    except RecursionError:
+        raise ScenarioError(f"scenario {path} is nested too deeply to decode") from None
     if not isinstance(raw, dict):
         raise ScenarioError("scenario root must be a JSON object")
     extra = set(raw) - _SCENARIO_KEYS

@@ -131,12 +131,16 @@ def _load_lines(source: str | Path | Iterable[str]) -> list[str]:
 
 
 def _json_line(line: str, number: int) -> Any:
+    """One trace line decoded, or a ValueError naming it: the writer emits
+    no NaN or infinity, and no nesting past the decoder's recursion limit."""
     try:
-        return json.loads(line)
+        return json.loads(line, parse_constant=lambda name: _canon_float(float(name)))
     except json.JSONDecodeError as exc:
         raise ValueError(
             f"trace line {number}: invalid JSON at column {exc.colno}: {exc.msg}"
         ) from None
+    except (ValueError, RecursionError) as exc:
+        raise ValueError(f"trace line {number}: {exc}") from None
 
 
 def parse_trace(source: str | Path | Iterable[str]) -> tuple[dict, list[TraceEvent]]:

@@ -1,8 +1,10 @@
 """Reference loops: the per-fragment versions of the engine's fast paths.
 
 Each function here is the plain loop that a fast path of the engine
-replaced, kept as an oracle; ``assimilate`` builds every fragment of the
-state into a list and rebuilds the state from it, ``embed_tokens`` embeds
+replaced, kept as an oracle; ``DataclassFragment`` is a fragment made by the
+dataclass's generated constructor and ``__post_init__``, ``assimilate``
+builds every fragment of the state into a list and rebuilds the state from
+it, ``embed_tokens`` embeds
 one token multiset at a time, ``realign`` reads every removal from a whole
 derived state, and the conflict readings group the rows by key on every
 call.  ``test_reference.py`` swaps them into
@@ -14,6 +16,8 @@ from __future__ import annotations
 
 import math
 from collections import Counter
+from dataclasses import dataclass
+from typing import Optional
 
 import numpy as np
 
@@ -34,6 +38,35 @@ from beliefsim.dynamics import (
 from beliefsim.geometry import RealignmentOutcome, compass_reading, detect_drift
 from beliefsim.regulation import META_ANCHOR, REFLECTIVE_SECTOR, _breach_entries, _meta_text
 from beliefsim.tower import merge_group
+
+
+@dataclass(frozen=True)
+class DataclassFragment:
+    """A fragment made as ``core.Fragment`` once was: the generated
+    ``__init__`` sets each field by ``object.__setattr__``, then
+    ``__post_init__`` tokenises, leaves the content key underived and runs
+    the same ``_check``.  Sector sets are not interned."""
+
+    id: int
+    text: str
+    sectors: frozenset[str]
+    level: int = 0
+    anchor: float = 1.0
+    persistence: float = 1.0
+    created_at: float = 0.0
+    origin: str = "observed"
+    key: Optional[str] = None
+    polarity: Optional[str] = None
+    members: Optional[tuple[int, ...]] = None
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "_tokens", tokenize(self.text))
+        object.__setattr__(self, "_ckey", None)
+        self._check()
+
+    _check = Fragment._check
+    tokens = Fragment.tokens
+    content_key = Fragment.content_key
 
 
 def embed_tokens(tokens, dim):

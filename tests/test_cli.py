@@ -654,6 +654,47 @@ def test_inspect_malformed_trace_exits_2_without_traceback(tmp_path, text):
     assert "Traceback" not in proc.stderr
 
 
+NESTED = "[" * 100_000 + "]" * 100_000
+
+
+def _refused(proc: subprocess.CompletedProcess, message: str) -> None:
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stderr.startswith("error: ") and message in proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
+@pytest.mark.parametrize(
+    "command",
+    [("run",), ("tower", "--axis", "focus"), ("gauge", "--state-a", "a", "--state-b", "b")],
+    ids=["run", "tower", "gauge"],
+)
+def test_a_deeply_nested_scenario_exits_2_without_traceback(tmp_path, command):
+    path = tmp_path / "deep.json"
+    path.write_text('{"timeline": ' + NESTED + "}")
+    proc = run_module(command[0], str(path), *command[1:])
+    _refused(proc, f"error: scenario {path} is nested too deeply to decode")
+
+
+@pytest.mark.parametrize(
+    "report, message",
+    [
+        (NESTED, "trace line 2: maximum recursion depth exceeded"),
+        ('{"kappa_global":NaN}', "trace line 2: non-finite value nan cannot enter"),
+        ('{"kappa_global":Infinity}', "trace line 2: non-finite value inf cannot enter"),
+        ('{"kappa_global":-Infinity}', "trace line 2: non-finite value -inf cannot enter"),
+    ],
+    ids=["deep", "nan", "infinity", "minus-infinity"],
+)
+def test_inspect_and_verify_refuse_a_trace_the_writer_never_emits(tmp_path, report, message):
+    """Nesting past the decoder's recursion limit and a non-finite constant
+    are refused, even by a ``verify`` of a trace against itself."""
+    bad = tmp_path / "bad.jsonl"
+    bad.write_text('{"header":{}}\n{"seq":0,"tick":0,"kind":"meta","payload":{"report":'
+                   + report + "}}\n")
+    _refused(run_module("inspect", str(bad), "--metric", "kappa"), message)
+    _refused(run_module("verify", str(bad), str(bad)), message)
+
+
 # --------------------------------------------------------------------------
 # verify
 # --------------------------------------------------------------------------

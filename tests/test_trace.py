@@ -144,6 +144,12 @@ def test_parse_reports_bad_line_number():
         '{"seq":1,"tick":"0","kind":"ingest","payload":{}}',
         '{"seq":1,"tick":0.0,"kind":["ingest"],"payload":{}}',
         '{"seq":1,"tick":0.0,"kind":"ingest","payload":[]}',
+        # Nothing the writer emits: a non-finite constant, or nesting past
+        # the decoder's recursion limit.
+        '{"seq":1,"tick":0.0,"kind":"ingest","payload":{"x":NaN}}',
+        '{"seq":1,"tick":Infinity,"kind":"ingest","payload":{}}',
+        '{"seq":1,"tick":0.0,"kind":"ingest","payload":{"x":[-Infinity]}}',
+        '{"seq":1,"tick":0.0,"kind":"ingest","payload":' + "[" * 100_000 + "]" * 100_000 + "}",
     ]
     for bad in bad_events:
         with pytest.raises(ValueError, match=r"^trace line 3: "):
@@ -155,6 +161,9 @@ def test_parse_reports_bad_line_number():
         verify_golden([header, "{"], [header, good])
     with pytest.raises(ValueError, match=r"^trace line 2: invalid JSON"):
         verify_golden([header, good], [header, "[1,"])
+    for bad in bad_events[-4:]:
+        with pytest.raises(ValueError, match=r"^trace line 2: "):
+            verify_golden([header, bad], [header, bad])
 
 
 def test_render_is_deterministic():
