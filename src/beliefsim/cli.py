@@ -17,6 +17,7 @@ divergence, or warnings under --strict), 2 usage or load errors.
 from __future__ import annotations
 
 import argparse
+import reprlib
 import sys
 from pathlib import Path
 
@@ -137,13 +138,15 @@ def _cmd_gauge(args: argparse.Namespace) -> int:
 
 def _number(value: object, line: int, path: str) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ValueError(f"trace line {line}: {path} must be a number, got {value!r}")
+        raise ValueError(
+            f"trace line {line}: {path} must be a number, got {reprlib.repr(value)}")
     return value
 
 
 def _object(value: object, line: int, path: str) -> dict:
     if not isinstance(value, dict):
-        raise ValueError(f"trace line {line}: {path} must be an object, got {value!r}")
+        raise ValueError(
+            f"trace line {line}: {path} must be an object, got {reprlib.repr(value)}")
     return value
 
 

@@ -19,7 +19,8 @@ a copy tokenises again and derives its own content key.
 A state is one table, for the active state and the long-term store alike:
 fragments as they entered are its rows, in id order, and one record per row
 beside them holds its columns (id, ``created_at``, sector set, anchor,
-persistence, row in V of unit vectors, decay factor).  Every state comes out
+persistence, decay factor); the rows' unit vectors are a pair (V, index) the
+state holds, row ``i``'s vector being ``V[index[i]]``.  Every state comes out
 of ``_derive``, which filters rows and records by one keep mask and splices
 put rows in by one plan, computing only theirs: a constructed state is the
 epistemic vacuum with its fragments put in, decay and ``reanchor`` hand it
@@ -181,18 +182,18 @@ class BeliefState:
     in, by the one ``_derive`` that makes every state.  Beside its rows a
     state keeps one record per row (``_ROW``): the id, ``created_at`` and
     sector set the row entered with, its current anchor and persistence,
-    its row in a matrix V of unit vectors (``vectors``) that the states
-    derived from it share until a put hands V on, and its factor of the
-    last whole-state decay.  Only this module reads the records.  A row's
-    fixed fields (id, text, tokens, sectors, key, polarity, level, origin,
-    created_at, members) are current; its anchor and persistence are those
-    it entered with.  Its mass, embedding, conflict groups and goal rows are
-    readings it keeps once made; ``_derive`` hands on those the parent's
-    prove, so an unkeyed state is conflict-free from the start.
+    and its factor of the last whole-state decay.  Only this module reads
+    the records.  The rows' unit vectors (``vectors``) are a pair (V, index)
+    of read-only arrays that the state holds, or embeds at its first read.
+    A row's fixed fields (id, text, tokens, sectors, key, polarity, level,
+    origin, created_at, members) are current; its anchor and persistence are
+    those it entered with.  Its mass, embedding, conflict groups and goal
+    rows are readings it keeps once made; ``_derive`` hands on those the
+    parent's prove, so an unkeyed state is conflict-free from the start.
     """
 
     __slots__ = (
-        "clock", "_rows", "_table", "_decay", "_lineage",
+        "clock", "_rows", "_table", "_decay", "_space",
         "_mass", "_embedding", "_conflicts", "_goals",
     )
 
@@ -227,18 +228,18 @@ class BeliefState:
         """Each fragment's weight, anchor * persistence, in id order."""
         return self._table["anchor"] * self._table["persistence"]
 
-    def _V(self, dim: int) -> np.ndarray:
-        """The lineage's V at ``dim``, embedded if absent or at another dim."""
-        rows, V = self._lineage
-        if V is None or V.shape[1] != dim:
-            V = embed_rows([f.tokens for f in rows], dim)
-            if rows:  # an empty lineage, the vacuum's among them, keeps no V
-                self._lineage[1] = V
-        return V
+    def _pair(self, dim: int) -> tuple[np.ndarray, np.ndarray]:
+        """The pair (V, index) at ``dim``; with none, or one at another dim,
+        the state embeds its own rows and keeps ``(V, arange(n))``."""
+        pair = self._space
+        if pair is None or pair[0].shape[1] != dim:
+            index = _frozen(np.arange(len(self._rows)))
+            pair = self._space = (embed_rows([f.tokens for f in self._rows], dim), index)
+        return pair
 
     def vectors(self, dim: int) -> np.ndarray:
         """A new C-ordered matrix of the rows' unit vectors, in row order."""
-        return np.take(self._V(dim), self._table["index"], axis=0)
+        return np.take(*self._pair(dim), axis=0)
 
     def _in(self, sector: str) -> np.ndarray:
         """A mask of the rows whose sector set holds ``sector``."""
@@ -328,12 +329,12 @@ class BeliefState:
         ``table`` (this state's records or new ones) and the rows filtered by
         one mask ``keep``, then the rows of ``put`` (none kept) put in id
         order and spliced in by one plan, with only their records computed;
-        with no row kept, the put rows are the rows.  A put hands V on and
-        clears this lineage's slot."""
+        with no row kept, the put rows are the rows.  A drop shares this V;
+        a put hands a new one on and empties this state's slot."""
         put = _in_id_order(tuple(put))
         new = object.__new__(BeliefState)
         new.clock, new._mass, new._embedding = clock, None, None
-        rows, lineage = self._rows, self._lineage
+        rows, space = self._rows, self._space
         # The conflict groups and the goal rows read fixed fields only.
         conflicts, goals = self._conflicts, self._goals
         if keep is not None and not keep.all():
@@ -341,14 +342,16 @@ class BeliefState:
             rows = tuple(itertools.compress(rows, mask))
             table = table.view(_RECORD)[keep].view(_ROW)
             conflicts = None if conflicts else conflicts  # () stays ()
+            if space is not None:
+                space = (space[0], _frozen(space[1][keep]))
             if goals is not None:
                 goals = (goals[0], tuple(f for f in goals[1] if mask[self._position(f.id)]))
         if put:
-            added = _records(put)  # V's row 0 holds their place until V is handed on
+            added = _records(put)
             if decay is not None:
                 added["decay"] = _decay_factors(added["anchor"], *decay)
             if not rows:  # nothing kept: the put rows are the table, embedded at the first read
-                table, rows, V = added, put, None
+                table, rows, space = added, put, None
             else:
                 # The plan: each put row's final position, past the kept rows
                 # of lower id and the put rows before it.
@@ -358,21 +361,20 @@ class BeliefState:
                 slot[at] = False
                 spliced[slot], spliced[at] = table.view(_RECORD), added.view(_RECORD)
                 table = spliced.view(_ROW)
-                V = lineage[1]
-                if V is not None:  # in one allocation
-                    V = np.take(V, table["index"], axis=0)
+                if space is not None:  # the kept rows' vectors and the put rows' in one allocation
+                    taken = np.zeros(len(table), np.intp)  # V's row 0 holds the put rows' place
+                    taken[slot] = space[1]
+                    V = np.take(space[0], taken, axis=0)
                     V[at] = embed_rows([f.tokens for f in put], V.shape[1])
-                    lineage[1], V = None, _frozen(V)
+                    space, self._space = (_frozen(V), _frozen(np.arange(len(table)))), None
                 spliced_rows = list(rows)
                 for i, f in zip(at.tolist(), put):  # in ascending order, so each lands at i
                     spliced_rows.insert(i, f)
                 rows = tuple(spliced_rows)
-            table["index"] = np.arange(len(table))
-            lineage = [rows, V]
             conflicts = () if conflicts == () and all(f.key is None for f in put) else None
             if goals is not None:  # no put id is among the kept goal rows
                 goals = (goals[0], tuple(sorted((*goals[1], *_starting(put, goals[0])), key=_ID)))
-        new._rows, new._table, new._lineage, new._decay = rows, _frozen(table), lineage, decay
+        new._rows, new._table, new._space, new._decay = rows, _frozen(table), space, decay
         new._conflicts, new._goals = conflicts, goals
         return new
 
@@ -435,9 +437,8 @@ class BeliefState:
         columns of V where the cue is nonzero screens every row, and the rows
         it cannot rule out are scored exactly.  Each is built once, as one
         ``replace`` of its row with its anchor, persistence and ``overrides``."""
-        vectors = self._V(len(cue_vec))
-        table = self._table
-        index, anchor, persistence = table["index"], table["anchor"], table["persistence"]
+        vectors, index = self._pair(len(cue_vec))
+        anchor, persistence = self._table["anchor"], self._table["persistence"]
         cells = np.flatnonzero(cue_vec)
         screened = np.einsum("ij,j->i", vectors[:, cells], cue_vec[cells])[index]
         # Vectors are non-negative and unit-norm, so two float64 dot products
@@ -488,29 +489,27 @@ def _frozen(array: np.ndarray) -> np.ndarray:
     return array
 
 
-# A row's record: ``sectors`` codes its sector set in ``_SECTOR_SETS``,
-# ``index`` is its row in V and ``decay`` its factor of the last decay.
+# A row's record: ``sectors`` codes its sector set in ``_SECTOR_SETS`` and
+# ``decay`` is its factor of the last decay.
 _ROW = np.dtype([
     ("id", np.int64), ("created_at", float), ("anchor", float), ("persistence", float),
-    ("sectors", np.intp), ("index", np.intp), ("decay", float),
+    ("sectors", np.intp), ("decay", float),
 ])
 # The same bytes with no fields: numpy copies and filters a structured array
 # field by field, and these whole, about ten times faster.
 _RECORD = np.dtype((np.void, _ROW.itemsize))
 # The records of every empty state, so building one makes no numpy call.
 _NO_ROWS = _frozen(np.zeros(0, _ROW))
-# The epistemic vacuum, which every constructed state is derived from.  It
-# shares only what cannot change: ``_V`` fills no empty lineage ([rows, V]).
+# The epistemic vacuum, which every constructed state is derived from.
 _VACUUM = object.__new__(BeliefState)
-_VACUUM._rows, _VACUUM._lineage, _VACUUM._conflicts, _VACUUM._goals = (), [(), None], (), None
+_VACUUM._rows, _VACUUM._space, _VACUUM._conflicts, _VACUUM._goals = (), None, (), None
 # Each distinct sector set a fragment was made with -> the kept set and its
 # code, in order of first use; codes never change, so states share it.
 _SECTOR_SETS: dict[frozenset[str], tuple[frozenset[str], int]] = {}
 
 
 def _records(rows: Sequence[Fragment]) -> np.ndarray:
-    """A new table of records of ``rows``, at row 0 of V and with no decay
-    factor."""
+    """A new table of records of ``rows``, with no decay factor."""
     n = len(rows)
     table = np.zeros(n, _ROW)
     for name in ("id", "created_at", "anchor", "persistence"):
@@ -569,7 +568,7 @@ def embed_state(state: BeliefState, dim: int) -> np.ndarray:
     invariant still holds.  The state keeps the result for this ``dim``: the
     array is read-only and is returned, uncopied, by every later call with
     the same ``dim``.  The arithmetic is ``embed_weighted``'s, over the
-    state's rows of its lineage's V.
+    state's pair (V, index).
     """
     kept = state._embedding
     if kept is not None and kept[0] == dim:
@@ -577,7 +576,7 @@ def embed_state(state: BeliefState, dim: int) -> np.ndarray:
     if state.is_vacuum:
         acc = np.zeros(dim, dtype=np.float64)
     else:
-        acc = embed_weighted(state._V(dim), state._table["index"], state.weights())
+        acc = embed_weighted(*state._pair(dim), state.weights())
     state._embedding = (dim, _frozen(acc))
     return acc
 

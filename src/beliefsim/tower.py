@@ -71,7 +71,8 @@ def _merge_pair(
 
 
 def _vectors(fragments: Sequence[Fragment], dim: int) -> dict[int, np.ndarray]:
-    """id -> unit vector of each fragment, from one ``embed_rows`` call."""
+    """id -> unit vector of each fragment, from one ``embed_rows`` call: for
+    ``merge_group``, whose pool and summaries are no state's rows."""
     return dict(zip((f.id for f in fragments), embed_rows([f.tokens for f in fragments], dim)))
 
 
@@ -119,22 +120,23 @@ def abstract_step(
     Within each sector group the two most embedding-similar fragments are
     paired (ties to the lowest id pair) and merged into a summary at level
     max+1; paired fragments leave the pool, so one step halves (ceiling) each
-    group.  Every pair's cosine is computed once per group into a heap, and
-    the best pair still unpaired is popped from it.  Singletons and odd
-    leftovers pass through with their level incremented so level bookkeeping
-    stays exact across the tower.
+    group.  Every pair's cosine is computed once per group, from the state's
+    own vectors, into a heap, and the best pair still unpaired is popped
+    from it.  Singletons and odd leftovers pass through with their level
+    incremented so level bookkeeping stays exact across the tower.
     """
     if state.is_vacuum:
         raise ValueError("cannot abstract the vacuum: no content to merge")
-    dim = config.embed_dim
+    frags = state.fragments
+    vec = dict(zip((f.id for f in frags), state.vectors(config.embed_dim)))
     groups: dict[str, list[Fragment]] = {}
-    for f in state.fragments:
+    for f in frags:
         groups.setdefault(_primary_sector(f), []).append(f)
 
     result: list[Fragment] = []
     for sector in sorted(groups):
         pool = {f.id: f for f in groups[sector]}
-        heap = _pair_heap(_vectors(groups[sector], dim))
+        heap = _pair_heap({f.id: vec[f.id] for f in groups[sector]})
         while len(pool) >= 2:
             ia, ib = _pop_best_pair(heap, pool)
             a = pool.pop(ia)

@@ -10,6 +10,8 @@ from __future__ import annotations
 
 import json
 import math
+import reprlib
+import sys
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Iterable, Iterator
@@ -130,11 +132,31 @@ def _load_lines(source: str | Path | Iterable[str]) -> list[str]:
     return [ln for ln in lines if ln.strip()]
 
 
+def _float_in_range(text: str) -> float:
+    """A JSON float as ``float`` reads it, refused if it overflows to ±inf."""
+    value = float(text)
+    if math.isinf(value):
+        raise ValueError(f"number {reprlib.repr(text)} is outside the float range")
+    return value
+
+
+def _int_in_range(text: str) -> int:
+    """A JSON integer as ``int`` reads it, refused beyond ±``float_info.max``:
+    a reader of the trace takes it as a float."""
+    value = int(text)
+    if not -sys.float_info.max <= value <= sys.float_info.max:
+        raise ValueError(
+            f"integer of {len(text.lstrip('-'))} digits is outside the float range")
+    return value
+
+
 def _json_line(line: str, number: int) -> Any:
     """One trace line decoded, or a ValueError naming it: the writer emits
-    no NaN or infinity, and no nesting past the decoder's recursion limit."""
+    no NaN or infinity, no number outside the float range, and no nesting
+    past the decoder's recursion limit."""
     try:
-        return json.loads(line, parse_constant=lambda name: _canon_float(float(name)))
+        return json.loads(line, parse_constant=lambda name: _canon_float(float(name)),
+                          parse_float=_float_in_range, parse_int=_int_in_range)
     except json.JSONDecodeError as exc:
         raise ValueError(
             f"trace line {number}: invalid JSON at column {exc.colno}: {exc.msg}"

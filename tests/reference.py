@@ -4,12 +4,12 @@ Each function here is the plain loop that a fast path of the engine
 replaced, kept as an oracle; ``DataclassFragment`` is a fragment made by the
 dataclass's generated constructor and ``__post_init__``, ``assimilate``
 builds every fragment of the state into a list and rebuilds the state from
-it, ``embed_tokens`` embeds
-one token multiset at a time, ``realign`` reads every removal from a whole
-derived state, and the conflict readings group the rows by key on every
-call.  ``test_reference.py`` swaps them into
-a whole run through the module attributes the engine calls and asserts that
-the trace comes out byte for byte the same.
+it, ``embed_tokens`` embeds one token multiset at a time, ``realign`` reads
+every removal from a whole derived state, the conflict readings group the
+rows by key on every call, and the load and the overload target walk every
+row.  ``test_reference.py`` swaps them into a whole run through the module
+attributes the engine calls and asserts that the trace comes out byte for
+byte the same.
 """
 
 from __future__ import annotations
@@ -369,6 +369,40 @@ def coherence(state, sector=None):
     if n == 0:
         return 1.0
     return 1.0 - (2 * _conflict_pairs(rows)) / (n * n)
+
+
+def cognitive_load(state, config, rate):
+    """Row count + activation-weighted sector costs + operator rate, each
+    sector's mass and the total summed left to right over every fragment."""
+    if rate < 0:
+        raise ValueError(f"operation rate must be >= 0, got {rate}")
+    c_count, c_sector, c_rate = config.load_coeffs
+    frags = state.fragments
+    total = 0.0
+    for f in frags:
+        total += f.anchor * f.persistence
+    sector_term = 0.0
+    for sector in sorted({s for f in frags for s in f.sectors}):
+        mass = 0.0
+        for f in frags:
+            if sector in f.sectors:
+                mass += f.anchor * f.persistence
+        sector_term += (mass / total if total > 0.0 else 0.0) * config.cost(sector)
+    return c_count * len(frags) + c_sector * sector_term + c_rate * rate
+
+
+def lowest_priority_sector(state, config):
+    """The present sector ranked last in ``sector_priority``, unlisted ones
+    after every listed one and by name among themselves: one walk over every
+    row's sectors; None for the vacuum."""
+    order = list(config.sector_priority)
+    lowest = None
+    for f in state.rows:
+        for s in f.sectors:
+            rank = (order.index(s) if s in order else len(order), s)
+            if lowest is None or rank > lowest:
+                lowest = rank
+    return None if lowest is None else lowest[1]
 
 
 def most_conflicted_sector(state):

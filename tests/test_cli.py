@@ -655,6 +655,7 @@ def test_inspect_malformed_trace_exits_2_without_traceback(tmp_path, text):
 
 
 NESTED = "[" * 100_000 + "]" * 100_000
+GOLDEN = SCENARIOS / "golden" / "sensor_decay.trace.jsonl"
 
 
 def _refused(proc: subprocess.CompletedProcess, message: str) -> None:
@@ -695,12 +696,39 @@ def test_inspect_and_verify_refuse_a_trace_the_writer_never_emits(tmp_path, repo
     _refused(run_module("verify", str(bad), str(bad)), message)
 
 
+@pytest.mark.parametrize(
+    "number, message",
+    [
+        ("1e400", "trace line 4: number '1e400' is outside the float range"),
+        ("-" + "9" * 400, "trace line 4: integer of 400 digits is outside the float range"),
+    ],
+    ids=["float", "integer"],
+)
+def test_inspect_and_verify_refuse_a_number_outside_the_float_range(tmp_path, number, message):
+    """A number the writer never emits, read as ``inf`` or too large for a
+    float, is refused by name, even by a ``verify`` of a trace against itself."""
+    lines = GOLDEN.read_text().splitlines()
+    assert '"kappa_global":1.0' in lines[3]
+    lines[3] = lines[3].replace('"kappa_global":1.0', f'"kappa_global":{number}')
+    bad = tmp_path / "bad.jsonl"
+    bad.write_text("\n".join(lines) + "\n")
+    _refused(run_module("inspect", str(bad), "--metric", "kappa"), message)
+    _refused(run_module("verify", str(bad), str(bad)), message)
+
+
+def test_inspect_names_a_deeply_nested_value_in_one_short_line(tmp_path):
+    lines = GOLDEN.read_text().splitlines()
+    lines[3] = lines[3].replace('"load":1.23', '"load":' + "[" * 900 + "]" * 900)
+    bad = tmp_path / "bad.jsonl"
+    bad.write_text("\n".join(lines) + "\n")
+    proc = run_module("inspect", str(bad), "--metric", "load")
+    _refused(proc, "error: trace line 4: report.load must be a number, got [[[")
+    assert len(proc.stderr.splitlines()) == 1 and len(proc.stderr) < 200
+
+
 # --------------------------------------------------------------------------
 # verify
 # --------------------------------------------------------------------------
-
-GOLDEN = SCENARIOS / "golden" / "sensor_decay.trace.jsonl"
-
 
 SHIPPED = sorted(p.stem for p in SCENARIOS.glob("*.json"))
 

@@ -207,9 +207,9 @@ def test_reading_an_empty_state_leaves_no_V_for_the_next_state(read):
     else:
         assert empty.matching(embed_rows([("pump",)], 16)[0], 0.3) == ()
     state = BeliefState((make_fragment(1), make_fragment(2, "valve")), 0.0)
-    assert state._lineage[1] is None
+    assert state._space is None
     assert state.vectors(16).tobytes() == _fresh(state, 16)
-    assert state._lineage[1] is not None
+    assert state._space is not None
 
 
 def test_an_empty_state_makes_no_numpy_call(monkeypatch):
@@ -314,6 +314,25 @@ def test_replace_text_never_carries_the_old_vector(cfg):
     assert moved.vectors(cfg.embed_dim)[0].tobytes() == fresh.tobytes()
 
 
+def test_a_drop_shares_V_and_a_put_hands_a_new_one_on():
+    """A drop from a state holding a pair (V, index) shares its V; a put
+    empties the slot of the state it came from and hands on a new V; a state
+    derived before its parent read V embeds its own rows when read."""
+    state = BeliefState(tuple(make_fragment(i, w) for i, w in enumerate(WORDS[:4], 1)), 0.0)
+    early = state.revised(drop={2})
+    V = state._pair(16)[0]
+    dropped = state.revised(drop={1, 3})
+    assert dropped._space[0] is V
+    assert dropped.vectors(16).tobytes() == _fresh(dropped, 16)
+    put = dropped.revised(put=[make_fragment(9, "red light")])
+    assert dropped._space is None
+    assert put._space[0] is not V and state._space[0] is V
+    assert put.vectors(16).tobytes() == _fresh(put, 16)
+    assert early._space is None
+    assert early.vectors(16).tobytes() == _fresh(early, 16)
+    assert len(early._space[0]) == 3
+
+
 def test_second_dim_recomputes(cfg):
     state = BeliefState((make_fragment(1, "pump steady valve"),), 0.0)
     state.vectors(64)
@@ -357,7 +376,7 @@ VECTOR_STEPS = st.one_of(
 )
 def test_carried_vector_equals_fresh_embedding(state, chain, dim):
     """Oracle: whatever chain of ``revised``, ``decayed`` and ``reanchor``
-    made a state, and at whatever dims its lineage embedded on the way, its
+    made a state, and at whatever dims its ancestors embedded on the way, its
     vectors are bit-equal to its rows' ``embed_rows``; so are those of a
     state whose V a put handed on, and of a state with no row left."""
     cfg = default_config()

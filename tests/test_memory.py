@@ -466,14 +466,14 @@ def test_decay_factors_round_as_math_exp(cfg):
 def test_vectors_are_built_at_the_first_retrieve_and_shared(cfg):
     scenario = load_scenario(Path(__file__).parent.parent / "scenarios" / "memory_recall.json")
     run = SimulationRun(scenario)
-    assert run.store._lineage[1] is None  # not at load
+    assert run.store._space is None  # not at load
     store = run.store
     retrieve(store, QueryCue(kind="goal", tokens=("coolant", "pump")), cfg)
-    matrix = store._lineage[1]
+    matrix = store._space[0]
     assert matrix.shape == (len(scenario.store.fragments), cfg.embed_dim)
     decayed = nullify(store, 1.0, cfg)
     retrieve(decayed, QueryCue(kind="goal", tokens=("valve",)), cfg)
-    assert decayed._lineage[1] is matrix
+    assert decayed._space[0] is matrix
     for row, f in enumerate(store.fragments):
         assert np.array_equal(matrix[row], embed_tokens(f.tokens, cfg.embed_dim))
 

@@ -147,6 +147,8 @@ def _swap_reference(mp: pytest.MonkeyPatch) -> None:
     for module in (regulation, execution, simulator):
         mp.setattr(module, "coherence", reference.coherence)
     mp.setattr(regulation, "_most_conflicted_sector", reference.most_conflicted_sector)
+    mp.setattr(regulation, "cognitive_load", reference.cognitive_load)
+    mp.setattr(regulation, "_lowest_priority_sector", reference.lowest_priority_sector)
     mp.setattr(memory, "first_conflict", lambda state: reference.first_conflict(state.rows))
     mp.setattr(BeliefState, "latest", reference.latest)
 

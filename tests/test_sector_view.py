@@ -202,6 +202,9 @@ def test_readings_are_bit_equal_to_the_scans(state, rate):
     for config in (default_config(), COSTLY):
         load = scan_load(state, config, rate)
         assert cognitive_load(state, config, rate) == load
+        assert reference.cognitive_load(state, config, rate) == load
+        assert regulation._lowest_priority_sector(state, config) == (
+            reference.lowest_priority_sector(state, config))
         report = introspect(state, None, {}, config, rate)
         assert report.load == load
         assert report.kappa_global == reference.coherence(state)
