@@ -16,7 +16,11 @@ There is one compass arithmetic, ``_reading`` of an embedding, and one
 embedding arithmetic, ``core.embed_weighted``.  ``compass_reading`` reads a
 state's kept embedding; realignment re-reads the states it considers from
 the arrays of the state it was given, with the same two functions, and
-derives the pruned state once.
+derives the pruned state once.  It re-reads only the removals that a screen
+cannot rule out: the screen reads every removal's residual from per-row
+scalars (each row's products with the axis, taken once per realignment,
+and one small product per step), with a derived error bound, so the
+removal it leads to is the one that reading every removal exactly gives.
 """
 
 from __future__ import annotations
@@ -36,8 +40,12 @@ if TYPE_CHECKING:  # pragma: no cover - typing only, avoids an import cycle
 
 def distance(a: BeliefState, b: BeliefState, config: ParameterConfig) -> float:
     """Cosine distance between state embeddings, in [0, 2]."""
-    va = embed_state(a, config.embed_dim)
-    vb = embed_state(b, config.embed_dim)
+    return cosine_distance(embed_state(a, config.embed_dim), embed_state(b, config.embed_dim))
+
+
+def cosine_distance(va: np.ndarray, vb: np.ndarray) -> float:
+    """``distance``'s arithmetic on two embeddings: 0 for two zero vectors,
+    1 for one zero vector, else 1 - cosine clipped to [0, 2]."""
     na = float(np.linalg.norm(va))
     nb = float(np.linalg.norm(vb))
     if na == 0.0 and nb == 0.0:
@@ -101,47 +109,90 @@ class RealignmentOutcome:
     warned: bool
 
 
-# Slack on top of each screened residual's error bound, for the rounding of
-# the residual arithmetic itself.
+# Slack on top of each screened residual's interval, for the rounding of
+# its two ends.
 SCREEN_BAND = 1e-9
 
+_EPS = float(np.finfo(np.float64).eps)
 
-def _shortlist(vecs: np.ndarray, weights: np.ndarray,
-               axis: "EpistemicAxis") -> np.ndarray:
-    """Indices i whose removal may give the least residual, in one numpy pass.
 
-    Row i embeds the rest (every row but i) the way ``embed_weighted`` does:
-    the sum of positive-weight vectors, or the unweighted sum when no
-    positive weight remains, normalised.  It is formed as ``S - w_i * v_i``,
-    a different summation order from ``embed_weighted``'s, so each screened
-    residual carries a bound on its distance from the exact reading; the
-    bound grows as the rest's sum gets small beside S.  Every row whose
-    interval reaches the lowest upper end (plus SCREEN_BAND) is listed, so
-    the exact minimum is always among them.  A rest whose norm is below
-    ``TINY_NORM`` lists every row.  Weights are finite: an anchor is at most
-    ``ANCHOR_MAX`` and a persistence at most 1.
+def _fixed(vecs: np.ndarray, axis: "EpistemicAxis") -> tuple:
+    """What the screen reads once per realignment: the axis as arrays, each
+    row's ``a_i = v_i·dir``, ``b_i = v_i·origin`` and ``q_i = |v_i|²``, and
+    ``dir·dir``, ``origin·dir`` and ``origin·origin``."""
+    direction = np.asarray(axis.direction, dtype=np.float64)
+    origin = np.asarray(axis.origin, dtype=np.float64)
+    rows = (vecs @ direction, vecs @ origin, np.einsum("ij,ij->i", vecs, vecs))
+    return direction, origin, rows, (direction @ direction, origin @ direction, origin @ origin)
+
+
+def _shortlist(vecs: np.ndarray, pos: np.ndarray, live: np.ndarray,
+               fixed: tuple) -> np.ndarray:
+    """Positions k in ``live`` whose removal may give the least residual.
+
+    ``pos`` is every row's weight where positive and 0 elsewhere, 0 too for
+    the rows already removed, so S = pos @ vecs sums the live positive
+    rows; ``fixed`` is ``_fixed(vecs, axis)``.  With at least two live
+    positive weights every rest (every live row but i) sums as
+    ``embed_weighted`` weighs it, to R_i = S - w_i v_i, and with
+    c = vecs @ S each removal is read from scalars:
+
+        N_i² = S·S - 2 w_i c_i + w_i² q_i
+        u·dir = (S·dir - w_i a_i) / N_i - origin·dir
+        |u|² = 1 - 2 (S·origin - w_i b_i) / N_i + origin·origin
+        residual² = |u|² - (u·dir)² / (dir·dir)
+
+    The bound.  Let eps be the machine epsilon, n the live rows, d the
+    columns, W the sum of the live positive weights, N a lower bound on
+    N_i and t = 1 + |origin|.  Every row of V is a unit vector or zero, so
+    Σ w_j |v_j| <= W and N_i <= W.  To first order in eps:
+      - the exact re-read sums R_i to within (n/2)·eps·W, so its unit
+        vector lies within n·eps·W/N of R_i/N_i, and its norm and division
+        add (d/4 + 3/2)·eps; ``_reading`` adds at most (5d/4 + 9/2)·eps·t.
+        Its residual is within (n + 3d/2 + 6)·eps·(W/N)·t of the true one,
+        and its square within twice that times t;
+      - S is within (n/2)·eps·W of the true sum, which moves each rest's
+        residual by at most n·eps·W/N and its square by 2n·eps·(W/N)·t;
+      - from that S the scalars give N_i² within (2d + 4)·eps·W², u·dir
+        within (7d/2 + 13/2)·eps·(W/N)²·t·|dir|, |u|² within
+        (13d/2 + 13)·eps·(W/N)²·t², and residual² within
+        (14d + 28)·eps·(W/N)²·t².
+    As W/N >= 1 and t >= 1, residual² is within
+    (4n + 17d + 40)·eps·(W/N)²·t² of the re-read's square.  The bound is
+    twice that, with N² taken as the computed N_i² less its own error,
+    (n + 2d + 4)·eps·W².  It is used only while it is at most t², where
+    every first-order term is below 1/2 and the dropped terms are below
+    the first-order ones.  Otherwise every position is listed; so it is
+    when a rest is below ``TINY_NORM`` (its squares may be subnormal and
+    lose digits, and ``embed_weighted`` rescales it), and when fewer than
+    two live weights are positive (some rests then sum unweighted).
+
+    The interval of residual² is cut at 0 and the square root taken of
+    each end, so a residual near 0 needs no division by it.  Every
+    position whose interval reaches the lowest upper end (plus
+    SCREEN_BAND) is listed, so the exact minimum is always among them.
     """
-    n = len(weights)
-    positive = weights > 0.0
-    pos = np.where(positive, weights, 0.0)
-    weighted = np.count_nonzero(positive) - positive > 0
-    rest = pos @ vecs - pos[:, None] * vecs
-    if not weighted.all():  # at most one positive weight: some rests sum unweighted
-        rest = np.where(weighted[:, None], rest, vecs.sum(axis=0) - vecs)
-    norms = np.linalg.norm(rest, axis=1)
-    if (norms < TINY_NORM).any():
-        # embed_weighted rescales so small a sum before normalising it, which
-        # no bound here covers: read every row exactly.
+    direction, origin, (a, b, q), (dd, od, oo) = fixed
+    n, d = len(live), vecs.shape[1]
+    w = pos[live]
+    if np.count_nonzero(w) < 2:
         return np.arange(n)
-    scale = np.where(weighted, pos.sum(), n)
-    emb = rest / norms[:, None]
-    err = 4.0 * (n + 2) * np.finfo(np.float64).eps * scale / norms
-    v = np.asarray(axis.direction, dtype=np.float64)
-    u = emb - np.asarray(axis.origin, dtype=np.float64)
-    # u = 0 gives a zero rejection: the residual-0 convention of the reading.
-    residual = np.linalg.norm(u - np.outer(u @ v / (v @ v), v), axis=1)
-    floor = np.min(residual + err)
-    return np.flatnonzero(~(residual - err > floor + SCREEN_BAND))
+    total = float(w.sum())
+    s = pos @ vecs
+    c = (vecs @ s)[live]
+    n2 = s @ s - 2.0 * w * c + w * w * q[live]
+    low = n2 - (n + 2 * d + 4) * _EPS * total * total
+    coeff = (8 * n + 34 * d + 80) * _EPS * total * total
+    if low.min() < max(TINY_NORM * TINY_NORM, coeff):
+        return np.arange(n)
+    norm = np.sqrt(n2)
+    along = (s @ direction - w * a[live]) / norm - od
+    uu = 1.0 - 2.0 * (s @ origin - w * b[live]) / norm + oo
+    res2 = np.maximum(uu - along * along / dd, 0.0)
+    bound = coeff / low * (1.0 + math.sqrt(oo)) ** 2
+    lo = np.sqrt(np.maximum(res2 - bound, 0.0))
+    hi = np.sqrt(res2 + bound)
+    return np.flatnonzero(lo <= hi.min() + SCREEN_BAND)
 
 
 def realign(state: BeliefState, axis: "EpistemicAxis",
@@ -155,9 +206,12 @@ def realign(state: BeliefState, axis: "EpistemicAxis",
     residual — the residual never increases between steps.
 
     The loop runs on the arrays of ``state``: its rows' vectors
-    (``state.vectors``), its weights and the positions of the rows still
-    live.  Each step screens every removal at once (``_shortlist``), then
-    re-reads only the shortlisted ones exactly: ``embed_weighted`` of the
+    (``state.vectors``), its weights, zeroed as rows leave, and the
+    positions of the rows still live.  Each row's products with the axis
+    are taken once (``_fixed``); each step screens every removal from
+    them, from one product of the live weighted sum with V and from three
+    dot products of that sum (``_shortlist``), then re-reads only the
+    shortlisted removals exactly: ``embed_weighted`` of the
     rest and ``_reading``, the arithmetic of ``compass_reading`` on the
     state without that row, to the bit.  The first least exact residual in
     id order is dropped, so the choice is that of reading every removal
@@ -168,10 +222,12 @@ def realign(state: BeliefState, axis: "EpistemicAxis",
     removed: list[int] = []
     if warned and len(state.rows) > 1:
         vecs, weights = state.vectors(config.embed_dim), state.weights()
+        fixed = _fixed(vecs, axis)
+        pos = np.where(weights > 0.0, weights, 0.0)
         live = np.arange(len(state.rows))
         while warned and len(live) > 1:
             best = best_reading = None
-            for i in _shortlist(vecs[live], weights[live], axis).tolist():
+            for i in _shortlist(vecs, pos, live, fixed).tolist():
                 rest = np.delete(live, i)
                 cand_reading = _reading(embed_weighted(vecs, rest, weights[rest]), axis)
                 if best_reading is None or cand_reading.residual < best_reading.residual:
@@ -180,6 +236,7 @@ def realign(state: BeliefState, axis: "EpistemicAxis",
             if best_reading.residual >= reading.residual:
                 break  # still drifting: warned stays True
             removed.append(state.rows[live[best]].id)
+            pos[live[best]] = 0.0
             live = np.delete(live, best)
             reading = best_reading
             warned = detect_drift(reading, config)
@@ -190,6 +247,7 @@ __all__ = [
     "CompassReading",
     "RealignmentOutcome",
     "compass_reading",
+    "cosine_distance",
     "detect_drift",
     "distance",
     "realign",

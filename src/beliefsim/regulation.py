@@ -12,16 +12,19 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Mapping
 
+import numpy as np
+
 from .config import ParameterConfig
 from .core import (
     BeliefState,
     Fragment,
     IdAllocator,
     activation_density,
+    embed_state,
     first_conflict,
     ordered_sum,
 )
-from .geometry import compass_reading, distance
+from .geometry import compass_reading, cosine_distance
 from .tower import EpistemicAxis
 
 EFFORT_CLASSES = (
@@ -120,11 +123,14 @@ class IntrospectiveReport:
 
 def introspect(
     active: BeliefState,
-    prev_active: BeliefState | None,
+    prev_embedding: np.ndarray | None,
     axes: Mapping[str, EpistemicAxis],
     config: ParameterConfig,
     rate: float,
 ) -> IntrospectiveReport:
+    """One tick's report on ``active``.  The velocity is the cosine
+    distance from ``prev_embedding``, the previous tick's state embedding
+    (``embed_state``), or 0 on the first tick."""
     kappa_by_sector = {
         s: coherence(active, s) for s in active.sectors()
     }
@@ -132,8 +138,8 @@ def introspect(
     for label in sorted(axes):
         theta_by_axis[label] = compass_reading(active, axes[label], config).theta
     velocity = 0.0
-    if prev_active is not None:
-        velocity = distance(active, prev_active, config)
+    if prev_embedding is not None:
+        velocity = cosine_distance(embed_state(active, config.embed_dim), prev_embedding)
     return IntrospectiveReport(
         tick=active.clock,
         kappa_global=coherence(active),

@@ -33,8 +33,10 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Mapping, Sequence
 
+import numpy as np
+
 from .config import ParameterConfig, config_from_dict, is_finite_number
-from .core import ANCHOR_MAX, BeliefState, Fragment, IdAllocator, tokenize
+from .core import ANCHOR_MAX, BeliefState, Fragment, IdAllocator, embed_state, tokenize
 from .dynamics import (
     ASSIMILATION_MODES,
     ConflictError,
@@ -102,6 +104,10 @@ OP_RATE_KINDS = frozenset(
 
 COMMAND_ANCHOR = 5.0
 MEMORY_CYCLE_COST = 3.0
+# Most ticks a scenario may ask for, in one tick event and in all of them
+# together; a shipped scenario asks for at most 150 in one event.  Above it
+# a run would not end in useful time, so load refuses it.
+MAX_TICKS = 10_000
 
 _SCENARIO_KEYS = frozenset(
     {"name", "config", "memory", "rules", "lexicon", "axes", "basins", "timeline", "states"}
@@ -294,6 +300,7 @@ def _check_assertion(a: Any, where: str) -> None:
 
 
 def _validate_timeline(timeline: Sequence[Mapping[str, Any]]) -> None:
+    ticks = 0
     for i, entry in enumerate(timeline):
         if not isinstance(entry, dict):
             raise ScenarioError(f"timeline[{i}]: an entry must be an object")
@@ -328,8 +335,13 @@ def _validate_timeline(timeline: Sequence[Mapping[str, Any]]) -> None:
                 )
         if kind == "tick":
             n = entry.get("n", 1)
-            if not isinstance(n, int) or isinstance(n, bool) or n < 1:
-                raise ScenarioError(f"timeline[{i}]: tick n must be an int >= 1")
+            if not isinstance(n, int) or isinstance(n, bool) or not 1 <= n <= MAX_TICKS:
+                raise ScenarioError(f"timeline[{i}]: tick n must be an int >= 1 and <= {MAX_TICKS}")
+            ticks += n
+            if ticks > MAX_TICKS:
+                raise ScenarioError(
+                    f"timeline[{i}]: the ticks up to here add up to {ticks}, above {MAX_TICKS}"
+                )
         if kind == "set_mode" and entry.get("mode") not in RUN_MODES:
             raise ScenarioError(f"timeline[{i}]: mode must be one of {RUN_MODES}")
         if kind == "expect":
@@ -516,7 +528,9 @@ class SimulationRun:
             make_header(scenario.name, self.seed, mode, self.config.to_dict())
         )
         self.ledger: EffortLedger = uniform_ledger(self.config)
-        self._prev_active: BeliefState | None = None
+        # The last introspected state's embedding: the next tick's velocity
+        # needs only it, not the state and its vectors.
+        self._prev_embedding: np.ndarray | None = None
         self._prev_readiness: dict[str, float] = {b.name: 0.0 for b in scenario.basins}
         self._issued_cues: set[tuple] = set()
         self._fired_ever: list[str] = []
@@ -686,9 +700,9 @@ class SimulationRun:
         self._pending_ops = 0
         rate = float(sum(self._op_buckets))
         report = introspect(
-            self.active, self._prev_active, self.axes, self.config, rate
+            self.active, self._prev_embedding, self.axes, self.config, rate
         )
-        self._prev_active = self.active
+        self._prev_embedding = embed_state(self.active, self.config.embed_dim)
 
         breached = coherence_breached(report, self.config)
         self._kappa_streak = self._kappa_streak + 1 if breached else 0
@@ -870,6 +884,7 @@ __all__ = [
     "ASSERTION_CHECKS",
     "AssertionOutcome",
     "COMMAND_ANCHOR",
+    "MAX_TICKS",
     "MEMORY_CYCLE_COST",
     "OP_RATE_KINDS",
     "RUN_MODES",

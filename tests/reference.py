@@ -5,7 +5,8 @@ replaced, kept as an oracle; ``DataclassFragment`` is a fragment made by the
 dataclass's generated constructor and ``__post_init__``, ``assimilate``
 builds every fragment of the state into a list and rebuilds the state from
 it, ``embed_tokens`` embeds one token multiset at a time, ``realign`` reads
-every removal from a whole derived state, the conflict readings group the
+every removal from a whole derived state, ``shortlist`` screens every
+removal through the matrix of all its rests, the conflict readings group the
 rows by key on every call, and the load and the overload target walk every
 row.  ``test_reference.py`` swaps them into a whole run through the module
 attributes the engine calls and asserts that the trace comes out byte for
@@ -35,7 +36,12 @@ from beliefsim.dynamics import (
     ConflictError,
     _revision_loser,
 )
-from beliefsim.geometry import RealignmentOutcome, compass_reading, detect_drift
+from beliefsim.geometry import (
+    SCREEN_BAND,
+    RealignmentOutcome,
+    compass_reading,
+    detect_drift,
+)
 from beliefsim.regulation import META_ANCHOR, REFLECTIVE_SECTOR, _breach_entries, _meta_text
 from beliefsim.tower import merge_group
 
@@ -155,6 +161,32 @@ def realign(state, axis, config):
         removed.append(best_id)
         reading = best_reading
     return RealignmentOutcome(current, tuple(removed), detect_drift(reading, config))
+
+
+def shortlist(vecs, weights, axis):
+    """Realignment's screen in matrix form: every rest (every row but i) as
+    a row ``S - w_i * v_i``, or the unweighted sum where at most one weight
+    is positive, with two sets of row norms and an outer product.  Its
+    bound grows as a rest's sum gets small beside S; a rest below
+    ``TINY_NORM`` lists every row."""
+    n = len(weights)
+    positive = weights > 0.0
+    pos = np.where(positive, weights, 0.0)
+    weighted = np.count_nonzero(positive) - positive > 0
+    rest = pos @ vecs - pos[:, None] * vecs
+    if not weighted.all():
+        rest = np.where(weighted[:, None], rest, vecs.sum(axis=0) - vecs)
+    norms = np.linalg.norm(rest, axis=1)
+    if (norms < TINY_NORM).any():
+        return np.arange(n)
+    scale = np.where(weighted, pos.sum(), n)
+    emb = rest / norms[:, None]
+    err = 4.0 * (n + 2) * np.finfo(np.float64).eps * scale / norms
+    v = np.asarray(axis.direction, dtype=np.float64)
+    u = emb - np.asarray(axis.origin, dtype=np.float64)
+    residual = np.linalg.norm(u - np.outer(u @ v / (v @ v), v), axis=1)
+    floor = np.min(residual + err)
+    return np.flatnonzero(~(residual - err > floor + SCREEN_BAND))
 
 
 def retrieval_score(cue_vec, fragment):

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -11,7 +12,7 @@ from pathlib import Path
 import pytest
 
 from beliefsim.cli import main
-from beliefsim.simulator import ScenarioError, load_scenario
+from beliefsim.simulator import MAX_TICKS, ScenarioError, load_scenario
 from beliefsim.trace import parse_trace
 
 REPO = Path(__file__).resolve().parent.parent
@@ -724,6 +725,37 @@ def test_inspect_names_a_deeply_nested_value_in_one_short_line(tmp_path):
     proc = run_module("inspect", str(bad), "--metric", "load")
     _refused(proc, "error: trace line 4: report.load must be a number, got [[[")
     assert len(proc.stderr.splitlines()) == 1 and len(proc.stderr) < 200
+
+
+def test_run_refuses_a_tick_count_that_would_not_end(tmp_path):
+    """A 400-digit tick count is refused at load, not run until killed."""
+    path = tmp_path / "long.json"
+    path.write_text('{"timeline": [{"event": "tick", "n": ' + "9" * 400 + "}]}")
+    proc = subprocess.run(
+        [sys.executable, "-m", "beliefsim", "run", str(path)], capture_output=True, text=True,
+        env={**os.environ, "PYTHONPATH": str(REPO / "src")}, timeout=60,
+    )
+    _refused(proc, f"error: timeline[0]: tick n must be an int >= 1 and <= {MAX_TICKS}")
+
+
+@pytest.mark.parametrize(
+    "counts, refused",
+    [
+        ([MAX_TICKS], None),
+        ([MAX_TICKS - 1, 1], None),
+        ([MAX_TICKS + 1], f"timeline[0]: tick n must be an int >= 1 and <= {MAX_TICKS}"),
+        ([MAX_TICKS, 1], f"timeline[1]: the ticks up to here add up to {MAX_TICKS + 1}"),
+    ],
+    ids=["one-event-at-bound", "total-at-bound", "one-event-above", "total-above"],
+)
+def test_load_bounds_the_ticks_of_an_event_and_of_the_scenario(tmp_path, counts, refused):
+    data = {"timeline": [{"event": "tick", "n": n} for n in counts]}
+    path = write_scenario(tmp_path, data)
+    if refused is None:
+        assert sum(e["n"] for e in load_scenario(path).timeline) == MAX_TICKS
+    else:
+        with pytest.raises(ScenarioError, match=re.escape(refused)):
+            load_scenario(path)
 
 
 # --------------------------------------------------------------------------

@@ -9,11 +9,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from beliefsim import geometry
 from beliefsim.config import default_config
-from beliefsim.core import BeliefState, embed_state, tokenize
+from beliefsim.core import BeliefState, embed_state, embed_weighted, tokenize
 from beliefsim.geometry import (
     CompassReading,
     compass_reading,
+    cosine_distance,
     detect_drift,
     distance,
     realign,
@@ -75,6 +77,14 @@ class TestDistanceLaws:
         d = distance(a, b, cfg)
         assert d == pytest.approx(distance(b, a, cfg), abs=1e-12)
         assert 0.0 <= d <= 2.0
+
+    @settings(max_examples=60, deadline=None)
+    @given(a=states(), b=states())
+    def test_is_the_cosine_distance_of_the_embeddings(self, a, b):
+        """Vacua included: both empty read 0, one empty reads 1."""
+        cfg = default_config()
+        va, vb = embed_state(a, cfg.embed_dim), embed_state(b, cfg.embed_dim)
+        assert cosine_distance(va, vb) == distance(a, b, cfg)
 
     @settings(max_examples=40, deadline=None)
     @given(a=states())
@@ -281,8 +291,8 @@ class TestRealignMatchesExactLoop:
 
 def test_realign_rereads_a_rest_too_small_to_screen():
     # Without fragment 3 the rest weighs 2e-9 beside a whole of about 1, so
-    # S - w_3 * v_3 keeps few correct digits: only its error bound keeps that
-    # removal on the shortlist.
+    # its norm read from S keeps few correct digits: the screen cannot bound
+    # that removal and lists every one for the exact re-read.
     cfg = default_config().replace(embed_dim=8, tau_theta=0.05, tau_r=0.05)
     state = BeliefState((
         make_fragment(1, "green", anchor=1e-9),
@@ -292,3 +302,49 @@ def test_realign_rereads_a_rest_too_small_to_screen():
     axis = axis_from(embed_tokens(tokenize("light red"), cfg.embed_dim))
     outcome = realign(state, axis, cfg)
     assert outcome.removed == reference.realign(state, axis, cfg).removed == (1, 3)
+
+
+class TestScreenHoldsTheExactArgmin:
+    @settings(max_examples=400, deadline=None, derandomize=True)
+    @given(state=tie_states(max_frags=12), data=st.data())
+    def test_every_shortlist_holds_the_first_least_exact_residual(self, state, data):
+        """Rows echoing one text at other weights, weights scaled down (to
+        below TINY_NORM too) or zeroed, rows already removed, and axes
+        through a rest: residuals that tie, or sit near 0 where their
+        squares cancel, or come from a rest faint beside the whole."""
+        n = len(state.rows)
+        every = st.just(frozenset(range(n)))
+        echo = sorted(data.draw(st.one_of(every, st.sets(st.integers(0, n - 1)))))
+        if echo:
+            text = state.rows[echo[0]].text
+            state = BeliefState(tuple(
+                f.replace(text=text) if i in echo else f for i, f in enumerate(state.rows)
+            ), state.clock)
+        dim = data.draw(st.sampled_from((8, 64)))
+        vecs, weights = state.vectors(dim), state.weights().copy()
+        all_but_one = st.integers(0, n - 1).map(lambda k: frozenset(range(n)) - {k})
+        faint = sorted(data.draw(st.one_of(all_but_one, st.sets(st.integers(0, n - 1)))))
+        weights[faint] *= data.draw(st.sampled_from((0.0, 1e-2, 1e-4, 1e-6, 1e-155, 1e-160)))
+        gone = sorted(data.draw(st.sets(st.integers(0, n - 1), max_size=n - 2)))
+        live = np.delete(np.arange(n), gone)
+        kind = data.draw(st.sampled_from(("drawn", "along", "at")))
+        if kind == "drawn":
+            axis = data.draw(realign_axes(dim))
+        else:  # the axis passes through one removal's rest, often the faintest
+            heaviest = st.just(int(np.argmax(weights[live])))
+            rest = np.delete(live, data.draw(st.one_of(heaviest, st.integers(0, len(live) - 1))))
+            point = embed_weighted(vecs, rest, weights[rest])
+            origin = data.draw(st.sampled_from((np.zeros(dim), embed_state(state, dim))))
+            direction = point - origin
+            if kind == "at" or not direction.any():
+                origin, direction = point, embed_tokens(tokenize(CORE), dim)
+            axis = axis_from(direction, origin)
+        pos = np.where(weights > 0.0, weights, 0.0)
+        pos[gone] = 0.0
+        residuals = [  # every removal as realignment's exact re-read reads it
+            geometry._reading(embed_weighted(vecs, rest, weights[rest]), axis).residual
+            for rest in (np.delete(live, k) for k in range(len(live)))
+        ]
+        least = residuals.index(min(residuals))
+        assert least in geometry._shortlist(vecs, pos, live, geometry._fixed(vecs, axis))
+        assert least in reference.shortlist(vecs[live], weights[live], axis)

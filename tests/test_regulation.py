@@ -190,8 +190,8 @@ def test_introspect_snapshot_fields(cfg):
 def test_introspect_velocity_is_distance_to_previous(cfg):
     prev = BeliefState((make_fragment(1, "coolant flow"),), 0.0)
     curr = BeliefState((make_fragment(1, "terrain grid"),), 1.0)
-    report = introspect(curr, prev, {}, cfg, rate=0.0)
-    assert report.velocity == pytest.approx(distance(curr, prev, cfg))
+    report = introspect(curr, embed_state(prev, cfg.embed_dim), {}, cfg, rate=0.0)
+    assert report.velocity == distance(curr, prev, cfg)
 
 
 def test_introspect_reads_every_axis(cfg):
