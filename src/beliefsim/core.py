@@ -10,8 +10,9 @@ token is hashed (blake2b, independent of PYTHONHASHSEED) into one of
 ``embed_dim`` cells, counts accumulate, and the cell vector is L2-normalized.
 Equal token multisets therefore embed to bitwise-equal vectors, and all
 geometry downstream (distance, compass, retrieval scores) inherits that
-determinism.  ``embed_rows`` is the one vectoriser.  A fragment tokenises
-once and derives its content key once; a state embeds once per ``dim``.
+determinism.  ``embed_rows`` is the one vectoriser; it hashes each distinct
+token once per ``dim`` per process.  A fragment tokenises once and derives
+its content key once; a state embeds once per ``dim``.
 A fragment has one constructor, which keeps one object per equal sector set;
 ``Fragment.replace`` is a construction from its fields and the overrides, so
 a copy tokenises again and derives its own content key.
@@ -554,6 +555,11 @@ def token_cell(token: str, dim: int) -> int:
     return int.from_bytes(digest, "big") % dim
 
 
+# dim -> token -> ``token_cell(token, dim)``, for each token ``embed_rows``
+# has met at that dim in this process.
+_CELLS: dict[int, dict[str, int]] = {}
+
+
 # Below this norm a vector's squared entries can be subnormal, so its norm,
 # and the vector normalised by it, lose digits.
 TINY_NORM = 1e-150
@@ -614,23 +620,28 @@ def embed_rows(token_lists: Sequence[Sequence[str]], dim: int) -> np.ndarray:
     """Each token list's unit bag-of-words vector, one row of a read-only
     matrix filled in place (an empty list's row stays zero).
 
-    A row's cells hold integer token counts, so their squares sum exactly
-    and ``sqrt`` of that sum is its norm: equal token multisets give
-    bit-equal rows, whatever the token order.
+    A token's cell at ``dim`` is ``token_cell``'s, hashed once per process
+    and kept in ``_CELLS``.  The counts are added into a zero matrix, and a
+    row's squared norm is summed from the counts of its own tokens: a token
+    adds its cell's count once per occurrence, so a row sums to the sum of
+    its counts squared.  Those are integers, and every partial sum is exact
+    while that sum is below 2**53, which holds for any row of fewer than
+    about 9.4e7 tokens; so ``sqrt`` of it is the norm, in any order of
+    addition, and equal token multisets give bit-equal rows, whatever the
+    token order.  Only the filled cells are divided by the norm; the others
+    stay ``+0.0``.
     """
     flat = list(chain.from_iterable(token_lists))
-    cell_of = {t: token_cell(t, dim) for t in set(flat)}
+    cell_of = _CELLS.setdefault(dim, {})
+    for token in set(flat).difference(cell_of):
+        cell_of[token] = token_cell(token, dim)
     matrix = np.zeros((len(token_lists), dim), dtype=float)
-    np.add.at(
-        matrix,
-        (
-            np.repeat(np.arange(len(token_lists)), [len(t) for t in token_lists]),
-            np.fromiter(map(cell_of.__getitem__, flat), np.intp, len(flat)),
-        ),
-        1.0,
-    )
-    norms = np.sqrt(np.einsum("ij,ij->i", matrix, matrix))
-    matrix /= np.where(norms > 0.0, norms, 1.0)[:, None]
+    rows = np.repeat(np.arange(len(token_lists)), [len(t) for t in token_lists])
+    cells = np.fromiter(map(cell_of.__getitem__, flat), np.intp, len(flat))
+    np.add.at(matrix, (rows, cells), 1.0)
+    counts = matrix[rows, cells]
+    norms = np.sqrt(np.bincount(rows, weights=counts, minlength=len(token_lists)))
+    matrix[rows, cells] = np.divide(counts, norms[rows], out=counts)
     return _frozen(matrix)
 
 

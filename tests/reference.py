@@ -4,13 +4,13 @@ Each function here is the plain loop that a fast path of the engine
 replaced, kept as an oracle; ``DataclassFragment`` is a fragment made by the
 dataclass's generated constructor and ``__post_init__``, ``assimilate``
 builds every fragment of the state into a list and rebuilds the state from
-it, ``embed_tokens`` embeds one token multiset at a time, ``realign`` reads
-every removal from a whole derived state, ``shortlist`` screens every
-removal through the matrix of all its rests, the conflict readings group the
-rows by key on every call, and the load and the overload target walk every
-row.  ``test_reference.py`` swaps them into a whole run through the module
-attributes the engine calls and asserts that the trace comes out byte for
-byte the same.
+it, ``embed_tokens`` embeds one token multiset at a time and ``embed_rows``
+stacks its rows, ``realign`` reads every removal from a whole derived state,
+``shortlist`` screens every removal through the matrix of all its rests, the
+conflict readings group the rows by key on every call, and the load and the
+overload target walk every row.  ``test_reference.py`` swaps them into a
+whole run through the module attributes the engine calls and asserts that
+the trace comes out byte for byte the same.
 """
 
 from __future__ import annotations
@@ -85,6 +85,16 @@ def embed_tokens(tokens, dim):
     if norm > 0.0:
         vec /= norm
     return vec
+
+
+def embed_rows(token_lists, dim):
+    """Each token list's ``embed_tokens`` row, stacked into a read-only
+    matrix."""
+    matrix = np.zeros((len(token_lists), dim), dtype=np.float64)
+    for row, tokens in zip(matrix, token_lists):
+        row[:] = embed_tokens(tokens, dim)
+    matrix.flags.writeable = False
+    return matrix
 
 
 def nullify(state, dt, config):

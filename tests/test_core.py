@@ -302,6 +302,37 @@ def test_embed_rows_matches_the_per_token_loop(token_lists, dim):
         assert row.tobytes() == embed_tokens(tokens, dim).tobytes()
 
 
+_TOKENS = st.one_of(st.sampled_from(WORDS), st.text("abxyz019", min_size=1, max_size=5))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(
+    dims=st.lists(st.integers(1, 512), min_size=2, max_size=2, unique=True),
+    token_lists=st.lists(
+        st.one_of(
+            st.lists(_TOKENS, max_size=8),
+            st.tuples(_TOKENS, st.integers(2, 40)).map(lambda pair: [pair[0]] * pair[1]),
+        ),
+        max_size=40,
+    ),
+    chunk=st.integers(1, 12),
+)
+@example(dims=[8, 3], token_lists=[[], ["pump"] * 12, ["valve", "pump", "valve"]], chunk=1)
+def test_embed_rows_memo_and_scatter_match_the_per_token_loop(dims, token_lists, chunk):
+    """Oracle for the kept cells and the filled-cell writes: the rows are
+    embedded in chunks whose dim alternates between two, in one process, so
+    a token's cell is often read from the memo filled at the other dim's
+    turn; empty rows and rows repeating one token many times (a cell's count
+    above 1) are drawn.  Every row is bit-equal to the per-token loop."""
+    for start in range(0, max(len(token_lists), 1), chunk):
+        for dim in (dims[start // chunk % 2], dims[(start // chunk + 1) % 2]):
+            part = token_lists[start:start + chunk]
+            matrix = embed_rows(part, dim)
+            assert matrix.shape == (len(part), dim)
+            for tokens, row in zip(part, matrix):
+                assert row.tobytes() == embed_tokens(tokens, dim).tobytes()
+
+
 def _fresh(state: BeliefState, dim: int) -> bytes:
     return embed_rows([f.tokens for f in state.rows], dim).tobytes()
 

@@ -28,7 +28,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from beliefsim import execution, geometry, memory, regulation, simulator, tower
+from beliefsim import core, execution, geometry, memory, regulation, simulator, tower
 from beliefsim.config import default_config
 from beliefsim.core import BeliefState
 from beliefsim.simulator import SimulationRun, load_scenario, run_scenario
@@ -133,8 +133,9 @@ CASES = (
 
 def _swap_reference(mp: pytest.MonkeyPatch) -> None:
     """Swap the reference loops in through the names the engine calls; the
-    store decays through ``simulator.nullify`` as the active state does, and
-    retrieved copies are assimilated through ``memory.assimilate``."""
+    store decays through ``simulator.nullify`` as the active state does,
+    retrieved copies are assimilated through ``memory.assimilate``, and
+    every V, cue vector and tower vector comes from the per-token loop."""
     mp.setattr(simulator, "assimilate", reference.assimilate)
     mp.setattr(memory, "assimilate", reference.assimilate)
     mp.setattr(simulator, "nullify", reference.nullify)
@@ -144,6 +145,8 @@ def _swap_reference(mp: pytest.MonkeyPatch) -> None:
     mp.setattr(simulator, "realign", reference.realign)
     mp.setattr(geometry, "embed_state", reference.embed_state)
     mp.setattr(tower, "embed_state", reference.embed_state)
+    for module in (core, memory, tower):
+        mp.setattr(module, "embed_rows", reference.embed_rows)
     for module in (regulation, execution, simulator):
         mp.setattr(module, "coherence", reference.coherence)
     mp.setattr(regulation, "_most_conflicted_sector", reference.most_conflicted_sector)
