@@ -8,6 +8,7 @@ never reaches for module-level globals.  Instances are immutable; use
 
 from __future__ import annotations
 
+import reprlib
 import sys
 from dataclasses import asdict, dataclass, field, fields
 from dataclasses import replace as dc_replace
@@ -93,8 +94,10 @@ class ParameterConfig:
             )
         for name in ("embed_dim", "window", "patience", "meta_depth_max", "seed"):
             value = getattr(self, name)
-            if not isinstance(value, int) or isinstance(value, bool):
-                raise ValueError(f"{name} must be an integer, got {value!r}")
+            if not isinstance(value, int) or not is_finite_number(value):
+                raise ValueError(
+                    f"{name} must be an integer within the float range, "
+                    f"got {reprlib.repr(value)}")
         if not (8 <= self.embed_dim <= EMBED_DIM_MAX):
             raise ValueError(
                 f"embed_dim must lie in [8, {EMBED_DIM_MAX}], got {self.embed_dim}"

@@ -37,6 +37,20 @@ EFFORT_CLASSES = (
     "rest",
 )
 
+# What each budgeted step of a tick costs: its ``effort_skip`` op name ->
+# (the class that pays, units).  The one statement of these costs; a step
+# pays before it runs, or is skipped.  No step charges ``abstraction``.
+EFFORT_COSTS: Mapping[str, tuple[str, float]] = {
+    "meta": ("monitors", 1.0),
+    "annihilate_sector": ("corrective", 1.0),
+    "corrective_assimilation": ("corrective", 1.0),
+    "realign": ("corrective", 1.0),
+    "accelerate_nullify": ("nullify", 1.0),
+    "memory_cycle": ("memory", 3.0),
+    "drift": ("rest", 1.0),
+    "basins": ("planning", 1.0),
+}
+
 REFLECTIVE_SECTOR = "refl"
 META_ANCHOR = 2.0
 
@@ -265,14 +279,12 @@ class EffortLedger:
     def available(self, cls: str) -> float:
         return self.allocations[cls] - self.spent[cls]
 
-    def can_afford(self, cls: str, amount: float) -> bool:
-        return self.available(cls) + 1e-12 >= amount
-
     def charge(self, cls: str, amount: float) -> bool:
-        """Spend from a class; returns False (and spends nothing) if short."""
+        """Spend from a class; returns False (and spends nothing) if short by
+        more than float dust."""
         if amount < 0:
             raise ValueError(f"cannot charge negative effort {amount}")
-        if not self.can_afford(cls, amount):
+        if self.available(cls) + 1e-12 < amount:
             return False
         self.spent[cls] += amount
         return True
@@ -411,6 +423,7 @@ def regulate(
 
 __all__ = [
     "EFFORT_CLASSES",
+    "EFFORT_COSTS",
     "EffortLedger",
     "IntrospectiveReport",
     "META_ANCHOR",

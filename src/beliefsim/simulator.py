@@ -9,16 +9,19 @@ deterministically and writes a canonical trace.
 Each tick:
 
 1. the op-rate window rolls and the state introspects itself (free);
-2. breaches are written into the reflective sector (monitors budget);
-3. the regulation decision is taken (free) and applied (its class budget) —
-   both 2 and 3 spend from the *previous* tick's allocations;
+2. breaches are written into the reflective sector (budgeted);
+3. the regulation decision is taken (free) and applied (budgeted) — both 2
+   and 3 spend from the *previous* tick's allocations;
 4. effort is re-allocated from the fresh report;
-5. at most one memory cycle runs: query, retrieve, integrate (memory budget,
-   three units up front, cue signatures never reissued);
-6. a vacuum state drifts one lexicon word in (rest budget);
+5. at most one memory cycle runs: query, retrieve, integrate (budgeted, paid
+   once before the query; cue signatures never reissued);
+6. a vacuum state drifts one lexicon word in (budgeted);
 7. one unit of time passes: active and store decay, prunes are logged (free);
 8. basins are evaluated and resolved to at most one fired action per tick
-   (planning budget).
+   (budgeted).
+
+``regulation.EFFORT_COSTS`` states once which class pays for each budgeted
+step and how much; a step whose class cannot pay is skipped and logged.
 
 Observations and commands sit between ticks, advance nothing, and cost
 nothing; they are the world pushing in, not the engine working.
@@ -28,6 +31,7 @@ from __future__ import annotations
 
 import json
 import random
+import reprlib
 from collections import deque
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -56,6 +60,7 @@ from .memory import (
     retrieve,
 )
 from .regulation import (
+    EFFORT_COSTS,
     EffortLedger,
     allocate_effort,
     any_breach,
@@ -67,7 +72,7 @@ from .regulation import (
     uniform_ledger,
 )
 from .tower import EpistemicAxis, TowerTrajectory, build_tower, derive_axis
-from .trace import TraceLog, make_header
+from .trace import TraceLog, canonical_json, make_header
 
 RUN_MODES = ("live", "simulation")
 
@@ -103,7 +108,6 @@ OP_RATE_KINDS = frozenset(
 )
 
 COMMAND_ANCHOR = 5.0
-MEMORY_CYCLE_COST = 3.0
 # Most ticks a scenario may ask for, in one tick event and in all of them
 # together; a shipped scenario asks for at most 150 in one event.  Above it
 # a run would not end in useful time, so load refuses it.
@@ -297,6 +301,12 @@ def _check_assertion(a: Any, where: str) -> None:
         raise ScenarioError(f"{where}: is_vacuum value must be true or false")
     if check in _ACTION_CHECKS and not isinstance(a.get("action"), str):
         raise ScenarioError(f"{where}: {check} needs an action, a string")
+    try:  # the spec enters the trace as written, extra fields too
+        canonical_json(a)
+    except ValueError as exc:
+        raise ScenarioError(f"{where}: {exc}") from None
+    except RecursionError:
+        raise ScenarioError(f"{where}: nested too deeply to enter a trace") from None
 
 
 def _validate_timeline(timeline: Sequence[Mapping[str, Any]]) -> None:
@@ -509,6 +519,9 @@ class SimulationRun:
         self.scenario = scenario
         self.config = scenario.config
         self.seed = scenario.config.seed if seed is None else int(seed)
+        if not is_finite_number(self.seed):  # the header carries it into the trace
+            raise ScenarioError(
+                f"seed must be an integer within the float range, got {reprlib.repr(self.seed)}")
         self.mode = mode
         self.rng = random.Random(self.seed)
         self.store = scenario.store
@@ -549,7 +562,12 @@ class SimulationRun:
         if kind == "warning":
             self._warnings += 1
 
-    def _skip(self, op: str, cls: str, needed: float) -> None:
+    def _afford(self, op: str) -> bool:
+        """Charge ``op``'s cost in ``EFFORT_COSTS``; if its class cannot pay,
+        charge nothing and log the skip."""
+        cls, needed = EFFORT_COSTS[op]
+        if self.ledger.charge(cls, needed):
+            return True
         self._emit(
             "effort_skip",
             {
@@ -559,6 +577,7 @@ class SimulationRun:
                 "available": self.ledger.available(cls),
             },
         )
+        return False
 
     def _goals_present(self) -> bool:
         return bool(self.active.goals(self.config.goal_marker.lower()))
@@ -620,16 +639,7 @@ class SimulationRun:
 
     def _apply_regulation(self, report) -> None:
         decision = regulate(report, self.active, self.config, self._kappa_streak)
-        if decision.kind == "none":
-            return
-        cls = {
-            "annihilate_sector": "corrective",
-            "corrective_assimilation": "corrective",
-            "accelerate_nullify": "nullify",
-            "realign": "corrective",
-        }[decision.kind]
-        if not self.ledger.charge(cls, 1.0):
-            self._skip(decision.kind, cls, 1.0)
+        if decision.kind == "none" or not self._afford(decision.kind):
             return
         before = self.active
         if decision.kind == "annihilate_sector":
@@ -665,23 +675,17 @@ class SimulationRun:
             if candidate is not None and candidate.signature() not in self._issued_cues:
                 cue = candidate
                 break
-        if cue is None:
+        if cue is None or not self._afford("memory_cycle"):
             return
-        if not self.ledger.can_afford("memory", MEMORY_CYCLE_COST):
-            self._skip("memory_cycle", "memory", MEMORY_CYCLE_COST)
-            return
-        self.ledger.charge("memory", 1.0)
         self._issued_cues.add(cue.signature())
         self._emit("query", {"cue": cue.to_dict()})
         found = retrieve(self.store, cue, self.config)
-        self.ledger.charge("memory", 1.0)
         self._emit(
             "retrieve",
             {"cue_kind": cue.kind, "ids": [f.id for f in found.rows]},
         )
         if found.is_vacuum:
             return
-        self.ledger.charge("memory", 1.0)
         self.active, self.store, report = integrate_retrieved(
             self.active, found, self.store, self.config, self.ids,
             rules=self.scenario.rules,
@@ -693,6 +697,7 @@ class SimulationRun:
                 "copied": [f.id for f in found.rows],
             },
         )
+        self._register_rule_names(report.elaborated)
 
     def _tick(self) -> None:
         # 1. roll the op window and introspect (free).
@@ -707,16 +712,11 @@ class SimulationRun:
         breached = coherence_breached(report, self.config)
         self._kappa_streak = self._kappa_streak + 1 if breached else 0
 
-        # 2. write breach reflections (monitors, previous allocations).
-        if any_breach(report, self.config):
-            if self.ledger.charge("monitors", 1.0):
-                self.active, _, warnings = meta_assimilate(
-                    self.active, report, self.config, self.ids
-                )
-                for message in warnings:
-                    self._emit("warning", {"op": "meta", "message": message})
-            else:
-                self._skip("meta", "monitors", 1.0)
+        # 2. write breach reflections (previous allocations).
+        if any_breach(report, self.config) and self._afford("meta"):
+            self.active, _, warnings = meta_assimilate(self.active, report, self.config, self.ids)
+            for message in warnings:
+                self._emit("warning", {"op": "meta", "message": message})
 
         # 3. regulation decision and application (previous allocations).
         self._apply_regulation(report)
@@ -733,17 +733,14 @@ class SimulationRun:
             },
         )
 
-        # 5. memory cycle (memory budget).
+        # 5. memory cycle.
         self._memory_cycle(goals)
 
-        # 6. vacuum drift (rest budget).
-        if self.active.is_vacuum and self.scenario.lexicon:
-            if self.ledger.charge("rest", 1.0):
-                self.active = drift(self.active, self.scenario.lexicon, self.rng, self.ids)
-                newest = self.active.rows[-1]
-                self._emit("drift", {"id": newest.id, "text": newest.text})
-            else:
-                self._skip("drift", "rest", 1.0)
+        # 6. vacuum drift.
+        if self.active.is_vacuum and self.scenario.lexicon and self._afford("drift"):
+            self.active = drift(self.active, self.scenario.lexicon, self.rng, self.ids)
+            newest = self.active.rows[-1]
+            self._emit("drift", {"id": newest.id, "text": newest.text})
 
         # 7. one unit of time passes (free); prunes are logged post-advance.
         before, before_store = self.active, self.store
@@ -757,22 +754,17 @@ class SimulationRun:
                 {"active": pruned_active, "store": pruned_store},
             )
 
-        # 8. basin evaluation and resolution (planning budget).
-        if self.scenario.basins:
-            if self.ledger.charge("planning", 1.0):
-                decisions = [
-                    evaluate_action(
-                        b, self.active, self._prev_readiness[b.name], self.mode
-                    )
-                    for b in self.scenario.basins
-                ]
-                for d in resolve_actions(decisions):
-                    self._emit("action_decision", d.to_dict())
-                    self._prev_readiness[d.action] = d.readiness
-                    if d.verdict == "fired":
-                        self._fired_ever.append(d.action)
-            else:
-                self._skip("basins", "planning", 1.0)
+        # 8. basin evaluation and resolution.
+        if self.scenario.basins and self._afford("basins"):
+            decisions = [
+                evaluate_action(b, self.active, self._prev_readiness[b.name], self.mode)
+                for b in self.scenario.basins
+            ]
+            for d in resolve_actions(decisions):
+                self._emit("action_decision", d.to_dict())
+                self._prev_readiness[d.action] = d.readiness
+                if d.verdict == "fired":
+                    self._fired_ever.append(d.action)
 
     # -- assertions --------------------------------------------------------
 
@@ -885,7 +877,6 @@ __all__ = [
     "AssertionOutcome",
     "COMMAND_ANCHOR",
     "MAX_TICKS",
-    "MEMORY_CYCLE_COST",
     "OP_RATE_KINDS",
     "RUN_MODES",
     "RunResult",

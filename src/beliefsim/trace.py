@@ -49,7 +49,13 @@ def _canon_float(x: float) -> float:
 
 
 def _canonicalize(obj: Any) -> Any:
-    if isinstance(obj, bool) or obj is None or isinstance(obj, (int, str)):
+    if isinstance(obj, str) or obj is None or isinstance(obj, bool):
+        return obj
+    if isinstance(obj, int):  # refused as the reader refuses it
+        if not -sys.float_info.max <= obj <= sys.float_info.max:
+            raise ValueError(
+                f"integer of {obj.bit_length()} bits is outside the float range "
+                "and cannot enter a trace")
         return obj
     if isinstance(obj, float):
         return _canon_float(obj)

@@ -7,8 +7,9 @@ builds every fragment of the state into a list and rebuilds the state from
 it, ``embed_tokens`` embeds one token multiset at a time and ``embed_rows``
 stacks its rows, ``realign`` reads every removal from a whole derived state,
 ``shortlist`` screens every removal through the matrix of all its rests, the
-conflict readings group the rows by key on every call, and the load and the
-overload target walk every row.  ``test_reference.py`` swaps them into a
+conflict readings group the rows by key on every call, and the load, the
+overload target, the sectors present, a sector's rows and its activation
+density walk every row.  ``test_reference.py`` swaps them into a
 whole run through the module attributes the engine calls and asserts that
 the trace comes out byte for byte the same.
 """
@@ -395,7 +396,26 @@ def first_conflict(fragments):
 
 
 def _tagged(state, sector):
+    """The rows tagged with ``sector``, by a filter over every row."""
     return tuple(f for f in state.rows if sector in f.sectors)
+
+
+def sectors(state):
+    """Every sector tag present, sorted: one walk over every row's sectors."""
+    return tuple(sorted({s for f in state.rows for s in f.sectors}))
+
+
+def activation_density(state, sector):
+    """The weight of the fragments tagged with ``sector`` over the total
+    weight, each summed left to right over every fragment; 0 when the total
+    is not positive."""
+    total = mass = 0.0
+    for f in state.fragments:
+        weight = f.anchor * f.persistence
+        total += weight
+        if sector in f.sectors:
+            mass += weight
+    return mass / total if total > 0.0 else 0.0
 
 
 def latest(state):

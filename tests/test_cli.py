@@ -738,6 +738,36 @@ def test_run_refuses_a_tick_count_that_would_not_end(tmp_path):
     _refused(proc, f"error: timeline[0]: tick n must be an int >= 1 and <= {MAX_TICKS}")
 
 
+NINES = "9" * 400
+ON_NOTE = ('{"timeline": [{"event": "tick"}, {"event": "expect", '
+           '"assertions": [{"check": "is_vacuum", "note": %s}]}]}')
+
+
+@pytest.mark.parametrize(
+    "text, args, message",
+    [
+        (ON_NOTE % "1e400", [], "timeline[1].assertions[0]: non-finite value inf cannot enter"),
+        ('{"config": {"patience": %s}, "timeline": [{"event": "tick"}]}' % NINES[:388], [],
+         "config: patience must be an integer within the float range"),
+        (None, ["--seed", NINES], "seed must be an integer within the float range"),
+    ],
+    ids=["assertion", "config", "seed"],
+)
+def test_run_refuses_a_number_its_trace_could_not_carry_before_tick_0(
+        tmp_path, capsys, text, args, message):
+    """A number the trace writer or reader would refuse stops ``run`` with
+    exit 2 before the first tick: no check line, no trace."""
+    path = SCENARIOS / "sensor_decay.json"
+    if text is not None:
+        path = tmp_path / "case.json"
+        path.write_text(text)
+    out = tmp_path / "out.jsonl"
+    assert main(["run", str(path), "--trace", str(out), *args]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and not out.exists()
+    assert captured.err.startswith("error: " + message)
+
+
 @pytest.mark.parametrize(
     "counts, refused",
     [

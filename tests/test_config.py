@@ -69,6 +69,16 @@ def test_validate_rejects_out_of_range(field, value):
         default_config().replace(**{field: value})
 
 
+@pytest.mark.parametrize("field", ["embed_dim", "window", "patience", "meta_depth_max", "seed"])
+def test_an_integer_field_beyond_the_float_range_is_refused_in_one_short_line(field):
+    """The header echoes every field into the trace, whose reader refuses an
+    integer a float cannot hold; the error shows the value shortened."""
+    with pytest.raises(ValueError, match=f"^{field} must be an integer within the float "
+                       r"range, got 9{18}\.\.\.9{19}$"):
+        config_from_dict({field: int("9" * 388)})
+    assert config_from_dict({"seed": int(sys.float_info.max)}).seed == int(sys.float_info.max)
+
+
 def test_loads_at_the_coefficient_and_cost_bound_stay_finite(tmp_path):
     """Every load coefficient and sector cost at the bound, one row in two
     sectors: the run writes its trace, and every load in it is finite."""

@@ -9,7 +9,8 @@ per-fragment loops of ``reference.py`` (decay, state embedding, retrieval,
 the assimilation that rebuilds every fragment, the reflection written one
 breach at a time, realignment reading a whole derived state per removal,
 coherence, the sector wipe's target and the coherence cue regrouping the
-rows by key, and the associative cue's ``max`` walk)
+rows by key, the associative cue's ``max`` walk, and the sectors present, a
+sector's rows and a basin clause's activation density walking every row)
 swapped in through the module and class attributes the engine calls.  The
 two traces must be the same bytes; ``verify_golden``'s float tolerance would
 be too loose here.  Every shipped scenario, and the
@@ -154,6 +155,9 @@ def _swap_reference(mp: pytest.MonkeyPatch) -> None:
     mp.setattr(regulation, "_lowest_priority_sector", reference.lowest_priority_sector)
     mp.setattr(memory, "first_conflict", lambda state: reference.first_conflict(state.rows))
     mp.setattr(BeliefState, "latest", reference.latest)
+    mp.setattr(BeliefState, "rows_in", reference._tagged)
+    mp.setattr(BeliefState, "sectors", reference.sectors)
+    mp.setattr(execution, "activation_density", reference.activation_density)
 
 
 @pytest.fixture()

@@ -13,6 +13,7 @@ from beliefsim.core import BeliefState, IdAllocator, embed_state
 from beliefsim.geometry import distance
 from beliefsim.regulation import (
     EFFORT_CLASSES,
+    EFFORT_COSTS,
     META_ANCHOR,
     EffortLedger,
     IntrospectiveReport,
@@ -398,9 +399,17 @@ def test_ledger_charge_and_refusal():
     assert ledger.spent["memory"] == pytest.approx(3.0)
 
 
-def test_ledger_can_afford_tolerates_float_dust():
-    ledger = EffortLedger(allocations={"memory": 0.1 + 0.2})
-    assert ledger.can_afford("memory", 0.3)
+def test_ledger_charge_tolerates_float_dust():
+    # 0.1 + 0.2 is 0.30000000000000004: float dust above what is left does
+    # not refuse the charge, which spends what it asked.
+    ledger = EffortLedger(allocations={"memory": 0.3})
+    assert ledger.charge("memory", 0.1 + 0.2)
+    assert ledger.spent["memory"] == 0.1 + 0.2
+
+
+def test_every_effort_cost_names_a_class_and_positive_units():
+    assert {cls for cls, _ in EFFORT_COSTS.values()} <= set(EFFORT_CLASSES)
+    assert all(isinstance(units, float) and units > 0 for _, units in EFFORT_COSTS.values())
 
 
 def test_ledger_rejects_negative_charge():

@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import json
 import math
+import re
+import sys
 from pathlib import Path
 
 import pytest
@@ -14,6 +16,7 @@ from beliefsim.config import default_config
 from beliefsim.core import BeliefState, Fragment
 from beliefsim import dynamics, simulator
 from beliefsim.dynamics import annihilate_sector, nullify
+from beliefsim.regulation import EFFORT_COSTS, EffortLedger
 from beliefsim.simulator import (
     SimulationRun,
     ScenarioError,
@@ -21,8 +24,11 @@ from beliefsim.simulator import (
     load_scenario,
     run_scenario,
 )
+from beliefsim.trace import parse_trace
 
 from conftest import SECTORS, states
+
+REPO = Path(__file__).resolve().parent.parent
 
 
 def write_scenario(tmp_path, data, name="case.json"):
@@ -544,6 +550,45 @@ def test_rule_fires_and_registers_name(tmp_path):
 # Effort gating in the tick
 # --------------------------------------------------------------------------
 
+@pytest.mark.parametrize("op", sorted(EFFORT_COSTS))
+def test_afford_charges_the_cost_or_logs_a_skip_and_charges_nothing(tmp_path, op):
+    cls, units = EFFORT_COSTS[op]
+    run = SimulationRun(load_scenario(write_scenario(tmp_path, minimal())))
+    run.ledger = EffortLedger(allocations={cls: units + 0.5})
+    assert run._afford(op)
+    assert run.ledger.spent[cls] == units and not run.trace.events
+    assert not run._afford(op)
+    assert run.ledger.spent[cls] == units
+    [skip] = run.trace.events
+    assert (skip.kind, skip.payload) == (
+        "effort_skip", {"op": op, "class": cls, "needed": units, "available": 0.5})
+
+
+def test_every_golden_effort_skip_is_a_cost_of_the_table():
+    """Each skip in the shipped and benchmark goldens names a step of
+    ``EFFORT_COSTS``, with the class and units the table gives it."""
+    shipped = sorted((REPO / "scenarios").glob("*.json"))
+    goldens = [REPO / "scenarios" / "golden" / f"{p.stem}.trace.jsonl" for p in shipped]
+    goldens += sorted((REPO / "perfbench" / "golden").glob("*.trace.jsonl"))
+    assert len(goldens) == len(shipped) + 3
+    skips = [e.payload for path in goldens for e in parse_trace(path)[1]
+             if e.kind == "effort_skip"]
+    assert {s["op"] for s in skips} >= {"memory_cycle", "accelerate_nullify"}
+    for skip in skips:
+        assert (skip["class"], skip["needed"]) == EFFORT_COSTS[skip["op"]]
+
+
+def test_a_memory_cycle_pays_its_whole_cost_before_it_asks(tmp_path):
+    # The store is empty, so the cue finds nothing; the cycle paid its
+    # three units once, before the query, all the same.
+    data = minimal(timeline=[{"event": "command", "text": "goal: chart the ridge"},
+                             {"event": "tick"}])
+    run = SimulationRun(load_scenario(write_scenario(tmp_path, data)))
+    kinds = [e.kind for e in run.run().trace.events]
+    assert "retrieve" in kinds and "integrate" not in kinds
+    assert run.ledger.spent["memory"] == EFFORT_COSTS["memory_cycle"][1] == 3.0
+
+
 def test_memory_cycle_starved_under_uniform_allocation(tmp_path):
     # A quiet tick allocates 10/7 per class; the three-step memory cycle
     # needs 3 up front, so the associative cue is skipped, tick after tick.
@@ -560,6 +605,27 @@ def test_memory_cycle_starved_under_uniform_allocation(tmp_path):
     assert len(memory_skips) == 2  # unfunded retries are not deduplicated
     assert all(e.payload["op"] == "memory_cycle" for e in memory_skips)
     assert all(e.kind != "query" for e in result.trace.events)
+
+
+def test_a_rule_that_fires_on_integration_registers_its_name(tmp_path):
+    """A named rule's emit that enters with retrieved memories is registered,
+    as one that enters with an observation is."""
+    data = minimal(
+        config={"effort_total": 25},
+        memory=[{"text": "pump alarm sounded", "sector": "mem"}],
+        rules=[{"trigger": "alarm", "emit": {"text": "check the alarm panel", "name": "panel"}}],
+        timeline=[
+            {"event": "observe", "mode": "conf", "specs": [{"text": "pump alarm"}]},
+            {"event": "tick", "n": 2},
+            {"event": "expect", "assertions": [{"check": "fragment_present", "name": "panel"}]},
+        ],
+    )
+    result = run_scenario(write_scenario(tmp_path, data))
+    [assimilate] = [e for e in result.trace.events if e.kind == "assimilate"]
+    assert assimilate.payload["report"]["elaborated"] == []
+    [integrate] = [e for e in result.trace.events if e.kind == "integrate"]
+    assert integrate.payload["report"]["elaborated"] == [3]
+    assert result.ok, [a.detail for a in result.failures]
 
 
 def test_goal_funds_the_full_memory_cycle(tmp_path):
@@ -765,6 +831,45 @@ def test_kappa_check_with_sector(tmp_path):
     )
     result = run_scenario(write_scenario(tmp_path, data))
     assert result.ok, [a.detail for a in result.failures]
+
+
+@pytest.mark.parametrize("note", ["1e400", "NaN", "9" * 400], ids=["inf", "nan", "huge-int"])
+def test_an_assertion_spec_the_trace_cannot_carry_is_refused_at_load(tmp_path, note):
+    """The spec enters the trace as written, so a field the writer would
+    refuse stops the run at load, not at the write after every tick."""
+    data = minimal(timeline=[{"event": "tick"}, {"event": "expect", "assertions": [
+        {"check": "is_vacuum", "note": "NOTE"}]}])
+    path = tmp_path / "case.json"
+    path.write_text(json.dumps(data).replace('"NOTE"', note), encoding="utf-8")
+    with pytest.raises(ScenarioError, match=re.escape("timeline[1].assertions[0]: ")):
+        load_scenario(path)
+
+
+def test_an_assertion_spec_too_deep_for_the_trace_is_refused_at_load():
+    """A spec the decoder took but the trace writer cannot walk is refused
+    by path, not left to end the run in a ``RecursionError``."""
+    note: list = []
+    for _ in range(200):
+        note = [note]
+    depth, frame = 0, sys._getframe()
+    while frame is not None:
+        depth, frame = depth + 1, frame.f_back
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(depth + 100)
+    try:
+        with pytest.raises(ScenarioError, match=re.escape(
+                "timeline[1].assertions[0]: nested too deeply to enter a trace")):
+            simulator._check_assertion(
+                {"check": "is_vacuum", "note": note}, "timeline[1].assertions[0]")
+    finally:
+        sys.setrecursionlimit(limit)
+
+
+def test_a_seed_outside_the_float_range_is_refused(tmp_path):
+    scenario = load_scenario(write_scenario(tmp_path, minimal()))
+    with pytest.raises(ScenarioError, match="seed must be an integer within the float range"):
+        SimulationRun(scenario, seed=10**400)
+    assert SimulationRun(scenario, seed=int(sys.float_info.max)).run().trace.render()
 
 
 def test_assertion_results_enter_the_trace(tmp_path):

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 import math
+import sys
 
 import pytest
 from hypothesis import given, settings
@@ -51,6 +52,17 @@ def test_tuples_become_arrays():
 def test_non_finite_rejected(bad):
     with pytest.raises(ValueError, match="non-finite"):
         canonical_json(bad)
+
+
+def test_integers_beyond_the_float_range_rejected():
+    """The writer refuses an integer the reader would refuse, and emits the
+    largest one a float holds as the reader takes it back."""
+    top = int(sys.float_info.max)
+    header, _ = parse_trace([canonical_json({"header": {"n": [top, -top]}})])
+    assert header == {"n": [top, -top]}
+    for bad in (top + 1, -top - 1, -(10**400)):
+        with pytest.raises(ValueError, match="outside the float range"):
+            canonical_json({"n": [bad]})
 
 
 def test_unknown_types_rejected():
