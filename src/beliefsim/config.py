@@ -83,15 +83,15 @@ class ParameterConfig:
         for f in fields(self):
             value = getattr(self, f.name)
             if f.type == "float" and not is_finite_number(value):
-                raise ValueError(f"{f.name} must be a finite number, got {value!r}")
+                raise ValueError(f"{f.name} must be a finite number, got {reprlib.repr(value)}")
         if not (0.0 < self.delta < 1.0):
             raise ValueError(f"delta must lie in (0, 1), got {self.delta}")
         if self.lambda0 <= 0.0:
             raise ValueError(f"lambda0 must be positive, got {self.lambda0}")
         if self.decay_modulator not in DECAY_MODULATORS:
             raise ValueError(
-                f"decay_modulator must be one of {DECAY_MODULATORS}, got {self.decay_modulator!r}"
-            )
+                f"decay_modulator must be one of {DECAY_MODULATORS}, "
+                f"got {reprlib.repr(self.decay_modulator)}")
         for name in ("embed_dim", "window", "patience", "meta_depth_max", "seed"):
             value = getattr(self, name)
             if not isinstance(value, int) or not is_finite_number(value):
@@ -114,14 +114,16 @@ class ParameterConfig:
             and all(is_finite_number(c) and abs(c) <= LOAD_SCALE_MAX for c in self.load_coeffs)
         ):
             raise ValueError(f"load_coeffs must be three numbers of size <= "
-                             f"{LOAD_SCALE_MAX:g}, got {self.load_coeffs!r}")
+                             f"{LOAD_SCALE_MAX:g}, got {reprlib.repr(self.load_coeffs)}")
         if not (
             isinstance(self.sector_priority, tuple)
             and all(isinstance(s, str) for s in self.sector_priority)
         ):
-            raise ValueError(f"sector_priority must be strings, got {self.sector_priority!r}")
+            raise ValueError(
+                f"sector_priority must be strings, got {reprlib.repr(self.sector_priority)}")
         if not isinstance(self.sector_costs, Mapping):
-            raise ValueError(f"sector_costs must be a mapping, got {self.sector_costs!r}")
+            raise ValueError(
+                f"sector_costs must be a mapping, got {reprlib.repr(self.sector_costs)}")
         if not (1 <= self.window <= sys.maxsize):  # the op-rate deque's length limit
             raise ValueError(f"window must lie in [1, {sys.maxsize}], got {self.window}")
         if self.effort_total <= 0.0:
@@ -133,14 +135,14 @@ class ParameterConfig:
         if self.meta_depth_max < 1:
             raise ValueError(f"meta_depth_max must be >= 1, got {self.meta_depth_max}")
         if not isinstance(self.goal_marker, str) or not self.goal_marker:
-            raise ValueError(f"goal_marker must be a non-empty string, got {self.goal_marker!r}")
+            raise ValueError(
+                f"goal_marker must be a non-empty string, got {reprlib.repr(self.goal_marker)}")
         for sector, cost in self.sector_costs.items():
             if not is_finite_number(cost):
-                raise ValueError(
-                    f"sector cost for {sector!r} must be a finite number, got {cost!r}"
-                )
+                raise ValueError(f"sector cost for {reprlib.repr(sector)} must be a finite "
+                                 f"number, got {reprlib.repr(cost)}")
             if not 0 <= cost <= LOAD_SCALE_MAX:
-                raise ValueError(f"sector cost for {sector!r} must lie in "
+                raise ValueError(f"sector cost for {reprlib.repr(sector)} must lie in "
                                  f"[0, {LOAD_SCALE_MAX:g}], got {cost}")
 
     def cost(self, sector: str) -> float:
@@ -196,11 +198,11 @@ def config_from_dict(data: Mapping[str, Any]) -> ParameterConfig:
     Unknown keys raise ValueError so typos in scenario files fail loudly.
     """
     if not isinstance(data, Mapping):
-        raise ValueError(f"config must be an object, got {data!r}")
+        raise ValueError(f"config must be an object, got {reprlib.repr(data)}")
     known = {f.name for f in ParameterConfig.__dataclass_fields__.values()}  # type: ignore[attr-defined]
     unknown = set(data) - known
     if unknown:
-        raise ValueError(f"unknown config keys: {sorted(unknown)}")
+        raise ValueError(f"unknown config keys: {reprlib.repr(sorted(unknown))}")
     kwargs: dict[str, Any] = dict(data)
     # JSON lists become tuples and numbers floats; validate() rejects the rest.
     if isinstance(kwargs.get("load_coeffs"), list):

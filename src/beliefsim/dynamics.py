@@ -16,6 +16,7 @@ Assimilation is a staged pipeline:
 and, in corrective modes, a final sweep resolves any conflicts remaining
 *inside* the merged state (input-internal or elaboration-introduced) with the
 same revision rule, so corrective assimilation always ends conflict-free.
+Regulation's corrective move is that sweep alone, ``resolve_conflicts``.
 Each stage ends in one ``BeliefState.revised``; a row is built into a
 fragment only where its anchor or persistence is read or written.
 
@@ -108,7 +109,7 @@ def _revision_loser(existing: Fragment, incoming: Fragment) -> Fragment:
     return incoming
 
 
-def _resolve_internal(state: BeliefState) -> tuple[BeliefState, list[int]]:
+def resolve_conflicts(state: BeliefState) -> tuple[BeliefState, list[int]]:
     """Resolve conflicts among the fragments of one state.
 
     Same revision rule, with the higher id as the later arrival that loses a
@@ -244,7 +245,7 @@ def assimilate(
     # Final sweep: corrective modes end conflict-free even when the input
     # itself (or an elaboration) carried a contradiction.
     if mode in ("corr", "auto"):
-        state, swept = _resolve_internal(state)
+        state, swept = resolve_conflicts(state)
         conflicts_found += len(swept)
         for fid in swept:
             if fid in added:
@@ -365,4 +366,5 @@ __all__ = [
     "half_life",
     "nullify",
     "nullify_sector",
+    "resolve_conflicts",
 ]

@@ -50,6 +50,7 @@ from .dynamics import (
     drift,
     nullify,
     nullify_sector,
+    resolve_conflicts,
 )
 from .execution import ActionBasin, Clause, GateRule, evaluate_action, resolve_actions
 from .geometry import realign
@@ -288,7 +289,7 @@ def _check_assertion(a: Any, where: str) -> None:
         raise ScenarioError(f"{where}: must be an object")
     check = a.get("check")
     if check not in ASSERTION_CHECKS:
-        raise ScenarioError(f"{where}: unknown check {check!r}")
+        raise ScenarioError(f"{where}: unknown check {reprlib.repr(check)}")
     if check in _NAMED_CHECKS and not isinstance(a.get("name"), str):
         raise ScenarioError(f"{where}: {check} needs a name, a string")
     if check in _VALUED_CHECKS and not is_finite_number(a.get("value")):
@@ -316,7 +317,7 @@ def _validate_timeline(timeline: Sequence[Mapping[str, Any]]) -> None:
             raise ScenarioError(f"timeline[{i}]: an entry must be an object")
         kind = entry.get("event")
         if kind not in TIMELINE_EVENTS:
-            raise ScenarioError(f"timeline[{i}]: unknown event {kind!r}")
+            raise ScenarioError(f"timeline[{i}]: unknown event {reprlib.repr(kind)}")
         if kind == "observe":
             specs = entry.get("specs")
             if not isinstance(specs, list) or not specs:
@@ -645,13 +646,8 @@ class SimulationRun:
         if decision.kind == "annihilate_sector":
             self.active = annihilate_sector(self.active, decision.target)
         elif decision.kind == "corrective_assimilation":
-            self.active, rep = assimilate(
-                self.active,
-                BeliefState((), self.active.clock),
-                self.config,
-                self.ids,
-                mode="corr",
-            )
+            self.active, swept = resolve_conflicts(self.active)
+            self._emit("correction", {"retracted": sorted(swept), "conflicts": len(swept)})
         elif decision.kind == "accelerate_nullify":
             self.active = nullify_sector(
                 self.active, decision.target, self.config.nullify_boost, self.config
@@ -660,9 +656,7 @@ class SimulationRun:
             outcome = realign(self.active, self.axes[decision.target], self.config)
             self.active = outcome.state
         removed = _removed_ids(before, self.active)
-        if decision.kind == "corrective_assimilation":
-            self._emit("correction", {"retracted": removed, "conflicts": rep.conflicts_found})
-        elif decision.kind == "realign" and outcome.warned:
+        if decision.kind == "realign" and outcome.warned:
             self._emit("warning", {"op": "realign", "message": "still drifting after realignment"})
         self._emit("regulate_action", {"decision": decision.to_dict(), "removed": removed})
 

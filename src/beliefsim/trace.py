@@ -129,15 +129,6 @@ def make_header(
     }
 
 
-def _load_lines(source: str | Path | Iterable[str]) -> list[str]:
-    """The non-blank lines of a trace file or of an iterable of lines."""
-    if isinstance(source, (str, Path)):
-        lines = Path(source).read_text(encoding="utf-8").splitlines()
-    else:
-        lines = [ln.rstrip("\n") for ln in source]
-    return [ln for ln in lines if ln.strip()]
-
-
 def _float_in_range(text: str) -> float:
     """A JSON float as ``float`` reads it, refused if it overflows to ±inf."""
     value = float(text)
@@ -176,12 +167,17 @@ def parse_trace(source: str | Path | Iterable[str]) -> tuple[dict, list[TraceEve
 
     Anything else raises ValueError naming the trace line at fault.
     """
-    lines = _load_lines(source)
+    if isinstance(source, (str, Path)):
+        source = Path(source).read_text(encoding="utf-8").splitlines()
+    lines = [ln for ln in source if ln.strip()]
     if not lines:
         raise ValueError("empty trace: missing header line")
     first = _json_line(lines[0], 1)
     if not isinstance(first, dict) or not isinstance(first.get("header"), dict):
         raise ValueError("trace line 1: must be the header object")
+    if len(first) > 1:
+        unknown = sorted(set(first) - {"header"})
+        raise ValueError(f"trace line 1: unknown fields {reprlib.repr(unknown)}")
     events = []
     for i, line in enumerate(lines[1:], start=2):
         raw = _json_line(line, i)
@@ -190,6 +186,9 @@ def parse_trace(source: str | Path | Iterable[str]) -> tuple[dict, list[TraceEve
         missing = sorted({"seq", "tick", "kind", "payload"} - set(raw))
         if missing:
             raise ValueError(f"trace line {i}: missing fields {missing}")
+        if len(raw) > 4:
+            unknown = sorted(set(raw) - {"seq", "tick", "kind", "payload"})
+            raise ValueError(f"trace line {i}: unknown fields {reprlib.repr(unknown)}")
         seq, tick, kind, payload = (raw[k] for k in ("seq", "tick", "kind", "payload"))
         if not isinstance(seq, int) or isinstance(seq, bool):
             raise ValueError(f"trace line {i}: seq must be an integer")
@@ -198,7 +197,8 @@ def parse_trace(source: str | Path | Iterable[str]) -> tuple[dict, list[TraceEve
         if not isinstance(payload, dict):
             raise ValueError(f"trace line {i}: payload must be an object")
         if not isinstance(kind, str) or kind not in EVENT_KINDS:
-            raise ValueError(f"trace line {i}: unknown trace event kind {kind!r}")
+            raise ValueError(
+                f"trace line {i}: unknown trace event kind {reprlib.repr(kind)}")
         events.append(TraceEvent(seq=seq, tick=tick, kind=kind, payload=payload))
     return first["header"], events
 
@@ -217,8 +217,13 @@ class Divergence:
     def describe(self) -> str:
         return (
             f"line {self.line}, at {self.path or '$'}: "
-            f"actual={self.actual!r} expected={self.expected!r}"
+            f"actual={_shown(self.actual)} expected={_shown(self.expected)}"
         )
+
+
+def _shown(value: Any) -> str:
+    """A value as a message shows it: a number whole, anything else bounded."""
+    return repr(value) if isinstance(value, (int, float)) else reprlib.repr(value)
 
 
 @dataclass(frozen=True)
@@ -262,25 +267,25 @@ def verify_golden(
     """Structural comparison with per-number tolerance; first divergence wins.
 
     A length mismatch is reported at the first line the shorter side lacks,
-    so a truncated run points at exactly where it stopped.
+    so a truncated run points at exactly where it stopped.  Each side is read
+    by ``parse_trace``, and its refusal is raised with the side named.
     """
-    actual_lines = _load_lines(actual)
-    golden_lines = _load_lines(golden)
+    sides = []
+    for source, side in ((actual, "actual"), (golden, "golden")):
+        try:
+            header, events = parse_trace(source)
+        except ValueError as exc:
+            raise ValueError(f"{exc} (in the {side} trace)") from None
+        sides.append([{"header": header}, *(event.to_dict() for event in events)])
+    actual_lines, golden_lines = sides
     for i, (a_line, g_line) in enumerate(zip(actual_lines, golden_lines), start=1):
-        ok, where, a, e = _compare(_json_line(a_line, i), _json_line(g_line, i), "")
+        ok, where, a, e = _compare(a_line, g_line, "")
         if not ok:
             return VerifyResult(False, Divergence(line=i, path=where, actual=a, expected=e))
     if len(actual_lines) != len(golden_lines):
         short = min(len(actual_lines), len(golden_lines))
-        return VerifyResult(
-            False,
-            Divergence(
-                line=short + 1,
-                path=".length",
-                actual=len(actual_lines),
-                expected=len(golden_lines),
-            ),
-        )
+        return VerifyResult(False, Divergence(
+            line=short + 1, path=".length", actual=len(actual_lines), expected=len(golden_lines)))
     return VerifyResult(True, None)
 
 

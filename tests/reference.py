@@ -4,14 +4,16 @@ Each function here is the plain loop that a fast path of the engine
 replaced, kept as an oracle; ``DataclassFragment`` is a fragment made by the
 dataclass's generated constructor and ``__post_init__``, ``assimilate``
 builds every fragment of the state into a list and rebuilds the state from
-it, ``embed_tokens`` embeds one token multiset at a time and ``embed_rows``
-stacks its rows, ``realign`` reads every removal from a whole derived state,
-``shortlist`` screens every removal through the matrix of all its rests, the
-conflict readings group the rows by key on every call, and the load, the
-overload target, the sectors present, a sector's rows and its activation
-density walk every row.  ``test_reference.py`` swaps them into a
-whole run through the module attributes the engine calls and asserts that
-the trace comes out byte for byte the same.
+it, ending, in corrective modes, with ``resolve_conflicts``, the sweep that
+regroups that list by key, ``embed_tokens`` embeds one token multiset at a
+time and ``embed_rows`` stacks its rows, ``realign`` reads every removal
+from a whole derived state, ``shortlist`` screens every removal through the
+matrix of all its rests, the conflict readings group the rows by key on
+every call, and the load, the overload target, the sectors present, a
+sector's rows and its activation density walk every row.
+``test_reference.py`` swaps them into a whole run through the module
+attributes the engine calls and asserts that the trace comes out byte for
+byte the same.
 """
 
 from __future__ import annotations
@@ -217,6 +219,26 @@ def retrieve(store, cue, config):
     return BeliefState(tuple(hits), store.clock)
 
 
+def resolve_conflicts(state):
+    """The conflict sweep over a list of every fragment of the state: each
+    key group, regrouped from the list, walked pair by pair in id order.
+    Returns (the survivors' state, retracted ids in (a.id, b.id) order)."""
+    current = list(state.fragments)
+    dead, found = set(), []
+    for group in key_groups(current).values():
+        for i, a in enumerate(group):
+            for b in group[i + 1:]:
+                if a.id in dead:
+                    break
+                if b.id in dead or b.polarity == a.polarity:
+                    continue
+                loser = _revision_loser(a, b)
+                dead.add(loser.id)
+                found.append((a.id, b.id, loser.id))
+    survivors = tuple(f for f in current if f.id not in dead)
+    return BeliefState(survivors, state.clock), [loser for _, _, loser in sorted(found)]
+
+
 def assimilate(state, incoming, config, ids, mode="auto", rules=(), abs_group=None):
     """Assimilation over a list of every fragment of the state, rebuilt
     into a new state at the end: stages as in ``dynamics.assimilate``, each
@@ -300,21 +322,10 @@ def assimilate(state, incoming, config, ids, mode="auto", rules=(), abs_group=No
             abstracted.append(summary.id)
 
     if mode in ("corr", "auto"):
-        current = sorted(current, key=lambda f: f.id)
-        dead, found = set(), []
-        for group in key_groups(current).values():
-            for i, a in enumerate(group):
-                for b in group[i + 1:]:
-                    if a.id in dead:
-                        break
-                    if b.id in dead or b.polarity == a.polarity:
-                        continue
-                    loser = _revision_loser(a, b)
-                    dead.add(loser.id)
-                    found.append((a.id, b.id, loser.id))
-        current = [f for f in current if f.id not in dead]
-        conflicts_found += len(found)
-        for _, _, fid in sorted(found):
+        resolved, swept = resolve_conflicts(BeliefState(tuple(current), clock))
+        current = list(resolved.fragments)
+        conflicts_found += len(swept)
+        for fid in swept:
             if fid in added:
                 added.remove(fid)
             elif fid in elaborated:

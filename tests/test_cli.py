@@ -2,14 +2,18 @@
 
 from __future__ import annotations
 
+import io
 import json
 import os
 import re
 import subprocess
 import sys
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from beliefsim.cli import main
 from beliefsim.simulator import MAX_TICKS, ScenarioError, load_scenario
@@ -727,6 +731,62 @@ def test_inspect_names_a_deeply_nested_value_in_one_short_line(tmp_path):
     assert len(proc.stderr.splitlines()) == 1 and len(proc.stderr) < 200
 
 
+LONG = "x" * 5000
+MANY = [1] * 3000
+TRACE_HEADER = '{"header":{}}\n'
+
+
+def _trace(**fields) -> str:
+    """A header and one ``meta`` event, ``fields`` set on the event."""
+    event = {"kind": "meta", "payload": {}, "seq": 0, "tick": 0, **fields}
+    return TRACE_HEADER + json.dumps(event) + "\n"
+
+
+def _scenario(config=None, timeline=({"event": "tick"},)) -> str:
+    data = {"timeline": list(timeline)}
+    if config is not None:
+        data["config"] = config
+    return json.dumps(data)
+
+
+@pytest.mark.parametrize(
+    "command, texts, code",
+    [
+        ("run", [_scenario({"delta": LONG})], 2),
+        ("run", [_scenario(MANY)], 2),
+        ("run", [_scenario({"decay_modulator": LONG})], 2),
+        ("run", [_scenario({"load_coeffs": MANY})], 2),
+        ("run", [_scenario({"sector_priority": [LONG, 5]})], 2),
+        ("run", [_scenario({"sector_costs": MANY})], 2),
+        ("run", [_scenario({"sector_costs": {LONG: LONG}})], 2),
+        ("run", [_scenario({"goal_marker": MANY})], 2),
+        ("run", [_scenario({LONG: 1})], 2),
+        ("run", [_scenario(timeline=[{"event": "x" * 4000}])], 2),
+        ("run", [_scenario(timeline=[{"event": "expect", "assertions": [{"check": LONG}]}])],
+         2),
+        ("inspect", [_trace(kind="k" * 3000)], 2),
+        ("verify", [_trace(kind="k" * 3000)] * 2, 2),
+        ("verify", [_trace(payload={"x": list(range(3000))}), _trace()], 1),
+    ],
+    ids=["float-field", "config-root", "decay_modulator", "load_coeffs", "sector_priority",
+         "sector_costs", "sector-cost", "goal_marker", "config-key", "timeline-event",
+         "expect-check", "inspect-kind", "verify-kind", "verify-diverged"],
+)
+def test_an_outside_value_shows_bounded_in_one_short_line(tmp_path, capsys, command, texts, code):
+    """A message quotes a value from a file as ``reprlib`` bounds it, and a
+    divergence too, where numbers stay whole: never the value's whole repr."""
+    paths = []
+    for i, text in enumerate(texts):
+        paths.append(str(tmp_path / f"in{i}.json"))
+        Path(paths[-1]).write_text(text)
+    args = ["--metric", "kappa"] if command == "inspect" else []
+    assert main([command, *paths, *args]) == code
+    captured = capsys.readouterr()
+    shown = captured.out + captured.err
+    assert shown.startswith("error: " if code == 2 else "DIVERGED: ")
+    assert len(shown.splitlines()) == 1 and len(shown) < 300, shown[:300]
+
+
 def test_run_refuses_a_tick_count_that_would_not_end(tmp_path):
     """A 400-digit tick count is refused at load, not run until killed."""
     path = tmp_path / "long.json"
@@ -820,3 +880,104 @@ def test_verify_reports_divergence(tmp_path, capsys):
 def test_verify_missing_file_is_error(tmp_path, capsys):
     assert main(["verify", str(tmp_path / "ghost.jsonl"), str(GOLDEN)]) == 2
     assert "error:" in capsys.readouterr().err
+
+
+NOT_TRACES = [
+    ("", "empty trace: missing header line"),
+    ("5\n[1]\n", "trace line 1: must be the header object"),
+    (_trace(kind="k" * 3000),
+     "trace line 2: unknown trace event kind 'kkkkkkkkkkkk...kkkkkkkkkkkkk'"),
+    (TRACE_HEADER + '{"kind":"meta","seq":0,"tick":0}\n',
+     "trace line 2: missing fields ['payload']"),
+    (_trace(x=1), "trace line 2: unknown fields ['x']"),
+]
+
+
+@pytest.mark.parametrize(
+    "text, message", NOT_TRACES,
+    ids=["empty", "no-header", "long-kind", "no-payload", "extra-field"],
+)
+def test_verify_and_inspect_refuse_a_file_that_is_not_a_trace(tmp_path, capsys, text, message):
+    """``verify`` reads each side as ``inspect`` does, through ``parse_trace``:
+    a file that is not a trace is refused with exit 2 and one line naming the
+    trace line and the side, whichever side it is on, even against itself."""
+    bad = str(tmp_path / "bad.jsonl")
+    Path(bad).write_text(text)
+    for argv, side in (([bad, bad], "actual"), ([str(GOLDEN), bad], "golden")):
+        assert main(["verify", *argv]) == 2
+        captured = capsys.readouterr()
+        assert (captured.out, captured.err) == ("", f"error: {message} (in the {side} trace)\n")
+    assert main(["inspect", bad, "--metric", "kappa"]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
+FUZZED = SCENARIOS / "golden" / "regulation_loop.trace.jsonl"
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=6),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=6), inner,
+                                                                 max_size=3),
+    max_leaves=6,
+)
+
+
+def _paths(value, prefix=()):
+    """The path of every value inside a decoded JSON value, its own first."""
+    yield prefix
+    items = value.items() if isinstance(value, dict) else (
+        enumerate(value) if isinstance(value, list) else ())
+    for key, inner in items:
+        yield from _paths(inner, (*prefix, key))
+
+
+@st.composite
+def mutated_golden(draw) -> bytes:
+    """A shipped golden with one drawn fault: truncated within a line, a
+    line replaced by a drawn JSON value, a key dropped from an event, a
+    value swapped for one of another type, or an invalid UTF-8 byte."""
+    lines = FUZZED.read_bytes().splitlines()
+    i = draw(st.integers(0, len(lines) - 1))
+    fault = draw(st.sampled_from(("truncate", "replace", "drop", "swap", "utf8")))
+    if fault == "truncate":
+        lines[i:] = [lines[i][:draw(st.integers(0, len(lines[i])))]]
+    elif fault == "replace":
+        lines[i] = json.dumps(draw(JSON_VALUES)).encode()
+    elif fault == "utf8":
+        at = draw(st.integers(0, len(lines[i])))
+        lines[i] = lines[i][:at] + b"\xff" + lines[i][at:]
+    else:
+        record = json.loads(lines[i])
+        keyed = [p for p in _paths(record) if p and isinstance(p[-1], str)]
+        path = draw(st.sampled_from(keyed if fault == "drop" else list(_paths(record))[1:]))
+        holder = record
+        for key in path[:-1]:
+            holder = holder[key]
+        if fault == "drop":
+            del holder[path[-1]]
+        else:
+            old = type(holder[path[-1]])
+            holder[path[-1]] = draw(JSON_VALUES.filter(lambda v: type(v) is not old))
+        lines[i] = json.dumps(record, sort_keys=True, separators=(",", ":")).encode()
+    return b"\n".join(lines) + b"\n"
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(text=mutated_golden())
+def test_verify_and_inspect_exit_0_1_or_2_on_a_mutated_golden(text, tmp_path_factory):
+    """On any drawn fault, ``main`` returns and does not raise; ``verify``
+    exits 2 exactly when ``parse_trace`` refuses a side, and a trace that
+    parses matches itself."""
+    path = tmp_path_factory.mktemp("fuzz") / "mutated.jsonl"
+    path.write_bytes(text)
+    try:
+        parse_trace(path)
+        parses = True
+    except ValueError:
+        parses = False
+    with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()):
+        itself = main(["verify", str(path), str(path)])
+        against = main(["verify", str(path), str(FUZZED)])
+        inspected = [main(["inspect", str(path), "--metric", metric])
+                     for metric in ("kappa", "load", "theta", "velocity")]
+    assert itself == (0 if parses else 2)
+    assert against in ((0, 1) if parses else (2,))
+    assert set(inspected) <= ({0, 2} if parses else {2})

@@ -16,13 +16,13 @@ from beliefsim.dynamics import (
     DRIFT_ANCHOR,
     ConflictError,
     ElaborationRule,
-    _resolve_internal,
     annihilate_sector,
     assimilate,
     drift,
     half_life,
     nullify,
     nullify_sector,
+    resolve_conflicts,
 )
 from beliefsim.regulation import _most_conflicted_sector
 
@@ -704,7 +704,7 @@ def interleaved_claims(draw):
 @given(frags=interleaved_claims(), data=st.data())
 def test_key_index_matches_all_pairs_enumeration(frags, data):
     survivors, retracted, seen = _quadratic_resolve(frags)
-    resolved, swept = _resolve_internal(make_state(*frags))
+    resolved, swept = resolve_conflicts(make_state(*frags))
     assert (list(resolved.fragments), swept) == (survivors, retracted)
     assert len(retracted) == seen
 
@@ -727,6 +727,24 @@ def test_key_index_matches_all_pairs_enumeration(frags, data):
     assert list(pairs) == [
         (a, b) for a in held.fragments for b in probe.fragments if _opposed(a, b)
     ]
+
+
+@settings(max_examples=300, deadline=None)
+@given(state=st.one_of(states(max_frags=10, keyed=True),
+                       interleaved_claims().map(lambda frags: make_state(*frags))))
+def test_the_conflict_sweep_is_corrective_assimilation_of_nothing(state):
+    """Regulation's corrective move, the sweep alone, leaves the state and
+    retracts the ids that corrective assimilation of an empty input does,
+    whose report counts them as its conflicts; the reference sweep agrees."""
+    swept_state, swept = resolve_conflicts(state)
+    out, report = assimilate(
+        state, BeliefState((), state.clock), default_config(), IdAllocator(100), mode="corr")
+    assert list(swept_state.fragments) == list(out.fragments)
+    assert list(report.retracted) == swept
+    assert report.conflicts_found == len(swept)
+    assert report.added == report.elaborated == report.abstracted == ()
+    ref_state, ref_swept = reference.resolve_conflicts(state)
+    assert (list(ref_state.fragments), ref_swept) == (list(out.fragments), swept)
 
 
 # --------------------------------------------------------------------------

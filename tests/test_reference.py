@@ -6,7 +6,8 @@ built to sit on a threshold and drawn scenarios (a reduced workload at a
 drawn seed, with thresholds set on values its run compares with them) run
 twice: once as the engine stands, and once with the
 per-fragment loops of ``reference.py`` (decay, state embedding, retrieval,
-the assimilation that rebuilds every fragment, the reflection written one
+the assimilation that rebuilds every fragment, the corrective move's
+conflict sweep over a list of every fragment, the reflection written one
 breach at a time, realignment reading a whole derived state per removal,
 coherence, the sector wipe's target and the coherence cue regrouping the
 rows by key, the associative cue's ``max`` walk, and the sectors present, a
@@ -135,9 +136,11 @@ CASES = (
 def _swap_reference(mp: pytest.MonkeyPatch) -> None:
     """Swap the reference loops in through the names the engine calls; the
     store decays through ``simulator.nullify`` as the active state does,
-    retrieved copies are assimilated through ``memory.assimilate``, and
+    retrieved copies are assimilated through ``memory.assimilate``, the
+    corrective move sweeps through ``simulator.resolve_conflicts``, and
     every V, cue vector and tower vector comes from the per-token loop."""
     mp.setattr(simulator, "assimilate", reference.assimilate)
+    mp.setattr(simulator, "resolve_conflicts", reference.resolve_conflicts)
     mp.setattr(memory, "assimilate", reference.assimilate)
     mp.setattr(simulator, "nullify", reference.nullify)
     mp.setattr(simulator, "nullify_sector", reference.nullify_sector)

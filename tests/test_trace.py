@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 
 from beliefsim.trace import (
     FORMAT_TAG,
+    Divergence,
     TraceEvent,
     TraceLog,
     canonical_json,
@@ -156,6 +157,7 @@ def test_parse_reports_bad_line_number():
         '{"seq":1,"tick":"0","kind":"ingest","payload":{}}',
         '{"seq":1,"tick":0.0,"kind":["ingest"],"payload":{}}',
         '{"seq":1,"tick":0.0,"kind":"ingest","payload":[]}',
+        '{"seq":1,"tick":0.0,"kind":"ingest","payload":{},"x":1}',
         # Nothing the writer emits: a non-finite constant, or nesting past
         # the decoder's recursion limit.
         '{"seq":1,"tick":0.0,"kind":"ingest","payload":{"x":NaN}}',
@@ -166,7 +168,7 @@ def test_parse_reports_bad_line_number():
     for bad in bad_events:
         with pytest.raises(ValueError, match=r"^trace line 3: "):
             parse_trace([header, good, bad])
-    for bad_header in ("5", '{"header":5}', "{"):
+    for bad_header in ("5", '{"header":5}', "{", '{"header":{},"x":1}'):
         with pytest.raises(ValueError, match=r"^trace line 1: "):
             parse_trace([bad_header, good])
     with pytest.raises(ValueError, match=r"^trace line 2: invalid JSON"):
@@ -222,6 +224,12 @@ def test_verify_catches_value_drift_with_dotted_path():
     assert d.actual == 1.52
     assert d.expected == 1.42
     assert "line 3" in d.describe()
+
+
+def test_a_divergence_shows_numbers_whole_and_other_values_bounded():
+    big = 10 ** 300
+    shown = Divergence(line=2, path=".payload.x", actual=big, expected=["y" * 3000]).describe()
+    assert shown == f"line 2, at .payload.x: actual={big} expected=['yyyyyyyyyyyy...yyyyyyyyyyyyy']"
 
 
 def test_verify_catches_list_element_change():
