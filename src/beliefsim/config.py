@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import reprlib
 import sys
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import dataclass, field, fields
 from dataclasses import replace as dc_replace
 from typing import Any, Mapping
 
@@ -159,13 +159,6 @@ class ParameterConfig:
         cfg = dc_replace(self, **overrides)
         cfg.validate()
         return cfg
-
-    def to_dict(self) -> dict[str, Any]:
-        d = asdict(self)
-        d["sector_costs"] = dict(self.sector_costs)
-        d["load_coeffs"] = list(self.load_coeffs)
-        d["sector_priority"] = list(self.sector_priority)
-        return d
 
 
 def is_finite_number(value: Any) -> bool:

@@ -34,7 +34,7 @@ import math
 import random
 from dataclasses import dataclass
 from itertools import chain
-from typing import Any, Optional, Sequence
+from typing import Optional, Sequence
 
 from .config import ParameterConfig
 from .core import BeliefState, Fragment, IdAllocator, key_groups, tokenize
@@ -75,16 +75,6 @@ class AssimilationReport:
     abstracted: tuple[int, ...] = ()
     conflicts_found: int = 0
     mode: str = "auto"
-
-    def to_dict(self) -> dict[str, Any]:
-        return {
-            "added": list(self.added),
-            "retracted": list(self.retracted),
-            "elaborated": list(self.elaborated),
-            "abstracted": list(self.abstracted),
-            "conflicts_found": self.conflicts_found,
-            "mode": self.mode,
-        }
 
 
 class ConflictError(ValueError):

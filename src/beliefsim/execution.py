@@ -11,6 +11,7 @@ At most one action fires per tick.
 from __future__ import annotations
 
 import math
+import reprlib
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -52,19 +53,20 @@ class Clause:
 
     def __post_init__(self) -> None:
         if self.kind not in CLAUSE_KINDS:
-            raise ValueError(f"unknown clause kind {self.kind!r}")
+            raise ValueError(f"unknown clause kind {reprlib.repr(self.kind)}")
         for name in ("sector", "token"):
             value = getattr(self, name)
             if value is not None and not isinstance(value, str):
-                raise ValueError(f"clause {name} must be a string, got {value!r}")
+                raise ValueError(f"clause {name} must be a string, got {reprlib.repr(value)}")
         for name in ("minimum", "tolerance"):
             value = getattr(self, name)
             if value is not None and not is_finite_number(value):
-                raise ValueError(f"clause {name} must be a finite number, got {value!r}")
+                raise ValueError(
+                    f"clause {name} must be a finite number, got {reprlib.repr(value)}")
         if self.level is not None and (
             not isinstance(self.level, int) or isinstance(self.level, bool)
         ):
-            raise ValueError(f"clause level must be an int, got {self.level!r}")
+            raise ValueError(f"clause level must be an int, got {reprlib.repr(self.level)}")
         if self.kind == "sector_density":
             if not self.sector:
                 raise ValueError("sector_density clause needs a sector")
@@ -84,7 +86,8 @@ class Clause:
         # Fragment tokens are lowercase alphanumeric runs; no other token can match.
         if self.token is not None and tokenize(self.token) != (self.token,):
             raise ValueError(
-                f"clause token must be one lowercase alphanumeric word, got {self.token!r}"
+                "clause token must be one lowercase alphanumeric word, "
+                f"got {reprlib.repr(self.token)}"
             )
 
     def score(self, state: BeliefState) -> float:
@@ -104,13 +107,13 @@ class GateRule:
     """Reflective veto: pattern tokens, read once, found in one refl fragment."""
 
     pattern: str
-    action: str
+    action: str = "approve"
 
     def __post_init__(self) -> None:
         if self.action not in GATE_ACTIONS:
-            raise ValueError(f"unknown gate action {self.action!r}")
+            raise ValueError(f"unknown gate action {reprlib.repr(self.action)}")
         if not isinstance(self.pattern, str):
-            raise ValueError(f"gate pattern must be a string, got {self.pattern!r}")
+            raise ValueError(f"gate pattern must be a string, got {reprlib.repr(self.pattern)}")
         wanted = frozenset(tokenize(self.pattern))
         if not wanted:
             raise ValueError("gate pattern must contain at least one token")
@@ -125,17 +128,22 @@ class GateRule:
 class ActionBasin:
     name: str
     clauses: tuple[Clause, ...]
-    tau: float
+    tau: float = 0.5
     suppressors: tuple[Clause, ...] = ()
     gate_policy: tuple[GateRule, ...] = ()
 
     def __post_init__(self) -> None:
-        if not self.name:
-            raise ValueError("basin name must be non-empty")
+        if not isinstance(self.name, str) or not self.name:
+            raise ValueError(
+                f"basin name must be a non-empty string, got {reprlib.repr(self.name)}")
+        name = reprlib.repr(self.name)
         if not self.clauses:
-            raise ValueError(f"basin {self.name!r} needs at least one clause")
+            raise ValueError(f"basin {name} needs at least one clause")
+        if not is_finite_number(self.tau):
+            raise ValueError(f"basin {name}: tau must be a finite number")
+        object.__setattr__(self, "tau", float(self.tau))
         if not 0.0 <= self.tau < 1.0:
-            raise ValueError(f"basin {self.name!r}: tau must be in [0, 1)")
+            raise ValueError(f"basin {name}: tau must be in [0, 1)")
 
 
 def readiness(basin: ActionBasin, state: BeliefState) -> tuple[float, tuple[float, ...]]:
@@ -155,16 +163,6 @@ class ActionDecision:
     momentum: float
     clause_scores: tuple[float, ...] = ()
     reason: str = ""
-
-    def to_dict(self) -> dict:
-        return {
-            "action": self.action,
-            "verdict": self.verdict,
-            "readiness": self.readiness,
-            "momentum": self.momentum,
-            "clause_scores": list(self.clause_scores),
-            "reason": self.reason,
-        }
 
 
 def _veto(

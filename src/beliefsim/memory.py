@@ -42,9 +42,6 @@ class QueryCue:
     def signature(self) -> tuple[str, tuple[str, ...]]:
         return (self.kind, self.tokens)
 
-    def to_dict(self) -> dict:
-        return {"kind": self.kind, "tokens": list(self.tokens)}
-
 
 def goal_fragments(state: BeliefState, config: ParameterConfig) -> Iterator[Fragment]:
     """The fragments whose text starts with ``goal_marker``, ignoring case,

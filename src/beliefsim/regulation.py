@@ -123,17 +123,6 @@ class IntrospectiveReport:
         """The lowest coherence reading, global or per sector."""
         return min((self.kappa_global, *self.kappa_by_sector.values()))
 
-    def to_dict(self) -> dict:
-        return {
-            "tick": self.tick,
-            "kappa_global": self.kappa_global,
-            "kappa_by_sector": dict(sorted(self.kappa_by_sector.items())),
-            "load": self.load,
-            "theta_by_axis": dict(sorted(self.theta_by_axis.items())),
-            "velocity": self.velocity,
-            "depth": self.depth,
-        }
-
 
 def introspect(
     active: BeliefState,
@@ -330,9 +319,6 @@ class RegulationAction:
     kind: str
     target: str | None
     reason: str
-
-    def to_dict(self) -> dict:
-        return {"kind": self.kind, "target": self.target, "reason": self.reason}
 
 
 def _most_conflicted_sector(state: BeliefState) -> str | None:

@@ -33,7 +33,7 @@ import json
 import random
 import reprlib
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 from typing import Any, Mapping, Sequence
 
@@ -73,11 +73,19 @@ from .regulation import (
     uniform_ledger,
 )
 from .tower import EpistemicAxis, TowerTrajectory, build_tower, derive_axis
-from .trace import TraceLog, canonical_json, make_header
+from .trace import TraceLog, canonical_json, make_header, record_dict
 
 RUN_MODES = ("live", "simulation")
 
-TIMELINE_EVENTS = ("observe", "command", "tick", "set_mode", "expect")
+# Each timeline event and the fields its entry may carry.
+_TIMELINE_FIELDS = {
+    "observe": frozenset({"event", "specs", "mode", "group"}),
+    "command": frozenset({"event", "text", "anchor", "name"}),
+    "tick": frozenset({"event", "n"}),
+    "set_mode": frozenset({"event", "mode"}),
+    "expect": frozenset({"event", "assertions"}),
+}
+TIMELINE_EVENTS = tuple(_TIMELINE_FIELDS)
 
 ASSERTION_CHECKS = (
     "fragment_present",
@@ -117,7 +125,8 @@ MAX_TICKS = 10_000
 _SCENARIO_KEYS = frozenset(
     {"name", "config", "memory", "rules", "lexicon", "axes", "basins", "timeline", "states"}
 )
-_CLAUSE_FIELDS = ("kind", "sector", "minimum", "level", "tolerance", "token")
+_AXIS_FIELDS = frozenset({"label", "seed", "max_k", "null_seed"})
+_RULE_FIELDS = frozenset({"trigger", "emit"})
 
 
 class ScenarioError(ValueError):
@@ -142,54 +151,29 @@ class Scenario:
     states: Mapping[str, BeliefState]
 
 
-def _parse_clause(raw: Mapping[str, Any], where: str) -> Clause:
-    extra = set(raw) - set(_CLAUSE_FIELDS)
-    if extra:
-        raise ScenarioError(f"{where}: unknown clause fields {sorted(extra)}")
+def _refuse_unknown(raw: Mapping[str, Any], allowed: frozenset[str], where: str) -> None:
+    unknown = raw.keys() - allowed
+    if unknown:
+        raise ScenarioError(f"{where}: unknown fields {reprlib.repr(sorted(unknown))}")
+
+
+def _record(cls: type, raw: Mapping[str, Any], where: str, **nested: type) -> Any:
+    """``cls`` built from the JSON object ``raw``, whose fields are the
+    dataclass's own; a field named in ``nested`` holds a list of objects,
+    each built as the type given for it.  A field the dataclass does not
+    declare, or anything the type refuses, raises ScenarioError naming
+    ``where``."""
+    _refuse_unknown(raw, frozenset(f.name for f in fields(cls)), where)
+    values = dict(raw)
+    for name, item in nested.items():
+        if name in values:
+            values[name] = tuple(
+                _record(item, v, f"{where}.{name}[{i}]")
+                for i, v in enumerate(_objects(values[name], f"{where}.{name}"))
+            )
     try:
-        return Clause(**{k: raw[k] for k in _CLAUSE_FIELDS if k in raw})
+        return cls(**values)
     except (TypeError, ValueError) as exc:
-        raise ScenarioError(f"{where}: {exc}") from exc
-
-
-def _parse_gate(raw: Mapping[str, Any], where: str) -> GateRule:
-    try:
-        return GateRule(pattern=raw.get("pattern"), action=raw.get("action", "approve"))
-    except (TypeError, ValueError) as exc:
-        raise ScenarioError(f"{where}: {exc}") from exc
-
-
-def _parse_basin(raw: Mapping[str, Any], index: int) -> ActionBasin:
-    where = f"basins[{index}]"
-    try:
-        clauses = tuple(
-            _parse_clause(c, f"{where}.clauses[{i}]")
-            for i, c in enumerate(raw.get("clauses", ()))
-        )
-        suppressors = tuple(
-            _parse_clause(c, f"{where}.suppressors[{i}]")
-            for i, c in enumerate(raw.get("suppressors", ()))
-        )
-        gates = tuple(
-            _parse_gate(g, f"{where}.gate_policy[{i}]")
-            for i, g in enumerate(_objects(raw.get("gate_policy", []), f"{where}.gate_policy"))
-        )
-        name = raw.get("name", "")
-        if not isinstance(name, str):
-            raise ScenarioError(f"{where}: name must be a string")
-        tau = raw.get("tau", 0.5)
-        if not is_finite_number(tau):
-            raise ScenarioError(f"{where}: tau must be a finite number")
-        return ActionBasin(
-            name=name,
-            clauses=clauses,
-            tau=float(tau),
-            suppressors=suppressors,
-            gate_policy=gates,
-        )
-    except ScenarioError:
-        raise
-    except (KeyError, TypeError, ValueError) as exc:
         raise ScenarioError(f"{where}: {exc}") from exc
 
 
@@ -234,11 +218,12 @@ def fragment_from_spec(spec: Mapping[str, Any], fragment_id: int, clock: float) 
         persistence = float(spec.get("persistence", 1.0))
     except (TypeError, ValueError, OverflowError) as exc:
         raise ValueError(
-            f"spec {text!r}: level, anchor and persistence must be numbers ({exc})"
+            f"spec {reprlib.repr(text)}: level, anchor and persistence must be numbers ({exc})"
         ) from None
     key = spec.get("key")
     if key is not None and not isinstance(key, str):
-        raise ValueError(f"spec {text!r}: key must be a string, got {key!r}")
+        raise ValueError(
+            f"spec {reprlib.repr(text)}: key must be a string, got {reprlib.repr(key)}")
     return Fragment(
         id=fragment_id,
         text=text,
@@ -318,6 +303,7 @@ def _validate_timeline(timeline: Sequence[Mapping[str, Any]]) -> None:
         kind = entry.get("event")
         if kind not in TIMELINE_EVENTS:
             raise ScenarioError(f"timeline[{i}]: unknown event {reprlib.repr(kind)}")
+        _refuse_unknown(entry, _TIMELINE_FIELDS[kind], f"timeline[{i}]")
         if kind == "observe":
             specs = entry.get("specs")
             if not isinstance(specs, list) or not specs:
@@ -371,6 +357,8 @@ def load_scenario(path: str | Path) -> Scenario:
         raise ScenarioError(f"cannot read scenario {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise ScenarioError(f"scenario {path} is not valid JSON: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise ScenarioError(f"scenario {path} is not UTF-8: {exc}") from None
     except RecursionError:
         raise ScenarioError(f"scenario {path} is nested too deeply to decode") from None
     if not isinstance(raw, dict):
@@ -386,6 +374,7 @@ def load_scenario(path: str | Path) -> Scenario:
 
     raw_rules = _objects(raw.get("rules", []), "rules")
     for i, r in enumerate(raw_rules):
+        _refuse_unknown(r, _RULE_FIELDS, f"rules[{i}]")
         if not isinstance(r.get("trigger"), str) or not r["trigger"]:
             raise ScenarioError(f"rules[{i}]: needs a trigger, a non-empty string")
     emits = [r.get("emit") for r in raw_rules]
@@ -397,12 +386,14 @@ def load_scenario(path: str | Path) -> Scenario:
     )
 
     basins = tuple(
-        _parse_basin(b, i) for i, b in enumerate(_objects(raw.get("basins", []), "basins"))
+        _record(ActionBasin, b, f"basins[{i}]",
+                clauses=Clause, suppressors=Clause, gate_policy=GateRule)
+        for i, b in enumerate(_objects(raw.get("basins", []), "basins"))
     )
     seen = set()
     for b in basins:
         if b.name in seen:
-            raise ScenarioError(f"duplicate basin name {b.name!r}")
+            raise ScenarioError(f"duplicate basin name {reprlib.repr(b.name)}")
         seen.add(b.name)
 
     lexicon = raw.get("lexicon", [])
@@ -410,7 +401,8 @@ def load_scenario(path: str | Path) -> Scenario:
         raise ScenarioError("lexicon must be a list")
     for i, word in enumerate(lexicon):
         if not isinstance(word, str) or not tokenize(word):
-            raise ScenarioError(f"lexicon[{i}]: must be a string with a token, got {word!r}")
+            raise ScenarioError(
+                f"lexicon[{i}]: must be a string with a token, got {reprlib.repr(word)}")
 
     memory = raw.get("memory", [])
     _check_specs(memory, "memory")
@@ -418,11 +410,12 @@ def load_scenario(path: str | Path) -> Scenario:
 
     towers: dict[str, tuple[TowerTrajectory, bool]] = {}
     for i, spec in enumerate(_objects(raw.get("axes", []), "axes")):
+        _refuse_unknown(spec, _AXIS_FIELDS, f"axes[{i}]")
         label = spec.get("label")
         if not isinstance(label, str) or not label:
             raise ScenarioError(f"axes[{i}]: needs a label, a non-empty string")
         if label in towers:
-            raise ScenarioError(f"duplicate axis label {label!r}")
+            raise ScenarioError(f"duplicate axis label {reprlib.repr(label)}")
         if not spec.get("seed"):
             raise ScenarioError(f"axes[{i}]: needs seed fragments")
         _check_specs(spec["seed"], f"axes[{i}].seed")
@@ -539,7 +532,7 @@ class SimulationRun:
                 raise ScenarioError(f"axes[{i}] ({label}): {exc}") from exc
 
         self.trace = TraceLog(
-            make_header(scenario.name, self.seed, mode, self.config.to_dict())
+            make_header(scenario.name, self.seed, mode, record_dict(self.config))
         )
         self.ledger: EffortLedger = uniform_ledger(self.config)
         # The last introspected state's embedding: the next tick's velocity
@@ -622,7 +615,7 @@ class SimulationRun:
         except ConflictError as exc:
             self._emit("warning", {"op": "assimilate", "message": str(exc)})
             return
-        self._emit("assimilate", {"report": report.to_dict()})
+        self._emit("assimilate", {"report": record_dict(report)})
         self._register_rule_names(report.elaborated)
 
     def _do_observe(self, entry: Mapping[str, Any], index: int) -> None:
@@ -658,7 +651,7 @@ class SimulationRun:
         removed = _removed_ids(before, self.active)
         if decision.kind == "realign" and outcome.warned:
             self._emit("warning", {"op": "realign", "message": "still drifting after realignment"})
-        self._emit("regulate_action", {"decision": decision.to_dict(), "removed": removed})
+        self._emit("regulate_action", {"decision": record_dict(decision), "removed": removed})
 
     def _memory_cycle(self, goals: bool) -> None:
         cue = None
@@ -672,7 +665,7 @@ class SimulationRun:
         if cue is None or not self._afford("memory_cycle"):
             return
         self._issued_cues.add(cue.signature())
-        self._emit("query", {"cue": cue.to_dict()})
+        self._emit("query", {"cue": record_dict(cue)})
         found = retrieve(self.store, cue, self.config)
         self._emit(
             "retrieve",
@@ -687,7 +680,7 @@ class SimulationRun:
         self._emit(
             "integrate",
             {
-                "report": report.to_dict(),
+                "report": record_dict(report),
                 "copied": [f.id for f in found.rows],
             },
         )
@@ -721,7 +714,7 @@ class SimulationRun:
         self._emit(
             "meta",
             {
-                "report": report.to_dict(),
+                "report": record_dict(report),
                 "allocations": dict(self.ledger.allocations),
                 "breach_streak": self._kappa_streak,
             },
@@ -755,7 +748,7 @@ class SimulationRun:
                 for b in self.scenario.basins
             ]
             for d in resolve_actions(decisions):
-                self._emit("action_decision", d.to_dict())
+                self._emit("action_decision", record_dict(d))
                 self._prev_readiness[d.action] = d.readiness
                 if d.verdict == "fired":
                     self._fired_ever.append(d.action)

@@ -12,7 +12,8 @@ import json
 import math
 import reprlib
 import sys
-from dataclasses import dataclass, field
+from collections.abc import Mapping
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 from typing import Any, Iterable, Iterator
 
@@ -71,6 +72,22 @@ def canonical_json(obj: Any) -> str:
     return json.dumps(_canonicalize(obj), sort_keys=True, separators=(",", ":"))
 
 
+def record_dict(record: Any) -> dict[str, Any]:
+    """A record's trace form: ``{field: value}`` over its dataclass fields,
+    a tuple written as a list and a mapping as a dict.  One level only, and
+    no deep copy (``asdict`` would copy every payload): a record's fields
+    hold plain values."""
+    out = {}
+    for f in fields(record):
+        value = getattr(record, f.name)
+        if isinstance(value, tuple):
+            value = list(value)
+        elif isinstance(value, Mapping):
+            value = dict(value)
+        out[f.name] = value
+    return out
+
+
 @dataclass(frozen=True)
 class TraceEvent:
     seq: int
@@ -81,14 +98,6 @@ class TraceEvent:
     def __post_init__(self) -> None:
         if self.kind not in EVENT_KINDS:
             raise ValueError(f"unknown trace event kind {self.kind!r}")
-
-    def to_dict(self) -> dict:
-        return {
-            "seq": self.seq,
-            "tick": self.tick,
-            "kind": self.kind,
-            "payload": self.payload,
-        }
 
 
 @dataclass
@@ -108,7 +117,7 @@ class TraceLog:
     def lines(self) -> Iterator[str]:
         yield canonical_json({"header": self.header})
         for event in self.events:
-            yield canonical_json(event.to_dict())
+            yield canonical_json(record_dict(event))
 
     def render(self) -> str:
         return "\n".join(self.lines()) + "\n"
@@ -150,7 +159,11 @@ def _int_in_range(text: str) -> int:
 def _json_line(line: str, number: int) -> Any:
     """One trace line decoded, or a ValueError naming it: the writer emits
     no NaN or infinity, no number outside the float range, and no nesting
-    past the decoder's recursion limit."""
+    past the decoder's recursion limit, and writes UTF-8."""
+    try:
+        line.encode("utf-8")
+    except UnicodeEncodeError as exc:
+        raise ValueError(f"trace line {number}: not UTF-8 at column {exc.start + 1}") from None
     try:
         return json.loads(line, parse_constant=lambda name: _canon_float(float(name)),
                           parse_float=_float_in_range, parse_int=_int_in_range)
@@ -168,7 +181,9 @@ def parse_trace(source: str | Path | Iterable[str]) -> tuple[dict, list[TraceEve
     Anything else raises ValueError naming the trace line at fault.
     """
     if isinstance(source, (str, Path)):
-        source = Path(source).read_text(encoding="utf-8").splitlines()
+        # A byte that is not UTF-8 is kept as a lone surrogate, which its
+        # line's decode then refuses by line number.
+        source = Path(source).read_bytes().decode("utf-8", "surrogateescape").splitlines()
     lines = [ln for ln in source if ln.strip()]
     if not lines:
         raise ValueError("empty trace: missing header line")
@@ -276,7 +291,7 @@ def verify_golden(
             header, events = parse_trace(source)
         except ValueError as exc:
             raise ValueError(f"{exc} (in the {side} trace)") from None
-        sides.append([{"header": header}, *(event.to_dict() for event in events)])
+        sides.append([{"header": header}, *map(record_dict, events)])
     actual_lines, golden_lines = sides
     for i, (a_line, g_line) in enumerate(zip(actual_lines, golden_lines), start=1):
         ok, where, a, e = _compare(a_line, g_line, "")
@@ -300,5 +315,6 @@ __all__ = [
     "canonical_json",
     "make_header",
     "parse_trace",
+    "record_dict",
     "verify_golden",
 ]

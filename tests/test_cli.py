@@ -204,6 +204,9 @@ def run_module(*args: str) -> subprocess.CompletedProcess:
                    "null_seed": "false"}]},
         *({"lexicon": ["rain", word], "timeline": [{"event": "tick", "n": 6}]}
           for word in ("!!", 5)),
+        {"timeline": [{"event": "tick", "m": 3}]},
+        {"axes": [{"label": "focus", "seed": [{"text": "survey the map"}], "nul_seed": True}]},
+        {"rules": [{"trigger": "pump", "emit": {"text": "check"}, "name": "check"}]},
     ],
     ids=["memory-int", "states-int", "axis-seed-str", "memory-sector-list",
          "goal-marker-int", "anchor-str", "anchor-above-bound", "mode-bogus",
@@ -211,7 +214,8 @@ def run_module(*args: str) -> subprocess.CompletedProcess:
          "gate-pattern-int", "gate-policy-strings", "gate-policy-object", "gate-without-pattern",
          "clause-sector-list", "clause-token-int", "clause-level-float",
          "clause-minimum-bool", "basin-tau-str", "basin-name-int", "null-seed-str",
-         "lexicon-no-token", "lexicon-int"],
+         "lexicon-no-token", "lexicon-int", "timeline-unknown-field", "axis-unknown-field",
+         "rule-unknown-field"],
 )
 def test_run_rejects_malformed_sections_at_load(tmp_path, data):
     path = write_scenario(tmp_path, {"name": "malformed", **data})
@@ -221,6 +225,35 @@ def test_run_rejects_malformed_sections_at_load(tmp_path, data):
     assert proc.returncode == 2
     assert proc.stderr.startswith("error: ")
     assert "Traceback" not in proc.stderr
+
+
+GO = {"kind": "token_present", "token": "go"}
+
+
+@pytest.mark.parametrize(
+    "data, where",
+    [
+        ({"timeline": [{"event": "tick", "x": 3}]}, "timeline[0]"),
+        ({"timeline": [{"event": "tick"}, {"event": "observe", "specs": [{"text": "pump"}],
+                                           "x": 1}]},
+         "timeline[1]"),
+        ({"axes": [{"label": "focus", "seed": [{"text": "survey the map"}], "x": 1}]},
+         "axes[0]"),
+        ({"rules": [{"trigger": "pump", "emit": {"text": "check"}, "x": 1}]}, "rules[0]"),
+        ({"basins": [{"name": "b", "clauses": [GO], "x": 1}]}, "basins[0]"),
+        ({"basins": [{"name": "b", "clauses": [{**GO, "x": 1}]}]}, "basins[0].clauses[0]"),
+        ({"basins": [{"name": "b", "clauses": [GO], "suppressors": [GO, {**GO, "x": 1}]}]},
+         "basins[0].suppressors[1]"),
+        ({"basins": [{"name": "b", "clauses": [GO],
+                      "gate_policy": [{"pattern": "hold", "x": 1}]}]},
+         "basins[0].gate_policy[0]"),
+    ],
+    ids=["tick", "observe", "axis", "rule", "basin", "clause", "suppressor", "gate"],
+)
+def test_run_refuses_an_unknown_field_by_its_path(tmp_path, capsys, data, where):
+    """A field the loader does not read is refused at load, not dropped."""
+    assert main(["run", write_scenario(tmp_path, data)]) == 2
+    assert capsys.readouterr().err == f"error: {where}: unknown fields ['x']\n"
 
 
 @pytest.mark.parametrize("anchor", [float("nan"), float("inf")])
@@ -742,11 +775,16 @@ def _trace(**fields) -> str:
     return TRACE_HEADER + json.dumps(event) + "\n"
 
 
-def _scenario(config=None, timeline=({"event": "tick"},)) -> str:
-    data = {"timeline": list(timeline)}
+def _scenario(config=None, timeline=({"event": "tick"},), **sections) -> str:
+    data = {"timeline": list(timeline), **sections}
     if config is not None:
         data["config"] = config
     return json.dumps(data)
+
+
+def _basin(clause=None, **fields) -> str:
+    """A scenario of one basin, ``fields`` set on it and ``clause`` on its clause."""
+    return _scenario(basins=[{"name": "b", "clauses": [{**GO, **(clause or {})}], **fields}])
 
 
 @pytest.mark.parametrize(
@@ -764,13 +802,28 @@ def _scenario(config=None, timeline=({"event": "tick"},)) -> str:
         ("run", [_scenario(timeline=[{"event": "x" * 4000}])], 2),
         ("run", [_scenario(timeline=[{"event": "expect", "assertions": [{"check": LONG}]}])],
          2),
+        ("run", [_basin({"kind": LONG})], 2),
+        ("run", [_basin({"sector": MANY})], 2),
+        ("run", [_basin({"token": LONG.upper()})], 2),
+        ("run", [_basin({"kind": "sector_density", "sector": "perc", "minimum": MANY})], 2),
+        ("run", [_basin({"kind": "level_present", "level": MANY})], 2),
+        ("run", [_basin(name=LONG, clauses=[])], 2),
+        ("run", [_basin(gate_policy=[{"pattern": "hold", "action": LONG}])], 2),
+        ("run", [_basin(gate_policy=[{"pattern": MANY}])], 2),
+        ("run", [_scenario(lexicon=["rain", "!" * 5000])], 2),
+        ("run", [_scenario(timeline=[{"event": "observe",
+                                      "specs": [{"text": LONG, "level": "x"}]}])], 2),
+        ("run", [_scenario(timeline=[{"event": "observe",
+                                      "specs": [{"text": LONG, "key": MANY}]}])], 2),
         ("inspect", [_trace(kind="k" * 3000)], 2),
         ("verify", [_trace(kind="k" * 3000)] * 2, 2),
         ("verify", [_trace(payload={"x": list(range(3000))}), _trace()], 1),
     ],
     ids=["float-field", "config-root", "decay_modulator", "load_coeffs", "sector_priority",
          "sector_costs", "sector-cost", "goal_marker", "config-key", "timeline-event",
-         "expect-check", "inspect-kind", "verify-kind", "verify-diverged"],
+         "expect-check", "clause-kind", "clause-sector", "clause-token", "clause-minimum",
+         "clause-level", "basin-name", "gate-action", "gate-pattern", "lexicon", "spec-text",
+         "spec-key", "inspect-kind", "verify-kind", "verify-diverged"],
 )
 def test_an_outside_value_shows_bounded_in_one_short_line(tmp_path, capsys, command, texts, code):
     """A message quotes a value from a file as ``reprlib`` bounds it, and a
@@ -909,6 +962,24 @@ def test_verify_and_inspect_refuse_a_file_that_is_not_a_trace(tmp_path, capsys, 
         assert (captured.out, captured.err) == ("", f"error: {message} (in the {side} trace)\n")
     assert main(["inspect", bad, "--metric", "kappa"]) == 2
     assert capsys.readouterr().err == f"error: {message}\n"
+
+
+def test_bytes_that_are_not_utf8_are_refused_by_line_or_file(tmp_path, capsys):
+    """``verify`` and ``inspect`` name the trace line that holds such a
+    byte, as they name every other fault; ``run`` names the scenario file."""
+    trace = tmp_path / "bad.jsonl"
+    trace.write_bytes(TRACE_HEADER.encode() + b'{"kind":"meta","payload":{"\xff":1}}\n')
+    message = "trace line 2: not UTF-8 at column 28"
+    assert main(["verify", str(trace), str(trace)]) == 2
+    assert capsys.readouterr().err == f"error: {message} (in the actual trace)\n"
+    assert main(["inspect", str(trace), "--metric", "kappa"]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+    scenario = tmp_path / "bad.json"
+    scenario.write_bytes(b'{"name": "\xff"}')
+    assert main(["run", str(scenario)]) == 2
+    assert capsys.readouterr().err == (
+        f"error: scenario {scenario} is not UTF-8: 'utf-8' codec can't decode byte 0xff "
+        "in position 10: invalid start byte\n")
 
 
 FUZZED = SCENARIOS / "golden" / "regulation_loop.trace.jsonl"

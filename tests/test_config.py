@@ -13,6 +13,7 @@ from beliefsim.config import (
     is_finite_number,
 )
 from beliefsim.simulator import run_scenario
+from beliefsim.trace import record_dict
 
 
 def test_defaults_are_valid():
@@ -111,7 +112,7 @@ def test_cost_defaults_to_one():
 
 def test_dict_roundtrip():
     cfg = default_config().replace(lambda0=0.03, sector_costs={"task": 2.0})
-    again = config_from_dict(cfg.to_dict())
+    again = config_from_dict(record_dict(cfg))
     assert again == cfg
 
 

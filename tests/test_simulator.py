@@ -102,7 +102,7 @@ def test_rule_trigger_must_be_a_non_empty_string(tmp_path, trigger):
     [
         (["x"], r"basins\[0\]\.gate_policy must be a list of objects"),
         ({"pattern": "x"}, r"basins\[0\]\.gate_policy must be a list of objects"),
-        ([{}], r"basins\[0\]\.gate_policy\[0\]: gate pattern must be a string"),
+        ([{}], r"basins\[0\]\.gate_policy\[0\]: .*missing .*argument: 'pattern'"),
         ([{"pattern": "stop"}, {"pattern": "go", "action": "veto"}],
          r"basins\[0\]\.gate_policy\[1\]: unknown gate action"),
     ],

@@ -5,11 +5,15 @@ from __future__ import annotations
 import json
 import math
 import sys
+from pathlib import Path
+from types import MappingProxyType
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from beliefsim.memory import QueryCue
+from beliefsim.simulator import run_scenario
 from beliefsim.trace import (
     FORMAT_TAG,
     Divergence,
@@ -18,8 +22,11 @@ from beliefsim.trace import (
     canonical_json,
     make_header,
     parse_trace,
+    record_dict,
     verify_golden,
 )
+
+SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 
 
 # --------------------------------------------------------------------------
@@ -77,6 +84,49 @@ def test_float_canonicalization_is_idempotent(x):
     once = canonical_json(x)
     twice = canonical_json(json.loads(once))
     assert once == twice
+
+
+# --------------------------------------------------------------------------
+# Records
+# --------------------------------------------------------------------------
+
+def test_a_record_is_written_as_its_fields():
+    assert record_dict(QueryCue("goal", ("map", "route"))) == {
+        "kind": "goal", "tokens": ["map", "route"]}
+    payload = {"report": {"load": 0.5}}
+    event = record_dict(TraceEvent(seq=0, tick=1.0, kind="meta", payload=payload))
+    assert event == {"seq": 0, "tick": 1.0, "kind": "meta", "payload": payload}
+    # One level only: the payload's own values are not copied.
+    assert event["payload"]["report"] is payload["report"]
+    proxy = record_dict(TraceEvent(0, 0.0, "meta", MappingProxyType({"a": 1})))
+    assert type(proxy["payload"]) is dict
+
+
+PLAIN = (dict, list, str, int, float, bool, type(None))
+
+
+def _plain(value) -> bool:
+    """Only JSON's own types, a dict keyed by strings: no record, no tuple."""
+    if type(value) is dict:
+        return all(type(k) is str and _plain(v) for k, v in value.items())
+    if type(value) is list:
+        return all(map(_plain, value))
+    return type(value) in PLAIN
+
+
+def test_shipped_runs_hold_plain_payloads_in_memory():
+    """Records become dicts and lists when emitted, not when written, so a
+    reader of the in-memory trace (the benchmark's event counts) sees what a
+    reader of the file sees."""
+    kinds = set()
+    for path in sorted(SCENARIOS.glob("*.json")):
+        trace = run_scenario(path).trace
+        assert _plain(trace.header), path.stem
+        for event in trace.events:
+            assert _plain(event.payload), (path.stem, event.kind, event.payload)
+            kinds.add(event.kind)
+    assert {"assimilate", "regulate_action", "meta", "query", "integrate",
+            "action_decision"} <= kinds
 
 
 # --------------------------------------------------------------------------
@@ -143,6 +193,14 @@ def test_parse_rejects_missing_header():
     lines = ['{"seq":0,"tick":0.0,"kind":"ingest","payload":{}}']
     with pytest.raises(ValueError, match="header"):
         parse_trace(lines)
+
+
+def test_parse_names_the_line_of_a_byte_that_is_not_utf8(tmp_path):
+    """Counted as every other refusal counts lines: blank lines skipped."""
+    path = tmp_path / "bad.jsonl"
+    path.write_bytes(b'{"header":{}}\n\n{"kind":"me\xe9ta"}\n')
+    with pytest.raises(ValueError, match=r"^trace line 2: not UTF-8 at column 12$"):
+        parse_trace(path)
 
 
 def test_parse_reports_bad_line_number():
