@@ -35,7 +35,7 @@ import reprlib
 from collections import deque
 from dataclasses import dataclass, field, fields
 from pathlib import Path
-from typing import Any, Mapping, Sequence
+from typing import AbstractSet, Any, Mapping, Sequence
 
 import numpy as np
 
@@ -77,29 +77,33 @@ from .trace import TraceLog, canonical_json, make_header, record_dict
 
 RUN_MODES = ("live", "simulation")
 
-# Each timeline event and the fields its entry may carry.
-_TIMELINE_FIELDS = {
-    "observe": frozenset({"event", "specs", "mode", "group"}),
-    "command": frozenset({"event", "text", "anchor", "name"}),
-    "tick": frozenset({"event", "n"}),
-    "set_mode": frozenset({"event", "mode"}),
-    "expect": frozenset({"event", "assertions"}),
-}
-TIMELINE_EVENTS = tuple(_TIMELINE_FIELDS)
+COMMAND_ANCHOR = 5.0
 
-ASSERTION_CHECKS = (
-    "fragment_present",
-    "fragment_absent",
-    "persistence",
-    "anchor",
-    "kappa",
-    "is_vacuum",
-    "action_fired",
-    "action_not_fired",
-)
-_NAMED_CHECKS = frozenset({"fragment_present", "fragment_absent", "persistence", "anchor"})
-_VALUED_CHECKS = frozenset({"persistence", "anchor", "kappa"})
-_ACTION_CHECKS = frozenset({"action_fired", "action_not_fired"})
+# Each timeline event and the fields its entry may carry, each with its
+# default.  The loader fills every entry in from it and the run reads the
+# completed entry.  A field that must be given defaults to a value its check
+# refuses.
+_TIMELINE: dict[str, dict[str, Any]] = {
+    "observe": {"specs": None, "mode": "auto", "group": None},
+    "command": {"text": "", "anchor": COMMAND_ANCHOR, "name": None},
+    "tick": {"n": 1},
+    "set_mode": {"mode": None},
+    "expect": {"assertions": []},
+}
+TIMELINE_EVENTS = tuple(_TIMELINE)
+
+# Each expect check and the fields it reads besides its optional tol and sector.
+_CHECKS: dict[str, tuple[str, ...]] = {
+    "fragment_present": ("name",),
+    "fragment_absent": ("name",),
+    "persistence": ("name", "value"),
+    "anchor": ("name", "value"),
+    "kappa": ("value",),
+    "is_vacuum": (),
+    "action_fired": ("action",),
+    "action_not_fired": ("action",),
+}
+ASSERTION_CHECKS = tuple(_CHECKS)
 
 # Ops that count toward the load rate term, over the sliding window.
 OP_RATE_KINDS = frozenset(
@@ -116,7 +120,6 @@ OP_RATE_KINDS = frozenset(
     }
 )
 
-COMMAND_ANCHOR = 5.0
 # Most ticks a scenario may ask for, in one tick event and in all of them
 # together; a shipped scenario asks for at most 150 in one event.  Above it
 # a run would not end in useful time, so load refuses it.
@@ -136,8 +139,8 @@ class ScenarioError(ValueError):
 @dataclass(frozen=True)
 class Scenario:
     """A loaded scenario.  The store (ids 1..N), each named state, each
-    rule's emit and each axis's tower are built once, at load; an observe's
-    specs are built when it runs."""
+    rule's emit and each axis's tower are built once, at load; the specs of
+    an observe, or a command's one spec, are built when it runs."""
 
     name: str
     config: ParameterConfig
@@ -147,11 +150,11 @@ class Scenario:
     lexicon: tuple[str, ...]
     towers: Mapping[str, tuple[TowerTrajectory, bool]]  # axis label -> (tower, null_seed)
     basins: tuple[ActionBasin, ...]
-    timeline: tuple[Mapping[str, Any], ...]
+    timeline: tuple[Mapping[str, Any], ...]  # each entry completed from _TIMELINE
     states: Mapping[str, BeliefState]
 
 
-def _refuse_unknown(raw: Mapping[str, Any], allowed: frozenset[str], where: str) -> None:
+def _refuse_unknown(raw: Mapping[str, Any], allowed: AbstractSet[str], where: str) -> None:
     unknown = raw.keys() - allowed
     if unknown:
         raise ScenarioError(f"{where}: unknown fields {reprlib.repr(sorted(unknown))}")
@@ -216,9 +219,11 @@ def fragment_from_spec(spec: Mapping[str, Any], fragment_id: int, clock: float) 
         level = int(spec.get("level", 0))
         anchor = float(spec.get("anchor", 1.0))
         persistence = float(spec.get("persistence", 1.0))
-    except (TypeError, ValueError, OverflowError) as exc:
+    except (TypeError, ValueError, OverflowError):
+        given = {k: spec[k] for k in ("level", "anchor", "persistence") if k in spec}
         raise ValueError(
-            f"spec {reprlib.repr(text)}: level, anchor and persistence must be numbers ({exc})"
+            f"spec {reprlib.repr(text)}: level, anchor and persistence must be numbers, "
+            f"got {reprlib.repr(given)}"
         ) from None
     key = spec.get("key")
     if key is not None and not isinstance(key, str):
@@ -238,7 +243,7 @@ def fragment_from_spec(spec: Mapping[str, Any], fragment_id: int, clock: float) 
 
 
 def _names(sources: Sequence[Mapping[str, Any]], frags: Sequence[Fragment]) -> dict[str, int]:
-    """Name -> id of each fragment whose source, a spec or a command, has a name."""
+    """Name -> id of each fragment whose spec has a name."""
     return {str(s["name"]): f.id for s, f in zip(sources, frags) if s.get("name")}
 
 
@@ -269,15 +274,17 @@ def _build(
 
 
 def _check_assertion(a: Any, where: str) -> None:
-    """Every field an expect check reads, typed, so the check cannot fail on it."""
+    """Every field an expect check reads (``_CHECKS``), typed, so the check
+    cannot fail on it."""
     if not isinstance(a, dict):
         raise ScenarioError(f"{where}: must be an object")
     check = a.get("check")
-    if check not in ASSERTION_CHECKS:
+    if check not in ASSERTION_CHECKS:  # a tuple: a list as check is refused, not a TypeError
         raise ScenarioError(f"{where}: unknown check {reprlib.repr(check)}")
-    if check in _NAMED_CHECKS and not isinstance(a.get("name"), str):
+    reads = _CHECKS[check]
+    if "name" in reads and not isinstance(a.get("name"), str):
         raise ScenarioError(f"{where}: {check} needs a name, a string")
-    if check in _VALUED_CHECKS and not is_finite_number(a.get("value")):
+    if "value" in reads and not is_finite_number(a.get("value")):
         raise ScenarioError(f"{where}: {check} needs a value, a finite number")
     if "tol" in a and not (is_finite_number(a["tol"]) and a["tol"] >= 0):
         raise ScenarioError(f"{where}: tol must be a finite number >= 0")
@@ -285,7 +292,7 @@ def _check_assertion(a: Any, where: str) -> None:
         raise ScenarioError(f"{where}: sector must be a non-empty string")
     if check == "is_vacuum" and not isinstance(a.get("value", True), bool):
         raise ScenarioError(f"{where}: is_vacuum value must be true or false")
-    if check in _ACTION_CHECKS and not isinstance(a.get("action"), str):
+    if "action" in reads and not isinstance(a.get("action"), str):
         raise ScenarioError(f"{where}: {check} needs an action, a string")
     try:  # the spec enters the trace as written, extra fields too
         canonical_json(a)
@@ -295,43 +302,52 @@ def _check_assertion(a: Any, where: str) -> None:
         raise ScenarioError(f"{where}: nested too deeply to enter a trace") from None
 
 
-def _validate_timeline(timeline: Sequence[Mapping[str, Any]]) -> None:
+def _complete_timeline(timeline: Any) -> tuple[dict[str, Any], ...]:
+    """Each entry with its event's defaults from ``_TIMELINE`` filled in and
+    every field checked.  A command becomes what it ingests: an observe of
+    one ``task`` spec, ``{text, sector, anchor, name}``, in mode auto."""
+    if not isinstance(timeline, list):
+        raise ScenarioError("timeline must be a list")
+    completed = []
     ticks = 0
-    for i, entry in enumerate(timeline):
-        if not isinstance(entry, dict):
+    for i, raw in enumerate(timeline):
+        if not isinstance(raw, dict):
             raise ScenarioError(f"timeline[{i}]: an entry must be an object")
-        kind = entry.get("event")
-        if kind not in TIMELINE_EVENTS:
+        kind = raw.get("event")
+        if kind not in TIMELINE_EVENTS:  # a tuple: a list as event is refused, not a TypeError
             raise ScenarioError(f"timeline[{i}]: unknown event {reprlib.repr(kind)}")
-        _refuse_unknown(entry, _TIMELINE_FIELDS[kind], f"timeline[{i}]")
+        _refuse_unknown(raw, {"event", *_TIMELINE[kind]}, f"timeline[{i}]")
+        entry = {**_TIMELINE[kind], **raw}
         if kind == "observe":
-            specs = entry.get("specs")
+            specs = entry["specs"]
             if not isinstance(specs, list) or not specs:
                 raise ScenarioError(f"timeline[{i}]: observe needs non-empty specs, a list")
             _check_specs(specs, f"timeline[{i}].specs")
-            mode = entry.get("mode", "auto")
-            if mode not in ASSIMILATION_MODES:
+            if entry["mode"] not in ASSIMILATION_MODES:
                 raise ScenarioError(
                     f"timeline[{i}]: mode must be one of {ASSIMILATION_MODES}"
                 )
-            if mode == "abs":
-                group = entry.get("group")
+            if entry["mode"] == "abs":
+                group = entry["group"]
                 if not isinstance(group, str) or not tokenize(group):
                     raise ScenarioError(
                         f"timeline[{i}]: mode abs needs a group, a string with a token"
                     )
-            elif "group" in entry:
+            elif "group" in raw:  # as written: a null group is refused too
                 raise ScenarioError(f"timeline[{i}]: group is only allowed with mode abs")
         if kind == "command":
-            if not tokenize(str(entry.get("text", ""))):
+            if not tokenize(str(entry["text"])):
                 raise ScenarioError(f"timeline[{i}]: command needs text")
-            anchor = entry.get("anchor", COMMAND_ANCHOR)
+            anchor = entry["anchor"]
             if not is_finite_number(anchor) or not 0 <= anchor <= ANCHOR_MAX:
                 raise ScenarioError(
                     f"timeline[{i}]: anchor must be a finite number >= 0 and <= {ANCHOR_MAX:g}"
                 )
+            spec = {"text": entry["text"], "sector": "task", "anchor": anchor,
+                    "name": entry["name"]}
+            entry = {**_TIMELINE["observe"], "event": "command", "specs": [spec]}
         if kind == "tick":
-            n = entry.get("n", 1)
+            n = entry["n"]
             if not isinstance(n, int) or isinstance(n, bool) or not 1 <= n <= MAX_TICKS:
                 raise ScenarioError(f"timeline[{i}]: tick n must be an int >= 1 and <= {MAX_TICKS}")
             ticks += n
@@ -339,14 +355,16 @@ def _validate_timeline(timeline: Sequence[Mapping[str, Any]]) -> None:
                 raise ScenarioError(
                     f"timeline[{i}]: the ticks up to here add up to {ticks}, above {MAX_TICKS}"
                 )
-        if kind == "set_mode" and entry.get("mode") not in RUN_MODES:
+        if kind == "set_mode" and entry["mode"] not in RUN_MODES:
             raise ScenarioError(f"timeline[{i}]: mode must be one of {RUN_MODES}")
         if kind == "expect":
-            assertions = entry.get("assertions", [])
+            assertions = entry["assertions"]
             if not isinstance(assertions, list):
                 raise ScenarioError(f"timeline[{i}]: assertions must be a list")
             for j, a in enumerate(assertions):
                 _check_assertion(a, f"timeline[{i}].assertions[{j}]")
+        completed.append(entry)
+    return tuple(completed)
 
 
 def load_scenario(path: str | Path) -> Scenario:
@@ -431,12 +449,9 @@ def load_scenario(path: str | Path) -> Scenario:
         try:
             towers[label] = (build_tower(seed, max_k, config, ids), null_seed)
         except ValueError as exc:
-            raise ScenarioError(f"axes[{i}] ({label}): {exc}") from exc
+            raise ScenarioError(f"axes[{i}] ({reprlib.repr(label)}): {exc}") from exc
 
-    timeline = raw.get("timeline", [])
-    if not isinstance(timeline, list):
-        raise ScenarioError("timeline must be a list")
-    _validate_timeline(timeline)
+    timeline = _complete_timeline(raw.get("timeline", []))
 
     states = raw.get("states", {})
     if not isinstance(states, dict):
@@ -453,7 +468,7 @@ def load_scenario(path: str | Path) -> Scenario:
         lexicon=tuple(lexicon),
         towers=towers,
         basins=basins,
-        timeline=tuple(timeline),
+        timeline=timeline,
         # each state in its own id space
         states={
             label: BeliefState(_build(specs, IdAllocator(1), 0.0, f"states.{label}"), 0.0)
@@ -529,7 +544,7 @@ class SimulationRun:
             try:
                 self.axes[label] = derive_axis(tower, label, self.config, null_seed=null_seed)
             except ValueError as exc:
-                raise ScenarioError(f"axes[{i}] ({label}): {exc}") from exc
+                raise ScenarioError(f"axes[{i}] ({reprlib.repr(label)}): {exc}") from exc
 
         self.trace = TraceLog(
             make_header(scenario.name, self.seed, mode, record_dict(self.config))
@@ -590,44 +605,30 @@ class SimulationRun:
 
     # -- timeline events ---------------------------------------------------
 
-    def _ingest(
-        self,
-        frags: tuple[Fragment, ...],
-        sources: Sequence[Mapping[str, Any]],
-        command: bool,
-        mode: str = "auto",
-        group: str | None = None,
-    ) -> None:
-        """Take fragments in from the world: register their names, log them,
-        assimilate them, then register the names of any rule emits.  Input
-        that elaborative mode cannot take without revising is refused whole,
-        with a warning, and the state stays as it was."""
-        self.names.update(_names(sources, frags))
+    def _ingest(self, entry: Mapping[str, Any], index: int) -> None:
+        """Take an observe's specs, or a command's one spec, in from the
+        world: build them, register their names, log them, assimilate them,
+        then register the names of any rule emits.  Input that elaborative
+        mode cannot take without revising is refused whole, with a warning,
+        and the state stays as it was."""
+        specs = entry["specs"]
+        frags = _build(specs, self.ids, self.active.clock, f"timeline[{index}].specs")
+        self.names.update(_names(specs, frags))
         self._emit(
             "ingest",
-            {"ids": [f.id for f in frags], "texts": [f.text for f in frags], "command": command},
+            {"ids": [f.id for f in frags], "texts": [f.text for f in frags],
+             "command": entry["event"] == "command"},
         )
         try:
             self.active, report = assimilate(
                 self.active, BeliefState(frags, self.active.clock), self.config, self.ids,
-                mode=mode, rules=self.scenario.rules, abs_group=group,
+                mode=entry["mode"], rules=self.scenario.rules, abs_group=entry["group"],
             )
         except ConflictError as exc:
             self._emit("warning", {"op": "assimilate", "message": str(exc)})
             return
         self._emit("assimilate", {"report": record_dict(report)})
         self._register_rule_names(report.elaborated)
-
-    def _do_observe(self, entry: Mapping[str, Any], index: int) -> None:
-        specs = entry["specs"]
-        frags = _build(specs, self.ids, self.active.clock, f"timeline[{index}].specs")
-        self._ingest(frags, specs, False, entry.get("mode", "auto"), entry.get("group"))
-
-    def _do_command(self, entry: Mapping[str, Any], index: int) -> None:
-        spec = {"text": entry["text"], "sector": "task",
-                "anchor": entry.get("anchor", COMMAND_ANCHOR)}
-        frags = _build([spec], self.ids, self.active.clock, f"timeline[{index}]")
-        self._ingest(frags, (entry,), True)
 
     # -- the tick ----------------------------------------------------------
 
@@ -756,81 +757,60 @@ class SimulationRun:
     # -- assertions --------------------------------------------------------
 
     def _check(self, spec: Mapping[str, Any]) -> AssertionOutcome:
+        """One branch per family: an absence check is its presence check
+        negated, with the same detail, and the valued checks share one test."""
         check = spec["check"]
-        name = spec.get("name")
-        frag = self.active.get(self.names[name]) if name in self.names else None
 
         def out(ok: bool, detail: str) -> AssertionOutcome:
             return AssertionOutcome(check=check, ok=ok, detail=detail, spec=spec)
 
-        if check == "fragment_present":
+        if check in ("fragment_present", "fragment_absent"):
+            name = spec["name"]
             if name not in self.names:
-                return out(False, f"name {name!r} never registered")
-            return out(frag is not None, f"id {self.names[name]} "
-                       + ("present" if frag else "absent"))
-        if check == "fragment_absent":
-            if name not in self.names:
-                return out(True, f"name {name!r} never registered")
-            return out(frag is None, f"id {self.names[name]} "
-                       + ("absent" if frag is None else "present"))
-        # The loader typed every field; float() only shapes the detail text,
-        # where an int value or tol prints as a float (3 as "3.0").
-        if check == "persistence":
-            if frag is None:
-                return out(False, f"{name!r} not in active state")
-            tol = float(spec.get("tol", 1e-6))
+                present, detail = False, f"name {name!r} never registered"
+            else:
+                present = self.active.get(self.names[name]) is not None
+                detail = f"id {self.names[name]} " + ("present" if present else "absent")
+            return out(present == (check == "fragment_present"), detail)
+        if check in ("persistence", "anchor", "kappa"):
+            if check == "kappa":
+                sector = spec.get("sector")
+                value = coherence(self.active, sector)
+                label = f"kappa in {sector}" if sector else "kappa"
+            else:
+                name = spec["name"]
+                frag = self.active.get(self.names[name]) if name in self.names else None
+                if frag is None:
+                    return out(False, f"{name!r} not in active state")
+                value, label = getattr(frag, check), check
+            # The loader typed every field; float() only shapes the detail
+            # text, where an int value or tol prints as a float (3 as "3.0").
+            tol = float(spec.get("tol", 1e-9 if check == "anchor" else 1e-6))
             want = float(spec["value"])
-            ok = abs(frag.persistence - want) <= tol
-            return out(ok, f"persistence {frag.persistence:.6f} vs {want} ± {tol}")
-        if check == "anchor":
-            if frag is None:
-                return out(False, f"{name!r} not in active state")
-            tol = float(spec.get("tol", 1e-9))
-            want = float(spec["value"])
-            ok = abs(frag.anchor - want) <= tol
-            return out(ok, f"anchor {frag.anchor:.6f} vs {want}")
-        if check == "kappa":
-            sector = spec.get("sector")
-            value = coherence(self.active, sector)
-            tol = float(spec.get("tol", 1e-6))
-            want = float(spec["value"])
-            ok = abs(value - want) <= tol
-            where = f" in {sector}" if sector else ""
-            return out(ok, f"kappa{where} {value:.6f} vs {want} ± {tol}")
+            bound = "" if check == "anchor" else f" ± {tol}"
+            return out(abs(value - want) <= tol, f"{label} {value:.6f} vs {want}{bound}")
         if check == "is_vacuum":
             return out(self.active.is_vacuum == spec.get("value", True),
                        f"vacuum={self.active.is_vacuum}")
-        fired_so_far = f"fired so far: {sorted(set(self._fired_ever))}"
-        if check == "action_fired":
-            return out(spec["action"] in self._fired_ever, fired_so_far)
-        # action_not_fired
-        return out(spec["action"] not in self._fired_ever, fired_so_far)
+        fired = spec["action"] in self._fired_ever
+        return out(fired == (check == "action_fired"),
+                   f"fired so far: {sorted(set(self._fired_ever))}")
 
     def _do_expect(self, entry: Mapping[str, Any]) -> None:
-        for spec in entry.get("assertions", ()):
+        for spec in entry["assertions"]:
             outcome = self._check(spec)
             self._assertions.append(outcome)
-            self._emit(
-                "assertion_result",
-                {
-                    "check": outcome.check,
-                    "ok": outcome.ok,
-                    "detail": outcome.detail,
-                    "spec": dict(spec),
-                },
-            )
+            self._emit("assertion_result", record_dict(outcome))
 
     # -- driver ------------------------------------------------------------
 
     def run(self) -> RunResult:
         for i, entry in enumerate(self.scenario.timeline):
             kind = entry["event"]
-            if kind == "observe":
-                self._do_observe(entry, i)
-            elif kind == "command":
-                self._do_command(entry, i)
+            if kind in ("observe", "command"):
+                self._ingest(entry, i)
             elif kind == "tick":
-                for _ in range(int(entry.get("n", 1))):
+                for _ in range(entry["n"]):
                     self._tick()
             elif kind == "set_mode":
                 self.mode = entry["mode"]

@@ -10,7 +10,8 @@ time and ``embed_rows`` stacks its rows, ``realign`` reads every removal
 from a whole derived state, ``shortlist`` screens every removal through the
 matrix of all its rests, the conflict readings group the rows by key on
 every call, and the load, the overload target, the sectors present, a
-sector's rows and its activation density walk every row.
+sector's rows and its activation density walk every row, and ``check``
+reads an expect check with one branch per check.
 ``test_reference.py`` swaps them into a whole run through the module
 attributes the engine calls and asserts that the trace comes out byte for
 byte the same.
@@ -46,6 +47,7 @@ from beliefsim.geometry import (
     detect_drift,
 )
 from beliefsim.regulation import META_ANCHOR, REFLECTIVE_SECTOR, _breach_entries, _meta_text
+from beliefsim.simulator import AssertionOutcome
 from beliefsim.tower import merge_group
 
 
@@ -490,3 +492,56 @@ def most_conflicted_sector(state):
         return best
     pair = first_conflict(state.rows)
     return None if pair is None else min(pair[0].sectors | pair[1].sectors)
+
+
+def check(run, spec):
+    """An expect check as ``SimulationRun._check`` once read it: one branch
+    per check, each absence check and its presence check written apart, and
+    every valued check's tolerance and detail on its own."""
+    check = spec["check"]
+    name = spec.get("name")
+    frag = run.active.get(run.names[name]) if name in run.names else None
+
+    def out(ok, detail):
+        return AssertionOutcome(check=check, ok=ok, detail=detail, spec=spec)
+
+    if check == "fragment_present":
+        if name not in run.names:
+            return out(False, f"name {name!r} never registered")
+        return out(frag is not None, f"id {run.names[name]} "
+                   + ("present" if frag else "absent"))
+    if check == "fragment_absent":
+        if name not in run.names:
+            return out(True, f"name {name!r} never registered")
+        return out(frag is None, f"id {run.names[name]} "
+                   + ("absent" if frag is None else "present"))
+    if check == "persistence":
+        if frag is None:
+            return out(False, f"{name!r} not in active state")
+        tol = float(spec.get("tol", 1e-6))
+        want = float(spec["value"])
+        ok = abs(frag.persistence - want) <= tol
+        return out(ok, f"persistence {frag.persistence:.6f} vs {want} ± {tol}")
+    if check == "anchor":
+        if frag is None:
+            return out(False, f"{name!r} not in active state")
+        tol = float(spec.get("tol", 1e-9))
+        want = float(spec["value"])
+        ok = abs(frag.anchor - want) <= tol
+        return out(ok, f"anchor {frag.anchor:.6f} vs {want}")
+    if check == "kappa":
+        sector = spec.get("sector")
+        value = coherence(run.active, sector)
+        tol = float(spec.get("tol", 1e-6))
+        want = float(spec["value"])
+        ok = abs(value - want) <= tol
+        where = f" in {sector}" if sector else ""
+        return out(ok, f"kappa{where} {value:.6f} vs {want} ± {tol}")
+    if check == "is_vacuum":
+        return out(run.active.is_vacuum == spec.get("value", True),
+                   f"vacuum={run.active.is_vacuum}")
+    fired_so_far = f"fired so far: {sorted(set(run._fired_ever))}"
+    if check == "action_fired":
+        return out(spec["action"] in run._fired_ever, fired_so_far)
+    # action_not_fired
+    return out(spec["action"] not in run._fired_ever, fired_so_far)

@@ -16,7 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from beliefsim.cli import main
-from beliefsim.simulator import MAX_TICKS, ScenarioError, load_scenario
+from beliefsim.simulator import _TIMELINE, MAX_TICKS, ScenarioError, load_scenario
 from beliefsim.trace import parse_trace
 
 REPO = Path(__file__).resolve().parent.parent
@@ -538,13 +538,13 @@ def test_tower_shows_the_kept_tower_that_run_refuses(tmp_path, capsys):
     assert main(["tower", path, "--axis", "wide"]) == 0
     assert capsys.readouterr().out == TOWER_MAX_K_OUTPUT["tall", "wide", 1]
     assert main(["run", path]) == 2
-    assert "axes[0] (wide): axis derivation requires a converged tower" in capsys.readouterr().err
+    assert "axes[0] ('wide'): axis derivation requires a converged tower" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize(
     "axis, message",
     [
-        ({"max_k": 0}, "axes[0] (wide): max_k must be >= 1, got 0"),
+        ({"max_k": 0}, "axes[0] ('wide'): max_k must be >= 1, got 0"),
         ({"seed": [{"text": "pump", "level": "x"}]}, "axes[0].seed[0]: spec 'pump'"),
     ],
     ids=["max-k-zero", "seed-level-str"],
@@ -815,6 +815,8 @@ def _basin(clause=None, **fields) -> str:
                                       "specs": [{"text": LONG, "level": "x"}]}])], 2),
         ("run", [_scenario(timeline=[{"event": "observe",
                                       "specs": [{"text": LONG, "key": MANY}]}])], 2),
+        ("run", [_scenario(memory=[{"text": "pump", "anchor": LONG}])], 2),
+        ("run", [_scenario(axes=[{"label": LONG, "seed": [{"text": "pump"}], "max_k": 0}])], 2),
         ("inspect", [_trace(kind="k" * 3000)], 2),
         ("verify", [_trace(kind="k" * 3000)] * 2, 2),
         ("verify", [_trace(payload={"x": list(range(3000))}), _trace()], 1),
@@ -823,7 +825,8 @@ def _basin(clause=None, **fields) -> str:
          "sector_costs", "sector-cost", "goal_marker", "config-key", "timeline-event",
          "expect-check", "clause-kind", "clause-sector", "clause-token", "clause-minimum",
          "clause-level", "basin-name", "gate-action", "gate-pattern", "lexicon", "spec-text",
-         "spec-key", "inspect-kind", "verify-kind", "verify-diverged"],
+         "spec-key", "spec-number", "axis-label", "inspect-kind", "verify-kind",
+         "verify-diverged"],
 )
 def test_an_outside_value_shows_bounded_in_one_short_line(tmp_path, capsys, command, texts, code):
     """A message quotes a value from a file as ``reprlib`` bounds it, and a
@@ -1052,3 +1055,59 @@ def test_verify_and_inspect_exit_0_1_or_2_on_a_mutated_golden(text, tmp_path_fac
     assert itself == (0 if parses else 2)
     assert against in ((0, 1) if parses else (2,))
     assert set(inspected) <= ({0, 2} if parses else {2})
+
+
+# A value of another type put in place of a scenario value: a list, null, a
+# number or a string.
+SWAPS = ([], ["x"], None, 0, -1, 2.5, "", "x")
+
+
+@st.composite
+def mutated_scenario(draw) -> str:
+    """A shipped scenario with one to three drawn faults, each a value
+    swapped for one of another type in ``SWAPS`` or a key dropped."""
+    data = json.loads((SCENARIOS / f"{draw(st.sampled_from(SHIPPED))}.json").read_text())
+    for _ in range(draw(st.integers(1, 3))):
+        path = draw(st.sampled_from(list(_paths(data))[1:]))
+        holder = data
+        for key in path[:-1]:
+            holder = holder[key]
+        if isinstance(path[-1], str) and draw(st.booleans()):
+            del holder[path[-1]]
+        else:
+            old = type(holder[path[-1]])
+            holder[path[-1]] = draw(st.sampled_from(SWAPS).filter(lambda v: type(v) is not old))
+    return json.dumps(data)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(text=mutated_scenario())
+def test_run_exits_0_1_or_2_on_a_mutated_scenario(text, tmp_path_factory):
+    """On any drawn fault, ``run`` returns and does not raise: exit 2 with
+    one ``error:`` line, or exit 1 only with a failed check."""
+    path = tmp_path_factory.mktemp("fuzz") / "mutated.json"
+    path.write_text(text)
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = main(["run", str(path)])
+    assert code in (0, 1, 2)
+    if code == 2:
+        assert err.getvalue().startswith("error: ") and err.getvalue().count("\n") == 1
+    else:
+        assert err.getvalue() == ""
+        assert (code == 1) == ("[FAIL]" in out.getvalue())
+
+
+def test_the_readme_scenario_runs_and_passes_its_check(tmp_path, capsys):
+    """The README's scenario example, its ``//`` comments stripped, runs
+    with exit 0, and the README lists each timeline event's fields as the
+    loader's table has them."""
+    readme = (REPO / "README.md").read_text(encoding="utf-8")
+    example = re.search(r"```jsonc\n(.*?)```", readme, re.S).group(1)
+    path = tmp_path / "readme.json"
+    path.write_text(re.sub(r"\s*//[^\n]*", "", example), encoding="utf-8")
+    assert main(["run", str(path)]) == 0
+    assert "[PASS] fragment_present hum" in capsys.readouterr().out
+    prose = " ".join(readme.split())
+    for event, defaults in _TIMELINE.items():
+        assert f"`{event}` {{{', '.join(f'`{f}`' for f in defaults)}}}" in prose

@@ -11,9 +11,10 @@ conflict sweep over a list of every fragment, the reflection written one
 breach at a time, realignment reading a whole derived state per removal,
 coherence, the sector wipe's target and the coherence cue regrouping the
 rows by key, the associative cue's ``max`` walk, and the sectors present, a
-sector's rows and a basin clause's activation density walking every row)
-swapped in through the module and class attributes the engine calls.  The
-two traces must be the same bytes; ``verify_golden``'s float tolerance would
+sector's rows and a basin clause's activation density walking every row,
+and the expect check written one branch per check) swapped in through the
+module and class attributes the engine calls.  The two traces must be the
+same bytes; ``verify_golden``'s float tolerance would
 be too loose here.  Every shipped scenario, and the
 benchmark workloads at full size and seed 0, must give their goldens' bytes.
 """
@@ -36,6 +37,7 @@ from beliefsim.core import BeliefState
 from beliefsim.simulator import SimulationRun, load_scenario, run_scenario
 
 import reference
+from conftest import SECTORS, states
 from reference import embed_tokens
 
 REPO = Path(__file__).resolve().parent.parent
@@ -137,8 +139,9 @@ def _swap_reference(mp: pytest.MonkeyPatch) -> None:
     """Swap the reference loops in through the names the engine calls; the
     store decays through ``simulator.nullify`` as the active state does,
     retrieved copies are assimilated through ``memory.assimilate``, the
-    corrective move sweeps through ``simulator.resolve_conflicts``, and
-    every V, cue vector and tower vector comes from the per-token loop."""
+    corrective move sweeps through ``simulator.resolve_conflicts``, every
+    V, cue vector and tower vector comes from the per-token loop, and every
+    expect check is read one branch per check."""
     mp.setattr(simulator, "assimilate", reference.assimilate)
     mp.setattr(simulator, "resolve_conflicts", reference.resolve_conflicts)
     mp.setattr(memory, "assimilate", reference.assimilate)
@@ -161,6 +164,7 @@ def _swap_reference(mp: pytest.MonkeyPatch) -> None:
     mp.setattr(BeliefState, "rows_in", reference._tagged)
     mp.setattr(BeliefState, "sectors", reference.sectors)
     mp.setattr(execution, "activation_density", reference.activation_density)
+    mp.setattr(SimulationRun, "_check", reference.check)
 
 
 @pytest.fixture()
@@ -313,3 +317,70 @@ def test_bench_run_matches_golden_bytes(name, tmp_path):
     trace = SimulationRun(load_scenario(path)).run().trace.render().encode("utf-8")
     golden = REPO / "perfbench" / "golden" / f"{name}.s{workloads.DEFAULT_SEED}.trace.jsonl"
     assert trace == golden.read_bytes()
+
+
+# Names an expect check may ask for; a drawn run registers all but the
+# first, each at an id its state holds or one it does not.
+CHECK_NAMES = ("ghost", "hum", "valve")
+ACTIONS = ("engage", "halt")
+
+
+@st.composite
+def expect_checks(draw, run: SimulationRun) -> dict:
+    """One expect check the loader accepts, its value, where it has one,
+    drawn on, within or outside its tolerance of what ``run`` reads, or
+    anywhere."""
+    check = draw(st.sampled_from(simulator.ASSERTION_CHECKS))
+    spec: dict = {"check": check}
+    optional = {
+        "name": st.sampled_from(CHECK_NAMES),
+        "tol": st.sampled_from((0, 1, 0.0, 1e-9, 1e-6, 0.01, 0.5)),
+        "sector": st.sampled_from(SECTORS),
+        "action": st.sampled_from(ACTIONS),
+    }
+    for field in ("name", "action"):
+        if field in simulator._CHECKS[check] or draw(st.booleans()):
+            spec[field] = draw(optional[field])
+    for field in ("tol", "sector"):
+        if draw(st.booleans()):
+            spec[field] = draw(optional[field])
+    if check == "is_vacuum" and draw(st.booleans()):
+        spec["value"] = draw(st.booleans())
+    if "value" in simulator._CHECKS[check]:
+        if check == "kappa":
+            read = reference.coherence(run.active, spec.get("sector"))
+        else:
+            frag = run.active.get(run.names.get(spec["name"], 0))
+            read = getattr(frag, check) if frag is not None else 1.0
+        tol = spec.get("tol", 1e-9 if check == "anchor" else 1e-6)
+        spec["value"] = read + draw(st.sampled_from((0.0, 0.5, -0.5, 2.0, -2.0))) * tol
+        if draw(st.booleans()):  # an int prints as a float in the detail
+            spec["value"] = draw(st.integers(-1, 3))
+    simulator._check_assertion(spec, "drawn")
+    return spec
+
+
+@pytest.fixture(scope="module")
+def run(tmp_path_factory) -> SimulationRun:
+    """A run of an empty timeline, whose state, names and fired actions a
+    test sets."""
+    path = tmp_path_factory.mktemp("checks") / "scenario.json"
+    path.write_text('{"timeline": []}', encoding="utf-8")
+    return SimulationRun(load_scenario(path))
+
+
+@settings(max_examples=600, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(state=states(max_frags=5, keyed=True), data=st.data())
+def test_each_check_reads_as_its_reference_branch(run, state, data):
+    """Every check gives the ``(ok, detail)`` of its own branch in
+    ``reference.check``: drawn names registered or not, at rows present or
+    absent, with or without ``tol`` and ``sector``, on values that pass and
+    values that fail."""
+    run.active = state
+    ids = sorted(state.ids()) + [len(state.rows) + 1]  # the last one absent
+    run.names = {name: data.draw(st.sampled_from(ids), label=name) for name in CHECK_NAMES[1:]}
+    run._fired_ever = data.draw(st.lists(st.sampled_from(ACTIONS), max_size=3))
+    spec = data.draw(expect_checks(run))
+    got, want = run._check(spec), reference.check(run, spec)
+    assert (got.check, got.ok, got.detail) == (want.check, want.ok, want.detail)

@@ -188,6 +188,10 @@ def test_unknown_clause_field_rejected(tmp_path):
                 ({"check": "action_not_fired", "action": 3}, "needs an action"),
             )
         ),
+        ({"event": "observe", "specs": [{"text": "pump"}], "group": None}, "only allowed"),
+        ({"event": "command", "text": "go", "anchor": None}, "anchor must be"),
+        ({"event": ["tick"]}, "unknown event"),
+        ({"event": "expect", "assertions": [{"check": ["kappa"]}]}, "unknown check"),
     ],
 )
 def test_timeline_validation(tmp_path, entry, message):
@@ -357,7 +361,7 @@ def test_run_refuses_an_axis_its_tower_cannot_orient(tmp_path, axis, message):
     focus = {"label": "focus", "seed": [{"text": "survey the map"}, {"text": "mark the map"}]}
     scenario = load_scenario(write_scenario(tmp_path, minimal(axes=[focus, axis])))
     assert list(scenario.towers) == ["focus", "flat"]
-    with pytest.raises(ScenarioError, match=r"axes\[1\] \(flat\): .*" + message):
+    with pytest.raises(ScenarioError, match=r"axes\[1\] \('flat'\): .*" + message):
         SimulationRun(scenario)
 
 
@@ -804,6 +808,18 @@ def test_absence_of_unregistered_name_is_vacuously_true(tmp_path):
     assert absent.ok
     assert not present.ok
     assert "never registered" in present.detail
+
+
+def test_a_check_that_reads_no_name_keeps_an_extra_one_as_written(tmp_path):
+    """A ``name`` on a check that reads none is an extra field: it enters
+    the trace as written and is never looked up, even when unhashable."""
+    data = minimal(timeline=[{"event": "expect", "assertions": [
+        {"check": "kappa", "value": 1.0, "name": ["p"]},
+        {"check": "is_vacuum", "name": {"p": 1}},
+    ]}])
+    result = run_scenario(write_scenario(tmp_path, data))
+    assert result.ok
+    assert [a.spec["name"] for a in result.assertions] == [["p"], {"p": 1}]
 
 
 def test_kappa_check_with_sector(tmp_path):
