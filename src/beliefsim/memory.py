@@ -36,11 +36,11 @@ QUERY_TRIGGERS = ("goal", "coherence", "associative")
 
 @dataclass(frozen=True)
 class QueryCue:
+    """A retrieval cue; equal cues are the same cue, so a run never
+    reissues one."""
+
     kind: str
     tokens: tuple[str, ...]
-
-    def signature(self) -> tuple[str, tuple[str, ...]]:
-        return (self.kind, self.tokens)
 
 
 def goal_fragments(state: BeliefState, config: ParameterConfig) -> Iterator[Fragment]:

@@ -9,7 +9,7 @@ same budget it allocates, which is what makes overload self-limiting.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Mapping
 
 import numpy as np
@@ -253,43 +253,19 @@ def meta_assimilate(
 # Effort
 # --------------------------------------------------------------------------
 
-@dataclass
-class EffortLedger:
-    """Per-class budget with spend tracking for one tick."""
-
-    allocations: dict[str, float] = field(default_factory=dict)
-    spent: dict[str, float] = field(default_factory=dict)
-
-    def __post_init__(self) -> None:
-        for cls in EFFORT_CLASSES:
-            self.allocations.setdefault(cls, 0.0)
-            self.spent.setdefault(cls, 0.0)
-
-    def available(self, cls: str) -> float:
-        return self.allocations[cls] - self.spent[cls]
-
-    def charge(self, cls: str, amount: float) -> bool:
-        """Spend from a class; returns False (and spends nothing) if short by
-        more than float dust."""
-        if amount < 0:
-            raise ValueError(f"cannot charge negative effort {amount}")
-        if self.available(cls) + 1e-12 < amount:
-            return False
-        self.spent[cls] += amount
-        return True
-
-
-def uniform_ledger(config: ParameterConfig) -> EffortLedger:
+def uniform_budget(config: ParameterConfig) -> dict[str, float]:
+    """The budget split evenly: each class's units for a tick."""
     share = config.effort_total / len(EFFORT_CLASSES)
-    return EffortLedger(allocations={cls: share for cls in EFFORT_CLASSES})
+    return {cls: share for cls in EFFORT_CLASSES}
 
 
 def allocate_effort(
     report: IntrospectiveReport,
     goals_present: bool,
     config: ParameterConfig,
-) -> EffortLedger:
-    """Split the budget by the most pressing condition, in priority order.
+) -> dict[str, float]:
+    """Split the budget by the most pressing condition, in priority order:
+    each class's units for a tick.
 
     Coherence trouble funds correction, overload funds pruning and
     abstraction, open goals fund planning and memory, and a quiet tick
@@ -303,11 +279,9 @@ def allocate_effort(
     elif goals_present:
         shares = {"planning": 0.5, "memory": 0.3, "monitors": 0.2}
     else:
-        return uniform_ledger(config)
+        return uniform_budget(config)
     total = config.effort_total
-    return EffortLedger(
-        allocations={cls: shares.get(cls, 0.0) * total for cls in EFFORT_CLASSES}
-    )
+    return {cls: shares.get(cls, 0.0) * total for cls in EFFORT_CLASSES}
 
 
 # --------------------------------------------------------------------------
@@ -410,7 +384,6 @@ def regulate(
 __all__ = [
     "EFFORT_CLASSES",
     "EFFORT_COSTS",
-    "EffortLedger",
     "IntrospectiveReport",
     "META_ANCHOR",
     "REFLECTIVE_SECTOR",
@@ -424,5 +397,5 @@ __all__ = [
     "meta_assimilate",
     "meta_depth",
     "regulate",
-    "uniform_ledger",
+    "uniform_budget",
 ]

@@ -14,7 +14,7 @@ Each tick:
    and 3 spend from the *previous* tick's allocations;
 4. effort is re-allocated from the fresh report;
 5. at most one memory cycle runs: query, retrieve, integrate (budgeted, paid
-   once before the query; cue signatures never reissued);
+   once before the query; an equal cue is never reissued);
 6. a vacuum state drifts one lexicon word in (budgeted);
 7. one unit of time passes: active and store decay, prunes are logged (free);
 8. basins are evaluated and resolved to at most one fired action per tick
@@ -56,13 +56,13 @@ from .execution import ActionBasin, Clause, GateRule, evaluate_action, resolve_a
 from .geometry import realign
 from .memory import (
     QUERY_TRIGGERS,
+    QueryCue,
     generate_query,
     integrate_retrieved,
     retrieve,
 )
 from .regulation import (
     EFFORT_COSTS,
-    EffortLedger,
     allocate_effort,
     any_breach,
     coherence,
@@ -70,7 +70,7 @@ from .regulation import (
     introspect,
     meta_assimilate,
     regulate,
-    uniform_ledger,
+    uniform_budget,
 )
 from .tower import EpistemicAxis, TowerTrajectory, build_tower, derive_axis
 from .trace import TraceLog, canonical_json, make_header, record_dict
@@ -208,10 +208,12 @@ def fragment_from_spec(spec: Mapping[str, Any], fragment_id: int, clock: float) 
 
     Recognized keys: text (required), sector (default "perc") or sectors,
     level, anchor, persistence, key, polarity.  Other keys (e.g. "name") are
-    the loader's.  A level, anchor or persistence that is not a number, or a
-    key that is not a string, raises ValueError.
+    the loader's.  A text or key that is not a string, or a level, anchor or
+    persistence that is not a number, raises ValueError.
     """
-    text = str(spec.get("text", ""))
+    text = spec.get("text", "")
+    if not isinstance(text, str):
+        raise ValueError(f"spec text must be a string, got {reprlib.repr(text)}")
     sectors = spec.get("sectors")
     if sectors is None:
         sectors = [spec.get("sector", "perc")]
@@ -336,7 +338,7 @@ def _complete_timeline(timeline: Any) -> tuple[dict[str, Any], ...]:
             elif "group" in raw:  # as written: a null group is refused too
                 raise ScenarioError(f"timeline[{i}]: group is only allowed with mode abs")
         if kind == "command":
-            if not tokenize(str(entry["text"])):
+            if not (isinstance(entry["text"], str) and tokenize(entry["text"])):
                 raise ScenarioError(f"timeline[{i}]: command needs text")
             anchor = entry["anchor"]
             if not is_finite_number(anchor) or not 0 <= anchor <= ANCHOR_MAX:
@@ -549,12 +551,13 @@ class SimulationRun:
         self.trace = TraceLog(
             make_header(scenario.name, self.seed, mode, record_dict(self.config))
         )
-        self.ledger: EffortLedger = uniform_ledger(self.config)
+        # Each effort class's units left; step 4 of each tick replaces them.
+        self.budget: dict[str, float] = uniform_budget(self.config)
         # The last introspected state's embedding: the next tick's velocity
         # needs only it, not the state and its vectors.
         self._prev_embedding: np.ndarray | None = None
         self._prev_readiness: dict[str, float] = {b.name: 0.0 for b in scenario.basins}
-        self._issued_cues: set[tuple] = set()
+        self._issued_cues: set[QueryCue] = set()
         self._fired_ever: list[str] = []
         self._kappa_streak = 0
         self._op_buckets: deque[int] = deque(maxlen=self.config.window)
@@ -573,9 +576,12 @@ class SimulationRun:
 
     def _afford(self, op: str) -> bool:
         """Charge ``op``'s cost in ``EFFORT_COSTS``; if its class cannot pay,
-        charge nothing and log the skip."""
+        more than float dust short, charge nothing and log the skip.  Every
+        cost is a whole number of units, so each subtraction is exact: the
+        units left are the allocation minus what was charged, to the bit."""
         cls, needed = EFFORT_COSTS[op]
-        if self.ledger.charge(cls, needed):
+        if self.budget[cls] + 1e-12 >= needed:
+            self.budget[cls] -= needed
             return True
         self._emit(
             "effort_skip",
@@ -583,7 +589,7 @@ class SimulationRun:
                 "op": op,
                 "class": cls,
                 "needed": needed,
-                "available": self.ledger.available(cls),
+                "available": self.budget[cls],
             },
         )
         return False
@@ -599,7 +605,7 @@ class SimulationRun:
             if rule.name is None:
                 continue
             for frag in emitted:
-                if frag is not None and frag.tokens == rule.emit.tokens:
+                if frag is not None and frag.content_key() == rule.emit.content_key():
                     self.names[rule.name] = frag.id
                     break
 
@@ -660,12 +666,12 @@ class SimulationRun:
             if trigger == "goal" and not goals:
                 continue  # step 4 found none, and the state has not changed since
             candidate = generate_query(self.active, trigger, self.config)
-            if candidate is not None and candidate.signature() not in self._issued_cues:
+            if candidate is not None and candidate not in self._issued_cues:
                 cue = candidate
                 break
         if cue is None or not self._afford("memory_cycle"):
             return
-        self._issued_cues.add(cue.signature())
+        self._issued_cues.add(cue)
         self._emit("query", {"cue": record_dict(cue)})
         found = retrieve(self.store, cue, self.config)
         self._emit(
@@ -711,12 +717,12 @@ class SimulationRun:
 
         # 4. re-allocate effort and log the introspection.
         goals = self._goals_present()
-        self.ledger = allocate_effort(report, goals, self.config)
+        self.budget = allocate_effort(report, goals, self.config)
         self._emit(
             "meta",
             {
                 "report": record_dict(report),
-                "allocations": dict(self.ledger.allocations),
+                "allocations": dict(self.budget),
                 "breach_streak": self._kappa_streak,
             },
         )

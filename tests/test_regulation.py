@@ -15,7 +15,6 @@ from beliefsim.regulation import (
     EFFORT_CLASSES,
     EFFORT_COSTS,
     META_ANCHOR,
-    EffortLedger,
     IntrospectiveReport,
     allocate_effort,
     coherence,
@@ -24,7 +23,7 @@ from beliefsim.regulation import (
     meta_assimilate,
     meta_depth,
     regulate,
-    uniform_ledger,
+    uniform_budget,
 )
 from beliefsim.tower import EpistemicAxis
 
@@ -380,42 +379,21 @@ def test_meta_assimilate_quiet_report_writes_nothing(cfg):
 
 
 # --------------------------------------------------------------------------
-# Effort ledger
+# Effort budget
 # --------------------------------------------------------------------------
 
-def test_uniform_ledger_splits_budget_evenly(cfg):
-    ledger = uniform_ledger(cfg)
+def test_uniform_budget_splits_the_total_evenly(cfg):
+    budget = uniform_budget(cfg)
     share = cfg.effort_total / len(EFFORT_CLASSES)
-    assert all(ledger.allocations[c] == pytest.approx(share) for c in EFFORT_CLASSES)
-    assert sum(ledger.allocations.values()) == pytest.approx(cfg.effort_total)
-
-
-def test_ledger_charge_and_refusal():
-    ledger = EffortLedger(allocations={"memory": 3.0})
-    assert ledger.charge("memory", 1.0)
-    assert ledger.available("memory") == pytest.approx(2.0)
-    assert ledger.charge("memory", 2.0)
-    assert not ledger.charge("memory", 0.5)  # refused, nothing spent
-    assert ledger.spent["memory"] == pytest.approx(3.0)
-
-
-def test_ledger_charge_tolerates_float_dust():
-    # 0.1 + 0.2 is 0.30000000000000004: float dust above what is left does
-    # not refuse the charge, which spends what it asked.
-    ledger = EffortLedger(allocations={"memory": 0.3})
-    assert ledger.charge("memory", 0.1 + 0.2)
-    assert ledger.spent["memory"] == 0.1 + 0.2
+    assert budget == {c: share for c in EFFORT_CLASSES}
+    assert sum(budget.values()) == pytest.approx(cfg.effort_total)
 
 
 def test_every_effort_cost_names_a_class_and_positive_units():
+    # Whole units, so the run's subtractions from a class's units are exact.
     assert {cls for cls, _ in EFFORT_COSTS.values()} <= set(EFFORT_CLASSES)
-    assert all(isinstance(units, float) and units > 0 for _, units in EFFORT_COSTS.values())
-
-
-def test_ledger_rejects_negative_charge():
-    ledger = EffortLedger(allocations={"rest": 1.0})
-    with pytest.raises(ValueError, match="negative"):
-        ledger.charge("rest", -1.0)
+    assert all(isinstance(units, float) and units > 0 and units.is_integer()
+               for _, units in EFFORT_COSTS.values())
 
 
 # --------------------------------------------------------------------------
@@ -423,44 +401,44 @@ def test_ledger_rejects_negative_charge():
 # --------------------------------------------------------------------------
 
 def test_allocation_coherence_breach_funds_correction(cfg):
-    ledger = allocate_effort(report_with(kappa_global=0.5), False, cfg)
-    assert ledger.allocations["corrective"] == pytest.approx(6.0)
-    assert ledger.allocations["monitors"] == pytest.approx(2.0)
-    assert ledger.allocations["rest"] == pytest.approx(2.0)
-    assert ledger.allocations["memory"] == 0.0
+    budget = allocate_effort(report_with(kappa_global=0.5), False, cfg)
+    assert budget["corrective"] == pytest.approx(6.0)
+    assert budget["monitors"] == pytest.approx(2.0)
+    assert budget["rest"] == pytest.approx(2.0)
+    assert budget["memory"] == 0.0
 
 
 def test_allocation_sector_breach_alone_still_counts(cfg):
     report = report_with(kappa_by_sector={"plan": 0.5})
-    assert allocate_effort(report, True, cfg).allocations["corrective"] == pytest.approx(6.0)
+    assert allocate_effort(report, True, cfg)["corrective"] == pytest.approx(6.0)
 
 
 def test_allocation_overload_funds_pruning(cfg):
-    ledger = allocate_effort(report_with(load=12.0), False, cfg)
-    assert ledger.allocations["nullify"] == pytest.approx(5.0)
-    assert ledger.allocations["abstraction"] == pytest.approx(3.0)
-    assert ledger.allocations["monitors"] == pytest.approx(2.0)
+    budget = allocate_effort(report_with(load=12.0), False, cfg)
+    assert budget["nullify"] == pytest.approx(5.0)
+    assert budget["abstraction"] == pytest.approx(3.0)
+    assert budget["monitors"] == pytest.approx(2.0)
 
 
 def test_allocation_goals_fund_planning_and_memory(cfg):
-    ledger = allocate_effort(report_with(), True, cfg)
-    assert ledger.allocations["planning"] == pytest.approx(5.0)
-    assert ledger.allocations["memory"] == pytest.approx(3.0)
-    assert ledger.allocations["monitors"] == pytest.approx(2.0)
+    budget = allocate_effort(report_with(), True, cfg)
+    assert budget["planning"] == pytest.approx(5.0)
+    assert budget["memory"] == pytest.approx(3.0)
+    assert budget["monitors"] == pytest.approx(2.0)
 
 
 def test_allocation_quiet_tick_is_uniform(cfg):
-    ledger = allocate_effort(report_with(), False, cfg)
+    budget = allocate_effort(report_with(), False, cfg)
     share = cfg.effort_total / len(EFFORT_CLASSES)
-    assert all(v == pytest.approx(share) for v in ledger.allocations.values())
+    assert all(v == pytest.approx(share) for v in budget.values())
 
 
 def test_allocation_coherence_preempts_overload_and_goals(cfg):
     report = report_with(kappa_global=0.5, load=99.0)
-    ledger = allocate_effort(report, True, cfg)
-    assert ledger.allocations["corrective"] == pytest.approx(6.0)
-    assert ledger.allocations["nullify"] == 0.0
-    assert ledger.allocations["planning"] == 0.0
+    budget = allocate_effort(report, True, cfg)
+    assert budget["corrective"] == pytest.approx(6.0)
+    assert budget["nullify"] == 0.0
+    assert budget["planning"] == 0.0
 
 
 def test_allocation_always_spends_the_whole_budget(cfg):
@@ -470,8 +448,9 @@ def test_allocation_always_spends_the_whole_budget(cfg):
         (report_with(), True),
         (report_with(), False),
     ):
-        ledger = allocate_effort(report, goals, cfg)
-        assert sum(ledger.allocations.values()) == pytest.approx(cfg.effort_total)
+        budget = allocate_effort(report, goals, cfg)
+        assert list(budget) == list(EFFORT_CLASSES)
+        assert sum(budget.values()) == pytest.approx(cfg.effort_total)
 
 
 # --------------------------------------------------------------------------

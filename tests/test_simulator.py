@@ -16,7 +16,7 @@ from beliefsim.config import default_config
 from beliefsim.core import BeliefState, Fragment
 from beliefsim import dynamics, simulator
 from beliefsim.dynamics import annihilate_sector, nullify
-from beliefsim.regulation import EFFORT_COSTS, EffortLedger
+from beliefsim.regulation import EFFORT_CLASSES, EFFORT_COSTS, uniform_budget
 from beliefsim.simulator import (
     SimulationRun,
     ScenarioError,
@@ -192,11 +192,31 @@ def test_unknown_clause_field_rejected(tmp_path):
         ({"event": "command", "text": "go", "anchor": None}, "anchor must be"),
         ({"event": ["tick"]}, "unknown event"),
         ({"event": "expect", "assertions": [{"check": ["kappa"]}]}, "unknown check"),
+        ({"event": "command", "text": None}, "needs text"),
+        ({"event": "command", "text": 7}, "needs text"),
+        ({"event": "command", "text": ["go"]}, "needs text"),
     ],
 )
 def test_timeline_validation(tmp_path, entry, message):
     path = write_scenario(tmp_path, minimal(timeline=[entry]))
     with pytest.raises(ScenarioError, match=message):
+        load_scenario(path)
+
+
+@pytest.mark.parametrize("text", [None, 7, ["pump"]])
+@pytest.mark.parametrize(
+    "section, where",
+    [
+        (lambda spec: {"memory": [spec]}, r"memory\[0\]"),
+        (lambda spec: {"states": {"probe": [spec]}}, r"states\.probe\[0\]"),
+        (lambda spec: {"axes": [{"label": "focus", "seed": [spec]}]}, r"axes\[0\]\.seed\[0\]"),
+        (lambda spec: {"rules": [{"trigger": "pump", "emit": spec}]}, r"rules\[0\]"),
+    ],
+    ids=["memory", "states", "axis-seed", "rule-emit"],
+)
+def test_a_spec_text_that_is_not_a_string_is_refused_at_load(tmp_path, section, where, text):
+    path = write_scenario(tmp_path, minimal(**section({"text": text})))
+    with pytest.raises(ScenarioError, match=where + ": spec text must be a string"):
         load_scenario(path)
 
 
@@ -411,15 +431,16 @@ def test_observe_enters_at_full_persistence_whatever_its_spec_says(tmp_path):
 
 
 def test_bad_observe_spec_names_its_timeline_path(tmp_path):
-    data = minimal(
-        timeline=[
-            {"event": "tick"},
-            {"event": "observe", "specs": [{"text": "fine"}, {"text": "  "}]},
-        ]
-    )
-    run = SimulationRun(load_scenario(write_scenario(tmp_path, data)))
-    with pytest.raises(ScenarioError, match=r"^timeline\[1\]\.specs\[1\]: .*no tokens"):
-        run.run()
+    for bad, message in (("  ", ".*no tokens"), (None, "spec text must be a string")):
+        data = minimal(
+            timeline=[
+                {"event": "tick"},
+                {"event": "observe", "specs": [{"text": "fine"}, {"text": bad}]},
+            ]
+        )
+        run = SimulationRun(load_scenario(write_scenario(tmp_path, data)))
+        with pytest.raises(ScenarioError, match=r"^timeline\[1\]\.specs\[1\]: " + message):
+            run.run()
 
 
 def test_command_defaults(tmp_path):
@@ -550,22 +571,80 @@ def test_rule_fires_and_registers_name(tmp_path):
     assert emitted.sectors == frozenset({"plan"})
 
 
+def test_each_rule_name_is_registered_on_its_own_emit(tmp_path):
+    """Two rules with one trigger and one emit text, in different sectors,
+    emit two fragments; each name is the fragment its own rule emitted."""
+    data = minimal(
+        rules=[{"trigger": "pump",
+                "emit": {"text": "check the valve", "sector": sector, "name": name}}
+               for name, sector in (("a", "plan"), ("b", "task"))],
+        timeline=[{"event": "observe", "specs": [{"text": "pump"}]}],
+    )
+    run = SimulationRun(load_scenario(write_scenario(tmp_path, data)))
+    result = run.run()
+    assert {name: result.active.get(run.names[name]).sectors for name in "ab"} == {
+        "a": frozenset({"plan"}), "b": frozenset({"task"})}
+
+
 # --------------------------------------------------------------------------
 # Effort gating in the tick
 # --------------------------------------------------------------------------
 
 @pytest.mark.parametrize("op", sorted(EFFORT_COSTS))
 def test_afford_charges_the_cost_or_logs_a_skip_and_charges_nothing(tmp_path, op):
+    # The second allocation is not whole (the uniform share of an
+    # effort_total of 4.5): the units left are the allocation minus the
+    # cost, to the bit.
     cls, units = EFFORT_COSTS[op]
+    for allocation in (units + 0.5, units + 4.5 / len(EFFORT_CLASSES)):
+        run = SimulationRun(load_scenario(write_scenario(tmp_path, minimal())))
+        run.budget[cls] = allocation
+        assert run._afford(op)
+        assert run.budget[cls] == allocation - units and not run.trace.events
+        assert not run._afford(op)
+        assert run.budget[cls] == allocation - units
+        [skip] = run.trace.events
+        assert (skip.kind, skip.payload) == (
+            "effort_skip",
+            {"op": op, "class": cls, "needed": units, "available": allocation - units})
+
+
+def test_afford_pays_when_short_by_float_dust_only(tmp_path):
+    # 0.7 + 0.2 + 0.1 is 0.9999999999999999: a class short of its one-unit
+    # cost by that float dust, or by 1e-13, still pays the whole cost; short
+    # by 1e-11, it pays nothing.
+    cls, units = EFFORT_COSTS["meta"]
+    assert units == 1.0 and 0.7 + 0.2 + 0.1 < units
     run = SimulationRun(load_scenario(write_scenario(tmp_path, minimal())))
-    run.ledger = EffortLedger(allocations={cls: units + 0.5})
-    assert run._afford(op)
-    assert run.ledger.spent[cls] == units and not run.trace.events
-    assert not run._afford(op)
-    assert run.ledger.spent[cls] == units
-    [skip] = run.trace.events
-    assert (skip.kind, skip.payload) == (
-        "effort_skip", {"op": op, "class": cls, "needed": units, "available": 0.5})
+    for left, pays in ((0.7 + 0.2 + 0.1, True), (1 - 1e-13, True), (1 - 1e-11, False)):
+        run.budget[cls] = left
+        assert run._afford("meta") is pays
+        assert run.budget[cls] == (left - units if pays else left)
+    assert [e.kind for e in run.trace.events] == ["effort_skip"]
+
+
+def test_the_first_tick_spends_from_the_uniform_split(tmp_path):
+    """Steps 2 and 3 of tick 1 pay from the uniform split, which an
+    effort_total of 5 leaves short of one unit; tick 2 pays from tick 1's
+    fresh split."""
+    data = minimal(
+        config={"effort_total": 5},
+        timeline=[
+            {"event": "observe", "mode": "conf", "specs": [
+                {"text": "valve open", "key": "valve", "polarity": "+"},
+                {"text": "valve shut", "key": "valve", "polarity": "-"},
+            ]},
+            {"event": "tick", "n": 2},
+        ],
+    )
+    run = SimulationRun(load_scenario(write_scenario(tmp_path, data)))
+    share = uniform_budget(run.config)["monitors"]
+    assert run.budget == uniform_budget(run.config) and share == 5 / 7
+    events = run.run().trace.events
+    first_meta = next(i for i, e in enumerate(events) if e.kind == "meta")
+    assert [(e.payload["op"], e.payload["available"]) for e in events[:first_meta]
+            if e.kind == "effort_skip"] == [("meta", share), ("corrective_assimilation", share)]
+    assert [e.kind for e in events[first_meta:]].count("correction") == 1
 
 
 def test_every_golden_effort_skip_is_a_cost_of_the_table():
@@ -588,9 +667,15 @@ def test_a_memory_cycle_pays_its_whole_cost_before_it_asks(tmp_path):
     data = minimal(timeline=[{"event": "command", "text": "goal: chart the ridge"},
                              {"event": "tick"}])
     run = SimulationRun(load_scenario(write_scenario(tmp_path, data)))
-    kinds = [e.kind for e in run.run().trace.events]
+    events = run.run().trace.events
+    kinds = [e.kind for e in events]
     assert "retrieve" in kinds and "integrate" not in kinds
-    assert run.ledger.spent["memory"] == EFFORT_COSTS["memory_cycle"][1] == 3.0
+    # The meta event logs the tick's fresh split, not what is left after.
+    [meta] = [e for e in events if e.kind == "meta"]
+    fresh = dict.fromkeys(EFFORT_CLASSES, 0.0) | {"planning": 5.0, "memory": 3.0, "monitors": 2.0}
+    assert meta.payload["allocations"] == fresh
+    assert run.budget == fresh | {"memory": 0.0}
+    assert EFFORT_COSTS["memory_cycle"][1] == 3.0
 
 
 def test_memory_cycle_starved_under_uniform_allocation(tmp_path):
