@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import itertools
+import json
 
 import pytest
 from hypothesis import given, settings
@@ -25,6 +26,7 @@ from beliefsim.regulation import (
     regulate,
     uniform_budget,
 )
+from beliefsim.simulator import SimulationRun, load_scenario
 from beliefsim.tower import EpistemicAxis
 
 from conftest import SECTORS, make_fragment, states
@@ -387,6 +389,21 @@ def test_uniform_budget_splits_the_total_evenly(cfg):
     share = cfg.effort_total / len(EFFORT_CLASSES)
     assert budget == {c: share for c in EFFORT_CLASSES}
     assert sum(budget.values()) == pytest.approx(cfg.effort_total)
+
+
+def test_ledger_charge_and_refusal(tmp_path):
+    # The memory class pays memory_cycle's 3 units out of 5, then refuses a
+    # second cycle with 2 left and spends nothing.
+    path = tmp_path / "case.json"
+    path.write_text(json.dumps({"name": "case", "timeline": []}), encoding="utf-8")
+    run = SimulationRun(load_scenario(path))
+    assert EFFORT_COSTS["memory_cycle"] == ("memory", 3.0)
+    run.budget["memory"] = 5.0
+    assert run._afford("memory_cycle")
+    assert run.budget["memory"] == 2.0
+    assert not run._afford("memory_cycle")  # refused, nothing spent
+    assert run.budget["memory"] == 2.0
+    assert [e.kind for e in run.trace.events] == ["effort_skip"]
 
 
 def test_every_effort_cost_names_a_class_and_positive_units():
