@@ -74,28 +74,20 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def _cmd_run(args: argparse.Namespace) -> int:
     scenario = load_scenario(args.scenario)
-    run = SimulationRun(scenario, seed=args.seed, mode=args.mode)
-    result = run.run()
+    run = SimulationRun(scenario, seed=args.seed, mode=args.mode).run()
     if args.trace:
-        result.trace.write(args.trace)
-    for outcome in result.assertions:
+        run.trace.write(args.trace)
+    for outcome in run.assertions:
         tag = "PASS" if outcome.ok else "FAIL"
         label = outcome.spec.get("name") or outcome.spec.get("action") or ""
         print(f"[{tag}] {outcome.check} {label}: {outcome.detail}".rstrip())
-    fired = sorted(set(result.fired))
+    fired = sorted(set(run.fired))
     if fired:
         print(f"actions fired: {', '.join(fired)}")
-    failed = len(result.failures)
-    total = len(result.assertions)
-    print(
-        f"{result.scenario}: {total} check(s), {failed} failed, "
-        f"{result.warnings} warning(s)"
-    )
-    if failed:
-        return 1
-    if args.strict and result.warnings:
-        return 1
-    return 0
+    failed, warnings = len(run.failures), run.warnings
+    print(f"{scenario.name}: {len(run.assertions)} check(s), {failed} failed, "
+          f"{warnings} warning(s)")
+    return 1 if failed or (args.strict and warnings) else 0
 
 
 def _cmd_tower(args: argparse.Namespace) -> int:

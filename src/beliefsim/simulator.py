@@ -33,7 +33,7 @@ import json
 import random
 import reprlib
 from collections import deque
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, fields
 from pathlib import Path
 from typing import AbstractSet, Any, Mapping, Sequence
 
@@ -130,6 +130,9 @@ _SCENARIO_KEYS = frozenset(
 )
 _AXIS_FIELDS = frozenset({"label", "seed", "max_k", "null_seed"})
 _RULE_FIELDS = frozenset({"trigger", "emit"})
+_SPEC_FIELDS = frozenset(
+    {"text", "sector", "sectors", "level", "anchor", "persistence", "key", "polarity", "name"}
+)
 
 
 class ScenarioError(ValueError):
@@ -206,11 +209,16 @@ def _check_specs(specs: Any, where: str) -> None:
 def fragment_from_spec(spec: Mapping[str, Any], fragment_id: int, clock: float) -> Fragment:
     """Build one observed fragment from a spec that passed ``_check_specs``.
 
-    Recognized keys: text (required), sector (default "perc") or sectors,
-    level, anchor, persistence, key, polarity.  Other keys (e.g. "name") are
-    the loader's.  A text or key that is not a string, or a level, anchor or
+    A spec's fields are ``_SPEC_FIELDS``: text (required), sector (default
+    "perc") or sectors, level, anchor, persistence, key, polarity, and the
+    name the loader registers.  Any other field, a text that is not a string,
+    a key or name that is neither a string nor null, or a level, anchor or
     persistence that is not a number, raises ValueError.
     """
+    # _refuse_unknown's message, without the path, which _build adds; and
+    # issuperset builds no set for the many specs that pass.
+    if not _SPEC_FIELDS.issuperset(spec):
+        raise ValueError(f"unknown fields {reprlib.repr(sorted(spec.keys() - _SPEC_FIELDS))}")
     text = spec.get("text", "")
     if not isinstance(text, str):
         raise ValueError(f"spec text must be a string, got {reprlib.repr(text)}")
@@ -231,6 +239,10 @@ def fragment_from_spec(spec: Mapping[str, Any], fragment_id: int, clock: float) 
     if key is not None and not isinstance(key, str):
         raise ValueError(
             f"spec {reprlib.repr(text)}: key must be a string, got {reprlib.repr(key)}")
+    name = spec.get("name")
+    if name is not None and not isinstance(name, str):
+        raise ValueError(
+            f"spec {reprlib.repr(text)}: name must be a string, got {reprlib.repr(name)}")
     return Fragment(
         id=fragment_id,
         text=text,
@@ -246,7 +258,7 @@ def fragment_from_spec(spec: Mapping[str, Any], fragment_id: int, clock: float) 
 
 def _names(sources: Sequence[Mapping[str, Any]], frags: Sequence[Fragment]) -> dict[str, int]:
     """Name -> id of each fragment whose spec has a name."""
-    return {str(s["name"]): f.id for s, f in zip(sources, frags) if s.get("name")}
+    return {s["name"]: f.id for s, f in zip(sources, frags) if s.get("name")}
 
 
 def _objects(value: Any, where: str) -> list:
@@ -345,6 +357,8 @@ def _complete_timeline(timeline: Any) -> tuple[dict[str, Any], ...]:
                 raise ScenarioError(
                     f"timeline[{i}]: anchor must be a finite number >= 0 and <= {ANCHOR_MAX:g}"
                 )
+            if entry["name"] is not None and not isinstance(entry["name"], str):
+                raise ScenarioError(f"timeline[{i}]: command name must be a string or null")
             spec = {"text": entry["text"], "sector": "task", "anchor": anchor,
                     "name": entry["name"]}
             entry = {**_TIMELINE["observe"], "event": "command", "specs": [spec]}
@@ -386,6 +400,9 @@ def load_scenario(path: str | Path) -> Scenario:
     extra = set(raw) - _SCENARIO_KEYS
     if extra:
         raise ScenarioError(f"unknown scenario sections {sorted(extra)}")
+    name = path.stem if raw.get("name") is None else raw["name"]
+    if not isinstance(name, str):
+        raise ScenarioError(f"name must be a string, got {reprlib.repr(name)}")
 
     try:
         config = config_from_dict(raw.get("config", {}))
@@ -401,7 +418,7 @@ def load_scenario(path: str | Path) -> Scenario:
     _check_specs(emits, "rules")
     built = _build(emits, IdAllocator(1), 0.0, "rules")
     rules = tuple(
-        ElaborationRule(r["trigger"], emit, str(spec["name"]) if spec.get("name") else None)
+        ElaborationRule(r["trigger"], emit, spec.get("name") or None)
         for r, spec, emit in zip(raw_rules, emits, built)
     )
 
@@ -462,7 +479,7 @@ def load_scenario(path: str | Path) -> Scenario:
         _check_specs(specs, f"states.{label}")
 
     return Scenario(
-        name=str(raw.get("name", path.stem)),
+        name=name,
         config=config,
         store=BeliefState(stored, 0.0),
         names=_names(memory, stored),
@@ -487,27 +504,6 @@ class AssertionOutcome:
     spec: Mapping[str, Any]
 
 
-@dataclass
-class RunResult:
-    scenario: str
-    seed: int
-    mode: str
-    assertions: list[AssertionOutcome] = field(default_factory=list)
-    fired: list[str] = field(default_factory=list)
-    warnings: int = 0
-    trace: TraceLog | None = None
-    active: BeliefState | None = None
-    store: BeliefState | None = None
-
-    @property
-    def failures(self) -> list[AssertionOutcome]:
-        return [a for a in self.assertions if not a.ok]
-
-    @property
-    def ok(self) -> bool:
-        return not self.failures
-
-
 def _removed_ids(before: BeliefState, after: BeliefState) -> list[int]:
     """The ids ``after`` dropped from ``before``, ascending; ``after`` only
     keeps or drops ids, so equal row counts mean nothing was dropped."""
@@ -517,7 +513,10 @@ def _removed_ids(before: BeliefState, after: BeliefState) -> list[int]:
 
 
 class SimulationRun:
-    """One deterministic execution of a scenario timeline."""
+    """One deterministic execution of a scenario timeline; once ``run()``
+    returns, the run is its own result: its trace, its final active state and
+    store, each expect outcome in ``assertions`` and each fired action in
+    ``fired``."""
 
     def __init__(
         self,
@@ -558,12 +557,11 @@ class SimulationRun:
         self._prev_embedding: np.ndarray | None = None
         self._prev_readiness: dict[str, float] = {b.name: 0.0 for b in scenario.basins}
         self._issued_cues: set[QueryCue] = set()
-        self._fired_ever: list[str] = []
+        self.fired: list[str] = []
         self._kappa_streak = 0
         self._op_buckets: deque[int] = deque(maxlen=self.config.window)
         self._pending_ops = 0
-        self._warnings = 0
-        self._assertions: list[AssertionOutcome] = []
+        self.assertions: list[AssertionOutcome] = []
 
     # -- plumbing ----------------------------------------------------------
 
@@ -571,8 +569,6 @@ class SimulationRun:
         self.trace.emit(kind, self.active.clock, payload)
         if kind in OP_RATE_KINDS:
             self._pending_ops += 1
-        if kind == "warning":
-            self._warnings += 1
 
     def _afford(self, op: str) -> bool:
         """Charge ``op``'s cost in ``EFFORT_COSTS``; if its class cannot pay,
@@ -758,7 +754,7 @@ class SimulationRun:
                 self._emit("action_decision", record_dict(d))
                 self._prev_readiness[d.action] = d.readiness
                 if d.verdict == "fired":
-                    self._fired_ever.append(d.action)
+                    self.fired.append(d.action)
 
     # -- assertions --------------------------------------------------------
 
@@ -798,19 +794,32 @@ class SimulationRun:
         if check == "is_vacuum":
             return out(self.active.is_vacuum == spec.get("value", True),
                        f"vacuum={self.active.is_vacuum}")
-        fired = spec["action"] in self._fired_ever
+        fired = spec["action"] in self.fired
         return out(fired == (check == "action_fired"),
-                   f"fired so far: {sorted(set(self._fired_ever))}")
+                   f"fired so far: {sorted(set(self.fired))}")
 
     def _do_expect(self, entry: Mapping[str, Any]) -> None:
         for spec in entry["assertions"]:
             outcome = self._check(spec)
-            self._assertions.append(outcome)
+            self.assertions.append(outcome)
             self._emit("assertion_result", record_dict(outcome))
 
     # -- driver ------------------------------------------------------------
 
-    def run(self) -> RunResult:
+    @property
+    def failures(self) -> list[AssertionOutcome]:
+        return [a for a in self.assertions if not a.ok]
+
+    @property
+    def ok(self) -> bool:
+        return not self.failures
+
+    @property
+    def warnings(self) -> int:
+        """The warnings the run logged, counted from its trace."""
+        return sum(e.kind == "warning" for e in self.trace.events)
+
+    def run(self) -> SimulationRun:
         for i, entry in enumerate(self.scenario.timeline):
             kind = entry["event"]
             if kind in ("observe", "command"):
@@ -822,24 +831,14 @@ class SimulationRun:
                 self.mode = entry["mode"]
             elif kind == "expect":
                 self._do_expect(entry)
-        return RunResult(
-            scenario=self.scenario.name,
-            seed=self.seed,
-            mode=self.mode,
-            assertions=list(self._assertions),
-            fired=list(self._fired_ever),
-            warnings=self._warnings,
-            trace=self.trace,
-            active=self.active,
-            store=self.store,
-        )
+        return self
 
 
 def run_scenario(
     path: str | Path,
     seed: int | None = None,
     mode: str = "live",
-) -> RunResult:
+) -> SimulationRun:
     """Load and execute in one call; the common entry point for tools."""
     scenario = load_scenario(path)
     return SimulationRun(scenario, seed=seed, mode=mode).run()
@@ -852,7 +851,6 @@ __all__ = [
     "MAX_TICKS",
     "OP_RATE_KINDS",
     "RUN_MODES",
-    "RunResult",
     "Scenario",
     "ScenarioError",
     "SimulationRun",

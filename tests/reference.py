@@ -540,8 +540,8 @@ def check(run, spec):
     if check == "is_vacuum":
         return out(run.active.is_vacuum == spec.get("value", True),
                    f"vacuum={run.active.is_vacuum}")
-    fired_so_far = f"fired so far: {sorted(set(run._fired_ever))}"
+    fired_so_far = f"fired so far: {sorted(set(run.fired))}"
     if check == "action_fired":
-        return out(spec["action"] in run._fired_ever, fired_so_far)
+        return out(spec["action"] in run.fired, fired_so_far)
     # action_not_fired
-    return out(spec["action"] not in run._fired_ever, fired_so_far)
+    return out(spec["action"] not in run.fired, fired_so_far)

@@ -207,6 +207,10 @@ def run_module(*args: str) -> subprocess.CompletedProcess:
         {"timeline": [{"event": "tick", "m": 3}]},
         {"axes": [{"label": "focus", "seed": [{"text": "survey the map"}], "nul_seed": True}]},
         {"rules": [{"trigger": "pump", "emit": {"text": "check"}, "name": "check"}]},
+        {"memory": [{"text": "pump hums", "persistance": 0.2}]},
+        {"memory": [{"text": "pump hums", "name": ["c"]}]},
+        {"timeline": [{"event": "command", "text": "go", "name": 7}]},
+        {"name": 5},
     ],
     ids=["memory-int", "states-int", "axis-seed-str", "memory-sector-list",
          "goal-marker-int", "anchor-str", "anchor-above-bound", "mode-bogus",
@@ -215,7 +219,8 @@ def run_module(*args: str) -> subprocess.CompletedProcess:
          "clause-sector-list", "clause-token-int", "clause-level-float",
          "clause-minimum-bool", "basin-tau-str", "basin-name-int", "null-seed-str",
          "lexicon-no-token", "lexicon-int", "timeline-unknown-field", "axis-unknown-field",
-         "rule-unknown-field"],
+         "rule-unknown-field", "memory-spec-unknown-field", "memory-name-list",
+         "command-name-int", "scenario-name-int"],
 )
 def test_run_rejects_malformed_sections_at_load(tmp_path, data):
     path = write_scenario(tmp_path, {"name": "malformed", **data})
@@ -247,13 +252,54 @@ GO = {"kind": "token_present", "token": "go"}
         ({"basins": [{"name": "b", "clauses": [GO],
                       "gate_policy": [{"pattern": "hold", "x": 1}]}]},
          "basins[0].gate_policy[0]"),
+        ({"memory": [{"text": "pump hums"}, {"text": "valve", "x": 1}]}, "memory[1]"),
+        ({"states": {"probe": [{"text": "pump", "x": 1}]}}, "states.probe[0]"),
+        ({"axes": [{"label": "focus", "seed": [{"text": "survey the map", "x": 1}]}]},
+         "axes[0].seed[0]"),
+        ({"rules": [{"trigger": "pump", "emit": {"text": "check", "x": 1}}]}, "rules[0]"),
+        ({"timeline": [{"event": "tick"},
+                       {"event": "observe", "specs": [{"text": "valve open", "x": 1}]}]},
+         "timeline[1].specs[0]"),
     ],
-    ids=["tick", "observe", "axis", "rule", "basin", "clause", "suppressor", "gate"],
+    ids=["tick", "observe", "axis", "rule", "basin", "clause", "suppressor", "gate",
+         "memory-spec", "state-spec", "axis-seed-spec", "rule-emit", "observe-spec"],
 )
 def test_run_refuses_an_unknown_field_by_its_path(tmp_path, capsys, data, where):
-    """A field the loader does not read is refused at load, not dropped."""
+    """A field the loader does not read is refused at load, not dropped; an
+    observe's specs are built, and so refused, when it runs."""
     assert main(["run", write_scenario(tmp_path, data)]) == 2
     assert capsys.readouterr().err == f"error: {where}: unknown fields ['x']\n"
+
+
+@pytest.mark.parametrize(
+    "data, message",
+    [
+        ({"memory": [{"text": "pump hums", "name": ["c"]}]},
+         "memory[0]: spec 'pump hums': name must be a string, got ['c']"),
+        ({"states": {"probe": [{"text": "pump", "name": 7}]}},
+         "states.probe[0]: spec 'pump': name must be a string, got 7"),
+        ({"rules": [{"trigger": "pump", "emit": {"text": "check", "name": 7}}]},
+         "rules[0]: spec 'check': name must be a string, got 7"),
+        ({"timeline": [{"event": "command", "text": "go", "name": 7}]},
+         "timeline[0]: command name must be a string or null"),
+        ({"timeline": [{"event": "tick"},
+                       {"event": "observe", "specs": [{"text": "pump", "name": ["c"]}]}]},
+         "timeline[1].specs[0]: spec 'pump': name must be a string, got ['c']"),
+        ({"name": ["c"]}, "name must be a string, got ['c']"),
+    ],
+    ids=["memory", "state", "rule-emit", "command", "observe", "scenario"],
+)
+def test_run_refuses_a_name_that_is_not_a_string_by_its_path(tmp_path, capsys, data, message):
+    """A name is registered as given, never through ``str``: a name that is
+    neither a string nor null is refused, an observe's when it runs."""
+    assert main(["run", write_scenario(tmp_path, data)]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
+def test_a_null_scenario_name_takes_the_file_stem(tmp_path, capsys):
+    path = write_scenario(tmp_path, {"name": None, "timeline": []}, name="stem.json")
+    assert main(["run", path]) == 0
+    assert capsys.readouterr().out == "stem: 0 check(s), 0 failed, 0 warning(s)\n"
 
 
 @pytest.mark.parametrize("anchor", [float("nan"), float("inf")])
@@ -921,6 +967,121 @@ def test_verify_fresh_run_matches_golden(name, tmp_path, capsys):
     assert main(["verify", str(trace_path), str(golden)]) == 0
     assert capsys.readouterr().out.strip() == "MATCH"
     assert trace_path.read_bytes() == golden.read_bytes()
+
+
+# The exact stdout of `beliefsim run` on each shipped scenario, the same
+# with or without --strict.
+RUN_OUTPUT = {
+    "action_ramp": (
+        "[PASS] action_fired engage: fired so far: ['engage']\n"
+        "[PASS] action_not_fired standby: fired so far: ['engage']\n"
+        "[PASS] fragment_present crew: id 3 present\n"
+        "actions fired: engage\n"
+        "action_ramp: 3 check(s), 0 failed, 0 warning(s)\n"
+    ),
+    "action_vetoes": (
+        "[PASS] action_fired alpha: fired so far: ['alpha']\n"
+        "[PASS] action_not_fired beta: fired so far: ['alpha']\n"
+        "[PASS] action_not_fired launch: fired so far: ['alpha']\n"
+        "[PASS] action_not_fired abort: fired so far: ['alpha']\n"
+        "actions fired: alpha\n"
+        "action_vetoes: 4 check(s), 0 failed, 0 warning(s)\n"
+    ),
+    "coherence_recall": (
+        "[PASS] fragment_present manual: id 1 present\n"
+        "[PASS] fragment_absent shut: id 4 absent\n"
+        "[PASS] kappa : kappa 1.000000 vs 1.0 ± 1e-06\n"
+        "coherence_recall: 3 check(s), 0 failed, 0 warning(s)\n"
+    ),
+    "drift_vacuum": (
+        "[PASS] is_vacuum : vacuum=False\n"
+        "[PASS] kappa : kappa 1.000000 vs 1.0 ± 1e-09\n"
+        "drift_vacuum: 2 check(s), 0 failed, 0 warning(s)\n"
+    ),
+    "elaboration_rules": (
+        "[PASS] fragment_present hum: id 2 present\n"
+        "[PASS] fragment_present inspect: id 5 present\n"
+        "[PASS] fragment_absent alarm: name 'alarm' never registered\n"
+        "[PASS] fragment_present alarm: id 12 present\n"
+        "[PASS] anchor alarm: anchor 3.000000 vs 3.0\n"
+        "[PASS] persistence alarm: persistence 1.000000 vs 1.0 ± 1e-06\n"
+        "[PASS] fragment_present worn: id 1 present\n"
+        "[PASS] anchor worn: anchor 5.000000 vs 5.0\n"
+        "[PASS] fragment_present inspect: id 5 present\n"
+        "[PASS] fragment_present alarm: id 12 present\n"
+        "elaboration_rules: 10 check(s), 0 failed, 0 warning(s)\n"
+    ),
+    "gauge_pair": (
+        "gauge_pair: 0 check(s), 0 failed, 0 warning(s)\n"
+    ),
+    "memory_recall": (
+        "[PASS] fragment_present manual: id 1 present\n"
+        "[PASS] anchor manual: anchor 5.000000 vs 5.0\n"
+        "[PASS] persistence manual: persistence 0.983471 vs 0.98347 ± 0.0001\n"
+        "[PASS] fragment_absent valve-shut: id 2 absent\n"
+        "[PASS] fragment_present valve-open: id 301 present\n"
+        "[PASS] fragment_present goal: id 302 present\n"
+        "[PASS] kappa : kappa 1.000000 vs 1.0 ± 1e-06\n"
+        "memory_recall: 7 check(s), 0 failed, 0 warning(s)\n"
+    ),
+    "orientation_axis": (
+        "[PASS] fragment_absent noise: id 2 absent\n"
+        "[PASS] fragment_present keep: id 1 present\n"
+        "[PASS] kappa : kappa 1.000000 vs 1.0 ± 1e-09\n"
+        "orientation_axis: 3 check(s), 0 failed, 0 warning(s)\n"
+    ),
+    "realign_sweep": (
+        "[PASS] is_vacuum : vacuum=False\n"
+        "[PASS] kappa : kappa 1.000000 vs 1.0 ± 1e-09\n"
+        "[PASS] fragment_present on0: id 1 present\n"
+        "[PASS] fragment_absent off1: id 2 absent\n"
+        "[PASS] fragment_present on2: id 3 present\n"
+        "[PASS] fragment_absent off3: id 4 absent\n"
+        "realign_sweep: 6 check(s), 0 failed, 5 warning(s)\n"
+    ),
+    "regulation_loop": (
+        "[PASS] kappa : kappa 0.500000 vs 0.5 ± 1e-09\n"
+        "[PASS] kappa : kappa in plan 0.500000 vs 0.5 ± 1e-09\n"
+        "[PASS] fragment_present open: id 1 present\n"
+        "[PASS] fragment_present shut: id 2 present\n"
+        "[PASS] kappa : kappa 1.000000 vs 1.0 ± 1e-09\n"
+        "[PASS] fragment_absent open: id 1 absent\n"
+        "[PASS] fragment_present shut: id 2 present\n"
+        "[PASS] anchor shut: anchor 3.000000 vs 3.0\n"
+        "[PASS] persistence shut: persistence 0.990050 vs 0.99005 ± 0.005\n"
+        "regulation_loop: 9 check(s), 0 failed, 0 warning(s)\n"
+    ),
+    "sector_wipe": (
+        "[PASS] fragment_present drain_open: id 13 present\n"
+        "[PASS] fragment_absent drain_open: id 13 absent\n"
+        "[PASS] fragment_present brief: id 1 present\n"
+        "sector_wipe: 3 check(s), 0 failed, 0 warning(s)\n"
+    ),
+    "sensor_decay": (
+        "[PASS] persistence steady: persistence 0.964290 vs 0.96429 ± 0.01\n"
+        "[PASS] persistence mid: persistence 0.935507 vs 0.93551 ± 0.01\n"
+        "[PASS] persistence faint: persistence 0.818731 vs 0.81873 ± 0.01\n"
+        "[PASS] anchor steady: anchor 10.000000 vs 10.0\n"
+        "[PASS] persistence steady: persistence 0.833753 vs 0.83368 ± 0.01\n"
+        "[PASS] persistence mid: persistence 0.716531 vs 0.71653 ± 0.01\n"
+        "[PASS] persistence faint: persistence 0.367879 vs 0.36788 ± 0.01\n"
+        "[PASS] persistence steady: persistence 0.634736 vs 0.63462 ± 0.01\n"
+        "[PASS] persistence mid: persistence 0.434598 vs 0.4346 ± 0.01\n"
+        "[PASS] fragment_absent faint: id 3 absent\n"
+        "[PASS] is_vacuum : vacuum=False\n"
+        "sensor_decay: 11 check(s), 0 failed, 0 warning(s)\n"
+    ),
+}
+
+
+@pytest.mark.parametrize("strict", [False, True], ids=["plain", "strict"])
+@pytest.mark.parametrize("name", SHIPPED)
+def test_run_output_is_pinned(name, strict, capsys):
+    """Only realign_sweep logs warnings (5, counted from its trace), so only
+    it exits 1 under --strict."""
+    args = ["run", str(SCENARIOS / f"{name}.json")] + (["--strict"] if strict else [])
+    assert main(args) == (1 if strict and name == "realign_sweep" else 0)
+    assert capsys.readouterr().out == RUN_OUTPUT[name]
 
 
 def test_verify_reports_divergence(tmp_path, capsys):

@@ -380,7 +380,7 @@ def test_each_check_reads_as_its_reference_branch(run, state, data):
     run.active = state
     ids = sorted(state.ids()) + [len(state.rows) + 1]  # the last one absent
     run.names = {name: data.draw(st.sampled_from(ids), label=name) for name in CHECK_NAMES[1:]}
-    run._fired_ever = data.draw(st.lists(st.sampled_from(ACTIONS), max_size=3))
+    run.fired = data.draw(st.lists(st.sampled_from(ACTIONS), max_size=3))
     spec = data.draw(expect_checks(run))
     got, want = run._check(spec), reference.check(run, spec)
     assert (got.check, got.ok, got.detail) == (want.check, want.ok, want.detail)

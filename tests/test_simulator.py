@@ -195,6 +195,9 @@ def test_unknown_clause_field_rejected(tmp_path):
         ({"event": "command", "text": None}, "needs text"),
         ({"event": "command", "text": 7}, "needs text"),
         ({"event": "command", "text": ["go"]}, "needs text"),
+        ({"event": "command", "text": "go", "name": 7}, "command name must be a string or null"),
+        ({"event": "command", "text": "go", "name": ["c"]},
+         "command name must be a string or null"),
     ],
 )
 def test_timeline_validation(tmp_path, entry, message):
@@ -235,6 +238,14 @@ def test_non_finite_anchor_rejected_at_construction(tmp_path, section, where, an
     path = write_scenario(tmp_path, minimal(**section({"text": "pump", "anchor": anchor})))
     with pytest.raises(ScenarioError, match=where + ": fragment .*anchor must be a finite"):
         SimulationRun(load_scenario(path))
+
+
+def test_run_returns_the_run_and_counts_its_warnings_from_its_trace():
+    scenario = REPO / "scenarios" / "realign_sweep.json"
+    run = SimulationRun(load_scenario(scenario))
+    assert run.run() is run
+    _, golden = parse_trace(REPO / "scenarios" / "golden" / "realign_sweep.trace.jsonl")
+    assert run.warnings == sum(e.kind == "warning" for e in golden) == 5
 
 
 def test_loader_accepts_full_shape(tmp_path):
