@@ -74,9 +74,12 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def _cmd_run(args: argparse.Namespace) -> int:
     scenario = load_scenario(args.scenario)
-    run = SimulationRun(scenario, seed=args.seed, mode=args.mode).run()
-    if args.trace:
-        run.trace.write(args.trace)
+    run = SimulationRun(scenario, seed=args.seed, mode=args.mode)
+    try:
+        run.run()
+    finally:  # a run refused at a tick still leaves the trace of its ticks before
+        if args.trace:
+            run.trace.write(args.trace)
     for outcome in run.assertions:
         tag = "PASS" if outcome.ok else "FAIL"
         label = outcome.spec.get("name") or outcome.spec.get("action") or ""

@@ -84,20 +84,22 @@ class ParameterConfig:
             value = getattr(self, f.name)
             if f.type == "float" and not is_finite_number(value):
                 raise ValueError(f"{f.name} must be a finite number, got {reprlib.repr(value)}")
+            if f.type == "int" and not (isinstance(value, int) and is_finite_number(value)):
+                raise ValueError(
+                    f"{f.name} must be an integer within the float range, "
+                    f"got {reprlib.repr(value)}")
+        for name in ("lambda0", "eps_fix", "effort_total", "nullify_boost"):
+            if getattr(self, name) <= 0.0:
+                raise ValueError(f"{name} must be positive, got {getattr(self, name)}")
+        for name in ("patience", "meta_depth_max"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
         if not (0.0 < self.delta < 1.0):
             raise ValueError(f"delta must lie in (0, 1), got {self.delta}")
-        if self.lambda0 <= 0.0:
-            raise ValueError(f"lambda0 must be positive, got {self.lambda0}")
         if self.decay_modulator not in DECAY_MODULATORS:
             raise ValueError(
                 f"decay_modulator must be one of {DECAY_MODULATORS}, "
                 f"got {reprlib.repr(self.decay_modulator)}")
-        for name in ("embed_dim", "window", "patience", "meta_depth_max", "seed"):
-            value = getattr(self, name)
-            if not isinstance(value, int) or not is_finite_number(value):
-                raise ValueError(
-                    f"{name} must be an integer within the float range, "
-                    f"got {reprlib.repr(value)}")
         if not (8 <= self.embed_dim <= EMBED_DIM_MAX):
             raise ValueError(
                 f"embed_dim must lie in [8, {EMBED_DIM_MAX}], got {self.embed_dim}"
@@ -106,8 +108,6 @@ class ParameterConfig:
             raise ValueError(f"tau_retrieval must lie in [0, 1], got {self.tau_retrieval}")
         if self.reanchor_min > ANCHOR_MAX:
             raise ValueError(f"reanchor_min must be <= {ANCHOR_MAX:g}, got {self.reanchor_min}")
-        if self.eps_fix <= 0.0:
-            raise ValueError(f"eps_fix must be positive, got {self.eps_fix}")
         if not (
             isinstance(self.load_coeffs, tuple)
             and len(self.load_coeffs) == 3
@@ -126,14 +126,6 @@ class ParameterConfig:
                 f"sector_costs must be a mapping, got {reprlib.repr(self.sector_costs)}")
         if not (1 <= self.window <= sys.maxsize):  # the op-rate deque's length limit
             raise ValueError(f"window must lie in [1, {sys.maxsize}], got {self.window}")
-        if self.effort_total <= 0.0:
-            raise ValueError(f"effort_total must be positive, got {self.effort_total}")
-        if self.patience < 1:
-            raise ValueError(f"patience must be >= 1, got {self.patience}")
-        if self.nullify_boost <= 0.0:
-            raise ValueError(f"nullify_boost must be positive, got {self.nullify_boost}")
-        if self.meta_depth_max < 1:
-            raise ValueError(f"meta_depth_max must be >= 1, got {self.meta_depth_max}")
         if not isinstance(self.goal_marker, str) or not self.goal_marker:
             raise ValueError(
                 f"goal_marker must be a non-empty string, got {reprlib.repr(self.goal_marker)}")

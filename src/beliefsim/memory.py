@@ -125,27 +125,18 @@ def integrate_retrieved(
 ) -> tuple[BeliefState, BeliefState, AssimilationReport]:
     """Assimilate retrieved copies into the active state and refresh the store.
 
-    Copies are lifted to at least the re-anchor floor before assimilation so
-    a fragile memory does not instantly decay away again.  The same copy
-    sets full persistence, as assimilation would, so it enters uncopied.
-    Store twins of copies that survive assimilation (judged by content,
-    since revision may retract them) are re-anchored and restored to full
-    persistence.
+    Copies are lifted by the store's own lift (``BeliefState.reanchor``) to
+    an anchor of at least the re-anchor floor and full persistence before
+    assimilation, so a fragile memory does not instantly decay away again
+    and each enters uncopied.  Store twins of copies that survive
+    assimilation (judged by content, since revision may retract them) get
+    the same lift.
     """
     floor = config.reanchor_min
-    boosted = [
-        c.replace(anchor=max(c.anchor, floor), persistence=1.0) for c in retrieved.fragments
-    ]
-    new_active, report = assimilate(
-        active,
-        BeliefState(tuple(boosted), active.clock),
-        config,
-        ids,
-        mode="auto",
-        rules=rules,
-    )
+    lifted = retrieved.reanchor(retrieved.ids(), floor)
+    new_active, report = assimilate(active, lifted, config, ids, mode="auto", rules=rules)
     surviving = {f.content_key() for f in new_active.rows}
-    twins = [c.id for c in boosted if c.content_key() in surviving]
+    twins = [f.id for f in lifted.rows if f.content_key() in surviving]
     return new_active, store.reanchor(twins, floor), report
 
 

@@ -99,11 +99,9 @@ def cognitive_load(state: BeliefState, config: ParameterConfig, rate: float) -> 
 
 
 def meta_depth(state: BeliefState) -> int:
-    """1 = plain self-report; grows when reflections reference reflections."""
-    levels = [f.level for f in state.rows_in(REFLECTIVE_SECTOR) if f.origin == "meta"]
-    if not levels:
-        return 1
-    return 1 + max(0, max(levels) - 1)
+    """The deepest reflection's level, at least 1: 1 = plain self-report;
+    grows when reflections reference reflections."""
+    return max([1, *(f.level for f in state.rows_in(REFLECTIVE_SECTOR) if f.origin == "meta")])
 
 
 @dataclass(frozen=True)
@@ -217,7 +215,7 @@ def meta_assimilate(
         level = 2
         if target == REFLECTIVE_SECTOR:
             level = max((f.level for f in existing_meta.values()), default=1) + 1
-        if 1 + max(0, level - 1) > config.meta_depth_max:
+        if level > config.meta_depth_max:  # a reflection's depth is its level
             warnings.append(
                 f"reflection depth cap {config.meta_depth_max}: "
                 f"dropped {metric} {target}"

@@ -184,9 +184,12 @@ def _record(cls: type, raw: Mapping[str, Any], where: str, **nested: type) -> An
 
 
 def _check_specs(specs: Any, where: str) -> None:
-    """Fragment specs must be a list of objects, each with a valid sector field."""
+    """Fragment specs must be a list of objects, each with a valid sector
+    field and a name, if it is a non-empty string, that no other spec of the
+    list gives (a name of another type is ``fragment_from_spec``'s to refuse)."""
     if not isinstance(specs, list):
         raise ScenarioError(f"{where} must be a list of objects")
+    named: dict[str, int] = {}  # name -> the position that gave it
     for j, spec in enumerate(specs):
         # Inline, not a helper call: it runs once per spec, 10k times for a big store.
         if not isinstance(spec, dict):
@@ -204,6 +207,13 @@ def _check_specs(specs: Any, where: str) -> None:
                 f"{where}[{j}]: sector must be a non-empty string, "
                 "sectors a non-empty list of them"
             )
+        name = spec.get("name")
+        if name and isinstance(name, str):  # most specs have none: one truth test
+            if name in named:
+                raise ScenarioError(
+                    f"{where}[{j}]: name {reprlib.repr(name)} is already given "
+                    f"at {where}[{named[name]}]")
+            named[name] = j
 
 
 def fragment_from_spec(spec: Mapping[str, Any], fragment_id: int, clock: float) -> Fragment:
@@ -403,6 +413,8 @@ def load_scenario(path: str | Path) -> Scenario:
     name = path.stem if raw.get("name") is None else raw["name"]
     if not isinstance(name, str):
         raise ScenarioError(f"name must be a string, got {reprlib.repr(name)}")
+    if not name:
+        raise ScenarioError("name must be a non-empty string, got ''")
 
     try:
         config = config_from_dict(raw.get("config", {}))

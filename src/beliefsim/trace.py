@@ -106,11 +106,9 @@ class TraceLog:
 
     header: dict
     events: list[TraceEvent] = field(default_factory=list)
-    _seq: int = 0
 
     def emit(self, kind: str, tick: float, payload: dict) -> TraceEvent:
-        event = TraceEvent(seq=self._seq, tick=tick, kind=kind, payload=payload)
-        self._seq += 1
+        event = TraceEvent(seq=len(self.events), tick=tick, kind=kind, payload=payload)
         self.events.append(event)
         return event
 

@@ -6,7 +6,8 @@ dataclass's generated constructor and ``__post_init__``, ``assimilate``
 builds every fragment of the state into a list and rebuilds the state from
 it, ending, in corrective modes, with ``resolve_conflicts``, the sweep that
 regroups that list by key, ``embed_tokens`` embeds one token multiset at a
-time and ``embed_rows`` stacks its rows, ``realign`` reads every removal
+time and ``embed_rows`` stacks its rows, ``integrate_retrieved`` lifts
+each retrieved copy by hand, ``realign`` reads every removal
 from a whole derived state, ``shortlist`` screens every removal through the
 matrix of all its rests, the conflict readings group the rows by key on
 every call, and the load, the overload target, the sectors present, a
@@ -219,6 +220,23 @@ def retrieve(store, cue, config):
         if retrieval_score(cue_vec, f) >= config.tau_retrieval
     ]
     return BeliefState(tuple(hits), store.clock)
+
+
+def integrate_retrieved(active, retrieved, store, config, ids, rules=()):
+    """Each retrieved copy lifted by hand to an anchor of at least the
+    re-anchor floor and full persistence, into a new state that is
+    assimilated; the store twins of the copies that survive, found by
+    content, re-anchored."""
+    floor = config.reanchor_min
+    boosted = [
+        c.replace(anchor=max(c.anchor, floor), persistence=1.0) for c in retrieved.fragments
+    ]
+    new_active, report = assimilate(
+        active, BeliefState(tuple(boosted), active.clock), config, ids, mode="auto", rules=rules
+    )
+    surviving = {f.content_key() for f in new_active.fragments}
+    twins = [c.id for c in boosted if c.content_key() in surviving]
+    return new_active, store.reanchor(twins, floor), report
 
 
 def resolve_conflicts(state):

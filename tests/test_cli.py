@@ -211,6 +211,7 @@ def run_module(*args: str) -> subprocess.CompletedProcess:
         {"memory": [{"text": "pump hums", "name": ["c"]}]},
         {"timeline": [{"event": "command", "text": "go", "name": 7}]},
         {"name": 5},
+        {"name": ""},
     ],
     ids=["memory-int", "states-int", "axis-seed-str", "memory-sector-list",
          "goal-marker-int", "anchor-str", "anchor-above-bound", "mode-bogus",
@@ -220,7 +221,7 @@ def run_module(*args: str) -> subprocess.CompletedProcess:
          "clause-minimum-bool", "basin-tau-str", "basin-name-int", "null-seed-str",
          "lexicon-no-token", "lexicon-int", "timeline-unknown-field", "axis-unknown-field",
          "rule-unknown-field", "memory-spec-unknown-field", "memory-name-list",
-         "command-name-int", "scenario-name-int"],
+         "command-name-int", "scenario-name-int", "scenario-name-empty"],
 )
 def test_run_rejects_malformed_sections_at_load(tmp_path, data):
     path = write_scenario(tmp_path, {"name": "malformed", **data})
@@ -300,6 +301,72 @@ def test_a_null_scenario_name_takes_the_file_stem(tmp_path, capsys):
     path = write_scenario(tmp_path, {"name": None, "timeline": []}, name="stem.json")
     assert main(["run", path]) == 0
     assert capsys.readouterr().out == "stem: 0 check(s), 0 failed, 0 warning(s)\n"
+
+
+def _named(*names):
+    """One spec per name, each with its own text."""
+    verbs = ("hums", "leaks", "stops", "starts")
+    return [{"text": f"pump {verb}", "name": name} for verb, name in zip(verbs, names)]
+
+
+@pytest.mark.parametrize(
+    "data, message",
+    [
+        ({"memory": _named("a", "b", "a")}, "memory[2]: name 'a' is already given at memory[0]"),
+        ({"timeline": [{"event": "tick"}, {"event": "observe", "specs": _named("b", "b")}]},
+         "timeline[1].specs[1]: name 'b' is already given at timeline[1].specs[0]"),
+        ({"rules": [{"trigger": "pump", "emit": spec} for spec in _named("c", "d", "c")]},
+         "rules[2]: name 'c' is already given at rules[0]"),
+        ({"states": {"probe": _named("a", "a")}},
+         "states.probe[1]: name 'a' is already given at states.probe[0]"),
+        ({"axes": [{"label": "focus", "seed": _named("s", None, "s")}]},
+         "axes[0].seed[2]: name 's' is already given at axes[0].seed[0]"),
+        ({"memory": _named(["c"], ["c"])},
+         "memory[0]: spec 'pump hums': name must be a string, got ['c']"),
+    ],
+    ids=["memory", "observe", "rule-emit", "state", "axis-seed", "memory-non-string"],
+)
+def test_run_refuses_a_name_given_twice_in_one_list_at_load(tmp_path, capsys, data, message):
+    """A name is unique within its spec list, refused at load naming both
+    positions, an observe's too; a name that is not a string is refused as
+    such, by the spec's builder."""
+    assert main(["run", write_scenario(tmp_path, data)]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
+def test_null_and_empty_names_may_repeat(tmp_path, capsys):
+    """A null or empty name registers nothing, so it may be given again."""
+    specs = _named(None, "", None, "")
+    data = {"memory": specs, "timeline": [{"event": "observe", "specs": specs}]}
+    assert main(["run", write_scenario(tmp_path, data, name="blank.json")]) == 0
+    assert capsys.readouterr().out == "blank: 0 check(s), 0 failed, 0 warning(s)\n"
+
+
+def test_a_run_refused_at_a_tick_writes_the_trace_of_its_ticks_before(tmp_path, capsys):
+    """An observe spec refused when its observe runs (it is typed only
+    then) exits 2 with one error line, and the trace written is the run's
+    prefix: it parses, and verify finds it short of the run that goes on."""
+    def scenario(level):
+        return {"name": "prefix", "timeline": [
+            {"event": "observe", "specs": [{"text": "pump hums"}]},
+            {"event": "tick", "n": 3},
+            {"event": "observe", "specs": [{"text": "pump", "level": level}]},
+        ]}
+    refused, whole = tmp_path / "refused.jsonl", tmp_path / "whole.jsonl"
+    assert main(["run", write_scenario(tmp_path, scenario("x")), "--trace", str(refused)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("error: timeline[2].specs[0]: spec 'pump': level, anchor and "
+                            "persistence must be numbers, got {'level': 'x'}\n")
+    _, events = parse_trace(refused)
+    assert [e.tick for e in events if e.kind == "meta"] == [0.0, 1.0, 2.0]  # one per tick
+    assert main(["run", write_scenario(tmp_path, scenario(0), "whole.json"),
+                 "--trace", str(whole)]) == 0
+    capsys.readouterr()
+    lines = refused.read_text().splitlines()
+    assert lines == whole.read_text().splitlines()[:len(lines)]
+    assert main(["verify", str(refused), str(whole)]) == 1
+    assert capsys.readouterr().out.startswith(f"DIVERGED: line {len(lines) + 1}, at .length:")
 
 
 @pytest.mark.parametrize("anchor", [float("nan"), float("inf")])
@@ -1224,10 +1291,11 @@ SWAPS = ([], ["x"], None, 0, -1, 2.5, "", "x")
 
 
 @st.composite
-def mutated_scenario(draw) -> str:
-    """A shipped scenario with one to three drawn faults, each a value
-    swapped for one of another type in ``SWAPS`` or a key dropped."""
-    data = json.loads((SCENARIOS / f"{draw(st.sampled_from(SHIPPED))}.json").read_text())
+def mutated_scenario(draw, names=tuple(SHIPPED)) -> str:
+    """A shipped scenario, one of ``names``, with one to three drawn faults,
+    each a value swapped for one of another type in ``SWAPS`` or a key
+    dropped."""
+    data = json.loads((SCENARIOS / f"{draw(st.sampled_from(names))}.json").read_text())
     for _ in range(draw(st.integers(1, 3))):
         path = draw(st.sampled_from(list(_paths(data))[1:]))
         holder = data
@@ -1257,6 +1325,39 @@ def test_run_exits_0_1_or_2_on_a_mutated_scenario(text, tmp_path_factory):
     else:
         assert err.getvalue() == ""
         assert (code == 1) == ("[FAIL]" in out.getvalue())
+
+
+GAUGE_STATES = ("word_order_a", "word_order_b", "claim_pos", "claim_neg")
+
+
+@pytest.mark.parametrize("name", ["orientation_axis", "realign_sweep", "gauge_pair"])
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_tower_and_gauge_exit_0_1_or_2_on_a_mutated_scenario(name, data, tmp_path_factory):
+    """``tower`` on a mutated axis scenario and ``gauge`` on a mutated
+    state pair return and do not raise: exit 2 with one ``error:`` line,
+    exit 1 only for a gauge inequivalence, else exit 0."""
+    path = tmp_path_factory.mktemp("fuzz") / f"{name}.json"
+    path.write_text(data.draw(mutated_scenario(names=(name,))))
+    if name == "gauge_pair":
+        a, b = (data.draw(st.sampled_from(GAUGE_STATES)) for _ in range(2))
+        args = ["gauge", str(path), "--state-a", a, "--state-b", b]
+    else:
+        axis = json.loads((SCENARIOS / f"{name}.json").read_text())["axes"][0]["label"]
+        args = ["tower", str(path), "--axis", axis]
+        max_k = data.draw(st.sampled_from((None, 0, 1, 3)))
+        if max_k is not None:
+            args += ["--max-k", str(max_k)]
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = main(args)
+    assert code in (0, 1, 2)
+    if code == 2:
+        assert err.getvalue().startswith("error: ") and err.getvalue().count("\n") == 1
+    else:
+        assert err.getvalue() == ""
+        inequivalent = "inequivalent: witness probe" in out.getvalue()
+        assert (code == 1) == (args[0] == "gauge" and inequivalent)
 
 
 def test_the_readme_scenario_runs_and_passes_its_check(tmp_path, capsys):

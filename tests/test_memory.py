@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import math
 import random
@@ -27,6 +28,7 @@ from beliefsim.memory import (
 
 from conftest import KEYS, WORDS, make_fragment, texts
 from reference import embed_tokens
+from reference import integrate_retrieved as reference_integrate_retrieved
 from reference import nullify as reference_nullify
 from reference import retrieval_score
 from reference import retrieve as reference_retrieve
@@ -329,21 +331,22 @@ def test_integration_boosts_copy_and_reanchors_twin(cfg):
 
 
 def test_retrieved_hit_enters_as_the_copy_integration_made(cfg, monkeypatch):
-    made = []
-    real = memory.assimilate
-    monkeypatch.setattr(memory, "assimilate",
-                        lambda active, incoming, *a, **kw: made.append(incoming)
-                        or real(active, incoming, *a, **kw))
+    copies = []  # the id of each fragment copied
+    real = core.Fragment.replace
+    monkeypatch.setattr(core.Fragment, "replace",
+                        lambda self, **kw: copies.append(self.id) or real(self, **kw))
     active = BeliefState((make_fragment(1, "goal: fix the pump", sectors=("task",)),), 40.0)
     store = BeliefState(
         (make_fragment(50, "fix the pump manual", anchor=1.0, persistence=0.6),), 40.0
     )
     hits = retrieve(store, QueryCue(kind="goal", tokens=("fix", "the", "pump")), cfg)
+    assert copies.count(50) == 1  # matching's copy
     new_active, _, report = integrate_retrieved(active, hits, store, cfg, IdAllocator(100))
-    (copy,) = made[0].fragments
+    copy = new_active.get(50)
     assert (copy.anchor, copy.persistence) == (cfg.reanchor_min, 1.0)
     assert report.added == (50,)
-    assert new_active.get(50) is copy  # assimilation appends it uncopied
+    # One lift after matching's copy: assimilation appends it uncopied.
+    assert copies.count(50) <= 2
 
 
 def test_integration_leaves_store_twin_when_copy_is_retracted(cfg):
@@ -646,3 +649,68 @@ def test_store_matches_the_per_fragment_loops(chain, data):
         assert len(store.fragments) == len(ref.fragments)
         assert store.ids() == ref.ids()
         assert store.clock == ref.clock
+
+
+def _bits(fragments):
+    """Each fragment's fields in order, a float as its exact bits."""
+    return [
+        tuple(v.hex() if isinstance(v, float) else v
+              for v in (getattr(f, field.name) for field in dataclasses.fields(f)))
+        for f in fragments
+    ]
+
+
+@st.composite
+def recalls(draw):
+    """A store whose anchors lie below, at and above the re-anchor floor,
+    at full persistence or below it, perhaps decayed once (so the lift must
+    recompute kept decay factors); an active state that may hold a twin or
+    a rival of a store row; and a cue taken from a store row."""
+    cfg = default_config().replace(
+        reanchor_min=draw(st.sampled_from((0.5, 5.0))),
+        tau_retrieval=draw(st.sampled_from((0.0, 0.3))),
+    )
+    floor = cfg.reanchor_min
+    rows = []
+    for i in range(draw(st.integers(1, 8))):
+        anchor = draw(st.one_of(
+            st.floats(0.0, floor, exclude_max=True),
+            st.just(floor),
+            st.floats(floor, 20.0, exclude_min=True),
+        ))
+        persistence = draw(st.one_of(st.just(1.0), st.floats(0.11, 1.0, exclude_max=True)))
+        key = polarity = None
+        if draw(st.booleans()):
+            key, polarity = draw(st.sampled_from(KEYS)), draw(st.sampled_from("+-"))
+        rows.append(make_fragment(10 + i, draw(texts(1, 4)), sectors=("mem",), anchor=anchor,
+                                  persistence=persistence, key=key, polarity=polarity))
+    store = BeliefState(rows, 0.0)
+    if draw(st.booleans()):
+        store = nullify(store, 1.0, cfg)
+    active = []
+    for i in range(draw(st.integers(0, 3))):
+        like = draw(st.sampled_from(rows))
+        polarity = like.polarity
+        if polarity is not None and draw(st.booleans()):
+            polarity = "+" if polarity == "-" else "-"
+        active.append(like.replace(id=1000 + i, anchor=draw(st.sampled_from((0.5, 50.0))),
+                                   persistence=1.0, polarity=polarity))
+    cue = QueryCue(kind="associative", tokens=draw(st.sampled_from(rows)).tokens)
+    return cfg, store, BeliefState(active, draw(st.sampled_from((0.0, 7.0)))), cue
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(recall=recalls())
+def test_integration_lifts_as_the_per_copy_boost_loop(recall):
+    """``integrate_retrieved`` lifts the retrieved state through
+    ``reanchor``; the hand-built boost of each copy it replaced gives the
+    same active state, store and report, bit for bit."""
+    cfg, store, active, cue = recall
+    hits = retrieve(store, cue, cfg)
+    new_active, new_store, report = integrate_retrieved(
+        active, hits, store, cfg, IdAllocator(5000))
+    ref_active, ref_store, ref_report = reference_integrate_retrieved(
+        active, hits, store, cfg, IdAllocator(5000))
+    assert _bits(new_active.fragments) == _bits(ref_active.fragments)
+    assert _bits(new_store.fragments) == _bits(ref_store.fragments)
+    assert report == ref_report

@@ -138,13 +138,14 @@ CASES = (
 def _swap_reference(mp: pytest.MonkeyPatch) -> None:
     """Swap the reference loops in through the names the engine calls; the
     store decays through ``simulator.nullify`` as the active state does,
-    retrieved copies are assimilated through ``memory.assimilate``, the
+    retrieved copies are lifted and assimilated through
+    ``simulator.integrate_retrieved``, the
     corrective move sweeps through ``simulator.resolve_conflicts``, every
     V, cue vector and tower vector comes from the per-token loop, and every
     expect check is read one branch per check."""
     mp.setattr(simulator, "assimilate", reference.assimilate)
     mp.setattr(simulator, "resolve_conflicts", reference.resolve_conflicts)
-    mp.setattr(memory, "assimilate", reference.assimilate)
+    mp.setattr(simulator, "integrate_retrieved", reference.integrate_retrieved)
     mp.setattr(simulator, "nullify", reference.nullify)
     mp.setattr(simulator, "nullify_sector", reference.nullify_sector)
     mp.setattr(simulator, "retrieve", reference.retrieve)
