@@ -12,19 +12,30 @@ from __future__ import annotations
 
 import math
 import reprlib
-from dataclasses import dataclass
-from typing import Sequence
+from dataclasses import dataclass, fields
+from typing import Any, Callable, Sequence
 
 from .config import is_finite_number
 from .core import BeliefState, activation_density, ordered_sum, tokenize
 from .regulation import REFLECTIVE_SECTOR, coherence
 
-CLAUSE_KINDS = (
-    "sector_density",
-    "level_present",
-    "coherence_conflict",
-    "token_present",
-)
+# Each clause kind and the fields it reads, each with the test its value must
+# pass, or None for an optional field, and what the kind needs when it fails.
+_CLAUSES: dict[str, dict[str, tuple[Callable[[Any], bool], str] | None]] = {
+    "sector_density": {"sector": (bool, "a sector"), "minimum": (lambda v: v > 0, "minimum > 0")},
+    "level_present": {"level": (lambda v: v >= 0, "level >= 0")},
+    "coherence_conflict": {
+        "sector": (bool, "a sector"), "tolerance": (lambda v: v >= 0, "tolerance >= 0")},
+    "token_present": {"token": (bool, "a token"), "sector": None},
+}
+CLAUSE_KINDS = tuple(_CLAUSES)
+
+# What a clause field's annotation asks of a value that is not None.
+_FIELD_TYPES: dict[str, tuple[Callable[[Any], bool], str]] = {
+    "str | None": (lambda v: isinstance(v, str), "a string"),
+    "float | None": (is_finite_number, "a finite number"),
+    "int | None": (lambda v: isinstance(v, int) and not isinstance(v, bool), "an int"),
+}
 
 GATE_ACTIONS = ("approve", "delay", "suppress")
 
@@ -52,37 +63,19 @@ class Clause:
     token: str | None = None
 
     def __post_init__(self) -> None:
-        if self.kind not in CLAUSE_KINDS:
+        if self.kind not in CLAUSE_KINDS:  # a tuple: an unhashable kind is refused too
             raise ValueError(f"unknown clause kind {reprlib.repr(self.kind)}")
-        for name in ("sector", "token"):
-            value = getattr(self, name)
-            if value is not None and not isinstance(value, str):
-                raise ValueError(f"clause {name} must be a string, got {reprlib.repr(value)}")
-        for name in ("minimum", "tolerance"):
-            value = getattr(self, name)
-            if value is not None and not is_finite_number(value):
-                raise ValueError(
-                    f"clause {name} must be a finite number, got {reprlib.repr(value)}")
-        if self.level is not None and (
-            not isinstance(self.level, int) or isinstance(self.level, bool)
-        ):
-            raise ValueError(f"clause level must be an int, got {reprlib.repr(self.level)}")
-        if self.kind == "sector_density":
-            if not self.sector:
-                raise ValueError("sector_density clause needs a sector")
-            if self.minimum is None or self.minimum <= 0:
-                raise ValueError("sector_density clause needs minimum > 0")
-        elif self.kind == "level_present":
-            if self.level is None or self.level < 0:
-                raise ValueError("level_present clause needs level >= 0")
-        elif self.kind == "coherence_conflict":
-            if not self.sector:
-                raise ValueError("coherence_conflict clause needs a sector")
-            if self.tolerance is None or self.tolerance < 0:
-                raise ValueError("coherence_conflict clause needs tolerance >= 0")
-        elif self.kind == "token_present":
-            if not self.token:
-                raise ValueError("token_present clause needs a token")
+        reads = _CLAUSES[self.kind]
+        for f in fields(self)[1:]:  # each typed from its annotation, then held to its kind
+            value, rule = getattr(self, f.name), reads.get(f.name)
+            if value is not None:
+                is_type, what = _FIELD_TYPES[f.type]
+                if not is_type(value):
+                    raise ValueError(f"clause {f.name} must be {what}, got {reprlib.repr(value)}")
+                if f.name not in reads:
+                    raise ValueError(f"{self.kind} clause does not read {f.name}")
+            if rule is not None and (value is None or not rule[0](value)):
+                raise ValueError(f"{self.kind} clause needs {rule[1]}")
         # Fragment tokens are lowercase alphanumeric runs; no other token can match.
         if self.token is not None and tokenize(self.token) != (self.token,):
             raise ValueError(

@@ -184,9 +184,10 @@ def _record(cls: type, raw: Mapping[str, Any], where: str, **nested: type) -> An
 
 
 def _check_specs(specs: Any, where: str) -> None:
-    """Fragment specs must be a list of objects, each with a valid sector
-    field and a name, if it is a non-empty string, that no other spec of the
-    list gives (a name of another type is ``fragment_from_spec``'s to refuse)."""
+    """The one check of a spec list's shape: a list of objects, each of
+    ``_SPEC_FIELDS`` only, with a string text, a valid sector or sectors (not
+    both), a key and a name each a string or null, and a non-empty name that
+    no other spec of the list gives."""
     if not isinstance(specs, list):
         raise ScenarioError(f"{where} must be a list of objects")
     named: dict[str, int] = {}  # name -> the position that gave it
@@ -194,26 +195,41 @@ def _check_specs(specs: Any, where: str) -> None:
         # Inline, not a helper call: it runs once per spec, 10k times for a big store.
         if not isinstance(spec, dict):
             raise ScenarioError(f"{where}[{j}]: a spec must be an object")
+        # _refuse_unknown's message; issuperset builds no set for the many specs that pass.
+        if not _SPEC_FIELDS.issuperset(spec):
+            raise ScenarioError(
+                f"{where}[{j}]: unknown fields {reprlib.repr(sorted(spec.keys() - _SPEC_FIELDS))}")
+        text = spec.get("text", "")
+        if not isinstance(text, str):
+            raise ScenarioError(
+                f"{where}[{j}]: spec text must be a string, got {reprlib.repr(text)}")
         sectors = spec.get("sectors")
-        if sectors is None:  # read as fragment_from_spec below reads it
+        if sectors is None:  # read as fragment_from_spec reads it
             sector = spec.get("sector", "perc")
             ok = isinstance(sector, str) and sector != ""
+        elif "sector" in spec:
+            raise ScenarioError(f"{where}[{j}]: give sector or sectors, not both")
         else:
             ok = isinstance(sectors, list) and sectors != [] and all(
-                isinstance(s, str) and s != "" for s in sectors
-            )
+                isinstance(s, str) and s != "" for s in sectors)
         if not ok:
-            raise ScenarioError(
-                f"{where}[{j}]: sector must be a non-empty string, "
-                "sectors a non-empty list of them"
-            )
+            raise ScenarioError(f"{where}[{j}]: sector must be a non-empty string, "
+                                "sectors a non-empty list of them")
+        key = spec.get("key")
+        if key is not None and not isinstance(key, str):
+            raise ScenarioError(f"{where}[{j}]: spec {reprlib.repr(text)}: "
+                                f"key must be a string, got {reprlib.repr(key)}")
         name = spec.get("name")
-        if name and isinstance(name, str):  # most specs have none: one truth test
-            if name in named:
+        if name is not None:  # most specs have none: one test
+            if not isinstance(name, str):
+                raise ScenarioError(f"{where}[{j}]: spec {reprlib.repr(text)}: "
+                                    f"name must be a string, got {reprlib.repr(name)}")
+            if name in named:  # "" registers nothing, so it may repeat
                 raise ScenarioError(
                     f"{where}[{j}]: name {reprlib.repr(name)} is already given "
                     f"at {where}[{named[name]}]")
-            named[name] = j
+            if name:
+                named[name] = j
 
 
 def fragment_from_spec(spec: Mapping[str, Any], fragment_id: int, clock: float) -> Fragment:
@@ -221,17 +237,10 @@ def fragment_from_spec(spec: Mapping[str, Any], fragment_id: int, clock: float) 
 
     A spec's fields are ``_SPEC_FIELDS``: text (required), sector (default
     "perc") or sectors, level, anchor, persistence, key, polarity, and the
-    name the loader registers.  Any other field, a text that is not a string,
-    a key or name that is neither a string nor null, or a level, anchor or
-    persistence that is not a number, raises ValueError.
+    name the loader registers.  A level, anchor or persistence that is not a
+    number raises ValueError, as ``Fragment`` does for any value out of range.
     """
-    # _refuse_unknown's message, without the path, which _build adds; and
-    # issuperset builds no set for the many specs that pass.
-    if not _SPEC_FIELDS.issuperset(spec):
-        raise ValueError(f"unknown fields {reprlib.repr(sorted(spec.keys() - _SPEC_FIELDS))}")
     text = spec.get("text", "")
-    if not isinstance(text, str):
-        raise ValueError(f"spec text must be a string, got {reprlib.repr(text)}")
     sectors = spec.get("sectors")
     if sectors is None:
         sectors = [spec.get("sector", "perc")]
@@ -245,23 +254,15 @@ def fragment_from_spec(spec: Mapping[str, Any], fragment_id: int, clock: float) 
             f"spec {reprlib.repr(text)}: level, anchor and persistence must be numbers, "
             f"got {reprlib.repr(given)}"
         ) from None
-    key = spec.get("key")
-    if key is not None and not isinstance(key, str):
-        raise ValueError(
-            f"spec {reprlib.repr(text)}: key must be a string, got {reprlib.repr(key)}")
-    name = spec.get("name")
-    if name is not None and not isinstance(name, str):
-        raise ValueError(
-            f"spec {reprlib.repr(text)}: name must be a string, got {reprlib.repr(name)}")
     return Fragment(
         id=fragment_id,
         text=text,
-        sectors=frozenset(map(str, sectors)),
+        sectors=frozenset(sectors),
         level=level,
         anchor=anchor,
         persistence=persistence,
         created_at=clock,
-        key=key,
+        key=spec.get("key"),
         polarity=spec.get("polarity"),
     )
 

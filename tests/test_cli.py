@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import copy
 import io
 import json
 import os
@@ -15,6 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from beliefsim import execution
 from beliefsim.cli import main
 from beliefsim.simulator import _TIMELINE, MAX_TICKS, ScenarioError, load_scenario
 from beliefsim.trace import parse_trace
@@ -266,8 +268,8 @@ GO = {"kind": "token_present", "token": "go"}
          "memory-spec", "state-spec", "axis-seed-spec", "rule-emit", "observe-spec"],
 )
 def test_run_refuses_an_unknown_field_by_its_path(tmp_path, capsys, data, where):
-    """A field the loader does not read is refused at load, not dropped; an
-    observe's specs are built, and so refused, when it runs."""
+    """A field the loader does not read is refused at load, not dropped, an
+    observe spec's too."""
     assert main(["run", write_scenario(tmp_path, data)]) == 2
     assert capsys.readouterr().err == f"error: {where}: unknown fields ['x']\n"
 
@@ -292,7 +294,7 @@ def test_run_refuses_an_unknown_field_by_its_path(tmp_path, capsys, data, where)
 )
 def test_run_refuses_a_name_that_is_not_a_string_by_its_path(tmp_path, capsys, data, message):
     """A name is registered as given, never through ``str``: a name that is
-    neither a string nor null is refused, an observe's when it runs."""
+    neither a string nor null is refused at load, an observe's too."""
     assert main(["run", write_scenario(tmp_path, data)]) == 2
     assert capsys.readouterr().err == f"error: {message}\n"
 
@@ -329,7 +331,7 @@ def _named(*names):
 def test_run_refuses_a_name_given_twice_in_one_list_at_load(tmp_path, capsys, data, message):
     """A name is unique within its spec list, refused at load naming both
     positions, an observe's too; a name that is not a string is refused as
-    such, by the spec's builder."""
+    such."""
     assert main(["run", write_scenario(tmp_path, data)]) == 2
     assert capsys.readouterr().err == f"error: {message}\n"
 
@@ -343,9 +345,10 @@ def test_null_and_empty_names_may_repeat(tmp_path, capsys):
 
 
 def test_a_run_refused_at_a_tick_writes_the_trace_of_its_ticks_before(tmp_path, capsys):
-    """An observe spec refused when its observe runs (it is typed only
-    then) exits 2 with one error line, and the trace written is the run's
-    prefix: it parses, and verify finds it short of the run that goes on."""
+    """An observe spec refused when its observe runs (its numbers are
+    converted only then) exits 2 with one error line, and the trace written
+    is the run's prefix: it parses, and verify finds it short of the run
+    that goes on."""
     def scenario(level):
         return {"name": "prefix", "timeline": [
             {"event": "observe", "specs": [{"text": "pump hums"}]},
@@ -367,6 +370,33 @@ def test_a_run_refused_at_a_tick_writes_the_trace_of_its_ticks_before(tmp_path, 
     assert lines == whole.read_text().splitlines()[:len(lines)]
     assert main(["verify", str(refused), str(whole)]) == 1
     assert capsys.readouterr().out.startswith(f"DIVERGED: line {len(lines) + 1}, at .length:")
+
+
+@pytest.mark.parametrize(
+    "spec, message",
+    [
+        ({"text": "pump", "anchr": 9}, "unknown fields ['anchr']"),
+        ({"text": 5}, "spec text must be a string, got 5"),
+        ({"text": None}, "spec text must be a string, got None"),
+        ({"text": "pump", "key": 5, "polarity": "+"}, "spec 'pump': key must be a string, got 5"),
+        ({"text": "pump", "name": ["c"]}, "spec 'pump': name must be a string, got ['c']"),
+        ({"text": "pump", "name": 0}, "spec 'pump': name must be a string, got 0"),
+        ({"text": "pump", "sector": "task", "sectors": ["perc"]},
+         "give sector or sectors, not both"),
+    ],
+    ids=["unknown-field", "text-int", "text-null", "key-int", "name-list", "name-zero",
+         "sector-and-sectors"],
+)
+def test_a_bad_observe_spec_field_is_refused_before_tick_0(tmp_path, capsys, spec, message):
+    """An observe spec's field names, its text, key and name and its sector
+    fields are checked at load: a run whose third tick's observe gets one
+    wrong exits 2 with one error line naming the spec, and writes no trace."""
+    data = {"timeline": [{"event": "tick", "n": 3}, {"event": "observe", "specs": [spec]}]}
+    trace = tmp_path / "refused.jsonl"
+    assert main(["run", write_scenario(tmp_path, data), "--trace", str(trace)]) == 2
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ("", f"error: timeline[1].specs[0]: {message}\n")
+    assert not trace.exists()
 
 
 @pytest.mark.parametrize("anchor", [float("nan"), float("inf")])
@@ -1289,24 +1319,53 @@ def test_verify_and_inspect_exit_0_1_or_2_on_a_mutated_golden(text, tmp_path_fac
 # number or a string.
 SWAPS = ([], ["x"], None, 0, -1, 2.5, "", "x")
 
+# Raw text put in place of a scenario value: a list nested past the decoder's
+# depth or within it, and the constants that JSON does not define but
+# Python's decoder reads.
+RAW = ("[" * 100_000 + "]" * 100_000, "[" * 900 + "]" * 900, "NaN", "Infinity", "-Infinity")
+
+
+def _at(data, path):
+    """The value at ``path`` inside ``data``."""
+    for key in path:
+        data = data[key]
+    return data
+
 
 @st.composite
-def mutated_scenario(draw, names=tuple(SHIPPED)) -> str:
+def mutated_scenario(draw, names=tuple(SHIPPED)) -> bytes:
     """A shipped scenario, one of ``names``, with one to three drawn faults,
-    each a value swapped for one of another type in ``SWAPS`` or a key
-    dropped."""
+    each a value swapped for one of another type in ``SWAPS`` or for raw
+    text in ``RAW``, a key dropped, or an unknown key added to an object;
+    now and then followed by an invalid UTF-8 byte put in anywhere."""
     data = json.loads((SCENARIOS / f"{draw(st.sampled_from(names))}.json").read_text())
+    raw = []
     for _ in range(draw(st.integers(1, 3))):
-        path = draw(st.sampled_from(list(_paths(data))[1:]))
-        holder = data
-        for key in path[:-1]:
-            holder = holder[key]
-        if isinstance(path[-1], str) and draw(st.booleans()):
+        paths = list(_paths(data))
+        fault = draw(st.sampled_from(("swap", "drop", "add", "raw")))
+        if fault == "add":
+            path = draw(st.sampled_from([p for p in paths if isinstance(_at(data, p), dict)]))
+            _at(data, path)[draw(st.sampled_from(("x", "Text", "anchr")))] = 0
+            continue
+        path = draw(st.sampled_from(paths[1:]))
+        holder = _at(data, path[:-1])
+        if fault == "drop" and isinstance(path[-1], str):
             del holder[path[-1]]
-        else:
+        elif fault == "raw":  # a marker string, replaced by the raw text once dumped
+            holder[path[-1]] = f"\x00raw{len(raw)}"
+            raw.append(draw(st.sampled_from(RAW)))
+        else:  # a copy: a later fault may write inside a list it put in
             old = type(holder[path[-1]])
-            holder[path[-1]] = draw(st.sampled_from(SWAPS).filter(lambda v: type(v) is not old))
-    return json.dumps(data)
+            holder[path[-1]] = copy.deepcopy(
+                draw(st.sampled_from(SWAPS).filter(lambda v: type(v) is not old)))
+    text = json.dumps(data)
+    for k, value in enumerate(raw):
+        text = text.replace(json.dumps(f"\x00raw{k}"), value)
+    encoded = text.encode()
+    if draw(st.integers(0, 9)) == 0:
+        at = draw(st.integers(0, len(encoded)))
+        encoded = encoded[:at] + b"\xff" + encoded[at:]
+    return encoded
 
 
 @settings(max_examples=300, deadline=None, derandomize=True)
@@ -1315,7 +1374,7 @@ def test_run_exits_0_1_or_2_on_a_mutated_scenario(text, tmp_path_factory):
     """On any drawn fault, ``run`` returns and does not raise: exit 2 with
     one ``error:`` line, or exit 1 only with a failed check."""
     path = tmp_path_factory.mktemp("fuzz") / "mutated.json"
-    path.write_text(text)
+    path.write_bytes(text)
     out, err = io.StringIO(), io.StringIO()
     with redirect_stdout(out), redirect_stderr(err):
         code = main(["run", str(path)])
@@ -1325,6 +1384,69 @@ def test_run_exits_0_1_or_2_on_a_mutated_scenario(text, tmp_path_factory):
     else:
         assert err.getvalue() == ""
         assert (code == 1) == ("[FAIL]" in out.getvalue())
+
+
+def _late_observes(name):
+    """The index of each observe of a shipped scenario that comes after a tick."""
+    timeline = json.loads((SCENARIOS / f"{name}.json").read_text())["timeline"]
+    ticks = [i for i, entry in enumerate(timeline) if entry["event"] == "tick"]
+    return [i for i, entry in enumerate(timeline)
+            if entry["event"] == "observe" and ticks and ticks[0] < i]
+
+
+LATE_OBSERVES = [(name, i) for name in SHIPPED for i in _late_observes(name)]
+# Values that are not strings, and values that int() or float() refuses.
+NOT_STRINGS = ([], ["x"], 0, -1, 2.5, True)
+NOT_NUMBERS = ("x", "", [], None, {"a": 1})
+
+
+@st.composite
+def observe_fault(draw):
+    """A shipped scenario with one fault in one spec of an observe that
+    comes after a tick: an unknown field, a text, key or name that is not a
+    string, or a level, anchor or persistence that is not a number.  Returns
+    the scenario's name, its faulted JSON, the entry and spec indexes, and
+    whether the fault is a number, which the observe converts only when it
+    runs."""
+    name, i = draw(st.sampled_from(LATE_OBSERVES))
+    data = json.loads((SCENARIOS / f"{name}.json").read_text())
+    specs = data["timeline"][i]["specs"]
+    j = draw(st.integers(0, len(specs) - 1))
+    fault = draw(st.sampled_from(("unknown", "text", "key", "name", "number")))
+    if fault == "unknown":
+        specs[j][draw(st.sampled_from(("anchr", "Text", "colour")))] = draw(st.sampled_from(SWAPS))
+    elif fault == "number":
+        field = draw(st.sampled_from(("level", "anchor", "persistence")))
+        specs[j][field] = draw(st.sampled_from(NOT_NUMBERS))
+    else:
+        specs[j][fault] = draw(st.sampled_from(NOT_STRINGS))
+    return name, json.dumps(data), i, j, fault == "number"
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(case=observe_fault())
+def test_a_drawn_observe_spec_fault_is_refused_at_load_or_at_its_tick(case, tmp_path_factory):
+    """A spec's field names and the types of its text, key and name are
+    refused before tick 0, with no trace written; a number that does not
+    convert is refused when its observe runs, and the trace written is the
+    golden's prefix up to it, the ticks before included."""
+    name, text, i, j, at_tick = case
+    folder = tmp_path_factory.mktemp("fuzz")
+    path, trace = folder / "mutated.json", folder / "mutated.jsonl"
+    path.write_text(text)
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = main(["run", str(path), "--trace", str(trace)])
+    assert (code, out.getvalue()) == (2, "")
+    assert err.getvalue().startswith(f"error: timeline[{i}].specs[{j}]: ")
+    assert err.getvalue().count("\n") == 1
+    if not at_tick:
+        assert not trace.exists()
+        return
+    lines = trace.read_bytes().splitlines()
+    assert lines == (SCENARIOS / "golden" / f"{name}.trace.jsonl").read_bytes().splitlines()[
+        :len(lines)]
+    assert "meta" in {e.kind for e in parse_trace(trace)[1]}  # the ticks before it ran
 
 
 GAUGE_STATES = ("word_order_a", "word_order_b", "claim_pos", "claim_neg")
@@ -1338,7 +1460,7 @@ def test_tower_and_gauge_exit_0_1_or_2_on_a_mutated_scenario(name, data, tmp_pat
     state pair return and do not raise: exit 2 with one ``error:`` line,
     exit 1 only for a gauge inequivalence, else exit 0."""
     path = tmp_path_factory.mktemp("fuzz") / f"{name}.json"
-    path.write_text(data.draw(mutated_scenario(names=(name,))))
+    path.write_bytes(data.draw(mutated_scenario(names=(name,))))
     if name == "gauge_pair":
         a, b = (data.draw(st.sampled_from(GAUGE_STATES)) for _ in range(2))
         args = ["gauge", str(path), "--state-a", a, "--state-b", b]
@@ -1373,3 +1495,9 @@ def test_the_readme_scenario_runs_and_passes_its_check(tmp_path, capsys):
     prose = " ".join(readme.split())
     for event, defaults in _TIMELINE.items():
         assert f"`{event}` {{{', '.join(f'`{f}`' for f in defaults)}}}" in prose
+
+
+def test_the_readme_lists_each_clause_kinds_fields_as_the_table_has_them():
+    prose = " ".join((REPO / "README.md").read_text(encoding="utf-8").split())
+    for kind, reads in execution._CLAUSES.items():
+        assert f"`{kind}` {{{', '.join(f'`{f}`' for f in reads)}}}" in prose

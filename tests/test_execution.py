@@ -69,6 +69,34 @@ def test_clause_field_validation(kwargs, message):
         Clause(**kwargs)
 
 
+@pytest.mark.parametrize(
+    "kwargs, field",
+    [
+        ({"kind": "sector_density", "sector": "perc", "minimum": 0.5, "level": 2}, "level"),
+        ({"kind": "sector_density", "sector": "perc", "minimum": 0.5, "tolerance": 0.1},
+         "tolerance"),
+        ({"kind": "level_present", "level": 1, "sector": "perc"}, "sector"),
+        ({"kind": "coherence_conflict", "sector": "plan", "tolerance": 0.1, "token": "go"},
+         "token"),
+        ({"kind": "token_present", "token": "go", "minimum": 0.5}, "minimum"),
+    ],
+)
+def test_a_clause_field_its_kind_does_not_read_is_refused(kwargs, field):
+    with pytest.raises(ValueError, match=f"^{kwargs['kind']} clause does not read {field}$"):
+        Clause(**kwargs)
+
+
+def test_each_clause_kind_takes_the_fields_its_table_names():
+    """A clause of each kind built from every field ``_CLAUSES`` names for
+    it; a token_present clause may leave its sector out."""
+    values = {"sector": "perc", "minimum": 0.5, "level": 1, "tolerance": 0.1, "token": "go"}
+    assert execution.CLAUSE_KINDS == tuple(execution._CLAUSES)
+    for kind, reads in execution._CLAUSES.items():
+        clause = Clause(kind, **{name: values[name] for name in reads})
+        assert all(getattr(clause, name) == values[name] for name in reads)
+    assert Clause("token_present", token="go").sector is None
+
+
 def test_sector_density_scores_proportionally():
     clause = Clause(kind="sector_density", sector="task", minimum=0.8)
     state = BeliefState(

@@ -441,17 +441,47 @@ def test_observe_enters_at_full_persistence_whatever_its_spec_says(tmp_path):
     assert (pump.persistence, pump.created_at) == (1.0, 2.0)
 
 
+@pytest.mark.parametrize("section", ["memory", "observe", "state", "rule-emit", "axis-seed"])
+def test_a_spec_giving_both_sector_and_sectors_is_refused_at_load(tmp_path, section):
+    both = {"text": "pump hums", "sector": "task", "sectors": ["perc"]}
+    data, where = {
+        "memory": (minimal(memory=[{"text": "valve"}, both]), "memory[1]"),
+        "observe": (minimal(timeline=[{"event": "tick"}, {"event": "observe", "specs": [both]}]),
+                    "timeline[1].specs[0]"),
+        "state": (minimal(states={"a": [both]}), "states.a[0]"),
+        "rule-emit": (minimal(rules=[{"trigger": "pump", "emit": both}]), "rules[0]"),
+        "axis-seed": (minimal(axes=[{"label": "focus", "seed": [both]}]), "axes[0].seed[0]"),
+    }[section]
+    with pytest.raises(ScenarioError, match=re.escape(f"{where}: give sector or sectors, not")):
+        load_scenario(write_scenario(tmp_path, data))
+
+
+def test_a_clause_field_its_kind_does_not_read_is_refused_at_load(tmp_path):
+    clause = {"kind": "sector_density", "sector": "perc", "minimum": 0.5, "level": 2}
+    path = write_scenario(tmp_path, minimal(basins=[{"name": "b", "clauses": [clause]}]))
+    with pytest.raises(ScenarioError, match=r"^basins\[0\]\.clauses\[0\]: "
+                                             r"sector_density clause does not read level$"):
+        load_scenario(path)
+
+
 def test_bad_observe_spec_names_its_timeline_path(tmp_path):
-    for bad, message in (("  ", ".*no tokens"), (None, "spec text must be a string")):
+    """A text with no token is refused when its observe runs, a text of
+    another type at load; each names the spec's path."""
+    def scenario(bad):
         data = minimal(
             timeline=[
                 {"event": "tick"},
                 {"event": "observe", "specs": [{"text": "fine"}, {"text": bad}]},
             ]
         )
-        run = SimulationRun(load_scenario(write_scenario(tmp_path, data)))
-        with pytest.raises(ScenarioError, match=r"^timeline\[1\]\.specs\[1\]: " + message):
-            run.run()
+        return write_scenario(tmp_path, data)
+
+    run = SimulationRun(load_scenario(scenario("  ")))
+    with pytest.raises(ScenarioError, match=r"^timeline\[1\]\.specs\[1\]: .*no tokens"):
+        run.run()
+    with pytest.raises(ScenarioError,
+                       match=r"^timeline\[1\]\.specs\[1\]: spec text must be a string"):
+        load_scenario(scenario(None))
 
 
 def test_command_defaults(tmp_path):
