@@ -10,9 +10,12 @@ token is hashed (blake2b, independent of PYTHONHASHSEED) into one of
 ``embed_dim`` cells, counts accumulate, and the cell vector is L2-normalized.
 Equal token multisets therefore embed to bitwise-equal vectors, and all
 geometry downstream (distance, compass, retrieval scores) inherits that
-determinism.  ``embed_rows`` is the one vectoriser; it hashes each distinct
-token once per ``dim`` per process.  A fragment tokenises once and derives
-its content key once; a state embeds once per ``dim``.
+determinism.  A row fills as many cells as it has distinct tokens, a few of
+``embed_dim``, so rows are held as their token cells (``Entries``): each
+row's filled cells, ascending, with its values beside them.  ``embed_rows``
+is the one vectoriser; it hashes each distinct token once per ``dim`` per
+process.  A fragment tokenises once and derives its content key once; a
+state embeds once per ``dim``.
 A fragment has one constructor, which keeps one object per equal sector set;
 ``Fragment.replace`` is a construction from its fields and the overrides, so
 a copy tokenises again and derives its own content key.
@@ -20,16 +23,18 @@ a copy tokenises again and derives its own content key.
 A state is one table, for the active state and the long-term store alike:
 fragments as they entered are its rows, in id order, and one record per row
 beside them holds its columns (id, ``created_at``, sector set, anchor,
-persistence, decay factor); the rows' unit vectors are a pair (V, index) the
-state holds, row ``i``'s vector being ``V[index[i]]``.  Every state comes out
-of ``_derive``, which filters rows and records by one keep mask and splices
-put rows in by one plan, computing only theirs: a constructed state is the
-epistemic vacuum with its fragments put in, decay and ``reanchor`` hand it
-new columns, and every other change is one ``revised`` (drop ids, put
-fragments).  ``fragments`` builds every row on each read and keeps none;
-``fragment(i)`` builds one.  Readers of the fixed fields read ``rows``,
-``rows_in(s)``, ``ids()`` or ``latest()`` and build nothing; the conflict
-groups and the goal rows are readings a state keeps and ``_derive`` hands on.
+persistence, decay factor); the rows' unit vectors are a pair (entries,
+index) the state holds, row ``i``'s vector being entry row ``index[i]``.
+No state holds a dense matrix: ``vectors`` builds one on each read.  Every
+state comes out of ``_derive``, which filters rows and records by one keep
+mask and splices put rows in by one plan, computing only theirs: a
+constructed state is the epistemic vacuum with its fragments put in, decay
+and ``reanchor`` hand it new columns, and every other change is one
+``revised`` (drop ids, put fragments).  ``fragments`` builds every row on
+each read and keeps none; ``fragment(i)`` builds one.  Readers of the fixed
+fields read ``rows``, ``rows_in(s)``, ``ids()`` or ``latest()`` and build
+nothing; the conflict groups and the goal rows are readings a state keeps
+and ``_derive`` hands on.
 """
 
 from __future__ import annotations
@@ -184,8 +189,10 @@ class BeliefState:
     state keeps one record per row (``_ROW``): the id, ``created_at`` and
     sector set the row entered with, its current anchor and persistence,
     and its factor of the last whole-state decay.  Only this module reads
-    the records.  The rows' unit vectors (``vectors``) are a pair (V, index)
-    of read-only arrays that the state holds, or embeds at its first read.
+    the records.  The rows' unit vectors are a pair (``Entries``, index) of
+    read-only arrays that the state holds, or embeds at its first read: row
+    ``i``'s vector is entry row ``index[i]``, so a drop filters the index and
+    a put appends only the put rows' entries.
     A row's fixed fields (id, text, tokens, sectors, key, polarity, level,
     origin, created_at, members) are current; its anchor and persistence are
     those it entered with.  Its mass, embedding, conflict groups and goal
@@ -229,18 +236,23 @@ class BeliefState:
         """Each fragment's weight, anchor * persistence, in id order."""
         return self._table["anchor"] * self._table["persistence"]
 
-    def _pair(self, dim: int) -> tuple[np.ndarray, np.ndarray]:
-        """The pair (V, index) at ``dim``; with none, or one at another dim,
-        the state embeds its own rows and keeps ``(V, arange(n))``."""
+    def _pair(self, dim: int) -> tuple[Entries, np.ndarray]:
+        """The pair (entries, index) at ``dim``; with none, or one at another
+        dim, the state embeds its own rows and keeps ``(entries, arange(n))``."""
         pair = self._space
-        if pair is None or pair[0].shape[1] != dim:
+        if pair is None or pair[0].dim != dim:
             index = _frozen(np.arange(len(self._rows)))
             pair = self._space = (embed_rows([f.tokens for f in self._rows], dim), index)
         return pair
 
+    def entries(self, dim: int) -> Entries:
+        """The rows' entries at ``dim``, in row order: entry row ``i`` is row ``i``."""
+        entries, index = self._pair(dim)
+        return entries.take(index)
+
     def vectors(self, dim: int) -> np.ndarray:
         """A new C-ordered matrix of the rows' unit vectors, in row order."""
-        return np.take(*self._pair(dim), axis=0)
+        return self.entries(dim).dense()
 
     def _in(self, sector: str) -> np.ndarray:
         """A mask of the rows whose sector set holds ``sector``."""
@@ -330,8 +342,9 @@ class BeliefState:
         ``table`` (this state's records or new ones) and the rows filtered by
         one mask ``keep``, then the rows of ``put`` (none kept) put in id
         order and spliced in by one plan, with only their records computed;
-        with no row kept, the put rows are the rows.  A drop shares this V;
-        a put hands a new one on and empties this state's slot."""
+        with no row kept, the put rows are the rows.  A drop shares these
+        entries and filters the index; a put appends the put rows' entries
+        to a copy of them that it hands on, and empties this state's slot."""
         put = _in_id_order(tuple(put))
         new = object.__new__(BeliefState)
         new.clock, new._mass, new._embedding = clock, None, None
@@ -362,12 +375,14 @@ class BeliefState:
                 slot[at] = False
                 spliced[slot], spliced[at] = table.view(_RECORD), added.view(_RECORD)
                 table = spliced.view(_ROW)
-                if space is not None:  # the kept rows' vectors and the put rows' in one allocation
-                    taken = np.zeros(len(table), np.intp)  # V's row 0 holds the put rows' place
-                    taken[slot] = space[1]
-                    V = np.take(space[0], taken, axis=0)
-                    V[at] = embed_rows([f.tokens for f in put], V.shape[1])
-                    space, self._space = (_frozen(V), _frozen(np.arange(len(table)))), None
+                if space is not None:  # the put rows' entry rows follow the others
+                    entries, kept = space
+                    if 2 * len(kept) < entries.rows:  # most entry rows are dropped rows'
+                        entries, kept = entries.take(kept), np.arange(len(kept))
+                    index = np.empty(len(table), np.intp)
+                    index[slot], index[at] = kept, np.arange(entries.rows, entries.rows + len(put))
+                    entries = entries.extended(embed_rows([f.tokens for f in put], entries.dim))
+                    space, self._space = (entries, _frozen(index)), None
                 spliced_rows = list(rows)
                 for i, f in zip(at.tolist(), put):  # in ascending order, so each lands at i
                     spliced_rows.insert(i, f)
@@ -434,24 +449,33 @@ class BeliefState:
     def matching(self, cue_vec: np.ndarray, tau: float,
                  **overrides: Any) -> tuple[Fragment, ...]:
         """The fragments whose ``np.dot(cue_vec, vector) * persistence``
-        reaches ``tau``, in id order: one single-threaded ``einsum`` over the
-        columns of V where the cue is nonzero screens every row, and the rows
-        it cannot rule out are scored exactly.  Each is built once, as one
-        ``replace`` of its row with its anchor, persistence and ``overrides``."""
-        vectors, index = self._pair(len(cue_vec))
+        reaches ``tau``, in id order.  Each is built once, as one ``replace``
+        of its row with its anchor, persistence and ``overrides``.
+
+        One ``bincount`` of ``cue_vec[cells] * values`` by entry row screens
+        every row: it sums a row's products over its filled cells, the only
+        nonzero terms of its dot product.  The rows it cannot rule out are
+        re-read exactly, as ``np.dot`` of the cue with the row's dense
+        vector, bit-equal to the row of a dense V, so every score keeps its
+        bits.  The bound: the cue and a row are non-negative and unit-norm,
+        so their exact dot product, the sum of at most d non-negative
+        products, lies in [0, 1]; any float64 evaluation of it, products
+        rounded and summed in any order, is within gamma_d < d*eps of it.
+        So the screen and ``np.dot`` differ by at most 2*d*eps, and one
+        more eps covers the multiply by the persistence.
+        """
+        entries, index = self._pair(len(cue_vec))
         anchor, persistence = self._table["anchor"], self._table["persistence"]
-        cells = np.flatnonzero(cue_vec)
-        screened = np.einsum("ij,j->i", vectors[:, cells], cue_vec[cells])[index]
-        # Vectors are non-negative and unit-norm, so two float64 dot products
-        # of length d (the screen, and one np.dot) differ by at most 2*d*eps;
-        # one more eps covers the multiply by the persistence.
+        owner = np.arange(entries.rows).repeat(entries.lengths())
+        products = cue_vec[entries.cells] * entries.values
+        screened = np.bincount(owner, weights=products, minlength=entries.rows)[index]
         bound = (2 * len(cue_vec) + 1) * np.finfo(float).eps
         near = np.flatnonzero(screened * persistence >= tau - bound)
         return tuple(
             self._rows[i].replace(anchor=a, persistence=p, **overrides)
-            for i, row, a, p in zip(near.tolist(), index[near].tolist(),
-                                    anchor[near].tolist(), persistence[near].tolist())
-            if float(np.dot(cue_vec, vectors[row])) * p >= tau
+            for i, vector, a, p in zip(near.tolist(), entries.take(index[near]).dense(),
+                                       anchor[near].tolist(), persistence[near].tolist())
+            if float(np.dot(cue_vec, vector)) * p >= tau
         )
 
 
@@ -565,6 +589,58 @@ _CELLS: dict[int, dict[str, int]] = {}
 TINY_NORM = 1e-150
 
 
+@dataclasses.dataclass(frozen=True, eq=False)
+class Entries:
+    """Rows of vectors at ``dim`` held as their filled cells: entry row
+    ``r``'s cells are ``cells[offsets[r]:offsets[r + 1]]``, ascending, and
+    its values are ``values[offsets[r]:offsets[r + 1]]`` beside them; every
+    other cell of the row is ``+0.0``."""
+
+    cells: np.ndarray
+    values: np.ndarray
+    offsets: np.ndarray
+    dim: int
+
+    @property
+    def rows(self) -> int:
+        return len(self.offsets) - 1
+
+    def lengths(self) -> np.ndarray:
+        """Each entry row's number of filled cells."""
+        return self.offsets[1:] - self.offsets[:-1]
+
+    def positions(self, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """The positions of the entries of ``rows``, row after row in that
+        order, and each of those rows' number of entries."""
+        starts = self.offsets[rows]
+        lengths = self.offsets[rows + 1] - starts
+        ends = lengths.cumsum()
+        total = int(ends[-1]) if len(ends) else 0
+        return (starts - ends + lengths).repeat(lengths) + np.arange(total), lengths
+
+    def take(self, rows: np.ndarray) -> "Entries":
+        """New entries of ``rows``, in that order: entry row ``k`` is ``rows[k]``."""
+        at, lengths = self.positions(rows)
+        offsets = np.zeros(len(rows) + 1, np.intp)
+        np.cumsum(lengths, out=offsets[1:])
+        return Entries(self.cells[at], self.values[at], offsets, self.dim)
+
+    def extended(self, other: "Entries") -> "Entries":
+        """New read-only entries: these rows, then ``other``'s."""
+        return Entries(
+            _frozen(np.concatenate((self.cells, other.cells))),
+            _frozen(np.concatenate((self.values, other.values))),
+            _frozen(np.concatenate((self.offsets, other.offsets[1:] + self.offsets[-1]))),
+            self.dim,
+        )
+
+    def dense(self) -> np.ndarray:
+        """A new C-ordered matrix of the rows, one row per entry row."""
+        matrix = np.zeros((self.rows, self.dim))
+        matrix[np.arange(self.rows).repeat(self.lengths()), self.cells] = self.values
+        return matrix
+
+
 def embed_state(state: BeliefState, dim: int) -> np.ndarray:
     """Mass-weighted mean of fragment vectors, L2-normalized.
 
@@ -574,7 +650,7 @@ def embed_state(state: BeliefState, dim: int) -> np.ndarray:
     invariant still holds.  The state keeps the result for this ``dim``: the
     array is read-only and is returned, uncopied, by every later call with
     the same ``dim``.  The arithmetic is ``embed_weighted``'s, over the
-    state's pair (V, index).
+    state's pair (entries, index).
     """
     kept = state._embedding
     if kept is not None and kept[0] == dim:
@@ -587,24 +663,30 @@ def embed_state(state: BeliefState, dim: int) -> np.ndarray:
     return acc
 
 
-def embed_weighted(vectors: np.ndarray, rows: np.ndarray, weights: np.ndarray) -> np.ndarray:
-    """The unit vector along the sum of ``vectors[rows[k]]`` weighted by
+def embed_weighted(entries: Entries, rows: np.ndarray, weights: np.ndarray) -> np.ndarray:
+    """The unit vector along the sum of entry rows ``rows[k]`` weighted by
     ``weights[k]``: the one embedding arithmetic, of ``embed_state`` and of
     the exact re-reads of ``geometry.realign``.
 
     Only positive weights count; when none is positive, the rows are summed
-    unweighted.  The positive-weight rows are taken into a new C-ordered
-    matrix and scaled by their weights in place; summing it over axis 0
-    adds row after row, in the order (and so to the bits) of
-    ``acc += w * v`` over the rows.  Neither ``w @ V`` nor a pairwise sum
-    keeps that order.  A zero sum stays zero.
+    unweighted.  The positive-weight rows' entries are gathered in row
+    order, each value times its row's weight, and one ``bincount`` adds
+    them into their cells.  It adds a cell's terms in input order, row
+    after row, as ``acc += w * v`` over the rows does (and as a dense
+    matrix summed over axis 0 does): a row without the cell would add
+    ``w * 0.0 = +0.0``, which moves no bit of a non-negative sum, and a
+    cell no row fills stays ``+0.0``.  So the sum has the per-fragment
+    loop's bits.  A pairwise sum of a cell's terms (``np.sum`` along them,
+    or ``w @ V``) would not.  A zero sum stays zero.
     """
     positive = weights > 0.0
     if positive.any():
-        scaled = np.take(vectors, rows[positive], axis=0)
-        acc = np.multiply(scaled, weights[positive][:, None], out=scaled).sum(axis=0)
+        rows, weights = rows[positive], weights[positive]
     else:
-        acc = np.take(vectors, rows, axis=0).sum(axis=0)
+        weights = np.ones(len(rows))
+    at, lengths = entries.positions(rows)
+    terms = entries.values[at] * weights.repeat(lengths)
+    acc = np.bincount(entries.cells[at], weights=terms, minlength=entries.dim)
     norm = float(np.linalg.norm(acc))
     if norm < TINY_NORM and acc.any():
         # The squares of the entries are subnormal and the norm loses
@@ -616,33 +698,42 @@ def embed_weighted(vectors: np.ndarray, rows: np.ndarray, weights: np.ndarray) -
     return acc
 
 
-def embed_rows(token_lists: Sequence[Sequence[str]], dim: int) -> np.ndarray:
-    """Each token list's unit bag-of-words vector, one row of a read-only
-    matrix filled in place (an empty list's row stays zero).
+def embed_rows(token_lists: Sequence[Sequence[str]], dim: int) -> Entries:
+    """Each token list's unit bag-of-words vector, as the read-only entries
+    of one row per list (an empty list's row has none: it is zero).  No
+    dense matrix is filled.
 
     A token's cell at ``dim`` is ``token_cell``'s, hashed once per process
-    and kept in ``_CELLS``.  The counts are added into a zero matrix, and a
-    row's squared norm is summed from the counts of its own tokens: a token
-    adds its cell's count once per occurrence, so a row sums to the sum of
-    its counts squared.  Those are integers, and every partial sum is exact
-    while that sum is below 2**53, which holds for any row of fewer than
-    about 9.4e7 tokens; so ``sqrt`` of it is the norm, in any order of
+    and kept in ``_CELLS``.  One sort of ``row * dim + cell`` over every
+    token gives each row's distinct cells, ascending, and their counts, so
+    the cell order depends on no hash seed.  A row's squared norm is the
+    sum of its counts squared; those are integers, and every partial sum is
+    exact while that sum is below 2**53, which holds for any row of fewer
+    than about 9.4e7 tokens; so ``sqrt`` of it is the norm, in any order of
     addition, and equal token multisets give bit-equal rows, whatever the
-    token order.  Only the filled cells are divided by the norm; the others
-    stay ``+0.0``.
+    token order.  Each value is its count divided by the norm, the value a
+    dense row holds in that cell.
     """
     flat = list(chain.from_iterable(token_lists))
     cell_of = _CELLS.setdefault(dim, {})
     for token in set(flat).difference(cell_of):
         cell_of[token] = token_cell(token, dim)
-    matrix = np.zeros((len(token_lists), dim), dtype=float)
-    rows = np.repeat(np.arange(len(token_lists)), [len(t) for t in token_lists])
-    cells = np.fromiter(map(cell_of.__getitem__, flat), np.intp, len(flat))
-    np.add.at(matrix, (rows, cells), 1.0)
-    counts = matrix[rows, cells]
-    norms = np.sqrt(np.bincount(rows, weights=counts, minlength=len(token_lists)))
-    matrix[rows, cells] = np.divide(counts, norms[rows], out=counts)
-    return _frozen(matrix)
+    n = len(token_lists)
+    keys = np.arange(0, n * dim, dim).repeat([len(t) for t in token_lists])
+    keys += np.fromiter(map(cell_of.__getitem__, flat), np.intp, len(flat))
+    keys.sort()
+    first = np.ones(len(keys), bool)  # each distinct key's first place
+    first[1:] = keys[1:] != keys[:-1]
+    starts = np.flatnonzero(first)
+    counts = (np.append(starts[1:], len(keys)) - starts).astype(float)
+    keys = keys[starts]
+    owner = keys // dim
+    norms = np.sqrt(np.bincount(owner, weights=counts * counts, minlength=n))
+    offsets = np.zeros(n + 1, np.intp)
+    np.cumsum(np.bincount(owner, minlength=n), out=offsets[1:])
+    return Entries(
+        _frozen(keys % dim), _frozen(np.divide(counts, norms[owner], out=counts)),
+        _frozen(offsets), dim)
 
 
 # --------------------------------------------------------------------------
@@ -688,6 +779,7 @@ def first_conflict(state: BeliefState) -> Optional[tuple[Fragment, Fragment]]:
 __all__ = [
     "ANCHOR_MAX",
     "BeliefState",
+    "Entries",
     "Fragment",
     "IdAllocator",
     "ORIGINS",

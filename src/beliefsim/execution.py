@@ -19,14 +19,16 @@ from .config import is_finite_number
 from .core import BeliefState, activation_density, ordered_sum, tokenize
 from .regulation import REFLECTIVE_SECTOR, coherence
 
-# Each clause kind and the fields it reads, each with the test its value must
-# pass, or None for an optional field, and what the kind needs when it fails.
-_CLAUSES: dict[str, dict[str, tuple[Callable[[Any], bool], str] | None]] = {
-    "sector_density": {"sector": (bool, "a sector"), "minimum": (lambda v: v > 0, "minimum > 0")},
-    "level_present": {"level": (lambda v: v >= 0, "level >= 0")},
+# Each clause kind and the fields it reads, each with the test a value given
+# must pass, what the kind needs when it fails, and whether it may be left out.
+_CLAUSES: dict[str, dict[str, tuple[Callable[[Any], bool], str, bool]]] = {
+    "sector_density": {
+        "sector": (bool, "a sector", False), "minimum": (lambda v: v > 0, "minimum > 0", False)},
+    "level_present": {"level": (lambda v: v >= 0, "level >= 0", False)},
     "coherence_conflict": {
-        "sector": (bool, "a sector"), "tolerance": (lambda v: v >= 0, "tolerance >= 0")},
-    "token_present": {"token": (bool, "a token"), "sector": None},
+        "sector": (bool, "a sector", False),
+        "tolerance": (lambda v: v >= 0, "tolerance >= 0", False)},
+    "token_present": {"token": (bool, "a token", False), "sector": (bool, "a sector", True)},
 }
 CLAUSE_KINDS = tuple(_CLAUSES)
 
@@ -74,7 +76,7 @@ class Clause:
                     raise ValueError(f"clause {f.name} must be {what}, got {reprlib.repr(value)}")
                 if f.name not in reads:
                     raise ValueError(f"{self.kind} clause does not read {f.name}")
-            if rule is not None and (value is None or not rule[0](value)):
+            if rule is not None and not (rule[2] if value is None else rule[0](value)):
                 raise ValueError(f"{self.kind} clause needs {rule[1]}")
         # Fragment tokens are lowercase alphanumeric runs; no other token can match.
         if self.token is not None and tokenize(self.token) != (self.token,):

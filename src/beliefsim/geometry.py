@@ -205,23 +205,25 @@ def realign(state: BeliefState, axis: "EpistemicAxis",
     remains.  Stops early (warned=True) if no removal strictly reduces the
     residual — the residual never increases between steps.
 
-    The loop runs on the arrays of ``state``: its rows' vectors
-    (``state.vectors``), its weights, zeroed as rows leave, and the
-    positions of the rows still live.  Each row's products with the axis
-    are taken once (``_fixed``); each step screens every removal from
-    them, from one product of the live weighted sum with V and from three
-    dot products of that sum (``_shortlist``), then re-reads only the
-    shortlisted removals exactly: ``embed_weighted`` of the
-    rest and ``_reading``, the arithmetic of ``compass_reading`` on the
-    state without that row, to the bit.  The first least exact residual in
-    id order is dropped, so the choice is that of reading every removal
-    exactly.  The pruned state is derived once, by one ``revised``.
+    The loop runs on the arrays of ``state``: its rows' entries in row
+    order (``state.entries``) and the dense matrix V of them, its weights,
+    zeroed as rows leave, and the positions of the rows still live.  Each
+    row's products with the axis are taken once (``_fixed``); each step
+    screens every removal from them, from one product of the live weighted
+    sum with V and from three dot products of that sum (``_shortlist``),
+    then re-reads only the shortlisted removals exactly: ``embed_weighted``
+    of the rest's entries and ``_reading``, the arithmetic of
+    ``compass_reading`` on the state without that row, to the bit.  The
+    first least exact residual in id order is dropped, so the choice is
+    that of reading every removal exactly.  The pruned state is derived
+    once, by one ``revised``.
     """
     reading = compass_reading(state, axis, config)
     warned = detect_drift(reading, config)
     removed: list[int] = []
     if warned and len(state.rows) > 1:
-        vecs, weights = state.vectors(config.embed_dim), state.weights()
+        entries, weights = state.entries(config.embed_dim), state.weights()
+        vecs = entries.dense()
         fixed = _fixed(vecs, axis)
         pos = np.where(weights > 0.0, weights, 0.0)
         live = np.arange(len(state.rows))
@@ -229,7 +231,7 @@ def realign(state: BeliefState, axis: "EpistemicAxis",
             best = best_reading = None
             for i in _shortlist(vecs, pos, live, fixed).tolist():
                 rest = np.delete(live, i)
-                cand_reading = _reading(embed_weighted(vecs, rest, weights[rest]), axis)
+                cand_reading = _reading(embed_weighted(entries, rest, weights[rest]), axis)
                 if best_reading is None or cand_reading.residual < best_reading.residual:
                     best, best_reading = i, cand_reading
             assert best_reading is not None

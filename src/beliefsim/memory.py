@@ -110,7 +110,7 @@ def retrieve(
     re-tagged origin="retrieved"; member records do not survive the copy
     because the copies are surrogates, not the original summaries.
     """
-    cue_vec = embed_rows([cue.tokens], config.embed_dim)[0]
+    cue_vec = embed_rows([cue.tokens], config.embed_dim).dense()[0]
     hits = store.matching(cue_vec, config.tau_retrieval, origin="retrieved", members=None)
     return BeliefState(hits, store.clock)
 

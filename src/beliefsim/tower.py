@@ -73,7 +73,8 @@ def _merge_pair(
 def _vectors(fragments: Sequence[Fragment], dim: int) -> dict[int, np.ndarray]:
     """id -> unit vector of each fragment, from one ``embed_rows`` call: for
     ``merge_group``, whose pool and summaries are no state's rows."""
-    return dict(zip((f.id for f in fragments), embed_rows([f.tokens for f in fragments], dim)))
+    vectors = embed_rows([f.tokens for f in fragments], dim).dense()
+    return dict(zip((f.id for f in fragments), vectors))
 
 
 def _pair_entry(a: int, b: int, vec: dict[int, np.ndarray]) -> tuple[float, int, int]:
@@ -172,7 +173,7 @@ def merge_group(
         a = pool.pop(ia)
         b = pool.pop(ib)
         merged = _merge_pair(a, b, ids, clock)
-        vec[merged.id] = embed_rows([merged.tokens], dim)[0]
+        vec[merged.id] = embed_rows([merged.tokens], dim).dense()[0]
         for other in pool:
             heapq.heappush(heap, _pair_entry(other, merged.id, vec))
         pool[merged.id] = merged

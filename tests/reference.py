@@ -6,7 +6,10 @@ dataclass's generated constructor and ``__post_init__``, ``assimilate``
 builds every fragment of the state into a list and rebuilds the state from
 it, ending, in corrective modes, with ``resolve_conflicts``, the sweep that
 regroups that list by key, ``embed_tokens`` embeds one token multiset at a
-time and ``embed_rows`` stacks its rows, ``integrate_retrieved`` lifts
+time, ``embed_rows`` stacks its rows into a dense matrix and
+``embed_entries`` reads each row's filled cells off it, ``embed_weighted``
+sums the rows of a dense matrix and ``matching`` screens a dense V of the
+state's rows, ``integrate_retrieved`` lifts
 each retrieved copy by hand, ``realign`` reads every removal
 from a whole derived state, ``shortlist`` screens every removal through the
 matrix of all its rests, the conflict readings group the rows by key on
@@ -30,6 +33,7 @@ import numpy as np
 from beliefsim.core import (
     TINY_NORM,
     BeliefState,
+    Entries,
     Fragment,
     key_groups,
     token_cell,
@@ -101,6 +105,66 @@ def embed_rows(token_lists, dim):
         row[:] = embed_tokens(tokens, dim)
     matrix.flags.writeable = False
     return matrix
+
+
+def embed_entries(token_lists, dim):
+    """``embed_rows``'s rows as read-only entries: each row's nonzero cells,
+    ascending, and their values, one row at a time."""
+    rows = embed_rows(token_lists, dim)
+    cells = [np.flatnonzero(row) for row in rows]
+    offsets = np.cumsum([0] + [len(c) for c in cells])
+    cells = np.concatenate([np.zeros(0, np.intp), *cells])
+    values = rows[np.repeat(np.arange(len(rows)), np.diff(offsets)), cells]
+    for array in (cells, values, offsets):
+        array.flags.writeable = False
+    return Entries(cells, values, offsets, dim)
+
+
+def dense(entries):
+    """The matrix of ``entries``' rows, filled one entry at a time."""
+    matrix = np.zeros((len(entries.offsets) - 1, entries.dim), dtype=np.float64)
+    for r in range(len(matrix)):
+        for k in range(entries.offsets[r], entries.offsets[r + 1]):
+            matrix[r, entries.cells[k]] = entries.values[k]
+    return matrix
+
+
+def embed_weighted(entries, rows, weights):
+    """The weighted sum over a dense matrix of the entries' rows: the
+    positive-weight rows taken into a new C-ordered matrix, scaled in place
+    and summed over axis 0, row after row (all rows, unweighted, when no
+    weight is positive), then normalised as ``embed_state`` normalises."""
+    vectors = dense(entries)
+    positive = weights > 0.0
+    if positive.any():
+        scaled = np.take(vectors, rows[positive], axis=0)
+        acc = np.multiply(scaled, weights[positive][:, None], out=scaled).sum(axis=0)
+    else:
+        acc = np.take(vectors, rows, axis=0).sum(axis=0)
+    norm = float(np.linalg.norm(acc))
+    if norm < TINY_NORM and acc.any():
+        acc = acc / np.abs(acc).max()
+        norm = float(np.linalg.norm(acc))
+    if norm > 0.0:
+        acc = acc / norm
+    return acc
+
+
+def matching(state, cue_vec, tau, **overrides):
+    """Retrieval's screen over a dense V of the state's rows: one
+    single-threaded ``einsum`` over the columns where the cue is nonzero,
+    the same bound, and the near rows scored exactly with ``np.dot``."""
+    frags = state.fragments
+    vectors = embed_rows([f.tokens for f in frags], len(cue_vec))
+    persistence = np.array([f.persistence for f in frags], dtype=np.float64)
+    cells = np.flatnonzero(cue_vec)
+    screened = np.einsum("ij,j->i", vectors[:, cells], cue_vec[cells])
+    bound = (2 * len(cue_vec) + 1) * np.finfo(float).eps
+    near = np.flatnonzero(screened * persistence >= tau - bound)
+    return tuple(
+        frags[i].replace(**overrides) for i in near.tolist()
+        if float(np.dot(cue_vec, vectors[i])) * frags[i].persistence >= tau
+    )
 
 
 def nullify(state, dt, config):

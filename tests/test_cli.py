@@ -197,6 +197,7 @@ def run_module(*args: str) -> subprocess.CompletedProcess:
             {"clauses": [{"kind": "token_present", "token": "go"}], "gate_policy": [{}]},
             {"clauses": [{"kind": "sector_density", "sector": ["perc"], "minimum": 0.5}]},
             {"clauses": [{"kind": "token_present", "token": 5}]},
+            {"clauses": [{"kind": "token_present", "token": "go", "sector": ""}]},
             {"clauses": [{"kind": "level_present", "level": 1.0}]},
             {"clauses": [{"kind": "sector_density", "sector": "perc", "minimum": True}]},
             {"clauses": [{"kind": "token_present", "token": "go"}], "tau": "0.5"},
@@ -219,7 +220,8 @@ def run_module(*args: str) -> subprocess.CompletedProcess:
          "goal-marker-int", "anchor-str", "anchor-above-bound", "mode-bogus",
          "abs-without-group", "expect-without-value", "rule-emit-level-str", "rule-trigger-list",
          "gate-pattern-int", "gate-policy-strings", "gate-policy-object", "gate-without-pattern",
-         "clause-sector-list", "clause-token-int", "clause-level-float",
+         "clause-sector-list", "clause-token-int", "clause-token-sector-empty",
+         "clause-level-float",
          "clause-minimum-bool", "basin-tau-str", "basin-name-int", "null-seed-str",
          "lexicon-no-token", "lexicon-int", "timeline-unknown-field", "axis-unknown-field",
          "rule-unknown-field", "memory-spec-unknown-field", "memory-name-list",

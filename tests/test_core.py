@@ -31,6 +31,7 @@ from beliefsim.regulation import cognitive_load
 from beliefsim.simulator import fragment_from_spec
 
 from conftest import SECTORS, WORDS, fragments, make_fragment, states, texts, tie_states
+import reference
 from reference import embed_state as reference_embed_state
 from reference import embed_tokens
 
@@ -199,13 +200,14 @@ def test_construction_is_the_vacuum_with_a_put(frags, clock, dim):
 
 @pytest.mark.parametrize("read", ["vectors", "matching"])
 def test_reading_an_empty_state_leaves_no_V_for_the_next_state(read):
-    """Reading an empty state's vectors leaves no V behind that a state
-    constructed later would take: its V is built at its own first read."""
+    """Reading an empty state's vectors leaves no entries behind that a
+    state constructed later would take: its entries are built at its own
+    first read."""
     empty = BeliefState((), 0.0)
     if read == "vectors":
         assert empty.vectors(16).shape == (0, 16)
     else:
-        assert empty.matching(embed_rows([("pump",)], 16)[0], 0.3) == ()
+        assert empty.matching(embed_rows([("pump",)], 16).dense()[0], 0.3) == ()
     state = BeliefState((make_fragment(1), make_fragment(2, "valve")), 0.0)
     assert state._space is None
     assert state.vectors(16).tobytes() == _fresh(state, 16)
@@ -272,19 +274,20 @@ def test_token_cell_is_stable_across_calls():
 
 
 def test_embed_tokens_is_unit_norm(cfg):
-    vec = embed_rows([("pump", "valve")], cfg.embed_dim)[0]
+    vec = embed_rows([("pump", "valve")], cfg.embed_dim).dense()[0]
     assert np.linalg.norm(vec) == pytest.approx(1.0)
 
 
 def test_embed_tokens_order_invariant(cfg):
-    a, b = embed_rows([("pump", "valve", "pump"), ("valve", "pump", "pump")], cfg.embed_dim)
+    a, b = embed_rows([("pump", "valve", "pump"), ("valve", "pump", "pump")], cfg.embed_dim).dense()
     assert a.tobytes() == b.tobytes()
 
 
 def test_embed_cached_array_is_readonly(cfg):
-    vec = embed_rows([("pump",)], cfg.embed_dim)
-    with pytest.raises(ValueError):
-        vec[0, 0] = 99.0
+    entries = embed_rows([("pump",)], cfg.embed_dim)
+    for array in (entries.cells, entries.values, entries.offsets):
+        with pytest.raises(ValueError):
+            array[0] = 1
 
 
 @settings(max_examples=120, deadline=None, derandomize=True)
@@ -294,12 +297,25 @@ def test_embed_cached_array_is_readonly(cfg):
 )
 @example(token_lists=[[], ["pump"] * 12, ["x", "0", "pump"]], dim=8)
 def test_embed_rows_matches_the_per_token_loop(token_lists, dim):
-    """Oracle: each row is bit-equal to the one-token-multiset-at-a-time
-    embedding; an empty list embeds to zero."""
-    matrix = embed_rows(token_lists, dim)
-    assert matrix.shape == (len(token_lists), dim)
-    for tokens, row in zip(token_lists, matrix):
-        assert row.tobytes() == embed_tokens(tokens, dim).tobytes()
+    """Oracle: each row's entries are the filled cells of the
+    one-token-multiset-at-a-time embedding, ascending, with its values to
+    the bit; an empty list has none."""
+    _assert_entries_of(embed_rows(token_lists, dim), token_lists, dim)
+
+
+def _assert_entries_of(entries, token_lists, dim):
+    """``entries`` hold one entry row per token list: its filled cells,
+    ascending, and their values, bit-equal to ``embed_tokens``; its dense
+    matrix is the reference's stacked rows, to the byte."""
+    assert entries.dim == dim and entries.rows == len(token_lists)
+    offsets = entries.offsets
+    assert offsets[0] == 0 and offsets[-1] == len(entries.cells) == len(entries.values)
+    for r, tokens in enumerate(token_lists):
+        row = embed_tokens(tokens, dim)
+        cells = entries.cells[offsets[r]:offsets[r + 1]]
+        assert cells.tolist() == np.flatnonzero(row).tolist()
+        assert entries.values[offsets[r]:offsets[r + 1]].tobytes() == row[cells].tobytes()
+    assert entries.dense().tobytes() == reference.embed_rows(token_lists, dim).tobytes()
 
 
 _TOKENS = st.one_of(st.sampled_from(WORDS), st.text("abxyz019", min_size=1, max_size=5))
@@ -327,14 +343,11 @@ def test_embed_rows_memo_and_scatter_match_the_per_token_loop(dims, token_lists,
     for start in range(0, max(len(token_lists), 1), chunk):
         for dim in (dims[start // chunk % 2], dims[(start // chunk + 1) % 2]):
             part = token_lists[start:start + chunk]
-            matrix = embed_rows(part, dim)
-            assert matrix.shape == (len(part), dim)
-            for tokens, row in zip(part, matrix):
-                assert row.tobytes() == embed_tokens(tokens, dim).tobytes()
+            _assert_entries_of(embed_rows(part, dim), part, dim)
 
 
 def _fresh(state: BeliefState, dim: int) -> bytes:
-    return embed_rows([f.tokens for f in state.rows], dim).tobytes()
+    return reference.embed_rows([f.tokens for f in state.rows], dim).tobytes()
 
 
 def test_replace_text_never_carries_the_old_vector(cfg):
@@ -346,22 +359,40 @@ def test_replace_text_never_carries_the_old_vector(cfg):
 
 
 def test_a_drop_shares_V_and_a_put_hands_a_new_one_on():
-    """A drop from a state holding a pair (V, index) shares its V; a put
-    empties the slot of the state it came from and hands on a new V; a state
-    derived before its parent read V embeds its own rows when read."""
+    """A drop from a state holding a pair (entries, index) shares its
+    entries; a put empties the slot of the state it came from and hands on
+    its entries with only the put rows' appended; a state derived before
+    its parent read its entries embeds its own rows when read."""
     state = BeliefState(tuple(make_fragment(i, w) for i, w in enumerate(WORDS[:4], 1)), 0.0)
     early = state.revised(drop={2})
-    V = state._pair(16)[0]
-    dropped = state.revised(drop={1, 3})
-    assert dropped._space[0] is V
+    entries = state._pair(16)[0]
+    dropped = state.revised(drop={3})
+    assert dropped._space[0] is entries
     assert dropped.vectors(16).tobytes() == _fresh(dropped, 16)
-    put = dropped.revised(put=[make_fragment(9, "red light")])
+    put = dropped.revised(put=[make_fragment(9, "red light"), make_fragment(2, "seal")])
     assert dropped._space is None
-    assert put._space[0] is not V and state._space[0] is V
+    appended, index = put._space
+    assert appended is not entries and state._space[0] is entries
+    assert appended.rows == entries.rows + 2
+    for name in ("cells", "values", "offsets"):
+        assert getattr(appended, name)[:len(getattr(entries, name))].tobytes() == (
+            getattr(entries, name).tobytes())
+    assert index.tolist() == [0, 4, 3, 5]  # id 2 put again: its new entry row
     assert put.vectors(16).tobytes() == _fresh(put, 16)
     assert early._space is None
     assert early.vectors(16).tobytes() == _fresh(early, 16)
-    assert len(early._space[0]) == 3
+    assert early._space[0].rows == 3
+
+
+def test_a_put_keeps_only_the_live_rows_entries_once_most_are_dropped():
+    """Entry rows of dropped rows stay until they outnumber the live ones;
+    the next put then hands on only the live rows' entries and its own."""
+    state = BeliefState(tuple(make_fragment(i, w) for i, w in enumerate(WORDS[:6], 1)), 0.0)
+    state.vectors(16)
+    few = state.revised(drop={1, 2, 4, 5})
+    put = few.revised(put=[make_fragment(9, "red light")])
+    assert put._space[0].rows == 3 and put._space[1].tolist() == [0, 1, 2]
+    assert put.vectors(16).tobytes() == _fresh(put, 16)
 
 
 def test_second_dim_recomputes(cfg):
@@ -377,7 +408,7 @@ def test_vectors_are_a_new_c_ordered_matrix_in_row_order():
     assert vectors.flags.c_contiguous and vectors.flags.writeable
     vectors[:] = 0.0  # a copy: the state's V is untouched
     assert state.vectors(16).tobytes() == _fresh(state, 16)
-    picked = embed_rows([state.rows[3].tokens, state.rows[1].tokens], 16)
+    picked = embed_rows([state.rows[3].tokens, state.rows[1].tokens], 16).dense()
     assert state.vectors(16)[[3, 1]].tobytes() == picked.tobytes()
     mask = np.array([False, True, False, True, False])
     assert state.vectors(16)[mask].tobytes() == picked[::-1].tobytes()
@@ -500,7 +531,8 @@ def test_embed_state_weighting_pulls_toward_heavy_fragment(cfg):
     heavy = make_fragment(1, "coolant flow", anchor=50.0)
     faint = make_fragment(2, "terrain grid", anchor=0.1)
     vec = embed_state(BeliefState((heavy, faint), 0.0), cfg.embed_dim)
-    toward_heavy, toward_faint = embed_rows([heavy.tokens, faint.tokens], cfg.embed_dim) @ vec
+    toward_heavy, toward_faint = (
+        embed_rows([heavy.tokens, faint.tokens], cfg.embed_dim).dense() @ vec)
     assert toward_heavy > toward_faint
 
 
@@ -526,7 +558,7 @@ class TestEmbeddingLaws:
     @settings(max_examples=60, deadline=None)
     @given(tokens=st.lists(st.sampled_from(WORDS), min_size=1, max_size=8))
     def test_unit_norm_and_determinism(self, tokens):
-        first, second = embed_rows([tuple(tokens), tuple(tokens)], 64)
+        first, second = embed_rows([tuple(tokens), tuple(tokens)], 64).dense()
         assert np.array_equal(first, second)
         assert np.linalg.norm(first) == pytest.approx(1.0)
 
@@ -607,20 +639,66 @@ def test_embed_state_matches_the_per_fragment_loop_and_is_kept(n, dim, palette, 
         assert child_vec.tobytes() == reference_embed_state(child, dim).tobytes()
 
 
+def shared_cell_state(n: int, seed: int) -> BeliefState:
+    """n rows that all hold "pump", with anchors spread over six decades:
+    the pump cell sums n terms of mixed magnitude, where a pairwise sum
+    and a left-to-right sum of them round apart."""
+    rnd = random.Random(seed)
+    return BeliefState(tuple(
+        make_fragment(i, f"pump {rnd.choice(WORDS)}", anchor=10.0 ** rnd.uniform(-3.0, 3.0))
+        for i in range(1, n + 1)), 0.0)
+
+
+# Seeds of shared-cell states whose pump cell rounds apart summed pairwise.
+SHARED_CELL_SEEDS = (3, 11, 29)
+
+
+def _pump_terms(state: BeliefState, dim: int) -> np.ndarray:
+    """The terms of the pump cell of ``state``'s weighted sum, in row order."""
+    cell = token_cell("pump", dim)
+    return np.array([w * reference.embed_tokens(f.tokens, dim)[cell]
+                     for f, w in zip(state.rows, state.weights().tolist())])
+
+
+@pytest.mark.parametrize("seed", SHARED_CELL_SEEDS)
+def test_the_shared_cell_states_round_apart_summed_pairwise(seed):
+    """The drawn shared-cell examples below tell a left-to-right sum from a
+    pairwise one (numpy sums 8 or more contiguous terms pairwise)."""
+    terms = _pump_terms(shared_cell_state(40, seed), 64)
+    assert core.ordered_sum(terms) != float(np.sum(terms))
+
+
 @settings(max_examples=150, deadline=None, derandomize=True)
-@given(state=tie_states(min_frags=1), data=st.data())
+@given(
+    state=st.one_of(
+        tie_states(min_frags=1),
+        st.builds(shared_cell_state, st.integers(8, 48), st.integers(0, 2**32 - 1)),
+    ),
+    data=st.data(),
+)
+@example(state=shared_cell_state(40, SHARED_CELL_SEEDS[0]), data=None)
+@example(state=shared_cell_state(40, SHARED_CELL_SEEDS[1]), data=None)
+@example(state=shared_cell_state(40, SHARED_CELL_SEEDS[2]), data=None)
 def test_embed_weighted_over_drawn_rows_gives_the_reference_bytes(state, data):
     """The shared arithmetic over drawn rows of a state, as realignment's
-    re-reads call it, gives the reference loop's bytes for the state of just
-    those rows: with zero weights, every weight zero, and weights so small
-    that the sum is rescaled past TINY_NORM."""
-    scale = data.draw(st.sampled_from((1.0, 0.0, 1e-155, 3e-160)))
+    re-reads call it, gives the bytes of the dense-matrix sum and of the
+    reference loop for the state of just those rows: with zero weights,
+    every weight zero, weights so small that the sum is rescaled past
+    TINY_NORM, and many rows summed into one cell, where a pairwise sum
+    would round apart from the left-to-right one."""
+    if data is None:  # an explicit example: every row, at its weights
+        scale, dim, keep = 1.0, 64, [True] * len(state.rows)
+    else:
+        scale = data.draw(st.sampled_from((1.0, 0.0, 1e-155, 3e-160)))
+        dim = data.draw(st.sampled_from((8, 64)))
+        keep = data.draw(
+            st.lists(st.booleans(), min_size=len(state.rows), max_size=len(state.rows)))
     state = BeliefState(
         tuple(f.replace(anchor=f.anchor * scale) for f in state.fragments), state.clock)
-    dim = data.draw(st.sampled_from((8, 64)))
-    keep = data.draw(st.lists(st.booleans(), min_size=len(state.rows), max_size=len(state.rows)))
     rows = np.flatnonzero(keep)
-    got = embed_weighted(state.vectors(dim), rows, state.weights()[rows])
+    entries = state.entries(dim)
+    got = embed_weighted(entries, rows, state.weights()[rows])
+    assert got.tobytes() == reference.embed_weighted(entries, rows, state.weights()[rows]).tobytes()
     subset = state.revised(drop=[f.id for f, k in zip(state.rows, keep) if not k])
     assert got.tobytes() == reference_embed_state(subset, dim).tobytes()
 

@@ -62,6 +62,7 @@ def test_unknown_clause_kind_rejected():
         ({"kind": "coherence_conflict", "tolerance": 0.1}, "sector"),
         ({"kind": "coherence_conflict", "sector": "plan"}, "tolerance"),
         ({"kind": "token_present"}, "token"),
+        ({"kind": "token_present", "token": "go", "sector": ""}, "needs a sector"),
     ],
 )
 def test_clause_field_validation(kwargs, message):

@@ -321,7 +321,8 @@ class TestScreenHoldsTheExactArgmin:
                 f.replace(text=text) if i in echo else f for i, f in enumerate(state.rows)
             ), state.clock)
         dim = data.draw(st.sampled_from((8, 64)))
-        vecs, weights = state.vectors(dim), state.weights().copy()
+        entries, weights = state.entries(dim), state.weights().copy()
+        vecs = entries.dense()
         all_but_one = st.integers(0, n - 1).map(lambda k: frozenset(range(n)) - {k})
         faint = sorted(data.draw(st.one_of(all_but_one, st.sets(st.integers(0, n - 1)))))
         weights[faint] *= data.draw(st.sampled_from((0.0, 1e-2, 1e-4, 1e-6, 1e-155, 1e-160)))
@@ -333,7 +334,7 @@ class TestScreenHoldsTheExactArgmin:
         else:  # the axis passes through one removal's rest, often the faintest
             heaviest = st.just(int(np.argmax(weights[live])))
             rest = np.delete(live, data.draw(st.one_of(heaviest, st.integers(0, len(live) - 1))))
-            point = embed_weighted(vecs, rest, weights[rest])
+            point = embed_weighted(entries, rest, weights[rest])
             origin = data.draw(st.sampled_from((np.zeros(dim), embed_state(state, dim))))
             direction = point - origin
             if kind == "at" or not direction.any():
@@ -342,7 +343,7 @@ class TestScreenHoldsTheExactArgmin:
         pos = np.where(weights > 0.0, weights, 0.0)
         pos[gone] = 0.0
         residuals = [  # every removal as realignment's exact re-read reads it
-            geometry._reading(embed_weighted(vecs, rest, weights[rest]), axis).residual
+            geometry._reading(embed_weighted(entries, rest, weights[rest]), axis).residual
             for rest in (np.delete(live, k) for k in range(len(live)))
         ]
         least = residuals.index(min(residuals))

@@ -27,6 +27,7 @@ from beliefsim.memory import (
 )
 
 from conftest import KEYS, WORDS, make_fragment, texts
+import reference
 from reference import embed_tokens
 from reference import integrate_retrieved as reference_integrate_retrieved
 from reference import nullify as reference_nullify
@@ -472,13 +473,32 @@ def test_vectors_are_built_at_the_first_retrieve_and_shared(cfg):
     assert run.store._space is None  # not at load
     store = run.store
     retrieve(store, QueryCue(kind="goal", tokens=("coolant", "pump")), cfg)
-    matrix = store._space[0]
-    assert matrix.shape == (len(scenario.store.fragments), cfg.embed_dim)
+    entries = store._space[0]
+    assert (entries.rows, entries.dim) == (len(scenario.store.fragments), cfg.embed_dim)
     decayed = nullify(store, 1.0, cfg)
     retrieve(decayed, QueryCue(kind="goal", tokens=("valve",)), cfg)
-    assert decayed._space[0] is matrix
-    for row, f in enumerate(store.fragments):
-        assert np.array_equal(matrix[row], embed_tokens(f.tokens, cfg.embed_dim))
+    assert decayed._space[0] is entries
+    for row, f in zip(entries.dense(), store.fragments):
+        assert row.tobytes() == embed_tokens(f.tokens, cfg.embed_dim).tobytes()
+
+
+def test_matching_a_10k_row_store_holds_no_dense_V():
+    """A 10k-row store at dim 256, matched once, holds its rows' vectors in
+    under an eighth of the bytes of a dense n x dim V, and its vectors read
+    back as the reference's dense rows, byte for byte."""
+    n, dim = 10_000, 256
+    rnd = random.Random(5)
+    vocabulary = [f"w{i}" for i in range(3000)]
+    store = BeliefState(tuple(
+        make_fragment(i, " ".join(rnd.choices(vocabulary, k=rnd.randint(1, 5))))
+        for i in range(1, n + 1)))
+    cue_vec = embed_tokens(store.rows[0].tokens, dim)
+    assert 1 in {f.id for f in store.matching(cue_vec, 0.5)}
+    entries, index = store._space
+    held = sum(a.nbytes for a in (entries.cells, entries.values, entries.offsets, index))
+    assert held < n * dim * 8 / 8
+    assert store.vectors(dim).tobytes() == reference.embed_rows(
+        [f.tokens for f in store.rows], dim).tobytes()
 
 
 def test_a_run_builds_fragments_only_for_retrieved_hits(monkeypatch):
@@ -495,8 +515,9 @@ def test_a_run_builds_fragments_only_for_retrieved_hits(monkeypatch):
 
 
 def test_retrieve_rereads_a_row_the_product_rounds_below_tau(cfg):
-    """Find a row whose matrix-product score rounds below its exact score;
-    with tau at the exact score, the row must still be a hit."""
+    """Find a row whose screened score, its products summed left to right
+    over its filled cells as the screen sums them, rounds below its exact
+    score; with tau at the exact score, the row must still be a hit."""
     cfg = cfg.replace(embed_dim=8)
     rows = [
         make_fragment(i + 1, " ".join(WORDS[(i * 7 + k * 3) % len(WORDS)] for k in range(6)))
@@ -506,14 +527,15 @@ def test_retrieve_rereads_a_row_the_product_rounds_below_tau(cfg):
     for cue_words in (WORDS[:4], WORDS[4:9], WORDS[9:15], WORDS[15:]):
         cue = QueryCue(kind="associative", tokens=tuple(cue_words))
         cue_vec = embed_tokens(cue.tokens, 8)
-        screened = store.vectors(8) @ cue_vec
+        vectors = store.vectors(8)
+        screened = [core.ordered_sum(cue_vec[v > 0.0] * v[v > 0.0]) for v in vectors]
         for row, f in enumerate(rows):
             exact = retrieval_score(cue_vec, f)
             if screened[row] < exact:
                 hits = retrieve(store, cue, cfg.replace(tau_retrieval=exact))
                 assert f.id in hits.ids()
                 return
-    pytest.skip("this BLAS rounds the matrix product like the row dot products")
+    pytest.skip("this BLAS rounds the row dot products like the screen")
 
 
 def _reference_integrate(active, retrieved, store, config, ids):

@@ -141,20 +141,24 @@ def _swap_reference(mp: pytest.MonkeyPatch) -> None:
     retrieved copies are lifted and assimilated through
     ``simulator.integrate_retrieved``, the
     corrective move sweeps through ``simulator.resolve_conflicts``, every
-    V, cue vector and tower vector comes from the per-token loop, and every
-    expect check is read one branch per check."""
+    state's entries, cue vector and tower vector come from the per-token
+    loop, ``core.embed_state`` sums over a dense matrix, every store is
+    screened through a dense V (the per-fragment ``retrieve`` is held to the
+    engine's in ``test_memory.py``), and every expect check is read one
+    branch per check."""
     mp.setattr(simulator, "assimilate", reference.assimilate)
     mp.setattr(simulator, "resolve_conflicts", reference.resolve_conflicts)
     mp.setattr(simulator, "integrate_retrieved", reference.integrate_retrieved)
     mp.setattr(simulator, "nullify", reference.nullify)
     mp.setattr(simulator, "nullify_sector", reference.nullify_sector)
-    mp.setattr(simulator, "retrieve", reference.retrieve)
     mp.setattr(simulator, "meta_assimilate", reference.meta_assimilate)
     mp.setattr(simulator, "realign", reference.realign)
     mp.setattr(geometry, "embed_state", reference.embed_state)
     mp.setattr(tower, "embed_state", reference.embed_state)
     for module in (core, memory, tower):
-        mp.setattr(module, "embed_rows", reference.embed_rows)
+        mp.setattr(module, "embed_rows", reference.embed_entries)
+    mp.setattr(core, "embed_weighted", reference.embed_weighted)
+    mp.setattr(BeliefState, "matching", reference.matching)
     for module in (regulation, execution, simulator):
         mp.setattr(module, "coherence", reference.coherence)
     mp.setattr(regulation, "_most_conflicted_sector", reference.most_conflicted_sector)
