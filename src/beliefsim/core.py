@@ -16,25 +16,34 @@ row's filled cells, ascending, with its values beside them.  ``embed_rows``
 is the one vectoriser; it hashes each distinct token once per ``dim`` per
 process.  A fragment tokenises once and derives its content key once; a
 state embeds once per ``dim``.
-A fragment has one constructor, which keeps one object per equal sector set;
+A fragment has one constructor, which keeps one object per equal sector set
+and makes every check of ``check_fields`` through ``admit``;
 ``Fragment.replace`` is a construction from its fields and the overrides, so
 a copy tokenises again and derives its own content key.
 
 A state is one table, for the active state and the long-term store alike:
 fragments as they entered are its rows, in id order, and one record per row
 beside them holds its columns (id, ``created_at``, sector set, anchor,
-persistence, decay factor); the rows' unit vectors are a pair (entries,
-index) the state holds, row ``i``'s vector being entry row ``index[i]``.
-No state holds a dense matrix: ``vectors`` builds one on each read.  Every
-state comes out of ``_derive``, which filters rows and records by one keep
-mask and splices put rows in by one plan, computing only theirs: a
-constructed state is the epistemic vacuum with its fragments put in, decay
-and ``reanchor`` hand it new columns, and every other change is one
-``revised`` (drop ids, put fragments).  ``fragments`` builds every row on
-each read and keeps none; ``fragment(i)`` builds one.  Readers of the fixed
-fields read ``rows``, ``rows_in(s)``, ``ids()`` or ``latest()`` and build
-nothing; the conflict groups and the goal rows are readings a state keeps
-and ``_derive`` hands on.
+persistence, decay factor).  The rows are a pair (source, index), row ``i``
+being slot ``index[i]`` of a ``_Rows`` that states share; the rows' unit
+vectors are likewise a pair (entries, index), row ``i``'s vector being
+entry row ``index[i]``.  A state read from a spec list
+(``BeliefState.from_columns``) holds the list's columns and builds a row
+only on its first read, through the one constructor, and keeps it; a put
+row comes built.  No state holds a dense matrix: ``vectors`` builds one on
+each read.  Every other state comes out of ``_derive``, which filters the
+records and both indexes by one keep mask and splices put rows in by one
+plan, computing only theirs: a constructed state is the epistemic vacuum
+with its fragments put in, decay and ``reanchor`` hand it new columns, and
+every other change is one ``revised`` (drop ids, put fragments).
+``fragments`` hands back every row with its current anchor and persistence,
+building any row not yet built; ``fragment(i)`` reads one row.  Readers of
+the fixed fields read ``rows`` (a tuple made on its first read and kept),
+``rows_in(s)``, ``ids()``, ``size`` or ``latest()``, and ``rows_in(s)``
+and ``latest()`` build only the rows they return; retrieval
+(``matching``) makes each hit by one construction from its row's fields,
+and builds no row; the conflict groups and the goal rows are readings a
+state keeps and ``_derive`` hands on.
 """
 
 from __future__ import annotations
@@ -73,6 +82,49 @@ def tokenize(text: str) -> tuple[str, ...]:
     return tuple(_TOKEN_RE.findall(text.lower()))
 
 
+def check_fields(id, text, tokens, sectors, level, anchor, persistence, origin,
+                 key, polarity, members) -> None:
+    """Every invariant of a fragment, read off its plain field values and
+    its ``tokens``: each construction runs it, and so does the column pass
+    that reads a spec list (``simulator._build``) for each row it reads."""
+    if not tokens:
+        raise ValueError(f"fragment {id}: text has no tokens: {text!r}")
+    if not sectors:
+        raise ValueError(f"fragment {id}: needs at least one sector tag")
+    if level < 0:
+        raise ValueError(f"fragment {id}: level must be >= 0, got {level}")
+    if not 0 <= anchor <= ANCHOR_MAX:  # also rejects NaN
+        raise ValueError(
+            f"fragment {id}: anchor must be a finite number >= 0 "
+            f"and <= {ANCHOR_MAX:g}, got {anchor}"
+        )
+    if not (0.0 <= persistence <= 1.0):
+        raise ValueError(f"fragment {id}: persistence must lie in [0, 1], got {persistence}")
+    if origin not in ORIGINS:
+        raise ValueError(f"fragment {id}: unknown origin {origin!r}")
+    if (key is None) != (polarity is None):
+        raise ValueError(f"fragment {id}: key and polarity must be set together")
+    if polarity is not None and polarity not in POLARITIES:
+        raise ValueError(f"fragment {id}: polarity must be '+' or '-'")
+    if bool(members) != (origin == "abstracted"):
+        raise ValueError(f"fragment {id}: members must be non-empty iff origin is 'abstracted'")
+
+
+def admit(id, text, sectors, level, anchor, persistence, origin, key, polarity,
+          members) -> tuple[tuple[str, ...], frozenset[str]]:
+    """The tokens and the kept sector set of a row with these fields, once
+    ``check_fields`` passes them: the set kept is the first equal one
+    admitted, and a new set takes its code only once checked.  The
+    constructor admits each fragment, and the column pass each spec row."""
+    kept, code = _SECTOR_SETS.get(sectors) or (sectors, None)
+    tokens = tokenize(text)
+    check_fields(id, text, tokens, kept, level, anchor, persistence, origin, key, polarity,
+                 members)
+    if code is None:
+        _SECTOR_SETS[kept] = (kept, len(_SECTOR_SETS))
+    return tokens, kept
+
+
 @dataclasses.dataclass(frozen=True, init=False)
 class Fragment:
     """One linguistic belief expression with its metadata.
@@ -99,7 +151,8 @@ class Fragment:
         # The one constructor: attributes set one at a time, in this order, so
         # all fragments share one key table.  Reading ``__dict__`` would give
         # each its own dict and halve the speed of every attribute read.
-        sectors, code = _SECTOR_SETS.get(sectors) or (sectors, None)  # the kept equal set
+        tokens, sectors = admit(
+            id, text, sectors, level, anchor, persistence, origin, key, polarity, members)
         put = object.__setattr__  # the class is frozen
         put(self, "id", id)
         put(self, "text", text)
@@ -112,40 +165,8 @@ class Fragment:
         put(self, "key", key)
         put(self, "polarity", polarity)
         put(self, "members", members)
-        put(self, "_tokens", tokenize(text))
+        put(self, "_tokens", tokens)
         put(self, "_ckey", None)  # the content key, derived on first use
-        self._check()
-        if code is None:  # registered once checked, so a refused set takes no code
-            _SECTOR_SETS[sectors] = (sectors, len(_SECTOR_SETS))
-
-    def _check(self) -> None:
-        """Every invariant of a fragment; runs on each construction."""
-        if not self._tokens:  # type: ignore[attr-defined]
-            raise ValueError(f"fragment {self.id}: text has no tokens: {self.text!r}")
-        if not self.sectors:
-            raise ValueError(f"fragment {self.id}: needs at least one sector tag")
-        if self.level < 0:
-            raise ValueError(f"fragment {self.id}: level must be >= 0, got {self.level}")
-        if not 0 <= self.anchor <= ANCHOR_MAX:  # also rejects NaN
-            raise ValueError(
-                f"fragment {self.id}: anchor must be a finite number >= 0 "
-                f"and <= {ANCHOR_MAX:g}, got {self.anchor}"
-            )
-        if not (0.0 <= self.persistence <= 1.0):
-            raise ValueError(
-                f"fragment {self.id}: persistence must lie in [0, 1], got {self.persistence}"
-            )
-        if self.origin not in ORIGINS:
-            raise ValueError(f"fragment {self.id}: unknown origin {self.origin!r}")
-        if (self.key is None) != (self.polarity is None):
-            raise ValueError(f"fragment {self.id}: key and polarity must be set together")
-        if self.polarity is not None and self.polarity not in POLARITIES:
-            raise ValueError(f"fragment {self.id}: polarity must be '+' or '-'")
-        has_members = bool(self.members)
-        if has_members != (self.origin == "abstracted"):
-            raise ValueError(
-                f"fragment {self.id}: members must be non-empty iff origin is 'abstracted'"
-            )
 
     @property
     def tokens(self) -> tuple[str, ...]:
@@ -185,14 +206,18 @@ class BeliefState:
     """An immutable fragment ensemble plus a logical clock, held as a table.
 
     ``BeliefState(fragments, clock)`` is the vacuum with ``fragments`` put
-    in, by the one ``_derive`` that makes every state.  Beside its rows a
-    state keeps one record per row (``_ROW``): the id, ``created_at`` and
-    sector set the row entered with, its current anchor and persistence,
-    and its factor of the last whole-state decay.  Only this module reads
-    the records.  The rows' unit vectors are a pair (``Entries``, index) of
-    read-only arrays that the state holds, or embeds at its first read: row
-    ``i``'s vector is entry row ``index[i]``, so a drop filters the index and
-    a put appends only the put rows' entries.
+    in, by the one ``_derive`` that makes every state from another;
+    ``from_columns`` makes a state of rows read into columns.  Beside its
+    rows a state keeps one record per row (``_ROW``): the id,
+    ``created_at`` and sector set the row entered with, its current anchor
+    and persistence, and its factor of the last whole-state decay.  Only
+    this module reads the records.  Its rows are a pair (``_Rows``, index):
+    row ``i`` is slot ``index[i]`` of the source, built on its first read
+    and kept there.  Its rows' unit vectors are a pair (``Entries``, index)
+    of read-only arrays that the state holds, or embeds at its first read:
+    row ``i``'s vector is entry row ``index[i]``.  So a drop filters both
+    indexes, and a put appends only the put rows to a copy of the source
+    and of the entries.
     A row's fixed fields (id, text, tokens, sectors, key, polarity, level,
     origin, created_at, members) are current; its anchor and persistence are
     those it entered with.  Its mass, embedding, conflict groups and goal
@@ -201,7 +226,7 @@ class BeliefState:
     """
 
     __slots__ = (
-        "clock", "_rows", "_table", "_decay", "_space",
+        "clock", "_source", "_index", "_rows", "_table", "_decay", "_space",
         "_mass", "_embedding", "_conflicts", "_goals",
     )
 
@@ -210,27 +235,56 @@ class BeliefState:
             raise ValueError(f"clock must be >= 0, got {clock}")
         return _VACUUM._derive(clock, _NO_ROWS, None, put=fragments)
 
+    @classmethod
+    def from_columns(cls, columns: Sequence[Sequence[Any]],
+                     tokens: Sequence[tuple[str, ...]], clock: float) -> "BeliefState":
+        """A state at ``clock`` whose rows are given as columns, one row built
+        only when it is read.  ``columns`` holds one sequence per field of
+        ``Fragment`` from ``id`` to ``polarity``, in field order, row ``r``'s
+        constructor arguments being item ``r`` of each: ids ascending, and
+        each row admitted by ``admit``, which gave its tokens ``tokens[r]``.
+        The records are filled from the columns."""
+        n = len(tokens)
+        if not n:
+            return cls((), clock)
+        ids, _, sectors, _, anchors, persistences, created_at, _, keys, _ = columns
+        return _state(
+            clock, _Rows(np.full(n, None, object), _objects(tokens), columns, n), _arange(n),
+            _frozen(_records(ids, created_at, anchors, persistences, sectors)), None, None,
+            () if keys.count(None) == n else None, None)
+
     # -- reading -----------------------------------------------------------
 
     @property
     def fragments(self) -> tuple[Fragment, ...]:
-        """The fragments in id order, every row built on each read: a row
-        whose anchor and persistence did not move is handed back as it is."""
+        """The fragments in id order: every row, built and kept if it was
+        not, with its current anchor and persistence; a row whose anchor and
+        persistence did not move is handed back as it is."""
         table = self._table
         return tuple(map(
-            _at, self._rows, table["anchor"].tolist(), table["persistence"].tolist()))
+            _at, self.rows, table["anchor"].tolist(), table["persistence"].tolist()))
 
     @property
     def rows(self) -> tuple[Fragment, ...]:
-        """The rows in id order.  Read only their fixed fields: a row's anchor
-        and persistence are those it entered with."""
-        return self._rows
+        """The rows in id order, as a tuple made on the first read and kept.
+        Read only their fixed fields: a row's anchor and persistence are
+        those it entered with."""
+        rows = self._rows
+        if rows is None:
+            rows = self._rows = self._source.take(self._index)
+        return rows
+
+    @property
+    def size(self) -> int:
+        """The number of rows; builds nothing."""
+        return len(self._index)
 
     def fragment(self, i: int) -> Fragment:
         """Row ``i`` as a ``Fragment`` with its current anchor and
         persistence; no other row is built."""
         record = self._table[i]
-        return _at(self._rows[i], float(record["anchor"]), float(record["persistence"]))
+        return _at(self._source.row(int(self._index[i])),
+                   float(record["anchor"]), float(record["persistence"]))
 
     def weights(self) -> np.ndarray:
         """Each fragment's weight, anchor * persistence, in id order."""
@@ -238,11 +292,12 @@ class BeliefState:
 
     def _pair(self, dim: int) -> tuple[Entries, np.ndarray]:
         """The pair (entries, index) at ``dim``; with none, or one at another
-        dim, the state embeds its own rows and keeps ``(entries, arange(n))``."""
+        dim, the state embeds its rows' tokens and keeps ``(entries,
+        arange(n))``.  No row is built."""
         pair = self._space
         if pair is None or pair[0].dim != dim:
-            index = _frozen(np.arange(len(self._rows)))
-            pair = self._space = (embed_rows([f.tokens for f in self._rows], dim), index)
+            tokens = self._source.tokens[self._index].tolist()
+            pair = self._space = (embed_rows(tokens, dim), _arange(len(tokens)))
         return pair
 
     def entries(self, dim: int) -> Entries:
@@ -268,7 +323,7 @@ class BeliefState:
         kept = self._conflicts
         if kept is None:
             kept = self._conflicts = tuple(
-                tuple(group) for group in key_groups(self._rows).values()
+                tuple(group) for group in key_groups(self.rows).values()
                 if any(f.polarity != group[0].polarity for f in group)
             )
         return kept
@@ -280,12 +335,12 @@ class BeliefState:
         tests only its put rows.  Read only the rows' fixed fields."""
         kept = self._goals
         if kept is None or kept[0] != marker:
-            kept = self._goals = (marker, _starting(self._rows, marker))
+            kept = self._goals = (marker, _starting(self.rows, marker))
         return kept[1]
 
     @property
     def is_vacuum(self) -> bool:
-        return not self._rows
+        return not len(self._index)
 
     def _position(self, fragment_id: int) -> Optional[int]:
         ids = self._table["id"]
@@ -303,24 +358,25 @@ class BeliefState:
         """The row created last, of a non-empty state; among rows created at
         once, the one of highest id (fixed fields only)."""
         created = self._table["created_at"]
-        return self._rows[np.flatnonzero(created == created.max())[-1]]
+        return self._source.row(int(self._index[np.flatnonzero(created == created.max())[-1]]))
 
     def sectors(self) -> tuple[str, ...]:
         """All sector tags present, sorted."""
-        if not self._rows:
+        if self.is_vacuum:
             return ()
         present = np.bincount(self._table["sectors"], minlength=len(_SECTOR_SETS))
         return tuple(sorted(set().union(*itertools.compress(_SECTOR_SETS, present.tolist()))))
 
     def rows_in(self, sector: str) -> tuple[Fragment, ...]:
-        """The rows tagged with ``sector``, in id order (fixed fields only)."""
-        return tuple(itertools.compress(self._rows, self._in(sector).tolist()))
+        """The rows tagged with ``sector``, in id order (fixed fields only);
+        no other row is built."""
+        return self._source.take(self._index[self._in(sector)])
 
     @property
     def mass(self) -> float:
         """Total weight (anchor * persistence) of the state's fragments."""
         if self._mass is None:
-            self._mass = ordered_sum(self.weights()) if self._rows else 0.0
+            self._mass = 0.0 if self.is_vacuum else ordered_sum(self.weights())
         return self._mass
 
     def __eq__(self, other: object) -> bool:
@@ -338,60 +394,61 @@ class BeliefState:
     def _derive(self, clock: float, table: np.ndarray, decay: Optional[tuple],
                 keep: Optional[np.ndarray] = None,
                 put: Iterable[Fragment] = ()) -> "BeliefState":
-        """The one way a state is made, from another or from the vacuum:
+        """The one way a state is made from another, or from the vacuum:
         ``table`` (this state's records or new ones) and the rows filtered by
         one mask ``keep``, then the rows of ``put`` (none kept) put in id
         order and spliced in by one plan, with only their records computed;
-        with no row kept, the put rows are the rows.  A drop shares these
-        entries and filters the index; a put appends the put rows' entries
-        to a copy of them that it hands on, and empties this state's slot."""
+        with no row kept, the put rows are the rows.  A drop shares this
+        state's source and entries and filters their indexes.  A put
+        appends the put rows to a copy of the source, and their entries to
+        a copy of the entries, which it hands on, emptying this state's
+        slot; either copy first keeps only the live rows once dropped rows
+        outnumber them."""
         put = _in_id_order(tuple(put))
-        new = object.__new__(BeliefState)
-        new.clock, new._mass, new._embedding = clock, None, None
-        rows, space = self._rows, self._space
+        source, index, space = self._source, self._index, self._space
         # The conflict groups and the goal rows read fixed fields only.
         conflicts, goals = self._conflicts, self._goals
         if keep is not None and not keep.all():
-            mask = keep.tolist()
-            rows = tuple(itertools.compress(rows, mask))
+            index = index[keep]
             table = table.view(_RECORD)[keep].view(_ROW)
             conflicts = None if conflicts else conflicts  # () stays ()
             if space is not None:
                 space = (space[0], _frozen(space[1][keep]))
             if goals is not None:
+                mask = keep.tolist()
                 goals = (goals[0], tuple(f for f in goals[1] if mask[self._position(f.id)]))
         if put:
-            added = _records(put)
+            added = _records(*zip(*map(_RECORD_FIELDS, put)))
             if decay is not None:
                 added["decay"] = _decay_factors(added["anchor"], *decay)
-            if not rows:  # nothing kept: the put rows are the table, embedded at the first read
-                table, rows, space = added, put, None
+            if not len(index):  # nothing kept: the put rows are the rows, embedded at the first read
+                table, source, index, space = added, _Rows.built(put), _arange(len(put)), None
             else:
                 # The plan: each put row's final position, past the kept rows
                 # of lower id and the put rows before it.
                 at = table["id"].searchsorted(added["id"]) + np.arange(len(put))
-                spliced = np.empty(len(rows) + len(put), _RECORD)
+                spliced = np.empty(len(index) + len(put), _RECORD)
                 slot = np.ones(len(spliced), dtype=bool)
                 slot[at] = False
                 spliced[slot], spliced[at] = table.view(_RECORD), added.view(_RECORD)
                 table = spliced.view(_ROW)
+                if 2 * len(index) < len(source):  # most slots are dropped rows'
+                    source, index = _Rows.built(source.take(index)), np.arange(len(index))
+                index = _spliced(index, slot, at, len(source))
+                source = source.extended(put)
                 if space is not None:  # the put rows' entry rows follow the others
                     entries, kept = space
                     if 2 * len(kept) < entries.rows:  # most entry rows are dropped rows'
                         entries, kept = entries.take(kept), np.arange(len(kept))
-                    index = np.empty(len(table), np.intp)
-                    index[slot], index[at] = kept, np.arange(entries.rows, entries.rows + len(put))
+                    kept = _spliced(kept, slot, at, entries.rows)
                     entries = entries.extended(embed_rows([f.tokens for f in put], entries.dim))
-                    space, self._space = (entries, _frozen(index)), None
-                spliced_rows = list(rows)
-                for i, f in zip(at.tolist(), put):  # in ascending order, so each lands at i
-                    spliced_rows.insert(i, f)
-                rows = tuple(spliced_rows)
+                    space, self._space = (entries, _frozen(kept)), None
             conflicts = () if conflicts == () and all(f.key is None for f in put) else None
             if goals is not None:  # no put id is among the kept goal rows
                 goals = (goals[0], tuple(sorted((*goals[1], *_starting(put, goals[0])), key=_ID)))
-        new._rows, new._table, new._space, new._decay = rows, _frozen(table), space, decay
-        new._conflicts, new._goals = conflicts, goals
+        new = _state(clock, source, _frozen(index), _frozen(table), decay, space, conflicts, goals)
+        if index is self._index:  # the same rows
+            new._rows = self._rows
         return new
 
     def revised(self, put: Iterable[Fragment] = (),
@@ -403,7 +460,7 @@ class BeliefState:
         gone = set(drop).union(map(_ID, put))
         if not gone:
             return self
-        keep = np.ones(len(self._rows), dtype=bool)
+        keep = np.ones(self.size, dtype=bool)
         keep[[i for i in map(self._position, gone) if i is not None]] = False
         return self._derive(self.clock, self._table, self._decay, keep, put)
 
@@ -449,8 +506,9 @@ class BeliefState:
     def matching(self, cue_vec: np.ndarray, tau: float,
                  **overrides: Any) -> tuple[Fragment, ...]:
         """The fragments whose ``np.dot(cue_vec, vector) * persistence``
-        reaches ``tau``, in id order.  Each is built once, as one ``replace``
-        of its row with its anchor, persistence and ``overrides``.
+        reaches ``tau``, in id order.  Each is made by one construction from
+        its row's fields with its anchor, persistence and ``overrides``; no
+        row is built.
 
         One ``bincount`` of ``cue_vec[cells] * values`` by entry row screens
         every row: it sums a row's products over its filled cells, the only
@@ -471,9 +529,11 @@ class BeliefState:
         screened = np.bincount(owner, weights=products, minlength=entries.rows)[index]
         bound = (2 * len(cue_vec) + 1) * np.finfo(float).eps
         near = np.flatnonzero(screened * persistence >= tau - bound)
+        made = self._source.made
         return tuple(
-            self._rows[i].replace(anchor=a, persistence=p, **overrides)
-            for i, vector, a, p in zip(near.tolist(), entries.take(index[near]).dense(),
+            made(r, anchor=a, persistence=p, **overrides)
+            for r, vector, a, p in zip(self._index[near].tolist(),
+                                       entries.take(index[near]).dense(),
                                        anchor[near].tolist(), persistence[near].tolist())
             if float(np.dot(cue_vec, vector)) * p >= tau
         )
@@ -514,6 +574,98 @@ def _frozen(array: np.ndarray) -> np.ndarray:
     return array
 
 
+def _arange(n: int) -> np.ndarray:
+    return _frozen(np.arange(n))
+
+
+def _objects(items: Sequence[Any]) -> np.ndarray:
+    """A one-dimensional object array of ``items``, each kept as it is."""
+    return np.fromiter(items, object, len(items))
+
+
+# Fragment's fields, in order.
+_FIELDS = tuple(f.name for f in dataclasses.fields(Fragment))
+
+
+class _Rows:
+    """The rows that states read, held once for the states that share them:
+    one slot per row and each row's tokens (object arrays), and the columns
+    of the rows read from specs.
+
+    A state's rows are a pair (source, index), row ``i`` being slot
+    ``index[i]``.  A row given in ``columns`` (one sequence per field of
+    ``Fragment`` from ``id`` to ``polarity``, item ``r`` of each being row
+    ``r``'s) starts with an empty slot, which its first read fills through
+    the one constructor and keeps; a put row comes built.  A source is
+    extended only by copying, so a state's rows never change.
+    """
+
+    __slots__ = ("slots", "tokens", "columns", "unbuilt")
+
+    def __init__(self, slots: np.ndarray, tokens: np.ndarray,
+                 columns: Sequence[Sequence[Any]] = (), unbuilt: int = 0) -> None:
+        self.slots, self.tokens, self.columns = slots, _frozen(tokens), columns
+        self.unbuilt = unbuilt  # the number of empty slots
+
+    @classmethod
+    def built(cls, rows: Sequence[Fragment]) -> "_Rows":
+        """A source of the built ``rows``."""
+        return cls(_objects(rows), _objects([f.tokens for f in rows]))
+
+    def __len__(self) -> int:
+        return len(self.slots)
+
+    def row(self, r: int) -> Fragment:
+        """Row ``r``, built on its first read and kept."""
+        row = self.slots[r]
+        if row is None:
+            row = self.slots[r] = Fragment(*[column[r] for column in self.columns])
+            self.unbuilt -= 1
+        return row
+
+    def made(self, r: int, **overrides: Any) -> Fragment:
+        """A new fragment of row ``r``'s fields with ``overrides`` applied, by
+        one construction; row ``r`` is not built."""
+        row = self.slots[r]
+        if row is not None:
+            return row.replace(**overrides)
+        return Fragment(**dict(zip(_FIELDS, [column[r] for column in self.columns]), **overrides))
+
+    def take(self, index: np.ndarray) -> tuple[Fragment, ...]:
+        """Rows ``index``, in that order; only these rows are built."""
+        rows = self.slots[index].tolist()
+        if self.unbuilt:
+            rows = [row if row is not None else self.row(r)
+                    for r, row in zip(index.tolist(), rows)]
+        return tuple(rows)
+
+    def extended(self, rows: Sequence[Fragment]) -> "_Rows":
+        """A new source of these rows, then the built ``rows``."""
+        return _Rows(np.concatenate((self.slots, _objects(rows))),
+                     np.concatenate((self.tokens, _objects([f.tokens for f in rows]))),
+                     self.columns, self.unbuilt)
+
+
+def _state(clock: float, source: _Rows, index: np.ndarray, table: np.ndarray,
+           decay: Optional[tuple], space: Optional[tuple[Entries, np.ndarray]],
+           conflicts: Optional[tuple], goals: Optional[tuple]) -> BeliefState:
+    """A new state of these parts, with no reading made yet but those given."""
+    new = object.__new__(BeliefState)
+    new.clock, new._source, new._index, new._rows = clock, source, index, None
+    new._table, new._decay, new._space = table, decay, space
+    new._mass = new._embedding = None
+    new._conflicts, new._goals = conflicts, goals
+    return new
+
+
+def _spliced(kept: np.ndarray, slot: np.ndarray, at: np.ndarray, start: int) -> np.ndarray:
+    """A put's index: ``kept`` at the kept rows' places ``slot``, and the put
+    rows, numbered on from ``start``, at their places ``at``."""
+    index = np.empty(len(slot), np.intp)
+    index[slot], index[at] = kept, np.arange(start, start + len(at))
+    return index
+
+
 # A row's record: ``sectors`` codes its sector set in ``_SECTOR_SETS`` and
 # ``decay`` is its factor of the last decay.
 _ROW = np.dtype([
@@ -526,20 +678,23 @@ _RECORD = np.dtype((np.void, _ROW.itemsize))
 # The records of every empty state, so building one makes no numpy call.
 _NO_ROWS = _frozen(np.zeros(0, _ROW))
 # The epistemic vacuum, which every constructed state is derived from.
-_VACUUM = object.__new__(BeliefState)
-_VACUUM._rows, _VACUUM._space, _VACUUM._conflicts, _VACUUM._goals = (), None, (), None
+_VACUUM = _state(0.0, _Rows.built(()), _arange(0), _NO_ROWS, None, None, (), None)
 # Each distinct sector set a fragment was made with -> the kept set and its
 # code, in order of first use; codes never change, so states share it.
 _SECTOR_SETS: dict[frozenset[str], tuple[frozenset[str], int]] = {}
 
 
-def _records(rows: Sequence[Fragment]) -> np.ndarray:
-    """A new table of records of ``rows``, with no decay factor."""
-    n = len(rows)
-    table = np.zeros(n, _ROW)
-    for name in ("id", "created_at", "anchor", "persistence"):
-        table[name] = np.fromiter(map(operator.attrgetter(name), rows), _ROW[name], n)
-    table["sectors"] = np.fromiter((_SECTOR_SETS[f.sectors][1] for f in rows), np.intp, n)
+# The fields of a put row that its record is filled from, in ``_records``' order.
+_RECORD_FIELDS = operator.attrgetter("id", "created_at", "anchor", "persistence", "sectors")
+
+
+def _records(ids: Sequence[int], created_at: Sequence[float], anchors: Sequence[float],
+             persistences: Sequence[float], sectors: Sequence[frozenset[str]]) -> np.ndarray:
+    """A new table of records from these columns, with no decay factor."""
+    table = np.zeros(len(ids), _ROW)
+    table["id"], table["created_at"] = ids, created_at
+    table["anchor"], table["persistence"] = anchors, persistences
+    table["sectors"] = [_SECTOR_SETS[s][1] for s in sectors]
     return table
 
 
@@ -786,6 +941,8 @@ __all__ = [
     "POLARITIES",
     "TINY_NORM",
     "activation_density",
+    "admit",
+    "check_fields",
     "embed_rows",
     "embed_state",
     "embed_weighted",

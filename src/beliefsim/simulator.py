@@ -40,7 +40,7 @@ from typing import AbstractSet, Any, Mapping, Sequence
 import numpy as np
 
 from .config import ParameterConfig, config_from_dict, is_finite_number
-from .core import ANCHOR_MAX, BeliefState, Fragment, IdAllocator, embed_state, tokenize
+from .core import ANCHOR_MAX, BeliefState, Fragment, IdAllocator, admit, embed_state, tokenize
 from .dynamics import (
     ASSIMILATION_MODES,
     ConflictError,
@@ -142,8 +142,12 @@ class ScenarioError(ValueError):
 @dataclass(frozen=True)
 class Scenario:
     """A loaded scenario.  The store (ids 1..N), each named state, each
-    rule's emit and each axis's tower are built once, at load; the specs of
-    an observe, or a command's one spec, are built when it runs."""
+    rule's emit and each axis's seed are read once, at load, into columns
+    (``_build``), and each axis's tower is built; a row becomes a
+    ``Fragment`` only when it is read, so the store's and the states' rows
+    wait for their first reader, while a rule keeps its emit and a tower
+    reads its seed at load.  The specs of an observe, or a command's one
+    spec, are read when it runs."""
 
     name: str
     config: ParameterConfig
@@ -204,7 +208,7 @@ def _check_specs(specs: Any, where: str) -> None:
             raise ScenarioError(
                 f"{where}[{j}]: spec text must be a string, got {reprlib.repr(text)}")
         sectors = spec.get("sectors")
-        if sectors is None:  # read as fragment_from_spec reads it
+        if sectors is None:  # read as _spec_values reads it
             sector = spec.get("sector", "perc")
             ok = isinstance(sector, str) and sector != ""
         elif "sector" in spec:
@@ -232,14 +236,11 @@ def _check_specs(specs: Any, where: str) -> None:
                 named[name] = j
 
 
-def fragment_from_spec(spec: Mapping[str, Any], fragment_id: int, clock: float) -> Fragment:
-    """Build one observed fragment from a spec that passed ``_check_specs``.
-
-    A spec's fields are ``_SPEC_FIELDS``: text (required), sector (default
-    "perc") or sectors, level, anchor, persistence, key, polarity, and the
-    name the loader registers.  A level, anchor or persistence that is not a
-    number raises ValueError, as ``Fragment`` does for any value out of range.
-    """
+def _spec_values(spec: Mapping[str, Any]) -> tuple:
+    """A spec's field values, in ``Fragment``'s field order from ``text`` to
+    ``persistence``, then its key and polarity: the numbers coerced as
+    ``int(level)``, ``float(anchor)`` and ``float(persistence)``, and
+    ValueError naming the spec's text if any does not convert."""
     text = spec.get("text", "")
     sectors = spec.get("sectors")
     if sectors is None:
@@ -254,22 +255,28 @@ def fragment_from_spec(spec: Mapping[str, Any], fragment_id: int, clock: float) 
             f"spec {reprlib.repr(text)}: level, anchor and persistence must be numbers, "
             f"got {reprlib.repr(given)}"
         ) from None
-    return Fragment(
-        id=fragment_id,
-        text=text,
-        sectors=frozenset(sectors),
-        level=level,
-        anchor=anchor,
-        persistence=persistence,
-        created_at=clock,
-        key=spec.get("key"),
-        polarity=spec.get("polarity"),
-    )
+    return (text, frozenset(sectors), level, anchor, persistence,
+            spec.get("key"), spec.get("polarity"))
 
 
-def _names(sources: Sequence[Mapping[str, Any]], frags: Sequence[Fragment]) -> dict[str, int]:
-    """Name -> id of each fragment whose spec has a name."""
-    return {s["name"]: f.id for s, f in zip(sources, frags) if s.get("name")}
+def fragment_from_spec(spec: Mapping[str, Any], fragment_id: int, clock: float) -> Fragment:
+    """One observed fragment from a spec that passed ``_check_specs``, built
+    at once: the fragment ``_build`` makes of the spec's row when it is read.
+
+    A spec's fields are ``_SPEC_FIELDS``: text (required), sector (default
+    "perc") or sectors, level, anchor, persistence, key, polarity, and the
+    name the loader registers.  A level, anchor or persistence that is not a
+    number raises ValueError, as ``Fragment`` does for any value out of range.
+    """
+    text, sectors, level, anchor, persistence, key, polarity = _spec_values(spec)
+    return Fragment(fragment_id, text, sectors, level, anchor, persistence, clock,
+                    "observed", key, polarity)
+
+
+def _names(specs: Sequence[Mapping[str, Any]], ids: Sequence[int]) -> dict[str, int]:
+    """Name -> id of each spec's row whose spec has a name; ``ids`` are the
+    rows' ids in spec order."""
+    return {s["name"]: i for s, i in zip(specs, ids) if s.get("name")}
 
 
 def _objects(value: Any, where: str) -> list:
@@ -278,24 +285,42 @@ def _objects(value: Any, where: str) -> list:
     return value
 
 
-def _build(
-    specs: Sequence[Mapping[str, Any]], ids: IdAllocator, clock: float, where: str
-) -> tuple[Fragment, ...]:
-    """One fragment per spec, its id drawn from ``ids`` in spec order.
+def _build(specs: Sequence[Mapping[str, Any]], ids: IdAllocator, clock: float,
+           where: str) -> BeliefState:
+    """The state at ``clock`` of one row per spec, its id drawn from ``ids``
+    in spec order, each row built only when it is read.
 
-    Every scenario fragment is built here: the store, each state, each
-    rule's emit and each axis seed once at load, and each observation and
-    command when it runs.  A spec that cannot be built raises
-    ScenarioError naming its path, ``where[j]``.  One inline loop, not a
-    call per spec: a store can hold 10k specs.
+    Every spec list of a scenario is read here: the store, each state, each
+    rule's emit and each axis seed at load, and each observation and command
+    when it runs.  One pass reads each spec once, into columns: its values
+    coerced by ``_spec_values`` and admitted by ``core.admit``, so every
+    check of a fragment's construction is made at once.  A spec that cannot
+    be admitted raises ScenarioError naming its path, ``where[j]``.  One
+    inline loop, not a call per spec: a store can hold 10k specs.
     """
-    frags = []
+    row_ids, texts, sector_sets, levels, anchors, persistences, keys, polarities, tokens = (
+        [] for _ in range(9))
     for j, spec in enumerate(specs):
+        fid = ids.next()
         try:
-            frags.append(fragment_from_spec(spec, ids.next(), clock))
+            text, sectors, level, anchor, persistence, key, polarity = _spec_values(spec)
+            row_tokens, kept = admit(fid, text, sectors, level, anchor, persistence,
+                                     "observed", key, polarity, None)
         except ValueError as exc:
             raise ScenarioError(f"{where}[{j}]: {exc}") from exc
-    return tuple(frags)
+        row_ids.append(fid)
+        texts.append(text)
+        sector_sets.append(kept)
+        levels.append(level)
+        anchors.append(anchor)
+        persistences.append(persistence)
+        keys.append(key)
+        polarities.append(polarity)
+        tokens.append(row_tokens)
+    n = len(tokens)
+    return BeliefState.from_columns(
+        (row_ids, texts, sector_sets, levels, anchors, persistences, [clock] * n,
+         ["observed"] * n, keys, polarities), tokens, clock)
 
 
 def _check_assertion(a: Any, where: str) -> None:
@@ -429,7 +454,7 @@ def load_scenario(path: str | Path) -> Scenario:
             raise ScenarioError(f"rules[{i}]: needs a trigger, a non-empty string")
     emits = [r.get("emit") for r in raw_rules]
     _check_specs(emits, "rules")
-    built = _build(emits, IdAllocator(1), 0.0, "rules")
+    built = _build(emits, IdAllocator(1), 0.0, "rules").rows
     rules = tuple(
         ElaborationRule(r["trigger"], emit, spec.get("name") or None)
         for r, spec, emit in zip(raw_rules, emits, built)
@@ -456,7 +481,7 @@ def load_scenario(path: str | Path) -> Scenario:
 
     memory = raw.get("memory", [])
     _check_specs(memory, "memory")
-    stored = _build(memory, IdAllocator(1), 0.0, "memory")
+    store = _build(memory, IdAllocator(1), 0.0, "memory")
 
     towers: dict[str, tuple[TowerTrajectory, bool]] = {}
     for i, spec in enumerate(_objects(raw.get("axes", []), "axes")):
@@ -477,7 +502,7 @@ def load_scenario(path: str | Path) -> Scenario:
             raise ScenarioError(f"axes[{i}]: null_seed must be true or false")
         # Each axis in its own id space; its tower draws ids above its seed's.
         ids = IdAllocator(1)
-        seed = BeliefState(_build(spec["seed"], ids, 0.0, f"axes[{i}].seed"), 0.0)
+        seed = _build(spec["seed"], ids, 0.0, f"axes[{i}].seed")
         try:
             towers[label] = (build_tower(seed, max_k, config, ids), null_seed)
         except ValueError as exc:
@@ -494,8 +519,8 @@ def load_scenario(path: str | Path) -> Scenario:
     return Scenario(
         name=name,
         config=config,
-        store=BeliefState(stored, 0.0),
-        names=_names(memory, stored),
+        store=store,
+        names=_names(memory, range(1, store.size + 1)),
         rules=rules,
         lexicon=tuple(lexicon),
         towers=towers,
@@ -503,7 +528,7 @@ def load_scenario(path: str | Path) -> Scenario:
         timeline=timeline,
         # each state in its own id space
         states={
-            label: BeliefState(_build(specs, IdAllocator(1), 0.0, f"states.{label}"), 0.0)
+            label: _build(specs, IdAllocator(1), 0.0, f"states.{label}")
             for label, specs in states.items()
         },
     )
@@ -520,7 +545,7 @@ class AssertionOutcome:
 def _removed_ids(before: BeliefState, after: BeliefState) -> list[int]:
     """The ids ``after`` dropped from ``before``, ascending; ``after`` only
     keeps or drops ids, so equal row counts mean nothing was dropped."""
-    if len(after.rows) == len(before.rows):
+    if after.size == before.size:
         return []
     return sorted(before.ids() - after.ids())
 
@@ -548,7 +573,7 @@ class SimulationRun:
         self.mode = mode
         self.rng = random.Random(self.seed)
         self.store = scenario.store
-        self.ids = IdAllocator(len(self.store.rows) + 1)
+        self.ids = IdAllocator(self.store.size + 1)
         self.names: dict[str, int] = dict(scenario.names)
         self.active = BeliefState((), 0.0)
         # Each axis from its tower, kept since load; a tower that did not
@@ -627,16 +652,17 @@ class SimulationRun:
         mode cannot take without revising is refused whole, with a warning,
         and the state stays as it was."""
         specs = entry["specs"]
-        frags = _build(specs, self.ids, self.active.clock, f"timeline[{index}].specs")
-        self.names.update(_names(specs, frags))
+        incoming = _build(specs, self.ids, self.active.clock, f"timeline[{index}].specs")
+        ids = [f.id for f in incoming.rows]
+        self.names.update(_names(specs, ids))
         self._emit(
             "ingest",
-            {"ids": [f.id for f in frags], "texts": [f.text for f in frags],
+            {"ids": ids, "texts": [f.text for f in incoming.rows],
              "command": entry["event"] == "command"},
         )
         try:
             self.active, report = assimilate(
-                self.active, BeliefState(frags, self.active.clock), self.config, self.ids,
+                self.active, incoming, self.config, self.ids,
                 mode=entry["mode"], rules=self.scenario.rules, abs_group=entry["group"],
             )
         except ConflictError as exc:

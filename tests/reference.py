@@ -2,7 +2,9 @@
 
 Each function here is the plain loop that a fast path of the engine
 replaced, kept as an oracle; ``DataclassFragment`` is a fragment made by the
-dataclass's generated constructor and ``__post_init__``, ``assimilate``
+dataclass's generated constructor and ``__post_init__``, ``build`` makes
+every row of a spec list at once, where the loader reads the list into
+columns and builds a row only when it is read, ``assimilate``
 builds every fragment of the state into a list and rebuilds the state from
 it, ending, in corrective modes, with ``resolve_conflicts``, the sweep that
 regroups that list by key, ``embed_tokens`` embeds one token multiset at a
@@ -35,6 +37,7 @@ from beliefsim.core import (
     BeliefState,
     Entries,
     Fragment,
+    check_fields,
     key_groups,
     token_cell,
     tokenize,
@@ -52,7 +55,7 @@ from beliefsim.geometry import (
     detect_drift,
 )
 from beliefsim.regulation import META_ANCHOR, REFLECTIVE_SECTOR, _breach_entries, _meta_text
-from beliefsim.simulator import AssertionOutcome
+from beliefsim.simulator import AssertionOutcome, ScenarioError, fragment_from_spec
 from beliefsim.tower import merge_group
 
 
@@ -61,7 +64,7 @@ class DataclassFragment:
     """A fragment made as ``core.Fragment`` once was: the generated
     ``__init__`` sets each field by ``object.__setattr__``, then
     ``__post_init__`` tokenises, leaves the content key underived and runs
-    the same ``_check``.  Sector sets are not interned."""
+    the same ``check_fields``.  Sector sets are not interned."""
 
     id: int
     text: str
@@ -78,11 +81,25 @@ class DataclassFragment:
     def __post_init__(self) -> None:
         object.__setattr__(self, "_tokens", tokenize(self.text))
         object.__setattr__(self, "_ckey", None)
-        self._check()
+        check_fields(self.id, self.text, self._tokens, self.sectors, self.level, self.anchor,
+                     self.persistence, self.origin, self.key, self.polarity, self.members)
 
-    _check = Fragment._check
     tokens = Fragment.tokens
     content_key = Fragment.content_key
+
+
+
+def build(specs, ids, clock, where):
+    """A spec list built as the loader once built it: one
+    ``fragment_from_spec`` per spec, each fragment made at once, then the
+    state of them all."""
+    frags = []
+    for j, spec in enumerate(specs):
+        try:
+            frags.append(fragment_from_spec(spec, ids.next(), clock))
+        except ValueError as exc:
+            raise ScenarioError(f"{where}[{j}]: {exc}") from exc
+    return BeliefState(tuple(frags), clock)
 
 
 def embed_tokens(tokens, dim):

@@ -12,7 +12,8 @@ breach at a time, realignment reading a whole derived state per removal,
 coherence, the sector wipe's target and the coherence cue regrouping the
 rows by key, the associative cue's ``max`` walk, and the sectors present, a
 sector's rows and a basin clause's activation density walking every row,
-and the expect check written one branch per check) swapped in through the
+the expect check written one branch per check, and each spec list built
+one fragment per spec at once) swapped in through the
 module and class attributes the engine calls.  The two traces must be the
 same bytes; ``verify_golden``'s float tolerance would
 be too loose here.  Every shipped scenario, and the
@@ -144,8 +145,9 @@ def _swap_reference(mp: pytest.MonkeyPatch) -> None:
     state's entries, cue vector and tower vector come from the per-token
     loop, ``core.embed_state`` sums over a dense matrix, every store is
     screened through a dense V (the per-fragment ``retrieve`` is held to the
-    engine's in ``test_memory.py``), and every expect check is read one
-    branch per check."""
+    engine's in ``test_memory.py``), every expect check is read one
+    branch per check, and every spec list, at load and at its tick, is
+    built one fragment per spec at once."""
     mp.setattr(simulator, "assimilate", reference.assimilate)
     mp.setattr(simulator, "resolve_conflicts", reference.resolve_conflicts)
     mp.setattr(simulator, "integrate_retrieved", reference.integrate_retrieved)
@@ -170,6 +172,7 @@ def _swap_reference(mp: pytest.MonkeyPatch) -> None:
     mp.setattr(BeliefState, "sectors", reference.sectors)
     mp.setattr(execution, "activation_density", reference.activation_density)
     mp.setattr(SimulationRun, "_check", reference.check)
+    mp.setattr(simulator, "_build", reference.build)
 
 
 @pytest.fixture()

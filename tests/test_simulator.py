@@ -9,11 +9,11 @@ import sys
 from pathlib import Path
 
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from beliefsim.config import default_config
-from beliefsim.core import BeliefState, Fragment
+from beliefsim.core import BeliefState, Fragment, embed_rows
 from beliefsim import dynamics, simulator
 from beliefsim.dynamics import annihilate_sector, nullify
 from beliefsim.regulation import EFFORT_CLASSES, EFFORT_COSTS, uniform_budget
@@ -26,9 +26,12 @@ from beliefsim.simulator import (
 )
 from beliefsim.trace import parse_trace
 
-from conftest import SECTORS, states
+import reference
+from conftest import KEYS, SECTORS, WORDS, states, texts
 
 REPO = Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(REPO / "perfbench"))
+import workloads  # noqa: E402
 
 
 def write_scenario(tmp_path, data, name="case.json"):
@@ -284,11 +287,24 @@ def test_lexicon_entries_are_strings_with_a_token(tmp_path, word):
         load_scenario(path)
 
 
-def test_each_static_spec_is_built_once_at_load(tmp_path, monkeypatch):
-    built = []
-    real = simulator.fragment_from_spec
-    monkeypatch.setattr(simulator, "fragment_from_spec",
-                        lambda spec, *a: built.append(spec["text"]) or real(spec, *a))
+def _count_reads_and_builds(monkeypatch) -> tuple[list, list]:
+    """Record the text of each spec ``_build`` reads, and (text, origin) of
+    each ``Fragment`` constructed."""
+    read, built = [], []
+    values, init = simulator._spec_values, Fragment.__init__
+    monkeypatch.setattr(simulator, "_spec_values",
+                        lambda spec: read.append(spec["text"]) or values(spec))
+
+    def counted(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        built.append((self.text, self.origin))
+
+    monkeypatch.setattr(Fragment, "__init__", counted)
+    return read, built
+
+
+def test_each_static_spec_is_read_once_at_load_and_built_when_read(tmp_path, monkeypatch):
+    read, built = _count_reads_and_builds(monkeypatch)
     data = minimal(
         memory=[{"text": "stored fact"}, {"text": "old chart", "name": "chart"}],
         states={"a": [{"text": "pump"}], "b": [{"text": "valve"}]},
@@ -299,17 +315,196 @@ def test_each_static_spec_is_built_once_at_load(tmp_path, monkeypatch):
                   {"event": "observe", "specs": [{"text": "pump rattles"}]}],
     )
     scenario = load_scenario(write_scenario(tmp_path, data))
-    assert built == ["check panel", "stored fact", "old chart",
-                     "survey the map", "mark the map", "pump", "valve"]
+    assert read == ["check panel", "stored fact", "old chart",
+                    "survey the map", "mark the map", "pump", "valve"]
+    # Only the rows load reads are built: the rule's emit and the axis seed
+    # the tower abstracts, not the store's nor the states'.
+    observed = [text for text, origin in built if origin == "observed"]
+    assert observed == ["check panel", "survey the map", "mark the map"]
+    read.clear()
     built.clear()
     run = SimulationRun(scenario)
-    assert built == []  # each axis is derived from the tower kept since load
+    assert read == built == []  # each axis is derived from the tower kept since load
     result = run.run()
-    assert built == ["pump hums", "pump rattles"]  # a fired emit is never rebuilt
+    assert read == ["pump hums", "pump rattles"]  # a fired emit is never rebuilt
+    # Each observed row is built once, when assimilation reads it; no row of
+    # the store or of a state is ever built.
+    assert [text for text, origin in built if origin == "observed"] == read
+    built.clear()
+    rows = scenario.store.rows, scenario.states["a"].rows
+    assert [f.text for f in rows[0]] == ["stored fact", "old chart"]
+    assert built == [("stored fact", "observed"), ("old chart", "observed"), ("pump", "observed")]
+    built.clear()
+    assert scenario.store.fragment(1) is rows[0][1] and scenario.store.rows is rows[0]
+    assert built == []  # a row read again is the row kept at its first read
     # The run's ids follow the store's 1..2; the emit draws 4, its refire 6.
     assert [e.payload["report"]["elaborated"] for e in result.trace.events
             if e.kind == "assimilate"] == [[4], []]
     assert run.names == {"chart": 2, "panel": 4}
+
+
+def test_store_recall_builds_no_store_row_at_load(tmp_path, monkeypatch):
+    """Seed-0 ``store_recall``: load reads the 10k store specs into columns
+    and builds none of their rows, the whole run makes no more ``Fragment``
+    constructions than the 207 it made when every store row was built at
+    load, and ``matching`` makes each hit by one construction."""
+    path = write_scenario(tmp_path, workloads.generate("store_recall", 0))
+    _, built = _count_reads_and_builds(monkeypatch)
+    scenario = load_scenario(path)
+    assert scenario.store.size == 10_000
+    assert built == []
+    in_matching = []
+    matching = BeliefState.matching
+
+    def counted(state, *args, **kwargs):
+        before = len(built)
+        hits = matching(state, *args, **kwargs)
+        in_matching.append((len(built) - before, len(hits)))
+        return hits
+
+    monkeypatch.setattr(BeliefState, "matching", counted)
+    SimulationRun(scenario).run()
+    assert len(built) <= 207
+    assert all(made == hits for made, hits in in_matching)
+    assert sum(hits for _, hits in in_matching) > 0
+
+
+# A valid value of each optional spec field, and the bad values the column
+# pass must refuse at load as the eager build refuses them: numbers that do
+# not convert, non-finite ones, numbers out of range, a key without a
+# polarity, a polarity that is neither sign, and a text with no token.
+VALID_SPEC_FIELDS = {
+    "level": st.one_of(st.integers(0, 3), st.sampled_from(("2", 1.5, True))),
+    "anchor": st.one_of(st.floats(0.0, 20.0), st.sampled_from(("2.5", 0, 1e100))),
+    "persistence": st.one_of(st.floats(0.0, 1.0), st.sampled_from(("0.5", 1))),
+    "sector": st.sampled_from(SECTORS),
+    "sectors": st.lists(st.sampled_from(SECTORS), min_size=1, max_size=3),
+}
+BAD_SPEC_FIELDS = {
+    "level": st.sampled_from(("x", -1, "-2", None, "1.5", math.inf)),
+    "anchor": st.sampled_from(("x", math.nan, math.inf, -math.inf, "NaN", "Infinity",
+                               -1.0, 1.1e100, None)),
+    "persistence": st.sampled_from(("x", math.nan, "-Infinity", -0.5, 1.5, None)),
+    "key": st.sampled_from(KEYS),
+    "polarity": st.sampled_from(("?", "plus", 1)),
+    "text": st.sampled_from(("", "!!", " -- ")),
+}
+
+
+@st.composite
+def spec_lists(draw) -> list:
+    """A spec list that passes ``_check_specs``: valid specs, keyed or not,
+    named or not, and now and then one spec with one bad field."""
+    specs = []
+    for j in range(draw(st.integers(0, 8))):
+        spec = {"text": draw(st.one_of(texts(), st.sampled_from(("Pump, STEADY!", "K\u212a"))))}
+        spec.update(draw(st.fixed_dictionaries({}, optional={
+            name: values for name, values in VALID_SPEC_FIELDS.items() if name != "sectors"})))
+        if "sector" not in spec and draw(st.booleans()):
+            spec["sectors"] = draw(VALID_SPEC_FIELDS["sectors"])
+        if draw(st.booleans()):
+            spec["key"], spec["polarity"] = draw(st.sampled_from(KEYS)), draw(st.sampled_from("+-"))
+        if draw(st.booleans()):
+            spec["name"] = f"n{j}"
+        specs.append(spec)
+    if specs and draw(st.integers(0, 2)) == 0:
+        spec = specs[draw(st.integers(0, len(specs) - 1))]
+        field = draw(st.sampled_from(sorted(BAD_SPEC_FIELDS)))
+        spec[field] = draw(BAD_SPEC_FIELDS[field])
+        if field == "key":
+            spec.pop("polarity", None)
+        elif field == "polarity":
+            spec.setdefault("key", "p")
+    return specs
+
+
+@st.composite
+def store_chains(draw) -> list:
+    """Steps to take on a store, each read both ways: a retrieval,
+    a decay of every row or of a sector's, and a lift of some ids."""
+    steps = []
+    for _ in range(draw(st.integers(1, 4))):
+        kind = draw(st.sampled_from(("matching", "decayed", "reanchor")))
+        if kind == "matching":
+            args = (draw(st.lists(st.sampled_from(WORDS), min_size=1, max_size=3)),
+                    draw(st.sampled_from((0.0, 0.3, 0.5, 0.9))))
+        elif kind == "decayed":
+            args = (draw(st.sampled_from((0.0, 1.0, 2.5))),
+                    draw(st.sampled_from((None,) + SECTORS[:3])),
+                    draw(st.sampled_from((0.05, 0.5, 0.9))))
+        else:
+            args = (draw(st.lists(st.integers(1, 10), max_size=4)),
+                    draw(st.sampled_from((0.5, 2.0, 9.0))))
+        steps.append((kind, args))
+    return steps
+
+
+def _loaded(path: Path):
+    try:
+        return load_scenario(path)
+    except ScenarioError as exc:
+        return str(exc)
+
+
+def _readings(state: BeliefState, dim: int) -> tuple:
+    return (repr(state.fragments), state.ids(), state.clock, state.vectors(dim).tobytes())
+
+
+def _chained(store: BeliefState, chain: list, config) -> tuple[list, list]:
+    """The states a chain derives from ``store`` and the hits of each of its
+    retrievals; no row is read but those ``matching`` makes."""
+    states, hits = [store], []
+    for kind, args in chain:
+        state = states[-1]
+        if kind == "matching":
+            cue = embed_rows([tuple(args[0])], config.embed_dim).dense()[0]
+            hits.append(state.matching(cue, args[1], origin="retrieved", members=None))
+        elif kind == "decayed":
+            dt, sector, delta = args
+            states.append(state.decayed(dt, config.replace(delta=delta), state.clock + dt, sector))
+        else:
+            states.append(state.reanchor(*args))
+    return states, hits
+
+
+@settings(max_examples=250, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(specs=spec_lists(), chain=store_chains(), read_first=st.booleans())
+@example(specs=[{"text": "pump"}, {"text": "!!", "name": "n1"}], chain=[], read_first=False)
+@example(specs=[{"text": "pump", "persistence": 1.5}], chain=[], read_first=False)
+@example(specs=[{"text": "pump valve", "anchor": "NaN"}], chain=[], read_first=False)
+@example(specs=[{"text": "pump valve", "sector": "mem"}, {"text": "pump seal", "anchor": 3.0}],
+         chain=[("matching", (["pump", "valve"], 0.5)), ("decayed", (1.0, None, 0.5)),
+                ("matching", (["pump"], 0.3))], read_first=False)
+def test_column_pass_matches_the_eager_build(tmp_path_factory, specs, chain, read_first):
+    """A drawn spec list loaded as a store gives, read into columns with rows
+    built when read, what building every fragment at once
+    (``reference.build``) gives: the same fragments, ids, names and vectors,
+    and the same results of a chain of retrievals, decays and lifts, whether
+    its rows were read before or not; or the same ``ScenarioError`` text,
+    naming the spec."""
+    path = write_scenario(tmp_path_factory.mktemp("specs"), minimal(memory=specs))
+    got = _loaded(path)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(simulator, "_build", reference.build)
+        want = _loaded(path)
+    if isinstance(want, str):
+        assert got == want
+        assert re.match(r"memory\[\d+\]: ", want)
+        return
+    assert not isinstance(got, str), got
+    assert got.names == want.names
+    if read_first:  # build every store row before the chain reads any
+        got.store.rows
+    config = default_config()
+    (states, hits), (ref_states, ref_hits) = (
+        _chained(scenario.store, chain, config) for scenario in (got, want))
+    assert repr(hits) == repr(ref_hits)
+    for state, ref in zip(states, ref_states):
+        assert _readings(state, config.embed_dim) == _readings(ref, config.embed_dim)
+    for row, ref in zip(got.store.rows, want.store.rows):
+        assert row.sectors is ref.sectors  # the one kept equal set
+        assert list(row.sectors) == list(ref.sectors)
 
 
 def test_a_rule_emit_is_copied_only_when_it_enters(monkeypatch):
