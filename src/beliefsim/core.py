@@ -29,13 +29,15 @@ being slot ``index[i]`` of a ``_Rows`` that states share; the rows' unit
 vectors are likewise a pair (entries, index), row ``i``'s vector being
 entry row ``index[i]``.  A state read from a spec list
 (``BeliefState.from_columns``) holds the list's columns and builds a row
-only on its first read, through the one constructor, and keeps it; a put
-row comes built.  No state holds a dense matrix: ``vectors`` builds one on
-each read.  Every other state comes out of ``_derive``, which filters the
-records and both indexes by one keep mask and splices put rows in by one
-plan, computing only theirs: a constructed state is the epistemic vacuum
-with its fragments put in, decay and ``reanchor`` hand it new columns, and
-every other change is one ``revised`` (drop ids, put fragments).
+only on its first read, filling it from the columns and the tokens and kept
+sector set of the list's one ``admit`` by the constructor's own ``_fill``,
+and keeps it; a put row comes built.  No state holds a dense matrix:
+``vectors`` builds one on each read.  Every other state comes out of
+``_derive``, which filters the records and both indexes by one keep mask
+and splices put rows in by one plan, computing only theirs: a constructed
+state is the epistemic vacuum with its fragments put in, decay and
+``reanchor`` hand it new columns, and every other change is one
+``revised`` (drop ids, put fragments).
 ``fragments`` hands back every row with its current anchor and persistence,
 building any row not yet built; ``fragment(i)`` reads one row.  Readers of
 the fixed fields read ``rows`` (a tuple made on its first read and kept),
@@ -44,6 +46,17 @@ and ``latest()`` build only the rows they return; retrieval
 (``matching``) makes each hit by one construction from its row's fields,
 and builds no row; the conflict groups and the goal rows are readings a
 state keeps and ``_derive`` hands on.
+
+Two more readings serve assimilation, each made from the rows on its first
+read, so never for a state nobody assimilates into (the store): the
+content-key map (content key -> the ids holding it, ``holding``) and the
+key index (proposition key -> (id, polarity) of its rows, ``keyed``).
+``_derive`` hands both on in O(changed rows): the rows that leave are taken
+out and the put rows put in, and the new state takes the two dicts, this
+state's slots emptied, as a put takes the entries; they are never copied.
+The conflict groups regroup from the key index only the keys derivations
+touched, and each derived state records the ids it dropped
+(``dropped_from``).
 """
 
 from __future__ import annotations
@@ -148,25 +161,10 @@ class Fragment:
 
     def __init__(self, id, text, sectors, level=0, anchor=1.0, persistence=1.0,
                  created_at=0.0, origin="observed", key=None, polarity=None, members=None):
-        # The one constructor: attributes set one at a time, in this order, so
-        # all fragments share one key table.  Reading ``__dict__`` would give
-        # each its own dict and halve the speed of every attribute read.
         tokens, sectors = admit(
             id, text, sectors, level, anchor, persistence, origin, key, polarity, members)
-        put = object.__setattr__  # the class is frozen
-        put(self, "id", id)
-        put(self, "text", text)
-        put(self, "sectors", sectors)
-        put(self, "level", level)
-        put(self, "anchor", anchor)
-        put(self, "persistence", persistence)
-        put(self, "created_at", created_at)
-        put(self, "origin", origin)
-        put(self, "key", key)
-        put(self, "polarity", polarity)
-        put(self, "members", members)
-        put(self, "_tokens", tokens)
-        put(self, "_ckey", None)  # the content key, derived on first use
+        _fill(self, id, text, sectors, level, anchor, persistence, created_at, origin, key,
+              polarity, members, tokens)
 
     @property
     def tokens(self) -> tuple[str, ...]:
@@ -202,6 +200,32 @@ class Fragment:
         return dataclasses.replace(self, **overrides)
 
 
+def _fill(row: Fragment, id, text, sectors, level, anchor, persistence, created_at, origin,
+          key, polarity, members, tokens) -> Fragment:
+    """``row`` with these fields set, ``admit`` having passed them and given
+    ``tokens`` and the kept set ``sectors``: the one path that sets a
+    fragment's fields, for the constructor and for a row the column pass
+    admitted (``_Rows.row``).  Attributes are set one at a time, in this
+    order, so all fragments share one key table.  Reading ``__dict__``
+    would give each its own dict and halve the speed of every attribute
+    read."""
+    put = object.__setattr__  # the class is frozen
+    put(row, "id", id)
+    put(row, "text", text)
+    put(row, "sectors", sectors)
+    put(row, "level", level)
+    put(row, "anchor", anchor)
+    put(row, "persistence", persistence)
+    put(row, "created_at", created_at)
+    put(row, "origin", origin)
+    put(row, "key", key)
+    put(row, "polarity", polarity)
+    put(row, "members", members)
+    put(row, "_tokens", tokens)
+    put(row, "_ckey", None)  # the content key, derived on first use
+    return row
+
+
 class BeliefState:
     """An immutable fragment ensemble plus a logical clock, held as a table.
 
@@ -223,11 +247,16 @@ class BeliefState:
     those it entered with.  Its mass, embedding, conflict groups and goal
     rows are readings it keeps once made; ``_derive`` hands on those the
     parent's prove, so an unkeyed state is conflict-free from the start.
+    Its content-key map and key index are made on first read and moved to
+    the state derived from it, which updates them by the rows that left
+    and the rows put in; its conflict groups carry the keys touched since
+    they were grouped.  It records the ids its derivation dropped.
     """
 
     __slots__ = (
         "clock", "_source", "_index", "_rows", "_table", "_decay", "_space",
-        "_mass", "_embedding", "_conflicts", "_goals",
+        "_mass", "_embedding", "_conflicts", "_touched", "_goals", "_contents", "_keys",
+        "_dropped",
     )
 
     def __new__(cls, fragments: Iterable[Fragment] = (), clock: float = 0.0) -> "BeliefState":
@@ -251,7 +280,7 @@ class BeliefState:
         return _state(
             clock, _Rows(np.full(n, None, object), _objects(tokens), columns, n), _arange(n),
             _frozen(_records(ids, created_at, anchors, persistences, sectors)), None, None,
-            () if keys.count(None) == n else None, None)
+            () if keys.count(None) == n else None, _NO_KEYS, None, None, None, ())
 
     # -- reading -----------------------------------------------------------
 
@@ -316,17 +345,69 @@ class BeliefState:
 
     def conflicts(self) -> tuple[tuple[Fragment, ...], ...]:
         """The key groups holding both polarities, rows in id order, groups in
-        head-id order: the one grouping of a state's rows by key, built by
-        one walk on first read and kept.  A derived state that keeps every
-        row shares it; one conflict-free by its parent's groups and its put
-        rows' keys starts with ``()``.  Read only the rows' fixed fields."""
-        kept = self._conflicts
-        if kept is None:
-            kept = self._conflicts = tuple(
-                tuple(group) for group in key_groups(self.rows).values()
-                if any(f.polarity != group[0].polarity for f in group)
-            )
+        head-id order, read from the key index on first read and kept.  A
+        derived state is handed its parent's groups with the keys its
+        derivations touched, and regroups only those; one conflict-free by
+        its parent's groups and its put rows' keys starts with ``()``.
+        Read only the rows' fixed fields."""
+        kept, touched = self._conflicts, self._touched
+        if kept is None or touched:
+            keys = self._key_index()
+            if kept is None:
+                touched, groups = keys, []
+            else:
+                groups = [g for g in kept if g[0].key not in touched]
+            for key in touched:
+                held = keys.get(key, ())
+                if any(p != held[0][1] for _, p in held):
+                    groups.append(self._with_ids([i for i, _ in held]))
+            kept = self._conflicts = tuple(sorted(groups, key=_head_id))
+            self._touched = _NO_KEYS
         return kept
+
+    def _content_index(self) -> dict[tuple, tuple[int, ...]]:
+        """The content-key map: each content key held -> the ids of the rows
+        holding it, ascending.  Made from the rows on first read, and then
+        handed on by ``_derive``."""
+        contents = self._contents
+        if contents is None:
+            contents = self._contents = {}
+            for f in self.rows:
+                ckey = f.content_key()
+                contents[ckey] = (*contents.get(ckey, ()), f.id)
+        return contents
+
+    def _key_index(self) -> dict[str, tuple[tuple[int, str], ...]]:
+        """The key index: each proposition key held -> (id, polarity) of
+        each row holding it, ascending by id.  Made from the rows on first
+        read, and then handed on by ``_derive``."""
+        keys = self._keys
+        if keys is None:
+            keys = self._keys = {
+                key: tuple((f.id, f.polarity) for f in group)
+                for key, group in key_groups(self.rows).items()
+            }
+        return keys
+
+    def holding(self, content_key: tuple) -> tuple[int, ...]:
+        """The ids of the rows whose content key is ``content_key``,
+        ascending: a read of the content-key map."""
+        return self._content_index().get(content_key, ())
+
+    def keyed(self, key: str) -> tuple[tuple[int, str], ...]:
+        """(id, polarity) of each row on proposition ``key``, ascending by
+        id: a read of the key index."""
+        return self._key_index().get(key, ())
+
+    def _with_ids(self, ids: Sequence[int]) -> tuple[Fragment, ...]:
+        """The rows of ``ids``, ids held and ascending (fixed fields only)."""
+        return self._source.take(self._index[self._table["id"].searchsorted(ids)])
+
+    def dropped_from(self, parent: "BeliefState") -> tuple[int, ...]:
+        """The ids ``parent`` held that this state does not, ascending, where
+        ``parent`` is this state or the one it was derived from: the ids its
+        derivation dropped and put no row back for, recorded as it ran."""
+        return () if parent is self else self._dropped
 
     def goals(self, marker: str) -> tuple[Fragment, ...]:
         """The rows whose lowercased text starts with ``marker``, in id order:
@@ -346,6 +427,15 @@ class BeliefState:
         ids = self._table["id"]
         i = int(ids.searchsorted(fragment_id))
         return i if i < len(ids) and ids[i] == fragment_id else None
+
+    def positions(self, fragment_ids: Sequence[int]) -> np.ndarray:
+        """The row of each of ``fragment_ids``, or -1 for an id no row
+        has: one ``searchsorted`` of the id column."""
+        column, wanted = self._table["id"], np.asarray(fragment_ids, np.int64)
+        if not len(column):
+            return np.full(len(wanted), -1)
+        at = np.minimum(column.searchsorted(wanted), len(column) - 1)
+        return np.where(column[at] == wanted, at, -1)
 
     def get(self, fragment_id: int) -> Optional[Fragment]:
         i = self._position(fragment_id)
@@ -371,6 +461,10 @@ class BeliefState:
         """The rows tagged with ``sector``, in id order (fixed fields only);
         no other row is built."""
         return self._source.take(self._index[self._in(sector)])
+
+    def count_in(self, sector: str) -> int:
+        """The number of rows tagged with ``sector``; builds nothing."""
+        return int(np.count_nonzero(self._in(sector)))
 
     @property
     def mass(self) -> float:
@@ -403,15 +497,30 @@ class BeliefState:
         appends the put rows to a copy of the source, and their entries to
         a copy of the entries, which it hands on, emptying this state's
         slot; either copy first keeps only the live rows once dropped rows
-        outnumber them."""
+        outnumber them.
+
+        The content-key map and the key index are handed on in O(changed
+        rows), never copied: the new state takes them, emptying this
+        state's slots.  The rows that leave (dropped, or replaced by a put
+        row of their id) are taken out of both, then the put rows put in;
+        the keys either touched are added to those the conflict groups must
+        regroup.  The new state records the ids dropped and not put back."""
         put = _in_id_order(tuple(put))
         source, index, space = self._source, self._index, self._space
-        # The conflict groups and the goal rows read fixed fields only.
-        conflicts, goals = self._conflicts, self._goals
-        if keep is not None and not keep.all():
+        # The readings handed on read fixed fields only.
+        conflicts, touched, goals = self._conflicts, self._touched, self._goals
+        contents, keys = self._contents, self._keys
+        self._contents = self._keys = None
+        gone: tuple[Fragment, ...] = ()  # the rows that leave, read when an index needs them
+        dropped: tuple[int, ...] = ()
+        dropping = keep is not None and not keep.all()
+        if dropping:
+            lost = ~keep
+            dropped = tuple(table["id"][lost].tolist())
+            if contents is not None or keys is not None:  # then every row is built
+                gone = source.take(index[lost])
             index = index[keep]
             table = table.view(_RECORD)[keep].view(_ROW)
-            conflicts = None if conflicts else conflicts  # () stays ()
             if space is not None:
                 space = (space[0], _frozen(space[1][keep]))
             if goals is not None:
@@ -443,10 +552,29 @@ class BeliefState:
                     kept = _spliced(kept, slot, at, entries.rows)
                     entries = entries.extended(embed_rows([f.tokens for f in put], entries.dim))
                     space, self._space = (entries, _frozen(kept)), None
-            conflicts = () if conflicts == () and all(f.key is None for f in put) else None
             if goals is not None:  # no put id is among the kept goal rows
                 goals = (goals[0], tuple(sorted((*goals[1], *_starting(put, goals[0])), key=_ID)))
-        new = _state(clock, source, _frozen(index), _frozen(table), decay, space, conflicts, goals)
+            if dropped:
+                back = set(map(_ID, put))
+                dropped = tuple(i for i in dropped if i not in back)
+        if contents is not None:
+            for f in gone:
+                _unheld(contents, f.content_key(), f.id)
+            for f in put:
+                _held(contents, f.content_key(), f.id)
+        if keys is not None:
+            left = [f for f in gone if f.key is not None]
+            came = [f for f in put if f.key is not None]
+            for f in left:
+                _unheld(keys, f.key, (f.id, f.polarity))
+            for f in came:
+                _held(keys, f.key, (f.id, f.polarity))
+            if conflicts is not None and (left or came):
+                touched = touched.union(f.key for f in chain(left, came))
+        elif touched or (dropping and conflicts) or any(f.key is not None for f in put):
+            conflicts, touched = None, _NO_KEYS  # no index to regroup from; () stays ()
+        new = _state(clock, source, _frozen(index), _frozen(table), decay, space, conflicts,
+                     touched, goals, contents, keys, dropped)
         if index is self._index:  # the same rows
             new._rows = self._rows
         return new
@@ -460,8 +588,9 @@ class BeliefState:
         gone = set(drop).union(map(_ID, put))
         if not gone:
             return self
+        at = self.positions(list(gone))
         keep = np.ones(self.size, dtype=bool)
-        keep[[i for i in map(self._position, gone) if i is not None]] = False
+        keep[at[at >= 0]] = False
         return self._derive(self.clock, self._table, self._decay, keep, put)
 
     def decayed(self, dt: float, config: ParameterConfig, clock: float,
@@ -542,6 +671,10 @@ class BeliefState:
 _ID = operator.attrgetter("id")
 
 
+def _head_id(group: tuple[Fragment, ...]) -> int:
+    return group[0].id
+
+
 def _in_id_order(rows: tuple[Fragment, ...]) -> tuple[Fragment, ...]:
     """``rows`` in id order, so equal fragment sets compare equal.  Operators
     hand rows over in id order, so sort only when a walk finds an id not
@@ -595,8 +728,9 @@ class _Rows:
     A state's rows are a pair (source, index), row ``i`` being slot
     ``index[i]``.  A row given in ``columns`` (one sequence per field of
     ``Fragment`` from ``id`` to ``polarity``, item ``r`` of each being row
-    ``r``'s) starts with an empty slot, which its first read fills through
-    the one constructor and keeps; a put row comes built.  A source is
+    ``r``'s) starts with an empty slot, which its first read fills from the
+    columns and its tokens by the constructor's own ``_fill``, with no
+    second ``admit``, and keeps; a put row comes built.  A source is
     extended only by copying, so a state's rows never change.
     """
 
@@ -618,8 +752,10 @@ class _Rows:
     def row(self, r: int) -> Fragment:
         """Row ``r``, built on its first read and kept."""
         row = self.slots[r]
-        if row is None:
-            row = self.slots[r] = Fragment(*[column[r] for column in self.columns])
+        if row is None:  # the column pass admitted it: filled, not admitted again
+            row = self.slots[r] = _fill(object.__new__(Fragment),
+                                        *[column[r] for column in self.columns],
+                                        None, self.tokens[r])
             self.unbuilt -= 1
         return row
 
@@ -648,14 +784,32 @@ class _Rows:
 
 def _state(clock: float, source: _Rows, index: np.ndarray, table: np.ndarray,
            decay: Optional[tuple], space: Optional[tuple[Entries, np.ndarray]],
-           conflicts: Optional[tuple], goals: Optional[tuple]) -> BeliefState:
+           conflicts: Optional[tuple], touched: frozenset[str], goals: Optional[tuple],
+           contents: Optional[dict], keys: Optional[dict],
+           dropped: tuple[int, ...]) -> BeliefState:
     """A new state of these parts, with no reading made yet but those given."""
     new = object.__new__(BeliefState)
     new.clock, new._source, new._index, new._rows = clock, source, index, None
     new._table, new._decay, new._space = table, decay, space
     new._mass = new._embedding = None
-    new._conflicts, new._goals = conflicts, goals
+    new._conflicts, new._touched, new._goals = conflicts, touched, goals
+    new._contents, new._keys, new._dropped = contents, keys, dropped
     return new
+
+
+def _unheld(index: dict, name: Any, entry: Any) -> None:
+    """Take ``entry`` out of ``index[name]``, and ``name`` out once empty."""
+    held = index[name]
+    if len(held) == 1:
+        del index[name]
+    else:
+        index[name] = tuple(e for e in held if e != entry)
+
+
+def _held(index: dict, name: Any, entry: Any) -> None:
+    """Put ``entry`` into ``index[name]``, which stays ascending."""
+    held = index.get(name, ())
+    index[name] = (*held, entry) if not held or held[-1] < entry else tuple(sorted((*held, entry)))
 
 
 def _spliced(kept: np.ndarray, slot: np.ndarray, at: np.ndarray, start: int) -> np.ndarray:
@@ -677,8 +831,10 @@ _ROW = np.dtype([
 _RECORD = np.dtype((np.void, _ROW.itemsize))
 # The records of every empty state, so building one makes no numpy call.
 _NO_ROWS = _frozen(np.zeros(0, _ROW))
+_NO_KEYS: frozenset[str] = frozenset()
 # The epistemic vacuum, which every constructed state is derived from.
-_VACUUM = _state(0.0, _Rows.built(()), _arange(0), _NO_ROWS, None, None, (), None)
+_VACUUM = _state(0.0, _Rows.built(()), _arange(0), _NO_ROWS, None, None, (), _NO_KEYS, None,
+                 None, None, ())
 # Each distinct sector set a fragment was made with -> the kept set and its
 # code, in order of first use; codes never change, so states share it.
 _SECTOR_SETS: dict[frozenset[str], tuple[frozenset[str], int]] = {}
@@ -912,7 +1068,7 @@ def key_groups(fragments: Iterable[Fragment]) -> dict[str, list[Fragment]]:
     """Keyed fragments grouped by proposition key, input order kept in each.
 
     Fragments on different keys never conflict, so a conflict query walks
-    these groups instead of every pair; a state's in ``BeliefState.conflicts``.
+    these groups instead of every pair; a state's key index is made of them.
     """
     groups: dict[str, list[Fragment]] = {}
     for f in fragments:

@@ -18,7 +18,12 @@ and, in corrective modes, a final sweep resolves any conflicts remaining
 same revision rule, so corrective assimilation always ends conflict-free.
 Regulation's corrective move is that sweep alone, ``resolve_conflicts``.
 Each stage ends in one ``BeliefState.revised``; a row is built into a
-fragment only where its anchor or persistence is read or written.
+fragment only where its anchor or persistence is read or written.  The
+twins, the conflict pairs, the id-collision check and the refire test read
+the state's content-key map, key index and id column, which derivations
+hand on, never its rows: with them carried, assimilating k fragments reads
+only those, the rows on their proposition keys and the rows it changes,
+whatever the state's size.
 
 Nullification multiplies persistence by exp(-lambda_i * dt) with
 lambda_i = lambda0 * f(anchor) and prunes fragments at or below the threshold;
@@ -145,33 +150,37 @@ def assimilate(
         raise ValueError(f"unknown assimilation mode {mode!r}")
     clock = state.clock
 
-    # Stage 1: duplicate refresh (confirmatory behavior), +1 per twin.
-    by_content = {f.content_key(): i for i, f in enumerate(state.rows)}
+    # Stage 1: duplicate refresh (confirmatory behavior), +1 per twin; the
+    # twin is the row of highest id holding the candidate's content key.
     refreshed: dict[int, Fragment] = {}
     fresh: list[Fragment] = []
     for candidate in incoming.fragments:
-        twin = by_content.get(candidate.content_key())
-        if twin is None:
+        holding = state.holding(candidate.content_key())
+        if not holding:
             fresh.append(candidate)
         else:
-            f = refreshed.get(twin) or state.fragment(twin)
-            refreshed[twin] = f.replace(anchor=f.anchor + 1.0, persistence=1.0)
-    state = state.revised(put=refreshed.values())
+            f = refreshed.get(holding[-1]) or state.get(holding[-1])
+            refreshed[f.id] = f.replace(anchor=f.anchor + 1.0, persistence=1.0)
 
     # Stage 2: conflict detection against what remains of the input; pairs
-    # come in existing-id order, then incoming order.
+    # come in existing-id order, then incoming order, each existing row as
+    # refreshed.  A refresh moves no row's key, so the key index is read
+    # before the refreshed rows go in, and an input refused here leaves the
+    # state as it was, with the readings it keeps.
     by_key = key_groups(fresh)
-    build = functools.cache(state.fragment)  # a disputed row is built once
+    build = functools.cache(lambda i, rows=state: refreshed.get(i) or rows.get(i))  # built once
     pairs = [
         (build(i), candidate)
-        for i, row in enumerate(state.rows) if row.key in by_key
-        for candidate in by_key[row.key] if candidate.polarity != row.polarity
+        for i, polarity, key in sorted(
+            (i, polarity, key) for key in by_key for i, polarity in state.keyed(key))
+        for candidate in by_key[key] if candidate.polarity != polarity
     ]
     conflicts_found = len(pairs)
 
     retracted: list[int] = []
     if pairs and mode == "elab":
         raise ConflictError(pairs)
+    state = state.revised(put=refreshed.values())
 
     # Stage 3: revision (corrective modes only).
     if pairs and mode in ("corr", "auto"):
@@ -190,10 +199,11 @@ def assimilate(
 
     # Stage 4: union; added fragments keep their anchors, persistence resets
     # (a fragment already at 1.0 enters as it is, uncopied).
-    taken = state.ids() if fresh else frozenset()
-    for candidate in fresh:
-        if candidate.id in taken:
-            raise ValueError(f"incoming fragment id {candidate.id} collides with state")
+    if fresh:
+        taken = state.positions([f.id for f in fresh]) >= 0
+        if taken.any():
+            collided = fresh[int(taken.argmax())].id
+            raise ValueError(f"incoming fragment id {collided} collides with state")
     state = state.revised(
         put=[f if f.persistence == 1.0 else f.replace(persistence=1.0) for f in fresh]
     )
@@ -202,19 +212,20 @@ def assimilate(
     # Stage 5: elaboration rules, at most once each.
     elaborated: list[int] = []
     if mode in ("elab", "auto") and rules:
-        content_now = {f.content_key() for f in state.rows}
         emits: list[Fragment] = []
+        emitted: set[tuple] = set()  # the emits' content keys
         for rule in rules:
             if not any(rule.matches(f) for f in chain(state.rows, emits)):
                 continue
             fid = ids.next()  # drawn even by a refire, so later ids keep their order
             # The copy overrides no field of the content key: test before copying.
-            if rule.emit.content_key() in content_now:
+            ckey = rule.emit.content_key()
+            if ckey in emitted or state.holding(ckey):
                 continue  # refiring would only duplicate
             emits.append(
                 rule.emit.replace(id=fid, created_at=clock, origin="elaborated", persistence=1.0)
             )
-            content_now.add(rule.emit.content_key())
+            emitted.add(ckey)
             elaborated.append(fid)
         state = state.revised(put=emits)
 

@@ -221,12 +221,12 @@ def realign(state: BeliefState, axis: "EpistemicAxis",
     reading = compass_reading(state, axis, config)
     warned = detect_drift(reading, config)
     removed: list[int] = []
-    if warned and len(state.rows) > 1:
+    if warned and state.size > 1:
         entries, weights = state.entries(config.embed_dim), state.weights()
         vecs = entries.dense()
         fixed = _fixed(vecs, axis)
         pos = np.where(weights > 0.0, weights, 0.0)
-        live = np.arange(len(state.rows))
+        live = np.arange(state.size)
         while warned and len(live) > 1:
             best = best_reading = None
             for i in _shortlist(vecs, pos, live, fixed).tolist():

@@ -135,8 +135,7 @@ def integrate_retrieved(
     floor = config.reanchor_min
     lifted = retrieved.reanchor(retrieved.ids(), floor)
     new_active, report = assimilate(active, lifted, config, ids, mode="auto", rules=rules)
-    surviving = {f.content_key() for f in new_active.rows}
-    twins = [f.id for f in lifted.rows if f.content_key() in surviving]
+    twins = [f.id for f in lifted.rows if new_active.holding(f.content_key())]
     return new_active, store.reanchor(twins, floor), report
 
 

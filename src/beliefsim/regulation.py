@@ -83,7 +83,7 @@ def coherence(state: BeliefState, sector: str | None = None) -> float:
     pairs = _conflict_pairs(state, sector)
     if not pairs:
         return 1.0
-    n = len(state.rows if sector is None else state.rows_in(sector))
+    n = state.size if sector is None else state.count_in(sector)
     return 1.0 - (2 * pairs) / (n * n)
 
 
@@ -95,7 +95,7 @@ def cognitive_load(state: BeliefState, config: ParameterConfig, rate: float) -> 
     sector_term = ordered_sum(
         [activation_density(state, s) * config.cost(s) for s in state.sectors()]
     )
-    return c_count * len(state.rows) + c_sector * sector_term + c_rate * rate
+    return c_count * state.size + c_sector * sector_term + c_rate * rate
 
 
 def meta_depth(state: BeliefState) -> int:

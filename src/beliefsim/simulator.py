@@ -542,14 +542,6 @@ class AssertionOutcome:
     spec: Mapping[str, Any]
 
 
-def _removed_ids(before: BeliefState, after: BeliefState) -> list[int]:
-    """The ids ``after`` dropped from ``before``, ascending; ``after`` only
-    keeps or drops ids, so equal row counts mean nothing was dropped."""
-    if after.size == before.size:
-        return []
-    return sorted(before.ids() - after.ids())
-
-
 class SimulationRun:
     """One deterministic execution of a scenario timeline; once ``run()``
     returns, the run is its own result: its trace, its final active state and
@@ -690,7 +682,7 @@ class SimulationRun:
         elif decision.kind == "realign":
             outcome = realign(self.active, self.axes[decision.target], self.config)
             self.active = outcome.state
-        removed = _removed_ids(before, self.active)
+        removed = list(self.active.dropped_from(before))
         if decision.kind == "realign" and outcome.warned:
             self._emit("warning", {"op": "realign", "message": "still drifting after realignment"})
         self._emit("regulate_action", {"decision": record_dict(decision), "removed": removed})
@@ -775,8 +767,8 @@ class SimulationRun:
         before, before_store = self.active, self.store
         self.active = nullify(self.active, 1.0, self.config)
         self.store = nullify(self.store, 1.0, self.config)
-        pruned_active = _removed_ids(before, self.active)
-        pruned_store = _removed_ids(before_store, self.store)
+        pruned_active = list(self.active.dropped_from(before))
+        pruned_store = list(self.store.dropped_from(before_store))
         if pruned_active or pruned_store:
             self._emit(
                 "nullify_prune",

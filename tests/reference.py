@@ -15,7 +15,8 @@ state's rows, ``integrate_retrieved`` lifts
 each retrieved copy by hand, ``realign`` reads every removal
 from a whole derived state, ``shortlist`` screens every removal through the
 matrix of all its rests, the conflict readings group the rows by key on
-every call, and the load, the overload target, the sectors present, a
+every call, the content-key map, the key index and the dropped ids are
+rebuilt from every row on every call, and the load, the overload target, the sectors present, a
 sector's rows and its activation density walk every row, and ``check``
 reads an expect check with one branch per check.
 ``test_reference.py`` swaps them into a whole run through the module
@@ -486,6 +487,36 @@ def conflict_groups(fragments):
         tuple(group) for group in key_groups(fragments).values()
         if len({f.polarity for f in group}) == 2
     )
+
+
+def content_index(fragments):
+    """Each content key of ``fragments`` (in id order) -> the ids holding
+    it, ascending, rebuilt on every call."""
+    index = {}
+    for f in fragments:
+        index.setdefault(f.content_key(), []).append(f.id)
+    return {ckey: tuple(ids) for ckey, ids in index.items()}
+
+
+def key_index(fragments):
+    """Each proposition key of ``fragments`` (in id order) -> (id,
+    polarity) of each fragment on it, rebuilt on every call."""
+    return {key: tuple((f.id, f.polarity) for f in group)
+            for key, group in key_groups(fragments).items()}
+
+
+def holding(state, content_key):
+    return content_index(state.rows).get(content_key, ())
+
+
+def keyed(state, key):
+    return key_index(state.rows).get(key, ())
+
+
+def dropped_from(state, parent):
+    """The ids ``parent`` holds and ``state`` does not, ascending: the
+    difference of the two id sets."""
+    return tuple(sorted(parent.ids() - state.ids()))
 
 
 def _conflict_pairs(fragments):

@@ -259,6 +259,24 @@ def test_revised_drops_replaces_and_adds():
         state.revised(put=[make_fragment(5), make_fragment(5, "seal")])
 
 
+@settings(max_examples=150, deadline=None)
+@given(state=states(max_frags=8), drop=st.lists(st.integers(-1, 10), max_size=6),
+       put=st.lists(st.integers(0, 10), max_size=3, unique=True))
+def test_one_searchsorted_finds_what_the_per_id_walk_finds(state, drop, put):
+    """``positions`` and the keep mask of ``revised``, each from one
+    ``searchsorted``, equal the walk that looks each id up alone, absent
+    ids (below, between and above the rows') and repeats included."""
+    walk = [state._position(i) for i in drop]
+    assert state.positions(drop).tolist() == [-1 if i is None else i for i in walk]
+    rows = [make_fragment(i, "valve shut") for i in put]
+    gone = set(drop).union(put)
+    keep = [f.id not in gone for f in state.rows]
+    want = [f for f, kept in zip(state.fragments, keep) if kept] + rows
+    got = state.revised(put=rows, drop=drop)
+    assert got.fragments == BeliefState(want, state.clock).fragments
+    assert got is state or got.size == sum(keep) + len(rows)
+
+
 def test_id_allocator_is_monotonic():
     ids = IdAllocator(10)
     assert [ids.next() for _ in range(3)] == [10, 11, 12]

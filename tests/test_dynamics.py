@@ -11,7 +11,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from beliefsim.config import ParameterConfig, default_config
-from beliefsim.core import BeliefState, IdAllocator, embed_state, first_conflict
+from beliefsim.core import BeliefState, Fragment, IdAllocator, embed_state, first_conflict
 from beliefsim.dynamics import (
     DRIFT_ANCHOR,
     ConflictError,
@@ -629,6 +629,85 @@ def test_assimilate_matches_the_reference_rebuild(case):
         dt = out._decay[0]
         assert out._table["decay"].tobytes() == np.array(
             [math.exp(-cfg.decay_rate(f.anchor) * dt) for f in ref.fragments], float).tobytes()
+
+
+def test_a_refused_input_leaves_the_state_its_readings():
+    """An elaborative refusal is raised before any row goes in, so the state
+    keeps its content-key map and key index, refreshed twin and all, for
+    the next assimilation to read rather than rebuild from every row."""
+    cfg = default_config()
+    state = make_state(make_fragment(1, "valve open", key="p", polarity="+"),
+                       make_fragment(2, "pump"))
+    state.holding(())
+    state.conflicts()
+    contents, keys = state._contents, state._keys
+    batch = incoming(make_fragment(3, "pump"),
+                     make_fragment(4, "valve shut", key="p", polarity="-"))
+    with pytest.raises(ConflictError) as refused:
+        assimilate(state, batch, cfg, IdAllocator(10), mode="elab")
+    assert refused.value.pairs == ((state.get(1), batch.get(4)),)
+    assert state._contents is contents and state._keys is keys
+    assert contents == reference.content_index(state.rows)
+    assert keys == reference.key_index(state.rows)
+
+
+def test_assimilate_reads_only_the_input_when_the_readings_are_carried(monkeypatch):
+    """Ten rows into a 2,000-row state whose content-key map and key index
+    were handed on to it: the call builds no row tuple of a large state,
+    derives no existing row's content key, and asks for one only of a row
+    that leaves (refreshed or retracted), so its cost is O(input); and it
+    gives the reference's state and report."""
+    cfg = default_config()
+
+    def row(i):
+        key = "pqrs"[i // 40 % 4] if i % 40 == 0 else None  # 12 or 13 rows a key, all '+'
+        return make_fragment(i, f"pump {i % 700} valve", sectors=(SECTORS[i % 3],),
+                             anchor=1.0 + i % 5, persistence=0.5, key=key,
+                             polarity="+" if key else None)
+
+    base = BeliefState(map(row, range(1, 2001)), 0.0)
+    base.holding(())  # the content-key map and ...
+    base.conflicts()  # ... the key index, made once
+    state = base.revised(drop=[1])  # and handed on
+    assert state._contents is not None and state._keys is not None
+    batch = BeliefState((
+        row(7).replace(id=2001), row(8).replace(id=2002, anchor=9.0),  # twins: refreshed
+        make_fragment(2003, "pump 8 valve", sectors=(SECTORS[8 % 3],)),  # another twin
+        make_fragment(2004, "valve shut", anchor=3.0, key="p", polarity="-"),
+        make_fragment(2005, "valve stuck", anchor=9.0, key="q", polarity="-"),
+        make_fragment(2006, "seal", key="new", polarity="+"),
+        make_fragment(2007, "seal gone", key="new", polarity="-"),
+        *(make_fragment(i, f"light {i}") for i in range(2008, 2011)),
+    ), 0.0)
+    ref, ref_report = reference.assimilate(
+        BeliefState(state.fragments, 0.0), batch, cfg, IdAllocator(5000), mode="auto")
+    existing = {id(f) for f in base.rows}
+
+    rows = BeliefState.rows.fget
+    asked, derived = [], []
+    content_key = Fragment.content_key
+
+    def no_large_rows(s):
+        assert s.size < 100, "a large state's rows were read"
+        return rows(s)
+
+    def spied(f):
+        if id(f) in existing:
+            asked.append(f.id)
+            derived.extend([f.id] if f._ckey is None else [])
+        return content_key(f)
+
+    monkeypatch.setattr(BeliefState, "rows", property(no_large_rows))
+    monkeypatch.setattr(Fragment, "content_key", spied)
+    out, report = assimilate(state, batch, cfg, IdAllocator(5000), mode="auto")
+    monkeypatch.undo()
+
+    assert (out, report) == (ref, ref_report)
+    assert report.retracted and report.conflicts_found
+    assert derived == []
+    kept = {id(f) for f in out.rows}
+    leaving = {f.id for f in base.rows if id(f) not in kept}
+    assert asked and set(asked) <= leaving and len(leaving) < 40
 
 
 # --------------------------------------------------------------------------

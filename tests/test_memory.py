@@ -17,7 +17,7 @@ from beliefsim import core, memory
 from beliefsim.config import default_config
 from beliefsim.core import BeliefState, IdAllocator
 from beliefsim.dynamics import assimilate, nullify
-from beliefsim.simulator import SimulationRun, _removed_ids, load_scenario
+from beliefsim.simulator import SimulationRun, load_scenario
 from beliefsim.memory import (
     QueryCue,
     generate_query,
@@ -425,7 +425,7 @@ def test_store_rows_count_and_one_row_builds_alone(cfg, monkeypatch):
               for i in range(1, 6))
     )
     decayed = nullify(store, 1.0, cfg)
-    assert _removed_ids(store, decayed) == [1]
+    assert decayed.dropped_from(store) == (1,)
     built = []
     real = core._at
     monkeypatch.setattr(core, "_at", lambda row, *a: built.append(row.id) or real(row, *a))
@@ -443,7 +443,7 @@ def test_reanchor_skips_absent_and_pruned_ids(cfg):
     store = BeliefState((make_fragment(2, "pump", persistence=0.1005),
                          make_fragment(4, "valve", anchor=1.0, persistence=0.5)))
     decayed = nullify(store, 1.0, cfg)
-    assert _removed_ids(store, decayed) == [2]
+    assert decayed.dropped_from(store) == (2,)
     lifted = decayed.reanchor([1, 2, 4, 9], 5.0)
     assert lifted.get(2) is None
     assert lifted.get(4).anchor == 5.0 and lifted.get(4).persistence == 1.0
@@ -638,7 +638,7 @@ def test_store_matches_the_per_fragment_loops(chain, data):
             before, store = store, nullify(store, arg, cfg)
             gone = ref.ids()
             ref = reference_nullify(ref, arg, cfg)
-            assert _removed_ids(before, store) == sorted(gone - ref.ids())
+            assert list(store.dropped_from(before)) == sorted(gone - ref.ids())
         else:
             cue_text = arg
             if ref.fragments and data.draw(st.booleans()):

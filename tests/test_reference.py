@@ -146,8 +146,9 @@ def _swap_reference(mp: pytest.MonkeyPatch) -> None:
     loop, ``core.embed_state`` sums over a dense matrix, every store is
     screened through a dense V (the per-fragment ``retrieve`` is held to the
     engine's in ``test_memory.py``), every expect check is read one
-    branch per check, and every spec list, at load and at its tick, is
-    built one fragment per spec at once."""
+    branch per check, every spec list, at load and at its tick, is
+    built one fragment per spec at once, and the content-key map, the key
+    index and the ids a tick's step dropped are rebuilt from every row."""
     mp.setattr(simulator, "assimilate", reference.assimilate)
     mp.setattr(simulator, "resolve_conflicts", reference.resolve_conflicts)
     mp.setattr(simulator, "integrate_retrieved", reference.integrate_retrieved)
@@ -168,6 +169,9 @@ def _swap_reference(mp: pytest.MonkeyPatch) -> None:
     mp.setattr(regulation, "_lowest_priority_sector", reference.lowest_priority_sector)
     mp.setattr(memory, "first_conflict", lambda state: reference.first_conflict(state.rows))
     mp.setattr(BeliefState, "latest", reference.latest)
+    mp.setattr(BeliefState, "holding", reference.holding)
+    mp.setattr(BeliefState, "keyed", reference.keyed)
+    mp.setattr(BeliefState, "dropped_from", reference.dropped_from)
     mp.setattr(BeliefState, "rows_in", reference._tagged)
     mp.setattr(BeliefState, "sectors", reference.sectors)
     mp.setattr(execution, "activation_density", reference.activation_density)

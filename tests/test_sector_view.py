@@ -269,16 +269,40 @@ def test_latest_is_the_max_walk(frags, created, put):
 # --------------------------------------------------------------------------
 
 # One step of a chain: a put of drawn rows (a put id may replace a row), a
-# drop, a decay of every row or of one sector's rows (either may prune), or
-# a reanchor.
+# put of held rows' twins (each the row's content under its id + 20), a put
+# that rewrites held rows' text under their ids (as a meta slot update
+# does), a drop, a decay of every row or of one sector's rows (either may
+# prune), or a reanchor.
 CHAIN_STEPS = st.one_of(
     st.tuples(st.just("put"), view_fragments(unique=True, max_frags=3)),
+    st.tuples(st.just("twin"), st.sets(st.integers(1, 20), max_size=3)),
+    st.tuples(st.just("rewrite"), st.tuples(st.sets(st.integers(1, 20), min_size=1, max_size=2),
+                                            goal_texts())),
     st.tuples(st.just("drop"), st.sets(st.integers(1, 20), max_size=4)),
     st.tuples(st.just("decay"), st.sampled_from((1.0, 5.0, 40.0))),
     st.tuples(st.just("sector"), st.tuples(st.sampled_from(VIEW_SECTORS),
                                            st.sampled_from((1.0, 40.0)))),
     st.tuples(st.just("reanchor"), st.sets(st.integers(1, 20), max_size=3)),
 )
+
+
+def stepped(state: BeliefState, op: str, arg) -> BeliefState:
+    """The state one chain step derives from ``state``."""
+    cfg = default_config()
+    if op == "put":
+        return state.revised(put=arg)
+    if op == "twin":
+        return state.revised(put=[f.replace(id=f.id + 20) for f in state.fragments if f.id in arg])
+    if op == "rewrite":
+        ids, text = arg
+        return state.revised(put=[f.replace(text=text) for f in state.fragments if f.id in ids])
+    if op == "drop":
+        return state.revised(drop=arg)
+    if op == "decay":
+        return state.decayed(arg, cfg, state.clock + arg)
+    if op == "sector":
+        return nullify_sector(state, *arg, cfg)
+    return state.reanchor(arg, 2.0)
 
 
 def assert_conflict_readings(state: BeliefState) -> None:
@@ -314,29 +338,84 @@ def assert_equals_fresh_build(state: BeliefState) -> None:
         ).tobytes()
 
 
+def assert_indexes(state: BeliefState) -> None:
+    """The content-key map and the key index, handed on or made now, equal
+    a rebuild from the state's rows."""
+    assert state._content_index() == reference.content_index(state.rows)
+    assert state._key_index() == reference.key_index(state.rows)
+    for f in state.rows:
+        assert f.id in state.holding(f.content_key())
+
+
 def assert_handed_on_readings(state: BeliefState, marker: str) -> None:
-    """The readings a derivation hands on: the conflict groups, the goal rows
-    and V equal the reference regrouping, walk and embedding of the rows."""
+    """The readings a derivation hands on: the conflict groups, the
+    content-key map, the key index, the goal rows and V equal the reference
+    regrouping, rebuilds, walk and embedding of the rows."""
     assert_conflict_readings(state)
+    assert_indexes(state)
     want = tuple(f for f in state.rows if f.text.lower().startswith(marker))
     assert same_fragments(state.goals(marker), want)
     fresh = BeliefState(state.fragments, state.clock)
     assert state.vectors(16).tobytes() == fresh.vectors(16).tobytes()
 
 
+def assert_dropped(state: BeliefState, parent: BeliefState) -> None:
+    """The ids the derivation recorded as dropped are the ids it lost."""
+    assert list(state.dropped_from(parent)) == sorted(parent.ids() - state.ids())
+
+
+def assert_read(state: BeliefState, read, marker: str) -> None:
+    """Read every reading a derivation hands on (``True``), only the
+    content-key map, as an assimilation's first stage does (``"contents"``),
+    or nothing (``False``), each against the reference."""
+    if read == "contents":
+        assert state._content_index() == reference.content_index(state.rows)
+    elif read:
+        assert_handed_on_readings(state, marker)
+
+
+# Whether a chain step reads its state before it and its parent after it.
+READS = st.sampled_from((False, True, "contents"))
+
+
 @settings(max_examples=200, deadline=None, derandomize=True)
-@given(state=view_states(), chain=st.lists(st.tuples(st.booleans(), CHAIN_STEPS), max_size=8),
+@given(state=view_states(),
+       chain=st.lists(st.tuples(READS, CHAIN_STEPS, st.none() | CHAIN_STEPS), max_size=8),
        marker=st.sampled_from(MARKERS))
 @example(
     state=BeliefState((make_fragment(1, "valve open", key="p", polarity="+"),), 0.0),
-    chain=[(True, ("put", [make_fragment(2, "valve shut", key="p", polarity="-")]))],
+    chain=[(True, ("put", [make_fragment(2, "valve shut", key="p", polarity="-")]), None)],
     marker="goal:",
 )
 @example(
     state=BeliefState(tuple(make_fragment(i, t) for i, t in enumerate(
         ("Goal: pump", "valve", "GOAL: seal", "light"), 1)), 0.0),
-    chain=[(True, ("drop", {1})), (True, ("put", [make_fragment(5, "goal: map"),
-                                                  make_fragment(6, "red light")]))],
+    chain=[(True, ("drop", {1}), None), (True, ("put", [make_fragment(5, "goal: map"),
+                                                        make_fragment(6, "red light")]), None)],
+    marker="goal:",
+)
+@example(  # two rows of one content key: the twin is the higher id, then the other
+    state=BeliefState((make_fragment(1, "pump steady"), make_fragment(2, "steady pump"),
+                       make_fragment(3, "valve", key="p", polarity="+")), 0.0),
+    chain=[(True, ("twin", {3}), None), (False, ("drop", {2}), None),
+           (True, ("rewrite", ({1}, "seal")), None), (True, ("twin", {1}), None)],
+    marker="goal:",
+)
+@example(  # a dispute rewritten in place, and two siblings of one parent, both read
+    state=BeliefState((make_fragment(1, "valve open", key="p", polarity="+"),
+                       make_fragment(2, "valve shut", key="p", polarity="-"),
+                       make_fragment(3, "seal", key="q", polarity="+")), 0.0),
+    chain=[(True, ("rewrite", ({2}, "valve stuck")), ("drop", {1})),
+           (False, ("put", [make_fragment(4, "seal gone", key="q", polarity="-")]),
+            ("rewrite", ({3}, "Goal: seal"))),
+           (True, ("drop", {4}), None)],
+    marker="goal:",
+)
+@example(  # a parent that handed its key index on and then made its content-key map
+    state=BeliefState((make_fragment(1, "valve open", key="p", polarity="+"),
+                       make_fragment(2, "valve shut", key="p", polarity="-"),
+                       make_fragment(3, "pump")), 0.0),
+    chain=[(True, ("decay", 1.0), None), ("contents", ("decay", 1.0), ("drop", {1}))],
     marker="goal:",
 )
 def test_kept_conflict_groups_equal_the_regrouping(state, chain, marker):
@@ -344,23 +423,24 @@ def test_kept_conflict_groups_equal_the_regrouping(state, chain, marker):
     and ``reanchor`` made a state, its weights, id and ``created_at``
     columns, fragments, sector readings and decay factors equal a fresh
     build's; and whether each state on the way read its conflict groups,
-    goal rows and vectors (and so handed them on) or not, they equal the
-    reference's regrouping, walk and embedding of its rows."""
-    cfg = default_config()
-    for read, (op, arg) in chain:
+    content-key map, key index, goal rows and vectors (and so handed them
+    on) or not, they equal the reference's regrouping, rebuilds, walk and
+    embedding of its rows, and each derivation's dropped ids equal the ids
+    it lost.  A state read before its step is read again after it, its
+    readings handed on; then a step may derive a second sibling from the
+    same parent, read at once with the first."""
+    for read, step, sibling in chain:
         assert_equals_fresh_build(state)
-        if read:
+        assert_read(state, read, marker)
+        parent, state = state, stepped(state, *step)
+        assert_dropped(state, parent)
+        assert_read(parent, read, marker)
+        if sibling is not None:
+            other = stepped(parent, *sibling)
+            assert_dropped(other, parent)
+            assert_equals_fresh_build(other)
+            assert_handed_on_readings(other, marker)
             assert_handed_on_readings(state, marker)
-        if op == "put":
-            state = state.revised(put=arg)
-        elif op == "drop":
-            state = state.revised(drop=arg)
-        elif op == "decay":
-            state = state.decayed(arg, cfg, state.clock + arg)
-        elif op == "sector":
-            state = nullify_sector(state, *arg, cfg)
-        else:
-            state = state.reanchor(arg, 2.0)
     assert_equals_fresh_build(state)
     assert_handed_on_readings(state, marker)
 

@@ -6,6 +6,7 @@ import json
 import math
 import re
 import sys
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -14,13 +15,12 @@ from hypothesis import strategies as st
 
 from beliefsim.config import default_config
 from beliefsim.core import BeliefState, Fragment, embed_rows
-from beliefsim import dynamics, simulator
+from beliefsim import core, dynamics, simulator
 from beliefsim.dynamics import annihilate_sector, nullify
 from beliefsim.regulation import EFFORT_CLASSES, EFFORT_COSTS, uniform_budget
 from beliefsim.simulator import (
     SimulationRun,
     ScenarioError,
-    _removed_ids,
     load_scenario,
     run_scenario,
 )
@@ -289,17 +289,19 @@ def test_lexicon_entries_are_strings_with_a_token(tmp_path, word):
 
 def _count_reads_and_builds(monkeypatch) -> tuple[list, list]:
     """Record the text of each spec ``_build`` reads, and (text, origin) of
-    each ``Fragment`` constructed."""
+    each ``Fragment`` made: constructed, or filled at a row's first read
+    (both through ``core._fill``)."""
     read, built = [], []
-    values, init = simulator._spec_values, Fragment.__init__
+    values, fill = simulator._spec_values, core._fill
     monkeypatch.setattr(simulator, "_spec_values",
                         lambda spec: read.append(spec["text"]) or values(spec))
 
-    def counted(self, *args, **kwargs):
-        init(self, *args, **kwargs)
-        built.append((self.text, self.origin))
+    def counted(row, *args):
+        fill(row, *args)
+        built.append((row.text, row.origin))
+        return row
 
-    monkeypatch.setattr(Fragment, "__init__", counted)
+    monkeypatch.setattr(core, "_fill", counted)
     return read, built
 
 
@@ -341,6 +343,27 @@ def test_each_static_spec_is_read_once_at_load_and_built_when_read(tmp_path, mon
     assert [e.payload["report"]["elaborated"] for e in result.trace.events
             if e.kind == "assimilate"] == [[4], []]
     assert run.names == {"chart": 2, "panel": 4}
+
+
+def test_column_pass_admits_each_observe_spec_once(tmp_path, monkeypatch):
+    """Seed-0 ``conflict_stream``: over the run, ``core.admit`` is called once
+    per observe spec, by the column pass; the row built from the spec when
+    assimilation reads it is filled from the tokens and kept sector set that
+    call gave, and is not admitted again."""
+    path = write_scenario(tmp_path, workloads.generate("conflict_stream", 0))
+    scenario = load_scenario(path)
+    passed: Counter = Counter()
+    constructed: Counter = Counter()
+    admit = core.admit
+    monkeypatch.setattr(simulator, "admit", lambda *f: passed.update([f]) or admit(*f))
+    monkeypatch.setattr(core, "admit", lambda *f: constructed.update([f]) or admit(*f))
+    result = SimulationRun(scenario).run()
+    specs = [s for e in scenario.timeline if e["event"] == "observe" for s in e["specs"]]
+    ingested = [i for e in result.trace.events if e.kind == "ingest" for i in e.payload["ids"]]
+    assert len(specs) == len(ingested) == 1648
+    assert sorted(f[0] for f in passed.elements()) == sorted(ingested)
+    assert all(n == 1 for n in passed.values())
+    assert not passed.keys() & constructed.keys()
 
 
 def test_store_recall_builds_no_store_row_at_load(tmp_path, monkeypatch):
@@ -1224,21 +1247,24 @@ def test_assertion_results_enter_the_trace(tmp_path):
 
 @settings(max_examples=200, deadline=None)
 @given(state=states(max_frags=8), data=st.data())
-def test_removed_ids_walk_matches_the_set_difference(state, data):
-    keep = data.draw(st.lists(st.booleans(), min_size=len(state.fragments),
-                              max_size=len(state.fragments)))
+def test_dropped_ids_match_the_set_difference(state, data):
+    """The ids a derivation records as dropped, which the trace logs as a
+    regulation action's removals and a tick's prunes, are the ids the state
+    lost: after a drop, a put that replaces rows (which drops none), a decay
+    that may prune, a sector wipe, and a ``revised`` that is the state."""
+    ids = sorted(state.ids()) or [0]
+    replaced = data.draw(st.sets(st.sampled_from(ids)))
     afters = (
-        BeliefState(
-            tuple(f.replace(persistence=0.5) for f, kept in zip(state.fragments, keep) if kept),
-            state.clock,
-        ),
+        state.revised(drop=data.draw(st.sets(st.sampled_from(ids)))),
+        state.revised(put=[f.replace(text="valve shut") for f in state.fragments
+                           if f.id in replaced],
+                      drop=data.draw(st.sets(st.sampled_from(ids)))),
         nullify(state, data.draw(st.sampled_from((1.0, 40.0))), default_config()),
         annihilate_sector(state, data.draw(st.sampled_from(SECTORS))),
-        state,
-        BeliefState((), state.clock),
+        state.revised(drop=[-1]),
     )
     for after in afters:
-        assert _removed_ids(state, after) == sorted(state.ids() - after.ids())
+        assert list(after.dropped_from(state)) == sorted(state.ids() - after.ids())
 
 
 # --------------------------------------------------------------------------
